@@ -16,8 +16,11 @@ expectations that come from verified identities raise VerificationError
 rather than returning garbage.
 """
 
+from itertools import product
+
 from .errors import ParameterError, VerificationError
 from .formal_modules import lubin_tate_module, normalize_scalar_key
+from .linalg import vec_mat
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
@@ -25,21 +28,16 @@ X_PIVOT = "Xn"
 
 def index_vectors(field, n, nonzero=True):
     """All vectors in F_q^n (canonical-int tuples), zero excluded by default."""
-    vecs = [()]
-    for _ in range(n):
-        vecs = [t + (k,) for t in vecs for k in range(field.q)]
-    if nonzero:
-        vecs = [v for v in vecs if any(v)]
-    return vecs
+    vecs = product(range(field.q), repeat=n)
+    return [v for v in vecs if any(v)] if nonzero else list(vecs)
 
 
 def projective_representative(field, a):
     """Scale a so its first nonzero entry is 1."""
     for k in a:
         if k:
-            c = field.from_int(k)
-            inv = c.inv()
-            return tuple((field.from_int(x) * inv).canonical_int() for x in a)
+            inv = field.inv(k)
+            return tuple(field.mul(x, inv) for x in a)
     raise ParameterError("zero vector has no projective class")
 
 
@@ -50,18 +48,6 @@ def projective_classes(field, n):
         rep = projective_representative(field, a)
         classes.setdefault(rep, []).append(a)
     return classes
-
-
-def act_on_index(field, a, g):
-    """Right action a -> a g on row vectors, g an n x n matrix of ints."""
-    n = len(a)
-    out = []
-    for j in range(n):
-        s = field.zero()
-        for i in range(n):
-            s = s + field.from_int(a[i]) * field.from_int(g[i][j])
-        out.append(s.canonical_int())
-    return tuple(out)
 
 
 def x_vars(n):
@@ -114,7 +100,7 @@ def scalar_compat_check(module, a, c):
     if c % field.q == 0:
         raise ParameterError("scalar must be a unit")
     ring = deformation_ring(module, len(a))
-    ca = tuple((field.from_int(c) * field.from_int(x)).canonical_int() for x in a)
+    ca = tuple(field.mul(c, x) for x in a)
     lhs = build_P_a(module, ca, ring)
     rhs = module.formal_scalar(normalize_scalar_key(field, ("teich", c)),
                                build_P_a(module, a, ring))
@@ -148,12 +134,11 @@ def special_fiber_components(module, n=None):
             c = None
             for x, y in zip(m_vec, rep):
                 if y:
-                    c = (field.from_int(x) / field.from_int(y)).canonical_int()
+                    c = field.mul(x, field.inv(y))
                     break
             if not scalar_compat_check(module, rep, c):
                 ok = False
-            if m_vec != tuple((field.from_int(c) * field.from_int(y)).canonical_int()
-                              for y in rep):
+            if m_vec != tuple(field.mul(c, y) for y in rep):
                 ok = False
         if not ok:
             report["all_scalar_checks_pass"] = False
@@ -416,7 +401,7 @@ def gl_linear_shadow_check(module, matrices, n=None):
     ok = True
     for g in matrices:
         forms = sorted(index_vectors(field, n))
-        image = sorted(act_on_index(field, a, g) for a in forms)
+        image = sorted(vec_mat(field, a, g) for a in forms)
         if image != forms:
             ok = False
         assignments = {}

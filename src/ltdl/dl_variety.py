@@ -7,15 +7,16 @@ Points are vectors of canonical field integers; all enumeration is
 deterministic (lexicographic) and exact.
 """
 
+from itertools import product
 from math import gcd
 
 from .errors import BudgetError, ParameterError, VerificationError
-from .ffield import embed, ff_make, field_for_order, gaussian_binomial
+from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomial
 from .linalg import vec_mat
 from .series import FqDomain, SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8
-TABLE_FIELD_BOUND = 4096
+AMBIENT_FIELD_BOUND = 4096
 
 
 class DLInstance:
@@ -46,10 +47,7 @@ def dl_equation(q, n):
                       q ** n + 1)
     forms = []
     linear = []
-    vecs = [()]
-    for _ in range(n):
-        vecs = [t + (k,) for t in vecs for k in range(q)]
-    for a in vecs:
+    for a in product(range(q), repeat=n):
         if not any(a):
             continue
         forms.append(a)
@@ -66,42 +64,48 @@ def dl_equation(q, n):
 
 
 class Ambient:
-    """F_{q^m} with tables, the embedded F_q-forms, and mu_{q^n-1} data."""
+    """F_{q^m} with its log/Zech kernel, the embedded F_q, and mu_{q^n-1} data."""
 
     def __init__(self, q, n, m):
         self.q = q
         self.n = n
         self.m = m
-        if q ** m > TABLE_FIELD_BOUND:
+        if q ** m > AMBIENT_FIELD_BOUND:
             raise BudgetError(
-                f"ambient field size {q ** m} exceeds {TABLE_FIELD_BOUND}")
+                f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
         if q ** (m * n) > POINT_BUDGET:
             raise BudgetError(f"{q}^{m * n} points exceed the {POINT_BUDGET} budget")
         base = field_for_order(q)
+        if base.f * m > MAX_DEGREE:
+            raise BudgetError(
+                f"ambient field degree {base.f * m} exceeds {MAX_DEGREE}")
         self.base = base
         self.field = ff_make(base.p, base.f * m)
-        self.add, self.mul = self.field.tables()
         self.embed_map = [embed(base.from_int(k), self.field).canonical_int()
                           for k in range(q)]
-        vecs = [()]
-        for _ in range(n):
-            vecs = [t + (k,) for t in vecs for k in range(q)]
-        self.forms = [tuple(self.embed_map[k] for k in a)
-                      for a in vecs if any(a)]
+        self._embed_logs = [self.field.log[v] for v in self.embed_map[1:]]
 
     def product_of_forms(self, x):
-        """prod (a . x); early zero exit."""
-        add, mul = self.add, self.mul
-        out = 1
-        for a in self.forms:
-            s = 0
-            for ai, xi in zip(a, x):
-                if ai and xi:
-                    s = add[s][mul[ai][xi]]
-            if s == 0:
-                return 0
-            out = mul[out][s]
-        return out
+        """prod (a . x) over a in F_q^n - 0; early zero exit.
+
+        The values a . x are built as the F_q-span of x's coordinates in log
+        form, one Zech addition each, and the product is one sum of logs.
+        """
+        if not all(x):
+            return 0  # the form picking out a zero coordinate vanishes
+        log, zech, order = self.field.log, self.field.zech, self.field.q - 1
+        span = []  # logs of a . x over nonzero a supported on the coordinates so far
+        for xi in x:
+            multiples = [(lx + log[xi]) % order for lx in self._embed_logs]
+            new = list(multiples)
+            for lv in span:
+                for lm in multiples:
+                    z = zech[lm - lv]
+                    if z is None:
+                        return 0
+                    new.append((lv + z) % order)
+            span += new
+        return self.field.exp[sum(span) % order]
 
     def on_variety(self, x):
         return self.product_of_forms(x) == 1
@@ -111,28 +115,17 @@ class Ambient:
         Q = self.field.q
         if Q ** self.n > POINT_BUDGET:
             raise BudgetError(f"{Q}^{self.n} points exceed the {POINT_BUDGET} budget")
-        stack = [()]
-        for _ in range(self.n):
-            stack = [t + (k,) for t in stack for k in range(Q)]
-        return stack
+        return product(range(Q), repeat=self.n)
 
     def frobenius_int(self, x, power=1):
-        return (self.field.from_int(x) ** (self.base.q ** power)).canonical_int()
-
-    def inv_int(self, x):
-        return self.field.from_int(x).inv().canonical_int()
+        return self.field.pow(x, self.base.q ** power)
 
     def mu_elements(self):
         """Solutions of z^{q^n - 1} = 1 in this field, in canonical order."""
         order = self.q ** self.n - 1
         avail = gcd(order, self.field.q - 1)
-        g = self.field.generator ** ((self.field.q - 1) // avail)
-        out = set()
-        z = self.field.one()
-        for _ in range(avail):
-            out.add(z.canonical_int())
-            z = z * g
-        return sorted(out)
+        step = (self.field.q - 1) // avail
+        return sorted(self.field.exp[k * step] for k in range(avail))
 
 
 def dl_points(q, n, m, mode="count"):
@@ -167,10 +160,7 @@ def _projective_reps(amb):
     if Q ** n > POINT_BUDGET:
         raise BudgetError("projective enumeration over budget")
     for lead in range(n):
-        tails = [()]
-        for _ in range(n - lead - 1):
-            tails = [t + (k,) for t in tails for k in range(Q)]
-        for t in tails:
+        for t in product(range(Q), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + t
 
 
@@ -190,27 +180,22 @@ def _base_points_moebius(q, n, m):
     return N[n]
 
 
-def act(q, n, x, g=None, zeta=None, m=None):
-    """Apply (g, zeta): x -> zeta^{-1} (x g), in F_{q^m}.
+def act(amb, x, g=None, zeta=None):
+    """Apply (g, zeta): x -> zeta^{-1} (x g), in the ambient field of amb.
 
     g has canonical-int entries over F_q; zeta is a canonical int of the
     ambient field whose order must divide q^n - 1.
     """
-    amb = Ambient(q, n, m)
-    return _act(amb, x, g, zeta)
-
-
-def _act(amb, x, g=None, zeta=None):
+    field = amb.field
     out = x
     if g is not None:
         emb_g = tuple(tuple(amb.embed_map[v] for v in row) for row in g)
-        out = vec_mat(amb.field, out, emb_g)
+        out = vec_mat(field, out, emb_g)
     if zeta is not None:
-        z = amb.field.from_int(zeta)
-        if z.is_zero() or (z ** (amb.q ** amb.n - 1)) != amb.field.one():
+        if not zeta or field.pow(zeta, amb.q ** amb.n - 1) != 1:
             raise ParameterError("zeta does not have order dividing q^n - 1")
-        zi = z.inv().canonical_int()
-        out = tuple(amb.mul[zi][v] for v in out)
+        zi = field.inv(zeta)
+        out = tuple(field.mul(zi, v) for v in out)
     return out
 
 
@@ -224,7 +209,7 @@ def action_invariance_check(q, n, m, matrices):
     for x in pts:
         for g in matrices:
             for z in mus:
-                if not amb.on_variety(_act(amb, x, g, z)):
+                if not amb.on_variety(act(amb, x, g, z)):
                     raise VerificationError(
                         f"action by (g, zeta) left the variety at x={x}")
                 checked += 1
@@ -238,8 +223,8 @@ def fiber_structure_check(q, n, m):
     fibers = {}
     for x in pts:
         lead = next(i for i, v in enumerate(x) if v)
-        inv = amb.inv_int(x[lead])
-        rep = (0,) * lead + tuple(amb.mul[inv][v] for v in x[lead:])
+        inv = amb.field.inv(x[lead])
+        rep = (0,) * lead + tuple(amb.field.mul(inv, v) for v in x[lead:])
         fibers.setdefault(rep, []).append(x)
         if amb.product_of_forms(rep) == 0:
             raise VerificationError("DL point image lies on a rational hyperplane")
@@ -259,7 +244,7 @@ def twisted_count(q, n, g, zeta, M, frob_power=1):
     for x in amb.points():
         if not amb.on_variety(x):
             continue
-        tx = _act(amb, x, g, zeta)
+        tx = act(amb, x, g, zeta)
         if all(amb.frobenius_int(xi, frob_power) == ti for xi, ti in zip(x, tx)):
             count += 1
     return count
@@ -314,7 +299,7 @@ def orbit_partition_check(q, n, m, matrices):
             orbit.add(y)
             for g in matrices:
                 for z in mus:
-                    im = _act(amb, y, g, z)
+                    im = act(amb, y, g, z)
                     if im not in orbit:
                         frontier.append(im)
         if not orbit <= pts:

@@ -9,11 +9,23 @@ torus with cuspidal irreducibles through pi * St = Ind theta.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .cyclo import CycloElement
 from .errors import BudgetError, ParameterError, VerificationError
-from .ffield import field_for_order, is_prime, moebius, prime_factors
+from .ffield import (
+    field_for_order,
+    is_prime,
+    moebius,
+    poly_divmod,
+    poly_monic,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+    prime_factors,
+    primitive_poly_over,
+)
 from .linalg import (
     MAX_GROUP_ORDER,
     group_order,
@@ -25,63 +37,7 @@ from .linalg import (
     vec_mat,
 )
 
-# -- polynomials over F_q (canonical-int coefficients, ascending) ---------------
-
-
-def _poly_trim(c):
-    i = len(c)
-    while i and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def poly_mul(field, a, b):
-    if not a or not b:
-        return ()
-    add, mul = field.tables()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = add[out[i + j]][mul[ai][bj]]
-    return _poly_trim(out)
-
-
-def poly_sub(field, a, b):
-    add, _ = field.tables()
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, bj in enumerate(b):
-        if bj:
-            nb = (-field.from_int(bj)).canonical_int()
-            out[j] = add[out[j]][nb]
-    return _poly_trim(out)
-
-
-def poly_divmod(field, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    add, mul = field.tables()
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = field.from_int(b[-1]).inv().canonical_int()
-    quot = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k]:
-            c = mul[a[k]][inv_lead]
-            quot[k - db] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    sub = (-(field.from_int(c) * field.from_int(bj))).canonical_int()
-                    a[k - db + j] = add[a[k - db + j]][sub]
-    return _poly_trim(quot), _poly_trim(a)
-
-
-def poly_monic(field, a):
-    if not a or a[-1] == 1:
-        return a
-    inv = field.from_int(a[-1]).inv().canonical_int()
-    _, mul = field.tables()
-    return tuple(mul[c][inv] for c in a)
+# -- rational canonical forms -----------------------------------------------------
 
 
 def smith_invariant_factors(field, M):
@@ -133,15 +89,11 @@ def smith_invariant_factors(field, M):
             # pivot does not divide everything yet: fold the offending row in
             for c in range(t, n):
                 M[t][c] = poly_sub(field, M[t][c],
-                                   poly_mul(field, (_neg_one(field),), M[fix][c]))
+                                   poly_mul(field, (field.neg(1),), M[fix][c]))
         if M[t][t]:
             out.append(poly_monic(field, M[t][t]))
     factors = [f for f in out if len(f) > 1]
     return tuple(factors)
-
-
-def _neg_one(field):
-    return (-field.one()).canonical_int()
 
 
 def rcf_key(field, A):
@@ -151,11 +103,11 @@ def rcf_key(field, A):
     for i in range(n):
         row = []
         for j in range(n):
-            a = (-field.from_int(A[i][j])).canonical_int()
+            a = field.neg(A[i][j])
             if i == j:
-                row.append(_poly_trim((a, 1)))
+                row.append(poly_trim((a, 1)))
             else:
-                row.append(_poly_trim((a,)))
+                row.append(poly_trim((a,)))
         M.append(row)
     key = smith_invariant_factors(field, M)
     if sum(len(f) - 1 for f in key) != n:
@@ -276,63 +228,6 @@ class ClassFunction:
 # -- the Coxeter torus and its characters -----------------------------------------
 
 
-def primitive_poly_over(field, n):
-    """Smallest-encoding monic primitive polynomial of degree n over F_q."""
-    q = field.q
-    smaller = {}
-
-    def irreducibles(d):
-        if d not in smaller:
-            items = []
-            for code in range(q ** d):
-                k = code
-                c = []
-                for _ in range(d):
-                    c.append(k % q)
-                    k //= q
-                cand = _poly_trim(tuple(c) + (1,))
-                if d == 1 or all(poly_divmod(field, cand, s)[1]
-                                 for e in range(1, d // 2 + 1)
-                                 for s in irreducibles(e)):
-                    items.append(cand)
-            smaller[d] = items
-        return smaller[d]
-
-    def poly_order_ok(m):
-        order = q ** n - 1
-        x = (0, 1)
-
-        def powmod(e):
-            result = (1,)
-            base = poly_divmod(field, x, m)[1]
-            while e:
-                if e & 1:
-                    result = poly_divmod(field, poly_mul(field, result, base), m)[1]
-                base = poly_divmod(field, poly_mul(field, base, base), m)[1]
-                e >>= 1
-            return result
-
-        if powmod(order) != (1,):
-            return False
-        return all(powmod(order // ell) != (1,) for ell in prime_factors(order))
-
-    for code in range(q ** n):
-        k = code
-        c = []
-        for _ in range(n):
-            c.append(k % q)
-            k //= q
-        cand = tuple(c) + (1,)
-        if c[0] == 0:
-            continue
-        if n > 1 and any(not poly_divmod(field, cand, s)[1]
-                         for d in range(1, n // 2 + 1) for s in irreducibles(d)):
-            continue
-        if poly_order_ok(cand):
-            return cand
-    raise ParameterError(f"no primitive polynomial of degree {n} over F_{q}")
-
-
 class CoxeterTorus:
     """T = <C> of order q^n - 1, C the companion matrix of a primitive poly."""
 
@@ -340,7 +235,7 @@ class CoxeterTorus:
         self.group = group
         q, n = group.q, group.n
         poly = primitive_poly_over(group.field, n)
-        neg = lambda v: (-group.field.from_int(v)).canonical_int()
+        neg = group.field.neg
         rows = []
         for i in range(n - 1):
             rows.append(tuple(1 if j == i + 1 else 0 for j in range(n)))
@@ -418,31 +313,21 @@ def torus_inner(torus, vals_a, vals_b):
 # -- flags and the Steinberg character ---------------------------------------------
 
 
-def _all_vectors(field, n):
-    vecs = [()]
-    for _ in range(n):
-        vecs = [t + (k,) for t in vecs for k in range(field.q)]
-    return vecs
-
-
 def subspaces_by_dimension(field, n):
     """All F_q-subspaces of F_q^n as frozensets of vectors, keyed by dim."""
-    vectors = _all_vectors(field, n)
+    vectors = list(product(range(field.q), repeat=n))
     zero = vectors[0]
     spans = {0: {frozenset([zero])}}
-    frontier = {frozenset([zero])}
     for d in range(1, n + 1):
         new = set()
         for W in spans[d - 1]:
             for v in vectors:
                 if v in W:
                     continue
-                add, mul = field.tables()
                 span = set()
                 for w in W:
                     for c in range(field.q):
-                        cv = tuple(mul[c][vi] for vi in v)
-                        span.add(tuple(add[a][b] for a, b in zip(w, cv)))
+                        span.add(tuple(field.add(a, field.mul(c, b)) for a, b in zip(w, v)))
                 new.add(frozenset(span))
         spans[d] = new
     return {d: sorted(spans[d], key=lambda W: sorted(W)) for d in spans}

@@ -1,7 +1,7 @@
 """Matrices over small finite fields, encoded as tuples of canonical ints.
 
-Uses the field's add/mul tables, so everything stays hashable and fast at
-the scales this package enumerates (|GL_n(F_q)| <= 3e4).
+Uses the field's log/Zech kernel on canonical ints, so everything stays
+hashable and fast at the scales this package enumerates (|GL_n(F_q)| <= 3e4).
 """
 
 from .errors import BudgetError, ParameterError
@@ -13,38 +13,24 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _dot(field, xs, ys):
+    s = 0
+    for x, y in zip(xs, ys):
+        s = field.add(s, field.mul(x, y))
+    return s
+
+
 def mat_mul(field, A, B):
-    add, mul = field.tables()
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s = add[s][mul[A[i][k]][B[k][j]]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*B))
+    return tuple(tuple(_dot(field, row, col) for col in cols) for row in A)
 
 
 def vec_mat(field, x, A):
     """Row-vector action x -> x A."""
-    add, mul = field.tables()
-    n = len(A)
-    return tuple(
-        _fold_add(add, [mul[x[i]][A[i][j]] for i in range(n)]) for j in range(n))
-
-
-def _fold_add(add, items):
-    s = 0
-    for v in items:
-        s = add[s][v]
-    return s
+    return tuple(_dot(field, x, col) for col in zip(*A))
 
 
 def det(field, A):
-    add, mul = field.tables()
     n = len(A)
     M = [list(r) for r in A]
     d = 1
@@ -54,27 +40,18 @@ def det(field, A):
             return 0
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            d = _times_minus_one(field, d)
-        d = mul[d][M[c][c]]
-        inv = field.from_int(M[c][c]).inv().canonical_int()
+            d = field.neg(d)
+        d = field.mul(d, M[c][c])
+        inv = field.inv(M[c][c])
         for r in range(c + 1, n):
             if M[r][c]:
-                factor = mul[M[r][c]][inv]
+                factor = field.mul(M[r][c], inv)
                 for k in range(c, n):
-                    M[r][k] = add[M[r][k]][_times_minus_one_val(field, mul[factor][M[c][k]])]
+                    M[r][k] = field.sub(M[r][k], field.mul(factor, M[c][k]))
     return d
 
 
-def _times_minus_one(field, v):
-    return (field.from_int(v) * (-field.one())).canonical_int()
-
-
-def _times_minus_one_val(field, v):
-    return (-(field.from_int(v))).canonical_int()
-
-
 def mat_inv(field, A):
-    add, mul = field.tables()
     n = len(A)
     M = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A)]
     for c in range(n):
@@ -82,13 +59,12 @@ def mat_inv(field, A):
         if piv is None:
             raise ZeroDivisionError("singular matrix")
         M[c], M[piv] = M[piv], M[c]
-        inv = field.from_int(M[c][c]).inv().canonical_int()
-        M[c] = [mul[inv][v] for v in M[c]]
+        inv = field.inv(M[c][c])
+        M[c] = [field.mul(inv, v) for v in M[c]]
         for r in range(n):
             if r != c and M[r][c]:
                 f = M[r][c]
-                M[r] = [add[M[r][k]][_times_minus_one_val(field, mul[f][M[c][k]])]
-                        for k in range(2 * n)]
+                M[r] = [field.sub(M[r][k], field.mul(f, M[c][k])) for k in range(2 * n)]
     return tuple(tuple(row[n:]) for row in M)
 
 

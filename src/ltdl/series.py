@@ -331,10 +331,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, {e: c for e, c in self.terms.items()
                                            if sum(e) == d})
 
-    def max_degree_in(self, var):
-        i = self.ring._var_index[var]
-        return max((e[i] for e in self.terms), default=0)
-
     def var_valuation(self, var):
         """Largest e with self in (var^e); the zero series is rejected."""
         if not self.terms:

@@ -14,7 +14,7 @@ This is what the formal-module logarithms compute in.
 from functools import lru_cache
 
 from .errors import DenominatorOverflow, IntegralityError, ParameterError, PrecisionError
-from .ffield import FieldElement, ff_make
+from .ffield import ff_make
 
 
 @lru_cache(maxsize=None)
@@ -79,9 +79,6 @@ class WittRing:
             z = z ** self.field.q
         assert z ** self.field.q == z
         return z
-
-    def at_precision(self, M):
-        return witt_ring(self.p, self.f, M)
 
 
 class WittElement:
@@ -149,8 +146,7 @@ class WittElement:
 
     def reduce_mod_p(self):
         """The residue in F_{p^f} (this is digit 0)."""
-        p = self.ring.p
-        return FieldElement(self.ring.field, tuple(c % p for c in self.coeffs))
+        return self.ring.field.elem(self.coeffs)
 
     def valuation(self):
         """p-adic valuation; returns ring.N for the zero element."""
@@ -359,7 +355,6 @@ class BoundedPadic:
         if self.is_exact_zero() or other.is_exact_zero():
             return self.params.zero()
         if self.unit is None or other.unit is None:
-            sv = self.val if self.unit is None else None
             # O(p^a) * x = O(p^(a + val_x)); if both are O-zeros, add the bounds
             a = self.abs if self.unit is None else self.val
             b = other.abs if other.unit is None else other.val

@@ -27,6 +27,15 @@ def test_dl_count_report(tmp_path):
     assert report["results"]["base_count"] == 2
 
 
+def test_verify_all_41_omits_twisted_sum_past_degree_cap(tmp_path):
+    # the m = 2 twisted sum needs F_{4^6} = F_{2^12}, past ff_make's degree cap
+    code, report = run_cli(tmp_path, "verify-all", "--q", "4", "--n", "1")
+    assert code == 0
+    assert report["results"]["omitted_checks"] == [
+        {"check": "dl.twisted_sum_m2", "reason": "ambient field degree 12 exceeds 8"}]
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
 def test_parameter_error_exit_2(tmp_path, capsys):
     code = main(["depth0", "chart", "--q", "9", "--n", "5"])
     assert code == 2

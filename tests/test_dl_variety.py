@@ -98,10 +98,10 @@ def test_base_points_moebius_matches_enumeration_more():
 def test_act_identity_and_swap():
     g_id = identity(2)
     x = (2, 3)  # (w, w^2) in F_4 canonical ints
-    assert act(2, 2, x, g=g_id, m=2) == x
-    swap = ((0, 1), (1, 0))
-    assert act(2, 2, x, g=swap, m=2) == (3, 2)
     amb = Ambient(2, 2, 2)
+    assert act(amb, x, g=g_id) == x
+    swap = ((0, 1), (1, 0))
+    assert act(amb, x, g=swap) == (3, 2)
     assert amb.on_variety(x)
     assert amb.on_variety((3, 2))
 
@@ -112,9 +112,9 @@ def test_act_zeta_scaling():
     assert len(mus) == 3  # mu_3 lives in F_4
     for x in [p for p in amb.points() if amb.on_variety(p)]:
         for z in mus:
-            assert amb.on_variety(act(2, 2, x, zeta=z, m=2))
+            assert amb.on_variety(act(amb, x, zeta=z))
     with pytest.raises(ParameterError):
-        act(2, 2, (1, 1), zeta=0, m=2)
+        act(amb, (1, 1), zeta=0)
 
 
 def test_action_invariance_full():
@@ -144,7 +144,7 @@ def test_twisted_counts():
     amb = Ambient(2, 2, 2)
     z = [m for m in amb.mu_elements() if m != 1][0]
     fixed = [x for x in amb.points() if amb.on_variety(x)
-             and act(2, 2, x, zeta=z, m=2) == x]
+             and act(amb, x, zeta=z) == x]
     assert fixed == []
 
 

@@ -4,13 +4,14 @@ import pytest
 
 from ltdl.errors import ParameterError
 from ltdl.ffield import (
-    _monic_irreducibles,
-    _poly_divmod_p,
+    PrimeField,
     embed,
     ff_make,
     field_for_order,
     gaussian_binomial,
-    moebius,
+    poly_divmod,
+    poly_mul,
+    primitive_poly_over,
 )
 
 
@@ -51,7 +52,7 @@ def test_f4_x_times_x():
     F4 = ff_make(2, 2)
     x = F4.generator
     # Oracle: reduce x^2 mod x^2+x+1 by long division.
-    quot, rem = _poly_divmod_p((0, 0, 1), (1, 1, 1), 2)
+    quot, rem = poly_divmod(PrimeField(2), (0, 0, 1), (1, 1, 1))
     assert quot == (1,) and rem == (1, 1)
     assert (x * x).coeffs == (1, 1)  # x + 1
 
@@ -142,17 +143,77 @@ def test_embedding_respects_arithmetic():
         assert img ** 4 == img
 
 
-def test_monic_irreducibles_degree_counts():
-    # Oracle: the number of monic irreducibles of degree d over F_p is
-    # (1/d) sum_{e|d} mu(d/e) p^e.
-    for p, d, expected in [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3)]:
-        count = sum(moebius(d // e) * p ** e for e in range(1, d + 1) if d % e == 0) // d
-        assert count == expected
-        assert len(_monic_irreducibles(p, d)) == expected
-
-
 def test_gaussian_binomial():
     assert gaussian_binomial(2, 1, 2) == 3
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(3, 2, 2) == 7
     assert gaussian_binomial(2, 1, 3) == 4
+
+
+def test_kernel_matches_schoolbook_oracle():
+    # Oracle: coordinates in the polynomial basis, schoolbook products over
+    # Z/p reduced by the modulus; no log, exp or Zech array is involved.
+    for (p, f) in [(2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (3, 4)]:
+        F = ff_make(p, f)
+        Fp = PrimeField(p)
+        coords = [tuple((k // p ** i) % p for i in range(f)) for k in range(F.q)]
+        encode = lambda c: sum(ci * p ** i for i, ci in enumerate(c))
+
+        def oracle_mul(a, b):
+            return encode(poly_divmod(Fp, poly_mul(Fp, coords[a], coords[b]), F.modulus)[1])
+
+        for a in range(F.q):
+            power = 1
+            for b in range(F.q):
+                assert F.mul(a, b) == oracle_mul(a, b), (p, f, a, b)
+                assert F.add(a, b) == encode([(x + y) % p for x, y in
+                                              zip(coords[a], coords[b])])
+                assert F.pow(a, b) == power, (p, f, a, b)
+                power = oracle_mul(power, a)
+            if a:
+                assert oracle_mul(a, F.inv(a)) == 1
+
+
+# Frozen at the commit before the log/Zech kernel: (p, f) -> (modulus,
+# canonical int of the generator), then (q, n) -> the Coxeter polynomial.
+FROZEN_FIELDS = {
+    (2, 1): ((1, 1), 1),
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 1, 0, 1), 2),
+    (2, 4): ((1, 1, 0, 0, 1), 2),
+    (2, 5): ((1, 0, 1, 0, 0, 1), 2),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2),
+    (2, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 2),
+    (2, 8): ((1, 0, 1, 1, 1, 0, 0, 0, 1), 2),
+    (3, 1): ((1, 1), 2),
+    (3, 2): ((2, 1, 1), 3),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (3, 7): ((1, 2, 1, 0, 0, 0, 0, 1), 3),
+    (5, 1): ((2, 1), 3),
+    (5, 2): ((2, 1, 1), 5),
+    (5, 3): ((2, 3, 0, 1), 5),
+    (5, 4): ((2, 2, 1, 0, 1), 5),
+    (7, 1): ((2, 1), 5),
+    (7, 2): ((3, 1, 1), 7),
+    (7, 3): ((2, 3, 0, 1), 7),
+}
+FROZEN_COXETER = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (3, 2): (2, 1, 1),
+    (4, 2): (2, 1, 1),
+    (5, 2): (2, 1, 1),
+    (7, 2): (3, 1, 1),
+    (8, 1): (2, 1),
+}
+
+
+def test_field_descriptions_frozen():
+    for (p, f), (modulus, gen) in FROZEN_FIELDS.items():
+        F = ff_make(p, f)
+        assert (F.modulus, F.generator.canonical_int()) == (modulus, gen), (p, f)
+    for (q, n), poly in FROZEN_COXETER.items():
+        assert primitive_poly_over(field_for_order(q), n) == poly, (q, n)

@@ -4,7 +4,7 @@ import pytest
 
 from ltdl.cyclo import CycloElement
 from ltdl.errors import ParameterError
-from ltdl.ffield import ff_make
+from ltdl.ffield import ff_make, primitive_poly_over
 from ltdl.gl_characters import (
     ClassFunction,
     CorrespondenceData,
@@ -19,7 +19,6 @@ from ltdl.gl_characters import (
     induce_from_torus,
     is_cuspidal,
     is_generic,
-    primitive_poly_over,
     rcf_key,
     restrict_to_torus,
     steinberg,
