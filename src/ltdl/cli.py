@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from math import comb
 
 from . import __version__
@@ -33,7 +34,14 @@ from .dl_variety import (
     fiber_structure_check,
     twisted_sum_check,
 )
-from .errors import BudgetError, ParameterError, VerificationError
+from .errors import (
+    BudgetError,
+    IntegralityError,
+    ParameterError,
+    PrecisionError,
+    VerificationError,
+)
+from .ffield import field_for_order
 from .formal_modules import (
     default_degree,
     lubin_tate_module,
@@ -160,7 +168,6 @@ class RunConfig:
         q, n = self.q, self.n
         if q < 2 or n < 1:
             raise ParameterError("need q >= 2 and n >= 1")
-        from .ffield import field_for_order
         field_for_order(q)  # raises ParameterError if q is not a prime power
         if self.command in ("formal-group", "depth0", "verify-all"):
             if q ** n > CHART_QN_BOUND:
@@ -333,93 +340,111 @@ def run_chars(cfg):
     return results, checks
 
 
+@contextmanager
+def suite(name, checks):
+    """One verify-all suite: a raise inside becomes the failing check
+    `<name>.error` with the message as its details, and the checks already
+    recorded, like the suites after it, still land in the report."""
+    try:
+        yield
+    except (VerificationError, PrecisionError, IntegralityError) as exc:
+        checks.append(check_entry(f"{name}.error", False, exc))
+
+
 def run_verify_all(cfg):
     q, n = cfg.q, cfg.n
     checks = []
     results = {"q": q, "n": n, "N": cfg.prec_n, "D": cfg.degree()}
+    mats = invertible_matrices(field_for_order(q), n)
 
-    module = lubin_tate_module(q, n, N=cfg.prec_n, D=cfg.degree())
-    for c in verify_module_axioms(module):
-        checks.append(check_entry("formal_module." + c["name"],
-                                  c["status"] == "pass", c["details"]))
+    module = None
+    with suite("formal_module", checks):
+        module = lubin_tate_module(q, n, N=cfg.prec_n, D=cfg.degree())
+        for c in verify_module_axioms(module):
+            checks.append(check_entry("formal_module." + c["name"],
+                                      c["status"] == "pass", c["details"]))
 
-    census = special_fiber_components(module)
-    checks.append(check_entry(
-        "depth0.component_census",
-        census["all_scalar_checks_pass"]
-        and census["components"] == (q ** n - 1) // (q - 1),
-        f"{census['components']} components of multiplicity {census['multiplicity']}"))
+    with suite("depth0", checks):
+        if module is None:
+            raise VerificationError("no formal module: the formal_module suite failed")
+        census = special_fiber_components(module)
+        checks.append(check_entry(
+            "depth0.component_census",
+            census["all_scalar_checks_pass"]
+            and census["components"] == (q ** n - 1) // (q - 1),
+            f"{census['components']} components of multiplicity {census['multiplicity']}"))
 
-    try:
-        P = build_P(module)
-        checks.append(check_entry("depth0.equation_lowest_degree",
-                                  P.lowest_degree() == q ** n - 1))
-    except VerificationError as exc:
-        checks.append(check_entry("depth0.equation_lowest_degree", False, exc))
-
-    try:
-        chart = blowup_chart(module)
-        checks.append(check_entry("depth0.chart_multiplicity",
-                                  chart.valuation == q ** n - 1,
-                                  f"valuation {chart.valuation}"))
-        checks.append(check_entry("depth0.chart_linear_parts",
-                                  len(chart.linear_parts) == q ** n - 1))
-    except VerificationError as exc:
-        checks.append(check_entry("depth0.chart_multiplicity", False, exc))
-
-    if n >= 3:
         try:
-            vals = iterated_chart(module, list(range(n, 1, -1)))
-            checks.append(check_entry(
-                "depth0.iterated_multiplicities",
-                vals == [q ** s - 1 for s in range(n, 1, -1)], str(vals)))
+            P = build_P(module)
+            checks.append(check_entry("depth0.equation_lowest_degree",
+                                      P.lowest_degree() == q ** n - 1))
         except VerificationError as exc:
-            checks.append(check_entry("depth0.iterated_multiplicities", False, exc))
+            checks.append(check_entry("depth0.equation_lowest_degree", False, exc))
 
-    try:
-        un = un_special_fiber(module)
-        checks.append(check_entry("depth0.un_equals_dl", un["un_equation_matches_dl"]))
-    except VerificationError as exc:
-        checks.append(check_entry("depth0.un_equals_dl", False, exc))
+        try:
+            chart = blowup_chart(module)
+            checks.append(check_entry("depth0.chart_multiplicity",
+                                      chart.valuation == q ** n - 1,
+                                      f"valuation {chart.valuation}"))
+            checks.append(check_entry("depth0.chart_linear_parts",
+                                      len(chart.linear_parts) == q ** n - 1))
+        except VerificationError as exc:
+            checks.append(check_entry("depth0.chart_multiplicity", False, exc))
 
-    mats = invertible_matrices(module.field, n)
-    checks.append(check_entry("depth0.gl_linear_shadow",
-                              gl_linear_shadow_check(module, mats)))
+        if n >= 3:
+            try:
+                vals = iterated_chart(module, list(range(n, 1, -1)))
+                checks.append(check_entry(
+                    "depth0.iterated_multiplicities",
+                    vals == [q ** s - 1 for s in range(n, 1, -1)], str(vals)))
+            except VerificationError as exc:
+                checks.append(check_entry("depth0.iterated_multiplicities", False, exc))
+
+        try:
+            un = un_special_fiber(module)
+            checks.append(check_entry("depth0.un_equals_dl", un["un_equation_matches_dl"]))
+        except VerificationError as exc:
+            checks.append(check_entry("depth0.un_equals_dl", False, exc))
+
+        checks.append(check_entry("depth0.gl_linear_shadow",
+                                  gl_linear_shadow_check(module, mats)))
 
     omitted = []
-    for m in (1, 2):
-        count = dl_points(q, n, m)
-        base_e = base_points(q, n, m, "enumerate")
-        base_m = base_points(q, n, m, "moebius")
-        checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
-                                  f"count {count}, base {base_e}"))
-        rep = fiber_structure_check(q, n, m)
-        checks.append(check_entry(
-            f"dl.fibers_m{m}", True,
-            "vacuous" if rep["vacuous"] else f"fiber size {rep['fiber_size']}"))
-        try:
-            tw = twisted_sum_check(q, n, m)
-            checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
-                                      f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base_e}"))
-        except BudgetError as exc:
-            # the twist field can be far larger than the enumeration budget
-            # (all DL fibers over F_{q^m}-points close up only there); report
-            # the omission rather than faking a result
-            omitted.append({"check": f"dl.twisted_sum_m{m}", "reason": str(exc)})
-    triples = action_invariance_check(q, n, 2, mats)
-    checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
+    with suite("dl", checks):
+        for m in (1, 2):
+            count = dl_points(q, n, m)
+            base_e = base_points(q, n, m, "enumerate")
+            base_m = base_points(q, n, m, "moebius")
+            checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
+                                      f"count {count}, base {base_e}"))
+            rep = fiber_structure_check(q, n, m)
+            checks.append(check_entry(
+                f"dl.fibers_m{m}", True,
+                "vacuous" if rep["vacuous"] else f"fiber size {rep['fiber_size']}"))
+            try:
+                tw = twisted_sum_check(q, n, m)
+                checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
+                                          f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base_e}"))
+            except BudgetError as exc:
+                # the twist field can be far larger than the enumeration budget
+                # (all DL fibers over F_{q^m}-points close up only there); report
+                # the omission rather than faking a result
+                omitted.append({"check": f"dl.twisted_sum_m{m}", "reason": str(exc)})
+        triples = action_invariance_check(q, n, 2, mats)
+        checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
     if omitted:
         results["omitted_checks"] = omitted
 
-    data = CorrespondenceData(q, n)
-    checks.append(check_entry(
-        "chars.degree_squares_sum",
-        sum(d * d for d in data.table.degrees) == data.group.order))
-    rep, virt = correspondence_report(q, n, data)
-    for c in rep["checks"]:
-        checks.append(check_entry("chars." + c["name"], c["status"] == "pass",
-                                  c["details"]))
-    results["cuspidal_part"] = rep["cuspidal_part"]
+    with suite("chars", checks):
+        data = CorrespondenceData(q, n)
+        checks.append(check_entry(
+            "chars.degree_squares_sum",
+            sum(d * d for d in data.table.degrees) == data.group.order))
+        rep, virt = correspondence_report(q, n, data)
+        for c in rep["checks"]:
+            checks.append(check_entry("chars." + c["name"], c["status"] == "pass",
+                                      c["details"]))
+        results["cuspidal_part"] = rep["cuspidal_part"]
     results["suites"] = ["formal_module", "depth0", "dl", "chars"]
     return results, checks
 

@@ -1,17 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are vectors of rationals in the power basis 1, z, ..., z^{phi(m)-1}
-modulo the m-th cyclotomic polynomial.  Used for character values, where
-conjugation (z -> z^{-1}) and exact inner products are the workhorses.
+Elements are coordinate vectors in the power basis 1, z, ..., z^{phi(m)-1}
+modulo the m-th cyclotomic polynomial.  Phi_m is monic, so integer vectors
+(Z[zeta_m], where character values live) stay integer under every ring
+operation.  Used for character values, where conjugation (z -> z^{-1}) and
+exact inner products, reduced once per sum by `dot`, are the workhorses.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import ParameterError
+from .errors import ParameterError, VerificationError
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m):
     out = m
     k, d = m, 2
@@ -26,18 +29,18 @@ def euler_phi(m):
     return out
 
 
-def _poly_divmod_q(num, den):
-    """Exact division of integer/rational polynomial lists (ascending)."""
+def _poly_divmod_monic(num, den):
+    """Division of integer polynomial lists (ascending) by a monic divisor;
+    the quotient and remainder stay integer."""
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     quot = [0] * max(dn - dd + 1, 0)
     for k in range(dn, dd - 1, -1):
-        if num[k] == 0:
-            continue
-        c = Fraction(num[k], den[dd])
-        quot[k - dd] = c
-        for j in range(dd + 1):
-            num[k - dd + j] -= c * den[j]
+        c = num[k]
+        if c:
+            quot[k - dd] = c
+            for j in range(dd + 1):
+                num[k - dd + j] -= c * den[j]
     while num and num[-1] == 0:
         num.pop()
     return quot, num
@@ -51,34 +54,66 @@ def cyclotomic_poly(m):
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            quot, rem = _poly_divmod_q(poly, cyclotomic_poly(d))
-            assert not rem
+            quot, rem = _poly_divmod_monic(poly, cyclotomic_poly(d))
+            if rem:
+                raise VerificationError(f"Phi_{d} does not divide x^{m} - 1")
             poly = quot
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
+
+
+def _reduce(m, conv):
+    """Reduce an ascending coefficient list of length < 2 phi(m) modulo the
+    monic Phi_m, in place; returns the phi(m) low coefficients."""
+    phi = euler_phi(m)
+    mod = cyclotomic_poly(m)
+    for k in range(len(conv) - 1, phi - 1, -1):
+        c = conv[k]
+        if c:
+            base = k - phi
+            for j in range(phi):
+                if mod[j]:
+                    conv[base + j] -= c * mod[j]
+    return conv[:phi]
 
 
 @lru_cache(maxsize=None)
 def _power_table(m):
-    """Row j: representation of zeta_m^j in the power basis, j in [0, 2m)."""
+    """Row j: representation of zeta_m^j in the power basis, j in [0, m)."""
     phi = euler_phi(m)
-    mod = cyclotomic_poly(m)
     rows = []
-    cur = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-    for _ in range(2 * m):
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(m):
         rows.append(tuple(cur))
-        nxt = [Fraction(0)] * (phi + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = c
-        lead = nxt[phi]
-        if lead:
-            for i in range(phi):
-                nxt[i] -= lead * mod[i]
-        cur = nxt[:phi]
+        cur = _reduce(m, [0] + cur)
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _zeta_rows(m):
+    """Row j: the nonzero (index, coefficient) pairs of zeta_m^j in the power
+    basis, j in [0, m)."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                 for row in _power_table(m))
+
+
+def _substitute(coeffs, M, k):
+    """sum_i coeffs[i] zeta_M^{i k} in the power basis of Q(zeta_M)."""
+    rows = _zeta_rows(M)
+    out = [0] * euler_phi(M)
+    for i, c in enumerate(coeffs):
+        if c:
+            for j, r in rows[(i * k) % M]:
+                out[j] += c * r
+    return out
+
+
 class CycloElement:
-    """An element of Q(zeta_m) with exact rational coordinates."""
+    """An element of Q(zeta_m) with exact coordinates in the power basis.
+
+    Coordinates are kept as given: integer coordinates (every character
+    value, since Z[zeta_m] is the ring of integers) stay Python ints through
+    every ring operation, and Fractions appear only when a caller passes one.
+    """
 
     __slots__ = ("m", "coeffs")
 
@@ -87,23 +122,26 @@ class CycloElement:
         if len(coeffs) != phi:
             raise ParameterError(f"need {phi} coefficients for conductor {m}")
         self.m = m
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(m=1):
-        return CycloElement(m, (Fraction(0),) * euler_phi(m))
+        return CycloElement(m, (0,) * euler_phi(m))
 
     @staticmethod
     def rational(r, m=1):
-        c = [Fraction(0)] * euler_phi(m)
-        c[0] = Fraction(r)
-        return CycloElement(m, c)
+        return CycloElement(m, (r,) + (0,) * (euler_phi(m) - 1))
 
     @staticmethod
     def zeta(m, power=1):
         return CycloElement(m, _power_table(m)[power % m])
+
+    @staticmethod
+    def from_powers(M, coeffs, k):
+        """sum_i coeffs[i] zeta_M^{i k}."""
+        return CycloElement(M, _substitute(coeffs, M, k))
 
     # -- coercion -------------------------------------------------------------
 
@@ -113,16 +151,7 @@ class CycloElement:
             return self
         if M % self.m != 0:
             raise ParameterError(f"conductor {self.m} does not divide {M}")
-        step = M // self.m
-        table = _power_table(M)
-        phi = euler_phi(M)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * step) % M]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycloElement(M, out)
+        return CycloElement.from_powers(M, self.coeffs, M // self.m)
 
     @staticmethod
     def common(a, b):
@@ -157,50 +186,20 @@ class CycloElement:
         if not isinstance(other, CycloElement):
             other = CycloElement.rational(other)
         a, b = CycloElement.common(self, other)
-        phi = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        mod = cyclotomic_poly(a.m)
-        for k in range(2 * phi - 2, phi - 1, -1):
-            c = conv[k]
-            if c:
-                conv[k] = 0
-                for j in range(phi):
-                    conv[k - phi + j] -= c * mod[j]
-        return CycloElement(a.m, conv[:phi])
+        return dot(a.m, (1,), (a,), (b,))
 
     def __rmul__(self, other):
         return self * other
 
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
-        table = _power_table(self.m)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(-i) % self.m]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycloElement(self.m, out)
+        return CycloElement.from_powers(self.m, self.coeffs, -1)
 
     def galois(self, k):
         """The automorphism zeta -> zeta^k (k coprime to the conductor)."""
         if gcd(k, self.m) != 1:
             raise ParameterError(f"{k} not coprime to conductor {self.m}")
-        table = _power_table(self.m)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * k) % self.m]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycloElement(self.m, out)
+        return CycloElement.from_powers(self.m, self.coeffs, k)
 
     # -- predicates and extraction --------------------------------------------
 
@@ -236,6 +235,25 @@ class CycloElement:
         if self.is_rational():
             return f"cyc({self.coeffs[0]})"
         return f"cyc(m={self.m}, {[str(c) for c in self.coeffs]})"
+
+
+def dot(m, weights, xs, ys):
+    """sum_k weights[k] * xs[k] * ys[k] for elements of Q(zeta_m).
+
+    The products are accumulated unreduced and reduced modulo Phi_m once.
+    """
+    phi = euler_phi(m)
+    conv = [0] * (2 * phi - 1)
+    for w, x, y in zip(weights, xs, ys):
+        if x.m != m or y.m != m:
+            raise ParameterError(f"dot product needs conductor {m}")
+        yc = [(j, c) for j, c in enumerate(y.coeffs) if c]
+        for i, a in enumerate(x.coeffs):
+            if a:
+                wa = w * a
+                for j, c in yc:
+                    conv[i + j] += wa * c
+    return CycloElement(m, _reduce(m, conv))
 
 
 def zeta_power_sum(m):

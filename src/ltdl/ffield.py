@@ -12,11 +12,10 @@ the one F_q[x] used for moduli, Coxeter polynomials and rational canonical
 forms.
 """
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import ParameterError
+from .errors import ParameterError, VerificationError
 
 MAX_FIELD_SIZE = 1 << 20
 MAX_DEGREE = 8
@@ -327,9 +326,10 @@ def gaussian_binomial(n, d, q):
     for i in range(d):
         num *= q ** (n - i) - 1
         den *= q ** (d - i) - 1
-    value = Fraction(num, den)
-    assert value.denominator == 1
-    return int(value)
+    value, rem = divmod(num, den)
+    if rem:
+        raise VerificationError(f"[{n} choose {d}]_{q} is not an integer")
+    return value
 
 
 # -- polynomials over a field: canonical-int coefficients, ascending, trimmed --

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .cyclo import CycloElement
+from .cyclo import CycloElement, dot
 from .errors import BudgetError, ParameterError, VerificationError
 from .ffield import (
     field_for_order,
@@ -178,13 +178,16 @@ class GLGroup:
 
 
 class ClassFunction:
-    __slots__ = ("group", "values")
+    """One value per conjugacy class, all held at one conductor `m`."""
+
+    __slots__ = ("group", "values", "m")
 
     def __init__(self, group, values):
         if len(values) != group.num_classes:
             raise ParameterError("one value per conjugacy class required")
         self.group = group
-        self.values = tuple(values)
+        self.m = lcm(*(v.m for v in values))
+        self.values = tuple(v.coerce(self.m) for v in values)
 
     @staticmethod
     def from_integers(group, ints):
@@ -207,11 +210,11 @@ class ClassFunction:
         return ClassFunction(self.group, [v * r for v in self.values])
 
     def inner(self, other):
-        total = CycloElement.rational(0)
-        for size, a, b in zip(self.group.class_sizes, self.values, other.values):
-            total = total + a * b.conj() * size
-        value = total * Fraction(1, self.group.order)
-        return value.as_rational()
+        """<self, other>_G; the exact sum is divided by |G| once, at the end."""
+        m = lcm(self.m, other.m)
+        total = dot(m, self.group.class_sizes, [a.coerce(m) for a in self.values],
+                    [b.coerce(m).conj() for b in other.values])
+        return Fraction(total.as_rational(), self.group.order)
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
@@ -287,14 +290,24 @@ def generic_character_count(q, n):
 
 
 def induce_from_torus(group, torus, j):
-    """Ind_T^G theta_j as an exact class function."""
-    sums = [CycloElement.rational(0) for _ in range(group.num_classes)]
+    """Ind_T^G theta_j as an exact class function at the group's conductor.
+
+    The value at class c is |C_G(c)| / |T| times the sum of theta_j over
+    T meet c; it is an algebraic integer, so the division is exact in Z.
+    """
+    E = group.exponent
+    # counts[ci][e]: how many C^k in class ci have theta_j(C^k) = zeta_|T|^e
+    counts = [[0] * torus.order for _ in range(group.num_classes)]
     for k, ci in enumerate(torus.class_map):
-        sums[ci] = sums[ci] + torus_character_value(torus, j, k)
+        counts[ci][(j * k) % torus.order] += 1
     values = []
-    for ci in range(group.num_classes):
-        scalar = Fraction(group.order, group.class_sizes[ci] * torus.order)
-        values.append(sums[ci] * scalar)
+    for ci, cnt in enumerate(counts):
+        acc = CycloElement.from_powers(E, cnt, E // torus.order).coeffs
+        num = group.order
+        den = group.class_sizes[ci] * torus.order
+        if any((c * num) % den for c in acc):
+            raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
+        values.append(CycloElement(E, [c * num // den for c in acc]))
     return ClassFunction(group, values)
 
 
@@ -304,10 +317,10 @@ def restrict_to_torus(group, torus, chi):
 
 
 def torus_inner(torus, vals_a, vals_b):
-    total = CycloElement.rational(0)
-    for a, b in zip(vals_a, vals_b):
-        total = total + a * b.conj()
-    return (total * Fraction(1, torus.order)).as_rational()
+    m = lcm(*(v.m for v in vals_a), *(v.m for v in vals_b))
+    total = dot(m, [1] * torus.order, [a.coerce(m) for a in vals_a],
+                [b.coerce(m).conj() for b in vals_b])
+    return Fraction(total.as_rational(), torus.order)
 
 
 # -- flags and the Steinberg character ---------------------------------------------
@@ -653,21 +666,21 @@ def _dixon_table_attempt(group, attempt):
     for degree, chi_mod in characters:
         vals = []
         for j in range(r):
+            # chi(g) = sum_t m_t zeta_d^t, with m_t the multiplicity of the
+            # eigenvalue zeta_d^t of g (d = ord g), read off mod ell
             d = group.class_orders[j]
             z = pow(w, (ell - 1) // d, ell)
+            z_inv_powers = [pow(z, (-s) % d, ell) for s in range(d)]
+            powers = [chi_mod[group.powermap(j, s)] for s in range(d)]
             d_inv = pow(d % ell, ell - 2, ell)
-            acc = CycloElement.zero(d)
+            mult = []
             for t in range(d):
-                m_t = 0
-                for s in range(d):
-                    m_t = (m_t + chi_mod[group.powermap(j, s)]
-                           * pow(z, (-s * t) % (ell - 1), ell)) % ell
-                m_t = (m_t * d_inv) % ell
+                m_t = sum(p * z_inv_powers[(s * t) % d] for s, p in enumerate(powers))
+                m_t = (m_t % ell) * d_inv % ell
                 if m_t > degree:
                     raise ArithmeticError("eigenvalue multiplicity out of range")
-                if m_t:
-                    acc = acc + CycloElement.zeta(d, t) * m_t
-            vals.append(acc.coerce(conductor))
+                mult.append(m_t)
+            vals.append(CycloElement.from_powers(conductor, mult, conductor // d))
         normalized.append(ClassFunction(group, vals))
     normalized.sort(key=lambda chi: (chi.values[group.identity_class].coeffs,
                                      [v.coeffs for v in chi.values]))
@@ -677,22 +690,28 @@ def _dixon_table_attempt(group, attempt):
 
 
 def _verify_table(table):
+    """Exact orthonormality of a square table.
+
+    Rows are checked for i <= j only, since <b, a> is the conjugate of
+    <a, b>.  For a square X with X D X* = |G| I (D the class sizes) the
+    inverse gives D X* X = |G| I, which is column orthogonality, so the
+    column relations follow exactly and are not summed separately.
+    """
     g = table.group
     irr = table.irreducibles
+    if len(irr) != g.num_classes:
+        raise ArithmeticError(
+            f"table is not square: {len(irr)} irreducibles for {g.num_classes} classes")
     if sum(d * d for d in table.degrees) != g.order:
         raise ArithmeticError("sum of squared degrees is off")
-    for i, a in enumerate(irr):
-        for j, b in enumerate(irr):
-            if a.inner(b) != (1 if i == j else 0):
+    m = lcm(*(chi.m for chi in irr))
+    rows = [[v.coerce(m) for v in chi.values] for chi in irr]
+    conj_rows = [[v.conj() for v in row] for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            total = dot(m, g.class_sizes, row, conj_rows[j])
+            if total != (g.order if i == j else 0):
                 raise ArithmeticError("row orthogonality failed")
-    for ci in range(g.num_classes):
-        for cj in range(g.num_classes):
-            total = CycloElement.rational(0)
-            for chi in irr:
-                total = total + chi.values[ci] * chi.values[cj].conj()
-            expect = Fraction(g.order, g.class_sizes[ci]) if ci == cj else Fraction(0)
-            if total != CycloElement.rational(expect):
-                raise ArithmeticError("column orthogonality failed")
 
 
 # -- the correspondence ----------------------------------------------------------------

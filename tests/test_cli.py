@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ltdl import gl_characters
 from ltdl.cli import main
+from ltdl.errors import VerificationError
 
 
 def run_cli(tmp_path, *argv):
@@ -34,6 +36,22 @@ def test_verify_all_41_omits_twisted_sum_past_degree_cap(tmp_path):
     assert report["results"]["omitted_checks"] == [
         {"check": "dl.twisted_sum_m2", "reason": "ambient field degree 12 exceeds 8"}]
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
+    def broken_table(group, max_attempts=4):
+        raise VerificationError("doctored Dixon failure")
+
+    monkeypatch.setattr(gl_characters, "dixon_table", broken_table)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    assert code == 1
+    names = [c["name"] for c in report["checks"]]
+    for suite in ("formal_module", "depth0", "dl"):
+        assert any(name.startswith(suite + ".") for name in names), suite
+    assert "depth0.gl_linear_shadow" in names and "dl.action_invariance" in names
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [{"name": "chars.error", "status": "fail",
+                       "details": "doctored Dixon failure"}]
 
 
 def test_parameter_error_exit_2(tmp_path, capsys):

@@ -1,12 +1,16 @@
 import pytest
 
+from ltdl import depth0
 from ltdl.depth0 import (
     blowup_chart,
     build_P,
     build_P_a,
     default_chart_module,
     deformation_ring,
+    generated_group,
+    gl_generators,
     gl_linear_shadow_check,
+    index_vectors,
     iterated_chart,
     projective_classes,
     scalar_compat_check,
@@ -14,9 +18,10 @@ from ltdl.depth0 import (
     stratum_membership,
     un_special_fiber,
 )
-from ltdl.errors import ParameterError
+from ltdl.errors import ParameterError, VerificationError
+from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
-from ltdl.linalg import invertible_matrices
+from ltdl.linalg import invertible_matrices, vec_mat
 
 
 def test_P_a_basis_vector_is_coordinate():
@@ -166,6 +171,57 @@ def test_gl_linear_shadow():
     mats32 = invertible_matrices(m32.field, 2)
     assert len(mats32) == 48
     assert gl_linear_shadow_check(m32, mats32)
+
+
+def shadow_full_group(module, matrices, n=None):
+    """Oracle: the shadow check looped over every matrix, no generators."""
+    n = module.n if n is None else n
+    field = module.field
+    lowest = depth0.build_P(module, n).reduce_mod_p().homogeneous_part(module.q ** n - 1)
+    ring = lowest.ring
+    forms = sorted(index_vectors(field, n))
+    ok = True
+    for g in matrices:
+        if sorted(vec_mat(field, a, g) for a in forms) != forms:
+            ok = False
+        assignments = {}
+        for j in range(1, n + 1):
+            s = ring.zero()
+            for i in range(1, n + 1):
+                if g[i - 1][j - 1]:
+                    s = s + ring.var(f"X{i}", field.from_int(g[i - 1][j - 1]))
+            assignments[f"X{j}"] = s
+        if lowest.substitute(assignments, ring) != lowest:
+            ok = False
+    return ok
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_gl_linear_shadow_generators_agree_with_full_group(q, n, monkeypatch):
+    m = lubin_tate_module(q, n)
+    mats = invertible_matrices(m.field, n)
+    assert gl_linear_shadow_check(m, mats) is shadow_full_group(m, mats) is True
+    # a lowest part that is not GL-invariant: add X1^(q^n - 1), which the
+    # product of all linear forms lacks
+    honest = depth0.build_P
+    monkeypatch.setattr(depth0, "build_P", lambda module, n=None: (
+        honest(module, n) + honest(module, n).ring.var("X1") ** (q ** n - 1)))
+    assert gl_linear_shadow_check(m, mats) is shadow_full_group(m, mats) is False
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (7, 2), (8, 1)])
+def test_generators_close_to_the_enumerated_group(q, n):
+    field = field_for_order(q)
+    gens = gl_generators(field, n)
+    assert len(gens) <= 3
+    assert generated_group(field, gens) == set(invertible_matrices(field, n))
+
+
+def test_gl_linear_shadow_raises_when_closure_falls_short():
+    m = lubin_tate_module(3, 2)
+    mats = invertible_matrices(m.field, 2)
+    with pytest.raises(VerificationError, match="do not generate"):
+        gl_linear_shadow_check(m, mats[:-1])
 
 
 def test_reduction_commutes_with_formal_sum():

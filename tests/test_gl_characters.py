@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from ltdl.cli import main
 from ltdl.cyclo import CycloElement
 from ltdl.errors import ParameterError
-from ltdl.ffield import ff_make, primitive_poly_over
+from ltdl.ffield import ff_make, field_for_order, primitive_poly_over
 from ltdl.gl_characters import (
+    CharacterTable,
     ClassFunction,
     CorrespondenceData,
     CoxeterTorus,
@@ -25,6 +29,7 @@ from ltdl.gl_characters import (
     torus_character_value,
     torus_inner,
     unipotent_radical,
+    _verify_table,
 )
 from ltdl.linalg import mat_inv, mat_pow
 
@@ -258,3 +263,154 @@ def test_class_function_inner_rejects_irrational():
     f = ClassFunction(g, vals)
     with pytest.raises(ParameterError):
         f.inner(ClassFunction.from_integers(g, [1] * g.num_classes))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_character_values_stay_integer(q):
+    table = dixon_table(GLGroup(q, 2))
+    for chi in table.irreducibles:
+        for v in chi.values:
+            assert v.m == table.group.exponent
+            assert all(type(c) is int for c in v.coeffs)
+
+
+def test_verify_table_rejects_doctored_tables():
+    table = dixon_table(GLGroup(3, 2))
+    g, irr, ell = table.group, list(table.irreducibles), table.ell
+    # one value perturbed, away from the identity class
+    ci = (g.identity_class + 1) % g.num_classes
+    vals = list(irr[5].values)
+    vals[ci] = vals[ci] + 1
+    perturbed = irr[:5] + [ClassFunction(g, vals)] + irr[6:]
+    # rows 0 and 1 both have degree 1, so only orthogonality sees the duplicate
+    assert table.degrees[0] == table.degrees[1] == 1
+    duplicated = [irr[0], irr[0]] + irr[2:]
+    with pytest.raises(ArithmeticError, match="row orthogonality"):
+        _verify_table(CharacterTable(g, perturbed, ell))
+    with pytest.raises(ArithmeticError, match="row orthogonality"):
+        _verify_table(CharacterTable(g, duplicated, ell))
+    with pytest.raises(ArithmeticError, match="not square"):
+        _verify_table(CharacterTable(g, irr[:-1], ell))
+
+
+@pytest.mark.parametrize("q,digest", [
+    (3, "4b3197be4f302981889f1caef73c2b5313fd84a616d71886deeb713a3dcf763f"),
+    (4, "a3fbfb9e790f56446014ec4964a0124516a1f23385632c9ccce87e79fc4f1cf8"),
+])
+def test_chars_table_report_frozen(q, digest, tmp_path):
+    # sha256 of the character table in the `chars table` report (sorted-key
+    # JSON), frozen from the Fraction-based implementation that checked
+    # column orthogonality separately
+    out = tmp_path / "table.json"
+    assert main(["chars", "table", "--q", str(q), "--n", "2", "--out", str(out)]) == 0
+    table = json.loads(out.read_text())["results"]["table"]
+    assert hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest() == digest
+
+
+def green_gl2_rows(group):
+    """Green's closed-form character table of GL_2(F_q) (Trans. AMS 80 (1955);
+    Fulton-Harris, Representation Theory, 5.2), one row per irreducible,
+    evaluated at the group's classes as identified by their rcf_key.
+
+    With alpha_i(x) = zeta_{q-1}^{i log x} on F_q^x and phi_k(z) =
+    zeta_{q^2-1}^{k log z} on F_{q^2}^x (phi_k != phi_k^q), and a = alpha_i,
+    b = alpha_j, phi = phi_k:
+
+        class         U_i          V_i          W_{i<j}              X_k
+        x I           a(x)^2       q a(x)^2     (q+1) a(x) b(x)      (q-1) phi(x)
+        x I + E_12    a(x)^2       0            a(x) b(x)            -phi(x)
+        diag(x, y)    a(x) a(y)    a(x) a(y)    a(x)b(y) + a(y)b(x)  0
+        z, z^q        a(z^{q+1})   -a(z^{q+1})  0                    -(phi(z) + phi(z^q))
+    """
+    q = group.q
+    small, big = group.field, field_for_order(q * q)
+    M = q * q - 1
+    # embed F_q in F_{q^2}: send the generator of F_q to a root of its modulus
+    rho = next(z for z in range(1, q * q)
+               if _poly_value(big, small.modulus, z) == 0)
+    log_rho = big.log[rho]
+
+    def big_log(x):  # log in F_{q^2} of the image of x in F_q^x
+        return small.log[x] * log_rho % M
+
+    def alpha(i, x):
+        return CycloElement.zeta(M, i * (q + 1) * small.log[x])
+
+    def phi(k, log_z):
+        return CycloElement.zeta(M, k * log_z)
+
+    def classify(key):
+        """(kind, x, y); for an elliptic class x = log z and y = z^{q+1}."""
+        if len(key) == 2:
+            return "central", small.neg(key[0][0]), None
+        c0, c1, _ = key[0]
+        roots = [x for x in range(q) if small.add(small.mul(x, small.add(x, c1)), c0) == 0]
+        if len(roots) == 1:
+            return "unipotent", roots[0], None
+        if len(roots) == 2:
+            return "split", roots[0], roots[1]
+        img = [big.exp[big_log(c)] if c else 0 for c in (c0, c1)]
+        z = next(z for z in range(1, q * q)
+                 if big.add(big.mul(z, big.add(z, img[1])), img[0]) == 0)
+        return "elliptic", big.log[z], c0
+
+    def U(i, kind, x, y):
+        if kind == "split":
+            return alpha(i, x) * alpha(i, y)
+        return alpha(i, y) if kind == "elliptic" else alpha(i, x) * alpha(i, x)
+
+    def V(i, kind, x, y):
+        if kind == "central":
+            return alpha(i, x) * alpha(i, x) * q
+        if kind == "unipotent":
+            return CycloElement.zero(M)
+        return -U(i, kind, x, y) if kind == "elliptic" else U(i, kind, x, y)
+
+    def W(i, j, kind, x, y):
+        if kind == "split":
+            return alpha(i, x) * alpha(j, y) + alpha(i, y) * alpha(j, x)
+        if kind == "elliptic":
+            return CycloElement.zero(M)
+        return alpha(i, x) * alpha(j, x) * (q + 1 if kind == "central" else 1)
+
+    def X(k, kind, x, y):
+        if kind == "central":
+            return phi(k, big_log(x)) * (q - 1)
+        if kind == "unipotent":
+            return -phi(k, big_log(x))
+        if kind == "split":
+            return CycloElement.zero(M)
+        return -(phi(k, x) + phi(k, x * q))
+
+    characters = []
+    for i in range(q - 1):
+        characters += [(U, i), (V, i)]
+        characters += [(W, i, j) for j in range(i + 1, q - 1)]
+    thetas = set()
+    for k in range(M):
+        if (k * q) % M != k and k not in thetas:
+            thetas.update({k, (k * q) % M})
+            characters.append((X, k))
+    classes = [classify(key) for key in group.class_keys]
+    return [tuple(f(*args, *c) for c in classes) for f, *args in characters]
+
+
+def _poly_value(field, coeffs, z):
+    out = 0
+    for c in reversed(coeffs):
+        out = field.add(field.mul(out, z), c)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_green_gl2_table_matches_dixon(q):
+    group = GLGroup(q, 2)
+    table = dixon_table(group)
+    E = group.exponent
+
+    def key(row):
+        return tuple(v.coerce(E).coeffs for v in row)
+
+    green = green_gl2_rows(group)
+    assert len(green) == group.num_classes
+    assert sorted(map(key, green)) == sorted(key(chi.values) for chi in table.irreducibles)
