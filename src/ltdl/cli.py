@@ -18,6 +18,7 @@ from . import __version__
 from .depth0 import (
     blowup_chart,
     build_P,
+    checked_gl_generators,
     default_chart_module,
     gl_linear_shadow_check,
     index_vectors,
@@ -27,6 +28,7 @@ from .depth0 import (
     un_special_fiber,
 )
 from .dl_variety import (
+    Ambient,
     action_invariance_check,
     base_points,
     dl_equation,
@@ -430,7 +432,11 @@ def run_verify_all(cfg):
                 # (all DL fibers over F_{q^m}-points close up only there); report
                 # the omission rather than faking a result
                 omitted.append({"check": f"dl.twisted_sum_m{m}", "reason": str(exc)})
-        triples = action_invariance_check(q, n, 2, mats)
+        # generators of GL_n(F_q), each paired with 1 and with a generator
+        # of the available mu, generate the whole action
+        gens = checked_gl_generators(field_for_order(q), n, mats)
+        zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
+        triples = action_invariance_check(q, n, 2, gens, zetas)
         checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
     if omitted:
         results["omitted_checks"] = omitted

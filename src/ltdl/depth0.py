@@ -421,23 +421,28 @@ def generated_group(field, gens):
     return seen
 
 
+def checked_gl_generators(field, n, matrices):
+    """gl_generators(field, n), after a closure verifies that they generate
+    exactly `matrices`; a shortfall raises VerificationError."""
+    gens = gl_generators(field, n)
+    if generated_group(field, gens) != set(matrices):
+        raise VerificationError(
+            f"the {len(gens)} generators do not generate the {len(matrices)} "
+            f"enumerated matrices")
+    return gens
+
+
 def gl_linear_shadow_check(module, matrices, n=None):
     """The multiset of linear parts of P mod p is permuted by a -> a g.
 
     Checks both the index action on linear forms and the invariance of the
     lowest-degree part of P mod p under the linear substitution by g, for
     every g in `matrices`, the enumerated GL_n(F_q).  Both are group actions,
-    so they are checked on `gl_generators` only, after a closure verifies
-    that the generators give exactly `matrices`; a shortfall raises
-    VerificationError.
+    so they are checked on `checked_gl_generators` only.
     """
     n = module.n if n is None else n
     field = module.field
-    gens = gl_generators(field, n)
-    if generated_group(field, gens) != set(matrices):
-        raise VerificationError(
-            f"the {len(gens)} generators do not generate the {len(matrices)} "
-            f"enumerated matrices")
+    gens = checked_gl_generators(field, n, matrices)
     P = build_P(module, n)
     red = P.reduce_mod_p()
     lowest = red.homogeneous_part(module.q ** n - 1)

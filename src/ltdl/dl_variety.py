@@ -120,11 +120,18 @@ class Ambient:
     def frobenius_int(self, x, power=1):
         return self.field.pow(x, self.base.q ** power)
 
+    def _mu_step(self):
+        """(log of a generator, size) of the available mu_{q^n-1} subgroup."""
+        avail = gcd(self.q ** self.n - 1, self.field.q - 1)
+        return (self.field.q - 1) // avail, avail
+
+    def mu_generator(self):
+        """A generator of the solutions of z^{q^n - 1} = 1 in this field."""
+        return self.field.exp[self._mu_step()[0]]
+
     def mu_elements(self):
         """Solutions of z^{q^n - 1} = 1 in this field, in canonical order."""
-        order = self.q ** self.n - 1
-        avail = gcd(order, self.field.q - 1)
-        step = (self.field.q - 1) // avail
+        step, avail = self._mu_step()
         return sorted(self.field.exp[k * step] for k in range(avail))
 
 
@@ -199,17 +206,24 @@ def act(amb, x, g=None, zeta=None):
     return out
 
 
-def action_invariance_check(q, n, m, matrices):
-    """Every (g, zeta) maps DL(F_{q^m}) points to DL points; returns the
-    number of (point, g, zeta) triples checked."""
+def action_invariance_check(q, n, m, matrices, zetas=None):
+    """Every (g, zeta) with g in matrices and zeta in zetas (by default all
+    of the available mu_{q^n-1}) maps DL(F_{q^m}) points to DL points;
+    returns the number of (point, g, zeta) triples checked.
+
+    Each pair acts injectively on the finite point set, so checking pairs
+    that generate GL_n(F_q) x mu proves invariance under the whole group:
+    generators of GL_n(F_q) paired with 1 and with a generator of mu do.
+    """
     amb = Ambient(q, n, m)
     pts = [x for x in amb.points() if amb.on_variety(x)]
-    mus = amb.mu_elements()
+    mus = amb.mu_elements() if zetas is None else zetas
     checked = 0
     for x in pts:
         for g in matrices:
+            xg = act(amb, x, g)
             for z in mus:
-                if not amb.on_variety(act(amb, x, g, z)):
+                if not amb.on_variety(act(amb, xg, zeta=z)):
                     raise VerificationError(
                         f"action by (g, zeta) left the variety at x={x}")
                 checked += 1
@@ -264,6 +278,31 @@ def twist_field_degree(q, n, m):
             raise ParameterError("no twist field degree found (unexpected)")
 
 
+def twisted_fixed_count(amb, zeta, m):
+    """#{x in DL(F_{q^M}) : Frob_{q^m}(x) = zeta^{-1} x}, M = amb.m, by
+    enumerating only the candidates; `twisted_count` with g = 1 is the
+    brute-force oracle.
+
+    A DL point has no zero coordinate (the form picking it out would
+    vanish), so each x_i is a root of x^A = zeta^{-1} with A = q^m - 1.
+    With N = q^M - 1 and t = log(zeta^{-1}), roots exist only if A | t, and
+    then they are exp[t/A + j N/A] for 0 <= j < A.
+    """
+    field = amb.field
+    N, A = field.q - 1, amb.q ** m - 1
+    if N % A:
+        raise ParameterError(f"F_{{q^{m}}} is not a subfield of F_{{q^{amb.m}}}")
+    t = field.log[field.inv(zeta)]
+    if t % A:
+        return 0
+    zinv, frob = field.exp[t], amb.q ** m
+    roots = [field.exp[t // A + j * (N // A)] for j in range(A)]
+    for r in roots:
+        if field.pow(r, frob) != field.mul(zinv, r):
+            raise VerificationError(f"root {r} is not twisted-fixed by zeta = {zeta}")
+    return sum(1 for x in product(roots, repeat=amb.n) if amb.on_variety(x))
+
+
 def twisted_sum_check(q, n, m):
     """sum over zeta of the Frob_{q^m}-twisted counts = (q^n-1) * base count."""
     M = twist_field_degree(q, n, m)
@@ -271,8 +310,7 @@ def twisted_sum_check(q, n, m):
     mus = amb.mu_elements()
     if len(mus) != q ** n - 1:
         raise VerificationError("ambient field does not contain the full mu-group")
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    total = sum(twisted_count(q, n, ident, z, M, frob_power=m) for z in mus)
+    total = sum(twisted_fixed_count(amb, z, m) for z in mus)
     expected = (q ** n - 1) * base_points(q, n, m)
     return {"q": q, "n": n, "m": m, "twist_field_degree": M,
             "sum_of_twisted_counts": total, "expected": expected,

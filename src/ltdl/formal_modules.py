@@ -685,7 +685,8 @@ def check_drinfeld_divisibility(module, cand, level=1):
             nxt[i + 1] = alg.add(nxt[i + 1], c)
             nxt[i] = alg.add(nxt[i], alg.mul(c, neg))
         divisor = nxt
-    assert alg.is_zero(alg.add(divisor[d], alg.neg(alg.one())))
+    if not alg.is_zero(alg.add(divisor[d], alg.neg(alg.one()))):
+        raise VerificationError(f"divisor of degree {d} is not monic")
 
     pi = module.scalar_series(("int", module.p))
     g = [alg.zero()] * D

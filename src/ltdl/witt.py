@@ -13,7 +13,8 @@ This is what the formal-module logarithms compute in.
 
 from functools import lru_cache
 
-from .errors import DenominatorOverflow, IntegralityError, ParameterError, PrecisionError
+from .errors import (DenominatorOverflow, IntegralityError, ParameterError, PrecisionError,
+                     VerificationError)
 from .ffield import ff_make
 
 
@@ -77,7 +78,8 @@ class WittRing:
         z = self.naive_lift(a)
         for _ in range(self.N - 1):
             z = z ** self.field.q
-        assert z ** self.field.q == z
+        if z ** self.field.q != z:
+            raise VerificationError("Teichmuller lift is not fixed by z -> z^q")
         return z
 
 
@@ -180,7 +182,8 @@ class WittElement:
         while prec < r.N:
             z = z * (two - self * z)
             prec *= 2
-        assert (self * z - r.one()).is_zero()
+        if not (self * z - r.one()).is_zero():
+            raise VerificationError("Newton iteration did not give self * z = 1")
         return z
 
     def truncate(self, M):

@@ -54,6 +54,18 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
                        "details": "doctored Dixon failure"}]
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 1), (4, 2), (5, 2), (8, 1)])
+def test_verify_all_grid_is_complete(tmp_path, q, n):
+    code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
+    assert code in {0, 1, 3}
+    results = report["results"]
+    assert results["suites"] == ["formal_module", "depth0", "dl", "chars"]
+    names = [c["name"] for c in report["checks"]]
+    names += [o["check"] for o in results.get("omitted_checks", [])]
+    for m in (1, 2):
+        assert names.count(f"dl.twisted_sum_m{m}") == 1
+
+
 def test_parameter_error_exit_2(tmp_path, capsys):
     code = main(["depth0", "chart", "--q", "9", "--n", "5"])
     assert code == 2

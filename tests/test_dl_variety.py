@@ -11,11 +11,13 @@ from ltdl.dl_variety import (
     orbit_partition_check,
     twist_field_degree,
     twisted_count,
+    twisted_fixed_count,
     twisted_sum_check,
 )
+from ltdl.depth0 import checked_gl_generators
 from ltdl.errors import BudgetError, ParameterError
-from ltdl.ffield import ff_make
-from ltdl.linalg import identity, invertible_matrices
+from ltdl.ffield import ff_make, field_for_order
+from ltdl.linalg import identity, invertible_matrices, mat_mul
 
 
 # -- independent F_4 oracle (hand-coded tables, no library code) ---------------
@@ -124,6 +126,32 @@ def test_action_invariance_full():
     assert checked == 6 * 6 * 3  # points x matrices x available zetas
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (4, 1), (4, 2)])
+def test_action_invariance_generators_agree_with_full_group(q, n):
+    # the verify-all run (generators of GL_n(F_q), each with 1 and with a
+    # generator of mu) against the full-group loop at m = 2
+    field = field_for_order(q)
+    mats = invertible_matrices(field, n)
+    gens = checked_gl_generators(field, n, mats)
+    amb = Ambient(q, n, 2)
+    mus = amb.mu_elements()
+    zetas = sorted({1, amb.mu_generator()})
+    pts = dl_points(q, n, 2)
+    assert pts > 0
+    assert action_invariance_check(q, n, 2, mats) == pts * len(mats) * len(mus)
+    assert action_invariance_check(q, n, 2, gens, zetas) == pts * len(gens) * len(zetas)
+    # the pairs (g, zeta) generate all of GL_n(F_q) x mu
+    F = amb.field
+    pairs = [(g, z) for g in gens for z in zetas]
+    seen = {(identity(n), 1)}
+    frontier = set(seen)
+    while frontier:
+        frontier = {(mat_mul(field, g, s), F.mul(z, w))
+                    for g, z in frontier for s, w in pairs} - seen
+        seen |= frontier
+    assert seen == {(g, z) for g in mats for z in mus}
+
+
 def test_fiber_structure():
     rep = fiber_structure_check(2, 2, 2)
     assert rep["count"] == 6
@@ -158,6 +186,27 @@ def test_twisted_sum_identity():
     assert r1["sum_of_twisted_counts"] == 0
     r2 = twisted_sum_check(2, 2, 2)
     assert r2["sum_of_twisted_counts"] == 6
+
+
+@pytest.mark.parametrize("q,n,m,M,counts", [
+    # M = twist_field_degree(q, n, m): every zeta^{-1} is a (q^m-1)-th power
+    (2, 2, 1, 2, [0, 0, 0]),
+    (2, 2, 2, 6, [6, 0, 0]),
+    (2, 3, 1, 3, [0] * 7),
+    (3, 2, 1, 4, [0] * 8),
+    (3, 1, 1, 2, [0, 2]),
+    (4, 1, 1, 3, [3, 0, 0]),
+    (5, 1, 1, 4, [0, 0, 0, 4]),
+    # smaller M, where some zeta^{-1} has no (q^m-1)-th root
+    (2, 2, 2, 4, [6, 0, 0]),
+    (4, 1, 1, 2, [3, 0, 0]),
+])
+def test_twisted_fixed_count_matches_brute_force(q, n, m, M, counts):
+    # per zeta, the root enumeration against the enumeration of F_{q^M}^n
+    amb = Ambient(q, n, M)
+    mus = amb.mu_elements()
+    brute = [twisted_count(q, n, identity(n), z, M, frob_power=m) for z in mus]
+    assert [twisted_fixed_count(amb, z, m) for z in mus] == brute == counts
 
 
 def test_orbit_partition():
