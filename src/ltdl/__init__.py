@@ -37,7 +37,6 @@ from .errors import (
 from .ffield import FieldDesc, FieldElement, ff_make, field_for_order
 from .formal_modules import (
     FormalModule,
-    check_drinfeld_divisibility,
     lubin_tate_module,
     universal_module,
     verify_module_axioms,
@@ -66,7 +65,7 @@ __all__ = [
     "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
     "TruncatedSeries", "VerificationError", "VirtualRep", "WittElement",
     "base_points", "blowup_chart", "build_P", "build_P_a",
-    "check_drinfeld_divisibility", "correspondence_report", "dixon_table",
+    "correspondence_report", "dixon_table",
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",
     "fiber_structure_check", "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "special_fiber_components",

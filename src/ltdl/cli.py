@@ -28,6 +28,7 @@ from .depth0 import (
     un_special_fiber,
 )
 from .dl_variety import (
+    DL_QN_BOUND,
     Ambient,
     action_invariance_check,
     base_points,
@@ -62,7 +63,6 @@ from .linalg import group_order, invertible_matrices
 SCHEMA_VERSION = 1
 CHART_QN_BOUND = 64
 CHART_MONOMIAL_BOUND = 2000
-DL_QN_BOUND = 2 ** 20
 
 
 def _common_flags(parser):
@@ -76,8 +76,6 @@ def _common_flags(parser):
     parser.add_argument("--out", default=None, help="report output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker cap (accepted; execution is sequential)")
     parser.add_argument("--timing", action="store_true", default=None,
                         help="include wall-clock timing in the report")
 
@@ -135,8 +133,9 @@ def load_config_file(path):
 
 
 class RunConfig:
-    INT_KEYS = {"q", "n", "m", "prec_n", "prec_d", "jobs"}
-    DEFAULTS = {"q": 2, "n": 2, "m": 2, "jobs": 1, "format": "json",
+    INT_KEYS = {"q", "n", "m", "prec_n", "prec_d"}
+    SWITCHES = {"timing", "universal", "list"}
+    DEFAULTS = {"q": 2, "n": 2, "m": 2, "format": "json",
                 "timing": False, "universal": False, "list": False,
                 "out": None, "depth_sequence": None}
 
@@ -145,12 +144,7 @@ class RunConfig:
         merged = dict(self.DEFAULTS)
         for key, raw in file_vals.items():
             k = {"N": "prec_n", "D": "prec_d"}.get(key, key)
-            if k in self.INT_KEYS or k in ("prec_n", "prec_d"):
-                merged[k] = int(raw)
-            elif raw.lower() in ("true", "false"):
-                merged[k] = raw.lower() == "true"
-            else:
-                merged[k] = raw
+            merged[k] = self.file_value(k, raw)
         for key, value in vars(args).items():
             if key in ("command", "subcommand", "config"):
                 continue
@@ -165,6 +159,24 @@ class RunConfig:
         self.prec_n = merged.get("prec_n") or 8
         self.prec_d = merged.get("prec_d")  # None = default q^n + q
         self.validate()
+
+    @classmethod
+    def file_value(cls, key, raw):
+        """A config-file value, checked as its flag would check it."""
+        if key in cls.INT_KEYS:
+            try:
+                return int(raw)
+            except ValueError:
+                raise ParameterError(f"config value {key}={raw!r} is not an integer") from None
+        if key in cls.SWITCHES:
+            if raw.lower() not in ("true", "false"):
+                raise ParameterError(f"config value {key}={raw!r} is not true or false")
+            return raw.lower() == "true"
+        if key == "format" and raw not in ("json", "csv"):
+            raise ParameterError(f"config value format={raw!r} is not json or csv")
+        if key not in cls.DEFAULTS:
+            raise ParameterError(f"config key {key!r} is not a flag")
+        return raw
 
     def validate(self):
         q, n = self.q, self.n
@@ -188,7 +200,7 @@ class RunConfig:
             raise ParameterError("invalid precision parameters")
 
     def echo(self):
-        keys = ["q", "n", "m", "prec_n", "prec_d", "jobs", "format", "timing",
+        keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing",
                 "universal", "list", "depth_sequence"]
         return {k: self.values.get(k) for k in keys}
 

@@ -16,6 +16,7 @@ from .linalg import vec_mat
 from .series import FqDomain, SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8
+DL_QN_BOUND = 2 ** 20
 AMBIENT_FIELD_BOUND = 4096
 
 
@@ -40,8 +41,8 @@ def dl_equation(q, n):
     The product is Galois-stable, so its coefficients lie in the prime
     field; this is asserted rather than assumed.
     """
-    if q ** n > 2 ** 20:
-        raise ParameterError(f"q^n = {q ** n} exceeds 2^20")
+    if q ** n > DL_QN_BOUND:
+        raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
     field = field_for_order(q)
     ring = SeriesRing(FqDomain(field), tuple(f"X{i}" for i in range(1, n + 1)),
                       q ** n + 1)
@@ -73,8 +74,6 @@ class Ambient:
         if q ** m > AMBIENT_FIELD_BOUND:
             raise BudgetError(
                 f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
-        if q ** (m * n) > POINT_BUDGET:
-            raise BudgetError(f"{q}^{m * n} points exceed the {POINT_BUDGET} budget")
         base = field_for_order(q)
         if base.f * m > MAX_DEGREE:
             raise BudgetError(

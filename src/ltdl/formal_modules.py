@@ -24,8 +24,6 @@ The module stores F and the scalar series over the truncated Witt ring,
 where all later identities are checked exactly mod (p^N, deg D).
 """
 
-from itertools import product
-
 from .errors import ParameterError, PrecisionError, VerificationError
 from .ffield import field_for_order
 from .series import PadicDomain, SeriesRing, TruncatedSeries, WittDomain
@@ -505,215 +503,3 @@ def verify_module_axioms(module):
 
 def abs_int_key(key):
     return abs(key[1]) if key[0] == "int" else 1
-
-
-# -- Drinfeld level structures -------------------------------------------------
-
-
-class SmallAlgebra:
-    """A finite free O/p^N-algebra by structure constants over W(F_q)/p^N.
-
-    basis[0] must be the multiplicative identity.  Elements are coefficient
-    tuples of WittElements.
-    """
-
-    def __init__(self, witt, rank, mult_table, name="R"):
-        self.witt = witt
-        self.rank = rank
-        self.mult = mult_table  # mult[i][j] = tuple of rank WittElements
-        self.name = name
-
-    @staticmethod
-    def scalar_ring(p, f, N):
-        w = witt_ring(p, f, N)
-        return SmallAlgebra(w, 1, [[(w.one(),)]], name="O/p^N")
-
-    @staticmethod
-    def dual_numbers(p, f, N):
-        """O/p^N[eps]/(eps^2), handy as a target with honest nilpotents."""
-        w = witt_ring(p, f, N)
-        one, zero = w.one(), w.zero()
-        mult = [[(one, zero), (zero, one)], [(zero, one), (zero, zero)]]
-        return SmallAlgebra(w, 2, mult, name="O/p^N[eps]")
-
-    def zero(self):
-        return (self.witt.zero(),) * self.rank
-
-    def one(self):
-        return (self.witt.one(),) + (self.witt.zero(),) * (self.rank - 1)
-
-    def from_witt(self, w):
-        if w.ring != self.witt:
-            raise ParameterError("Witt element from a different precision or field")
-        return (w,) + (self.witt.zero(),) * (self.rank - 1)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        out = [self.witt.zero()] * self.rank
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if bj.is_zero():
-                    continue
-                c = ai * bj
-                row = self.mult[i][j]
-                for k in range(self.rank):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + c * row[k]
-        return tuple(out)
-
-    def scale(self, w, a):
-        return tuple(w * x for x in a)
-
-    def is_zero(self, a):
-        return all(x.is_zero() for x in a)
-
-    def nilpotency_index(self, a, bound):
-        """Smallest k <= bound with a^k = 0, else None."""
-        cur = a
-        for k in range(1, bound + 1):
-            if self.is_zero(cur):
-                return k
-            cur = self.mul(cur, a)
-        return None
-
-
-def eval_series_in_algebra(series, assignment, algebra):
-    """Evaluate a truncated series at nilpotent algebra elements.
-
-    Requires the sum of the arguments' nilpotency indices to stay below the
-    truncation bound, so the dropped tail provably evaluates to zero.
-    """
-    ring = series.ring
-    D = ring.degree
-    total_nil = 0
-    for v, val in assignment.items():
-        k = algebra.nilpotency_index(val, D + 1)
-        if k is None:
-            raise PrecisionError(f"assignment for {v!r} is not nilpotent within the bound")
-        total_nil += k - 1
-    if total_nil >= D:
-        raise PrecisionError("nilpotency too weak for the truncation bound")
-    powers = {v: {0: algebra.one(), 1: val} for v, val in assignment.items()}
-
-    def power(v, e):
-        cache = powers[v]
-        while e not in cache:
-            k = max(cache)
-            cache[k + 1] = algebra.mul(cache[k], cache[1])
-        return cache[e]
-
-    out = algebra.zero()
-    for e, c in sorted(series.terms.items()):
-        term = algebra.from_witt(c)
-        for i, exp in enumerate(e):
-            if exp:
-                v = ring.vars[i]
-                if v not in assignment:
-                    raise ParameterError(f"no value for variable {v!r}")
-                term = algebra.mul(term, power(v, exp))
-        out = algebra.add(out, term)
-    return out
-
-
-class LevelStructureCandidate:
-    """A candidate Drinfeld level-p structure: phi on (p^-1/O)^n with values in R."""
-
-    def __init__(self, algebra, n, q, phi):
-        self.algebra = algebra
-        self.n = n
-        self.q = q
-        self.phi = dict(phi)  # tuple of canonical field ints -> algebra element
-        expected = q ** n
-        if len(self.phi) != expected:
-            raise ParameterError(f"phi must be defined on all {expected} points")
-
-    @staticmethod
-    def zero_map(algebra, n, q):
-        keys = product(range(q), repeat=n)
-        return LevelStructureCandidate(algebra, n, q, {k: algebra.zero() for k in keys})
-
-
-def check_o_module_hom(module, cand):
-    """Verify phi is an O-module map for the formal operations, where certifiable."""
-    alg = cand.algebra
-    field = module.field
-    F = module.F
-    report = []
-    for x in cand.phi:
-        for y in cand.phi:
-            s = tuple((field.from_int(a) + field.from_int(b)).canonical_int()
-                      for a, b in zip(x, y))
-            lhs = eval_series_in_algebra(F, {"X": cand.phi[x], "Y": cand.phi[y]}, alg)
-            ok = alg.is_zero(alg.add(lhs, alg.neg(cand.phi[s])))
-            if not ok:
-                report.append(("add", x, y))
-    for a in range(cand.q):
-        key = normalize_scalar_key(field, ("teich", a)) if a else ("int", 0)
-        series = module.scalar_series(key)
-        for x in cand.phi:
-            ax = tuple((field.from_int(a) * field.from_int(c)).canonical_int()
-                       for c in x)
-            val = eval_series_in_algebra(series, {"X": cand.phi[x]}, alg)
-            if not alg.is_zero(alg.add(val, alg.neg(cand.phi[ax]))):
-                report.append(("scalar", a, x))
-    return report
-
-
-def check_drinfeld_divisibility(module, cand, level=1):
-    """True iff prod_x (X - phi(x)) divides [p^level](X) up to (p^N, deg D)."""
-    alg = cand.algebra
-    D = module.D
-    d = cand.q ** (level * cand.n)
-    if level != 1:
-        raise ParameterError("only level p (m = 1) candidates are supported")
-    if d >= D:
-        raise ParameterError(
-            f"divisor degree {d} needs a series degree bound above {d}")
-    # divisor coefficients, ascending; monic of degree d
-    divisor = [alg.one()]
-    for x in cand.phi:
-        nxt = [alg.zero()] * (len(divisor) + 1)
-        neg = alg.neg(cand.phi[x])
-        for i, c in enumerate(divisor):
-            nxt[i + 1] = alg.add(nxt[i + 1], c)
-            nxt[i] = alg.add(nxt[i], alg.mul(c, neg))
-        divisor = nxt
-    if not alg.is_zero(alg.add(divisor[d], alg.neg(alg.one()))):
-        raise VerificationError(f"divisor of degree {d} is not monic")
-
-    pi = module.scalar_series(("int", module.p))
-    g = [alg.zero()] * D
-    for e, c in pi.terms.items():
-        g[e[0]] = alg.add(g[e[0]], alg.from_witt(c))
-
-    # Weierstrass-style division: repeatedly move the part of degree >= d
-    # through the monic divisor; the sub-leading coefficients are
-    # topologically nilpotent so the correction shrinks every round.
-    E = list(g)
-    max_rounds = module.N * D + 10
-    for _ in range(max_rounds):
-        high = E[d:]
-        if all(alg.is_zero(c) for c in high):
-            break
-        # E -= high(X) * X^{-d} * divisor(X), aligned so the X^{>=d} part cancels
-        newE = list(E[:d]) + [alg.zero()] * (D - d)
-        for i, h in enumerate(high):
-            if alg.is_zero(h):
-                continue
-            for j in range(d):
-                k = i + j
-                if k < D:
-                    newE[k] = alg.add(newE[k], alg.neg(alg.mul(h, divisor[j])))
-        # everything at X^{>= d} from the previous remainder has been consumed
-        # into the quotient except what the correction re-introduces
-        E = newE
-    else:
-        raise PrecisionError("division did not stabilize; divisor not distinguished")
-    return all(alg.is_zero(c) for c in E)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,7 +55,21 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
                        "details": "doctored Dixon failure"}]
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 1), (4, 2), (5, 2), (8, 1)])
+# sha256 of the sorted-key JSON of each report's results and checks
+# (config and version left out), frozen so that a refactor proves its
+# reports byte-identical
+VERIFY_ALL_DIGESTS = {
+    (2, 2): "b4b0ef0f147fd9c472fa4e1cc332d6fb5a22ef4d72fadaee534e0347347d4140",
+    (2, 3): "3d89c67f336812369708ab5d20e8729ffa2536dfbf91c67be20ece538ee83446",
+    (3, 2): "eae42f9504e5bcae580146f136da540f3c4da58542ef12a368d65df8973d2e8f",
+    (4, 1): "8bf3db5429d1899c6ed658a3697aca185a431c1a7f6086abd7d4740138c19f41",
+    (4, 2): "dffb28b468551a08d46d49cdf2e7e93ff121edfa1d6c0b7a3b9584ac75adb534",
+    (5, 2): "51bf005daa9681dff85b933cdead435db21b1189964151deb18fb50cc57d80a0",
+    (8, 1): "5f8ee2afeaf37888494fd5f8379820d53b25b64df9b1c3c3196d31dc92d82b9a",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(VERIFY_ALL_DIGESTS))
 def test_verify_all_grid_is_complete(tmp_path, q, n):
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code in {0, 1, 3}
@@ -64,6 +79,8 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
     names += [o["check"] for o in results.get("omitted_checks", [])]
     for m in (1, 2):
         assert names.count(f"dl.twisted_sum_m{m}") == 1
+    body = json.dumps({"results": results, "checks": report["checks"]}, sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
 
 
 def test_parameter_error_exit_2(tmp_path, capsys):
@@ -78,6 +95,26 @@ def test_chart_monomial_budget_exit_2(capsys):
     code = main(["verify-all", "--q", "2", "--n", "4"])
     assert code == 2
     assert "monomials" in capsys.readouterr().err
+
+
+def test_dl_twisted_budget_follows_the_root_enumeration(tmp_path):
+    # the twist field F_{3^6} has 3^18 points in dimension 3, but the twisted
+    # sum enumerates only the 2^3 candidate roots per zeta
+    code, report = run_cli(tmp_path, "dl", "twisted", "--q", "3", "--n", "3", "--m", "1")
+    assert code == 0
+    assert report["results"]["twist_field_degree"] == 6
+    assert report["results"]["matches"] is True
+
+
+def test_bad_config_file_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for text, message in [("q=abc\n", "config value q='abc' is not an integer"),
+                          ("n=2\nformat=xml\n", "config value format='xml' is not json or csv"),
+                          ("timing=yes\n", "config value timing='yes' is not true or false"),
+                          ("jobs=4\n", "config key 'jobs' is not a flag")]:
+        cfg.write_text(text)
+        assert main(["dl", "count", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
 
 
 def test_budget_error_exit_3(capsys):

@@ -6,10 +6,6 @@ import pytest
 
 from ltdl.errors import ParameterError
 from ltdl.formal_modules import (
-    LevelStructureCandidate,
-    SmallAlgebra,
-    check_drinfeld_divisibility,
-    check_o_module_hom,
     lubin_tate_module,
     universal_module,
     verify_module_axioms,
@@ -151,46 +147,6 @@ def test_formal_sum_multiplicative_and_fold_invariance():
         args = [x, y, z]
         rng.shuffle(args)
         assert m.formal_sum(args) == expect
-
-
-def test_drinfeld_divisibility_zero_map():
-    # phi = 0, n = 1: X^q divides pX + X^q only in residue characteristic.
-    m2 = lubin_tate_module(2, 1, N=3, D=6)
-    alg = SmallAlgebra.scalar_ring(2, 1, 3)
-    cand = LevelStructureCandidate.zero_map(alg, 1, 2)
-    assert check_drinfeld_divisibility(m2, cand) is False
-
-    m1 = lubin_tate_module(2, 1, N=1, D=6)
-    alg1 = SmallAlgebra.scalar_ring(2, 1, 1)
-    cand1 = LevelStructureCandidate.zero_map(alg1, 1, 2)
-    assert check_drinfeld_divisibility(m1, cand1) is True
-
-
-def test_drinfeld_divisibility_true_level_structure():
-    # For the multiplicative module the 2-torsion is 1 + t = -1, i.e. t = -2;
-    # phi(1) = -2 is an honest level structure over O/4.
-    m = lubin_tate_module(2, 1, N=2, D=6)
-    alg = SmallAlgebra.scalar_ring(2, 1, 2)
-    w = alg.witt
-    cand = LevelStructureCandidate(alg, 1, 2, {(0,): alg.zero(),
-                                               (1,): alg.from_witt(w.from_int(-2))})
-    assert check_o_module_hom(m, cand) == []
-    assert check_drinfeld_divisibility(m, cand) is True
-
-
-def test_drinfeld_divisibility_rejects_random_phi():
-    # Random nilpotent values in the dual numbers essentially never divide.
-    rng = random.Random(73)
-    m = lubin_tate_module(2, 1, N=3, D=6)
-    alg = SmallAlgebra.dual_numbers(2, 1, 3)
-    w = alg.witt
-    rejected = 0
-    for _ in range(8):
-        eps_mult = (w.zero(), w.from_int(rng.randrange(1, 8)))
-        cand = LevelStructureCandidate(alg, 1, 2, {(0,): alg.zero(), (1,): eps_mult})
-        if not check_drinfeld_divisibility(m, cand):
-            rejected += 1
-    assert rejected >= 7
 
 
 def test_naturality_mod_p_commutes():
