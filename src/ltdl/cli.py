@@ -18,6 +18,7 @@ from . import __version__
 from .depth0 import (
     blowup_chart,
     build_P,
+    checked_depth_sequence,
     checked_gl_generators,
     default_chart_module,
     gl_linear_shadow_check,
@@ -120,15 +121,19 @@ def build_parser():
 
 def load_config_file(path):
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"bad config line: {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -198,6 +203,10 @@ class RunConfig:
             raise ParameterError("|GL_n(F_q)| exceeds the character-table budget")
         if self.prec_n < 1 or (self.prec_d is not None and self.prec_d < 2):
             raise ParameterError("invalid precision parameters")
+        self.depth_sequence = None
+        seq_text = self.values.get("depth_sequence")
+        if self.command == "depth0" and self.subcommand == "chart" and seq_text:
+            self.depth_sequence = checked_depth_sequence(seq_text, n)
 
     def echo(self):
         keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing",
@@ -264,9 +273,8 @@ def run_depth0(cfg):
         checks.append(check_entry("chart_multiplicity",
                                   chart.valuation == cfg.q ** cfg.n - 1,
                                   f"valuation {chart.valuation}"))
-        seq_text = cfg.values.get("depth_sequence")
-        if seq_text:
-            seq = [int(x) for x in str(seq_text).split(",")]
+        seq = cfg.depth_sequence
+        if seq:
             vals = iterated_chart(module, seq)
             results["valuations"] = vals
             results["iterated_valuations"] = vals

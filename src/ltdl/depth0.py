@@ -264,6 +264,23 @@ def blowup_chart(module, n=None):
     return ChartReport(q, n, X_PIVOT, val, residual, linear_parts, factors)
 
 
+def checked_depth_sequence(depth_sequence, n):
+    """The depth sequence as a list of ints, or ParameterError.
+
+    It is a list of integers or their comma-separated text (as given to
+    --depth-sequence), and must strictly decrease from n to >= 1.
+    """
+    parts = depth_sequence.split(",") if isinstance(depth_sequence, str) else depth_sequence
+    try:
+        seq = [int(x) for x in parts]
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"depth sequence {depth_sequence!r} is not a list of integers") from None
+    if not seq or seq[0] != n or any(s <= t for s, t in zip(seq, seq[1:])) or seq[-1] < 1:
+        raise ParameterError("depth sequence must strictly decrease from n to >= 1")
+    return seq
+
+
 def iterated_chart(module, depth_sequence, n=None):
     """Multiplicities along repeated blow-up steps at trailing-zero strata.
 
@@ -272,9 +289,7 @@ def iterated_chart(module, depth_sequence, n=None):
     stratum, each to order exactly 1 in the new pivot, giving q^{n_t} - 1.
     """
     n = module.n if n is None else n
-    seq = list(depth_sequence)
-    if not seq or seq[0] != n or any(s <= t for s, t in zip(seq, seq[1:])) or seq[-1] < 1:
-        raise ParameterError("depth sequence must strictly decrease from n to >= 1")
+    seq = checked_depth_sequence(depth_sequence, n)
     q = module.q
     chart = blowup_chart(module, n)
     valuations = [chart.valuation]

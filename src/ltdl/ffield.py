@@ -336,14 +336,18 @@ def gaussian_binomial(n, d, q):
 
 
 class PrimeField:
-    """Z/p on ints with the add/sub/mul/inv of FieldDesc: the coefficient
-    field of the search that builds F_p itself, before any kernel exists."""
+    """Z/p on ints with the add/neg/sub/mul/inv of FieldDesc: the coefficient
+    field of the search that builds F_p itself, before any kernel exists, and
+    of `linalg.det` modulo a prime."""
 
     def __init__(self, p):
         self.p = self.q = p
 
     def add(self, a, b):
         return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
 
     def sub(self, a, b):
         return (a - b) % self.p

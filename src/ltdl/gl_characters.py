@@ -6,6 +6,13 @@ eigenspace method with exact cyclotomic lifting, the Steinberg character is
 an alternating sum of flag permutation characters, and the depth-0
 correspondence pairs Frobenius orbits of generic characters of the Coxeter
 torus with cuspidal irreducibles through pi * St = Ind theta.
+
+In the Dixon step the class matrices are built lazily, one at a time, until
+the common eigenspaces have split into lines, and the eigenvalues of each
+restricted class matrix are the roots mod ell of its characteristic
+polynomial (Hessenberg reduction).  St is integer-valued, so the
+correspondence compares pi * St with Ind theta by scaling pi's integer
+coordinates.
 """
 
 from fractions import Fraction
@@ -448,7 +455,7 @@ def _dixon_prime(order, exponent, attempt=0):
     found = 0
     while True:
         ell += 1
-        if ell % exponent == 1 and is_prime(ell):
+        if (ell - 1) % exponent == 0 and is_prime(ell):
             if found == attempt:
                 return ell
             found += 1
@@ -463,8 +470,10 @@ def _primitive_root(ell):
 
 
 def _class_matrices(group):
+    """Yield the class matrices M_i, M_i[k'][k] = #{x in C_i : x^-1 g_k in C_k'},
+    in class order; each is built only when the eigenspace split asks for it,
+    which usually stops well before the last class."""
     r = group.num_classes
-    mats = []
     for i in range(r):
         M = [[0] * r for _ in range(r)]
         for xi in group.classes[i]:
@@ -472,8 +481,7 @@ def _class_matrices(group):
             for k in range(r):
                 y = group.mul(x_inv, group.reps[k])
                 M[group.class_of_element(y)][k] += 1
-        mats.append(M)
-    return mats
+        yield M
 
 
 def _mat_vec_mod(M, v, ell):
@@ -513,24 +521,60 @@ def _restriction_matrix(basis, M, ell):
     return [_solve_mod(basis, col, ell) for col in cols]  # R[c] = coeffs of M b_c
 
 
-def _det_mod(A, ell):
-    n = len(A)
-    M = [row[:] for row in A]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] % ell), None)
+def _charpoly_mod(A, ell):
+    """det(xI - A) mod ell, coefficients ascending (monic, length k + 1).
+
+    A is first brought to upper Hessenberg form H by similarity transforms;
+    then the leading minors p_m = det(xI - H[:m, :m]) satisfy
+    p_m = (x - h_mm) p_{m-1}
+          - sum_{i<m} h_{m-i,m} (h_{m,m-1} ... h_{m-i+1,m-i}) p_{m-i-1},
+    which gives the characteristic polynomial in O(k^3) (Cohen, Alg. 2.2.9).
+    """
+    k = len(A)
+    H = [[a % ell for a in row] for row in A]
+    for c in range(k - 2):
+        piv = next((i for i in range(c + 1, k) if H[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = (-det) % ell
-        det = (det * M[c][c]) % ell
-        inv = pow(M[c][c], ell - 2, ell)
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = (M[r][c] * inv) % ell
-                M[r] = [(M[r][j] - f * M[c][j]) % ell for j in range(n)]
-    return det % ell
+            continue
+        if piv != c + 1:
+            H[c + 1], H[piv] = H[piv], H[c + 1]
+            for row in H:
+                row[c + 1], row[piv] = row[piv], row[c + 1]
+        inv = pow(H[c + 1][c], ell - 2, ell)
+        for i in range(c + 2, k):
+            u = H[i][c] * inv % ell
+            if u:
+                # row_i -= u row_{c+1}, then column_{c+1} += u column_i
+                H[i] = [(a - u * b) % ell for a, b in zip(H[i], H[c + 1])]
+                for row in H:
+                    row[c + 1] = (row[c + 1] + u * row[i]) % ell
+    polys = [[1]]
+    for m in range(k):
+        prev = polys[m]
+        p = [0] + prev
+        for d, a in enumerate(prev):
+            p[d] -= H[m][m] * a
+        t = 1
+        for i in range(1, m + 1):
+            t = t * H[m - i + 1][m - i] % ell
+            f = H[m - i][m] * t % ell
+            if f:
+                for d, a in enumerate(polys[m - i]):
+                    p[d] -= f * a
+        polys.append([a % ell for a in p])
+    return polys[k]
+
+
+def _roots_mod(poly, ell):
+    """The roots in [0, ell) of an ascending coefficient list, by Horner."""
+    roots = []
+    for lam in range(ell):
+        v = 0
+        for a in reversed(poly):
+            v = (v * lam + a) % ell
+        if v == 0:
+            roots.append(lam)
+    return roots
 
 
 def _nullspace_mod(A, ell):
@@ -576,9 +620,7 @@ def _split_common_eigenspaces(group, mats, ell):
             # columns R[c] give M b_c in terms of the basis; transpose to act
             k = len(basis)
             Rt = [[R[c][r0] for c in range(k)] for r0 in range(k)]
-            eigenvalues = [lam for lam in range(ell)
-                           if _det_mod([[Rt[i][j] - (lam if i == j else 0)
-                                         for j in range(k)] for i in range(k)], ell) == 0]
+            eigenvalues = _roots_mod(_charpoly_mod(Rt, ell), ell)
             split = []
             for lam in eigenvalues:
                 A = [[(Rt[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
@@ -758,14 +800,26 @@ class CorrespondenceData:
 
 def dl_correspondence(data, j):
     """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic)."""
-    group, torus = data.group, data.torus
+    group = data.group
     if not is_generic(group.q, group.n, j):
         raise ParameterError(f"theta_{j} is not generic")
-    ind = induce_from_torus(group, torus, j)
+    return _cuspidal_match(data, j, induce_from_torus(group, data.torus, j))
+
+
+def _cuspidal_match(data, j, ind):
+    """The unique cuspidal pi with pi * St = ind, compared class by class.
+
+    St is integer-valued, so pi(c) St(c) is the coefficient vector of pi(c)
+    scaled by the integer St(c); no cyclotomic product is formed.  Every
+    cuspidal candidate is examined, so no match and several matches both raise.
+    """
+    st = [v.as_rational() for v in data.st.values]
     matches = []
     for idx in data.cuspidal_indices:
         chi = data.table.irreducibles[idx]
-        if chi * data.st == ind:
+        m = lcm(chi.m, ind.m)
+        if all(tuple(s * a for a in x.coerce(m).coeffs) == y.coerce(m).coeffs
+               for s, x, y in zip(st, chi.values, ind.values)):
             matches.append(idx)
     if not matches:
         raise VerificationError(f"no cuspidal solution for theta_{j}")
@@ -812,9 +866,14 @@ def correspondence_report(q, n, data=None):
            f"{len(orbits)} orbits, sizes {[len(o) for o in orbits]}")
 
     pi_of_orbit = {}
+    ind_of_orbit = {}  # Ind theta_j at the orbit's first j, for the degree identity
     consistent = True
     for orbit in orbits:
-        images = {dl_correspondence(data, j) for j in orbit}
+        images = set()
+        for j in orbit:
+            ind = induce_from_torus(group, data.torus, j)
+            ind_of_orbit.setdefault(orbit, ind)
+            images.add(_cuspidal_match(data, j, ind))
         if len(images) != 1:
             consistent = False
         pi_of_orbit[orbit] = images.pop()
@@ -833,7 +892,7 @@ def correspondence_report(q, n, data=None):
 
     st_deg = q ** (n * (n - 1) // 2)
     deg_ok = all(
-        induce_from_torus(group, data.torus, orbit[0]).degree()
+        ind_of_orbit[orbit].degree()
         == CycloElement.rational(data.table.degrees[pi] * st_deg)
         for orbit, pi in pi_of_orbit.items())
     record("degree_identity", deg_ok, "Ind(1) = pi(1) * q^(n(n-1)/2)")

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ltdl import gl_characters
+from ltdl import cli, gl_characters
 from ltdl.cli import main
 from ltdl.errors import VerificationError
 
@@ -200,3 +204,43 @@ def test_strata_report(tmp_path):
     by_key = {(tuple(r["a"]), r["j"]): r["member"] for r in rows}
     assert by_key[((1, 0), 1)] is True
     assert by_key[((1, 1), 1)] is False
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["dl", "count", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: cannot read config file {missing}: No such file or directory\n")
+    assert main(["dl", "count", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: cannot read config file {tmp_path}: Is a directory\n")
+
+
+@pytest.mark.parametrize("seq,message", [
+    ("a,b", "depth sequence 'a,b' is not a list of integers"),
+    ("2,3", "depth sequence must strictly decrease from n to >= 1"),
+    ("3,3", "depth sequence must strictly decrease from n to >= 1"),
+])
+def test_bad_depth_sequence_exits_2_before_chart_work(seq, message, monkeypatch, capsys):
+    def no_chart(*args, **kwargs):
+        raise AssertionError("the chart was built for a bad depth sequence")
+
+    monkeypatch.setattr(cli, "blowup_chart", no_chart)
+    monkeypatch.setattr(cli, "iterated_chart", no_chart)
+    code = main(["depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", seq])
+    assert code == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["chars", "table"], ["verify-all"]])
+def test_trivial_group_commands_end(argv):
+    # GL_1(F_2) is trivial (exponent 1); both commands once hung in the
+    # Dixon prime search
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "ltdl.cli", *argv, "--q", "2", "--n", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from ltdl import gl_characters
 from ltdl.cli import main
 from ltdl.cyclo import CycloElement
-from ltdl.errors import ParameterError
-from ltdl.ffield import ff_make, field_for_order, primitive_poly_over
+from ltdl.errors import ParameterError, VerificationError
+from ltdl.ffield import PrimeField, ff_make, field_for_order, primitive_poly_over
 from ltdl.gl_characters import (
     CharacterTable,
     ClassFunction,
@@ -29,9 +30,13 @@ from ltdl.gl_characters import (
     torus_character_value,
     torus_inner,
     unipotent_radical,
+    _charpoly_mod,
+    _class_matrices,
+    _cuspidal_match,
+    _roots_mod,
     _verify_table,
 )
-from ltdl.linalg import mat_inv, mat_pow
+from ltdl.linalg import det, mat_inv, mat_pow
 
 
 def test_group_orders_and_class_counts():
@@ -414,3 +419,124 @@ def test_green_gl2_table_matches_dixon(q):
     green = green_gl2_rows(group)
     assert len(green) == group.num_classes
     assert sorted(map(key, green)) == sorted(key(chi.values) for chi in table.irreducibles)
+
+
+def test_dixon_table_of_the_trivial_group():
+    # GL_1(F_2) has exponent 1; the Dixon prime search must still end
+    group = GLGroup(2, 1)
+    table = dixon_table(group)
+    assert (group.order, group.num_classes, group.exponent) == (1, 1, 1)
+    assert table.degrees == [1]
+    assert [list(chi.values) for chi in table.irreducibles] == [[CycloElement.rational(1)]]
+
+
+def _charpoly_at(poly, lam, ell):
+    return sum(a * lam ** d for d, a in enumerate(poly)) % ell
+
+
+def _det_minus(A, lam, ell):
+    # oracle: det(lam I - A) by elimination over PrimeField(ell)
+    k = len(A)
+    return det(PrimeField(ell), [[((lam if i == j else 0) - A[i][j]) % ell
+                                  for j in range(k)] for i in range(k)])
+
+
+def test_charpoly_matches_determinant_at_every_lambda():
+    rng = random.Random(2029)
+    cases = []
+    for ell in (241, 337):
+        for k in (1, 2, 3, 5, 8, 12):
+            cases.append((ell, [[rng.randrange(ell) for _ in range(k)] for _ in range(k)]))
+        # scalar, strictly upper (nilpotent), and a conjugate of diag(5,5,5,7,7,1)
+        cases.append((ell, [[9 if i == j else 0 for j in range(6)] for i in range(6)]))
+        cases.append((ell, [[rng.randrange(ell) if j > i else 0 for j in range(7)]
+                            for i in range(7)]))
+        D = [5, 5, 5, 7, 7, 1]
+        P = [[rng.randrange(ell) for _ in range(6)] for _ in range(6)]
+        while not det(PrimeField(ell), P):
+            P = [[rng.randrange(ell) for _ in range(6)] for _ in range(6)]
+        P_inv = mat_inv(PrimeField(ell), P)
+        cases.append((ell, [[sum(P[i][t] * D[t] * P_inv[t][j] for t in range(6)) % ell
+                             for j in range(6)] for i in range(6)]))
+    for ell, A in cases:
+        poly = _charpoly_mod(A, ell)
+        assert len(poly) == len(A) + 1 and poly[-1] == 1
+        for lam in range(ell):
+            assert _charpoly_at(poly, lam, ell) == _det_minus(A, lam, ell)
+    scalar, nilpotent, repeated = cases[6:9]
+    assert _roots_mod(_charpoly_mod(scalar[1], 241), 241) == [9]
+    assert _charpoly_mod(nilpotent[1], 241) == [0] * 7 + [1]
+    assert _roots_mod(_charpoly_mod(repeated[1], 241), 241) == [1, 5, 7]
+
+
+def eigenvalues_by_scan(A, ell):
+    """Every lambda in [0, ell) with det(A - lambda I) = 0 (the slow oracle)."""
+    return [lam for lam in range(ell) if _det_minus(A, lam, ell) == 0]
+
+
+def eager_class_matrices(group):
+    """All class matrices, built up front (the oracle for the generator)."""
+    r = group.num_classes
+    mats = []
+    for i in range(r):
+        M = [[0] * r for _ in range(r)]
+        for xi in group.classes[i]:
+            x_inv = mat_inv(group.field, group.elements[xi])
+            for k in range(r):
+                M[group.class_of_element(group.mul(x_inv, group.reps[k]))][k] += 1
+        mats.append(M)
+    return mats
+
+
+@pytest.mark.parametrize("q,built", [(3, 7), (5, 10)])
+def test_eigenvalue_roots_agree_with_the_scan(q, built, monkeypatch):
+    seen = []
+    yielded = []
+
+    def recording_charpoly(A, ell):
+        seen.append(([row[:] for row in A], ell))
+        return _charpoly_mod(A, ell)
+
+    def counting_class_matrices(group):
+        for M in _class_matrices(group):
+            yielded.append(M)
+            yield M
+
+    monkeypatch.setattr(gl_characters, "_charpoly_mod", recording_charpoly)
+    monkeypatch.setattr(gl_characters, "_class_matrices", counting_class_matrices)
+    group = GLGroup(q, 2)
+    dixon_table(group)
+    assert seen
+    for A, ell in seen:
+        assert _roots_mod(_charpoly_mod(A, ell), ell) == eigenvalues_by_scan(A, ell)
+    # the split stops before the last class matrix is needed
+    assert len(yielded) == built < group.num_classes
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_class_matrix_generator_matches_eager_list(q):
+    group = GLGroup(q, 2)
+    assert list(_class_matrices(group)) == eager_class_matrices(group)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_dl_correspondence_matches_product_oracle(q, n):
+    data = CorrespondenceData(q, n)
+    for j in range(q ** n - 1):
+        if not is_generic(q, n, j):
+            continue
+        ind = induce_from_torus(data.group, data.torus, j)
+        oracle = [idx for idx in data.cuspidal_indices
+                  if data.table.irreducibles[idx] * data.st == ind]
+        assert oracle == [dl_correspondence(data, j)]
+
+
+def test_cuspidal_match_raises_on_none_and_on_several():
+    data = CorrespondenceData(2, 2)
+    ind = induce_from_torus(data.group, data.torus, 1)
+    # with both one-dimensional characters as candidates, two solve pi * St = Ind
+    data.cuspidal_indices = [i for i, d in enumerate(data.table.degrees) if d == 1]
+    with pytest.raises(VerificationError, match="multiple"):
+        _cuspidal_match(data, 1, ind)
+    with pytest.raises(VerificationError, match="no cuspidal"):
+        _cuspidal_match(data, 1, ind.scale(2))
