@@ -21,6 +21,7 @@ from .depth0 import (
     checked_depth_sequence,
     checked_gl_generators,
     default_chart_module,
+    deformation_factors,
     gl_linear_shadow_check,
     index_vectors,
     iterated_chart,
@@ -254,8 +255,9 @@ def run_depth0(cfg):
     checks = []
     results = {}
     if cfg.subcommand == "equation":
-        P = build_P(module)
-        census = special_fiber_components(module)
+        factors = deformation_factors(module)
+        P = build_P(module, factors=factors)
+        census = special_fiber_components(module, factors=factors)
         results["P"] = P.to_json()
         results["components"] = census["components"]
         results["multiplicity"] = census["multiplicity"]
@@ -265,23 +267,24 @@ def run_depth0(cfg):
                                   census["all_scalar_checks_pass"],
                                   f"{census['components']} components"))
     elif cfg.subcommand == "chart":
-        chart = blowup_chart(module)
+        factors = deformation_factors(module)
+        chart = blowup_chart(module, factors=factors)
         results.update(chart.to_json())
         results["valuations"] = [chart.valuation]
-        census = special_fiber_components(module)
+        census = special_fiber_components(module, factors=factors)
         results["components"] = census["components"]
         checks.append(check_entry("chart_multiplicity",
                                   chart.valuation == cfg.q ** cfg.n - 1,
                                   f"valuation {chart.valuation}"))
         seq = cfg.depth_sequence
         if seq:
-            vals = iterated_chart(module, seq)
+            vals = iterated_chart(module, seq, chart=chart)
             results["valuations"] = vals
             results["iterated_valuations"] = vals
             checks.append(check_entry(
                 "iterated_multiplicities",
                 vals == [cfg.q ** s - 1 for s in seq], str(vals)))
-        un = un_special_fiber(module)
+        un = un_special_fiber(module, chart=chart)
         results["un_equation_matches_dl"] = un["un_equation_matches_dl"]
         checks.append(check_entry("un_equals_dl", un["un_equation_matches_dl"]))
     elif cfg.subcommand == "strata":
@@ -369,15 +372,28 @@ def suite(name, checks):
     recorded, like the suites after it, still land in the report."""
     try:
         yield
-    except (VerificationError, PrecisionError, IntegralityError) as exc:
+    except (VerificationError, PrecisionError, IntegralityError, BudgetError,
+            ParameterError) as exc:
         checks.append(check_entry(f"{name}.error", False, exc))
+
+
+@contextmanager
+def omittable(name, omitted):
+    """One check that a BudgetError omits: it lands in `omitted` with the
+    reason, rather than faking a result or ending its suite."""
+    try:
+        yield
+    except BudgetError as exc:
+        omitted.append({"check": name, "reason": str(exc)})
 
 
 def run_verify_all(cfg):
     q, n = cfg.q, cfg.n
     checks = []
     results = {"q": q, "n": n, "N": cfg.prec_n, "D": cfg.degree()}
-    mats = invertible_matrices(field_for_order(q), n)
+    field = field_for_order(q)
+    mats = invertible_matrices(field, n)
+    gens = None  # closure-checked once, for the depth0 and dl suites
 
     module = None
     with suite("formal_module", checks):
@@ -389,22 +405,25 @@ def run_verify_all(cfg):
     with suite("depth0", checks):
         if module is None:
             raise VerificationError("no formal module: the formal_module suite failed")
-        census = special_fiber_components(module)
+        # each P_a, P and the chart are built once and shared by the checks
+        factors = deformation_factors(module)
+        census = special_fiber_components(module, factors=factors)
         checks.append(check_entry(
             "depth0.component_census",
             census["all_scalar_checks_pass"]
             and census["components"] == (q ** n - 1) // (q - 1),
             f"{census['components']} components of multiplicity {census['multiplicity']}"))
 
+        P = chart = None
         try:
-            P = build_P(module)
+            P = build_P(module, factors=factors)
             checks.append(check_entry("depth0.equation_lowest_degree",
                                       P.lowest_degree() == q ** n - 1))
         except VerificationError as exc:
             checks.append(check_entry("depth0.equation_lowest_degree", False, exc))
 
         try:
-            chart = blowup_chart(module)
+            chart = blowup_chart(module, factors=factors)
             checks.append(check_entry("depth0.chart_multiplicity",
                                       chart.valuation == q ** n - 1,
                                       f"valuation {chart.valuation}"))
@@ -415,7 +434,7 @@ def run_verify_all(cfg):
 
         if n >= 3:
             try:
-                vals = iterated_chart(module, list(range(n, 1, -1)))
+                vals = iterated_chart(module, list(range(n, 1, -1)), chart=chart)
                 checks.append(check_entry(
                     "depth0.iterated_multiplicities",
                     vals == [q ** s - 1 for s in range(n, 1, -1)], str(vals)))
@@ -423,41 +442,45 @@ def run_verify_all(cfg):
                 checks.append(check_entry("depth0.iterated_multiplicities", False, exc))
 
         try:
-            un = un_special_fiber(module)
+            un = un_special_fiber(module, chart=chart)
             checks.append(check_entry("depth0.un_equals_dl", un["un_equation_matches_dl"]))
         except VerificationError as exc:
             checks.append(check_entry("depth0.un_equals_dl", False, exc))
 
+        gens = checked_gl_generators(field, n, mats)
         checks.append(check_entry("depth0.gl_linear_shadow",
-                                  gl_linear_shadow_check(module, mats)))
+                                  gl_linear_shadow_check(module, mats, P=P, gens=gens)))
 
+    # a check whose field or point set exceeds a budget is omitted, with the
+    # reason, rather than faking a result (the twist field in particular can
+    # be far larger than the enumeration budget)
     omitted = []
     with suite("dl", checks):
         for m in (1, 2):
-            count = dl_points(q, n, m)
-            base_e = base_points(q, n, m, "enumerate")
-            base_m = base_points(q, n, m, "moebius")
-            checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
-                                      f"count {count}, base {base_e}"))
-            rep = fiber_structure_check(q, n, m)
-            checks.append(check_entry(
-                f"dl.fibers_m{m}", True,
-                "vacuous" if rep["vacuous"] else f"fiber size {rep['fiber_size']}"))
-            try:
+            with omittable(f"dl.base_points_m{m}", omitted):
+                count = dl_points(q, n, m)
+                base_e = base_points(q, n, m, "enumerate")
+                base_m = base_points(q, n, m, "moebius")
+                checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
+                                          f"count {count}, base {base_e}"))
+            with omittable(f"dl.fibers_m{m}", omitted):
+                rep = fiber_structure_check(q, n, m)
+                checks.append(check_entry(
+                    f"dl.fibers_m{m}", True,
+                    "vacuous" if rep["vacuous"] else f"fiber size {rep['fiber_size']}"))
+            with omittable(f"dl.twisted_sum_m{m}", omitted):
                 tw = twisted_sum_check(q, n, m)
+                base = tw["expected"] // (q ** n - 1)
                 checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
-                                          f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base_e}"))
-            except BudgetError as exc:
-                # the twist field can be far larger than the enumeration budget
-                # (all DL fibers over F_{q^m}-points close up only there); report
-                # the omission rather than faking a result
-                omitted.append({"check": f"dl.twisted_sum_m{m}", "reason": str(exc)})
+                                          f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base}"))
         # generators of GL_n(F_q), each paired with 1 and with a generator
         # of the available mu, generate the whole action
-        gens = checked_gl_generators(field_for_order(q), n, mats)
-        zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
-        triples = action_invariance_check(q, n, 2, gens, zetas)
-        checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
+        with omittable("dl.action_invariance", omitted):
+            if gens is None:
+                gens = checked_gl_generators(field, n, mats)
+            zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
+            triples = action_invariance_check(q, n, 2, gens, zetas)
+            checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
     if omitted:
         results["omitted_checks"] = omitted
 

@@ -76,8 +76,19 @@ def build_P_a(module, a, ring=None):
     return module.formal_sum(parts)
 
 
-def build_P(module, n=None):
-    """P = prod over a of P_a (ambient unit taken to be 1).
+def deformation_factors(module, n=None):
+    """{a: P_a} over a in F_q^n - 0, in `index_vectors` order, each built once.
+
+    The census, P and the chart all read their P_a from one such dict.
+    """
+    n = module.n if n is None else n
+    ring = deformation_ring(module, n)
+    return {a: build_P_a(module, a, ring) for a in index_vectors(module.field, n)}
+
+
+def build_P(module, n=None, factors=None):
+    """P = prod over a of P_a (ambient unit taken to be 1), from `factors`
+    (a `deformation_factors` dict) when given.
 
     The lowest total degree must come out as q^n - 1.
     """
@@ -86,34 +97,35 @@ def build_P(module, n=None):
     if module.D <= q ** n - 1:
         raise ParameterError(
             f"degree bound {module.D} <= q^n - 1 = {q ** n - 1}: P would truncate to 0")
-    ring = deformation_ring(module, n)
-    factors = [build_P_a(module, a, ring) for a in index_vectors(module.field, n)]
-    P = product_over(factors)
+    factors = deformation_factors(module, n) if factors is None else factors
+    P = product_over(list(factors.values()))
     if P.is_zero() or P.lowest_degree() != q ** n - 1:
         raise VerificationError("P does not vanish to order exactly q^n - 1")
     return P
 
 
-def scalar_compat_check(module, a, c):
-    """P_{c a} = [c~] o P_a, exactly at the working precision."""
+def scalar_compat_check(module, a, c, factors=None):
+    """P_{c a} = [c~] o P_a, exactly at the working precision; both P's are
+    read from `factors` when given."""
     field = module.field
     if c % field.q == 0:
         raise ParameterError("scalar must be a unit")
-    ring = deformation_ring(module, len(a))
     ca = tuple(field.mul(c, x) for x in a)
-    lhs = build_P_a(module, ca, ring)
-    rhs = module.formal_scalar(normalize_scalar_key(field, ("teich", c)),
-                               build_P_a(module, a, ring))
-    return lhs == rhs
+    if factors is None:
+        ring = deformation_ring(module, len(a))
+        factors = {b: build_P_a(module, b, ring) for b in (a, ca)}
+    rhs = module.formal_scalar(normalize_scalar_key(field, ("teich", c)), factors[a])
+    return factors[ca] == rhs
 
 
-def special_fiber_components(module, n=None):
+def special_fiber_components(module, n=None, factors=None):
     """Group the P_a by projective class and verify the scalar relations.
 
     The class count is (q^n - 1)/(q - 1) and each class has q - 1 members,
     matching the component/multiplicity census of the special fiber.
     """
     n = module.n if n is None else n
+    factors = deformation_factors(module, n) if factors is None else factors
     q = module.q
     field = module.field
     classes = projective_classes(field, n)
@@ -136,7 +148,7 @@ def special_fiber_components(module, n=None):
                 if y:
                     c = field.mul(x, field.inv(y))
                     break
-            if not scalar_compat_check(module, rep, c):
+            if not scalar_compat_check(module, rep, c, factors):
                 ok = False
             if m_vec != tuple(field.mul(c, y) for y in rep):
                 ok = False
@@ -204,22 +216,22 @@ class ChartReport:
                 "valuation": self.valuation, "linear_parts": lp}
 
 
-def blowup_chart(module, n=None):
+def blowup_chart(module, n=None, factors=None):
     """Substitute X_i = V_i X_n into P, factor out X_n^{q^n-1} and check
-    that every residual factor is exactly affine-linear mod X_n."""
+    that every residual factor is exactly affine-linear mod X_n.  The P_a
+    come from `factors` (a `deformation_factors` dict) when given."""
     n = module.n if n is None else n
     q = module.q
     if module.D < q ** n + 1:
         raise ParameterError("degree bound too small for the chart (need q^n + 1)")
+    factors = deformation_factors(module, n) if factors is None else factors
     ring = chart_ring(module, n)
-    x_ring = deformation_ring(module, n)
-    factors = {}
+    chart_factors = {}
     linear_parts = {}
     subbed = []
     pivot_idx = ring._var_index[X_PIVOT]
     v_idx = [ring._var_index[f"V{i}"] for i in range(1, n)]
-    for a in index_vectors(module.field, n):
-        P_a = build_P_a(module, a, x_ring)
+    for a, P_a in factors.items():
         s = _chart_substitute(module, P_a, n, ring)
         # structural coupling that makes the chart exact: a source monomial of
         # degree d maps to one term with Xn-degree d, so V-total <= Xn-degree
@@ -229,7 +241,7 @@ def blowup_chart(module, n=None):
         if s.var_valuation(X_PIVOT) != 1:
             raise VerificationError(f"P_a for a={a} does not vanish to order 1 on the chart")
         fac = s.factor_out(X_PIVOT, 1)
-        factors[a] = fac
+        chart_factors[a] = fac
         const = fac.set_var_to_zero(X_PIVOT)
         expect = ring.zero()
         form = {}
@@ -256,12 +268,12 @@ def blowup_chart(module, n=None):
     # consistency: the residual equals the product of the per-factor parts
     # wherever both are exact (Xn-degree < D - (q^n - 1))
     window = module.D - (q ** n - 1)
-    prod = product_over(list(factors.values()))
+    prod = product_over(list(chart_factors.values()))
     trim = lambda s: TruncatedSeries(s.ring, {e: c for e, c in s.terms.items()
                                               if e[s.ring._var_index[X_PIVOT]] < window})
     if trim(prod) != trim(residual):
         raise VerificationError("residual disagrees with the factored product")
-    return ChartReport(q, n, X_PIVOT, val, residual, linear_parts, factors)
+    return ChartReport(q, n, X_PIVOT, val, residual, linear_parts, chart_factors)
 
 
 def checked_depth_sequence(depth_sequence, n):
@@ -281,8 +293,9 @@ def checked_depth_sequence(depth_sequence, n):
     return seq
 
 
-def iterated_chart(module, depth_sequence, n=None):
-    """Multiplicities along repeated blow-up steps at trailing-zero strata.
+def iterated_chart(module, depth_sequence, n=None, chart=None):
+    """Multiplicities along repeated blow-up steps at trailing-zero strata,
+    starting from `chart` (the `blowup_chart` at n) when given.
 
     depth_sequence is strictly decreasing, starting at n; at each deeper
     step only the factors indexed by the trailing-zero block vanish on the
@@ -291,7 +304,7 @@ def iterated_chart(module, depth_sequence, n=None):
     n = module.n if n is None else n
     seq = checked_depth_sequence(depth_sequence, n)
     q = module.q
-    chart = blowup_chart(module, n)
+    chart = blowup_chart(module, n) if chart is None else chart
     valuations = [chart.valuation]
     factors = chart.factors
     block = n
@@ -363,15 +376,16 @@ def iterated_chart(module, depth_sequence, n=None):
     return valuations
 
 
-def un_special_fiber(module, n=None):
+def un_special_fiber(module, n=None, chart=None):
     """Reduce the chart residual mod (p, X_n) and change to projective
     coordinates, yielding the hyperplane-product equation; compare with the
-    directly built Deligne-Lusztig equation."""
+    directly built Deligne-Lusztig equation.  `chart` is the `blowup_chart`
+    at n, built here when not given."""
     from .dl_variety import dl_equation
 
     n = module.n if n is None else n
     q = module.q
-    chart = blowup_chart(module, n)
+    chart = blowup_chart(module, n) if chart is None else chart
     window = module.D - (q ** n - 1)
     if window < 1:
         raise ParameterError("no exact window left to reduce the residual")
@@ -447,18 +461,20 @@ def checked_gl_generators(field, n, matrices):
     return gens
 
 
-def gl_linear_shadow_check(module, matrices, n=None):
+def gl_linear_shadow_check(module, matrices, n=None, P=None, gens=None):
     """The multiset of linear parts of P mod p is permuted by a -> a g.
 
     Checks both the index action on linear forms and the invariance of the
     lowest-degree part of P mod p under the linear substitution by g, for
     every g in `matrices`, the enumerated GL_n(F_q).  Both are group actions,
-    so they are checked on `checked_gl_generators` only.
+    so they are checked on `checked_gl_generators` only.  P (from `build_P`)
+    and gens (from `checked_gl_generators` on `matrices`) are computed here
+    when not given.
     """
     n = module.n if n is None else n
     field = module.field
-    gens = checked_gl_generators(field, n, matrices)
-    P = build_P(module, n)
+    gens = checked_gl_generators(field, n, matrices) if gens is None else gens
+    P = build_P(module, n) if P is None else P
     red = P.reduce_mod_p()
     lowest = red.homogeneous_part(module.q ** n - 1)
     ring = red.ring

@@ -897,15 +897,9 @@ def correspondence_report(q, n, data=None):
         for orbit, pi in pi_of_orbit.items())
     record("degree_identity", deg_ok, "Ind(1) = pi(1) * q^(n(n-1)/2)")
 
-    ortho_ok = True
-    reps = list(pi_of_orbit.items())
-    for a, (orb_a, pi_a) in enumerate(reps):
-        for orb_b, pi_b in reps[a:]:
-            chi_a = data.table.irreducibles[pi_a]
-            chi_b = data.table.irreducibles[pi_b]
-            expect = 1 if orb_a == orb_b else 0
-            if chi_a.inner(chi_b) != expect:
-                ortho_ok = False
+    # dixon_table has proved the rows orthonormal, so <pi_a, pi_b> =
+    # delta_orbit holds exactly when distinct orbits map to distinct rows
+    ortho_ok = len(set(pi_of_orbit.values())) == len(pi_of_orbit)
     record("orbit_orthogonality", ortho_ok, "<pi_a, pi_b> = delta_orbit")
 
     virtual = VirtualRep()

@@ -10,6 +10,8 @@ All arithmetic is exact and canonical: results are independent of operand
 order and of any internal evaluation order.
 """
 
+from operator import add, itemgetter
+
 from .errors import IntegralityError, ParameterError, PrecisionError
 from .ffield import ff_make
 from .witt import BoundedPadic, PadicParams, from_digits, witt_ring
@@ -161,7 +163,7 @@ def domain_from_descriptor(desc):
 class SeriesRing:
     """Descriptor: ordered variables, total-degree bound, optional caps."""
 
-    __slots__ = ("domain", "vars", "degree", "caps", "_var_index")
+    __slots__ = ("domain", "vars", "degree", "caps", "_var_index", "_cap_index")
 
     def __init__(self, domain, variables, degree, caps=None):
         variables = tuple(variables)
@@ -177,6 +179,7 @@ class SeriesRing:
             if v not in variables:
                 raise ParameterError(f"cap for unknown variable {v!r}")
         self._var_index = {v: i for i, v in enumerate(variables)}
+        self._cap_index = tuple((self._var_index[v], cap) for v, cap in self.caps.items())
 
     def __eq__(self, other):
         return (isinstance(other, SeriesRing)
@@ -195,10 +198,7 @@ class SeriesRing:
     def admits(self, exps):
         if sum(exps) >= self.degree:
             return False
-        for v, cap in self.caps.items():
-            if exps[self._var_index[v]] > cap:
-                return False
-        return True
+        return all(exps[i] <= cap for i, cap in self._cap_index)
 
     def zero(self):
         return TruncatedSeries(self, {})
@@ -235,24 +235,15 @@ class TruncatedSeries:
         self.terms = terms
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ParameterError("series from different rings")
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        dom = self.ring.domain
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if dom.is_negligible(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
+        _add_into(out, other.terms, self.ring.domain.is_negligible)
         return TruncatedSeries(self.ring, out)
 
     def __neg__(self):
@@ -262,19 +253,31 @@ class TruncatedSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Truncated product.  The right terms are taken in order of total
+        degree, so each left term of degree d stops at the first right term
+        of degree >= D - d and no pair past the bound is ever formed."""
         self._check(other)
         ring = self.ring
-        dom = ring.domain
+        negligible = ring.domain.is_negligible
+        caps = ring._cap_index
+        bound = ring.degree
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
+                       key=itemgetter(0))
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not ring.admits(e):
+            room = bound - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 >= room:
+                    break
+                e = tuple(map(add, e1, e2))
+                if caps and any(e[i] > cap for i, cap in caps):
                     continue
                 c = c1 * c2
-                if e in out:
-                    c = out[e] + c
-                if dom.is_negligible(c):
+                prev = get(e)
+                if prev is not None:
+                    c = prev + c
+                if negligible(c):
                     out.pop(e, None)
                 else:
                     out[e] = c
@@ -453,14 +456,21 @@ class TruncatedSeries:
                     cache[k] = cur
             return cache[e]
 
-        out = target.zero()
+        negligible = target.domain.is_negligible
+        out = {}
         for e, c in sorted(self.terms.items()):
-            mono = target.constant(c)
+            if negligible(c):
+                continue
+            mono = None
             for i, exp in enumerate(e):
                 if exp:
-                    mono = mono * power(i, exp)
-            out = out + mono
-        return out
+                    # c scales the first power, which has fewer terms
+                    # than the finished monomial
+                    mono = power(i, exp).scale(c) if mono is None else mono * power(i, exp)
+            if mono is None:
+                mono = target.constant(c)
+            _add_into(out, mono.terms, negligible)
+        return TruncatedSeries(target, out)
 
     def reduce_mod_p(self):
         """Coefficientwise reduction to the residue field."""
@@ -522,6 +532,20 @@ class TruncatedSeries:
             bits.append(f"({c}){mono or '1'}")
         suffix = " + ..." if len(self.terms) > 12 else ""
         return " + ".join(bits) + suffix
+
+
+def _add_into(out, terms, negligible):
+    """Add the terms into the dict out in place, dropping every sum that
+    becomes negligible."""
+    for e, c in terms.items():
+        if e in out:
+            s = out[e] + c
+            if negligible(s):
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
 
 
 def product_over(family):

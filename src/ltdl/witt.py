@@ -91,7 +91,7 @@ class WittElement:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ParameterError("mixed Witt rings")
 
     def __add__(self, other):
@@ -316,7 +316,7 @@ class BoundedPadic:
         return self.val >= n
 
     def _check(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ParameterError("mixed p-adic parameter sets")
 
     # -- arithmetic ----------------------------------------------------------

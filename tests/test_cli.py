@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ltdl import cli, gl_characters
+from ltdl import cli, depth0, gl_characters
 from ltdl.cli import main
-from ltdl.errors import VerificationError
+from ltdl.errors import BudgetError, ParameterError, VerificationError
 
 
 def run_cli(tmp_path, *argv):
@@ -57,6 +58,82 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert failed == [{"name": "chars.error", "status": "fail",
                        "details": "doctored Dixon failure"}]
+
+
+def test_budget_error_omits_only_its_check(tmp_path, monkeypatch):
+    def over_budget(q, n, m, mode="count"):
+        raise BudgetError("doctored point budget")
+
+    monkeypatch.setattr(cli, "dl_points", over_budget)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    assert code == 0
+    assert report["results"]["omitted_checks"] == [
+        {"check": f"dl.base_points_m{m}", "reason": "doctored point budget"} for m in (1, 2)]
+    names = [c["name"] for c in report["checks"]]
+    for name in ("dl.fibers_m1", "dl.twisted_sum_m2", "dl.action_invariance",
+                 "depth0.gl_linear_shadow", "chars.degree_squares_sum"):
+        assert name in names
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("target,error", [("deformation_factors", BudgetError),
+                                          ("CorrespondenceData", ParameterError)])
+def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, target, error):
+    def escaping(*args, **kwargs):
+        raise error("doctored escape")
+
+    monkeypatch.setattr(cli, target, escaping)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    assert code == 1
+    suite = "depth0" if target == "deformation_factors" else "chars"
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [{"name": f"{suite}.error", "status": "fail",
+                       "details": "doctored escape"}]
+    names = [c["name"] for c in report["checks"]]
+    for other in {"formal_module", "depth0", "dl", "chars"} - {suite}:
+        assert any(name.startswith(other + ".") for name in names), other
+
+
+def test_verify_all_32_1_ends_with_a_report(tmp_path):
+    # F_{32^2} has degree 10, past ff_make's degree cap of 8: every check
+    # at m = 2 and the twisted sums are omitted, and the rest still runs
+    code, report = run_cli(tmp_path, "verify-all", "--q", "32", "--n", "1")
+    assert code == 0
+    omitted = report["results"]["omitted_checks"]
+    assert [o["check"] for o in omitted] == [
+        "dl.twisted_sum_m1", "dl.base_points_m2", "dl.fibers_m2", "dl.twisted_sum_m2",
+        "dl.action_invariance"]
+    assert omitted[1]["reason"] == "ambient field degree 10 exceeds 8"
+    names = [c["name"] for c in report["checks"]]
+    assert "formal_module.associativity" in names and "depth0.un_equals_dl" in names
+    assert "dl.base_points_m1" in names and "chars.degree_squares_sum" in names
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("q,n,vectors", [(5, 2, 24), (2, 3, 7)])
+def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors):
+    built = Counter()
+
+    def counted(name, fn, key=lambda *args, **kwargs: None):
+        def wrapper(*args, **kwargs):
+            built[name, key(*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(depth0, "build_P_a",
+                        counted("P_a", depth0.build_P_a, lambda module, a, ring=None: a))
+    monkeypatch.setattr(depth0, "generated_group",
+                        counted("closure", depth0.generated_group))
+    for name in ("build_P", "blowup_chart"):
+        wrapper = counted(name, getattr(depth0, name))
+        monkeypatch.setattr(depth0, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
+    assert code == 0
+    per_vector = [count for (name, _), count in built.items() if name == "P_a"]
+    assert len(per_vector) == vectors and set(per_vector) == {1}
+    assert built["build_P", None] == built["blowup_chart", None] == 1
+    assert built["closure", None] == 1
 
 
 # sha256 of the sorted-key JSON of each report's results and checks

@@ -540,3 +540,37 @@ def test_cuspidal_match_raises_on_none_and_on_several():
         _cuspidal_match(data, 1, ind)
     with pytest.raises(VerificationError, match="no cuspidal"):
         _cuspidal_match(data, 1, ind.scale(2))
+
+
+def orthogonality_by_inner_products(data, report):
+    """Oracle: <pi_a, pi_b> = delta_orbit by an exact inner product for
+    every pair of orbits, as `orbit_orthogonality` once computed it."""
+    reps = [(tuple(o["thetas"]), o["pi"]) for o in report["orbits"]]
+    ok = True
+    for a, (orb_a, pi_a) in enumerate(reps):
+        for orb_b, pi_b in reps[a:]:
+            chi_a = data.table.irreducibles[pi_a]
+            chi_b = data.table.irreducibles[pi_b]
+            if chi_a.inner(chi_b) != (1 if orb_a == orb_b else 0):
+                ok = False
+    return ok
+
+
+def orbit_orthogonality_status(report):
+    (check,) = [c for c in report["checks"] if c["name"] == "orbit_orthogonality"]
+    assert check["details"] == "<pi_a, pi_b> = delta_orbit"
+    return check["status"] == "pass"
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2)])
+def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
+    data = CorrespondenceData(q, n)
+    rep, _ = correspondence_report(q, n, data)
+    assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is True
+    if len(rep["orbits"]) < 2:
+        return
+    # send every theta to one cuspidal: distinct orbits now share a row
+    first = data.cuspidal_indices[0]
+    monkeypatch.setattr(gl_characters, "_cuspidal_match", lambda data, j, ind: first)
+    rep, _ = correspondence_report(q, n, data)
+    assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is False

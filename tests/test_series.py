@@ -249,3 +249,150 @@ def test_truncation_respects_caps():
     v = R.var("V")
     assert (v ** 5) * (v ** 5) * v == v ** 11
     assert (v ** 6) * (v ** 6) == R.zero()  # total degree 12 >= bound
+
+
+# -- oracles for the graded kernel ---------------------------------------------------
+
+
+def oracle_admits(ring, exps):
+    if sum(exps) >= ring.degree:
+        return False
+    return all(exps[ring._var_index[v]] <= cap for v, cap in ring.caps.items())
+
+
+def oracle_mul(a, b):
+    """The dict-of-tuples product the graded kernel replaced: every pair of
+    terms is formed, and `admits` throws away those past the bound."""
+    ring = a.ring
+    dom = ring.domain
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if not oracle_admits(ring, e):
+                continue
+            c = c1 * c2
+            if e in out:
+                c = out[e] + c
+            if dom.is_negligible(c):
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return TruncatedSeries(ring, out)
+
+
+def oracle_substitute(s, assignments, target):
+    """The substitution the graded kernel replaced: each monomial is the
+    constant series c times cached powers (by `oracle_mul`), and the sum is
+    copied once per source term (`out + mono`)."""
+    powers = {}
+    for i, v in enumerate(s.ring.vars):
+        if v in assignments:
+            powers[i] = {0: target.one(), 1: assignments[v]}
+        elif any(e[i] for e in s.terms):
+            powers[i] = {0: target.one(), 1: target.var(v)}
+
+    def power(i, e):
+        cache = powers[i]
+        for k in range(2, e + 1):
+            if k not in cache:
+                cache[k] = oracle_mul(cache[k - 1], cache[1])
+        return cache[e]
+
+    out = target.zero()
+    for e, c in sorted(s.terms.items()):
+        mono = target.constant(c)
+        for i, exp in enumerate(e):
+            if exp:
+                mono = oracle_mul(mono, power(i, exp))
+        out = out + mono
+    return out
+
+
+def coefficient_picker(rng, domain):
+    if domain.kind == "fq":
+        pool = [c for c in domain.field.elements() if not c.is_zero()]
+        return lambda: rng.choice(pool)
+    if domain.kind == "witt":
+        ring = domain.ring
+        return lambda: ring.from_coeffs([rng.randrange(ring.pN) for _ in range(ring.f)])
+    # a small pool, so that partial sums cancel to zeros at precision
+    p = domain.params.p
+    pool = [domain.from_int(k) for k in (1, -1, 2, p, -p, p + 1)]
+    pool += [c.div_p(1) for c in pool[:2]]
+    return lambda: rng.choice(pool)
+
+
+def random_series(rng, ring, size, low=0, high=None, pick=None):
+    """`size` random admitted terms of total degree in [low, high), spread
+    over the variables, so that products straddle the degree bound."""
+    pick = pick or coefficient_picker(rng, ring.domain)
+    high = ring.degree if high is None else high
+    width = len(ring.vars)
+    terms = {}
+    for _ in range(size):
+        e = [0] * width
+        for _ in range(rng.randrange(low, high)):
+            e[rng.randrange(width)] += 1
+        e = tuple(e)
+        c = pick()
+        if ring.admits(e) and not ring.domain.is_negligible(c):
+            terms[e] = c
+    return TruncatedSeries(ring, terms)
+
+
+def kernel_rings():
+    """Plain rings over each coefficient domain, plus capped chart-style
+    rings (V_i capped at D, the pivot at D - 1, degree bound 2D + 1)."""
+    D = 5
+    return [
+        fq_ring(2, 2, ("X", "Y"), 7),
+        fq_ring(3, 1, ("V1", "Xn"), 2 * D + 1, caps={"V1": D, "Xn": D - 1}),
+        SeriesRing(WittDomain(witt_ring(3, 1, 4)), ("X", "Y", "Z"), 6),
+        SeriesRing(WittDomain(witt_ring(2, 2, 3)), ("V1", "V2", "Xn"), 2 * D + 1,
+                   caps={"V1": D, "V2": D, "Xn": D - 1}),
+        SeriesRing(PadicDomain(PadicParams(2, 1, 5, 3)), ("X", "Y"), 6),
+        SeriesRing(PadicDomain(PadicParams(3, 1, 4, 2)), ("X",), 9),
+    ]
+
+
+@pytest.mark.parametrize("ring", kernel_rings(), ids=repr)
+def test_graded_product_matches_the_pairwise_oracle(ring):
+    rng = random.Random(71)
+    D = ring.degree
+    straddling = 0
+    for _ in range(40):
+        a = random_series(rng, ring, rng.randrange(1, 9), low=0, high=D)
+        b = random_series(rng, ring, rng.randrange(1, 9), low=D // 3, high=D)
+        for left, right in ((a, b), (b, a), (a, a)):
+            assert left * right == oracle_mul(left, right)
+        degrees = {sum(e1) + sum(e2) for e1 in a.terms for e2 in b.terms}
+        straddling += any(d < D for d in degrees) and any(d >= D for d in degrees)
+    assert straddling >= 10
+
+
+def substitution_cases(rng):
+    """(source series, assignments, target ring) over each domain, among
+    them the X_i = V_i X_n chart substitution into a capped ring and a
+    constant term substituted into a capped variable."""
+    D = 5
+    for dom in (FqDomain(ff_make(2, 2)), WittDomain(witt_ring(3, 1, 4)),
+                PadicDomain(PadicParams(2, 1, 5, 3))):
+        src = SeriesRing(dom, ("X1", "X2"), D + 1)
+        chart = SeriesRing(dom, ("V1", "Xn"), 2 * D + 1, caps={"V1": D, "Xn": D - 1})
+        s = random_series(rng, src, 8, low=1)
+        yield s, {"X1": chart.var("V1") * chart.var("Xn"), "X2": chart.var("Xn")}, chart
+        inner = random_series(rng, src, 4, low=1, high=3)
+        yield s, {"X1": inner, "X2": random_series(rng, src, 3, low=1)}, src
+        yield s, {"X2": inner}, src
+        capped = SeriesRing(dom, ("V", "Z"), 8, caps={"V": 4})
+        t = random_series(rng, capped, 8)
+        shift = random_series(rng, capped, 3, high=2)
+        yield t, {"V": shift, "Z": random_series(rng, capped, 3, low=1, high=3)}, capped
+
+
+def test_substitute_matches_the_accumulating_oracle():
+    rng = random.Random(73)
+    for _ in range(6):
+        for s, assignments, target in substitution_cases(rng):
+            assert s.substitute(assignments, target) == oracle_substitute(s, assignments, target)
