@@ -46,7 +46,6 @@ from .gl_characters import (
     CorrespondenceData,
     CoxeterTorus,
     GLGroup,
-    VirtualRep,
     correspondence_report,
     dixon_table,
     dl_correspondence,
@@ -63,7 +62,7 @@ __all__ = [
     "CoxeterTorus", "CycloElement", "DenominatorOverflow", "FieldDesc",
     "FieldElement", "FormalModule", "GLGroup", "IntegralityError",
     "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
-    "TruncatedSeries", "VerificationError", "VirtualRep", "WittElement",
+    "TruncatedSeries", "VerificationError", "WittElement",
     "base_points", "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",

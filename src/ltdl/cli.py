@@ -330,9 +330,8 @@ def run_dl(cfg):
     elif cfg.subcommand == "fibers":
         rep = fiber_structure_check(q, n, m)
         results.update(rep)
-        results["invariants_passed"] = True  # the check raises otherwise
-        checks.append(check_entry("fiber_size_gcd", True,
-                                  f"fiber size {rep['fiber_size']}"))
+        checks.append(check_entry("fiber_size_gcd", rep["invariants_passed"],
+                                  rep.get("failure", f"fiber size {rep['fiber_size']}")))
     elif cfg.subcommand == "twisted":
         rep = twisted_sum_check(q, n, m)
         results.update(rep)
@@ -357,7 +356,7 @@ def run_chars(cfg):
         results["degree"] = q ** (n * (n - 1) // 2)
         checks.append(check_entry("steinberg_norm_one", st.inner(st) == 1))
     elif cfg.subcommand == "correspondence":
-        rep, virt = correspondence_report(q, n)
+        rep = correspondence_report(q, n)
         results["orbits"] = rep["orbits"]
         results["cuspidal_part"] = rep["cuspidal_part"]
         checks.extend(check_entry("corr_" + c["name"], c["status"] == "pass",
@@ -466,8 +465,9 @@ def run_verify_all(cfg):
             with omittable(f"dl.fibers_m{m}", omitted):
                 rep = fiber_structure_check(q, n, m)
                 checks.append(check_entry(
-                    f"dl.fibers_m{m}", True,
-                    "vacuous" if rep["vacuous"] else f"fiber size {rep['fiber_size']}"))
+                    f"dl.fibers_m{m}", rep["invariants_passed"],
+                    rep.get("failure", "vacuous" if rep["vacuous"]
+                            else f"fiber size {rep['fiber_size']}")))
             with omittable(f"dl.twisted_sum_m{m}", omitted):
                 tw = twisted_sum_check(q, n, m)
                 base = tw["expected"] // (q ** n - 1)
@@ -480,7 +480,9 @@ def run_verify_all(cfg):
                 gens = checked_gl_generators(field, n, mats)
             zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
             triples = action_invariance_check(q, n, 2, gens, zetas)
-            checks.append(check_entry("dl.action_invariance", True, f"{triples} triples"))
+            checks.append(check_entry(
+                "dl.action_invariance", triples is not None,
+                "an image left the variety" if triples is None else f"{triples} triples"))
     if omitted:
         results["omitted_checks"] = omitted
 
@@ -489,7 +491,7 @@ def run_verify_all(cfg):
         checks.append(check_entry(
             "chars.degree_squares_sum",
             sum(d * d for d in data.table.degrees) == data.group.order))
-        rep, virt = correspondence_report(q, n, data)
+        rep = correspondence_report(q, n, data)
         for c in rep["checks"]:
             checks.append(check_entry("chars." + c["name"], c["status"] == "pass",
                                       c["details"]))

@@ -195,12 +195,6 @@ class CycloElement:
         """Complex conjugation zeta -> zeta^{-1}."""
         return CycloElement.from_powers(self.m, self.coeffs, -1)
 
-    def galois(self, k):
-        """The automorphism zeta -> zeta^k (k coprime to the conductor)."""
-        if gcd(k, self.m) != 1:
-            raise ParameterError(f"{k} not coprime to conductor {self.m}")
-        return CycloElement.from_powers(self.m, self.coeffs, k)
-
     # -- predicates and extraction --------------------------------------------
 
     def is_zero(self):
@@ -213,10 +207,6 @@ class CycloElement:
         if not self.is_rational():
             raise ParameterError(f"not a rational value: {self}")
         return self.coeffs[0]
-
-    def norm_square(self):
-        """z * conj(z), returned as an exact CycloElement."""
-        return self * self.conj()
 
     def __eq__(self, other):
         if not isinstance(other, CycloElement):
@@ -254,11 +244,3 @@ def dot(m, weights, xs, ys):
                 for j, c in yc:
                     conv[i + j] += wa * c
     return CycloElement(m, _reduce(m, conv))
-
-
-def zeta_power_sum(m):
-    """sum_{j=0}^{m-1} zeta_m^j, for tests (should be 0 for m > 1)."""
-    out = CycloElement.zero(m)
-    for j in range(m):
-        out = out + CycloElement.zeta(m, j)
-    return out

@@ -13,7 +13,6 @@ forms.
 """
 
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .errors import ParameterError, VerificationError
 
@@ -169,9 +168,6 @@ class FieldDesc:
         """All field elements in canonical-integer order."""
         return [FieldElement(self, k) for k in range(self.q)]
 
-    def nonzero_elements(self):
-        return [FieldElement(self, k) for k in range(1, self.q)]
-
 
 class FieldElement:
     __slots__ = ("desc", "k")
@@ -221,12 +217,6 @@ class FieldElement:
 
     def canonical_int(self):
         return self.k
-
-    def multiplicative_order(self):
-        if not self.k:
-            raise ZeroDivisionError("order of zero")
-        order = self.desc.q - 1
-        return order // gcd(self.desc.log[self.k], order)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)

@@ -8,11 +8,13 @@ correspondence pairs Frobenius orbits of generic characters of the Coxeter
 torus with cuspidal irreducibles through pi * St = Ind theta.
 
 In the Dixon step the class matrices are built lazily, one at a time, until
-the common eigenspaces have split into lines, and the eigenvalues of each
-restricted class matrix are the roots mod ell of its characteristic
-polynomial (Hessenberg reduction).  St is integer-valued, so the
-correspondence compares pi * St with Ind theta by scaling pi's integer
-coordinates.
+the common eigenspaces have split into lines.  Each eigenspace is held as a
+reduced-echelon basis mod ell, so a class matrix restricts to it by reading
+its images at the pivot rows, and one row reduction (`_rref_mod`) gives both
+the eigenspaces and their bases.  The eigenvalues of each restricted matrix
+are the roots mod ell of its characteristic polynomial (Hessenberg
+reduction).  St is integer-valued, so the correspondence compares pi * St
+with Ind theta by scaling pi's integer coordinates.
 """
 
 from fractions import Fraction
@@ -265,11 +267,6 @@ class CoxeterTorus:
         self.class_map = [group.class_of_element(t) for t in self.elements]
 
 
-def torus_character_value(torus, j, k):
-    """theta_j(C^k) = zeta_{q^n-1}^{jk}."""
-    return CycloElement.zeta(torus.order, (j * k) % torus.order)
-
-
 def is_generic(q, n, j):
     """theta_j not fixed by any nontrivial Frobenius power; cross-checked via
     nontriviality on every proper norm kernel."""
@@ -316,18 +313,6 @@ def induce_from_torus(group, torus, j):
             raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
         values.append(CycloElement(E, [c * num // den for c in acc]))
     return ClassFunction(group, values)
-
-
-def restrict_to_torus(group, torus, chi):
-    """chi restricted to T, as the list of values at C^k."""
-    return [chi.values[ci] for ci in torus.class_map]
-
-
-def torus_inner(torus, vals_a, vals_b):
-    m = lcm(*(v.m for v in vals_a), *(v.m for v in vals_b))
-    total = dot(m, [1] * torus.order, [a.coerce(m) for a in vals_a],
-                [b.coerce(m).conj() for b in vals_b])
-    return Fraction(total.as_rational(), torus.order)
 
 
 # -- flags and the Steinberg character ---------------------------------------------
@@ -484,43 +469,6 @@ def _class_matrices(group):
         yield M
 
 
-def _mat_vec_mod(M, v, ell):
-    return tuple(sum(M[i][j] * v[j] for j in range(len(v))) % ell for i in range(len(v)))
-
-
-def _solve_mod(B_cols, target, ell):
-    """Solve sum_k x_k B_cols[k] = target mod ell (consistent by construction)."""
-    rows = len(target)
-    k = len(B_cols)
-    A = [[B_cols[c][r] % ell for c in range(k)] + [target[r] % ell]
-         for r in range(rows)]
-    piv_rows = []
-    col = 0
-    for c in range(k):
-        piv = next((r for r in range(len(piv_rows), rows) if A[r][c] % ell), None)
-        if piv is None:
-            continue
-        r0 = len(piv_rows)
-        A[r0], A[piv] = A[piv], A[r0]
-        inv = pow(A[r0][c], ell - 2, ell)
-        A[r0] = [(v * inv) % ell for v in A[r0]]
-        for r in range(rows):
-            if r != r0 and A[r][c]:
-                f = A[r][c]
-                A[r] = [(A[r][j] - f * A[r0][j]) % ell for j in range(k + 1)]
-        piv_rows.append(c)
-        col += 1
-    x = [0] * k
-    for idx, c in enumerate(piv_rows):
-        x[c] = A[idx][k]
-    return x
-
-
-def _restriction_matrix(basis, M, ell):
-    cols = [_mat_vec_mod(M, b, ell) for b in basis]
-    return [_solve_mod(basis, col, ell) for col in cols]  # R[c] = coeffs of M b_c
-
-
 def _charpoly_mod(A, ell):
     """det(xI - A) mod ell, coefficients ascending (monic, length k + 1).
 
@@ -577,70 +525,78 @@ def _roots_mod(poly, ell):
     return roots
 
 
-def _nullspace_mod(A, ell):
-    n = len(A)
-    M = [row[:] + [0] for row in A]
-    pivots = {}
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, n) if M[r][c] % ell), None)
+def _rref_mod(rows, ell):
+    """Reduced row echelon form mod ell, as (rows, pivots): row i has a 1 at
+    column pivots[i], the only nonzero entry of that column; zero rows go."""
+    rows = [[a % ell for a in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][c], ell - 2, ell)
-        M[rank] = [(v * inv) % ell for v in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][c] % ell:
-                f = M[r][c]
-                M[r] = [(M[r][j] - f * M[rank][j]) % ell for j in range(n + 1)]
-        pivots[c] = rank
-        rank += 1
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], ell - 2, ell)
+        top = rows[rank] = [a * inv % ell for a in rows[rank]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != rank:
+                rows[i] = [(a - f * b) % ell for a, b in zip(row, top)]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _nullspace_mod(A, ell):
+    """A basis of {v : A v = 0 mod ell}, one vector per free column."""
+    rows, pivots = _rref_mod(A, ell)
     basis = []
-    for c in range(n):
-        if c in pivots:
+    for f in range(len(A[0])):
+        if f in pivots:
             continue
-        v = [0] * n
-        v[c] = 1
-        for pc, pr in pivots.items():
-            v[pc] = (-M[pr][c]) % ell
-        basis.append(tuple(v))
+        v = [0] * len(A[0])
+        v[f] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] % ell
+        basis.append(v)
     return basis
 
 
 def _split_common_eigenspaces(group, mats, ell):
+    """Split F_ell^r into common eigenspaces of the class matrices until each
+    is a line; returns one spanning vector per line.
+
+    Each space is kept as a reduced-echelon basis b_c with pivot columns p_c,
+    so the coordinates of a vector of the space are its entries at the
+    pivots.  The class matrices commute, so M maps each common eigenspace
+    into itself, and M restricted to it is R[i][c] = (M b_c)[p_i].
+    """
     r = group.num_classes
-    spaces = [[tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]]
+    spaces = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
     for M in mats:
         new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            R = _restriction_matrix(basis, M, ell)
-            # columns R[c] give M b_c in terms of the basis; transpose to act
+        for basis, pivots in spaces:
             k = len(basis)
-            Rt = [[R[c][r0] for c in range(k)] for r0 in range(k)]
-            eigenvalues = _roots_mod(_charpoly_mod(Rt, ell), ell)
-            split = []
-            for lam in eigenvalues:
-                A = [[(Rt[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
+            if k == 1:
+                new_spaces.append((basis, pivots))
+                continue
+            R = [[sum(a * b for a, b in zip(M[p], b_c)) % ell for b_c in basis]
+                 for p in pivots]
+            eigenspaces = []
+            for lam in _roots_mod(_charpoly_mod(R, ell), ell):
+                A = [[(R[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
                      for i in range(k)]
-                for coeffs in _nullspace_mod(A, ell):
-                    vec = tuple(sum(coeffs[c] * basis[c][i] for c in range(k)) % ell
-                                for i in range(r))
-                    split.append((lam, vec))
-            if len(split) != k:
+                eigenspaces.append([[sum(x * b[i] for x, b in zip(coeffs, basis)) % ell
+                                     for i in range(r)]
+                                    for coeffs in _nullspace_mod(A, ell)])
+            if sum(len(s) for s in eigenspaces) != k:
                 raise ArithmeticError("eigenspace split failed")
-            groups = {}
-            for lam, vec in split:
-                groups.setdefault(lam, []).append(vec)
-            new_spaces.extend(groups[lam] for lam in sorted(groups))
+            new_spaces.extend(_rref_mod(s, ell) for s in eigenspaces)
         spaces = new_spaces
-        if all(len(s) == 1 for s in spaces):
+        if all(len(s) == 1 for s, _ in spaces):
             break
-    if not all(len(s) == 1 for s in spaces):
+    if not all(len(s) == 1 for s, _ in spaces):
         raise ArithmeticError("class matrices did not split the space")
-    return [s[0] for s in spaces]
+    return [s[0] for s, _ in spaces]
 
 
 class CharacterTable:
@@ -759,34 +715,6 @@ def _verify_table(table):
 # -- the correspondence ----------------------------------------------------------------
 
 
-class VirtualRep:
-    """Integer combination of pairs (irreducible index, mu-character index)."""
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def add(self, key, mult=1):
-        self.terms[key] = self.terms.get(key, 0) + mult
-        if not self.terms[key]:
-            del self.terms[key]
-
-    def __add__(self, other):
-        out = VirtualRep(dict(self.terms))
-        for k, v in other.terms.items():
-            out.add(k, v)
-        return out
-
-    def __neg__(self):
-        return VirtualRep({k: -v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualRep) and self.terms == other.terms
-
-    def to_json(self):
-        return [{"pi": k[0], "theta": k[1], "mult": v}
-                for k, v in sorted(self.terms.items())]
-
-
 class CorrespondenceData:
     """Everything needed for the depth-0 correspondence at (q, n)."""
 
@@ -847,8 +775,9 @@ def frobenius_orbits(q, n):
 
 
 def correspondence_report(q, n, data=None):
-    """Verify the full character-level correspondence; returns report + virtual
-    cuspidal part of the cohomology in degree n - 1."""
+    """Verify the full character-level correspondence.  The report's
+    `cuspidal_part` is the virtual cuspidal part of the cohomology in degree
+    n - 1: each pi with each theta_j of its orbit, at sign (-1)^(n-1)."""
     data = CorrespondenceData(q, n) if data is None else data
     group = data.group
     checks = []
@@ -902,16 +831,14 @@ def correspondence_report(q, n, data=None):
     ortho_ok = len(set(pi_of_orbit.values())) == len(pi_of_orbit)
     record("orbit_orthogonality", ortho_ok, "<pi_a, pi_b> = delta_orbit")
 
-    virtual = VirtualRep()
     sign = (-1) ** (n - 1)
-    for orbit, pi in pi_of_orbit.items():
-        for j in orbit:
-            virtual.add((pi, j), sign)
-    report = {
+    cuspidal_part = [{"pi": pi, "theta": j, "mult": sign}
+                     for pi, j in sorted((pi, j) for orbit, pi in pi_of_orbit.items()
+                                         for j in orbit)]
+    return {
         "q": q, "n": n,
         "checks": checks,
         "orbits": [{"thetas": list(o), "pi": pi_of_orbit[o]} for o in orbits],
-        "cuspidal_part": virtual.to_json(),
+        "cuspidal_part": cuspidal_part,
         "all_pass": all(c["status"] == "pass" for c in checks),
     }
-    return report, virtual

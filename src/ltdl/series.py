@@ -14,7 +14,6 @@ from operator import add, itemgetter
 
 from .errors import IntegralityError, ParameterError, PrecisionError
 from .ffield import ff_make
-from .witt import BoundedPadic, PadicParams, from_digits, witt_ring
 
 
 class FqDomain:
@@ -40,9 +39,6 @@ class FqDomain:
 
     def coeff_to_json(self, c):
         return list(c.coeffs)
-
-    def coeff_from_json(self, data):
-        return self.field.elem(tuple(data))
 
     def __eq__(self, other):
         return isinstance(other, FqDomain) and self.field == other.field
@@ -77,10 +73,6 @@ class WittDomain:
 
     def coeff_to_json(self, c):
         return [list(d.coeffs) for d in c.digits()]
-
-    def coeff_from_json(self, data):
-        digits = [self.ring.field.elem(tuple(d)) for d in data]
-        return from_digits(self.ring, digits)
 
     def __eq__(self, other):
         return isinstance(other, WittDomain) and self.ring == other.ring
@@ -128,16 +120,6 @@ class PadicDomain:
         return {"val": c.val, "abs": c.abs,
                 "unit": [list(d.coeffs) for d in c.unit.digits()]}
 
-    def coeff_from_json(self, data):
-        if data.get("zero"):
-            return self.params.zero()
-        if "ozero" in data:
-            return BoundedPadic(self.params, data["ozero"], None, data["ozero"])
-        ring = witt_ring(self.params.p, self.params.f, len(data["unit"]))
-        digits = [ring.field.elem(tuple(d)) for d in data["unit"]]
-        return BoundedPadic(self.params, data["val"], from_digits(ring, digits),
-                            data["abs"])
-
     def __eq__(self, other):
         return isinstance(other, PadicDomain) and self.params == other.params
 
@@ -146,18 +128,6 @@ class PadicDomain:
 
     def __repr__(self):
         return repr(self.params)
-
-
-def domain_from_descriptor(desc):
-    if desc["kind"] == "fq":
-        return FqDomain(ff_make(desc["p"], desc["f"]))
-    if desc["kind"] == "witt":
-        return WittDomain(witt_ring(desc["p"], desc["f"], desc["N"]))
-    if desc["kind"] == "padic":
-        params = PadicParams(desc["p"], desc["f"], desc["N"], desc["v_max"],
-                             pad=desc["n_work"] - desc["N"])
-        return PadicDomain(params)
-    raise ParameterError(f"unknown coefficient ring kind {desc['kind']!r}")
 
 
 class SeriesRing:
@@ -511,16 +481,6 @@ class TruncatedSeries:
             "terms": [{"exps": list(e), "coeff": dom.coeff_to_json(c)}
                       for e, c in sorted(self.terms.items())],
         }
-
-    @staticmethod
-    def from_json(data):
-        dom = domain_from_descriptor(data["coeff_ring"])
-        ring = SeriesRing(dom, tuple(data["vars"]), data["degree_bound"],
-                          data.get("caps") or None)
-        terms = {}
-        for t in data["terms"]:
-            terms[tuple(t["exps"])] = dom.coeff_from_json(t["coeff"])
-        return TruncatedSeries(ring, terms)
 
     def __repr__(self):
         if not self.terms:

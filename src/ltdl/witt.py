@@ -55,11 +55,6 @@ class WittRing:
     def from_int(self, k):
         return WittElement(self, (k % self.pN,) + (0,) * (self.f - 1))
 
-    def from_coeffs(self, coeffs):
-        if len(coeffs) != self.f:
-            raise ParameterError(f"need {self.f} coefficients")
-        return WittElement(self, tuple(c % self.pN for c in coeffs))
-
     def naive_lift(self, a):
         """Coefficientwise lift of a field element (not Teichmuller)."""
         if a.desc != self.field:
@@ -142,9 +137,6 @@ class WittElement:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def is_unit(self):
-        return not self.reduce_mod_p().is_zero()
 
     def reduce_mod_p(self):
         """The residue in F_{p^f} (this is digit 0)."""
@@ -378,11 +370,6 @@ class BoundedPadic:
             raise DenominatorOverflow(
                 f"valuation {self.val - k} below -v_max = {-self.params.v_max}")
         return BoundedPadic(self.params, self.val - k, self.unit, self.abs - k)
-
-    def mul_p(self, k=1):
-        if self.is_exact_zero():
-            return self
-        return BoundedPadic(self.params, self.val + k, self.unit, self.abs + k)
 
     def sigma(self):
         """The Frobenius lift applied to the mantissa (fixes p-powers)."""

@@ -168,7 +168,7 @@ def test_criterion_07_character_tables():
 def test_criterion_08_correspondence():
     ok = True
     for (q, n) in [(2, 2), (3, 2), (2, 3)]:
-        rep, virt = correspondence_report(q, n, corr_for(q, n))
+        rep = correspondence_report(q, n, corr_for(q, n))
         ok = ok and rep["all_pass"]
         ok = ok and all(len(o["thetas"]) == n for o in rep["orbits"])
     report_line(8, ok, "unique cuspidal pi with pi*St = Ind theta; orbit bijection; "

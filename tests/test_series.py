@@ -14,7 +14,7 @@ from ltdl.series import (
     WittDomain,
     product_over,
 )
-from ltdl.witt import PadicParams, witt_ring
+from ltdl.witt import BoundedPadic, PadicParams, WittElement, from_digits, witt_ring
 
 
 def witt_xy(p=2, N=6, D=8):
@@ -214,6 +214,33 @@ def test_ideal_membership():
     assert not (x + y).ideal_membership_monomial(["X"])
 
 
+def series_from_json(data):
+    """Rebuild a series from its `to_json` form alone (the round-trip oracle
+    that `to_json` records the ring and every coefficient in full)."""
+    desc = data["coeff_ring"]
+    p, f = desc["p"], desc["f"]
+    digits = lambda ring, ds: from_digits(ring, [ring.field.elem(tuple(d)) for d in ds])
+    if desc["kind"] == "fq":
+        dom = FqDomain(ff_make(p, f))
+        coeff = lambda c: dom.field.elem(tuple(c))
+    elif desc["kind"] == "witt":
+        dom = WittDomain(witt_ring(p, f, desc["N"]))
+        coeff = lambda c: digits(dom.ring, c)
+    else:
+        params = PadicParams(p, f, desc["N"], desc["v_max"], pad=desc["n_work"] - desc["N"])
+        dom = PadicDomain(params)
+
+        def coeff(c):
+            if c.get("zero"):
+                return params.zero()
+            if "ozero" in c:
+                return BoundedPadic(params, c["ozero"], None, c["ozero"])
+            unit = digits(witt_ring(p, f, len(c["unit"])), c["unit"])
+            return BoundedPadic(params, c["val"], unit, c["abs"])
+    ring = SeriesRing(dom, tuple(data["vars"]), data["degree_bound"], data["caps"] or None)
+    return TruncatedSeries(ring, {tuple(t["exps"]): coeff(t["coeff"]) for t in data["terms"]})
+
+
 def test_json_roundtrip_bit_exact():
     rings = [
         fq_ring(2, 2, ("X", "Y"), 6),
@@ -237,7 +264,7 @@ def test_json_roundtrip_bit_exact():
                 t[e] = c
         s = TruncatedSeries(R, t)
         blob = json.dumps(s.to_json(), sort_keys=True)
-        back = TruncatedSeries.from_json(json.loads(blob))
+        back = series_from_json(json.loads(blob))
         assert back == s
         assert json.dumps(back.to_json(), sort_keys=True) == blob
 
@@ -315,7 +342,7 @@ def coefficient_picker(rng, domain):
         return lambda: rng.choice(pool)
     if domain.kind == "witt":
         ring = domain.ring
-        return lambda: ring.from_coeffs([rng.randrange(ring.pN) for _ in range(ring.f)])
+        return lambda: WittElement(ring, tuple(rng.randrange(ring.pN) for _ in range(ring.f)))
     # a small pool, so that partial sums cancel to zeros at precision
     p = domain.params.p
     pool = [domain.from_int(k) for k in (1, -1, 2, p, -p, p + 1)]

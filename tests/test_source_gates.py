@@ -33,3 +33,57 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _scope(node):
+    """(names referenced directly in this scope, definitions nested in it);
+    a nested definition's body is its own scope, its decorators are not."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names, children = set(), []
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, defs):
+            children.append(sub)
+            stack.extend(sub.decorator_list)
+            continue
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        stack.extend(ast.iter_child_nodes(sub))
+    return names, children
+
+
+def unreferenced_definitions(package_dir, exported):
+    """Functions, classes and methods that nothing live in the package names.
+
+    Module-level code and the exported names are live; a definition becomes
+    live once a live scope names it (as a bare name or an attribute), and
+    then its body is scanned in turn, so code reached only from dead code is
+    dead too.  Dunder methods of a live class are live.  Names are matched
+    by identifier, so a reference never goes unseen, only over-attributed.
+    """
+    live = set(exported)
+    pending = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        names, children = _scope(ast.parse(path.read_text(), filename=str(path)))
+        live |= names
+        pending += [(f"{path.stem}.{c.name}", c) for c in children]
+    grew = True
+    while grew:
+        grew = False
+        for item in list(pending):
+            qualname, node = item
+            if node.name in live or (node.name.startswith("__") and node.name.endswith("__")):
+                pending.remove(item)
+                names, children = _scope(node)
+                live |= names
+                pending += [(f"{qualname}.{c.name}", c) for c in children]
+                grew = True
+    return sorted(qualname for qualname, _ in pending)
+
+
+def test_every_definition_is_used_in_the_package():
+    # a definition that only tests reach belongs in the test that uses it
+    assert unreferenced_definitions(Path(ltdl.__file__).parent, ltdl.__all__) == []

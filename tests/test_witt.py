@@ -3,7 +3,17 @@ import random
 import pytest
 
 from ltdl.errors import DenominatorOverflow, IntegralityError, PrecisionError
-from ltdl.witt import PadicParams, from_digits, witt_ring
+from ltdl.witt import BoundedPadic, PadicParams, WittElement, from_digits, witt_ring
+
+
+def from_coeffs(R, coeffs):
+    """The element of W(F_{p^f})/p^N with the given coordinates mod p^N."""
+    return WittElement(R, tuple(c % R.pN for c in coeffs))
+
+
+def mul_p(x, k):
+    """p^k x, exactly: the valuation and the absolute precision move by k."""
+    return BoundedPadic(x.params, x.val + k, x.unit, x.abs + k)
 
 
 def test_arith_matches_integers_mod_pN_f1():
@@ -22,7 +32,7 @@ def test_arith_matches_integers_mod_pN_f1():
 def test_ring_axioms_randomized_f2():
     rng = random.Random(11)
     R = witt_ring(2, 2, 5)
-    rand = lambda: R.from_coeffs((rng.randrange(R.pN), rng.randrange(R.pN)))
+    rand = lambda: from_coeffs(R, (rng.randrange(R.pN), rng.randrange(R.pN)))
     for _ in range(200):
         a, b, c = rand(), rand(), rand()
         assert a * (b + c) == a * b + a * c
@@ -34,7 +44,7 @@ def test_ring_axioms_randomized_f2():
 def test_reduction_mod_p_is_ring_map():
     rng = random.Random(13)
     R = witt_ring(3, 2, 4)
-    rand = lambda: R.from_coeffs((rng.randrange(R.pN), rng.randrange(R.pN)))
+    rand = lambda: from_coeffs(R, (rng.randrange(R.pN), rng.randrange(R.pN)))
     for _ in range(100):
         a, b = rand(), rand()
         assert (a * b).reduce_mod_p() == a.reduce_mod_p() * b.reduce_mod_p()
@@ -61,7 +71,7 @@ def test_teichmuller_multiplicative_order():
     for (p, f, N) in [(2, 2, 5), (3, 2, 4), (2, 3, 6), (7, 1, 5)]:
         R = witt_ring(p, f, N)
         q = p ** f
-        for a in R.field.nonzero_elements():
+        for a in R.field.elements()[1:]:
             t = R.teichmuller(a)
             assert t ** (q - 1) == R.one()
             assert t.reduce_mod_p() == a
@@ -72,7 +82,7 @@ def test_digits_roundtrip():
     for (p, f, N) in [(2, 1, 6), (3, 2, 4), (2, 3, 4)]:
         R = witt_ring(p, f, N)
         for _ in range(40):
-            w = R.from_coeffs(tuple(rng.randrange(R.pN) for _ in range(f)))
+            w = from_coeffs(R, tuple(rng.randrange(R.pN) for _ in range(f)))
             ds = w.digits()
             assert len(ds) == N
             assert from_digits(R, ds) == w
@@ -94,8 +104,8 @@ def test_sigma_on_teichmuller_f2():
     # sigma is a ring homomorphism of order f
     rng = random.Random(19)
     for _ in range(50):
-        a = R.from_coeffs((rng.randrange(8), rng.randrange(8)))
-        b = R.from_coeffs((rng.randrange(8), rng.randrange(8)))
+        a = from_coeffs(R, (rng.randrange(8), rng.randrange(8)))
+        b = from_coeffs(R, (rng.randrange(8), rng.randrange(8)))
         assert (a * b).sigma() == a.sigma() * b.sigma()
         assert (a + b).sigma() == a.sigma() + b.sigma()
         assert a.sigma().sigma() == a
@@ -106,8 +116,8 @@ def test_inverse_of_units():
     for (p, f, N) in [(2, 1, 8), (3, 2, 5), (2, 3, 4)]:
         R = witt_ring(p, f, N)
         for _ in range(50):
-            w = R.from_coeffs(tuple(rng.randrange(R.pN) for _ in range(f)))
-            if w.is_unit():
+            w = from_coeffs(R, tuple(rng.randrange(R.pN) for _ in range(f)))
+            if not w.reduce_mod_p().is_zero():
                 assert w * w.inv() == R.one()
         with pytest.raises(ZeroDivisionError):
             R.from_int(p).inv()
@@ -117,8 +127,8 @@ def test_valuation():
     R = witt_ring(2, 2, 6)
     assert R.zero().valuation() == 6
     assert R.one().valuation() == 0
-    assert R.from_coeffs((4, 8)).valuation() == 2
-    assert R.from_coeffs((0, 16)).valuation() == 4
+    assert from_coeffs(R, (4, 8)).valuation() == 2
+    assert from_coeffs(R, (0, 16)).valuation() == 4
 
 
 def test_mixed_parameters_rejected():
@@ -144,7 +154,7 @@ def test_padic_div_and_roundtrip():
     x = P.from_int(12)  # 4 * 3
     y = x.div_p(2)
     assert y.val == 0 and y.to_witt(4).coeffs[0] == 3
-    z = y.mul_p(2)
+    z = mul_p(y, 2)
     assert z.to_witt().coeffs[0] == 12
     with pytest.raises(DenominatorOverflow):
         P.from_int(1).div_p(5)
@@ -206,7 +216,7 @@ def test_padic_inverse():
 def test_padic_precision_exhaustion_is_loud():
     P = PadicParams(2, 1, 6, 2, pad=0)
     x = P.from_int(1).div_p(2)
-    y = x.mul_p(2)
+    y = mul_p(x, 2)
     # fine at target precision
     assert y.to_witt() == witt_ring(2, 1, 6).one()
     # asking for more digits than the working precision must fail loudly
