@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache, partial
 from math import comb
 
 from . import __version__
@@ -19,7 +20,6 @@ from .depth0 import (
     blowup_chart,
     build_P,
     checked_depth_sequence,
-    checked_gl_generators,
     default_chart_module,
     deformation_factors,
     gl_linear_shadow_check,
@@ -34,6 +34,7 @@ from .dl_variety import (
     Ambient,
     action_invariance_check,
     base_points,
+    base_points_moebius,
     dl_equation,
     dl_points,
     fiber_structure_check,
@@ -60,7 +61,7 @@ from .gl_characters import (
     dixon_table,
     steinberg,
 )
-from .linalg import group_order, invertible_matrices
+from .linalg import MAX_GROUP_ORDER, group_order
 
 SCHEMA_VERSION = 1
 CHART_QN_BOUND = 64
@@ -162,7 +163,7 @@ class RunConfig:
         self.q = merged.get("q", 2)
         self.n = merged.get("n", 2)
         self.m = merged.get("m", 2)
-        self.prec_n = merged.get("prec_n") or 8
+        self.prec_n = 8 if merged.get("prec_n") is None else merged["prec_n"]
         self.prec_d = merged.get("prec_d")  # None = default q^n + q
         self.validate()
 
@@ -200,7 +201,9 @@ class RunConfig:
                     f"variables exceed the chart budget {CHART_MONOMIAL_BOUND}")
         if self.command == "dl" and q ** n > DL_QN_BOUND:
             raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
-        if self.command == "verify-all" and group_order(q, n) > 30_000:
+        if self.command == "dl" and self.m < 1:
+            raise ParameterError(f"extension degree m = {self.m} must be >= 1")
+        if self.command == "verify-all" and group_order(q, n) > MAX_GROUP_ORDER:
             raise ParameterError("|GL_n(F_q)| exceeds the character-table budget")
         if self.prec_n < 1 or (self.prec_d is not None and self.prec_d < 2):
             raise ParameterError("invalid precision parameters")
@@ -317,16 +320,14 @@ def run_dl(cfg):
         checks.append(check_entry("form_count", len(inst.forms) == q ** n - 1))
     elif cfg.subcommand == "count":
         results["m"] = m
+        pts = dl_points(q, n, m)
+        results["count"] = len(pts)
         if cfg.values.get("list"):
-            pts = dl_points(q, n, m, mode="list")
-            results["count"] = len(pts)
             results["points"] = [list(p) for p in pts]
-        else:
-            results["count"] = dl_points(q, n, m)
         results["base_count"] = base_points(q, n, m)
         checks.append(check_entry(
             "moebius_matches_enumeration",
-            results["base_count"] == base_points(q, n, m, "moebius")))
+            results["base_count"] == base_points_moebius(q, n, m)))
     elif cfg.subcommand == "fibers":
         rep = fiber_structure_check(q, n, m)
         results.update(rep)
@@ -390,9 +391,9 @@ def run_verify_all(cfg):
     q, n = cfg.q, cfg.n
     checks = []
     results = {"q": q, "n": n, "N": cfg.prec_n, "D": cfg.degree()}
-    field = field_for_order(q)
-    mats = invertible_matrices(field, n)
-    gens = None  # closure-checked once, for the depth0 and dl suites
+    # one GL_n(F_q) per run, built by the first suite that needs it; a group
+    # that fails to build is the error of each suite that needs it
+    gl_group = cache(partial(GLGroup, q, n))
 
     module = None
     with suite("formal_module", checks):
@@ -446,9 +447,9 @@ def run_verify_all(cfg):
         except VerificationError as exc:
             checks.append(check_entry("depth0.un_equals_dl", False, exc))
 
-        gens = checked_gl_generators(field, n, mats)
-        checks.append(check_entry("depth0.gl_linear_shadow",
-                                  gl_linear_shadow_check(module, mats, P=P, gens=gens)))
+        checks.append(check_entry(
+            "depth0.gl_linear_shadow",
+            gl_linear_shadow_check(module, gl_group().generators, P=P)))
 
     # a check whose field or point set exceeds a budget is omitted, with the
     # reason, rather than faking a result (the twist field in particular can
@@ -457,9 +458,9 @@ def run_verify_all(cfg):
     with suite("dl", checks):
         for m in (1, 2):
             with omittable(f"dl.base_points_m{m}", omitted):
-                count = dl_points(q, n, m)
-                base_e = base_points(q, n, m, "enumerate")
-                base_m = base_points(q, n, m, "moebius")
+                count = len(dl_points(q, n, m))
+                base_e = base_points(q, n, m)
+                base_m = base_points_moebius(q, n, m)
                 checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
                                           f"count {count}, base {base_e}"))
             with omittable(f"dl.fibers_m{m}", omitted):
@@ -476,10 +477,8 @@ def run_verify_all(cfg):
         # generators of GL_n(F_q), each paired with 1 and with a generator
         # of the available mu, generate the whole action
         with omittable("dl.action_invariance", omitted):
-            if gens is None:
-                gens = checked_gl_generators(field, n, mats)
             zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
-            triples = action_invariance_check(q, n, 2, gens, zetas)
+            triples = action_invariance_check(q, n, 2, gl_group().generators, zetas)
             checks.append(check_entry(
                 "dl.action_invariance", triples is not None,
                 "an image left the variety" if triples is None else f"{triples} triples"))
@@ -487,7 +486,7 @@ def run_verify_all(cfg):
         results["omitted_checks"] = omitted
 
     with suite("chars", checks):
-        data = CorrespondenceData(q, n)
+        data = CorrespondenceData(gl_group())
         checks.append(check_entry(
             "chars.degree_squares_sum",
             sum(d * d for d in data.table.degrees) == data.group.order))

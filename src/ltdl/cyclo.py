@@ -217,10 +217,6 @@ class CycloElement:
         a, b = CycloElement.common(self, other)
         return a.coeffs == b.coeffs
 
-    def __hash__(self):
-        # hash in a conductor-independent way: reduce to minimal support form
-        return hash(("cyclo", self.m, self.coeffs))
-
     def __repr__(self):
         if self.is_rational():
             return f"cyc({self.coeffs[0]})"

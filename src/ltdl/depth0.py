@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import ParameterError, VerificationError
 from .formal_modules import lubin_tate_module, normalize_scalar_key
-from .linalg import identity, mat_mul, vec_mat
+from .linalg import vec_mat
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
@@ -415,72 +415,24 @@ def default_chart_module(q, n, N=8, D=None):
     return lubin_tate_module(q, n, N=N, D=D)
 
 
-def gl_generators(field, n):
-    """diag(omega, 1, ..., 1) with omega primitive, the n-cycle permutation
-    matrix and, for n >= 2, I + E_12: a generating set of GL_n(F_q) in the
-    spirit of Waterhouse, "Two generators for the general linear groups over
-    finite fields" (1989).  Duplicates (at q = 2 or n = 1) are dropped."""
-    omega = field.exp[1]
-    diag = tuple(tuple((omega if i == 0 else 1) if i == j else 0 for j in range(n))
-                 for i in range(n))
-    cycle = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n))
-                  for i in range(n))
-    gens = [diag, cycle]
-    if n >= 2:
-        gens.append(tuple(tuple(1 if i == j or (i, j) == (0, 1) else 0
-                                for j in range(n)) for i in range(n)))
-    return list(dict.fromkeys(gens))
-
-
-def generated_group(field, gens):
-    """The group generated by invertible matrices gens: breadth-first closure
-    of the identity under right multiplication, |<gens>| * |gens| products."""
-    start = identity(len(gens[0]))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mat_mul(field, g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
-
-
-def checked_gl_generators(field, n, matrices):
-    """gl_generators(field, n), after a closure verifies that they generate
-    exactly `matrices`; a shortfall raises VerificationError."""
-    gens = gl_generators(field, n)
-    if generated_group(field, gens) != set(matrices):
-        raise VerificationError(
-            f"the {len(gens)} generators do not generate the {len(matrices)} "
-            f"enumerated matrices")
-    return gens
-
-
-def gl_linear_shadow_check(module, matrices, n=None, P=None, gens=None):
+def gl_linear_shadow_check(module, generators, n=None, P=None):
     """The multiset of linear parts of P mod p is permuted by a -> a g.
 
     Checks both the index action on linear forms and the invariance of the
     lowest-degree part of P mod p under the linear substitution by g, for
-    every g in `matrices`, the enumerated GL_n(F_q).  Both are group actions,
-    so they are checked on `checked_gl_generators` only.  P (from `build_P`)
-    and gens (from `checked_gl_generators` on `matrices`) are computed here
-    when not given.
+    every g in `generators`.  Both are group actions, so generators of
+    GL_n(F_q) (`GLGroup.generators`) prove them for the whole group.  P
+    (from `build_P`) is computed here when not given.
     """
     n = module.n if n is None else n
     field = module.field
-    gens = checked_gl_generators(field, n, matrices) if gens is None else gens
     P = build_P(module, n) if P is None else P
     red = P.reduce_mod_p()
     lowest = red.homogeneous_part(module.q ** n - 1)
     ring = red.ring
     forms = sorted(index_vectors(field, n))
     ok = True
-    for g in gens:
+    for g in generators:
         image = sorted(vec_mat(field, a, g) for a in forms)
         if image != forms:
             ok = False

@@ -134,23 +134,16 @@ class Ambient:
         return sorted(self.field.exp[k * step] for k in range(avail))
 
 
-def dl_points(q, n, m, mode="count"):
-    """Exhaustive solutions of the DL equation over F_{q^m}."""
+def dl_points(q, n, m):
+    """Exhaustive solutions of the DL equation over F_{q^m}, in lexicographic
+    order."""
     amb = Ambient(q, n, m)
-    pts = [x for x in amb.points() if amb.on_variety(x)]
-    if mode == "list":
-        return pts
-    if mode == "count":
-        return len(pts)
-    raise ParameterError(f"unknown mode {mode!r}")
+    return [x for x in amb.points() if amb.on_variety(x)]
 
 
-def base_points(q, n, m, method="enumerate"):
-    """Points of P^{n-1}(F_{q^m}) avoiding every F_q-rational hyperplane."""
-    if method == "moebius":
-        return _base_points_moebius(q, n, m)
-    if method != "enumerate":
-        raise ParameterError(f"unknown method {method!r}")
+def base_points(q, n, m):
+    """Points of P^{n-1}(F_{q^m}) avoiding every F_q-rational hyperplane, by
+    enumeration; `base_points_moebius` counts them in closed form."""
     amb = Ambient(q, n, m)
     count = 0
     for x in _projective_reps(amb):
@@ -170,7 +163,7 @@ def _projective_reps(amb):
             yield (0,) * lead + (1,) + t
 
 
-def _base_points_moebius(q, n, m):
+def base_points_moebius(q, n, m):
     """Inclusion-exclusion over the lattice of F_q-rational subspaces.
 
     N_d = |P^{d-1}(F_{q^m})| - sum_{e<d} [d choose e]_q N_e, so the full-rank

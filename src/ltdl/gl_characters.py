@@ -37,9 +37,11 @@ from .ffield import (
 )
 from .linalg import (
     MAX_GROUP_ORDER,
+    det,
+    generated_group,
+    gl_generators,
     group_order,
     identity,
-    invertible_matrices,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -128,7 +130,13 @@ def rcf_key(field, A):
 
 
 class GLGroup:
-    """GL_n(F_q): elements, conjugacy classes, and cached structure."""
+    """GL_n(F_q): generators, elements, conjugacy classes, and cached structure.
+
+    The elements are the sorted closure of `gl_generators`.  Each generator is
+    invertible, so the closure is a subgroup of GL_n(F_q), and it reaching
+    the order |GL_n(F_q)| proves both that the generators generate and that
+    the elements are all of GL_n(F_q).
+    """
 
     def __init__(self, q, n):
         if group_order(q, n) > MAX_GROUP_ORDER:
@@ -136,10 +144,15 @@ class GLGroup:
         self.q = q
         self.n = n
         self.field = field_for_order(q)
-        self.elements = invertible_matrices(self.field, n)
+        self.generators = gl_generators(self.field, n)
+        if not all(det(self.field, g) for g in self.generators):
+            raise VerificationError(f"a generator of GL_{n}(F_{q}) is singular")
+        self.elements = sorted(generated_group(self.field, self.generators))
         self.order = len(self.elements)
         if self.order != group_order(q, n):
-            raise VerificationError("enumeration disagrees with the order formula")
+            raise VerificationError(
+                f"the {len(self.generators)} generators generate {self.order} "
+                f"matrices, not |GL_{n}(F_{q})| = {group_order(q, n)}")
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity(n)
         by_key = {}
@@ -228,9 +241,6 @@ class ClassFunction:
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
                 and all(a == b for a, b in zip(self.values, other.values)))
-
-    def __hash__(self):
-        return hash(tuple(self.values))
 
     def to_json(self):
         return [{"conductor": v.m, "coeffs": [str(c) for c in v.coeffs]}
@@ -716,10 +726,10 @@ def _verify_table(table):
 
 
 class CorrespondenceData:
-    """Everything needed for the depth-0 correspondence at (q, n)."""
+    """Everything needed for the depth-0 correspondence on a GLGroup."""
 
-    def __init__(self, q, n):
-        self.group = GLGroup(q, n)
+    def __init__(self, group):
+        self.group = group
         self.torus = CoxeterTorus(self.group)
         self.table = dixon_table(self.group)
         self.st = steinberg(self.group)
@@ -778,7 +788,7 @@ def correspondence_report(q, n, data=None):
     """Verify the full character-level correspondence.  The report's
     `cuspidal_part` is the virtual cuspidal part of the cohomology in degree
     n - 1: each pi with each theta_j of its orbit, at sign (-1)^(n-1)."""
-    data = CorrespondenceData(q, n) if data is None else data
+    data = CorrespondenceData(GLGroup(q, n)) if data is None else data
     group = data.group
     checks = []
 

@@ -4,8 +4,6 @@ Uses the field's log/Zech kernel on canonical ints, so everything stays
 hashable and fast at the scales this package enumerates (|GL_n(F_q)| <= 3e4).
 """
 
-from .errors import BudgetError, ParameterError
-
 MAX_GROUP_ORDER = 30_000
 
 
@@ -87,26 +85,36 @@ def group_order(q, n):
     return out
 
 
-def invertible_matrices(field, n):
-    """All of GL_n(F_q) in deterministic (lexicographic) order."""
-    q = field.q
-    if group_order(q, n) > MAX_GROUP_ORDER:
-        raise BudgetError(f"|GL_{n}(F_{q})| = {group_order(q, n)} exceeds "
-                          f"{MAX_GROUP_ORDER}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    out = []
-    total = q ** (n * n)
-    for code in range(total):
-        k = code
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(k % q)
-                k //= q
-            rows.append(tuple(row))
-        A = tuple(rows)
-        if det(field, A):
-            out.append(A)
-    return out
+def gl_generators(field, n):
+    """diag(omega, 1, ..., 1) with omega primitive, the n-cycle permutation
+    matrix and, for n >= 2, I + E_12: a generating set of GL_n(F_q) in the
+    spirit of Waterhouse, "Two generators for the general linear groups over
+    finite fields" (1989).  Duplicates (at q = 2 or n = 1) are dropped."""
+    omega = field.exp[1]
+    diag = tuple(tuple((omega if i == 0 else 1) if i == j else 0 for j in range(n))
+                 for i in range(n))
+    cycle = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n))
+                  for i in range(n))
+    gens = [diag, cycle]
+    if n >= 2:
+        gens.append(tuple(tuple(1 if i == j or (i, j) == (0, 1) else 0
+                                for j in range(n)) for i in range(n)))
+    return list(dict.fromkeys(gens))
+
+
+def generated_group(field, gens):
+    """The group generated by invertible matrices gens: breadth-first closure
+    of the identity under right multiplication, |<gens>| * |gens| products."""
+    start = identity(len(gens[0]))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = mat_mul(field, g, s)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen

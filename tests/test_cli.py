@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ltdl import cli, depth0, dl_variety, gl_characters
-from ltdl.cli import main
+from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 
 
@@ -100,7 +100,7 @@ def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doct
 
 
 def test_budget_error_omits_only_its_check(tmp_path, monkeypatch):
-    def over_budget(q, n, m, mode="count"):
+    def over_budget(q, n, m):
         raise BudgetError("doctored point budget")
 
     monkeypatch.setattr(cli, "dl_points", over_budget)
@@ -161,8 +161,8 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
 
     monkeypatch.setattr(depth0, "build_P_a",
                         counted("P_a", depth0.build_P_a, lambda module, a, ring=None: a))
-    monkeypatch.setattr(depth0, "generated_group",
-                        counted("closure", depth0.generated_group))
+    monkeypatch.setattr(gl_characters, "generated_group",
+                        counted("closure", gl_characters.generated_group))
     for name in ("build_P", "blowup_chart"):
         wrapper = counted(name, getattr(depth0, name))
         monkeypatch.setattr(depth0, name, wrapper)
@@ -189,18 +189,67 @@ VERIFY_ALL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("q,n", sorted(VERIFY_ALL_DIGESTS))
+def accepted_verify_all_configs():
+    """Every (q, n) that RunConfig.validate() accepts for verify-all; its
+    q^n <= 64 chart bound leaves q <= 64 and n <= 6 to try."""
+    accepted = []
+    for q in range(2, 65):
+        for n in range(1, 7):
+            args = build_parser().parse_args(["verify-all", "--q", str(q), "--n", str(n)])
+            try:
+                RunConfig(args)
+            except ParameterError:
+                continue
+            accepted.append((q, n))
+    return accepted
+
+
+VERIFY_ALL_CONFIGS = accepted_verify_all_configs()
+DL_CHECKS = [f"dl.{check}_m{m}" for m in (1, 2)
+             for check in ("base_points", "fibers", "twisted_sum")] + ["dl.action_invariance"]
+
+
+def test_verify_all_grid_holds_the_frozen_configs():
+    assert len(VERIFY_ALL_CONFIGS) == 33
+    assert set(VERIFY_ALL_DIGESTS) < set(VERIFY_ALL_CONFIGS)
+
+
+@pytest.mark.parametrize("q,n", VERIFY_ALL_CONFIGS)
 def test_verify_all_grid_is_complete(tmp_path, q, n):
+    # every accepted config ends with all four suites and every dl check
+    # either run or omitted with its reason
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
-    assert code in {0, 1, 3}
+    assert code == 0
     results = report["results"]
     assert results["suites"] == ["formal_module", "depth0", "dl", "chars"]
     names = [c["name"] for c in report["checks"]]
-    names += [o["check"] for o in results.get("omitted_checks", [])]
-    for m in (1, 2):
-        assert names.count(f"dl.twisted_sum_m{m}") == 1
-    body = json.dumps({"results": results, "checks": report["checks"]}, sort_keys=True)
-    assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
+    omitted = [o["check"] for o in results.get("omitted_checks", [])]
+    assert sorted(name for name in names + omitted if name.startswith("dl.")) == sorted(DL_CHECKS)
+    if (q, n) in VERIFY_ALL_DIGESTS:
+        body = json.dumps({"results": results, "checks": report["checks"]}, sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
+
+
+@pytest.mark.parametrize("doctor", [lambda gens: gens[:2],
+                                    lambda gens: gens + [((1, 0), (0, 0))]],
+                         ids=["dropped", "singular"])
+def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, doctor):
+    # each suite that needs GL_n(F_q) reports the failed build as its one
+    # error check; every check that does not need the group stays as it was
+    code, clean = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    assert code == 0
+    honest = gl_characters.gl_generators
+    monkeypatch.setattr(gl_characters, "gl_generators",
+                        lambda field, n: doctor(honest(field, n)))
+    code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["depth0.error", "dl.error", "chars.error"]
+    assert len({c["details"] for c in failed}) == 1
+    needs_group = {"depth0.gl_linear_shadow", "dl.action_invariance"}
+    assert [c for c in report["checks"] if c not in failed] == [
+        c for c in clean["checks"]
+        if c["name"] not in needs_group and not c["name"].startswith("chars.")]
 
 
 def test_parameter_error_exit_2(tmp_path, capsys):
@@ -235,6 +284,22 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
         cfg.write_text(text)
         assert main(["dl", "count", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["count", "fibers", "twisted"])
+def test_dl_extension_degree_below_one_exits_2(subcommand, capsys):
+    code = main(["dl", subcommand, "--q", "2", "--n", "2", "--m", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "parameter error: extension degree m = 0 must be >= 1\n"
+
+
+def test_zero_precision_exits_2(tmp_path, capsys):
+    assert main(["formal-group", "--q", "2", "--n", "1", "--N", "0"]) == 2
+    assert capsys.readouterr().err == "parameter error: invalid precision parameters\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=2\nn=1\nN=0\n")
+    assert main(["formal-group", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "parameter error: invalid precision parameters\n"
 
 
 def test_budget_error_exit_3(capsys):

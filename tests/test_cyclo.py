@@ -110,3 +110,11 @@ def test_rational_detection():
     assert s.is_rational() and s.as_rational() == -1
     with pytest.raises(ParameterError):
         z5.as_rational()
+
+
+def test_elements_are_unhashable():
+    # equal elements may have different conductors and coordinates, so a
+    # hash of either would break the hash/eq contract
+    assert CycloElement.rational(1) == CycloElement.zeta(4, 0)
+    with pytest.raises(TypeError):
+        hash(CycloElement.rational(1))

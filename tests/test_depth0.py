@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ltdl import depth0
@@ -7,8 +9,6 @@ from ltdl.depth0 import (
     build_P_a,
     default_chart_module,
     deformation_ring,
-    generated_group,
-    gl_generators,
     gl_linear_shadow_check,
     index_vectors,
     iterated_chart,
@@ -18,10 +18,11 @@ from ltdl.depth0 import (
     stratum_membership,
     un_special_fiber,
 )
-from ltdl.errors import ParameterError, VerificationError
+from ltdl.errors import ParameterError
 from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
-from ltdl.linalg import invertible_matrices, vec_mat
+from ltdl.gl_characters import GLGroup
+from ltdl.linalg import det, vec_mat
 
 
 def test_P_a_basis_vector_is_coordinate():
@@ -164,13 +165,13 @@ def test_chart_with_symbolic_parameters():
 
 def test_gl_linear_shadow():
     m = lubin_tate_module(2, 2)
-    mats = invertible_matrices(m.field, 2)
-    assert len(mats) == 6
-    assert gl_linear_shadow_check(m, mats)
+    group = GLGroup(2, 2)
+    assert group.order == 6
+    assert gl_linear_shadow_check(m, group.generators)
     m32 = lubin_tate_module(3, 2)
-    mats32 = invertible_matrices(m32.field, 2)
-    assert len(mats32) == 48
-    assert gl_linear_shadow_check(m32, mats32)
+    group32 = GLGroup(3, 2)
+    assert group32.order == 48
+    assert gl_linear_shadow_check(m32, group32.generators)
 
 
 def shadow_full_group(module, matrices, n=None):
@@ -199,29 +200,30 @@ def shadow_full_group(module, matrices, n=None):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
 def test_gl_linear_shadow_generators_agree_with_full_group(q, n, monkeypatch):
     m = lubin_tate_module(q, n)
-    mats = invertible_matrices(m.field, n)
-    assert gl_linear_shadow_check(m, mats) is shadow_full_group(m, mats) is True
+    group = GLGroup(q, n)
+    gens, mats = group.generators, group.elements
+    assert gl_linear_shadow_check(m, gens) is shadow_full_group(m, mats) is True
     # a lowest part that is not GL-invariant: add X1^(q^n - 1), which the
     # product of all linear forms lacks
     honest = depth0.build_P
     monkeypatch.setattr(depth0, "build_P", lambda module, n=None: (
         honest(module, n) + honest(module, n).ring.var("X1") ** (q ** n - 1)))
-    assert gl_linear_shadow_check(m, mats) is shadow_full_group(m, mats) is False
+    assert gl_linear_shadow_check(m, gens) is shadow_full_group(m, mats) is False
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (7, 2), (8, 1)])
+def invertible_matrices(field, n):
+    """Oracle: all q^(n^2) matrices over F_q, filtered by determinant."""
+    mats = (tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            for entries in product(range(field.q), repeat=n * n))
+    return [A for A in mats if det(field, A)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (7, 2),
+                                 (8, 1), (2, 4)])
 def test_generators_close_to_the_enumerated_group(q, n):
-    field = field_for_order(q)
-    gens = gl_generators(field, n)
-    assert len(gens) <= 3
-    assert generated_group(field, gens) == set(invertible_matrices(field, n))
-
-
-def test_gl_linear_shadow_raises_when_closure_falls_short():
-    m = lubin_tate_module(3, 2)
-    mats = invertible_matrices(m.field, 2)
-    with pytest.raises(VerificationError, match="do not generate"):
-        gl_linear_shadow_check(m, mats[:-1])
+    group = GLGroup(q, n)
+    assert len(group.generators) <= 3
+    assert group.elements == sorted(invertible_matrices(field_for_order(q), n))
 
 
 def test_reduction_commutes_with_formal_sum():

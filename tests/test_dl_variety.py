@@ -5,6 +5,7 @@ from ltdl.dl_variety import (
     action_invariance_check,
     act,
     base_points,
+    base_points_moebius,
     dl_equation,
     dl_points,
     fiber_structure_check,
@@ -13,10 +14,9 @@ from ltdl.dl_variety import (
     twisted_fixed_count,
     twisted_sum_check,
 )
-from ltdl.depth0 import checked_gl_generators
 from ltdl.errors import BudgetError, ParameterError
-from ltdl.ffield import ff_make, field_for_order
-from ltdl.linalg import identity, invertible_matrices, mat_mul
+from ltdl.gl_characters import GLGroup
+from ltdl.linalg import identity, mat_mul
 
 
 # -- independent F_4 oracle (hand-coded tables, no library code) ---------------
@@ -69,15 +69,14 @@ def test_dl_points_22():
     # Oracle: independent hand-table enumeration gives 6 points over F_4.
     oracle = oracle_dl_22_over_f4()
     assert len(oracle) == 6
-    assert dl_points(2, 2, 1) == 0
-    assert dl_points(2, 2, 2) == 6
-    pts = dl_points(2, 2, 2, mode="list")
+    assert len(dl_points(2, 2, 1)) == 0
+    pts = dl_points(2, 2, 2)
     assert len(pts) == 6 and pts == sorted(pts)
 
 
 def test_dl_points_degenerate():
-    assert dl_points(2, 1, 1) == 1
-    assert dl_points(2, 1, 2) == 1  # x = 1 is the only solution of x = 1
+    assert len(dl_points(2, 1, 1)) == 1
+    assert len(dl_points(2, 1, 2)) == 1  # x = 1 is the only solution of x = 1
 
 
 def test_base_points_both_methods():
@@ -86,14 +85,14 @@ def test_base_points_both_methods():
     cases = {(2, 2, 1): 0, (2, 2, 2): 2, (3, 2, 2): 6, (2, 1, 3): 1,
              (2, 3, 2): 0, (2, 3, 3): 24}
     for (q, n, m), expected in cases.items():
-        enum = base_points(q, n, m, method="enumerate")
-        moeb = base_points(q, n, m, method="moebius")
+        enum = base_points(q, n, m)
+        moeb = base_points_moebius(q, n, m)
         assert enum == moeb == expected, (q, n, m)
 
 
 def test_base_points_moebius_matches_enumeration_more():
     for (q, n, m) in [(3, 2, 1), (2, 3, 1), (2, 2, 3), (3, 2, 2)]:
-        assert base_points(q, n, m, "enumerate") == base_points(q, n, m, "moebius")
+        assert base_points(q, n, m) == base_points_moebius(q, n, m)
 
 
 def test_act_identity_and_swap():
@@ -119,8 +118,7 @@ def test_act_zeta_scaling():
 
 
 def test_action_invariance_full():
-    field = ff_make(2, 1)
-    mats = invertible_matrices(field, 2)
+    mats = GLGroup(2, 2).elements
     checked = action_invariance_check(2, 2, 2, mats)
     assert checked == 6 * 6 * 3  # points x matrices x available zetas
 
@@ -129,13 +127,12 @@ def test_action_invariance_full():
 def test_action_invariance_generators_agree_with_full_group(q, n):
     # the verify-all run (generators of GL_n(F_q), each with 1 and with a
     # generator of mu) against the full-group loop at m = 2
-    field = field_for_order(q)
-    mats = invertible_matrices(field, n)
-    gens = checked_gl_generators(field, n, mats)
+    group = GLGroup(q, n)
+    mats, gens = group.elements, group.generators
     amb = Ambient(q, n, 2)
     mus = amb.mu_elements()
     zetas = sorted({1, amb.mu_generator()})
-    pts = dl_points(q, n, 2)
+    pts = len(dl_points(q, n, 2))
     assert pts > 0
     assert action_invariance_check(q, n, 2, mats) == pts * len(mats) * len(mus)
     assert action_invariance_check(q, n, 2, gens, zetas) == pts * len(gens) * len(zetas)
@@ -145,7 +142,7 @@ def test_action_invariance_generators_agree_with_full_group(q, n):
     seen = {(identity(n), 1)}
     frontier = set(seen)
     while frontier:
-        frontier = {(mat_mul(field, g, s), F.mul(z, w))
+        frontier = {(mat_mul(group.field, g, s), F.mul(z, w))
                     for g, z in frontier for s, w in pairs} - seen
         seen |= frontier
     assert seen == {(g, z) for g in mats for z in mus}
@@ -166,7 +163,7 @@ def test_twisted_counts():
     # untwisted: g = 1, zeta = 1, frobenius power m with M = m recovers the
     # plain rational count
     ident = identity(2)
-    assert twisted_count(2, 2, ident, 1, 2, frob_power=2) == dl_points(2, 2, 2)
+    assert twisted_count(2, 2, ident, 1, 2, frob_power=2) == len(dl_points(2, 2, 2))
     # no nonzero vector is fixed by a nontrivial scaling
     amb = Ambient(2, 2, 2)
     z = [m for m in amb.mu_elements() if m != 1][0]
@@ -237,8 +234,7 @@ def orbit_sizes(q, n, m, matrices):
 
 
 def test_orbit_partition():
-    field = ff_make(2, 1)
-    mats = invertible_matrices(field, 2)
+    mats = GLGroup(2, 2).elements
     orbits = orbit_sizes(2, 2, 2, mats)
     assert sum(orbits) == 6
     for size in orbits:
@@ -250,5 +246,3 @@ def test_budget_guards():
         dl_points(2, 4, 8)  # 2^32 points exceed the enumeration budget
     with pytest.raises(BudgetError):
         dl_points(3, 2, 8)  # ambient field 3^8 = 6561 over the table bound
-    with pytest.raises(ParameterError):
-        dl_points(2, 2, 2, mode="bogus")

@@ -8,7 +8,7 @@ from ltdl.depth0 import (
     special_fiber_components,
     un_special_fiber,
 )
-from ltdl.dl_variety import base_points, dl_points, fiber_structure_check
+from ltdl.dl_variety import base_points, base_points_moebius, dl_points, fiber_structure_check
 from ltdl.ffield import gaussian_binomial
 from ltdl.formal_modules import lubin_tate_module, universal_module, verify_module_axioms
 
@@ -35,9 +35,9 @@ def test_q4_depth0_pipeline():
 
 def test_q4_dl_counts():
     # x^3 = 1 has exactly the three cube roots of unity in F_4
-    assert dl_points(4, 1, 1) == 3
-    assert dl_points(4, 2, 1) == 0
-    assert base_points(4, 2, 1, "enumerate") == base_points(4, 2, 1, "moebius") == 0
+    assert len(dl_points(4, 1, 1)) == 3
+    assert len(dl_points(4, 2, 1)) == 0
+    assert base_points(4, 2, 1) == base_points_moebius(4, 2, 1) == 0
 
 
 def test_q4_fiber_structure_over_f16():
@@ -49,7 +49,7 @@ def test_q4_fiber_structure_over_f16():
     assert rep["count"] == 180
     assert rep["base_points_hit"] == 12
     assert rep["fiber_size"] == 15
-    assert base_points(4, 2, 2, "moebius") == 12
+    assert base_points_moebius(4, 2, 2) == 12
 
 
 def test_q4_universal_module_builds():

@@ -52,6 +52,20 @@ def test_group_orders_and_class_counts():
         assert sum(g.class_sizes) == order
 
 
+def test_group_raises_when_closure_falls_short(monkeypatch):
+    # the elements are the closure of the generators, so a generating set
+    # that falls short, or one that leaves GL_n(F_q), must not build a group
+    honest = gl_characters.gl_generators
+    monkeypatch.setattr(gl_characters, "gl_generators", lambda field, n: honest(field, n)[:2])
+    with pytest.raises(VerificationError, match="generate 8 matrices, not"):
+        GLGroup(3, 2)
+    singular = ((1, 0), (0, 0))
+    monkeypatch.setattr(gl_characters, "gl_generators",
+                        lambda field, n: honest(field, n) + [singular])
+    with pytest.raises(VerificationError, match="singular"):
+        GLGroup(3, 2)
+
+
 def test_rcf_key_is_conjugacy_invariant():
     g = GLGroup(3, 2)
     rng = random.Random(79)
@@ -195,7 +209,7 @@ def test_unipotent_radical_sizes():
 
 
 def test_dl_correspondence_22():
-    data = CorrespondenceData(2, 2)
+    data = CorrespondenceData(GLGroup(2, 2))
     pi = dl_correspondence(data, 1)
     chi = data.table.irreducibles[pi]
     assert data.table.degrees[pi] == 1
@@ -209,7 +223,7 @@ def test_dl_correspondence_22():
 def test_characterization_needs_cuspidality_at_22():
     # both one-dimensional characters of S3 satisfy chi * St = Ind theta_1;
     # cuspidality is what pins the answer down
-    data = CorrespondenceData(2, 2)
+    data = CorrespondenceData(GLGroup(2, 2))
     ind = induce_from_torus(data.group, data.torus, 1)
     one_dims = [chi for chi, d in zip(data.table.irreducibles, data.table.degrees)
                 if d == 1]
@@ -219,7 +233,7 @@ def test_characterization_needs_cuspidality_at_22():
 
 
 def test_non_cuspidal_never_satisfies_characterization_32():
-    data = CorrespondenceData(3, 2)
+    data = CorrespondenceData(GLGroup(3, 2))
     rng = random.Random(89)
     non_cusp = [i for i, f in enumerate(data.table.cuspidal_flags) if not f]
     idx = rng.choice(non_cusp)
@@ -529,7 +543,7 @@ def test_class_matrix_generator_matches_eager_list(q):
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_dl_correspondence_matches_product_oracle(q, n):
-    data = CorrespondenceData(q, n)
+    data = CorrespondenceData(GLGroup(q, n))
     for j in range(q ** n - 1):
         if not is_generic(q, n, j):
             continue
@@ -540,7 +554,7 @@ def test_dl_correspondence_matches_product_oracle(q, n):
 
 
 def test_cuspidal_match_raises_on_none_and_on_several():
-    data = CorrespondenceData(2, 2)
+    data = CorrespondenceData(GLGroup(2, 2))
     ind = induce_from_torus(data.group, data.torus, 1)
     # with both one-dimensional characters as candidates, two solve pi * St = Ind
     data.cuspidal_indices = [i for i, d in enumerate(data.table.degrees) if d == 1]
@@ -572,7 +586,7 @@ def orbit_orthogonality_status(report):
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2)])
 def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
-    data = CorrespondenceData(q, n)
+    data = CorrespondenceData(GLGroup(q, n))
     rep = correspondence_report(q, n, data)
     assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is True
     if len(rep["orbits"]) < 2:
