@@ -456,15 +456,17 @@ def run_verify_all(cfg):
     # be far larger than the enumeration budget)
     omitted = []
     with suite("dl", checks):
+        points = {}  # DL(F_{q^m}) by m, enumerated once for the checks that walk it
         for m in (1, 2):
             with omittable(f"dl.base_points_m{m}", omitted):
-                count = len(dl_points(q, n, m))
+                points[m] = dl_points(q, n, m)
+                count = len(points[m])
                 base_e = base_points(q, n, m)
                 base_m = base_points_moebius(q, n, m)
                 checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
                                           f"count {count}, base {base_e}"))
             with omittable(f"dl.fibers_m{m}", omitted):
-                rep = fiber_structure_check(q, n, m)
+                rep = fiber_structure_check(q, n, m, points=points.get(m))
                 checks.append(check_entry(
                     f"dl.fibers_m{m}", rep["invariants_passed"],
                     rep.get("failure", "vacuous" if rep["vacuous"]
@@ -478,7 +480,8 @@ def run_verify_all(cfg):
         # of the available mu, generate the whole action
         with omittable("dl.action_invariance", omitted):
             zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
-            triples = action_invariance_check(q, n, 2, gl_group().generators, zetas)
+            triples = action_invariance_check(q, n, 2, gl_group().generators, zetas,
+                                              points=points.get(2))
             checks.append(check_entry(
                 "dl.action_invariance", triples is not None,
                 "an image left the variety" if triples is None else f"{triples} triples"))

@@ -198,18 +198,19 @@ def act(amb, x, g=None, zeta=None):
     return out
 
 
-def action_invariance_check(q, n, m, matrices, zetas=None):
+def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
     """Whether every (g, zeta) with g in matrices and zeta in zetas (by
     default all of the available mu_{q^n-1}) maps DL(F_{q^m}) points to DL
     points: returns the number of (point, g, zeta) triples checked, or None
-    at the first image that is not a DL point.
+    at the first image that is not a DL point.  `points`, if given, is
+    `dl_points(q, n, m)` already built, and is not enumerated again.
 
     Each pair acts injectively on the finite point set, so checking pairs
     that generate GL_n(F_q) x mu proves invariance under the whole group:
     generators of GL_n(F_q) paired with 1 and with a generator of mu do.
     """
     amb = Ambient(q, n, m)
-    pts = [x for x in amb.points() if amb.on_variety(x)]
+    pts = dl_points(q, n, m) if points is None else points
     mus = amb.mu_elements() if zetas is None else zetas
     checked = 0
     for x in pts:
@@ -222,14 +223,15 @@ def action_invariance_check(q, n, m, matrices, zetas=None):
     return checked
 
 
-def fiber_structure_check(q, n, m):
+def fiber_structure_check(q, n, m, points=None):
     """Fibers of DL(F_{q^m}) -> P^{n-1} complement have size gcd(q^n-1, q^m-1).
 
     The verdict is `invariants_passed`; when it is false, `failure` says
-    which invariant broke.
+    which invariant broke.  `points`, if given, is `dl_points(q, n, m)`
+    already built, and is not enumerated again.
     """
     amb = Ambient(q, n, m)
-    pts = [x for x in amb.points() if amb.on_variety(x)]
+    pts = dl_points(q, n, m) if points is None else points
     fibers = {}
     for x in pts:
         lead = next(i for i, v in enumerate(x) if v)

@@ -1,9 +1,13 @@
 """Exact character theory of GL_n(F_q) at verification scale.
 
-Conjugacy classes are keyed by rational canonical form (Smith normal form of
-xI - A over F_q[x]), the character table comes from the Burnside-Dixon
-eigenspace method with exact cyclotomic lifting, the Steinberg character is
-an alternating sum of flag permutation characters, and the depth-0
+The group is its sorted element list, with each generator acting as the
+permutation of that list by right multiplication; past the closure, classes,
+power maps and class matrices are index lookups, with no matrix product.
+Conjugacy classes are the orbits under conjugation by the generators, keyed,
+once per class, by rational canonical form (Smith normal form of xI - A over
+F_q[x]).  The character table comes from the Burnside-Dixon eigenspace
+method with exact cyclotomic lifting, the Steinberg character is an
+alternating sum of flag permutation characters, and the depth-0
 correspondence pairs Frobenius orbits of generic characters of the Coxeter
 torus with cuspidal irreducibles through pi * St = Ind theta.
 
@@ -21,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .cyclo import CycloElement, dot
+from .cyclo import CycloElement, dot, dot_nonzero
 from .errors import BudgetError, ParameterError, VerificationError
 from .ffield import (
     field_for_order,
@@ -42,9 +46,7 @@ from .linalg import (
     gl_generators,
     group_order,
     identity,
-    mat_inv,
     mat_mul,
-    mat_pow,
     vec_mat,
 )
 
@@ -136,6 +138,14 @@ class GLGroup:
     invertible, so the closure is a subgroup of GL_n(F_q), and it reaching
     the order |GL_n(F_q)| proves both that the generators generate and that
     the elements are all of GL_n(F_q).
+
+    Past the closure the group works on element indices, through the
+    generators' right-multiplication permutations.  The generators generate,
+    so the orbits under conjugation by them are the conjugacy classes; each
+    gets one `rcf_key`, and the classes are sorted by key.  Right
+    multiplication by a class rep is the composite of the generator
+    permutations along a breadth-first word for the rep, and walking it from
+    the identity lists the rep's powers: its order, power map and inverse.
     """
 
     def __init__(self, q, n):
@@ -147,7 +157,7 @@ class GLGroup:
         self.generators = gl_generators(self.field, n)
         if not all(det(self.field, g) for g in self.generators):
             raise VerificationError(f"a generator of GL_{n}(F_{q}) is singular")
-        self.elements = sorted(generated_group(self.field, self.generators))
+        self.elements, right = generated_group(self.field, self.generators)
         self.order = len(self.elements)
         if self.order != group_order(q, n):
             raise VerificationError(
@@ -155,9 +165,14 @@ class GLGroup:
                 f"matrices, not |GL_{n}(F_{q})| = {group_order(q, n)}")
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity(n)
+        one = self.index[self.identity]
+        tree, parent, via = _breadth_first_tree(right, one)
         by_key = {}
-        for i, g in enumerate(self.elements):
-            by_key.setdefault(rcf_key(self.field, g), []).append(i)
+        for orbit in _conjugation_orbits(right, tree, parent, via):
+            key = rcf_key(self.field, self.elements[orbit[0]])
+            if key in by_key:
+                raise VerificationError(f"two conjugation orbits share the class key {key}")
+            by_key[key] = orbit
         self.class_keys = sorted(by_key)
         self.classes = [by_key[k] for k in self.class_keys]
         self.num_classes = len(self.classes)
@@ -167,36 +182,91 @@ class GLGroup:
                 self.class_of[i] = ci
         self.class_sizes = [len(c) for c in self.classes]
         self.reps = [self.elements[c[0]] for c in self.classes]
-        self.identity_class = self.class_of[self.index[self.identity]]
-        self.class_orders = [self._element_order(r) for r in self.reps]
+        self.identity_class = self.class_of[one]
+        # rep_right[ci][x]: index of elements[x] * reps[ci]
+        self.rep_right = []
+        for members in self.classes:
+            word = []
+            x = members[0]
+            while x != one:
+                word.append(via[x])
+                x = parent[x]
+            perm = list(range(self.order))
+            for s in reversed(word):
+                step = right[s]
+                perm = [step[y] for y in perm]
+            self.rep_right.append(perm)
+        # _power_classes[ci][s]: class of reps[ci]^s, for s below its order
+        self._power_classes = []
+        for perm in self.rep_right:
+            powers = [one]
+            x = perm[one]
+            while x != one:
+                powers.append(x)
+                x = perm[x]
+            self._power_classes.append([self.class_of[x] for x in powers])
+        self.class_orders = [len(p) for p in self._power_classes]
         self.exponent = lcm(*self.class_orders)
-        self.inverse_class = [self.class_of[self.index[mat_inv(self.field, r)]]
-                              for r in self.reps]
-        self._powermaps = {}
-
-    def mul(self, a, b):
-        return mat_mul(self.field, a, b)
-
-    def _element_order(self, g):
-        k = 1
-        cur = g
-        while cur != self.identity:
-            cur = self.mul(cur, g)
-            k += 1
-            if k > self.order:
-                raise VerificationError("element order exceeded the group order")
-        return k
+        self.inverse_class = [p[-1] for p in self._power_classes]
 
     def class_of_element(self, g):
         return self.class_of[self.index[g]]
 
     def powermap(self, ci, s):
         """Class index of rep(ci)^s."""
-        key = (ci, s % self.class_orders[ci])
-        if key not in self._powermaps:
-            self._powermaps[key] = self.class_of_element(
-                mat_pow(self.field, self.reps[ci], key[1]) if key[1] else self.identity)
-        return self._powermaps[key]
+        return self._power_classes[ci][s % self.class_orders[ci]]
+
+
+def _breadth_first_tree(right, root):
+    """(tree, parent, via): the indices in breadth-first order from root
+    under the permutations `right`, with elements[x] = elements[parent[x]] *
+    generators[via[x]] for every x but the root, its own parent."""
+    parent, via = [None] * len(right[0]), [None] * len(right[0])
+    parent[root] = root
+    tree = [root]
+    for x in tree:
+        for s, step in enumerate(right):
+            y = step[x]
+            if parent[y] is None:
+                parent[y], via[y] = x, s
+                tree.append(y)
+    return tree, parent, via
+
+
+def _conjugation_orbits(right, tree, parent, via):
+    """The orbits, each sorted, of the element indices under x -> s x s^-1
+    for each generator s, in the order of their least members.
+
+    Left multiplication by s follows the breadth-first tree from the
+    identity: s * elements[x] is (s * elements[parent[x]]) * generators[via[x]],
+    and s itself is right[s] at the root.
+    """
+    one = tree[0]
+    conjugations = []
+    for step in right:
+        left = [0] * len(step)
+        left[one] = step[one]
+        for x in tree[1:]:
+            left[x] = right[via[x]][left[parent[x]]]
+        undo = [0] * len(step)  # right multiplication by s^-1
+        for x, y in enumerate(step):
+            undo[y] = x
+        conjugations.append([undo[y] for y in left])
+    seen = [False] * len(tree)
+    orbits = []
+    for start in range(len(tree)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for conj in conjugations:
+                y = conj[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 class ClassFunction:
@@ -269,7 +339,7 @@ class CoxeterTorus:
         cur = group.identity
         for _ in range(self.order):
             self.elements.append(cur)
-            cur = group.mul(cur, self.generator)
+            cur = mat_mul(group.field, cur, self.generator)
         if cur != group.identity or len(set(self.elements)) != self.order:
             raise VerificationError("companion matrix does not have order q^n - 1")
         if rcf_key(group.field, self.generator) != (poly,):
@@ -467,15 +537,17 @@ def _primitive_root(ell):
 def _class_matrices(group):
     """Yield the class matrices M_i, M_i[k'][k] = #{x in C_i : x^-1 g_k in C_k'},
     in class order; each is built only when the eigenspace split asks for it,
-    which usually stops well before the last class."""
+    which usually stops well before the last class.  As x runs over C_i,
+    x^-1 runs over the inverse class, so M_i counts the classes of that
+    class's members under right multiplication by g_k: index lookups only."""
     r = group.num_classes
+    class_of = group.class_of
     for i in range(r):
         M = [[0] * r for _ in range(r)]
-        for xi in group.classes[i]:
-            x_inv = mat_inv(group.field, group.elements[xi])
-            for k in range(r):
-                y = group.mul(x_inv, group.reps[k])
-                M[group.class_of_element(y)][k] += 1
+        members = group.classes[group.inverse_class[i]]
+        for k, perm in enumerate(group.rep_right):
+            for y in members:
+                M[class_of[perm[y]]][k] += 1
         yield M
 
 
@@ -670,17 +742,22 @@ def _dixon_table_attempt(group, attempt):
         raise ArithmeticError("degree squares do not sum to the group order")
     w = _primitive_root(ell)
     conductor = group.exponent
+    # per class j, shared by every character: d = ord g_j, the classes of
+    # g_j^s for s < d, the powers zeta_d^-s mod ell and 1/d mod ell
+    lift = []
+    for j in range(r):
+        d = group.class_orders[j]
+        z = pow(w, (ell - 1) // d, ell)
+        lift.append((d, [group.powermap(j, s) for s in range(d)],
+                     [pow(z, (-s) % d, ell) for s in range(d)],
+                     pow(d % ell, ell - 2, ell)))
     normalized = []
     for degree, chi_mod in characters:
         vals = []
-        for j in range(r):
+        for d, power_classes, z_inv_powers, d_inv in lift:
             # chi(g) = sum_t m_t zeta_d^t, with m_t the multiplicity of the
             # eigenvalue zeta_d^t of g (d = ord g), read off mod ell
-            d = group.class_orders[j]
-            z = pow(w, (ell - 1) // d, ell)
-            z_inv_powers = [pow(z, (-s) % d, ell) for s in range(d)]
-            powers = [chi_mod[group.powermap(j, s)] for s in range(d)]
-            d_inv = pow(d % ell, ell - 2, ell)
+            powers = [chi_mod[c] for c in power_classes]
             mult = []
             for t in range(d):
                 m_t = sum(p * z_inv_powers[(s * t) % d] for s, p in enumerate(powers))
@@ -714,10 +791,11 @@ def _verify_table(table):
         raise ArithmeticError("sum of squared degrees is off")
     m = lcm(*(chi.m for chi in irr))
     rows = [[v.coerce(m) for v in chi.values] for chi in irr]
-    conj_rows = [[v.conj() for v in row] for row in rows]
+    # each conjugated row's nonzero coordinates, built once for its j + 1 dots
+    conj_rows = [[v.conj().nonzero() for v in row] for row in rows]
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
-            total = dot(m, g.class_sizes, row, conj_rows[j])
+            total = dot_nonzero(m, g.class_sizes, row, conj_rows[j])
             if total != (g.order if i == j else 0):
                 raise ArithmeticError("row orthogonality failed")
 

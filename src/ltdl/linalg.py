@@ -49,35 +49,6 @@ def det(field, A):
     return d
 
 
-def mat_inv(field, A):
-    n = len(A)
-    M = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = field.inv(M[c][c])
-        M[c] = [field.mul(inv, v) for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [field.sub(M[r][k], field.mul(f, M[c][k])) for k in range(2 * n)]
-    return tuple(tuple(row[n:]) for row in M)
-
-
-def mat_pow(field, A, e):
-    n = len(A)
-    out = identity(n)
-    base = A
-    while e:
-        if e & 1:
-            out = mat_mul(field, out, base)
-        base = mat_mul(field, base, base)
-        e >>= 1
-    return out
-
-
 def group_order(q, n):
     out = 1
     for i in range(n):
@@ -103,18 +74,30 @@ def gl_generators(field, n):
 
 
 def generated_group(field, gens):
-    """The group generated by invertible matrices gens: breadth-first closure
-    of the identity under right multiplication, |<gens>| * |gens| products."""
+    """The group generated by invertible matrices gens, as (elements, right):
+    the elements sorted, and for each generator s the permutation
+    right[s][i] = index of elements[i] * gens[s].
+
+    The breadth-first closure of the identity under right multiplication
+    forms every one of these |<gens>| * |gens| products, so the permutations
+    come from the products it already makes.
+    """
     start = identity(len(gens[0]))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mat_mul(field, g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+    found = [start]
+    position = {start: 0}
+    steps = [[] for _ in gens]  # steps[s][k]: position of found[k] * gens[s]
+    for g in found:  # found grows while it is walked, so this is the queue
+        for s, step in zip(gens, steps):
+            h = mat_mul(field, g, s)
+            k = position.get(h)
+            if k is None:
+                k = position[h] = len(found)
+                found.append(h)
+            step.append(k)
+    by_value = sorted(range(len(found)), key=found.__getitem__)
+    rank = [0] * len(found)
+    for i, k in enumerate(by_value):
+        rank[k] = i
+    elements = [found[k] for k in by_value]
+    right = [[rank[step[k]] for k in by_value] for step in steps]
+    return elements, right

@@ -175,6 +175,25 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
     assert built["closure", None] == 1
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
+def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
+    # dl_points lists DL(F_{q^m}) once per m, and the fiber and action
+    # checks walk that list instead of enumerating F_{q^m}^n again
+    walks = Counter()
+    honest = dl_variety.Ambient.points
+
+    def counted(amb):
+        walks[amb.m] += 1
+        return honest(amb)
+
+    monkeypatch.setattr(dl_variety.Ambient, "points", counted)
+    code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
+    assert code == 0
+    names = {c["name"] for c in report["checks"]}
+    assert {"dl.fibers_m1", "dl.fibers_m2", "dl.action_invariance"} <= names
+    assert walks == {1: 1, 2: 1}
+
+
 # sha256 of the sorted-key JSON of each report's results and checks
 # (config and version left out), frozen so that a refactor proves its
 # reports byte-identical

@@ -148,6 +148,15 @@ def test_action_invariance_generators_agree_with_full_group(q, n):
     assert seen == {(g, z) for g in mats for z in mus}
 
 
+@pytest.mark.parametrize("q,n,m", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (4, 2, 2)])
+def test_checks_on_a_given_point_list_match_their_own_enumeration(q, n, m):
+    pts = dl_points(q, n, m)
+    assert fiber_structure_check(q, n, m, points=pts) == fiber_structure_check(q, n, m)
+    gens = GLGroup(q, n).generators
+    assert (action_invariance_check(q, n, m, gens, points=pts)
+            == action_invariance_check(q, n, m, gens))
+
+
 def test_fiber_structure():
     rep = fiber_structure_check(2, 2, 2)
     assert rep["count"] == 6

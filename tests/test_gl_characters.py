@@ -38,7 +38,44 @@ from ltdl.gl_characters import (
     _split_common_eigenspaces,
     _verify_table,
 )
-from ltdl.linalg import det, mat_inv, mat_pow
+from ltdl.linalg import (
+    det,
+    generated_group,
+    gl_generators,
+    group_order,
+    identity,
+    mat_mul,
+)
+
+
+def mat_inv(field, A):
+    """Oracle: A^-1 by Gauss-Jordan elimination of [A | I]."""
+    n = len(A)
+    M = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        M[c], M[piv] = M[piv], M[c]
+        inv = field.inv(M[c][c])
+        M[c] = [field.mul(inv, v) for v in M[c]]
+        for r in range(n):
+            if r != c and M[r][c]:
+                f = M[r][c]
+                M[r] = [field.sub(M[r][k], field.mul(f, M[c][k])) for k in range(2 * n)]
+    return tuple(tuple(row[n:]) for row in M)
+
+
+def mat_pow(field, A, e):
+    """Oracle: A^e by repeated squaring of matrices."""
+    out = identity(len(A))
+    base = A
+    while e:
+        if e & 1:
+            out = mat_mul(field, out, base)
+        base = mat_mul(field, base, base)
+        e >>= 1
+    return out
 
 
 def test_group_orders_and_class_counts():
@@ -66,13 +103,87 @@ def test_group_raises_when_closure_falls_short(monkeypatch):
         GLGroup(3, 2)
 
 
+def classes_by_key(group):
+    """Oracle: the classes as the partition of the elements by `rcf_key`,
+    one key per element, sorted by key; members in element order."""
+    by_key = {}
+    for i, g in enumerate(group.elements):
+        by_key.setdefault(rcf_key(group.field, g), []).append(i)
+    keys = sorted(by_key)
+    return keys, [by_key[k] for k in keys]
+
+
+def element_order(field, g):
+    """Oracle: the order of g by repeated matrix products."""
+    k, cur = 1, g
+    while cur != identity(len(g)):
+        cur = mat_mul(field, cur, g)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2)])
+def test_conjugation_orbits_are_the_rcf_classes(q, n):
+    g = GLGroup(q, n)
+    assert (g.class_keys, g.classes) == classes_by_key(g)
+    assert g.reps == [g.elements[c[0]] for c in g.classes]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_closure_permutations_are_right_multiplication(q, n):
+    field = field_for_order(q)
+    gens = gl_generators(field, n)
+    elements, right = generated_group(field, gens)
+    assert len(elements) == group_order(q, n) and elements == sorted(set(elements))
+    index = {x: i for i, x in enumerate(elements)}
+    assert len(right) == len(gens)
+    for s, perm in zip(gens, right):
+        assert perm == [index[mat_mul(field, x, s)] for x in elements]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2)])
+def test_index_structure_matches_matrix_products(q, n):
+    g = GLGroup(q, n)
+    for ci, rep in enumerate(g.reps):
+        assert g.rep_right[ci] == [g.index[mat_mul(g.field, x, rep)] for x in g.elements]
+        order = element_order(g.field, rep)
+        assert g.class_orders[ci] == order
+        assert g.inverse_class[ci] == g.class_of_element(mat_inv(g.field, rep))
+        for s in range(order):
+            assert g.powermap(ci, s) == g.class_of_element(mat_pow(g.field, rep, s))
+    assert g.exponent == lcm(*g.class_orders)
+
+
+def test_one_rcf_key_per_class(monkeypatch):
+    calls = []
+
+    def counted(field, A):
+        calls.append(A)
+        return rcf_key(field, A)
+
+    monkeypatch.setattr(gl_characters, "rcf_key", counted)
+    for q, n in [(3, 2), (2, 3)]:
+        calls.clear()
+        g = GLGroup(q, n)
+        assert len(calls) == g.num_classes and sorted(calls) == sorted(g.reps)
+
+
+def test_orbits_sharing_a_key_raise(monkeypatch):
+    # rcf_key is a complete invariant, so two conjugation orbits with one key
+    # mean the orbits are not the classes
+    keys = iter(range(100))
+    monkeypatch.setattr(gl_characters, "rcf_key", lambda field, A: next(keys) // 2)
+    with pytest.raises(VerificationError, match="share the class key"):
+        GLGroup(3, 2)
+
+
 def test_rcf_key_is_conjugacy_invariant():
     g = GLGroup(3, 2)
     rng = random.Random(79)
     for _ in range(100):
         a = rng.choice(g.elements)
         x = rng.choice(g.elements)
-        conj = g.mul(g.mul(x, a), mat_inv(g.field, x))
+        conj = mat_mul(g.field, mat_mul(g.field, x, a), mat_inv(g.field, x))
         assert rcf_key(g.field, a) == rcf_key(g.field, conj)
 
 
@@ -505,7 +616,7 @@ def eager_class_matrices(group):
         for xi in group.classes[i]:
             x_inv = mat_inv(group.field, group.elements[xi])
             for k in range(r):
-                M[group.class_of_element(group.mul(x_inv, group.reps[k]))][k] += 1
+                M[group.class_of_element(mat_mul(group.field, x_inv, group.reps[k]))][k] += 1
         mats.append(M)
     return mats
 
