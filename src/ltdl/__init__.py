@@ -24,7 +24,6 @@ from .dl_variety import (
     dl_equation,
     dl_points,
     fiber_structure_check,
-    twisted_count,
 )
 from .errors import (
     BudgetError,
@@ -68,6 +67,6 @@ __all__ = [
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",
     "fiber_structure_check", "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "special_fiber_components",
-    "steinberg", "stratum_membership", "twisted_count", "un_special_fiber",
+    "steinberg", "stratum_membership", "un_special_fiber",
     "universal_module", "verify_module_axioms", "witt_ring",
 ]

@@ -31,13 +31,13 @@ from .depth0 import (
 )
 from .dl_variety import (
     DL_QN_BOUND,
-    Ambient,
-    action_invariance_check,
-    base_points,
     base_points_moebius,
     dl_equation,
     dl_points,
     fiber_structure_check,
+    line_census,
+    orbit_check,
+    rational_level,
     twisted_sum_check,
 )
 from .errors import (
@@ -320,14 +320,13 @@ def run_dl(cfg):
         checks.append(check_entry("form_count", len(inst.forms) == q ** n - 1))
     elif cfg.subcommand == "count":
         results["m"] = m
-        pts = dl_points(q, n, m)
-        results["count"] = len(pts)
+        base, residues, _ = line_census(q, n, m)
+        results["count"] = len(residues) * residues[0]
         if cfg.values.get("list"):
-            results["points"] = [list(p) for p in pts]
-        results["base_count"] = base_points(q, n, m)
-        checks.append(check_entry(
-            "moebius_matches_enumeration",
-            results["base_count"] == base_points_moebius(q, n, m)))
+            results["points"] = [list(p) for p in dl_points(q, n, m)]
+        results["base_count"] = base
+        checks.append(check_entry("moebius_matches_enumeration",
+                                  base == base_points_moebius(q, n, m)))
     elif cfg.subcommand == "fibers":
         rep = fiber_structure_check(q, n, m)
         results.update(rep)
@@ -375,16 +374,6 @@ def suite(name, checks):
     except (VerificationError, PrecisionError, IntegralityError, BudgetError,
             ParameterError) as exc:
         checks.append(check_entry(f"{name}.error", False, exc))
-
-
-@contextmanager
-def omittable(name, omitted):
-    """One check that a BudgetError omits: it lands in `omitted` with the
-    reason, rather than faking a result or ending its suite."""
-    try:
-        yield
-    except BudgetError as exc:
-        omitted.append({"check": name, "reason": str(exc)})
 
 
 def run_verify_all(cfg):
@@ -451,42 +440,25 @@ def run_verify_all(cfg):
             "depth0.gl_linear_shadow",
             gl_linear_shadow_check(module, gl_group().generators, P=P)))
 
-    # a check whose field or point set exceeds a budget is omitted, with the
-    # reason, rather than faking a result (the twist field in particular can
-    # be far larger than the enumeration budget)
-    omitted = []
     with suite("dl", checks):
-        points = {}  # DL(F_{q^m}) by m, enumerated once for the checks that walk it
-        for m in (1, 2):
-            with omittable(f"dl.base_points_m{m}", omitted):
-                points[m] = dl_points(q, n, m)
-                count = len(points[m])
-                base_e = base_points(q, n, m)
-                base_m = base_points_moebius(q, n, m)
-                checks.append(check_entry(f"dl.base_points_m{m}", base_e == base_m,
-                                          f"count {count}, base {base_e}"))
-            with omittable(f"dl.fibers_m{m}", omitted):
-                rep = fiber_structure_check(q, n, m, points=points.get(m))
-                checks.append(check_entry(
-                    f"dl.fibers_m{m}", rep["invariants_passed"],
-                    rep.get("failure", "vacuous" if rep["vacuous"]
-                            else f"fiber size {rep['fiber_size']}")))
-            with omittable(f"dl.twisted_sum_m{m}", omitted):
-                tw = twisted_sum_check(q, n, m)
-                base = tw["expected"] // (q ** n - 1)
-                checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
-                                          f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base}"))
-        # generators of GL_n(F_q), each paired with 1 and with a generator
-        # of the available mu, generate the whole action
-        with omittable("dl.action_invariance", omitted):
-            zetas = sorted({1, Ambient(q, n, 2).mu_generator()})
-            triples = action_invariance_check(q, n, 2, gl_group().generators, zetas,
-                                              points=points.get(2))
-            checks.append(check_entry(
-                "dl.action_invariance", triples is not None,
-                "an image left the variety" if triples is None else f"{triples} triples"))
-    if omitted:
-        results["omitted_checks"] = omitted
+        # every check runs on DL(F_{q^m}) at its first non-empty level
+        m, census = rational_level(q, n)
+        base, residues, witness = census
+        count = len(residues) * residues[0]
+        checks.append(check_entry(f"dl.base_points_m{m}", base == base_points_moebius(q, n, m),
+                                  f"count {count}, base {base}"))
+        tw = twisted_sum_check(q, n, m, census)
+        checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
+                                  f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base}"))
+        orbit, failure = orbit_check(q, n, m, gl_group().generators, witness, count)
+        checks.append(check_entry("dl.action_invariance", failure is None,
+                                  failure or f"orbit size {len(orbit)}"))
+        # the orbit's lines must be exactly the census lines with residue 0
+        rep = fiber_structure_check(q, n, m, points=orbit)
+        if rep["base_points_hit"] != residues[0]:
+            rep.setdefault("failure", f"{rep['base_points_hit']} lines hit, census {residues[0]}")
+        checks.append(check_entry(f"dl.fibers_m{m}", "failure" not in rep,
+                                  rep.get("failure", f"fiber size {rep['fiber_size']}")))
 
     with suite("chars", checks):
         data = CorrespondenceData(gl_group())

@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import ParameterError, VerificationError
 from .formal_modules import lubin_tate_module, normalize_scalar_key
-from .linalg import vec_mat
+from .linalg import projective_representative, vec_mat
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
@@ -30,15 +30,6 @@ def index_vectors(field, n, nonzero=True):
     """All vectors in F_q^n (canonical-int tuples), zero excluded by default."""
     vecs = product(range(field.q), repeat=n)
     return [v for v in vecs if any(v)] if nonzero else list(vecs)
-
-
-def projective_representative(field, a):
-    """Scale a so its first nonzero entry is 1."""
-    for k in a:
-        if k:
-            inv = field.inv(k)
-            return tuple(field.mul(x, inv) for x in a)
-    raise ParameterError("zero vector has no projective class")
 
 
 def projective_classes(field, n):

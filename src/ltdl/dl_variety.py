@@ -1,7 +1,15 @@
-"""The Deligne-Lusztig variety prod_{a in F_q^n - 0} (a . x) = 1 as an
-enumerable object: point counts over F_{q^m}, the commuting right GL_n(F_q)
-and mu_{q^n-1} actions, fibers over the rational-hyperplane complement, and
-Frobenius-twisted counts.
+"""The Deligne-Lusztig variety DL: prod_{a in F_q^n - 0} (a . x) = 1, with
+its commuting right GL_n(F_q) and mu_{q^n-1} actions (G. Lusztig, "Coxeter
+orbits and eigenspaces of Frobenius", Invent. Math. 38, 1976).
+
+The product P is homogeneous of degree q^n - 1, so every point of DL is a
+scalar multiple of a line of P^{n-1}(F_{q^m}) off the rational hyperplanes.
+`line_census` walks those lines once; integer congruences on their log P
+values give the rational count, the Frobenius-twisted counts N_m(zeta)
+(`per_zeta_counts`, with no larger field built) and a witness line.
+`orbit_check` proves from that one point that GL_n(F_q) acts simply
+transitively on DL(F_{q^m}).  Point enumeration (`dl_points`, `base_points`)
+and the Moebius count stay as cross-checks.
 
 Points are vectors of canonical field integers; all enumeration is
 deterministic (lexicographic) and exact.
@@ -12,7 +20,7 @@ from math import gcd
 
 from .errors import BudgetError, ParameterError, VerificationError
 from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomial
-from .linalg import vec_mat
+from .linalg import group_order, projective_representative, vec_mat
 from .series import FqDomain, SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8
@@ -71,13 +79,13 @@ class Ambient:
         self.q = q
         self.n = n
         self.m = m
-        if q ** m > AMBIENT_FIELD_BOUND:
-            raise BudgetError(
-                f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
         base = field_for_order(q)
         if base.f * m > MAX_DEGREE:
             raise BudgetError(
                 f"ambient field degree {base.f * m} exceeds {MAX_DEGREE}")
+        if q ** m > AMBIENT_FIELD_BOUND:
+            raise BudgetError(
+                f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
         self.base = base
         self.field = ff_make(base.p, base.f * m)
         self.embed_map = [embed(base.from_int(k), self.field).canonical_int()
@@ -116,22 +124,14 @@ class Ambient:
             raise BudgetError(f"{Q}^{self.n} points exceed the {POINT_BUDGET} budget")
         return product(range(Q), repeat=self.n)
 
-    def frobenius_int(self, x, power=1):
-        return self.field.pow(x, self.base.q ** power)
-
-    def _mu_step(self):
-        """(log of a generator, size) of the available mu_{q^n-1} subgroup."""
-        avail = gcd(self.q ** self.n - 1, self.field.q - 1)
-        return (self.field.q - 1) // avail, avail
+    def embed_matrix(self, g):
+        """A matrix over F_q with its entries embedded in this field."""
+        return tuple(tuple(self.embed_map[v] for v in row) for row in g)
 
     def mu_generator(self):
         """A generator of the solutions of z^{q^n - 1} = 1 in this field."""
-        return self.field.exp[self._mu_step()[0]]
-
-    def mu_elements(self):
-        """Solutions of z^{q^n - 1} = 1 in this field, in canonical order."""
-        step, avail = self._mu_step()
-        return sorted(self.field.exp[k * step] for k in range(avail))
+        order = self.field.q - 1
+        return self.field.exp[order // gcd(self.q ** self.n - 1, order)]
 
 
 def dl_points(q, n, m):
@@ -139,6 +139,43 @@ def dl_points(q, n, m):
     order."""
     amb = Ambient(q, n, m)
     return [x for x in amb.points() if amb.on_variety(x)]
+
+
+def line_census(q, n, m):
+    """One walk of P^{n-1}(F_{q^m}): (base, residues, witness).
+
+    P is homogeneous of degree q^n - 1, so the DL points on the line of x0
+    are the c * x0 with c^{q^n-1} = P(x0)^{-1}.  With g = gcd(q^n - 1,
+    q^m - 1) there are g such c in F_{q^m} when g divides log P(x0), and
+    none otherwise.  base counts the lines with P(x0) != 0 (those off every
+    rational hyperplane), residues[r] those with log P(x0) = r mod g, and
+    witness is the first line with residue 0 (None if there is none).  The
+    rational count |DL(F_{q^m})| is g * residues[0]; `per_zeta_counts`
+    reads the Frobenius-twisted counts off the same residues.
+    """
+    amb = Ambient(q, n, m)
+    log = amb.field.log
+    g = gcd(q ** n - 1, q ** m - 1)
+    base, residues, witness = 0, [0] * g, None
+    for x0 in _projective_reps(amb):
+        value = amb.product_of_forms(x0)
+        if value:
+            base += 1
+            r = log[value] % g
+            residues[r] += 1
+            if witness is None and r == 0:
+                witness = x0
+    return base, residues, witness
+
+
+def rational_level(q, n):
+    """(m, line_census(q, n, m)) at the smallest m in [n, 2n] where
+    DL(F_{q^m}) has a point; a VerificationError if there is none."""
+    for m in range(n, 2 * n + 1):
+        census = line_census(q, n, m)
+        if census[1][0]:
+            return m, census
+    raise VerificationError(f"DL(F_{{q^m}}) has no point for any m in [{n}, {2 * n}]")
 
 
 def base_points(q, n, m):
@@ -188,8 +225,7 @@ def act(amb, x, g=None, zeta=None):
     field = amb.field
     out = x
     if g is not None:
-        emb_g = tuple(tuple(amb.embed_map[v] for v in row) for row in g)
-        out = vec_mat(field, out, emb_g)
+        out = vec_mat(field, out, amb.embed_matrix(g))
     if zeta is not None:
         if not zeta or field.pow(zeta, amb.q ** amb.n - 1) != 1:
             raise ParameterError("zeta does not have order dividing q^n - 1")
@@ -198,29 +234,44 @@ def act(amb, x, g=None, zeta=None):
     return out
 
 
-def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
-    """Whether every (g, zeta) with g in matrices and zeta in zetas (by
-    default all of the available mu_{q^n-1}) maps DL(F_{q^m}) points to DL
-    points: returns the number of (point, g, zeta) triples checked, or None
-    at the first image that is not a DL point.  `points`, if given, is
-    `dl_points(q, n, m)` already built, and is not enumerated again.
+def orbit_check(q, n, m, generators, witness, count):
+    """Whether GL_n(F_q), given by `generators`, acts simply transitively on
+    the `count` points of DL(F_{q^m}), and mu_{q^n-1} keeps them: returns
+    (orbit, failure), with failure None when every condition holds.
 
-    Each pair acts injectively on the finite point set, so checking pairs
-    that generate GL_n(F_q) x mu proves invariance under the whole group:
-    generators of GL_n(F_q) paired with 1 and with a generator of mu do.
+    The orbit is that of the DL point c * witness, c^{q^n-1} =
+    P(witness)^{-1}, walked breadth first with every new image checked on
+    the variety.  A walk closed under generators of a finite group is the
+    whole group orbit, so it is an invariant subset of the variety; its size
+    equal to `count` makes it all of DL(F_{q^m}) (transitivity), and equal
+    to |GL_n(F_q)| makes every stabiliser trivial (freeness).  The mu
+    generator mapping the orbit into itself gives the mu-invariance.
     """
     amb = Ambient(q, n, m)
-    pts = dl_points(q, n, m) if points is None else points
-    mus = amb.mu_elements() if zetas is None else zetas
-    checked = 0
-    for x in pts:
-        for g in matrices:
-            xg = act(amb, x, g)
-            for z in mus:
-                if not amb.on_variety(act(amb, xg, zeta=z)):
-                    return None
-                checked += 1
-    return checked
+    field = amb.field
+    order, fiber = field.q - 1, gcd(q ** n - 1, field.q - 1)
+    # log c solves (q^n - 1) log c = -log P(witness) mod q^m - 1
+    t = -field.log[amb.product_of_forms(witness)] % order
+    c = field.exp[t // fiber * pow((q ** n - 1) // fiber, -1, order // fiber) % order]
+    start = tuple(field.mul(c, v) for v in witness)
+    gens = [amb.embed_matrix(g) for g in generators]
+    orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
+    for x in orbit:  # orbit grows while it is walked, so this is the queue
+        for g in gens:
+            y = vec_mat(field, x, g)
+            if y not in seen:
+                off += not amb.on_variety(y)
+                seen.add(y)
+                orbit.append(y)
+    size, group = len(orbit), group_order(q, n)
+    if off:
+        return orbit, f"{off} of {size} orbit points off the variety"
+    if size != count or size != group:
+        return orbit, f"orbit of {size} points, count {count}, |GL_n(F_q)| {group}"
+    z = amb.mu_generator()
+    if any(act(amb, x, zeta=z) not in seen for x in orbit):
+        return orbit, "the mu generator leaves the orbit"
+    return orbit, None
 
 
 def fiber_structure_check(q, n, m, points=None):
@@ -234,10 +285,7 @@ def fiber_structure_check(q, n, m, points=None):
     pts = dl_points(q, n, m) if points is None else points
     fibers = {}
     for x in pts:
-        lead = next(i for i, v in enumerate(x) if v)
-        inv = amb.field.inv(x[lead])
-        rep = (0,) * lead + tuple(amb.field.mul(inv, v) for v in x[lead:])
-        fibers.setdefault(rep, []).append(x)
+        fibers.setdefault(projective_representative(amb.field, x), []).append(x)
     expected = gcd(q ** n - 1, q ** m - 1)
     sizes = sorted(set(len(v) for v in fibers.values()))
     out = {"q": q, "n": n, "m": m, "count": len(pts), "base_points_hit": len(fibers),
@@ -250,67 +298,32 @@ def fiber_structure_check(q, n, m, points=None):
     return out
 
 
-def twisted_count(q, n, g, zeta, M, frob_power=1):
-    """#{x in DL(F_{q^M}) : x_i^{q^frob_power} = (zeta^{-1} (x g))_i for all i}."""
-    amb = Ambient(q, n, M)
-    count = 0
-    for x in amb.points():
-        if not amb.on_variety(x):
-            continue
-        tx = act(amb, x, g, zeta)
-        if all(amb.frobenius_int(xi, frob_power) == ti for xi, ti in zip(x, tx)):
-            count += 1
-    return count
+def per_zeta_counts(q, n, residues):
+    """N_m(zeta^k) = #{x : Frob_{q^m}(x) = zeta^{-k} x, x on the variety}
+    for k in range(q^n - 1), from the `residues` of `line_census`.
 
-
-def twist_field_degree(q, n, m):
-    """Smallest M = m*j containing all solutions of Frob_{q^m}(x) = zeta^{-1} x:
-    needs (q^n - 1) | (q^{mj} - 1)/(q^m - 1) and n | M for the full mu-group."""
-    order = q ** n - 1
-    j = 1
-    while True:
-        sigma = (q ** (m * j) - 1) // (q ** m - 1)
-        if sigma % order == 0 and (m * j) % n == 0:
-            return m * j
-        j += 1
-        if j > n * order:
-            raise ParameterError("no twist field degree found (unexpected)")
-
-
-def twisted_fixed_count(amb, zeta, m):
-    """#{x in DL(F_{q^M}) : Frob_{q^m}(x) = zeta^{-1} x}, M = amb.m, by
-    enumerating only the candidates; `twisted_count` with g = 1 is the
-    brute-force oracle.
-
-    A DL point has no zero coordinate (the form picking it out would
-    vanish), so each x_i is a root of x^A = zeta^{-1} with A = q^m - 1.
-    With N = q^M - 1 and t = log(zeta^{-1}), roots exist only if A | t, and
-    then they are exp[t/A + j N/A] for 0 <= j < A.
+    With g = len(residues) = gcd(q^n - 1, q^m - 1), zeta generates
+    mu_{q^n-1} with zeta^{(q^n-1)/g} = gamma^{(q^m-1)/g}, gamma the stored
+    generator of F_{q^m}^x.  Such an x spans an F_{q^m}-rational line, so
+    x = c * x0 with x0 a census line, c^{q^m-1} = zeta^{-k} and c^{q^n-1} =
+    P(x0)^{-1}.  In the cyclic group of order (q^m-1)(q^n-1) the two
+    congruences on log c have g common solutions when log_gamma P(x0) = k
+    mod g, and none otherwise (CRT).  So N_m(1) is the rational count.
     """
-    field = amb.field
-    N, A = field.q - 1, amb.q ** m - 1
-    if N % A:
-        raise ParameterError(f"F_{{q^{m}}} is not a subfield of F_{{q^{amb.m}}}")
-    t = field.log[field.inv(zeta)]
-    if t % A:
-        return 0
-    zinv, frob = field.exp[t], amb.q ** m
-    roots = [field.exp[t // A + j * (N // A)] for j in range(A)]
-    for r in roots:
-        if field.pow(r, frob) != field.mul(zinv, r):
-            raise VerificationError(f"root {r} is not twisted-fixed by zeta = {zeta}")
-    return sum(1 for x in product(roots, repeat=amb.n) if amb.on_variety(x))
+    g = len(residues)
+    return [g * residues[k % g] for k in range(q ** n - 1)]
 
 
-def twisted_sum_check(q, n, m):
-    """sum over zeta of the Frob_{q^m}-twisted counts = (q^n-1) * base count."""
-    M = twist_field_degree(q, n, m)
-    amb = Ambient(q, n, M)
-    mus = amb.mu_elements()
-    if len(mus) != q ** n - 1:
-        raise VerificationError("ambient field does not contain the full mu-group")
-    total = sum(twisted_fixed_count(amb, z, m) for z in mus)
-    expected = (q ** n - 1) * base_points(q, n, m)
-    return {"q": q, "n": n, "m": m, "twist_field_degree": M,
-            "sum_of_twisted_counts": total, "expected": expected,
-            "matches": total == expected}
+def twisted_sum_check(q, n, m, census=None):
+    """sum over zeta in mu_{q^n-1} of N_m(zeta) = (q^n-1) * base count.
+
+    The base count alone implies this identity: every c with c^{q^n-1} =
+    P(x0)^{-1} has c^{q^m-1} in mu_{q^n-1}, so the sum counts each base
+    line q^n - 1 times.  The per-theta Frobenius trace check of ROADMAP.md
+    item 2 replaces it.  `census`, if given, is `line_census(q, n, m)`.
+    """
+    base, residues, _ = line_census(q, n, m) if census is None else census
+    total = sum(per_zeta_counts(q, n, residues))
+    expected = (q ** n - 1) * base
+    return {"q": q, "n": n, "m": m, "sum_of_twisted_counts": total,
+            "expected": expected, "matches": total == expected}

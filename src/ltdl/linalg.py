@@ -4,6 +4,8 @@ Uses the field's log/Zech kernel on canonical ints, so everything stays
 hashable and fast at the scales this package enumerates (|GL_n(F_q)| <= 3e4).
 """
 
+from .errors import ParameterError
+
 MAX_GROUP_ORDER = 30_000
 
 
@@ -26,6 +28,15 @@ def mat_mul(field, A, B):
 def vec_mat(field, x, A):
     """Row-vector action x -> x A."""
     return tuple(_dot(field, x, col) for col in zip(*A))
+
+
+def projective_representative(field, a):
+    """Scale a so its first nonzero entry is 1."""
+    for k in a:
+        if k:
+            inv = field.inv(k)
+            return tuple(field.mul(x, inv) for x in a)
+    raise ParameterError("zero vector has no projective class")
 
 
 def det(field, A):

@@ -1,0 +1,99 @@
+"""Brute-force oracles for the DL suite.
+
+Each one enumerates points of F_{q^M}^n or loops over a whole group, where
+`line_census` and `orbit_check` count with integer congruences and walk one
+orbit; the tests hold the two to the same answers wherever both run.
+"""
+
+from itertools import product
+from math import gcd
+
+from ltdl.dl_variety import Ambient, act, dl_points
+from ltdl.errors import ParameterError, VerificationError
+from ltdl.ffield import embed, ff_make
+
+
+def mu_elements(amb):
+    """Solutions of z^{q^n - 1} = 1 in the ambient field, in canonical order."""
+    order = amb.field.q - 1
+    step = order // gcd(amb.q ** amb.n - 1, order)
+    return sorted(amb.field.exp[k * step] for k in range(order // step))
+
+
+def zeta_powers(amb, m):
+    """[zeta^k for k in range(q^n - 1)] in the field F_{q^M} of amb, with
+    zeta the generator of mu_{q^n-1} that `per_zeta_counts` fixes:
+    zeta^{(q^n-1)/g} = gamma^{(q^m-1)/g}, gamma the stored generator of
+    F_{q^m} embedded in F_{q^M} and g = gcd(q^n - 1, q^m - 1)."""
+    q, n, field = amb.q, amb.n, amb.field
+    order, B, A = field.q - 1, q ** n - 1, q ** m - 1
+    small = ff_make(amb.base.p, amb.base.f * m)
+    gamma = embed(small.from_int(small.exp[1]), field).canonical_int()
+    g = gcd(A, B)
+    target = field.pow(gamma, A // g)
+    zeta = next(z for s in range(1, B + 1) if gcd(s, B) == 1
+                for z in [field.exp[s * (order // B)]] if field.pow(z, B // g) == target)
+    return [field.pow(zeta, k) for k in range(B)]
+
+
+def twisted_count(q, n, g, zeta, M, frob_power=1):
+    """#{x in DL(F_{q^M}) : x_i^{q^frob_power} = (zeta^{-1} (x g))_i for all i}."""
+    amb = Ambient(q, n, M)
+    count = 0
+    for x in amb.points():
+        if not amb.on_variety(x):
+            continue
+        tx = act(amb, x, g, zeta)
+        if all(amb.field.pow(xi, q ** frob_power) == ti for xi, ti in zip(x, tx)):
+            count += 1
+    return count
+
+
+def twisted_fixed_count(amb, zeta, m):
+    """#{x in DL(F_{q^M}) : Frob_{q^m}(x) = zeta^{-1} x}, M = amb.m, by
+    enumerating only the candidates; `twisted_count` with g = 1 is the
+    brute-force oracle.
+
+    A DL point has no zero coordinate (the form picking it out would
+    vanish), so each x_i is a root of x^A = zeta^{-1} with A = q^m - 1.
+    With N = q^M - 1 and t = log(zeta^{-1}), roots exist only if A | t, and
+    then they are exp[t/A + j N/A] for 0 <= j < A.
+    """
+    field = amb.field
+    N, A = field.q - 1, amb.q ** m - 1
+    if N % A:
+        raise ParameterError(f"F_{{q^{m}}} is not a subfield of F_{{q^{amb.m}}}")
+    t = field.log[field.inv(zeta)]
+    if t % A:
+        return 0
+    zinv, frob = field.exp[t], amb.q ** m
+    roots = [field.exp[t // A + j * (N // A)] for j in range(A)]
+    for r in roots:
+        if field.pow(r, frob) != field.mul(zinv, r):
+            raise VerificationError(f"root {r} is not twisted-fixed by zeta = {zeta}")
+    return sum(1 for x in product(roots, repeat=amb.n) if amb.on_variety(x))
+
+
+def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
+    """Whether every (g, zeta) with g in matrices and zeta in zetas (by
+    default all of the available mu_{q^n-1}) maps DL(F_{q^m}) points to DL
+    points: returns the number of (point, g, zeta) triples checked, or None
+    at the first image that is not a DL point.  `points`, if given, is
+    `dl_points(q, n, m)` already built, and is not enumerated again.
+
+    Each pair acts injectively on the finite point set, so checking pairs
+    that generate GL_n(F_q) x mu proves invariance under the whole group:
+    generators of GL_n(F_q) paired with 1 and with a generator of mu do.
+    """
+    amb = Ambient(q, n, m)
+    pts = dl_points(q, n, m) if points is None else points
+    mus = mu_elements(amb) if zetas is None else zetas
+    checked = 0
+    for x in pts:
+        for g in matrices:
+            xg = act(amb, x, g)
+            for z in mus:
+                if not amb.on_variety(act(amb, xg, zeta=z)):
+                    return None
+                checked += 1
+    return checked

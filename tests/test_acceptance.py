@@ -10,6 +10,7 @@ import time
 from math import comb
 
 import pytest
+from dl_oracles import action_invariance_check
 
 from ltdl.cli import main as cli_main
 from ltdl.depth0 import (
@@ -19,7 +20,6 @@ from ltdl.depth0 import (
     un_special_fiber,
 )
 from ltdl.dl_variety import (
-    action_invariance_check,
     base_points,
     dl_points,
     fiber_structure_check,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from ltdl import cli, depth0, dl_variety, gl_characters
 from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
+from ltdl.linalg import group_order
 
 
 def run_cli(tmp_path, *argv):
@@ -35,15 +37,6 @@ def test_dl_count_report(tmp_path):
     assert report["results"]["base_count"] == 2
 
 
-def test_verify_all_41_omits_twisted_sum_past_degree_cap(tmp_path):
-    # the m = 2 twisted sum needs F_{4^6} = F_{2^12}, past ff_make's degree cap
-    code, report = run_cli(tmp_path, "verify-all", "--q", "4", "--n", "1")
-    assert code == 0
-    assert report["results"]["omitted_checks"] == [
-        {"check": "dl.twisted_sum_m2", "reason": "ambient field degree 12 exceeds 8"}]
-    assert all(c["status"] == "pass" for c in report["checks"])
-
-
 def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
     def broken_table(group, max_attempts=4):
         raise VerificationError("doctored Dixon failure")
@@ -60,11 +53,11 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
                        "details": "doctored Dixon failure"}]
 
 
-def doubled_points(monkeypatch):
-    # every point enumerated twice: each fiber over a base point doubles
-    points = dl_variety.Ambient.points
-    monkeypatch.setattr(dl_variety.Ambient, "points",
-                        lambda amb: [x for x in points(amb) for _ in (0, 1)])
+def dropped_generator(monkeypatch):
+    # GL_2(F_2) walked under I and the swap only: an orbit of 2 of the 6 points
+    honest = cli.orbit_check
+    monkeypatch.setattr(cli, "orbit_check", lambda q, n, m, gens, witness, count:
+                        honest(q, n, m, gens[:-1], witness, count))
 
 
 def shifted_zeta_action(monkeypatch):
@@ -78,44 +71,57 @@ def shifted_zeta_action(monkeypatch):
     monkeypatch.setattr(dl_variety, "act", shifted)
 
 
+def rejecting_variety(monkeypatch):
+    # (3, 2), a point of DL(F_4) other than the orbit's start, reads as off it
+    honest = dl_variety.Ambient.on_variety
+    monkeypatch.setattr(dl_variety.Ambient, "on_variety",
+                        lambda amb, x: x != (3, 2) and honest(amb, x))
+
+
+def miscounted_census(monkeypatch):
+    # over F_4, one of the two lines with residue 0 counted with residue 1
+    honest = dl_variety.line_census
+
+    def miscounted(q, n, m):
+        base, residues, witness = honest(q, n, m)
+        if m == 2:
+            residues = [residues[0] - 1, residues[1] + 1] + residues[2:]
+        return base, residues, witness
+
+    monkeypatch.setattr(dl_variety, "line_census", miscounted)
+
+
 @pytest.mark.parametrize("doctor,failed", [
-    (doubled_points, {"name": "dl.fibers_m2", "status": "fail",
-                      "details": "fiber sizes [6] != gcd = 3"}),
-    (shifted_zeta_action, {"name": "dl.action_invariance", "status": "fail",
-                           "details": "an image left the variety"}),
+    (dropped_generator, {"dl.action_invariance": "orbit of 2 points, count 6, |GL_n(F_q)| 6",
+                         "dl.fibers_m2": "fiber sizes [1] != gcd = 3"}),
+    (shifted_zeta_action, {"dl.action_invariance": "the mu generator leaves the orbit"}),
+    (rejecting_variety, {"dl.action_invariance": "1 of 6 orbit points off the variety"}),
+    (miscounted_census, {"dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6",
+                         "dl.fibers_m2": "2 lines hit, census 1"}),
 ])
 def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doctor, failed):
     doctor(monkeypatch)
     code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
     assert code == 1
     assert [c["name"] for c in report["checks"] if c["name"].startswith("dl.")] == [
-        "dl.base_points_m1", "dl.fibers_m1", "dl.twisted_sum_m1",
-        "dl.base_points_m2", "dl.fibers_m2", "dl.twisted_sum_m2", "dl.action_invariance"]
-    assert [c for c in report["checks"] if c["status"] == "fail"] == [failed]
-    if doctor is doubled_points:
-        code, report = run_cli(tmp_path, "dl", "fibers", "--q", "2", "--n", "2", "--m", "2")
-        assert code == 1
-        assert report["results"]["invariants_passed"] is False
-        assert report["checks"] == [dict(failed, name="fiber_size_gcd")]
+        "dl.base_points_m2", "dl.twisted_sum_m2", "dl.action_invariance", "dl.fibers_m2"]
+    assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == failed
 
 
-def test_budget_error_omits_only_its_check(tmp_path, monkeypatch):
-    def over_budget(q, n, m):
-        raise BudgetError("doctored point budget")
-
-    monkeypatch.setattr(cli, "dl_points", over_budget)
-    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
-    assert code == 0
-    assert report["results"]["omitted_checks"] == [
-        {"check": f"dl.base_points_m{m}", "reason": "doctored point budget"} for m in (1, 2)]
-    names = [c["name"] for c in report["checks"]]
-    for name in ("dl.fibers_m1", "dl.twisted_sum_m2", "dl.action_invariance",
-                 "depth0.gl_linear_shadow", "chars.degree_squares_sum"):
-        assert name in names
-    assert all(c["status"] == "pass" for c in report["checks"])
+def test_dl_fibers_reports_a_doubled_fiber(tmp_path, monkeypatch):
+    # every point enumerated twice: each fiber over a base point doubles
+    points = dl_variety.Ambient.points
+    monkeypatch.setattr(dl_variety.Ambient, "points",
+                        lambda amb: [x for x in points(amb) for _ in (0, 1)])
+    code, report = run_cli(tmp_path, "dl", "fibers", "--q", "2", "--n", "2", "--m", "2")
+    assert code == 1
+    assert report["results"]["invariants_passed"] is False
+    assert report["checks"] == [{"name": "fiber_size_gcd", "status": "fail",
+                                 "details": "fiber sizes [6] != gcd = 3"}]
 
 
 @pytest.mark.parametrize("target,error", [("deformation_factors", BudgetError),
+                                          ("rational_level", BudgetError),
                                           ("CorrespondenceData", ParameterError)])
 def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, target, error):
     def escaping(*args, **kwargs):
@@ -124,29 +130,13 @@ def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, target, escaping)
     code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
     assert code == 1
-    suite = "depth0" if target == "deformation_factors" else "chars"
+    suite = {"deformation_factors": "depth0", "rational_level": "dl"}.get(target, "chars")
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert failed == [{"name": f"{suite}.error", "status": "fail",
                        "details": "doctored escape"}]
     names = [c["name"] for c in report["checks"]]
     for other in {"formal_module", "depth0", "dl", "chars"} - {suite}:
         assert any(name.startswith(other + ".") for name in names), other
-
-
-def test_verify_all_32_1_ends_with_a_report(tmp_path):
-    # F_{32^2} has degree 10, past ff_make's degree cap of 8: every check
-    # at m = 2 and the twisted sums are omitted, and the rest still runs
-    code, report = run_cli(tmp_path, "verify-all", "--q", "32", "--n", "1")
-    assert code == 0
-    omitted = report["results"]["omitted_checks"]
-    assert [o["check"] for o in omitted] == [
-        "dl.twisted_sum_m1", "dl.base_points_m2", "dl.fibers_m2", "dl.twisted_sum_m2",
-        "dl.action_invariance"]
-    assert omitted[1]["reason"] == "ambient field degree 10 exceeds 8"
-    names = [c["name"] for c in report["checks"]]
-    assert "formal_module.associativity" in names and "depth0.un_equals_dl" in names
-    assert "dl.base_points_m1" in names and "chars.degree_squares_sum" in names
-    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 @pytest.mark.parametrize("q,n,vectors", [(5, 2, 24), (2, 3, 7)])
@@ -177,34 +167,34 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
 
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
-    # dl_points lists DL(F_{q^m}) once per m, and the fiber and action
-    # checks walk that list instead of enumerating F_{q^m}^n again
+    # the line census walks P^1(F_{q^2}) once, and the fiber and action
+    # checks walk the orbit instead of enumerating F_{q^2}^2
     walks = Counter()
-    honest = dl_variety.Ambient.points
+    for kind, owner, name in [("points", dl_variety.Ambient, "points"),
+                              ("lines", dl_variety, "_projective_reps")]:
+        def counted(amb, kind=kind, honest=getattr(owner, name)):
+            walks[kind, amb.m] += 1
+            return honest(amb)
 
-    def counted(amb):
-        walks[amb.m] += 1
-        return honest(amb)
-
-    monkeypatch.setattr(dl_variety.Ambient, "points", counted)
+        monkeypatch.setattr(owner, name, counted)
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
     names = {c["name"] for c in report["checks"]}
-    assert {"dl.fibers_m1", "dl.fibers_m2", "dl.action_invariance"} <= names
-    assert walks == {1: 1, 2: 1}
+    assert {"dl.fibers_m2", "dl.action_invariance"} <= names
+    assert walks == {("lines", 2): 1}
 
 
 # sha256 of the sorted-key JSON of each report's results and checks
 # (config and version left out), frozen so that a refactor proves its
 # reports byte-identical
 VERIFY_ALL_DIGESTS = {
-    (2, 2): "b4b0ef0f147fd9c472fa4e1cc332d6fb5a22ef4d72fadaee534e0347347d4140",
-    (2, 3): "3d89c67f336812369708ab5d20e8729ffa2536dfbf91c67be20ece538ee83446",
-    (3, 2): "eae42f9504e5bcae580146f136da540f3c4da58542ef12a368d65df8973d2e8f",
-    (4, 1): "8bf3db5429d1899c6ed658a3697aca185a431c1a7f6086abd7d4740138c19f41",
-    (4, 2): "dffb28b468551a08d46d49cdf2e7e93ff121edfa1d6c0b7a3b9584ac75adb534",
-    (5, 2): "51bf005daa9681dff85b933cdead435db21b1189964151deb18fb50cc57d80a0",
-    (8, 1): "5f8ee2afeaf37888494fd5f8379820d53b25b64df9b1c3c3196d31dc92d82b9a",
+    (2, 2): "f5216f143dbe456ac1d7ec6a9eed3e616c6186374b3eee09254f1288f36901fc",
+    (2, 3): "7784ef0f11b8ee00cad991d913152526e50696c32fa006ba8628935709506319",
+    (3, 2): "30c65f4188b5c553a0a30828490c8e3bb5adf8fc292575391275b88b42695ebe",
+    (4, 1): "2f30d0c340fc1e8ab81afd41bfb7f5b7d2053bd4b2a8150cdab3c9adb6c49254",
+    (4, 2): "14579cea13f1a5b950e1d9413298c60bbcc20fb8c8b34d79f633a2ce761913e7",
+    (5, 2): "c942383eba743bc026b8f3543be42beeec33fdff4fc774fee3bae83a6105d7d6",
+    (8, 1): "4b4262d6f4d3b076fa3e8c1422c1f532db635d9c58db9554670804e740a4a757",
 }
 
 
@@ -224,26 +214,74 @@ def accepted_verify_all_configs():
 
 
 VERIFY_ALL_CONFIGS = accepted_verify_all_configs()
-DL_CHECKS = [f"dl.{check}_m{m}" for m in (1, 2)
-             for check in ("base_points", "fibers", "twisted_sum")] + ["dl.action_invariance"]
+
+# sha256 of the sorted-key JSON of each report's results and of its checks
+# outside dl.*, frozen from the reports made before the line census replaced
+# the DL suite (their `omitted_checks` left out): the census changes only
+# the dl.* checks
+NON_DL_DIGESTS = {
+    (2, 1): "4d50ffecd0030fe17631a88d53829ec7e1f9934e62e29de59791d6f475e5a168",
+    (2, 2): "5929d5154c17bd38cba1804d2af3914c90cf727842b2aa8d07dd7fc04b7270ff",
+    (2, 3): "5eff37196a42b5a5be255ea4beccaaad6059c6fbaaf3ac38f088fd898ecba232",
+    (3, 1): "deb3a42f4493023d1262168e6ce419aef22c63934875fb4d91a64a8c36ab1a2e",
+    (3, 2): "25846fa1ce4f5f616785ac20d90deb5422bbe26023c6a04e0e0ff3eef49e7757",
+    (4, 1): "50a4d34fefb026b70bde882eadba5255b53d6ec2f70dac220e3e7cb2ff97e9f5",
+    (4, 2): "62ab600cc7b2fd67c58cff5d01c4adbd8d71ce24e32878b1020a620c3e689bcf",
+    (5, 1): "3cddecb067c743562becf08333ade2e1f01e20dd194a0bc2c690a3c884dab778",
+    (5, 2): "8cbcea7f26c5273ab15637ce1fba79e56e34464486a6c068696d9522cd08c3aa",
+    (7, 1): "2e7a196633f703c4876ef044e5f294cac667895c70de5b83393f7ea58b6a7b06",
+    (7, 2): "6cdc7412651317c9519030521025cf2b27c838861a03e129a22ab935728cf1a4",
+    (8, 1): "b8a39a558204d13aae9ab4dd62d3768db8b93bf47c2e0f00ff6cb7e39ad4321c",
+    (9, 1): "55a1dd5c79b74695372823aee755ddfef39b92cdedbe80d8ec47defc21be29f2",
+    (11, 1): "2ace30c677ed69a23d0133c467fb50620652983e05ecf7807ec7bb247d9c47a3",
+    (13, 1): "b8fc090a4bbb934a93a68cc5e3f9f9484f2578cf49e99a05bce61352f26e5ce9",
+    (16, 1): "2a6dee9213cb4d8561ec268eb69817cf69bd5b3eb30e29547b43cc60ace10eca",
+    (17, 1): "ea26c2264bc6b4ced2375055044b17a4b8b4a113e5349e990156fbe22b5a1994",
+    (19, 1): "c668a05bb5c490122c85f3577ca9e5ee911478e1959fd1ad18bf1a2f8dfad48f",
+    (23, 1): "522c3103808aa7496dafea3bbbd5f7ec1c244ec8f09589be2df3d9d6618675de",
+    (25, 1): "17902ab1eb3e7899658f26b3edae827e1ea06fd37595b76ee14f7f6e80eb7ebe",
+    (27, 1): "0b75e6f7a8689b84343c2c7767cd4a0a8d384f4b64e1734657d1a9de1e7826b8",
+    (29, 1): "0d21d65fb224d837275648d88a7da379b982ff73e9be1e030c0d9d0c0690361b",
+    (31, 1): "56a430802f3fc7b867a4adbd39f2de7ba8b257e357cd3dbd4773cbba05ca8898",
+    (32, 1): "b38fa1d84d084815ec759ccee1a8b32bff2495c9339f7c6f5f5f9b4cbda9fa82",
+    (37, 1): "6e9d978bebedd721091033c176ed045c86df7c978529fff2fcfff6158415240e",
+    (41, 1): "fb200e78203ebfa61893092f832a985838ebef768dcaa7ccf1133b44ac11f58a",
+    (43, 1): "1716c66f602b022c42a252168e689e2a5d63b58cdbdd914dd46d34b6a6936613",
+    (47, 1): "5e031f73fd03a5574e338b705c1cb26d249b83dc7e09084b2441a44db439af15",
+    (49, 1): "fadbd6c8aca036fdcf91575099a861d51c4f9ebc5917ffc164a761129c8a97cf",
+    (53, 1): "bc1a8395b00cf4b9c3e0f2e9edaf5be6c273c6ec754bb5463bd47d20a7181a08",
+    (59, 1): "4af5732d7d69013cd96d351cf1a6052c6b91641d8f4ab1acffef8275037460c0",
+    (61, 1): "856ee1e9eb9f773fc36f4c129b50de954dad99526acffaeaca66b3bcb15c347f",
+    (64, 1): "6bdc4833224a66054b45c0b3270cdad2239f35158187a23f98a122fe8852d3a3",
+}
 
 
 def test_verify_all_grid_holds_the_frozen_configs():
     assert len(VERIFY_ALL_CONFIGS) == 33
-    assert set(VERIFY_ALL_DIGESTS) < set(VERIFY_ALL_CONFIGS)
+    assert set(VERIFY_ALL_DIGESTS) < set(VERIFY_ALL_CONFIGS) == set(NON_DL_DIGESTS)
 
 
 @pytest.mark.parametrize("q,n", VERIFY_ALL_CONFIGS)
 def test_verify_all_grid_is_complete(tmp_path, q, n):
-    # every accepted config ends with all four suites and every dl check
-    # either run or omitted with its reason
+    # every accepted config ends with all four suites, omits no check, and
+    # runs the four dl checks at one level m, on |GL_n(F_q)| points
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
     results = report["results"]
     assert results["suites"] == ["formal_module", "depth0", "dl", "chars"]
-    names = [c["name"] for c in report["checks"]]
-    omitted = [o["check"] for o in results.get("omitted_checks", [])]
-    assert sorted(name for name in names + omitted if name.startswith("dl.")) == sorted(DL_CHECKS)
+    assert "omitted_checks" not in results
+    dl = {c["name"]: c["details"] for c in report["checks"] if c["name"].startswith("dl.")}
+    m = next(int(name[len("dl.base_points_m"):]) for name in dl
+             if name.startswith("dl.base_points_m"))
+    assert set(dl) == {f"dl.base_points_m{m}", f"dl.twisted_sum_m{m}",
+                       "dl.action_invariance", f"dl.fibers_m{m}"}
+    count = int(re.fullmatch(r"count (\d+), base \d+", dl[f"dl.base_points_m{m}"]).group(1))
+    assert count == group_order(q, n)
+    assert not [d for d in dl.values()
+                if any(word in d for word in ("vacuous", "0 triples", "(q^n-1)*0"))]
+    others = [c for c in report["checks"] if not c["name"].startswith("dl.")]
+    body = json.dumps({"results": results, "checks": others}, sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == NON_DL_DIGESTS[q, n]
     if (q, n) in VERIFY_ALL_DIGESTS:
         body = json.dumps({"results": results, "checks": report["checks"]}, sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
@@ -265,7 +303,7 @@ def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, docto
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["depth0.error", "dl.error", "chars.error"]
     assert len({c["details"] for c in failed}) == 1
-    needs_group = {"depth0.gl_linear_shadow", "dl.action_invariance"}
+    needs_group = {"depth0.gl_linear_shadow", "dl.action_invariance", "dl.fibers_m3"}
     assert [c for c in report["checks"] if c not in failed] == [
         c for c in clean["checks"]
         if c["name"] not in needs_group and not c["name"].startswith("chars.")]
@@ -286,11 +324,11 @@ def test_chart_monomial_budget_exit_2(capsys):
 
 
 def test_dl_twisted_budget_follows_the_root_enumeration(tmp_path):
-    # the twist field F_{3^6} has 3^18 points in dimension 3, but the twisted
-    # sum enumerates only the 2^3 candidate roots per zeta
+    # the twisted counts come from the 13 lines of P^2(F_3): no twist field
+    # (F_{3^6}, with 3^18 points in dimension 3) is built
     code, report = run_cli(tmp_path, "dl", "twisted", "--q", "3", "--n", "3", "--m", "1")
     assert code == 0
-    assert report["results"]["twist_field_degree"] == 6
+    assert "twist_field_degree" not in report["results"]
     assert report["results"]["matches"] is True
 
 
@@ -325,6 +363,12 @@ def test_budget_error_exit_3(capsys):
     code = main(["dl", "count", "--q", "2", "--n", "4", "--m", "8"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_ambient_degree_is_refused_before_its_size(capsys):
+    # F_{64^126} has degree 756 over F_2; its size has 228 digits
+    assert main(["dl", "count", "--q", "64", "--n", "1", "--m", "126"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: ambient field degree 756 exceeds 8\n"
 
 
 def test_malformed_flags_never_exit_zero():

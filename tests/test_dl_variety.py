@@ -1,20 +1,28 @@
 import pytest
+from dl_oracles import (
+    action_invariance_check,
+    mu_elements,
+    twisted_count,
+    twisted_fixed_count,
+    zeta_powers,
+)
 
 from ltdl.dl_variety import (
     Ambient,
-    action_invariance_check,
     act,
     base_points,
     base_points_moebius,
     dl_equation,
     dl_points,
     fiber_structure_check,
-    twist_field_degree,
-    twisted_count,
-    twisted_fixed_count,
+    line_census,
+    orbit_check,
+    per_zeta_counts,
+    rational_level,
     twisted_sum_check,
 )
 from ltdl.errors import BudgetError, ParameterError
+from ltdl.ffield import field_for_order
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import identity, mat_mul
 
@@ -108,7 +116,7 @@ def test_act_identity_and_swap():
 
 def test_act_zeta_scaling():
     amb = Ambient(2, 2, 2)
-    mus = amb.mu_elements()
+    mus = mu_elements(amb)
     assert len(mus) == 3  # mu_3 lives in F_4
     for x in [p for p in amb.points() if amb.on_variety(p)]:
         for z in mus:
@@ -130,10 +138,14 @@ def test_action_invariance_generators_agree_with_full_group(q, n):
     group = GLGroup(q, n)
     mats, gens = group.elements, group.generators
     amb = Ambient(q, n, 2)
-    mus = amb.mu_elements()
+    mus = mu_elements(amb)
     zetas = sorted({1, amb.mu_generator()})
     pts = len(dl_points(q, n, 2))
     assert pts > 0
+    # the one-orbit check of verify-all against the same full-group loop
+    _, residues, witness = line_census(q, n, 2)
+    orbit, failure = orbit_check(q, n, 2, gens, witness, len(residues) * residues[0])
+    assert failure is None and sorted(orbit) == dl_points(q, n, 2)
     assert action_invariance_check(q, n, 2, mats) == pts * len(mats) * len(mus)
     assert action_invariance_check(q, n, 2, gens, zetas) == pts * len(gens) * len(zetas)
     # the pairs (g, zeta) generate all of GL_n(F_q) x mu
@@ -175,7 +187,7 @@ def test_twisted_counts():
     assert twisted_count(2, 2, ident, 1, 2, frob_power=2) == len(dl_points(2, 2, 2))
     # no nonzero vector is fixed by a nontrivial scaling
     amb = Ambient(2, 2, 2)
-    z = [m for m in amb.mu_elements() if m != 1][0]
+    z = [m for m in mu_elements(amb) if m != 1][0]
     fixed = [x for x in amb.points() if amb.on_variety(x)
              and act(amb, x, zeta=z) == x]
     assert fixed == []
@@ -185,8 +197,6 @@ def test_twisted_sum_identity():
     for m in (1, 2):
         rep = twisted_sum_check(2, 2, m)
         assert rep["matches"], rep
-    assert twist_field_degree(2, 2, 1) == 2
-    assert twist_field_degree(2, 2, 2) == 6
     r1 = twisted_sum_check(2, 2, 1)
     assert r1["sum_of_twisted_counts"] == 0
     r2 = twisted_sum_check(2, 2, 2)
@@ -194,7 +204,7 @@ def test_twisted_sum_identity():
 
 
 @pytest.mark.parametrize("q,n,m,M,counts", [
-    # M = twist_field_degree(q, n, m): every zeta^{-1} is a (q^m-1)-th power
+    # M the smallest multiple of m and n with every zeta^{-1} a (q^m-1)-th power
     (2, 2, 1, 2, [0, 0, 0]),
     (2, 2, 2, 6, [6, 0, 0]),
     (2, 3, 1, 3, [0] * 7),
@@ -207,11 +217,49 @@ def test_twisted_sum_identity():
     (4, 1, 1, 2, [3, 0, 0]),
 ])
 def test_twisted_fixed_count_matches_brute_force(q, n, m, M, counts):
-    # per zeta, the root enumeration against the enumeration of F_{q^M}^n
+    # per zeta, the root enumeration against the enumeration of F_{q^M}^n,
+    # and the line census's count for zeta^k against both, label by label
     amb = Ambient(q, n, M)
-    mus = amb.mu_elements()
+    mus = mu_elements(amb)
     brute = [twisted_count(q, n, identity(n), z, M, frob_power=m) for z in mus]
     assert [twisted_fixed_count(amb, z, m) for z in mus] == brute == counts
+    by_zeta = dict(zip(mus, brute))
+    census = per_zeta_counts(q, n, line_census(q, n, m)[1])
+    assert [by_zeta[z] for z in zeta_powers(amb, m)] == census
+
+
+@pytest.mark.parametrize("q,n,m", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+    (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 2, 1), (3, 2, 2),
+])
+def test_line_census_matches_enumeration(q, n, m):
+    # the rational count against the point enumeration, the base against
+    # the line enumeration and the Moebius count
+    base, residues, witness = line_census(q, n, m)
+    assert len(residues) * residues[0] == len(dl_points(q, n, m))
+    assert base == base_points(q, n, m) == base_points_moebius(q, n, m)
+    assert (witness is None) == (residues[0] == 0)
+
+
+def prime_powers(bound):
+    out = []
+    for q in range(2, bound + 1):
+        try:
+            field_for_order(q)
+        except ParameterError:
+            continue
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(q, 1) for q in prime_powers(64)]
+                         + [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_rational_level_is_the_first_nonempty_level(q, n):
+    # every verify-all config but (7, 2), where enumerating the 343^2 points
+    # at m = 3 takes about a second
+    m, census = rational_level(q, n)
+    assert m == next(k for k in range(n, 2 * n + 1) if dl_points(q, n, k))
+    assert census == line_census(q, n, m)
 
 
 def orbit_sizes(q, n, m, matrices):
@@ -219,7 +267,7 @@ def orbit_sizes(q, n, m, matrices):
     the action and inside the point set."""
     amb = Ambient(q, n, m)
     pts = {x for x in amb.points() if amb.on_variety(x)}
-    mus = amb.mu_elements()
+    mus = mu_elements(amb)
     seen = set()
     sizes = []
     for x in sorted(pts):
