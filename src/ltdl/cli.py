@@ -20,7 +20,6 @@ from .depth0 import (
     blowup_chart,
     build_P,
     checked_depth_sequence,
-    default_chart_module,
     deformation_factors,
     gl_linear_shadow_check,
     index_vectors,
@@ -46,6 +45,7 @@ from .errors import (
     ParameterError,
     PrecisionError,
     VerificationError,
+    check_entry,
 )
 from .ffield import field_for_order
 from .formal_modules import (
@@ -233,8 +233,9 @@ def make_report(config, results, checks):
     }
 
 
-def check_entry(name, ok, details=""):
-    return {"name": name, "status": "pass" if ok else "fail", "details": str(details)}
+def prefixed(prefix, checks):
+    """Library check records, each name put under `prefix`."""
+    return [{**c, "name": prefix + c["name"]} for c in checks]
 
 
 # -- command implementations -----------------------------------------------------
@@ -243,8 +244,7 @@ def check_entry(name, ok, details=""):
 def run_formal_group(cfg):
     builder = universal_module if cfg.values.get("universal") else lubin_tate_module
     module = builder(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree())
-    report_checks = [check_entry("axiom_" + c["name"], c["status"] == "pass", c["details"])
-                     for c in verify_module_axioms(module)]
+    report_checks = prefixed("axiom_", verify_module_axioms(module))
     table = module.scalar_table()
     results = {
         "F": module.F.to_json(),
@@ -254,7 +254,7 @@ def run_formal_group(cfg):
 
 
 def run_depth0(cfg):
-    module = default_chart_module(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree())
+    module = lubin_tate_module(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree())
     checks = []
     results = {}
     if cfg.subcommand == "equation":
@@ -359,8 +359,7 @@ def run_chars(cfg):
         rep = correspondence_report(q, n)
         results["orbits"] = rep["orbits"]
         results["cuspidal_part"] = rep["cuspidal_part"]
-        checks.extend(check_entry("corr_" + c["name"], c["status"] == "pass",
-                                  c["details"]) for c in rep["checks"])
+        checks.extend(prefixed("corr_", rep["checks"]))
     return results, checks
 
 
@@ -387,9 +386,7 @@ def run_verify_all(cfg):
     module = None
     with suite("formal_module", checks):
         module = lubin_tate_module(q, n, N=cfg.prec_n, D=cfg.degree())
-        for c in verify_module_axioms(module):
-            checks.append(check_entry("formal_module." + c["name"],
-                                      c["status"] == "pass", c["details"]))
+        checks.extend(prefixed("formal_module.", verify_module_axioms(module)))
 
     with suite("depth0", checks):
         if module is None:
@@ -466,9 +463,7 @@ def run_verify_all(cfg):
             "chars.degree_squares_sum",
             sum(d * d for d in data.table.degrees) == data.group.order))
         rep = correspondence_report(q, n, data)
-        for c in rep["checks"]:
-            checks.append(check_entry("chars." + c["name"], c["status"] == "pass",
-                                      c["details"]))
+        checks.extend(prefixed("chars.", rep["checks"]))
         results["cuspidal_part"] = rep["cuspidal_part"]
     results["suites"] = ["formal_module", "depth0", "dl", "chars"]
     return results, checks

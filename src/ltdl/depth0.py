@@ -19,17 +19,16 @@ rather than returning garbage.
 from itertools import product
 
 from .errors import ParameterError, VerificationError
-from .formal_modules import lubin_tate_module, normalize_scalar_key
+from .formal_modules import normalize_scalar_key
 from .linalg import projective_representative, vec_mat
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
 
 
-def index_vectors(field, n, nonzero=True):
-    """All vectors in F_q^n (canonical-int tuples), zero excluded by default."""
-    vecs = product(range(field.q), repeat=n)
-    return [v for v in vecs if any(v)] if nonzero else list(vecs)
+def index_vectors(field, n):
+    """The nonzero vectors of F_q^n (canonical-int tuples)."""
+    return [v for v in product(range(field.q), repeat=n) if any(v)]
 
 
 def projective_classes(field, n):
@@ -45,16 +44,14 @@ def x_vars(n):
     return tuple(f"X{i}" for i in range(1, n + 1))
 
 
-def deformation_ring(module, n=None):
+def deformation_ring(module):
     """The W/p^N series ring in X1..Xn (plus the module's T-parameters)."""
-    n = module.n if n is None else n
-    return SeriesRing(module.F.ring.domain, x_vars(n) + module.aux_vars, module.D)
+    return SeriesRing(module.F.ring.domain, x_vars(module.n) + module.aux_vars, module.D)
 
 
 def build_P_a(module, a, ring=None):
     """P_a = [a_1~](X_1) +_F ... +_F [a_n~](X_n)."""
-    n = len(a)
-    ring = deformation_ring(module, n) if ring is None else ring
+    ring = deformation_ring(module) if ring is None else ring
     parts = []
     for i, k in enumerate(a):
         if k == 0:
@@ -67,28 +64,26 @@ def build_P_a(module, a, ring=None):
     return module.formal_sum(parts)
 
 
-def deformation_factors(module, n=None):
+def deformation_factors(module):
     """{a: P_a} over a in F_q^n - 0, in `index_vectors` order, each built once.
 
     The census, P and the chart all read their P_a from one such dict.
     """
-    n = module.n if n is None else n
-    ring = deformation_ring(module, n)
-    return {a: build_P_a(module, a, ring) for a in index_vectors(module.field, n)}
+    ring = deformation_ring(module)
+    return {a: build_P_a(module, a, ring) for a in index_vectors(module.field, module.n)}
 
 
-def build_P(module, n=None, factors=None):
+def build_P(module, factors=None):
     """P = prod over a of P_a (ambient unit taken to be 1), from `factors`
     (a `deformation_factors` dict) when given.
 
     The lowest total degree must come out as q^n - 1.
     """
-    n = module.n if n is None else n
-    q = module.q
+    q, n = module.q, module.n
     if module.D <= q ** n - 1:
         raise ParameterError(
             f"degree bound {module.D} <= q^n - 1 = {q ** n - 1}: P would truncate to 0")
-    factors = deformation_factors(module, n) if factors is None else factors
+    factors = deformation_factors(module) if factors is None else factors
     P = product_over(list(factors.values()))
     if P.is_zero() or P.lowest_degree() != q ** n - 1:
         raise VerificationError("P does not vanish to order exactly q^n - 1")
@@ -103,21 +98,19 @@ def scalar_compat_check(module, a, c, factors=None):
         raise ParameterError("scalar must be a unit")
     ca = tuple(field.mul(c, x) for x in a)
     if factors is None:
-        ring = deformation_ring(module, len(a))
-        factors = {b: build_P_a(module, b, ring) for b in (a, ca)}
+        factors = {b: build_P_a(module, b) for b in (a, ca)}
     rhs = module.formal_scalar(normalize_scalar_key(field, ("teich", c)), factors[a])
     return factors[ca] == rhs
 
 
-def special_fiber_components(module, n=None, factors=None):
+def special_fiber_components(module, factors=None):
     """Group the P_a by projective class and verify the scalar relations.
 
     The class count is (q^n - 1)/(q - 1) and each class has q - 1 members,
     matching the component/multiplicity census of the special fiber.
     """
-    n = module.n if n is None else n
-    factors = deformation_factors(module, n) if factors is None else factors
-    q = module.q
+    factors = deformation_factors(module) if factors is None else factors
+    q, n = module.q, module.n
     field = module.field
     classes = projective_classes(field, n)
     expected = (q ** n - 1) // (q - 1)
@@ -154,8 +147,7 @@ def special_fiber_components(module, n=None, factors=None):
 
 def stratum_membership(module, a, j):
     """P_a in (X_1, ..., X_j), via the monomial-ideal membership test."""
-    ring = deformation_ring(module, len(a))
-    P_a = build_P_a(module, a, ring)
+    P_a = build_P_a(module, a)
     return P_a.ideal_membership_monomial([f"X{i}" for i in range(1, j + 1)])
 
 
@@ -207,15 +199,14 @@ class ChartReport:
                 "valuation": self.valuation, "linear_parts": lp}
 
 
-def blowup_chart(module, n=None, factors=None):
+def blowup_chart(module, factors=None):
     """Substitute X_i = V_i X_n into P, factor out X_n^{q^n-1} and check
     that every residual factor is exactly affine-linear mod X_n.  The P_a
     come from `factors` (a `deformation_factors` dict) when given."""
-    n = module.n if n is None else n
-    q = module.q
+    q, n = module.q, module.n
     if module.D < q ** n + 1:
         raise ParameterError("degree bound too small for the chart (need q^n + 1)")
-    factors = deformation_factors(module, n) if factors is None else factors
+    factors = deformation_factors(module) if factors is None else factors
     ring = chart_ring(module, n)
     chart_factors = {}
     linear_parts = {}
@@ -284,7 +275,7 @@ def checked_depth_sequence(depth_sequence, n):
     return seq
 
 
-def iterated_chart(module, depth_sequence, n=None, chart=None):
+def iterated_chart(module, depth_sequence, chart=None):
     """Multiplicities along repeated blow-up steps at trailing-zero strata,
     starting from `chart` (the `blowup_chart` at n) when given.
 
@@ -292,10 +283,9 @@ def iterated_chart(module, depth_sequence, n=None, chart=None):
     step only the factors indexed by the trailing-zero block vanish on the
     stratum, each to order exactly 1 in the new pivot, giving q^{n_t} - 1.
     """
-    n = module.n if n is None else n
+    q, n = module.q, module.n
     seq = checked_depth_sequence(depth_sequence, n)
-    q = module.q
-    chart = blowup_chart(module, n) if chart is None else chart
+    chart = blowup_chart(module) if chart is None else chart
     valuations = [chart.valuation]
     factors = chart.factors
     block = n
@@ -367,16 +357,15 @@ def iterated_chart(module, depth_sequence, n=None, chart=None):
     return valuations
 
 
-def un_special_fiber(module, n=None, chart=None):
+def un_special_fiber(module, chart=None):
     """Reduce the chart residual mod (p, X_n) and change to projective
     coordinates, yielding the hyperplane-product equation; compare with the
     directly built Deligne-Lusztig equation.  `chart` is the `blowup_chart`
     at n, built here when not given."""
     from .dl_variety import dl_equation
 
-    n = module.n if n is None else n
-    q = module.q
-    chart = blowup_chart(module, n) if chart is None else chart
+    q, n = module.q, module.n
+    chart = blowup_chart(module) if chart is None else chart
     window = module.D - (q ** n - 1)
     if window < 1:
         raise ParameterError("no exact window left to reduce the residual")
@@ -401,12 +390,7 @@ def un_special_fiber(module, n=None, chart=None):
             "un_equation_matches_dl": candidate == dl.equation}
 
 
-def default_chart_module(q, n, N=8, D=None):
-    """The default lift for chart computations: the T -> 0 base module."""
-    return lubin_tate_module(q, n, N=N, D=D)
-
-
-def gl_linear_shadow_check(module, generators, n=None, P=None):
+def gl_linear_shadow_check(module, generators, P=None):
     """The multiset of linear parts of P mod p is permuted by a -> a g.
 
     Checks both the index action on linear forms and the invariance of the
@@ -415,9 +399,8 @@ def gl_linear_shadow_check(module, generators, n=None, P=None):
     GL_n(F_q) (`GLGroup.generators`) prove them for the whole group.  P
     (from `build_P`) is computed here when not given.
     """
-    n = module.n if n is None else n
-    field = module.field
-    P = build_P(module, n) if P is None else P
+    n, field = module.n, module.field
+    P = build_P(module) if P is None else P
     red = P.reduce_mod_p()
     lowest = red.homogeneous_part(module.q ** n - 1)
     ring = red.ring

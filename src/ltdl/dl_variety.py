@@ -278,8 +278,9 @@ def fiber_structure_check(q, n, m, points=None):
     """Fibers of DL(F_{q^m}) -> P^{n-1} complement have size gcd(q^n-1, q^m-1).
 
     The verdict is `invariants_passed`; when it is false, `failure` says
-    which invariant broke.  `points`, if given, is `dl_points(q, n, m)`
-    already built, and is not enumerated again.
+    which invariant broke.  An empty point set fails as vacuous: no fiber
+    was seen.  `points`, if given, is `dl_points(q, n, m)` already built,
+    and is not enumerated again.
     """
     amb = Ambient(q, n, m)
     pts = dl_points(q, n, m) if points is None else points
@@ -290,7 +291,9 @@ def fiber_structure_check(q, n, m, points=None):
     sizes = sorted(set(len(v) for v in fibers.values()))
     out = {"q": q, "n": n, "m": m, "count": len(pts), "base_points_hit": len(fibers),
            "fiber_size": expected, "vacuous": not pts}
-    if any(amb.product_of_forms(rep) == 0 for rep in fibers):
+    if not pts:
+        out["failure"] = f"vacuous: DL(F_{q ** m}) has no points"
+    elif any(amb.product_of_forms(rep) == 0 for rep in fibers):
         out["failure"] = "DL point image lies on a rational hyperplane"
     elif sizes not in ([], [expected]):
         out["failure"] = f"fiber sizes {sizes} != gcd = {expected}"

@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types and the one check-record shape."""
+
+
+def check_entry(name, ok, details=""):
+    """One check of a report: {"name", "status": "pass" | "fail", "details"}."""
+    return {"name": name, "status": "pass" if ok else "fail", "details": str(details)}
 
 
 class ParameterError(ValueError):

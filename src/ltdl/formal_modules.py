@@ -24,7 +24,7 @@ The module stores F and the scalar series over the truncated Witt ring,
 where all later identities are checked exactly mod (p^N, deg D).
 """
 
-from .errors import ParameterError, PrecisionError, VerificationError
+from .errors import ParameterError, PrecisionError, VerificationError, check_entry
 from .ffield import field_for_order
 from .series import PadicDomain, SeriesRing, TruncatedSeries, WittDomain
 from .witt import PadicParams, witt_ring
@@ -425,30 +425,28 @@ def verify_module_axioms(module):
     """
     checks = []
 
-    def record(name, ok, details=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "details": details})
-
     F = module.F
     ring = F.ring
     x, y = ring.var("X"), ring.var("Y")
 
-    record("linear_part", F.homogeneous_part(1) == x + y, "F = X + Y mod degree 2")
+    checks.append(check_entry("linear_part", F.homogeneous_part(1) == x + y,
+                              "F = X + Y mod degree 2"))
 
-    record("symmetry", F.map_vars(ring, {"X": "Y", "Y": "X"}) == F,
-           "F(X,Y) = F(Y,X)")
+    checks.append(check_entry("symmetry", F.map_vars(ring, {"X": "Y", "Y": "X"}) == F,
+                              "F(X,Y) = F(Y,X)"))
 
-    record("unit_section", F.set_var_to_zero("Y") == x, "F(X,0) = X")
+    checks.append(check_entry("unit_section", F.set_var_to_zero("Y") == x, "F(X,0) = X"))
 
     xyz = SeriesRing(ring.domain, ("X", "Y", "Z") + module.aux_vars, module.D)
     a = F.map_vars(xyz)
     b = F.map_vars(xyz, {"X": "Y", "Y": "Z"})
     lhs = F.substitute({"X": a, "Y": xyz.var("Z")}, xyz)
     rhs = F.substitute({"X": xyz.var("X"), "Y": b}, xyz)
-    record("associativity", lhs == rhs, "F(F(X,Y),Z) = F(X,F(Y,Z))")
+    checks.append(check_entry("associativity", lhs == rhs, "F(F(X,Y),Z) = F(X,F(Y,Z))"))
 
-    record("scalar_one", module.scalar_series(("int", 1)) == module.x_ring.var("X"),
-           "[1](X) = X")
+    checks.append(check_entry("scalar_one",
+                              module.scalar_series(("int", 1)) == module.x_ring.var("X"),
+                              "[1](X) = X"))
 
     table = module.scalar_table()
     ok_lin = True
@@ -459,7 +457,7 @@ def verify_module_axioms(module):
             ok_lin = False
         if not s.is_zero() and s.lowest_degree() < 1:
             ok_lin = False
-    record("scalar_linear_terms", ok_lin, "[a](X) = aX mod degree 2")
+    checks.append(check_entry("scalar_linear_terms", ok_lin, "[a](X) = aX mod degree 2"))
 
     keys = sorted(table, key=str)
     ok_mul, ok_add = True, True
@@ -476,8 +474,9 @@ def verify_module_axioms(module):
                     lhs = module.formal_add(table[k1], table[k2])
                     if lhs != module.scalar_series(ssum):
                         ok_add = False
-    record("scalar_hom_mul", ok_mul, "[a] o [b] = [ab] on table entries")
-    record("scalar_hom_add", ok_add, "F([a],[b]) = [a+b] on integer entries")
+    checks.append(check_entry("scalar_hom_mul", ok_mul, "[a] o [b] = [ab] on table entries"))
+    checks.append(check_entry("scalar_hom_add", ok_add,
+                              "F([a],[b]) = [a+b] on integer entries"))
 
     pi = module.scalar_series(("int", module.p))
     if module.aux_vars:
@@ -491,12 +490,13 @@ def verify_module_axioms(module):
               and red.homogeneous_part(module.q ** module.n)
               == red.ring.monomial((module.q ** module.n,) + (0,) * (len(red.ring.vars) - 1),
                                    red.ring.domain.one()))
-        record("height", ok, "[p] mod (p, T) has lowest term X^{q^n}")
+        checks.append(check_entry("height", ok,
+                                  "[p] mod (p, T) has lowest term X^{q^n}"))
     else:
         red = pi.reduce_mod_p()
         expect = red.ring.monomial((module.q ** module.n,) + (0,) * (len(red.ring.vars) - 1),
                                    red.ring.domain.one())
-        record("height", red == expect, "[p] mod p = X^{q^n} exactly")
+        checks.append(check_entry("height", red == expect, "[p] mod p = X^{q^n} exactly"))
 
     return checks
 

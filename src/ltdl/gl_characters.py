@@ -6,10 +6,14 @@ power maps and class matrices are index lookups, with no matrix product.
 Conjugacy classes are the orbits under conjugation by the generators, keyed,
 once per class, by rational canonical form (Smith normal form of xI - A over
 F_q[x]).  The character table comes from the Burnside-Dixon eigenspace
-method with exact cyclotomic lifting, the Steinberg character is an
-alternating sum of flag permutation characters, and the depth-0
-correspondence pairs Frobenius orbits of generic characters of the Coxeter
-torus with cuspidal irreducibles through pi * St = Ind theta.
+method with exact cyclotomic lifting.  The standard parabolics P_c and
+their unipotent radicals U_c are read off the element list once, as class
+histograms: the Steinberg character is the alternating sum of the
+permutation characters 1_{P_c}^G, and a character is cuspidal when its sum
+over every proper U_c vanishes.  The Coxeter torus is the cycle of the
+identity under right multiplication by a companion matrix.  The depth-0
+correspondence pairs Frobenius orbits of generic characters of that torus
+with cuspidal irreducibles through pi * St = Ind theta.
 
 In the Dixon step the class matrices are built lazily, one at a time, until
 the common eigenspaces have split into lines.  Each eigenspace is held as a
@@ -22,13 +26,15 @@ with Ind theta by scaling pi's integer coordinates.
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 from .cyclo import CycloElement, dot, dot_nonzero
-from .errors import BudgetError, ParameterError, VerificationError
+from .errors import BudgetError, ParameterError, VerificationError, check_entry
 from .ffield import (
     field_for_order,
+    gaussian_binomial,
     is_prime,
     moebius,
     poly_divmod,
@@ -46,8 +52,6 @@ from .linalg import (
     gl_generators,
     group_order,
     identity,
-    mat_mul,
-    vec_mat,
 )
 
 # -- rational canonical forms -----------------------------------------------------
@@ -143,9 +147,12 @@ class GLGroup:
     generators' right-multiplication permutations.  The generators generate,
     so the orbits under conjugation by them are the conjugacy classes; each
     gets one `rcf_key`, and the classes are sorted by key.  Right
-    multiplication by a class rep is the composite of the generator
-    permutations along a breadth-first word for the rep, and walking it from
-    the identity lists the rep's powers: its order, power map and inverse.
+    multiplication by an element (`right_multiplication`) is the composite
+    of the generator permutations along a breadth-first word for it; for a
+    class rep, walking it from the identity lists the rep's powers: its
+    order, power map and inverse.  The class histograms of the standard
+    parabolics and their unipotent radicals (`parabolics`) are built on
+    first use.
     """
 
     def __init__(self, q, n):
@@ -165,10 +172,11 @@ class GLGroup:
                 f"matrices, not |GL_{n}(F_{q})| = {group_order(q, n)}")
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity(n)
-        one = self.index[self.identity]
-        tree, parent, via = _breadth_first_tree(right, one)
+        self.identity_index = one = self.index[self.identity]
+        self._right = right
+        tree, self._parent, self._via = _breadth_first_tree(right, one)
         by_key = {}
-        for orbit in _conjugation_orbits(right, tree, parent, via):
+        for orbit in _conjugation_orbits(right, tree, self._parent, self._via):
             key = rcf_key(self.field, self.elements[orbit[0]])
             if key in by_key:
                 raise VerificationError(f"two conjugation orbits share the class key {key}")
@@ -184,37 +192,87 @@ class GLGroup:
         self.reps = [self.elements[c[0]] for c in self.classes]
         self.identity_class = self.class_of[one]
         # rep_right[ci][x]: index of elements[x] * reps[ci]
-        self.rep_right = []
-        for members in self.classes:
-            word = []
-            x = members[0]
-            while x != one:
-                word.append(via[x])
-                x = parent[x]
-            perm = list(range(self.order))
-            for s in reversed(word):
-                step = right[s]
-                perm = [step[y] for y in perm]
-            self.rep_right.append(perm)
+        self.rep_right = [self.right_multiplication(c[0]) for c in self.classes]
         # _power_classes[ci][s]: class of reps[ci]^s, for s below its order
-        self._power_classes = []
-        for perm in self.rep_right:
-            powers = [one]
-            x = perm[one]
-            while x != one:
-                powers.append(x)
-                x = perm[x]
-            self._power_classes.append([self.class_of[x] for x in powers])
+        self._power_classes = [[self.class_of[x] for x in _cycle(perm, one)]
+                               for perm in self.rep_right]
         self.class_orders = [len(p) for p in self._power_classes]
         self.exponent = lcm(*self.class_orders)
         self.inverse_class = [p[-1] for p in self._power_classes]
 
-    def class_of_element(self, g):
-        return self.class_of[self.index[g]]
+    def right_multiplication(self, x):
+        """The permutation y -> index of elements[y] * elements[x]: the
+        generator permutations composed along x's breadth-first word."""
+        word = []
+        while x != self.identity_index:
+            word.append(self._via[x])
+            x = self._parent[x]
+        perm = list(range(self.order))
+        for s in reversed(word):
+            step = self._right[s]
+            perm = [step[y] for y in perm]
+        return perm
 
     def powermap(self, ci, s):
         """Class index of rep(ci)^s."""
         return self._power_classes[ci][s % self.class_orders[ci]]
+
+    @cached_property
+    def parabolics(self):
+        """{c: (P, U)} over the compositions c of n, in `compositions` order:
+        the class histograms (P[ci] elements of class ci) of the standard
+        parabolic P_c, the block-upper-triangular elements with diagonal
+        blocks of sizes c, and of its unipotent radical U_c, the elements of
+        P_c whose diagonal blocks are the identity.
+
+        One pass over the elements builds them all.  A block boundary after
+        row k is bit k of a mask: an element lies in P_c when no nonzero
+        entry below the diagonal spans a boundary of c, and in U_c when it is
+        upper unitriangular and a boundary of c separates the row and the
+        column of each of its nonzero entries above the diagonal.  The sizes
+        are checked against |G| / [n; c]_q and q^(sum_{i<j} c_i c_j).
+        """
+        n, q, r = self.n, self.q, self.num_classes
+        comps = compositions(n)
+        cuts = [sum(1 << (end - 1) for end in accumulate(c[:-1])) for c in comps]
+        P = [[0] * r for _ in comps]
+        U = [[0] * r for _ in comps]
+        for g, ci in zip(self.elements, self.class_of):
+            below = 0
+            for i in range(1, n):
+                for j in range(i):
+                    if g[i][j]:
+                        below |= (1 << i) - (1 << j)
+            for hist, cut in zip(P, cuts):
+                if not cut & below:
+                    hist[ci] += 1
+            if below or any(g[i][i] != 1 for i in range(n)):
+                continue
+            above = [(1 << j) - (1 << i) for i in range(n) for j in range(i + 1, n) if g[i][j]]
+            for hist, cut in zip(U, cuts):
+                if all(cut & span for span in above):
+                    hist[ci] += 1
+        for c, p_hist, u_hist in zip(comps, P, U):
+            index, rest = 1, n
+            for size in c:
+                index *= gaussian_binomial(rest, size, q)
+                rest -= size
+            if sum(p_hist) * index != self.order:
+                raise VerificationError(f"|P_{c}| = {sum(p_hist)} != |G| / [n; c]_q")
+            dim = sum(a * b for i, a in enumerate(c) for b in c[i + 1:])
+            if sum(u_hist) != q ** dim:
+                raise VerificationError(f"|U_{c}| = {sum(u_hist)} != q^{dim}")
+        return dict(zip(comps, zip(P, U)))
+
+
+def _cycle(perm, start):
+    """[start, perm[start], perm[perm[start]], ...] up to the return to start."""
+    out = [start]
+    x = perm[start]
+    while x != start:
+        out.append(x)
+        x = perm[x]
+    return out
 
 
 def _breadth_first_tree(right, root):
@@ -335,16 +393,15 @@ class CoxeterTorus:
         self.generator = tuple(rows)
         self.poly = poly
         self.order = q ** n - 1
-        self.elements = []
-        cur = group.identity
-        for _ in range(self.order):
-            self.elements.append(cur)
-            cur = mat_mul(group.field, cur, self.generator)
-        if cur != group.identity or len(set(self.elements)) != self.order:
+        # powers[k]: index of C^k, from the cycle of the identity under
+        # right multiplication by C
+        powers = _cycle(group.right_multiplication(group.index[self.generator]),
+                        group.identity_index)
+        if len(powers) != self.order:
             raise VerificationError("companion matrix does not have order q^n - 1")
         if rcf_key(group.field, self.generator) != (poly,):
             raise VerificationError("companion matrix charpoly is not the chosen poly")
-        self.class_map = [group.class_of_element(t) for t in self.elements]
+        self.class_map = [group.class_of[x] for x in powers]
 
 
 def is_generic(q, n, j):
@@ -395,63 +452,33 @@ def induce_from_torus(group, torus, j):
     return ClassFunction(group, values)
 
 
-# -- flags and the Steinberg character ---------------------------------------------
+# -- the Steinberg character and cuspidality ----------------------------------------
 
 
-def subspaces_by_dimension(field, n):
-    """All F_q-subspaces of F_q^n as frozensets of vectors, keyed by dim."""
-    vectors = list(product(range(field.q), repeat=n))
-    zero = vectors[0]
-    spans = {0: {frozenset([zero])}}
-    for d in range(1, n + 1):
-        new = set()
-        for W in spans[d - 1]:
-            for v in vectors:
-                if v in W:
-                    continue
-                span = set()
-                for w in W:
-                    for c in range(field.q):
-                        span.add(tuple(field.add(a, field.mul(c, b)) for a, b in zip(w, v)))
-                new.add(frozenset(span))
-        spans[d] = new
-    return {d: sorted(spans[d], key=lambda W: sorted(W)) for d in spans}
-
-
-def flags_of_type(subspaces, dims):
-    """Chains W_{d_1} < W_{d_2} < ... for the given dimension set."""
-    dims = sorted(dims)
-    chains = [()]
-    for d in dims:
-        chains = [c + (W,) for c in chains for W in subspaces[d]
-                  if not c or c[-1] <= W]
-    return chains
-
-
-def _subspace_image(field, W, g):
-    return frozenset(vec_mat(field, v, g) for v in W)
+def compositions(n):
+    """The compositions of n (tuples of positive parts), in lexicographic order."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in compositions(n - first)]
 
 
 def steinberg(group):
-    """St = sum over dimension sets of signed flag permutation characters.
+    """St = sum over compositions c of (-1)^(n - len c) 1_{P_c}^G (Curtis).
 
+    The permutation character is 1_P^G(C) = |G| |P meet C| / (|C| |P|), read
+    off the parabolic histograms; each division is checked exact.
     Hard-checks St(1) = q^{n(n-1)/2} and <St, St> = 1.
     """
     n, q = group.n, group.q
-    subspaces = subspaces_by_dimension(group.field, n)
     values = [0] * group.num_classes
-    dim_sets = [[]]
-    for d in range(1, n):
-        dim_sets = dim_sets + [s + [d] for s in dim_sets]
-    for dims in dim_sets:
-        sign = (-1) ** ((n - 1) - len(dims))
-        flags = flags_of_type(subspaces, dims)
-        for ci, rep in enumerate(group.reps):
-            fixed = 0
-            for chain in flags:
-                if all(_subspace_image(group.field, W, rep) == W for W in chain):
-                    fixed += 1
-            values[ci] += sign * fixed
+    for comp, (P, _) in group.parabolics.items():
+        sign = (-1) ** (n - len(comp))
+        size = sum(P)
+        for ci, hits in enumerate(P):
+            num, den = group.order * hits, group.class_sizes[ci] * size
+            if num % den:
+                raise VerificationError(f"1_P^G for P_{comp} is not integral at class {ci}")
+            values[ci] += sign * (num // den)
     st = ClassFunction.from_integers(group, values)
     expected = q ** (n * (n - 1) // 2)
     if st.degree() != CycloElement.rational(expected):
@@ -461,55 +488,12 @@ def steinberg(group):
     return st
 
 
-# -- parabolic unipotent radicals and cuspidality ------------------------------------
-
-
-def compositions(n):
-    if n == 1:
-        return [(1,)]
-    out = []
-    for first in range(1, n + 1):
-        if first == n:
-            out.append((n,))
-        else:
-            out.extend((first,) + rest for rest in compositions(n - first))
-    return out
-
-
-def unipotent_radical(group, comp):
-    """All block-upper unipotent matrices for the standard parabolic of type comp."""
-    n = group.n
-    q = group.q
-    blocks = []
-    start = 0
-    for size in comp:
-        blocks.append(range(start, start + size))
-        start += size
-    free = [(i, j) for bi, B in enumerate(blocks) for i in B
-            for bj in range(bi + 1, len(blocks)) for j in blocks[bj]]
-    out = []
-    total = q ** len(free)
-    for code in range(total):
-        M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        k = code
-        for (i, j) in free:
-            M[i][j] = k % q
-            k //= q
-        out.append(tuple(tuple(r) for r in M))
-    return out
-
-
 def is_cuspidal(group, chi):
-    """sum_{u in U} chi(u) = 0 for every proper standard parabolic radical."""
-    for comp in compositions(group.n):
-        if len(comp) == 1:
-            continue
-        total = CycloElement.rational(0)
-        for u in unipotent_radical(group, comp):
-            total = total + chi.values[group.class_of_element(u)]
-        if not total.is_zero():
-            return False
-    return True
+    """sum_{u in U_c} chi(u) = 0 for every proper standard parabolic radical,
+    each sum taken over the radical's class histogram."""
+    ones = [CycloElement.rational(1, chi.m)] * group.num_classes
+    return all(len(comp) == 1 or dot(chi.m, U, chi.values, ones).is_zero()
+               for comp, (_, U) in group.parabolics.items())
 
 
 # -- Dixon character table ------------------------------------------------------------
@@ -870,17 +854,13 @@ def correspondence_report(q, n, data=None):
     group = data.group
     checks = []
 
-    def record(name, ok, details=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "details": str(details)})
-
     orbits = frobenius_orbits(q, n)
     n_generic = generic_character_count(q, n)
-    record("generic_count",
-           sum(len(o) for o in orbits) == n_generic,
-           f"{sum(len(o) for o in orbits)} generic characters (Moebius: {n_generic})")
-    record("orbit_sizes", all(len(o) == n for o in orbits),
-           f"{len(orbits)} orbits, sizes {[len(o) for o in orbits]}")
+    checks.append(check_entry(
+        "generic_count", sum(len(o) for o in orbits) == n_generic,
+        f"{sum(len(o) for o in orbits)} generic characters (Moebius: {n_generic})"))
+    checks.append(check_entry("orbit_sizes", all(len(o) == n for o in orbits),
+                              f"{len(orbits)} orbits, sizes {[len(o) for o in orbits]}"))
 
     pi_of_orbit = {}
     ind_of_orbit = {}  # Ind theta_j at the orbit's first j, for the degree identity
@@ -894,30 +874,34 @@ def correspondence_report(q, n, data=None):
         if len(images) != 1:
             consistent = False
         pi_of_orbit[orbit] = images.pop()
-    record("orbit_maps_to_single_pi", consistent, "")
+    checks.append(check_entry("orbit_maps_to_single_pi", consistent))
 
     images = sorted(pi_of_orbit.values())
-    record("bijection_onto_cuspidals",
-           images == sorted(data.cuspidal_indices) and len(images) == len(set(images)),
-           f"images {images}, cuspidals {data.cuspidal_indices}")
+    checks.append(check_entry(
+        "bijection_onto_cuspidals",
+        images == sorted(data.cuspidal_indices) and len(images) == len(set(images)),
+        f"images {images}, cuspidals {data.cuspidal_indices}"))
 
     expected_dim = 1
     for i in range(1, n):
         expected_dim *= q ** i - 1
     dims_ok = all(data.table.degrees[i] == expected_dim for i in pi_of_orbit.values())
-    record("cuspidal_dimension", dims_ok, f"prod (q^i - 1) = {expected_dim}")
+    checks.append(check_entry("cuspidal_dimension", dims_ok,
+                              f"prod (q^i - 1) = {expected_dim}"))
 
     st_deg = q ** (n * (n - 1) // 2)
     deg_ok = all(
         ind_of_orbit[orbit].degree()
         == CycloElement.rational(data.table.degrees[pi] * st_deg)
         for orbit, pi in pi_of_orbit.items())
-    record("degree_identity", deg_ok, "Ind(1) = pi(1) * q^(n(n-1)/2)")
+    checks.append(check_entry("degree_identity", deg_ok,
+                              "Ind(1) = pi(1) * q^(n(n-1)/2)"))
 
     # dixon_table has proved the rows orthonormal, so <pi_a, pi_b> =
     # delta_orbit holds exactly when distinct orbits map to distinct rows
     ortho_ok = len(set(pi_of_orbit.values())) == len(pi_of_orbit)
-    record("orbit_orthogonality", ortho_ok, "<pi_a, pi_b> = delta_orbit")
+    checks.append(check_entry("orbit_orthogonality", ortho_ok,
+                              "<pi_a, pi_b> = delta_orbit"))
 
     sign = (-1) ** (n - 1)
     cuspidal_part = [{"pi": pi, "theta": j, "mult": sign}

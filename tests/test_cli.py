@@ -120,6 +120,56 @@ def test_dl_fibers_reports_a_doubled_fiber(tmp_path, monkeypatch):
                                  "details": "fiber sizes [6] != gcd = 3"}]
 
 
+@pytest.mark.parametrize("q,n,m,field", [(2, 2, 1, 2), (3, 1, 1, 3)])
+def test_dl_fibers_on_an_empty_level_fails_as_vacuous(tmp_path, q, n, m, field):
+    # no point, so no fiber was seen: the gcd check must not read as a pass
+    code, report = run_cli(tmp_path, "dl", "fibers", "--q", str(q), "--n", str(n),
+                           "--m", str(m))
+    assert code == 1
+    assert report["results"]["vacuous"] is True and report["results"]["count"] == 0
+    assert report["checks"] == [{"name": "fiber_size_gcd", "status": "fail",
+                                 "details": f"vacuous: DL(F_{field}) has no points"}]
+
+
+def verify_all_on_doctored_parabolics(tmp_path, monkeypatch, doctor):
+    """verify-all at (3,2) on a group whose histograms of P_(1,1) and
+    U_(1,1) `doctor` changes after they passed their size checks; returns
+    the exit code and the failing checks."""
+    group = gl_characters.GLGroup(3, 2)
+    doctor(group, *group.parabolics[1, 1])
+    monkeypatch.setattr(cli, "GLGroup", lambda q, n: group)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    return code, [c for c in report["checks"] if c["status"] == "fail"]
+
+
+def test_a_radical_histogram_one_short_fails_verify_all(tmp_path, monkeypatch):
+    # U_(1,1) loses one of its two transvections: each cuspidal sum becomes
+    # pi(1) + pi(u) = 1, so no character is cuspidal and pi * St = Ind theta
+    # has no cuspidal solution
+    def drop(group, P, U):
+        U[next(c for c, k in enumerate(U) if k and c != group.identity_class)] -= 1
+
+    code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch, drop)
+    assert code == 1
+    assert failed == [{"name": "chars.error", "status": "fail",
+                       "details": "no cuspidal solution for theta_1"}]
+
+
+def test_a_parabolic_histogram_with_a_moved_element_fails_verify_all(tmp_path, monkeypatch):
+    # one element of the Borel subgroup moved from the central class -I to
+    # the largest class: |P_(1,1)| is unchanged, but 1_P^G is no longer integral
+    def move(group, P, U):
+        central = next(c for c, size in enumerate(group.class_sizes)
+                       if size == 1 and c != group.identity_class)
+        P[central] -= 1
+        P[group.class_sizes.index(max(group.class_sizes))] += 1
+
+    code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch, move)
+    assert code == 1
+    assert failed == [{"name": "chars.error", "status": "fail",
+                       "details": "1_P^G for P_(1, 1) is not integral at class 4"}]
+
+
 @pytest.mark.parametrize("target,error", [("deformation_factors", BudgetError),
                                           ("rational_level", BudgetError),
                                           ("CorrespondenceData", ParameterError)])

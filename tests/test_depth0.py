@@ -7,7 +7,6 @@ from ltdl.depth0 import (
     blowup_chart,
     build_P,
     build_P_a,
-    default_chart_module,
     deformation_ring,
     gl_linear_shadow_check,
     index_vectors,
@@ -174,11 +173,10 @@ def test_gl_linear_shadow():
     assert gl_linear_shadow_check(m32, group32.generators)
 
 
-def shadow_full_group(module, matrices, n=None):
+def shadow_full_group(module, matrices):
     """Oracle: the shadow check looped over every matrix, no generators."""
-    n = module.n if n is None else n
-    field = module.field
-    lowest = depth0.build_P(module, n).reduce_mod_p().homogeneous_part(module.q ** n - 1)
+    n, field = module.n, module.field
+    lowest = depth0.build_P(module).reduce_mod_p().homogeneous_part(module.q ** n - 1)
     ring = lowest.ring
     forms = sorted(index_vectors(field, n))
     ok = True
@@ -206,8 +204,8 @@ def test_gl_linear_shadow_generators_agree_with_full_group(q, n, monkeypatch):
     # a lowest part that is not GL-invariant: add X1^(q^n - 1), which the
     # product of all linear forms lacks
     honest = depth0.build_P
-    monkeypatch.setattr(depth0, "build_P", lambda module, n=None: (
-        honest(module, n) + honest(module, n).ring.var("X1") ** (q ** n - 1)))
+    monkeypatch.setattr(depth0, "build_P", lambda module: (
+        honest(module) + honest(module).ring.var("X1") ** (q ** n - 1)))
     assert gl_linear_shadow_check(m, gens) is shadow_full_group(m, mats) is False
 
 
@@ -242,12 +240,8 @@ def test_reduction_commutes_with_formal_sum():
 
 def test_build_P_refuses_degenerate_degree():
     m = lubin_tate_module(2, 2, D=5)
-    # D = 5 > q^n - 1 = 3 works; now force the refusal path
-    with pytest.raises(ParameterError):
-        build_P(m, n=3)  # q^n - 1 = 7 >= D
-
-
-def test_default_chart_module():
-    m = default_chart_module(2, 2)
-    assert m.aux_vars == ()
-    assert m.q == 2 and m.n == 2
+    # D = 5 > q^n - 1 = 3 works; lowered to q^n - 1, P would truncate to 0
+    build_P(m)
+    m.D = 3
+    with pytest.raises(ParameterError, match="P would truncate to 0"):
+        build_P(m)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from gl_oracles import is_cuspidal_by_radicals, steinberg_by_flags, unipotent_radical
 
 from ltdl import gl_characters
 from ltdl.cli import main
@@ -27,7 +28,6 @@ from ltdl.gl_characters import (
     is_generic,
     rcf_key,
     steinberg,
-    unipotent_radical,
     _charpoly_mod,
     _class_matrices,
     _cuspidal_match,
@@ -148,9 +148,9 @@ def test_index_structure_matches_matrix_products(q, n):
         assert g.rep_right[ci] == [g.index[mat_mul(g.field, x, rep)] for x in g.elements]
         order = element_order(g.field, rep)
         assert g.class_orders[ci] == order
-        assert g.inverse_class[ci] == g.class_of_element(mat_inv(g.field, rep))
+        assert g.inverse_class[ci] == g.class_of[g.index[mat_inv(g.field, rep)]]
         for s in range(order):
-            assert g.powermap(ci, s) == g.class_of_element(mat_pow(g.field, rep, s))
+            assert g.powermap(ci, s) == g.class_of[g.index[mat_pow(g.field, rep, s)]]
     assert g.exponent == lcm(*g.class_orders)
 
 
@@ -198,6 +198,25 @@ def test_coxeter_torus():
     assert t3.order == 8
     assert mat_pow(g3.field, t3.generator, 8) == g3.identity
     assert mat_pow(g3.field, t3.generator, 4) != g3.identity
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2)])
+def test_coxeter_torus_class_map_matches_matrix_powers(q, n):
+    g = GLGroup(q, n)
+    t = CoxeterTorus(g)
+    assert t.class_map == [g.class_of[g.index[mat_pow(g.field, t.generator, k)]]
+                           for k in range(t.order)]
+    rng = random.Random(97)
+    for x in rng.sample(range(g.order), 5):
+        assert g.right_multiplication(x) == [g.index[mat_mul(g.field, y, g.elements[x])]
+                                             for y in g.elements]
+
+
+def test_coxeter_torus_rejects_a_non_primitive_companion(monkeypatch):
+    # x^2 + 1 is irreducible over F_3, but its root has order 4, not 8
+    monkeypatch.setattr(gl_characters, "primitive_poly_over", lambda field, n: (1, 0, 1))
+    with pytest.raises(VerificationError, match="does not have order q\\^n - 1"):
+        CoxeterTorus(GLGroup(3, 2))
 
 
 def test_primitive_poly_matches_ff_make_for_prime_fields():
@@ -315,8 +334,66 @@ def test_cuspidality():
 
 def test_unipotent_radical_sizes():
     g = GLGroup(2, 3)
-    sizes = sorted(len(unipotent_radical(g, c)) for c in [(1, 2), (2, 1), (1, 1, 1)])
+    sizes = sorted(sum(g.parabolics[c][1]) for c in [(1, 2), (2, 1), (1, 1, 1)])
     assert sizes == [4, 4, 8]
+    # |P_c| = |G| / [3; c]_2: 168 / 7, 168 / 7 and 168 / 21
+    assert sorted(sum(g.parabolics[c][0]) for c in [(1, 2), (2, 1), (1, 1, 1)]) == [8, 24, 24]
+
+
+def block_upper(g, comp, unipotent):
+    """Oracle: g is block-upper-triangular for comp (with identity diagonal
+    blocks when `unipotent`), read entry by entry."""
+    block = [b for b, size in enumerate(comp) for _ in range(size)]
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if block[i] > block[j] and x:
+                return False
+            if unipotent and block[i] == block[j] and x != (i == j):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_parabolic_histograms_match_the_matrix_oracle(q, n):
+    g = GLGroup(q, n)
+    assert list(g.parabolics) == gl_characters.compositions(n)
+    for comp, (P, U) in g.parabolics.items():
+        for hist, unipotent in ((P, False), (U, True)):
+            expect = [0] * g.num_classes
+            for x, ci in zip(g.elements, g.class_of):
+                expect[ci] += block_upper(x, comp, unipotent)
+            assert hist == expect
+        radical = [0] * g.num_classes
+        for u in unipotent_radical(g, comp):
+            radical[g.class_of[g.index[u]]] += 1
+        assert U == radical
+
+
+def test_parabolic_size_checks_raise(monkeypatch):
+    # a transvection's diagonal doctored away: P_(1,1) keeps its size, U_(1,1)
+    # loses one element
+    g = GLGroup(3, 2)
+    x = g.index[((1, 1), (0, 1))]
+    g.elements[x] = ((2, 1), (0, 1))
+    with pytest.raises(VerificationError, match=r"\|U_\(1, 1\)\| = 2 != q\^1"):
+        g.parabolics
+    monkeypatch.setattr(gl_characters, "gaussian_binomial", lambda n, d, q: 1)
+    with pytest.raises(VerificationError, match=r"\|P_\(1, 1\)\| = 12 != "):
+        GLGroup(3, 2).parabolics
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (7, 2), (3, 3), (2, 4)])
+def test_steinberg_matches_the_flag_oracle(q, n):
+    g = GLGroup(q, n)
+    assert steinberg(g) == ClassFunction.from_integers(g, steinberg_by_flags(g))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (4, 2),
+                                 (5, 2), (7, 2)])
+def test_cuspidal_flags_match_the_radical_oracle(q, n):
+    table = dixon_table(GLGroup(q, n))
+    assert table.cuspidal_flags == [is_cuspidal_by_radicals(table.group, chi)
+                                    for chi in table.irreducibles]
 
 
 def test_dl_correspondence_22():
@@ -616,7 +693,8 @@ def eager_class_matrices(group):
         for xi in group.classes[i]:
             x_inv = mat_inv(group.field, group.elements[xi])
             for k in range(r):
-                M[group.class_of_element(mat_mul(group.field, x_inv, group.reps[k]))][k] += 1
+                y = mat_mul(group.field, x_inv, group.reps[k])
+                M[group.class_of[group.index[y]]][k] += 1
         mats.append(M)
     return mats
 
