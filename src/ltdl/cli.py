@@ -22,7 +22,6 @@ from .depth0 import (
     checked_depth_sequence,
     deformation_factors,
     gl_linear_shadow_check,
-    index_vectors,
     iterated_chart,
     special_fiber_components,
     stratum_membership,
@@ -61,7 +60,7 @@ from .gl_characters import (
     dixon_table,
     steinberg,
 )
-from .linalg import MAX_GROUP_ORDER, group_order
+from .linalg import MAX_GROUP_ORDER, group_order, index_vectors
 
 SCHEMA_VERSION = 1
 CHART_QN_BOUND = 64

@@ -16,19 +16,12 @@ expectations that come from verified identities raise VerificationError
 rather than returning garbage.
 """
 
-from itertools import product
-
 from .errors import ParameterError, VerificationError
 from .formal_modules import normalize_scalar_key
-from .linalg import projective_representative, vec_mat
+from .linalg import index_vectors, projective_representative, vec_mat
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
-
-
-def index_vectors(field, n):
-    """The nonzero vectors of F_q^n (canonical-int tuples)."""
-    return [v for v in product(range(field.q), repeat=n) if any(v)]
 
 
 def projective_classes(field, n):

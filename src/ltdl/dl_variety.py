@@ -20,8 +20,8 @@ from math import gcd
 
 from .errors import BudgetError, ParameterError, VerificationError
 from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomial
-from .linalg import group_order, projective_representative, vec_mat
-from .series import FqDomain, SeriesRing, product_over
+from .linalg import group_order, index_vectors, projective_representative, vec_mat
+from .series import SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8
 DL_QN_BOUND = 2 ** 20
@@ -52,14 +52,10 @@ def dl_equation(q, n):
     if q ** n > DL_QN_BOUND:
         raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
     field = field_for_order(q)
-    ring = SeriesRing(FqDomain(field), tuple(f"X{i}" for i in range(1, n + 1)),
-                      q ** n + 1)
-    forms = []
+    ring = SeriesRing(field, tuple(f"X{i}" for i in range(1, n + 1)), q ** n + 1)
+    forms = index_vectors(field, n)
     linear = []
-    for a in product(range(q), repeat=n):
-        if not any(a):
-            continue
-        forms.append(a)
+    for a in forms:
         s = ring.zero()
         for i, k in enumerate(a):
             if k:
@@ -216,24 +212,6 @@ def base_points_moebius(q, n, m):
     return N[n]
 
 
-def act(amb, x, g=None, zeta=None):
-    """Apply (g, zeta): x -> zeta^{-1} (x g), in the ambient field of amb.
-
-    g has canonical-int entries over F_q; zeta is a canonical int of the
-    ambient field whose order must divide q^n - 1.
-    """
-    field = amb.field
-    out = x
-    if g is not None:
-        out = vec_mat(field, out, amb.embed_matrix(g))
-    if zeta is not None:
-        if not zeta or field.pow(zeta, amb.q ** amb.n - 1) != 1:
-            raise ParameterError("zeta does not have order dividing q^n - 1")
-        zi = field.inv(zeta)
-        out = tuple(field.mul(zi, v) for v in out)
-    return out
-
-
 def orbit_check(q, n, m, generators, witness, count):
     """Whether GL_n(F_q), given by `generators`, acts simply transitively on
     the `count` points of DL(F_{q^m}), and mu_{q^n-1} keeps them: returns
@@ -269,7 +247,10 @@ def orbit_check(q, n, m, generators, witness, count):
     if size != count or size != group:
         return orbit, f"orbit of {size} points, count {count}, |GL_n(F_q)| {group}"
     z = amb.mu_generator()
-    if any(act(amb, x, zeta=z) not in seen for x in orbit):
+    if field.pow(z, q ** n - 1) != 1:
+        return orbit, f"the mu generator {z} is not a (q^n-1)-th root of unity"
+    zi = field.inv(z)
+    if any(tuple(field.mul(zi, v) for v in x) not in seen for x in orbit):
         return orbit, "the mu generator leaves the orbit"
     return orbit, None
 

@@ -168,6 +168,17 @@ class FieldDesc:
         """All field elements in canonical-integer order."""
         return [FieldElement(self, k) for k in range(self.q)]
 
+    # -- as the coefficient ring of a series.SeriesRing ----------------------
+
+    def is_negligible(self, c):
+        return c.is_zero()
+
+    def descriptor(self):
+        return {"kind": "fq", "p": self.p, "f": self.f}
+
+    def coeff_to_json(self, c):
+        return list(c.coeffs)
+
 
 class FieldElement:
     __slots__ = ("desc", "k")

@@ -26,7 +26,7 @@ where all later identities are checked exactly mod (p^N, deg D).
 
 from .errors import ParameterError, PrecisionError, VerificationError, check_entry
 from .ffield import field_for_order
-from .series import PadicDomain, SeriesRing, TruncatedSeries, WittDomain
+from .series import SeriesRing, TruncatedSeries
 from .witt import PadicParams, witt_ring
 
 MAX_QN = 512
@@ -61,14 +61,14 @@ def solve_log(f_series, x_var="X"):
     bounded-denominator p-adics of the ambient ring.
     """
     ring = f_series.ring
-    if ring.domain.kind != "padic":
+    if not isinstance(ring.domain, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
-    p = ring.domain.params.p
+    p = ring.domain.p
     xi = ring._var_index[x_var]
     x = ring.var(x_var)
     lin = f_series.coefficient(tuple(1 if i == xi else 0 for i in range(len(ring.vars))))
     if lin.is_zero_like() or not (lin - ring.domain.from_int(p)).zero_at(
-            ring.domain.params.n_work):
+            ring.domain.n_work):
         raise ParameterError("f must have linear coefficient exactly p")
     if not f_series.constant_term().is_exact_zero():
         if not ring.domain.is_negligible(f_series.constant_term()):
@@ -108,7 +108,7 @@ def solve_fe_log(ring, q, n, x_var="X"):
     q-th power and acts as the Frobenius lift on Witt coefficients.  Solved
     by the direct coefficient recursion c_m = sum_i (v_i/p) sigma^i(c_{m/q^i}).
     """
-    if ring.domain.kind != "padic":
+    if not isinstance(ring.domain, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
     xi = ring._var_index[x_var]
     width = len(ring.vars)
@@ -170,7 +170,7 @@ def invert_series(lam, x_var="X"):
         exp = exp - em * mono
     residue = lam.substitute({x_var: exp}) - ring.var(x_var)
     for c in residue.terms.values():
-        if not c.zero_at(ring.domain.params.n_target):
+        if not c.zero_at(ring.domain.n_target):
             raise PrecisionError("series inversion not exact at target precision")
     return exp
 
@@ -178,8 +178,7 @@ def invert_series(lam, x_var="X"):
 def to_witt_series(series, N):
     """Convert p-adic coefficients to W/p^N, enforcing integrality."""
     dom = series.ring.domain
-    target_dom = WittDomain(witt_ring(dom.params.p, dom.params.f, N))
-    target = SeriesRing(target_dom, series.ring.vars, series.ring.degree,
+    target = SeriesRing(witt_ring(dom.p, dom.f, N), series.ring.vars, series.ring.degree,
                         series.ring.caps)
     return series.map_coeffs(target, lambda c: c.to_witt(N))
 
@@ -319,7 +318,7 @@ def _check_build_params(q, n, D):
 def _normal_form_terms(ring, q, n):
     """pX + T_1 X^q + ... + X^{q^n}, with T-terms only when the ring has them."""
     one = ring.domain.one()
-    p = ring.domain.params.p
+    p = ring.domain.p
     width = len(ring.vars)
     terms = {(1,) + (0,) * (width - 1): ring.domain.from_int(p),
              (q ** n,) + (0,) * (width - 1): one}
@@ -353,7 +352,7 @@ def lubin_tate_module(q, n, N=8, D=None, v_max=None):
     v_max = default_v_max(q, n, D) if v_max is None else v_max
     field = field_for_order(q)
     params = PadicParams(field.p, field.f, N, v_max)
-    x_ring = SeriesRing(PadicDomain(params), ("X",), D)
+    x_ring = SeriesRing(params, ("X",), D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
     lam = solve_log(f_padic)
     module = _finish_module(q, n, N, D, (), params, f_padic, lam)
@@ -376,7 +375,7 @@ def universal_module(q, n, N=8, D=None, v_max=None):
     field = field_for_order(q)
     params = PadicParams(field.p, field.f, N, v_max)
     aux = tuple(f"T{i}" for i in range(1, n))
-    x_ring = SeriesRing(PadicDomain(params), ("X",) + aux, D)
+    x_ring = SeriesRing(params, ("X",) + aux, D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
     lam = solve_fe_log(x_ring, q, n)
     module = _finish_module(q, n, N, D, aux, params, f_padic, lam)

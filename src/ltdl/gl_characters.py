@@ -803,15 +803,18 @@ def dl_correspondence(data, j):
     group = data.group
     if not is_generic(group.q, group.n, j):
         raise ParameterError(f"theta_{j} is not generic")
-    return _cuspidal_match(data, j, induce_from_torus(group, data.torus, j))
+    matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j))
+    failure = _match_failure(matches, j)
+    if failure:
+        raise VerificationError(failure)
+    return matches[0]
 
 
-def _cuspidal_match(data, j, ind):
-    """The unique cuspidal pi with pi * St = ind, compared class by class.
+def _cuspidal_matches(data, ind):
+    """Every cuspidal pi with pi * St = ind, compared class by class.
 
     St is integer-valued, so pi(c) St(c) is the coefficient vector of pi(c)
-    scaled by the integer St(c); no cyclotomic product is formed.  Every
-    cuspidal candidate is examined, so no match and several matches both raise.
+    scaled by the integer St(c); no cyclotomic product is formed.
     """
     st = [v.as_rational() for v in data.st.values]
     matches = []
@@ -821,11 +824,16 @@ def _cuspidal_match(data, j, ind):
         if all(tuple(s * a for a in x.coerce(m).coeffs) == y.coerce(m).coeffs
                for s, x, y in zip(st, chi.values, ind.values)):
             matches.append(idx)
+    return matches
+
+
+def _match_failure(matches, j):
+    """Why the cuspidal `matches` of theta_j are not exactly one, or None."""
     if not matches:
-        raise VerificationError(f"no cuspidal solution for theta_{j}")
+        return f"no cuspidal solution for theta_{j}"
     if len(matches) > 1:
-        raise VerificationError(f"multiple cuspidal solutions for theta_{j}")
-    return matches[0]
+        return f"multiple cuspidal solutions for theta_{j}"
+    return None
 
 
 def frobenius_orbits(q, n):
@@ -862,35 +870,47 @@ def correspondence_report(q, n, data=None):
     checks.append(check_entry("orbit_sizes", all(len(o) == n for o in orbits),
                               f"{len(orbits)} orbits, sizes {[len(o) for o in orbits]}"))
 
+    # pi_of_orbit holds the matched orbits: each theta_j of the orbit has
+    # exactly one cuspidal solution, the same one; `failure` names the first
+    # theta, or the first orbit, where that breaks
     pi_of_orbit = {}
     ind_of_orbit = {}  # Ind theta_j at the orbit's first j, for the degree identity
-    consistent = True
+    failure = None
     for orbit in orbits:
-        images = set()
+        images, unique = set(), True
         for j in orbit:
             ind = induce_from_torus(group, data.torus, j)
             ind_of_orbit.setdefault(orbit, ind)
-            images.add(_cuspidal_match(data, j, ind))
-        if len(images) != 1:
-            consistent = False
-        pi_of_orbit[orbit] = images.pop()
-    checks.append(check_entry("orbit_maps_to_single_pi", consistent))
+            matches = _cuspidal_matches(data, ind)
+            images.update(matches)
+            if len(matches) != 1:
+                unique = False
+                failure = failure or _match_failure(matches, j)
+        if unique and len(images) == 1:
+            pi_of_orbit[orbit] = images.pop()
+        elif failure is None:
+            failure = f"the orbit of theta_{orbit[0]} maps to cuspidals {sorted(images)}"
+    checks.append(check_entry("orbit_maps_to_single_pi", failure is None, failure or ""))
+    # no check below may pass on the matched orbits alone
+    matched = len(pi_of_orbit) == len(orbits)
 
     images = sorted(pi_of_orbit.values())
     checks.append(check_entry(
         "bijection_onto_cuspidals",
-        images == sorted(data.cuspidal_indices) and len(images) == len(set(images)),
+        matched and images == sorted(data.cuspidal_indices)
+        and len(images) == len(set(images)),
         f"images {images}, cuspidals {data.cuspidal_indices}"))
 
     expected_dim = 1
     for i in range(1, n):
         expected_dim *= q ** i - 1
-    dims_ok = all(data.table.degrees[i] == expected_dim for i in pi_of_orbit.values())
+    dims_ok = matched and all(data.table.degrees[i] == expected_dim
+                              for i in pi_of_orbit.values())
     checks.append(check_entry("cuspidal_dimension", dims_ok,
                               f"prod (q^i - 1) = {expected_dim}"))
 
     st_deg = q ** (n * (n - 1) // 2)
-    deg_ok = all(
+    deg_ok = matched and all(
         ind_of_orbit[orbit].degree()
         == CycloElement.rational(data.table.degrees[pi] * st_deg)
         for orbit, pi in pi_of_orbit.items())
@@ -899,7 +919,7 @@ def correspondence_report(q, n, data=None):
 
     # dixon_table has proved the rows orthonormal, so <pi_a, pi_b> =
     # delta_orbit holds exactly when distinct orbits map to distinct rows
-    ortho_ok = len(set(pi_of_orbit.values())) == len(pi_of_orbit)
+    ortho_ok = matched and len(set(pi_of_orbit.values())) == len(pi_of_orbit)
     checks.append(check_entry("orbit_orthogonality", ortho_ok,
                               "<pi_a, pi_b> = delta_orbit"))
 
@@ -910,7 +930,7 @@ def correspondence_report(q, n, data=None):
     return {
         "q": q, "n": n,
         "checks": checks,
-        "orbits": [{"thetas": list(o), "pi": pi_of_orbit[o]} for o in orbits],
+        "orbits": [{"thetas": list(o), "pi": pi_of_orbit.get(o)} for o in orbits],
         "cuspidal_part": cuspidal_part,
         "all_pass": all(c["status"] == "pass" for c in checks),
     }

@@ -4,6 +4,8 @@ Uses the field's log/Zech kernel on canonical ints, so everything stays
 hashable and fast at the scales this package enumerates (|GL_n(F_q)| <= 3e4).
 """
 
+from itertools import product
+
 from .errors import ParameterError
 
 MAX_GROUP_ORDER = 30_000
@@ -28,6 +30,12 @@ def mat_mul(field, A, B):
 def vec_mat(field, x, A):
     """Row-vector action x -> x A."""
     return tuple(_dot(field, x, col) for col in zip(*A))
+
+
+def index_vectors(field, n):
+    """The nonzero vectors of F_q^n (canonical-int tuples), in lexicographic
+    order."""
+    return [v for v in product(range(field.q), repeat=n) if any(v)]
 
 
 def projective_representative(field, a):

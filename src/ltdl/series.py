@@ -6,132 +6,23 @@ variables (chart coordinates V_i, deformation parameters T_i) that carry an
 exact bounded degree rather than a truncated tail; substitutions with a
 nonzero constant term are only allowed into such variables.
 
+The coefficient ring is the ring object itself: ffield.FieldDesc,
+witt.WittRing or witt.PadicParams.  The series layer asks it only for
+zero(), one(), is_negligible(c), descriptor() and coeff_to_json(c), so each
+ring keeps the format and the drop policy of its own coefficients.
+
 All arithmetic is exact and canonical: results are independent of operand
 order and of any internal evaluation order.
 """
 
 from operator import add, itemgetter
 
-from .errors import IntegralityError, ParameterError, PrecisionError
-from .ffield import ff_make
-
-
-class FqDomain:
-    kind = "fq"
-
-    def __init__(self, field):
-        self.field = field
-
-    def zero(self):
-        return self.field.zero()
-
-    def one(self):
-        return self.field.one()
-
-    def from_int(self, k):
-        return self.field.scalar(k)
-
-    def is_negligible(self, c):
-        return c.is_zero()
-
-    def descriptor(self):
-        return {"kind": "fq", "p": self.field.p, "f": self.field.f}
-
-    def coeff_to_json(self, c):
-        return list(c.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, FqDomain) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("fq", self.field))
-
-    def __repr__(self):
-        return f"F_{self.field.q}"
-
-
-class WittDomain:
-    kind = "witt"
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.ring.one()
-
-    def from_int(self, k):
-        return self.ring.from_int(k)
-
-    def is_negligible(self, c):
-        return c.is_zero()
-
-    def descriptor(self):
-        return {"kind": "witt", "p": self.ring.p, "f": self.ring.f, "N": self.ring.N}
-
-    def coeff_to_json(self, c):
-        return [list(d.coeffs) for d in c.digits()]
-
-    def __eq__(self, other):
-        return isinstance(other, WittDomain) and self.ring == other.ring
-
-    def __hash__(self):
-        return hash(("wittdom", self.ring))
-
-    def __repr__(self):
-        return repr(self.ring)
-
-
-class PadicDomain:
-    kind = "padic"
-
-    def __init__(self, params):
-        self.params = params
-
-    def zero(self):
-        return self.params.zero()
-
-    def one(self):
-        return self.params.one()
-
-    def from_int(self, k):
-        return self.params.from_int(k)
-
-    def is_negligible(self, c):
-        # exact zeros always; zero-like values only once they are zero to at
-        # least the target precision (dropping them earlier would silently
-        # upgrade partial knowledge to an exact statement)
-        if c.is_exact_zero():
-            return True
-        return c.unit is None and c.abs >= self.params.n_target
-
-    def descriptor(self):
-        p = self.params
-        return {"kind": "padic", "p": p.p, "f": p.f, "N": p.n_target,
-                "v_max": p.v_max, "n_work": p.n_work}
-
-    def coeff_to_json(self, c):
-        if c.is_exact_zero():
-            return {"zero": True}
-        if c.unit is None:
-            return {"ozero": c.abs}
-        return {"val": c.val, "abs": c.abs,
-                "unit": [list(d.coeffs) for d in c.unit.digits()]}
-
-    def __eq__(self, other):
-        return isinstance(other, PadicDomain) and self.params == other.params
-
-    def __hash__(self):
-        return hash(("padicdom", self.params))
-
-    def __repr__(self):
-        return repr(self.params)
+from .errors import ParameterError
 
 
 class SeriesRing:
-    """Descriptor: ordered variables, total-degree bound, optional caps."""
+    """Descriptor: coefficient ring, ordered variables, total-degree bound,
+    optional caps."""
 
     __slots__ = ("domain", "vars", "degree", "caps", "_var_index", "_cap_index")
 
@@ -180,9 +71,6 @@ class SeriesRing:
         if self.domain.is_negligible(coeff):
             return self.zero()
         return TruncatedSeries(self, {(0,) * len(self.vars): coeff})
-
-    def from_int(self, k):
-        return self.constant(self.domain.from_int(k))
 
     def var(self, name, coeff=None):
         exps = [0] * len(self.vars)
@@ -443,31 +331,13 @@ class TruncatedSeries:
         return TruncatedSeries(target, out)
 
     def reduce_mod_p(self):
-        """Coefficientwise reduction to the residue field."""
-        dom = self.ring.domain
-        if dom.kind == "witt":
-            field = dom.ring.field
-            target = SeriesRing(FqDomain(field), self.ring.vars, self.ring.degree,
-                                self.ring.caps)
-            return self.map_coeffs(target, lambda c: c.reduce_mod_p())
-        if dom.kind == "padic":
-            field = ff_make(dom.params.p, dom.params.f)
-            target = SeriesRing(FqDomain(field), self.ring.vars, self.ring.degree,
-                                self.ring.caps)
-
-            def red(c):
-                if c.is_exact_zero():
-                    return field.zero()
-                if c.unit is None:
-                    if c.abs < 1:
-                        raise PrecisionError("coefficient unknown even mod p")
-                    return field.zero()
-                if c.val < 0:
-                    raise IntegralityError("negative valuation present")
-                return field.zero() if c.val > 0 else c.unit.reduce_mod_p()
-
-            return self.map_coeffs(target, red)
-        raise ParameterError("reduce_mod_p needs Witt or p-adic coefficients")
+        """Coefficientwise reduction of a Witt series to the residue field."""
+        ring = self.ring
+        field = getattr(ring.domain, "field", None)
+        if field is None:
+            raise ParameterError("reduce_mod_p needs Witt coefficients")
+        target = SeriesRing(field, ring.vars, ring.degree, ring.caps)
+        return self.map_coeffs(target, lambda c: c.reduce_mod_p())
 
     # -- serialization ------------------------------------------------------------
 

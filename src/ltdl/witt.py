@@ -77,6 +77,17 @@ class WittRing:
             raise VerificationError("Teichmuller lift is not fixed by z -> z^q")
         return z
 
+    # -- as the coefficient ring of a series.SeriesRing ----------------------
+
+    def is_negligible(self, c):
+        return c.is_zero()
+
+    def descriptor(self):
+        return {"kind": "witt", "p": self.p, "f": self.f, "N": self.N}
+
+    def coeff_to_json(self, c):
+        return [list(d.coeffs) for d in c.digits()]
+
 
 class WittElement:
     __slots__ = ("ring", "coeffs")
@@ -271,6 +282,28 @@ class PadicParams:
 
     def one(self):
         return self.from_int(1)
+
+    # -- as the coefficient ring of a series.SeriesRing ----------------------
+
+    def is_negligible(self, c):
+        # exact zeros always; zero-like values only once they are zero to at
+        # least the target precision (dropping them earlier would silently
+        # upgrade partial knowledge to an exact statement)
+        if c.is_exact_zero():
+            return True
+        return c.unit is None and c.abs >= self.n_target
+
+    def descriptor(self):
+        return {"kind": "padic", "p": self.p, "f": self.f, "N": self.n_target,
+                "v_max": self.v_max, "n_work": self.n_work}
+
+    def coeff_to_json(self, c):
+        if c.is_exact_zero():
+            return {"zero": True}
+        if c.unit is None:
+            return {"ozero": c.abs}
+        return {"val": c.val, "abs": c.abs,
+                "unit": [list(d.coeffs) for d in c.unit.digits()]}
 
 
 class BoundedPadic:

@@ -2,15 +2,35 @@
 
 Each one enumerates points of F_{q^M}^n or loops over a whole group, where
 `line_census` and `orbit_check` count with integer congruences and walk one
-orbit; the tests hold the two to the same answers wherever both run.
+orbit; the tests hold the two to the same answers wherever both run.  `act`
+applies a pair (g, zeta) of GL_n(F_q) x mu_{q^n-1} to one point.
 """
 
 from itertools import product
 from math import gcd
 
-from ltdl.dl_variety import Ambient, act, dl_points
+from ltdl.dl_variety import Ambient, dl_points
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
+from ltdl.linalg import vec_mat
+
+
+def act(amb, x, g=None, zeta=None):
+    """Apply (g, zeta): x -> zeta^{-1} (x g), in the ambient field of amb.
+
+    g has canonical-int entries over F_q; zeta is a canonical int of the
+    ambient field whose order must divide q^n - 1.
+    """
+    field = amb.field
+    out = x
+    if g is not None:
+        out = vec_mat(field, out, amb.embed_matrix(g))
+    if zeta is not None:
+        if not zeta or field.pow(zeta, amb.q ** amb.n - 1) != 1:
+            raise ParameterError("zeta does not have order dividing q^n - 1")
+        zi = field.inv(zeta)
+        out = tuple(field.mul(zi, v) for v in out)
+    return out
 
 
 def mu_elements(amb):

@@ -60,15 +60,9 @@ def dropped_generator(monkeypatch):
                         honest(q, n, m, gens[:-1], witness, count))
 
 
-def shifted_zeta_action(monkeypatch):
-    # scaling by zeta != 1 also adds 1 to each coordinate
-    act = dl_variety.act
-
-    def shifted(amb, x, g=None, zeta=None):
-        out = act(amb, x, g, zeta)
-        return out if zeta in (None, 1) else tuple(amb.field.add(v, 1) for v in out)
-
-    monkeypatch.setattr(dl_variety, "act", shifted)
+def zero_mu_generator(monkeypatch):
+    # 0 stands in for the generator of mu_3 = F_4^x; it is no root of unity
+    monkeypatch.setattr(dl_variety.Ambient, "mu_generator", lambda amb: 0)
 
 
 def rejecting_variety(monkeypatch):
@@ -94,7 +88,8 @@ def miscounted_census(monkeypatch):
 @pytest.mark.parametrize("doctor,failed", [
     (dropped_generator, {"dl.action_invariance": "orbit of 2 points, count 6, |GL_n(F_q)| 6",
                          "dl.fibers_m2": "fiber sizes [1] != gcd = 3"}),
-    (shifted_zeta_action, {"dl.action_invariance": "the mu generator leaves the orbit"}),
+    (zero_mu_generator, {"dl.action_invariance":
+                         "the mu generator 0 is not a (q^n-1)-th root of unity"}),
     (rejecting_variety, {"dl.action_invariance": "1 of 6 orbit points off the variety"}),
     (miscounted_census, {"dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6",
                          "dl.fibers_m2": "2 lines hit, census 1"}),
@@ -145,14 +140,20 @@ def verify_all_on_doctored_parabolics(tmp_path, monkeypatch, doctor):
 def test_a_radical_histogram_one_short_fails_verify_all(tmp_path, monkeypatch):
     # U_(1,1) loses one of its two transvections: each cuspidal sum becomes
     # pi(1) + pi(u) = 1, so no character is cuspidal and pi * St = Ind theta
-    # has no cuspidal solution
+    # has no cuspidal solution; the chars suite names the first such theta,
+    # and no check reads as a pass over the orbits left unmatched
     def drop(group, P, U):
         U[next(c for c, k in enumerate(U) if k and c != group.identity_class)] -= 1
 
     code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch, drop)
     assert code == 1
-    assert failed == [{"name": "chars.error", "status": "fail",
-                       "details": "no cuspidal solution for theta_1"}]
+    assert {c["name"]: c["details"] for c in failed} == {
+        "chars.orbit_maps_to_single_pi": "no cuspidal solution for theta_1",
+        "chars.bijection_onto_cuspidals": "images [], cuspidals []",
+        "chars.cuspidal_dimension": "prod (q^i - 1) = 2",
+        "chars.degree_identity": "Ind(1) = pi(1) * q^(n(n-1)/2)",
+        "chars.orbit_orthogonality": "<pi_a, pi_b> = delta_orbit",
+    }
 
 
 def test_a_parabolic_histogram_with_a_moved_element_fails_verify_all(tmp_path, monkeypatch):
@@ -335,6 +336,42 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
     if (q, n) in VERIFY_ALL_DIGESTS:
         body = json.dumps({"results": results, "checks": report["checks"]}, sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
+
+
+# sha256 of the sorted-key JSON of the results and checks of the reports
+# that serialise series (each ring's `descriptor` and `coeff_to_json`),
+# which no verify-all report does
+SERIES_REPORT_DIGESTS = {
+    ("formal-group", "--q", "2", "--n", "2"):
+        "1a057f508a7dc7fb7112c53613af2887e323b9ad55806ee9d8acd6c39298f2d4",
+    ("formal-group", "--q", "4", "--n", "1"):
+        "3c43b21056c3c103282542349f70490f8f09343557ac9e63ad326fdd0555c857",
+    ("formal-group", "--q", "2", "--n", "2", "--universal"):
+        "99d6caf55abfb53f5b59442598e9bf46b95632e419b04e45f68cedd9c3bb5c3e",
+    ("formal-group", "--q", "3", "--n", "2", "--universal"):
+        "91fbb0aab09cc3d40bb1c8321b01a70c2e6589b60da7a24f48d7baece38beb1c",
+    ("depth0", "equation", "--q", "3", "--n", "2"):
+        "58a11354448740249b177fde3845c6ec7faf28b5624b53ebf52ff577042bfc52",
+    ("depth0", "chart", "--q", "4", "--n", "2"):
+        "ea4409df2c43982997daebdd0f414e8bdc3412063fbf9b4feddc71e7dbddfdce",
+    ("depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2,1"):
+        "199f7fa4e08acd184bafeda30193c54d09d5ffb91efb1d229320c5739657a4ab",
+    ("depth0", "strata", "--q", "2", "--n", "3"):
+        "439b4d26cd2aa7fe282135bc9a5059ed57529beb1015eb1fe7e29de2d1a3e85e",
+    ("dl", "equation", "--q", "4", "--n", "2"):
+        "1a9ac30895f04b8b508a4cf123b7d55322f56bcd5d1bdc13bf2bd66c0275d98f",
+    ("dl", "equation", "--q", "2", "--n", "3"):
+        "6cd4af428f483c28a9a1ccd7968fc1e663fba8c0a6db0f5c0d09b6324f1d0a58",
+}
+
+
+@pytest.mark.parametrize("argv", list(SERIES_REPORT_DIGESTS), ids=" ".join)
+def test_series_reports_hold_their_frozen_digests(tmp_path, argv):
+    code, report = run_cli(tmp_path, *argv)
+    assert code == 0
+    body = json.dumps({"results": report["results"], "checks": report["checks"]},
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == SERIES_REPORT_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("doctor", [lambda gens: gens[:2],

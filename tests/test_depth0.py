@@ -37,7 +37,7 @@ def test_P_a_linear_part():
     ring = P.ring
     assert P.homogeneous_part(1) == ring.var("X1") + ring.var("X2")
     red = P.reduce_mod_p()
-    f = red.ring.domain.field
+    f = red.ring.domain
     assert red.homogeneous_part(1) == red.ring.var("X1") + red.ring.var("X2")
 
 

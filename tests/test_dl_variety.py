@@ -1,5 +1,6 @@
 import pytest
 from dl_oracles import (
+    act,
     action_invariance_check,
     mu_elements,
     twisted_count,
@@ -9,7 +10,6 @@ from dl_oracles import (
 
 from ltdl.dl_variety import (
     Ambient,
-    act,
     base_points,
     base_points_moebius,
     dl_equation,

@@ -30,7 +30,7 @@ from ltdl.gl_characters import (
     steinberg,
     _charpoly_mod,
     _class_matrices,
-    _cuspidal_match,
+    _cuspidal_matches,
     _dixon_prime,
     _nullspace_mod,
     _rref_mod,
@@ -743,14 +743,28 @@ def test_dl_correspondence_matches_product_oracle(q, n):
 
 
 def test_cuspidal_match_raises_on_none_and_on_several():
+    # dl_correspondence raises on no and on several cuspidal solutions, and
+    # correspondence_report names the first such theta as a failed check;
+    # with no orbit matched, no check that reads the matched orbits passes
     data = CorrespondenceData(GLGroup(2, 2))
     ind = induce_from_torus(data.group, data.torus, 1)
     # with both one-dimensional characters as candidates, two solve pi * St = Ind
     data.cuspidal_indices = [i for i, d in enumerate(data.table.degrees) if d == 1]
-    with pytest.raises(VerificationError, match="multiple"):
-        _cuspidal_match(data, 1, ind)
-    with pytest.raises(VerificationError, match="no cuspidal"):
-        _cuspidal_match(data, 1, ind.scale(2))
+    assert _cuspidal_matches(data, ind) == data.cuspidal_indices
+    assert _cuspidal_matches(data, ind.scale(2)) == []
+    unmatched = {"bijection_onto_cuspidals", "cuspidal_dimension", "degree_identity",
+                 "orbit_orthogonality"}
+    for candidates, failure in ((data.cuspidal_indices, "multiple cuspidal solutions"),
+                                ([], "no cuspidal solution")):
+        data.cuspidal_indices = candidates
+        with pytest.raises(VerificationError, match=f"^{failure} for theta_1$"):
+            dl_correspondence(data, 1)
+        rep = correspondence_report(2, 2, data)
+        failed = {c["name"]: c["details"] for c in rep["checks"] if c["status"] == "fail"}
+        assert failed.pop("orbit_maps_to_single_pi") == f"{failure} for theta_1"
+        assert set(failed) == unmatched
+        assert rep["orbits"] == [{"thetas": [1, 2], "pi": None}]
+        assert rep["cuspidal_part"] == [] and not rep["all_pass"]
 
 
 def orthogonality_by_inner_products(data, report):
@@ -782,7 +796,7 @@ def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
         return
     # send every theta to one cuspidal: distinct orbits now share a row
     first = data.cuspidal_indices[0]
-    monkeypatch.setattr(gl_characters, "_cuspidal_match", lambda data, j, ind: first)
+    monkeypatch.setattr(gl_characters, "_cuspidal_matches", lambda data, ind: [first])
     rep = correspondence_report(q, n, data)
     assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is False
 

@@ -5,24 +5,24 @@ from math import comb
 import pytest
 
 from ltdl.errors import ParameterError
-from ltdl.ffield import ff_make
-from ltdl.series import (
-    FqDomain,
-    PadicDomain,
-    SeriesRing,
-    TruncatedSeries,
-    WittDomain,
-    product_over,
+from ltdl.ffield import FieldDesc, ff_make
+from ltdl.series import SeriesRing, TruncatedSeries, product_over
+from ltdl.witt import (
+    BoundedPadic,
+    PadicParams,
+    WittElement,
+    WittRing,
+    from_digits,
+    witt_ring,
 )
-from ltdl.witt import BoundedPadic, PadicParams, WittElement, from_digits, witt_ring
 
 
 def witt_xy(p=2, N=6, D=8):
-    return SeriesRing(WittDomain(witt_ring(p, 1, N)), ("X", "Y"), D)
+    return SeriesRing(witt_ring(p, 1, N), ("X", "Y"), D)
 
 
 def fq_ring(q_p, q_f, variables, D, caps=None):
-    return SeriesRing(FqDomain(ff_make(q_p, q_f)), variables, D, caps)
+    return SeriesRing(ff_make(q_p, q_f), variables, D, caps)
 
 
 def test_x_times_y():
@@ -43,7 +43,7 @@ def test_geometric_series_inverse():
 def test_add_commutative_randomized():
     rng = random.Random(43)
     R = witt_xy()
-    m = R.domain.ring.pN
+    m = R.domain.pN
 
     def rand():
         t = {}
@@ -61,16 +61,16 @@ def test_add_commutative_randomized():
 def test_ring_axioms_randomized_all_domains():
     rng = random.Random(47)
     domains = [
-        SeriesRing(FqDomain(ff_make(2, 2)), ("X", "Y"), 6),
-        SeriesRing(WittDomain(witt_ring(3, 1, 4)), ("X", "Y"), 6),
+        SeriesRing(ff_make(2, 2), ("X", "Y"), 6),
+        SeriesRing(witt_ring(3, 1, 4), ("X", "Y"), 6),
     ]
     for R in domains:
         els = []
-        if R.domain.kind == "fq":
-            pool = R.domain.field.elements()
+        if isinstance(R.domain, FieldDesc):
+            pool = R.domain.elements()
             pick = lambda: rng.choice(pool)
         else:
-            pick = lambda: R.domain.from_int(rng.randrange(R.domain.ring.pN))
+            pick = lambda: R.domain.from_int(rng.randrange(R.domain.pN))
         for _ in range(12):
             t = {}
             for _ in range(5):
@@ -105,7 +105,7 @@ def test_substitute_monomials():
 def test_substitute_composition_multiplicative_group():
     # ((1+X)^a - 1) o ((1+X)^b - 1) = (1+X)^(ab) - 1, binomial oracle.
     D = 9
-    R = SeriesRing(WittDomain(witt_ring(5, 1, 6)), ("X",), D)
+    R = SeriesRing(witt_ring(5, 1, 6), ("X",), D)
 
     def mult_series(a):
         t = {}
@@ -122,7 +122,7 @@ def test_substitute_composition_multiplicative_group():
 def test_substitution_functorial_small():
     rng = random.Random(53)
     R = fq_ring(2, 1, ("X",), 6)
-    f = R.domain.field
+    f = R.domain
     for _ in range(20):
         s = TruncatedSeries(R, {(k,): f.one() for k in range(1, 5) if rng.random() < 0.6})
         a = R.var("X") * R.var("X")
@@ -171,7 +171,7 @@ def test_var_valuation_and_factor_out():
 def test_var_valuation_additive_over_fq():
     rng = random.Random(59)
     R = fq_ring(2, 2, ("X", "Y"), 10)
-    f = R.domain.field
+    f = R.domain
 
     def rand():
         t = {}
@@ -195,7 +195,7 @@ def test_reduce_mod_p():
     F = red.ring
     assert red == F.var("X") ** 2
     rng = random.Random(61)
-    m = R.domain.ring.pN
+    m = R.domain.pN
 
     def rand():
         return TruncatedSeries(R, {(rng.randrange(3), rng.randrange(3)):
@@ -205,6 +205,13 @@ def test_reduce_mod_p():
     for _ in range(40):
         a, b = rand(), rand()
         assert (a * b).reduce_mod_p() == a.reduce_mod_p() * b.reduce_mod_p()
+
+
+def test_reduce_mod_p_needs_witt_coefficients():
+    # only a Witt ring has a residue field to reduce to
+    for ring in (fq_ring(2, 2, ("X",), 4), SeriesRing(PadicParams(2, 1, 5, 3), ("X",), 4)):
+        with pytest.raises(ParameterError, match="needs Witt coefficients"):
+            ring.var("X").reduce_mod_p()
 
 
 def test_ideal_membership():
@@ -221,14 +228,14 @@ def series_from_json(data):
     p, f = desc["p"], desc["f"]
     digits = lambda ring, ds: from_digits(ring, [ring.field.elem(tuple(d)) for d in ds])
     if desc["kind"] == "fq":
-        dom = FqDomain(ff_make(p, f))
-        coeff = lambda c: dom.field.elem(tuple(c))
+        dom = ff_make(p, f)
+        coeff = lambda c: dom.elem(tuple(c))
     elif desc["kind"] == "witt":
-        dom = WittDomain(witt_ring(p, f, desc["N"]))
-        coeff = lambda c: digits(dom.ring, c)
+        dom = witt_ring(p, f, desc["N"])
+        coeff = lambda c: digits(dom, c)
     else:
-        params = PadicParams(p, f, desc["N"], desc["v_max"], pad=desc["n_work"] - desc["N"])
-        dom = PadicDomain(params)
+        params = dom = PadicParams(p, f, desc["N"], desc["v_max"],
+                                   pad=desc["n_work"] - desc["N"])
 
         def coeff(c):
             if c.get("zero"):
@@ -244,16 +251,16 @@ def series_from_json(data):
 def test_json_roundtrip_bit_exact():
     rings = [
         fq_ring(2, 2, ("X", "Y"), 6),
-        SeriesRing(WittDomain(witt_ring(3, 1, 5)), ("X", "Y"), 7, caps={"Y": 3}),
-        SeriesRing(PadicDomain(PadicParams(2, 1, 5, 3)), ("X",), 6),
+        SeriesRing(witt_ring(3, 1, 5), ("X", "Y"), 7, caps={"Y": 3}),
+        SeriesRing(PadicParams(2, 1, 5, 3), ("X",), 6),
     ]
     rng = random.Random(67)
     for R in rings:
-        if R.domain.kind == "fq":
-            coeffs = [c for c in R.domain.field.elements() if not c.is_zero()]
+        if isinstance(R.domain, FieldDesc):
+            coeffs = [c for c in R.domain.elements() if not c.is_zero()]
             pick = lambda: rng.choice(coeffs)
-        elif R.domain.kind == "witt":
-            pick = lambda: R.domain.from_int(rng.randrange(1, R.domain.ring.pN))
+        elif isinstance(R.domain, WittRing):
+            pick = lambda: R.domain.from_int(rng.randrange(1, R.domain.pN))
         else:
             pick = lambda: R.domain.from_int(rng.randrange(1, 20)).div_p(rng.randrange(3))
         t = {}
@@ -337,14 +344,14 @@ def oracle_substitute(s, assignments, target):
 
 
 def coefficient_picker(rng, domain):
-    if domain.kind == "fq":
-        pool = [c for c in domain.field.elements() if not c.is_zero()]
+    if isinstance(domain, FieldDesc):
+        pool = [c for c in domain.elements() if not c.is_zero()]
         return lambda: rng.choice(pool)
-    if domain.kind == "witt":
-        ring = domain.ring
-        return lambda: WittElement(ring, tuple(rng.randrange(ring.pN) for _ in range(ring.f)))
+    if isinstance(domain, WittRing):
+        return lambda: WittElement(domain, tuple(rng.randrange(domain.pN)
+                                                 for _ in range(domain.f)))
     # a small pool, so that partial sums cancel to zeros at precision
-    p = domain.params.p
+    p = domain.p
     pool = [domain.from_int(k) for k in (1, -1, 2, p, -p, p + 1)]
     pool += [c.div_p(1) for c in pool[:2]]
     return lambda: rng.choice(pool)
@@ -375,11 +382,11 @@ def kernel_rings():
     return [
         fq_ring(2, 2, ("X", "Y"), 7),
         fq_ring(3, 1, ("V1", "Xn"), 2 * D + 1, caps={"V1": D, "Xn": D - 1}),
-        SeriesRing(WittDomain(witt_ring(3, 1, 4)), ("X", "Y", "Z"), 6),
-        SeriesRing(WittDomain(witt_ring(2, 2, 3)), ("V1", "V2", "Xn"), 2 * D + 1,
+        SeriesRing(witt_ring(3, 1, 4), ("X", "Y", "Z"), 6),
+        SeriesRing(witt_ring(2, 2, 3), ("V1", "V2", "Xn"), 2 * D + 1,
                    caps={"V1": D, "V2": D, "Xn": D - 1}),
-        SeriesRing(PadicDomain(PadicParams(2, 1, 5, 3)), ("X", "Y"), 6),
-        SeriesRing(PadicDomain(PadicParams(3, 1, 4, 2)), ("X",), 9),
+        SeriesRing(PadicParams(2, 1, 5, 3), ("X", "Y"), 6),
+        SeriesRing(PadicParams(3, 1, 4, 2), ("X",), 9),
     ]
 
 
@@ -403,8 +410,7 @@ def substitution_cases(rng):
     them the X_i = V_i X_n chart substitution into a capped ring and a
     constant term substituted into a capped variable."""
     D = 5
-    for dom in (FqDomain(ff_make(2, 2)), WittDomain(witt_ring(3, 1, 4)),
-                PadicDomain(PadicParams(2, 1, 5, 3))):
+    for dom in (ff_make(2, 2), witt_ring(3, 1, 4), PadicParams(2, 1, 5, 3)):
         src = SeriesRing(dom, ("X1", "X2"), D + 1)
         chart = SeriesRing(dom, ("V1", "Xn"), 2 * D + 1, caps={"V1": D, "Xn": D - 1})
         s = random_series(rng, src, 8, low=1)

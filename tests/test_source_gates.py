@@ -87,3 +87,17 @@ def unreferenced_definitions(package_dir, exported):
 def test_every_definition_is_used_in_the_package():
     # a definition that only tests reach belongs in the test that uses it
     assert unreferenced_definitions(Path(ltdl.__file__).parent, ltdl.__all__) == []
+
+
+def test_series_imports_no_coefficient_ring():
+    # a coefficient's format and drop policy belong to its ring (FieldDesc,
+    # WittRing, PadicParams), so the series layer imports none of their modules
+    path = Path(ltdl.__file__).parent / "series.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "errors" in imported
+    assert not imported & {"ffield", "witt", "cyclo"}
