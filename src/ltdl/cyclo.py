@@ -191,10 +191,6 @@ class CycloElement:
     def __rmul__(self, other):
         return self * other
 
-    def nonzero(self):
-        """The (index, coefficient) pairs of the nonzero coordinates."""
-        return [(j, c) for j, c in enumerate(self.coeffs) if c]
-
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
         return CycloElement.from_powers(self.m, self.coeffs, -1)
@@ -232,19 +228,12 @@ def dot(m, weights, xs, ys):
 
     The products are accumulated unreduced and reduced modulo Phi_m once.
     """
-    if any(y.m != m for y in ys):
-        raise ParameterError(f"dot product needs conductor {m}")
-    return dot_nonzero(m, weights, xs, [y.nonzero() for y in ys])
-
-
-def dot_nonzero(m, weights, xs, ys_nonzero):
-    """`dot` with each y, of conductor m, given as its `nonzero()` pairs, so
-    that a caller which pairs one y with many xs builds the pairs once."""
     phi = euler_phi(m)
     conv = [0] * (2 * phi - 1)
-    for w, x, yc in zip(weights, xs, ys_nonzero):
-        if x.m != m:
+    for w, x, y in zip(weights, xs, ys):
+        if x.m != m or y.m != m:
             raise ParameterError(f"dot product needs conductor {m}")
+        yc = [(j, c) for j, c in enumerate(y.coeffs) if c]
         for i, a in enumerate(x.coeffs):
             if a:
                 wa = w * a

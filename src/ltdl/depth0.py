@@ -18,7 +18,7 @@ rather than returning garbage.
 
 from .errors import ParameterError, VerificationError
 from .formal_modules import normalize_scalar_key
-from .linalg import index_vectors, projective_representative, vec_mat
+from .linalg import index_vectors, projective_representative, sparse_columns, vec_mul
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
@@ -400,16 +400,15 @@ def gl_linear_shadow_check(module, generators, P=None):
     forms = sorted(index_vectors(field, n))
     ok = True
     for g in generators:
-        image = sorted(vec_mat(field, a, g) for a in forms)
+        columns = sparse_columns(g)
+        image = sorted(vec_mul(field, a, columns) for a in forms)
         if image != forms:
             ok = False
         assignments = {}
-        for j in range(1, n + 1):
+        for j, col in enumerate(columns, 1):
             s = ring.zero()
-            for i in range(1, n + 1):
-                k = g[i - 1][j - 1]
-                if k:
-                    s = s + ring.var(f"X{i}", field.from_int(k))
+            for i, k in col:
+                s = s + ring.var(f"X{i + 1}", field.from_int(k))
             assignments[f"X{j}"] = s
         if lowest.substitute(assignments, ring) != lowest:
             ok = False

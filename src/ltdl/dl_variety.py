@@ -20,7 +20,13 @@ from math import gcd
 
 from .errors import BudgetError, ParameterError, VerificationError
 from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomial
-from .linalg import group_order, index_vectors, projective_representative, vec_mat
+from .linalg import (
+    group_order,
+    index_vectors,
+    projective_representative,
+    sparse_columns,
+    vec_mul,
+)
 from .series import SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8
@@ -232,11 +238,11 @@ def orbit_check(q, n, m, generators, witness, count):
     t = -field.log[amb.product_of_forms(witness)] % order
     c = field.exp[t // fiber * pow((q ** n - 1) // fiber, -1, order // fiber) % order]
     start = tuple(field.mul(c, v) for v in witness)
-    gens = [amb.embed_matrix(g) for g in generators]
+    gens = [sparse_columns(amb.embed_matrix(g)) for g in generators]
     orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
     for x in orbit:  # orbit grows while it is walked, so this is the queue
         for g in gens:
-            y = vec_mat(field, x, g)
+            y = vec_mul(field, x, g)
             if y not in seen:
                 off += not amb.on_variety(y)
                 seen.add(y)

@@ -204,17 +204,22 @@ class FormalModule:
         self._scalars = {("int", 0): self.x_ring.zero(),
                          ("int", 1): self.x_ring.var("X"),
                          ("int", self.p): pi_series}
+        self._values = {}
 
     # -- scalar series ---------------------------------------------------------
 
     def scalar_value(self, key):
-        """The scalar as a BoundedPadic element."""
-        kind, v = key
-        if kind == "int":
-            return self.padic_params.from_int(v)
-        if kind == "teich":
-            return self.padic_params.from_teichmuller(self.field.from_int(v))
-        raise ParameterError(f"unknown scalar key {key!r}")
+        """The scalar as a BoundedPadic element, built once per key (the
+        values are never mutated, so callers share them)."""
+        if key not in self._values:
+            kind, v = key
+            if kind == "int":
+                self._values[key] = self.padic_params.from_int(v)
+            elif kind == "teich":
+                self._values[key] = self.padic_params.from_teichmuller(self.field.from_int(v))
+            else:
+                raise ParameterError(f"unknown scalar key {key!r}")
+        return self._values[key]
 
     def scalar_series(self, key):
         """[a](X) for a scalar key ('int', k) or ('teich', k)."""

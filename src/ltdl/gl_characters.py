@@ -21,16 +21,24 @@ reduced-echelon basis mod ell, so a class matrix restricts to it by reading
 its images at the pivot rows, and one row reduction (`_rref_mod`) gives both
 the eigenspaces and their bases.  The eigenvalues of each restricted matrix
 are the roots mod ell of its characteristic polynomial (Hessenberg
-reduction).  St is integer-valued, so the correspondence compares pi * St
-with Ind theta by scaling pi's integer coordinates.
+reduction).  Each character value is lifted from mod ell through the
+eigenvalue multiplicities of its class rep (Dixon 1967), once per rational
+class: the classes of g^k, k prime to ord g, take g's multiplicities
+re-indexed by t -> k t (Schneider 1990).  The table is proved orthonormal
+on those multiplicities: they sum to the degree, the row set is stable
+under Gal(Q(zeta_E)/Q), and the Gram matrix is |G| I modulo one prime
+ell' = 1 mod E above |G| (d_max^2 + 1), which forces it in Z[zeta_E]
+(`_check_table`).  St is integer-valued, so the correspondence compares
+pi * St with Ind theta by scaling pi's integer coordinates.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm
+from operator import mul
 
-from .cyclo import CycloElement, dot, dot_nonzero
+from .cyclo import CycloElement, dot
 from .errors import BudgetError, ParameterError, VerificationError, check_entry
 from .ffield import (
     field_for_order,
@@ -499,15 +507,17 @@ def is_cuspidal(group, chi):
 # -- Dixon character table ------------------------------------------------------------
 
 
-def _dixon_prime(order, exponent, attempt=0):
-    ell = max(2 * isqrt(order), 2)
-    found = 0
+def _split_prime(E, bound, attempt=0):
+    """The least prime above bound that is 1 mod E, or with attempt > 0 the
+    attempt-th after it: F_ell holds the E-th roots of unity, and Q(zeta_E)
+    splits completely at ell."""
+    ell = bound + 1 + (-bound) % E
     while True:
-        ell += 1
-        if (ell - 1) % exponent == 0 and is_prime(ell):
-            if found == attempt:
+        if is_prime(ell):
+            if attempt == 0:
                 return ell
-            found += 1
+            attempt -= 1
+        ell += E
 
 
 def _primitive_root(ell):
@@ -645,14 +655,13 @@ def _split_common_eigenspaces(group, mats, ell):
             if k == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            R = [[sum(a * b for a, b in zip(M[p], b_c)) % ell for b_c in basis]
-                 for p in pivots]
+            R = [[sum(map(mul, M[p], b_c)) % ell for b_c in basis] for p in pivots]
+            columns = list(zip(*basis))
             eigenspaces = []
             for lam in _roots_mod(_charpoly_mod(R, ell), ell):
                 A = [[(R[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
                      for i in range(k)]
-                eigenspaces.append([[sum(x * b[i] for x, b in zip(coeffs, basis)) % ell
-                                     for i in range(r)]
+                eigenspaces.append([[sum(map(mul, coeffs, col)) % ell for col in columns]
                                     for coeffs in _nullspace_mod(A, ell)])
             if sum(len(s) for s in eigenspaces) != k:
                 raise ArithmeticError("eigenspace split failed")
@@ -697,11 +706,29 @@ def dixon_table(group, max_attempts=4):
 
 
 def _dixon_table_attempt(group, attempt):
+    ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2), attempt)
+    characters = _characters_mod(group, ell)
+    conductor = group.exponent
+    rows = []
+    for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
+        chi = ClassFunction(group, [CycloElement.from_powers(conductor, m, conductor // len(m))
+                                    for m in mults])
+        rows.append((chi, degree, mults))
+    rows.sort(key=lambda row: (row[0].values[group.identity_class].coeffs,
+                               [v.coeffs for v in row[0].values]))
+    _check_table(group, [(degree, mults) for _, degree, mults in rows])
+    return CharacterTable(group, [chi for chi, _, _ in rows], ell)
+
+
+def _characters_mod(group, ell):
+    """(degree, chi mod ell) for each common eigenvector of the class
+    matrices: the eigenvector scaled to omega(1) = 1 is the central character
+    omega_chi(C_j) = |C_j| chi(g_j) / chi(1), and chi(1)^2 = |G| / sum_j
+    omega(C_j) omega(C_j^-1) / |C_j|."""
     r = group.num_classes
-    ell = _dixon_prime(group.order, group.exponent, attempt)
-    mats = _class_matrices(group)
-    eigvecs = _split_common_eigenspaces(group, mats, ell)
+    eigvecs = _split_common_eigenspaces(group, _class_matrices(group), ell)
     id_class = group.identity_class
+    size_inv = [pow(size, ell - 2, ell) for size in group.class_sizes]
     characters = []
     for vec in eigvecs:
         if vec[id_class] % ell == 0:
@@ -710,8 +737,7 @@ def _dixon_table_attempt(group, attempt):
         omega = [(v * inv0) % ell for v in vec]
         s = 0
         for j in range(r):
-            s = (s + omega[j] * omega[group.inverse_class[j]]
-                 * pow(group.class_sizes[j], ell - 2, ell)) % ell
+            s = (s + omega[j] * omega[group.inverse_class[j]] * size_inv[j]) % ell
         if s == 0:
             raise ArithmeticError("degree functional vanished")
         deg_sq = (group.order % ell) * pow(s, ell - 2, ell) % ell
@@ -719,68 +745,166 @@ def _dixon_table_attempt(group, attempt):
                        if (d * d) % ell == deg_sq), None)
         if degree is None:
             raise ArithmeticError("no admissible degree root")
-        chi_mod = [(omega[j] * degree) % ell * pow(group.class_sizes[j], ell - 2, ell) % ell
-                   for j in range(r)]
+        chi_mod = [(omega[j] * degree) % ell * size_inv[j] % ell for j in range(r)]
         characters.append((degree, chi_mod))
     if sum(d * d for d, _ in characters) != group.order:
         raise ArithmeticError("degree squares do not sum to the group order")
-    w = _primitive_root(ell)
-    conductor = group.exponent
-    # per class j, shared by every character: d = ord g_j, the classes of
-    # g_j^s for s < d, the powers zeta_d^-s mod ell and 1/d mod ell
-    lift = []
-    for j in range(r):
+    return characters
+
+
+def _rational_classes(group):
+    """The rational classes, in the order of their least classes, as pairs
+    (j, members): j the least class of one, and members the pairs (c, k),
+    one per class c in it, with g_c conjugate to g_j^k, k prime to ord g_j
+    and the least such (k = 1 for j itself)."""
+    out, seen = [], set()
+    for j in range(group.num_classes):
+        if j in seen:
+            continue
         d = group.class_orders[j]
-        z = pow(w, (ell - 1) // d, ell)
-        lift.append((d, [group.powermap(j, s) for s in range(d)],
-                     [pow(z, (-s) % d, ell) for s in range(d)],
-                     pow(d % ell, ell - 2, ell)))
-    normalized = []
+        members = {}
+        for k in range(1, d + 1):
+            if gcd(k, d) == 1:
+                members.setdefault(group.powermap(j, k), k)
+        seen.update(members)
+        out.append((j, sorted(members.items())))
+    return out
+
+
+def _lift(characters, power_classes, ell, w):
+    """The eigenvalue multiplicities of g in every character, g a class rep
+    with d = ord g = len(power_classes) and power_classes[s] the class of
+    g^s: m_t = (1/d) sum_s chi(g^s) zeta_d^{-st} mod ell, zeta_d =
+    w^((ell-1)/d) for the primitive root w.  The true m_t lies in [0,
+    chi(1)] and chi(1) < ell, so the residue is m_t itself."""
+    d = len(power_classes)
+    z = pow(w, (ell - 1) // d, ell)
+    z_inv = [pow(z, -s % d, ell) for s in range(d)]
+    kernel = [[z_inv[s * t % d] for s in range(d)] for t in range(d)]
+    d_inv = pow(d, ell - 2, ell)
+    out = []
     for degree, chi_mod in characters:
-        vals = []
-        for d, power_classes, z_inv_powers, d_inv in lift:
-            # chi(g) = sum_t m_t zeta_d^t, with m_t the multiplicity of the
-            # eigenvalue zeta_d^t of g (d = ord g), read off mod ell
-            powers = [chi_mod[c] for c in power_classes]
-            mult = []
-            for t in range(d):
-                m_t = sum(p * z_inv_powers[(s * t) % d] for s, p in enumerate(powers))
-                m_t = (m_t % ell) * d_inv % ell
-                if m_t > degree:
-                    raise ArithmeticError("eigenvalue multiplicity out of range")
-                mult.append(m_t)
-            vals.append(CycloElement.from_powers(conductor, mult, conductor // d))
-        normalized.append(ClassFunction(group, vals))
-    normalized.sort(key=lambda chi: (chi.values[group.identity_class].coeffs,
-                                     [v.coeffs for v in chi.values]))
-    table = CharacterTable(group, normalized, ell)
-    _verify_table(table)
-    return table
+        powers = [chi_mod[c] for c in power_classes]
+        mult = []
+        for row in kernel:
+            m_t = sum(map(mul, powers, row)) % ell * d_inv % ell
+            if m_t > degree:
+                raise ArithmeticError("eigenvalue multiplicity out of range")
+            mult.append(m_t)
+        out.append(mult)
+    return out
 
 
-def _verify_table(table):
-    """Exact orthonormality of a square table.
+def _multiplicities(group, characters, ell):
+    """mults[i][j]: the eigenvalue multiplicities (m_t, t < ord g_j) of
+    g_j in character i, so that chi_i(g_j) = sum_t m_t zeta_d^t.
 
-    Rows are checked for i <= j only, since <b, a> is the conjugate of
-    <a, b>.  For a square X with X D X* = |G| I (D the class sizes) the
-    inverse gives D X* X = |G| I, which is column orthogonality, so the
-    column relations follow exactly and are not summed separately.
+    The lift runs once per rational class.  If g_c is conjugate to g^k with
+    k prime to d = ord g, the eigenvalue zeta_d^t of g, of multiplicity
+    m_t, is zeta_d^{kt} for g^k: the members' vectors are the rep's,
+    re-indexed by t -> k t mod d.  This is the same identity on the residues
+    mod ell that the lift would compute at g_c, so it is exact.
     """
-    g = table.group
-    irr = table.irreducibles
-    if len(irr) != g.num_classes:
+    w = _primitive_root(ell)
+    mults = [[None] * group.num_classes for _ in characters]
+    for j, members in _rational_classes(group):
+        d = group.class_orders[j]
+        lifted = _lift(characters, [group.powermap(j, s) for s in range(d)], ell, w)
+        for row, mult in zip(mults, lifted):
+            for c, k in members:
+                row[c] = _twist(mult, k)
+    return mults
+
+
+def _twist(mult, k):
+    """The multiplicity vector re-indexed by t -> k t mod len(mult), k prime
+    to it: sigma_k applied to sum_t m_t zeta_d^t."""
+    return tuple(map(mult.__getitem__, _twist_positions(len(mult), k)))
+
+
+@lru_cache(maxsize=None)
+def _twist_positions(d, k):
+    """Entry u of a twisted vector is entry k^-1 u mod d of the vector."""
+    k_inv = pow(k, -1, d)
+    return tuple(k_inv * u % d for u in range(d))
+
+
+def _unit_generators(E):
+    """A generating set of (Z/E)^x: each unit, in increasing order, that the
+    units taken before it do not generate."""
+    gens, generated = [], {1 % E}
+    for k in range(2, E):
+        if gcd(k, E) == 1 and k not in generated:
+            gens.append(k)
+            frontier = list(generated)
+            for x in frontier:
+                for g in gens:
+                    y = x * g % E
+                    if y not in generated:
+                        generated.add(y)
+                        frontier.append(y)
+    return gens
+
+
+def _check_table(group, rows):
+    """Exact orthonormality of a table given as rows (d_i, mults_i), with
+    mults_i[j] the eigenvalue multiplicities of chi_i at g_j: chi_i(g_j) =
+    sum_t m_t zeta_d^t, d = ord g_j, in Z[zeta_E] for E the exponent.
+
+    The checks, each on integers:
+    1. r rows with sum_i d_i^2 = |G|, and at every class m_t >= 0 and
+       sum_t m_t = d_i.  So every Galois conjugate has |sigma chi_i(g_j)|
+       <= d_i.
+    2. The rows are distinct and their set is Galois-stable.  For each k
+       of a generating set of (Z/E)^x, sigma_k (zeta_E -> zeta_E^k) maps
+       each row to a row: its vectors re-indexed by t -> k t are some
+       row's.  sigma_k is injective, so every sigma permutes the rows;
+       complex conjugation, k = -1, maps row i to c(i).
+    3. The Gram matrix modulo a split prime.  Take the least prime ell' = 1
+       mod E above |G| (d_max^2 + 1), and phi: Z[zeta_E] -> F_ell' sending
+       zeta_E to a fixed primitive E-th root mod ell'.  Since conj chi_k =
+       chi_c(k), phi(|G| <chi_i, chi_k>) = S_i,c(k) with S_ab =
+       sum_j |C_j| phi(chi_a(g_j)) phi(chi_b(g_j)).  S is symmetric and c an
+       involution, so S_ab = |G| [b = c(a)] for a <= b gives phi(|G| <chi_i,
+       chi_k>) = |G| delta_ik for every (i, k).
+
+    Why this is exact: let x = |G| <chi_i, chi_k> - |G| delta_ik in
+    Z[zeta_E].  For sigma in the Galois group, sigma^-1 permutes the rows
+    (2) and commutes with conjugation, so sigma^-1(x) is the x of another
+    pair of rows, which phi kills (3): x lies in every prime above ell'.
+    ell' splits completely, so x is in ell' Z[zeta_E].  By (1) every
+    conjugate has |sigma(x)| <= |G| (d_i d_k + 1) < ell', so the norm of
+    x / ell', an integer, is below 1 in absolute value, and x = 0.  Hence
+    X D X* = |G| I for X the table and D the class sizes; X is square, so
+    D X* X = |G| I too, and the column relations follow.
+    """
+    if len(rows) != group.num_classes:
         raise ArithmeticError(
-            f"table is not square: {len(irr)} irreducibles for {g.num_classes} classes")
-    if sum(d * d for d in table.degrees) != g.order:
+            f"table is not square: {len(rows)} irreducibles for {group.num_classes} classes")
+    if any([len(m) for m in mults] != group.class_orders for _, mults in rows):
+        raise ArithmeticError("a row is not one vector of length ord g_j per class j")
+    if sum(d * d for d, _ in rows) != group.order:
         raise ArithmeticError("sum of squared degrees is off")
-    m = lcm(*(chi.m for chi in irr))
-    rows = [[v.coerce(m) for v in chi.values] for chi in irr]
-    # each conjugated row's nonzero coordinates, built once for its j + 1 dots
-    conj_rows = [[v.conj().nonzero() for v in row] for row in rows]
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            total = dot_nonzero(m, g.class_sizes, row, conj_rows[j])
-            if total != (g.order if i == j else 0):
+    if any(min(m) < 0 or sum(m) != d for d, mults in rows for m in mults):
+        raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
+    E = group.exponent
+    index = {tuple(mults): i for i, (_, mults) in enumerate(rows)}
+    if len(index) != len(rows):
+        raise ArithmeticError("two rows are equal")
+    for k in _unit_generators(E) + [-1]:
+        images = [index.get(tuple(_twist(m, k) for m in mults)) for _, mults in rows]
+        if None in images:
+            raise ArithmeticError(f"the row set is not Galois-stable under zeta -> zeta^{k}")
+    conj = images  # k = -1 came last
+    ell = _split_prime(E, group.order * (max(d for d, _ in rows) ** 2 + 1))
+    w = pow(_primitive_root(ell), (ell - 1) // E, ell)
+    # phi(zeta_d^t) = w^(E t / d)
+    roots = {d: [pow(w, E // d * t, ell) for t in range(d)] for d in set(group.class_orders)}
+    values = [[sum(map(mul, m, roots[len(m)])) % ell for m in mults] for _, mults in rows]
+    for a, va in enumerate(values):
+        weighted = [size * v for size, v in zip(group.class_sizes, va)]
+        for b in range(a, len(values)):
+            if sum(map(mul, weighted, values[b])) % ell != (group.order if b == conj[a] else 0):
                 raise ArithmeticError("row orthogonality failed")
 
 

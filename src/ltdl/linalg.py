@@ -15,21 +15,24 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _dot(field, xs, ys):
-    s = 0
-    for x, y in zip(xs, ys):
-        s = field.add(s, field.mul(x, y))
-    return s
+def sparse_columns(A):
+    """Column j of A as the (row, entry) pairs of its nonzero entries.  Each
+    of `gl_generators` has at most two per column, so a product by one is a
+    handful of field operations per entry."""
+    return tuple(tuple((i, row[j]) for i, row in enumerate(A) if row[j])
+                 for j in range(len(A[0])))
 
 
-def mat_mul(field, A, B):
-    cols = tuple(zip(*B))
-    return tuple(tuple(_dot(field, row, col) for col in cols) for row in A)
-
-
-def vec_mat(field, x, A):
-    """Row-vector action x -> x A."""
-    return tuple(_dot(field, x, col) for col in zip(*A))
+def vec_mul(field, x, columns):
+    """Row-vector action x -> x A, with A given by its `sparse_columns`."""
+    add, mul = field.add, field.mul
+    out = []
+    for col in columns:
+        s = 0
+        for i, c in col:
+            s = add(s, mul(x[i], c))
+        out.append(s)
+    return tuple(out)
 
 
 def index_vectors(field, n):
@@ -99,15 +102,20 @@ def generated_group(field, gens):
 
     The breadth-first closure of the identity under right multiplication
     forms every one of these |<gens>| * |gens| products, so the permutations
-    come from the products it already makes.
+    come from the products it already makes.  The rows of an invertible
+    matrix are nonzero vectors, so each generator s is first tabulated as
+    v -> v s over F_q^n - 0 (`vec_mul` by its sparse columns), and a product
+    g s is a lookup per row of g.
     """
     start = identity(len(gens[0]))
+    vectors = index_vectors(field, len(start))
+    images = [{v: vec_mul(field, v, cols) for v in vectors} for cols in map(sparse_columns, gens)]
     found = [start]
     position = {start: 0}
     steps = [[] for _ in gens]  # steps[s][k]: position of found[k] * gens[s]
     for g in found:  # found grows while it is walked, so this is the queue
-        for s, step in zip(gens, steps):
-            h = mat_mul(field, g, s)
+        for image, step in zip(images, steps):
+            h = tuple(map(image.__getitem__, g))
             k = position.get(h)
             if k is None:
                 k = position[h] = len(found)

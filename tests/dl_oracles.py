@@ -9,10 +9,11 @@ applies a pair (g, zeta) of GL_n(F_q) x mu_{q^n-1} to one point.
 from itertools import product
 from math import gcd
 
+from gl_oracles import vec_mat
+
 from ltdl.dl_variety import Ambient, dl_points
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
-from ltdl.linalg import vec_mat
 
 
 def act(amb, x, g=None, zeta=None):

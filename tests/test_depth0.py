@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from gl_oracles import vec_mat
 
 from ltdl import depth0
 from ltdl.depth0 import (
@@ -21,7 +22,7 @@ from ltdl.errors import ParameterError
 from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
 from ltdl.gl_characters import GLGroup
-from ltdl.linalg import det, vec_mat
+from ltdl.linalg import det
 
 
 def test_P_a_basis_vector_is_coordinate():

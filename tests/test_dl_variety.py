@@ -7,6 +7,7 @@ from dl_oracles import (
     twisted_fixed_count,
     zeta_powers,
 )
+from gl_oracles import mat_mul
 
 from ltdl.dl_variety import (
     Ambient,
@@ -24,7 +25,7 @@ from ltdl.dl_variety import (
 from ltdl.errors import BudgetError, ParameterError
 from ltdl.ffield import field_for_order
 from ltdl.gl_characters import GLGroup
-from ltdl.linalg import identity, mat_mul
+from ltdl.linalg import identity
 
 
 # -- independent F_4 oracle (hand-coded tables, no library code) ---------------
@@ -158,6 +159,20 @@ def test_action_invariance_generators_agree_with_full_group(q, n):
                     for g, z in frontier for s, w in pairs} - seen
         seen |= frontier
     assert seen == {(g, z) for g in mats for z in mus}
+
+
+def test_orbit_check_reports_the_mu_generator_leaving_the_orbit(monkeypatch):
+    # the orbit is all of DL(F_4), so z^-1 x leaves it only through wrong
+    # field arithmetic: with z^-1 doctored to 0, z^-1 x is the zero vector
+    q, n = 2, 2
+    m, (_, residues, witness) = rational_level(q, n)
+    amb = Ambient(q, n, m)
+    field, z = amb.field, amb.mu_generator()
+    honest = field.inv
+    monkeypatch.setattr(field, "inv", lambda a: 0 if a == z else honest(a))
+    orbit, failure = orbit_check(q, n, m, GLGroup(q, n).generators, witness,
+                                 len(residues) * residues[0])
+    assert len(orbit) == 6 and failure == "the mu generator leaves the orbit"
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (4, 2, 2)])

@@ -165,3 +165,13 @@ def test_parameter_guards():
         lubin_tate_module(2, 1, D=2)
     with pytest.raises(ParameterError):
         lubin_tate_module(2, 10)
+
+
+def test_scalar_values_are_built_once_per_key():
+    m = lubin_tate_module(5, 2)
+    first = m.scalar_value(("teich", 2))
+    assert m.scalar_value(("teich", 2)) is first
+    assert first.to_witt(m.N) == m.padic_params.from_teichmuller(m.field.from_int(2)).to_witt(m.N)
+    assert m.scalar_value(("int", 3)) is m.scalar_value(("int", 3))
+    with pytest.raises(ParameterError, match="unknown scalar key"):
+        m.scalar_value(("root", 1))

@@ -2,10 +2,18 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
-from gl_oracles import is_cuspidal_by_radicals, steinberg_by_flags, unipotent_radical
+from gl_oracles import (
+    closure_by_products,
+    is_cuspidal_by_radicals,
+    lift_per_class,
+    mat_mul,
+    steinberg_by_flags,
+    unipotent_radical,
+    verify_table,
+)
 
 from ltdl import gl_characters
 from ltdl.cli import main
@@ -28,15 +36,20 @@ from ltdl.gl_characters import (
     is_generic,
     rcf_key,
     steinberg,
+    _characters_mod,
     _charpoly_mod,
+    _check_table,
     _class_matrices,
     _cuspidal_matches,
-    _dixon_prime,
+    _multiplicities,
     _nullspace_mod,
+    _primitive_root,
+    _rational_classes,
     _rref_mod,
     _roots_mod,
     _split_common_eigenspaces,
-    _verify_table,
+    _split_prime,
+    _twist,
 )
 from ltdl.linalg import (
     det,
@@ -44,7 +57,6 @@ from ltdl.linalg import (
     gl_generators,
     group_order,
     identity,
-    mat_mul,
 )
 
 
@@ -501,11 +513,102 @@ def test_verify_table_rejects_doctored_tables():
     assert table.degrees[0] == table.degrees[1] == 1
     duplicated = [irr[0], irr[0]] + irr[2:]
     with pytest.raises(ArithmeticError, match="row orthogonality"):
-        _verify_table(CharacterTable(g, perturbed, ell))
+        verify_table(CharacterTable(g, perturbed, ell))
     with pytest.raises(ArithmeticError, match="row orthogonality"):
-        _verify_table(CharacterTable(g, duplicated, ell))
+        verify_table(CharacterTable(g, duplicated, ell))
     with pytest.raises(ArithmeticError, match="not square"):
-        _verify_table(CharacterTable(g, irr[:-1], ell))
+        verify_table(CharacterTable(g, irr[:-1], ell))
+
+
+def table_rows(group):
+    """The Dixon table of group and its rows as the (degree, multiplicities)
+    that `_check_table` reads, in the table's order."""
+    table = dixon_table(group)
+    characters = _characters_mod(group, table.ell)
+    E = group.exponent
+    by_values = {}
+    for (degree, _), mults in zip(characters, _multiplicities(group, characters, table.ell)):
+        key = tuple(CycloElement.from_powers(E, m, E // len(m)).coeffs for m in mults)
+        by_values[key] = (degree, mults)
+    return table, [by_values[tuple(v.coeffs for v in chi.values)] for chi in table.irreducibles]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (7, 2), (61, 1)])
+def test_rational_class_lift_and_gram_gate_match_their_oracles(q, n):
+    g = GLGroup(q, n)
+    table, rows = table_rows(g)
+    ell = table.ell
+    characters = _characters_mod(g, ell)
+    assert (_multiplicities(g, characters, ell)
+            == lift_per_class(g, characters, ell, _primitive_root(ell)))
+    # both gates accept the genuine table
+    _check_table(g, rows)
+    verify_table(table)
+
+
+def test_gram_gate_rejects_doctored_tables():
+    g = GLGroup(3, 2)
+    table, rows = table_rows(g)
+    ci = (g.identity_class + 1) % g.num_classes
+
+    def doctored(i, j, mult):
+        mults = list(rows[i][1])
+        mults[j] = tuple(mult)
+        return rows[:i] + [(rows[i][0], mults)] + rows[i + 1:]
+
+    def rejects(doctored_rows, match):
+        with pytest.raises(ArithmeticError, match=match):
+            _check_table(g, doctored_rows)
+
+    # the doctored tables of the Z[zeta] oracle: chi_5 + 1 at class ci is
+    # one corrupted multiplicity, of the eigenvalue 1; a duplicated row; a
+    # missing row
+    plus_one = list(rows[5][1][ci])
+    plus_one[0] += 1
+    rejects(doctored(5, ci, plus_one), "do not sum to the degree")
+    rejects([rows[0], rows[0]] + rows[2:], "two rows are equal")
+    rejects(rows[:-1], "not square")
+    # the trivial character is rational, and at an involution its vector
+    # (m_0, m_1) is fixed by every t -> k t, k odd: moving its eigenvalue 1
+    # to -1 keeps the sum and the Galois stability, and only the Gram matrix
+    # sees it
+    inv = next(j for j in range(g.num_classes) if g.class_orders[j] == 2)
+    assert rows[0][0] == 1 and rows[0][1][inv] == (1, 0)
+    rejects(doctored(0, inv, (0, 1)), "row orthogonality")
+    # adding ell' to a multiplicity leaves every value mod ell' and the
+    # Galois stability alone: only the sum to the degree sees it
+    ell = _split_prime(g.exponent, g.order * (max(table.degrees) ** 2 + 1))
+    rejects(doctored(0, inv, (1 + ell, 0)), "do not sum to the degree")
+    # the first row with a non-real value, conjugated at that class only:
+    # its Galois images leave the row set, and nothing else changes
+    i, j = next((i, j) for i, (_, mults) in enumerate(rows)
+                for j, m in enumerate(mults) if _twist(m, -1) != m)
+    half_conjugated = doctored(i, j, _twist(rows[i][1][j], -1))
+    assert half_conjugated[i] not in rows
+    rejects(half_conjugated, "not Galois-stable")
+
+
+@pytest.mark.parametrize("q,n,count", [(5, 2, 15), (7, 2, 23), (61, 1, 12), (64, 1, 6)])
+def test_the_lift_runs_once_per_rational_class(q, n, count, monkeypatch):
+    reps = []
+    honest = gl_characters._lift
+
+    def counted(characters, power_classes, ell, w):
+        reps.append(power_classes[1 % len(power_classes)])
+        return honest(characters, power_classes, ell, w)
+
+    monkeypatch.setattr(gl_characters, "_lift", counted)
+    g = GLGroup(q, n)
+    dixon_table(g)
+    assert len(reps) == count == len(_rational_classes(g))
+    assert sum(len(members) for _, members in _rational_classes(g)) == g.num_classes
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_sparse_closure_matches_the_product_closure(q, n):
+    field = field_for_order(q)
+    gens = gl_generators(field, n)
+    assert generated_group(field, gens) == closure_by_products(field, gens)
 
 
 @pytest.mark.parametrize("q,digest", [
@@ -922,7 +1025,7 @@ def split_by_solving(group, mats, ell):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_echelon_split_matches_the_solve_based_split(q):
     group = GLGroup(q, 2)
-    ell = _dixon_prime(group.order, group.exponent)
+    ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2))
 
     def normalized(v):
         inv = pow(next(x for x in v if x), ell - 2, ell)
