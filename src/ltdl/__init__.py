@@ -19,12 +19,7 @@ from .depth0 import (
     stratum_membership,
     un_special_fiber,
 )
-from .dl_variety import (
-    base_points,
-    dl_equation,
-    dl_points,
-    fiber_structure_check,
-)
+from .dl_variety import dl_equation, dl_points, fiber_structure_check
 from .errors import (
     BudgetError,
     DenominatorOverflow,
@@ -62,7 +57,7 @@ __all__ = [
     "FieldElement", "FormalModule", "GLGroup", "IntegralityError",
     "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
     "TruncatedSeries", "VerificationError", "WittElement",
-    "base_points", "blowup_chart", "build_P", "build_P_a",
+    "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",
     "fiber_structure_check", "field_for_order", "is_cuspidal", "is_generic",

@@ -319,20 +319,21 @@ def run_dl(cfg):
         checks.append(check_entry("form_count", len(inst.forms) == q ** n - 1))
     elif cfg.subcommand == "count":
         results["m"] = m
-        base, residues, _ = line_census(q, n, m)
+        base, residues, lines = line_census(q, n, m)
         results["count"] = len(residues) * residues[0]
         if cfg.values.get("list"):
-            results["points"] = [list(p) for p in dl_points(q, n, m)]
+            results["points"] = [list(p) for p in dl_points(q, n, m, lines)]
         results["base_count"] = base
         checks.append(check_entry("moebius_matches_enumeration",
                                   base == base_points_moebius(q, n, m)))
     elif cfg.subcommand == "fibers":
-        rep = fiber_structure_check(q, n, m)
+        _, _, lines = line_census(q, n, m)
+        rep = fiber_structure_check(q, n, m, dl_points(q, n, m, lines), lines)
         results.update(rep)
         checks.append(check_entry("fiber_size_gcd", rep["invariants_passed"],
                                   rep.get("failure", f"fiber size {rep['fiber_size']}")))
     elif cfg.subcommand == "twisted":
-        rep = twisted_sum_check(q, n, m)
+        rep = twisted_sum_check(q, n, m, line_census(q, n, m))
         results.update(rep)
         checks.append(check_entry("twisted_sum_identity", rep["matches"],
                                   f"{rep['sum_of_twisted_counts']} vs {rep['expected']}"))
@@ -439,21 +440,18 @@ def run_verify_all(cfg):
     with suite("dl", checks):
         # every check runs on DL(F_{q^m}) at its first non-empty level
         m, census = rational_level(q, n)
-        base, residues, witness = census
+        base, residues, lines = census
         count = len(residues) * residues[0]
         checks.append(check_entry(f"dl.base_points_m{m}", base == base_points_moebius(q, n, m),
                                   f"count {count}, base {base}"))
         tw = twisted_sum_check(q, n, m, census)
         checks.append(check_entry(f"dl.twisted_sum_m{m}", tw["matches"],
                                   f"{tw['sum_of_twisted_counts']} = (q^n-1)*{base}"))
-        orbit, failure = orbit_check(q, n, m, gl_group().generators, witness, count)
+        orbit, failure = orbit_check(q, n, m, gl_group().generators, lines[0], count)
         checks.append(check_entry("dl.action_invariance", failure is None,
                                   failure or f"orbit size {len(orbit)}"))
-        # the orbit's lines must be exactly the census lines with residue 0
-        rep = fiber_structure_check(q, n, m, points=orbit)
-        if rep["base_points_hit"] != residues[0]:
-            rep.setdefault("failure", f"{rep['base_points_hit']} lines hit, census {residues[0]}")
-        checks.append(check_entry(f"dl.fibers_m{m}", "failure" not in rep,
+        rep = fiber_structure_check(q, n, m, orbit, lines)
+        checks.append(check_entry(f"dl.fibers_m{m}", rep["invariants_passed"],
                                   rep.get("failure", f"fiber size {rep['fiber_size']}")))
 
     with suite("chars", checks):

@@ -6,10 +6,12 @@ The product P is homogeneous of degree q^n - 1, so every point of DL is a
 scalar multiple of a line of P^{n-1}(F_{q^m}) off the rational hyperplanes.
 `line_census` walks those lines once; integer congruences on their log P
 values give the rational count, the Frobenius-twisted counts N_m(zeta)
-(`per_zeta_counts`, with no larger field built) and a witness line.
-`orbit_check` proves from that one point that GL_n(F_q) acts simply
-transitively on DL(F_{q^m}).  Point enumeration (`dl_points`, `base_points`)
-and the Moebius count stay as cross-checks.
+(`per_zeta_counts`, with no larger field built) and the lines that carry
+DL points.  `line_points` scales such a line onto the variety: `dl_points`
+lists DL(F_{q^m}) from every census line, and `orbit_check` proves from
+the first point of the first line that GL_n(F_q) acts simply transitively
+on DL(F_{q^m}).  The Moebius count of the base lines stays as a
+cross-check.  No function here walks F_{q^m}^n.
 
 Points are vectors of canonical field integers; all enumeration is
 deterministic (lexicographic) and exact.
@@ -119,13 +121,6 @@ class Ambient:
     def on_variety(self, x):
         return self.product_of_forms(x) == 1
 
-    def points(self):
-        """Lexicographic enumeration of all vectors in F_{q^m}^n."""
-        Q = self.field.q
-        if Q ** self.n > POINT_BUDGET:
-            raise BudgetError(f"{Q}^{self.n} points exceed the {POINT_BUDGET} budget")
-        return product(range(Q), repeat=self.n)
-
     def embed_matrix(self, g):
         """A matrix over F_q with its entries embedded in this field."""
         return tuple(tuple(self.embed_map[v] for v in row) for row in g)
@@ -136,38 +131,56 @@ class Ambient:
         return self.field.exp[order // gcd(self.q ** self.n - 1, order)]
 
 
-def dl_points(q, n, m):
-    """Exhaustive solutions of the DL equation over F_{q^m}, in lexicographic
-    order."""
-    amb = Ambient(q, n, m)
-    return [x for x in amb.points() if amb.on_variety(x)]
-
-
 def line_census(q, n, m):
-    """One walk of P^{n-1}(F_{q^m}): (base, residues, witness).
+    """One walk of P^{n-1}(F_{q^m}): (base, residues, lines).
 
     P is homogeneous of degree q^n - 1, so the DL points on the line of x0
     are the c * x0 with c^{q^n-1} = P(x0)^{-1}.  With g = gcd(q^n - 1,
     q^m - 1) there are g such c in F_{q^m} when g divides log P(x0), and
     none otherwise.  base counts the lines with P(x0) != 0 (those off every
     rational hyperplane), residues[r] those with log P(x0) = r mod g, and
-    witness is the first line with residue 0 (None if there is none).  The
-    rational count |DL(F_{q^m})| is g * residues[0]; `per_zeta_counts`
-    reads the Frobenius-twisted counts off the same residues.
+    lines holds the lines with residue 0 in walk order.  The rational count
+    |DL(F_{q^m})| is g * residues[0]; `per_zeta_counts` reads the
+    Frobenius-twisted counts off the same residues.
     """
     amb = Ambient(q, n, m)
     log = amb.field.log
     g = gcd(q ** n - 1, q ** m - 1)
-    base, residues, witness = 0, [0] * g, None
+    base, residues, lines = 0, [0] * g, []
     for x0 in _projective_reps(amb):
         value = amb.product_of_forms(x0)
         if value:
             base += 1
             r = log[value] % g
             residues[r] += 1
-            if witness is None and r == 0:
-                witness = x0
-    return base, residues, witness
+            if r == 0:
+                lines.append(x0)
+    return base, residues, lines
+
+
+def line_points(amb, x0):
+    """The g = gcd(q^n - 1, q^m - 1) DL points c * x0, c^{q^n-1} = P(x0)^{-1},
+    on a census line x0: log c = (t / g) ((q^n-1) / g)^{-1} + k (q^m-1) / g
+    mod q^m - 1 for k in range(g), with t = -log P(x0)."""
+    field = amb.field
+    order, B = field.q - 1, amb.q ** amb.n - 1
+    g = gcd(B, order)
+    t = -field.log[amb.product_of_forms(x0)] % order
+    first = t // g * pow(B // g, -1, order // g)
+    return [tuple(field.mul(field.exp[(first + k * (order // g)) % order], v) for v in x0)
+            for k in range(g)]
+
+
+def dl_points(q, n, m, lines):
+    """DL(F_{q^m}) in lexicographic order, from the residue-0 `lines` of
+    `line_census(q, n, m)`; a VerificationError names a point off the variety."""
+    amb = Ambient(q, n, m)
+    points = sorted(x for x0 in lines for x in line_points(amb, x0))
+    off = [x for x in points if not amb.on_variety(x)]
+    if off:
+        raise VerificationError(f"{len(off)} of {len(points)} census points off "
+                                f"DL(F_{amb.field.q}), first {list(off[0])}")
+    return points
 
 
 def rational_level(q, n):
@@ -178,17 +191,6 @@ def rational_level(q, n):
         if census[1][0]:
             return m, census
     raise VerificationError(f"DL(F_{{q^m}}) has no point for any m in [{n}, {2 * n}]")
-
-
-def base_points(q, n, m):
-    """Points of P^{n-1}(F_{q^m}) avoiding every F_q-rational hyperplane, by
-    enumeration; `base_points_moebius` counts them in closed form."""
-    amb = Ambient(q, n, m)
-    count = 0
-    for x in _projective_reps(amb):
-        if amb.product_of_forms(x) != 0:
-            count += 1
-    return count
 
 
 def _projective_reps(amb):
@@ -223,8 +225,8 @@ def orbit_check(q, n, m, generators, witness, count):
     the `count` points of DL(F_{q^m}), and mu_{q^n-1} keeps them: returns
     (orbit, failure), with failure None when every condition holds.
 
-    The orbit is that of the DL point c * witness, c^{q^n-1} =
-    P(witness)^{-1}, walked breadth first with every new image checked on
+    The orbit is that of the first `line_points` of the census line
+    `witness`, walked breadth first with every new image checked on
     the variety.  A walk closed under generators of a finite group is the
     whole group orbit, so it is an invariant subset of the variety; its size
     equal to `count` makes it all of DL(F_{q^m}) (transitivity), and equal
@@ -233,11 +235,7 @@ def orbit_check(q, n, m, generators, witness, count):
     """
     amb = Ambient(q, n, m)
     field = amb.field
-    order, fiber = field.q - 1, gcd(q ** n - 1, field.q - 1)
-    # log c solves (q^n - 1) log c = -log P(witness) mod q^m - 1
-    t = -field.log[amb.product_of_forms(witness)] % order
-    c = field.exp[t // fiber * pow((q ** n - 1) // fiber, -1, order // fiber) % order]
-    start = tuple(field.mul(c, v) for v in witness)
+    start = line_points(amb, witness)[0]
     gens = [sparse_columns(amb.embed_matrix(g)) for g in generators]
     orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
     for x in orbit:  # orbit grows while it is walked, so this is the queue
@@ -261,29 +259,30 @@ def orbit_check(q, n, m, generators, witness, count):
     return orbit, None
 
 
-def fiber_structure_check(q, n, m, points=None):
-    """Fibers of DL(F_{q^m}) -> P^{n-1} complement have size gcd(q^n-1, q^m-1).
+def fiber_structure_check(q, n, m, points, census_lines):
+    """Fibers of DL(F_{q^m}) -> P^{n-1} complement have size gcd(q^n-1, q^m-1),
+    over as many lines as `census_lines`, the residue-0 lines of the census.
 
-    The verdict is `invariants_passed`; when it is false, `failure` says
-    which invariant broke.  An empty point set fails as vacuous: no fiber
-    was seen.  `points`, if given, is `dl_points(q, n, m)` already built,
-    and is not enumerated again.
+    The verdict is `invariants_passed`; when it is false, `failure` names the
+    first broken invariant of: vacuous (no point, so no fiber was seen), an
+    image on a rational hyperplane, the fiber sizes, the lines hit.
     """
     amb = Ambient(q, n, m)
-    pts = dl_points(q, n, m) if points is None else points
     fibers = {}
-    for x in pts:
+    for x in points:
         fibers.setdefault(projective_representative(amb.field, x), []).append(x)
     expected = gcd(q ** n - 1, q ** m - 1)
     sizes = sorted(set(len(v) for v in fibers.values()))
-    out = {"q": q, "n": n, "m": m, "count": len(pts), "base_points_hit": len(fibers),
-           "fiber_size": expected, "vacuous": not pts}
-    if not pts:
+    out = {"q": q, "n": n, "m": m, "count": len(points), "base_points_hit": len(fibers),
+           "fiber_size": expected, "vacuous": not points}
+    if not points:
         out["failure"] = f"vacuous: DL(F_{q ** m}) has no points"
     elif any(amb.product_of_forms(rep) == 0 for rep in fibers):
         out["failure"] = "DL point image lies on a rational hyperplane"
     elif sizes not in ([], [expected]):
         out["failure"] = f"fiber sizes {sizes} != gcd = {expected}"
+    elif len(fibers) != len(census_lines):
+        out["failure"] = f"{len(fibers)} lines hit, census {len(census_lines)}"
     out["invariants_passed"] = "failure" not in out
     return out
 
@@ -304,15 +303,16 @@ def per_zeta_counts(q, n, residues):
     return [g * residues[k % g] for k in range(q ** n - 1)]
 
 
-def twisted_sum_check(q, n, m, census=None):
-    """sum over zeta in mu_{q^n-1} of N_m(zeta) = (q^n-1) * base count.
+def twisted_sum_check(q, n, m, census):
+    """sum over zeta in mu_{q^n-1} of N_m(zeta) = (q^n-1) * base count, from
+    `census` = `line_census(q, n, m)`.
 
     The base count alone implies this identity: every c with c^{q^n-1} =
     P(x0)^{-1} has c^{q^m-1} in mu_{q^n-1}, so the sum counts each base
     line q^n - 1 times.  The per-theta Frobenius trace check of ROADMAP.md
-    item 2 replaces it.  `census`, if given, is `line_census(q, n, m)`.
+    item 1 replaces it.
     """
-    base, residues, _ = line_census(q, n, m) if census is None else census
+    base, residues, _ = census
     total = sum(per_zeta_counts(q, n, residues))
     expected = (q ** n - 1) * base
     return {"q": q, "n": n, "m": m, "sum_of_twisted_counts": total,

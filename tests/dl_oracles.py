@@ -1,9 +1,10 @@
 """Brute-force oracles for the DL suite.
 
 Each one enumerates points of F_{q^M}^n or loops over a whole group, where
-`line_census` and `orbit_check` count with integer congruences and walk one
-orbit; the tests hold the two to the same answers wherever both run.  `act`
-applies a pair (g, zeta) of GL_n(F_q) x mu_{q^n-1} to one point.
+`line_census`, `dl_points` and `orbit_check` count with integer congruences,
+scale census lines onto the variety and walk one orbit; the tests hold the
+two to the same answers wherever both run.  `act` applies a pair (g, zeta)
+of GL_n(F_q) x mu_{q^n-1} to one point.
 """
 
 from itertools import product
@@ -11,9 +12,31 @@ from math import gcd
 
 from gl_oracles import vec_mat
 
-from ltdl.dl_variety import Ambient, dl_points
-from ltdl.errors import ParameterError, VerificationError
+from ltdl.dl_variety import POINT_BUDGET, Ambient
+from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
+
+
+def ambient_points(amb):
+    """Lexicographic enumeration of all vectors in F_{q^m}^n."""
+    Q = amb.field.q
+    if Q ** amb.n > POINT_BUDGET:
+        raise BudgetError(f"{Q}^{amb.n} points exceed the {POINT_BUDGET} budget")
+    return product(range(Q), repeat=amb.n)
+
+
+def dl_points_by_enumeration(q, n, m):
+    """Exhaustive solutions of the DL equation over F_{q^m}, in lexicographic
+    order."""
+    amb = Ambient(q, n, m)
+    return [x for x in ambient_points(amb) if amb.on_variety(x)]
+
+
+def base_points(q, n, m):
+    """Points of P^{n-1}(F_{q^m}) avoiding every F_q-rational hyperplane: the
+    vectors of F_{q^m}^n off every rational hyperplane, q^m - 1 to a line."""
+    amb = Ambient(q, n, m)
+    return sum(1 for x in ambient_points(amb) if amb.product_of_forms(x)) // (amb.field.q - 1)
 
 
 def act(amb, x, g=None, zeta=None):
@@ -61,7 +84,7 @@ def twisted_count(q, n, g, zeta, M, frob_power=1):
     """#{x in DL(F_{q^M}) : x_i^{q^frob_power} = (zeta^{-1} (x g))_i for all i}."""
     amb = Ambient(q, n, M)
     count = 0
-    for x in amb.points():
+    for x in ambient_points(amb):
         if not amb.on_variety(x):
             continue
         tx = act(amb, x, g, zeta)
@@ -100,14 +123,14 @@ def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
     default all of the available mu_{q^n-1}) maps DL(F_{q^m}) points to DL
     points: returns the number of (point, g, zeta) triples checked, or None
     at the first image that is not a DL point.  `points`, if given, is
-    `dl_points(q, n, m)` already built, and is not enumerated again.
+    DL(F_{q^m}) already listed, and is not enumerated again.
 
     Each pair acts injectively on the finite point set, so checking pairs
     that generate GL_n(F_q) x mu proves invariance under the whole group:
     generators of GL_n(F_q) paired with 1 and with a generator of mu do.
     """
     amb = Ambient(q, n, m)
-    pts = dl_points(q, n, m) if points is None else points
+    pts = dl_points_by_enumeration(q, n, m) if points is None else points
     mus = mu_elements(amb) if zetas is None else zetas
     checked = 0
     for x in pts:

@@ -10,7 +10,7 @@ import time
 from math import comb
 
 import pytest
-from dl_oracles import action_invariance_check
+from dl_oracles import action_invariance_check, base_points, dl_points_by_enumeration
 
 from ltdl.cli import main as cli_main
 from ltdl.depth0 import (
@@ -20,9 +20,9 @@ from ltdl.depth0 import (
     un_special_fiber,
 )
 from ltdl.dl_variety import (
-    base_points,
     dl_points,
     fiber_structure_check,
+    line_census,
     twisted_sum_check,
 )
 from ltdl.errors import ParameterError
@@ -126,15 +126,17 @@ def test_criterion_05_un_equals_dl():
 
 def test_criterion_06_dl_enumeration():
     started = time.monotonic()
-    ok = len(dl_points(2, 2, 2)) == 6
-    ok = ok and len(dl_points(2, 2, 1)) == 0
-    fib = fiber_structure_check(2, 2, 2)
+    lines = line_census(2, 2, 2)[2]
+    points = dl_points(2, 2, 2, lines)
+    ok = points == dl_points_by_enumeration(2, 2, 2) and len(points) == 6
+    ok = ok and len(dl_points_by_enumeration(2, 2, 1)) == 0
+    fib = fiber_structure_check(2, 2, 2, points, lines)
     ok = ok and fib["base_points_hit"] == 2 and fib["fiber_size"] == 3
     mats = GLGroup(2, 2).elements
     triples = action_invariance_check(2, 2, 2, mats)
     ok = ok and triples == 6 * len(mats) * 3  # every point, all 18 (g, zeta) pairs
     for m in (1, 2):
-        tw = twisted_sum_check(2, 2, m)
+        tw = twisted_sum_check(2, 2, m, line_census(2, 2, m))
         ok = ok and tw["matches"]
         ok = ok and tw["sum_of_twisted_counts"] == 3 * base_points(2, 2, m)
     elapsed = time.monotonic() - started

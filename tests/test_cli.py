@@ -77,10 +77,11 @@ def miscounted_census(monkeypatch):
     honest = dl_variety.line_census
 
     def miscounted(q, n, m):
-        base, residues, witness = honest(q, n, m)
+        base, residues, lines = honest(q, n, m)
         if m == 2:
             residues = [residues[0] - 1, residues[1] + 1] + residues[2:]
-        return base, residues, witness
+            lines = lines[:-1]
+        return base, residues, lines
 
     monkeypatch.setattr(dl_variety, "line_census", miscounted)
 
@@ -104,15 +105,27 @@ def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doct
 
 
 def test_dl_fibers_reports_a_doubled_fiber(tmp_path, monkeypatch):
-    # every point enumerated twice: each fiber over a base point doubles
-    points = dl_variety.Ambient.points
-    monkeypatch.setattr(dl_variety.Ambient, "points",
-                        lambda amb: [x for x in points(amb) for _ in (0, 1)])
+    # every census point listed twice: each fiber over a base point doubles
+    honest = cli.dl_points
+    monkeypatch.setattr(cli, "dl_points", lambda q, n, m, lines:
+                        [x for x in honest(q, n, m, lines) for _ in (0, 1)])
     code, report = run_cli(tmp_path, "dl", "fibers", "--q", "2", "--n", "2", "--m", "2")
     assert code == 1
     assert report["results"]["invariants_passed"] is False
     assert report["checks"] == [{"name": "fiber_size_gcd", "status": "fail",
                                  "details": "fiber sizes [6] != gcd = 3"}]
+
+
+def test_dl_count_names_a_census_point_off_the_variety(tmp_path, monkeypatch):
+    # (3, 2), a point of DL(F_4), reads as off the variety
+    honest = dl_variety.Ambient.on_variety
+    monkeypatch.setattr(dl_variety.Ambient, "on_variety",
+                        lambda amb, x: x != (3, 2) and honest(amb, x))
+    code, report = run_cli(tmp_path, "dl", "count", "--q", "2", "--n", "2", "--m", "2",
+                           "--list")
+    assert code == 1
+    assert report["checks"] == [{"name": "verification", "status": "fail",
+                                 "details": "1 of 6 census points off DL(F_4), first [3, 2]"}]
 
 
 @pytest.mark.parametrize("q,n,m,field", [(2, 2, 1, 2), (3, 1, 1, 3)])
@@ -218,21 +231,28 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
 
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
-    # the line census walks P^1(F_{q^2}) once, and the fiber and action
-    # checks walk the orbit instead of enumerating F_{q^2}^2
+    # each command walks P^1(F_{q^2}) once: the line census; verify-all's
+    # fiber and action checks walk the orbit, and the dl commands read
+    # their points off the census lines
     walks = Counter()
-    for kind, owner, name in [("points", dl_variety.Ambient, "points"),
-                              ("lines", dl_variety, "_projective_reps")]:
-        def counted(amb, kind=kind, honest=getattr(owner, name)):
-            walks[kind, amb.m] += 1
-            return honest(amb)
+    honest = dl_variety._projective_reps
 
-        monkeypatch.setattr(owner, name, counted)
+    def counted(amb):
+        walks[amb.m] += 1
+        return honest(amb)
+
+    monkeypatch.setattr(dl_variety, "_projective_reps", counted)
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
     names = {c["name"] for c in report["checks"]}
     assert {"dl.fibers_m2", "dl.action_invariance"} <= names
-    assert walks == {("lines", 2): 1}
+    assert walks == {2: 1}
+    for argv in (["count", "--list"], ["fibers"], ["twisted"]):
+        walks.clear()
+        code, report = run_cli(tmp_path, "dl", *argv, "--q", str(q), "--n", str(n),
+                               "--m", "2")
+        assert code == 0
+        assert walks == {2: 1}, argv
 
 
 # sha256 of the sorted-key JSON of each report's results and checks
@@ -372,6 +392,47 @@ def test_series_reports_hold_their_frozen_digests(tmp_path, argv):
     body = json.dumps({"results": report["results"], "checks": report["checks"]},
                       sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == SERIES_REPORT_DIGESTS[argv]
+
+
+# (exit code, sha256 of the sorted-key JSON of the results and checks) of
+# the point-level dl reports, frozen from the reports made by enumerating
+# F_{q^m}^n, before the line census became their one path to DL points
+DL_REPORT_DIGESTS = {
+    ("dl", "count", "--q", "2", "--n", "2", "--m", "2", "--list"):
+        (0, "634244f17e2add05765116e8988dad40a8bb5620db933cb6c44d9a4405db26c9"),
+    ("dl", "count", "--q", "4", "--n", "2", "--m", "2", "--list"):
+        (0, "e75898a6dda45fe231a2ff1f247d53a2b091e0a38f457c5118f2d6cd2609d114"),
+    ("dl", "count", "--q", "2", "--n", "3", "--m", "3", "--list"):
+        (0, "3b0adf5b99523c8585e2517c49b4cffaebae11ce3f1fb6af6608a8610933fb70"),
+    ("dl", "count", "--q", "3", "--n", "2", "--m", "4", "--list"):
+        (0, "e7b9b7521e88767d0bba3981e606c2ee14db4e4ab801a5a8550c2e76af7985a5"),
+    ("dl", "count", "--q", "8", "--n", "2", "--m", "2", "--list"):
+        (0, "1f1682695a2efb016d034c350b276baff111501f7dc5bdbdf98a6caf3a84e247"),
+    ("dl", "count", "--q", "5", "--n", "2", "--m", "4", "--list"):
+        (0, "6c7b5811a3cdc0e49b5db66466e11b71d561776f17da5325199cdc0fb0bc071d"),
+    ("dl", "fibers", "--q", "2", "--n", "2", "--m", "2"):
+        (0, "5a0976205d4efa3c098223938e676e139aea9481e11d5d14b48a77d2c843d405"),
+    ("dl", "fibers", "--q", "4", "--n", "2", "--m", "2"):
+        (0, "4a87f9f08a88d0a82408af10a52747af515b0bf7165f568d54538706ae97807b"),
+    ("dl", "fibers", "--q", "2", "--n", "3", "--m", "3"):
+        (0, "e3fee32728506b8697c05926bc20d61f1cd306e65ccbe58c7d8a7b90879129a3"),
+    ("dl", "fibers", "--q", "2", "--n", "2", "--m", "1"):
+        (1, "e284be813e5f7974bcd0842e62723a57937e9f2e354a9b16a90363a080435611"),
+    ("dl", "fibers", "--q", "3", "--n", "1", "--m", "1"):
+        (1, "d77753a82b56317ff7784e7bd75971f8ef21c4216d1d1c8d1ec9372379aeda68"),
+    ("dl", "twisted", "--q", "2", "--n", "2", "--m", "2"):
+        (0, "d7388da0501b470feb39865695804050ab5bdb45522b09f1d363314901c656c7"),
+    ("dl", "twisted", "--q", "3", "--n", "3", "--m", "1"):
+        (0, "2e015be3d6181d9342a9f7493fbb21471ef44743cef4d4ecd7bc5815222e4a6d"),
+}
+
+
+@pytest.mark.parametrize("argv", list(DL_REPORT_DIGESTS), ids=" ".join)
+def test_dl_reports_hold_their_frozen_digests(tmp_path, argv):
+    code, report = run_cli(tmp_path, *argv)
+    body = json.dumps({"results": report["results"], "checks": report["checks"]},
+                      sort_keys=True)
+    assert (code, hashlib.sha256(body.encode()).hexdigest()) == DL_REPORT_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("doctor", [lambda gens: gens[:2],

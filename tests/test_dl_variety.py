@@ -2,6 +2,9 @@ import pytest
 from dl_oracles import (
     act,
     action_invariance_check,
+    ambient_points,
+    base_points,
+    dl_points_by_enumeration,
     mu_elements,
     twisted_count,
     twisted_fixed_count,
@@ -11,7 +14,6 @@ from gl_oracles import mat_mul
 
 from ltdl.dl_variety import (
     Ambient,
-    base_points,
     base_points_moebius,
     dl_equation,
     dl_points,
@@ -74,18 +76,27 @@ def test_dl_equation_32_degree():
     assert max(sum(e) for e in inst.equation.terms) == 8
 
 
+def census_points(q, n, m):
+    return dl_points(q, n, m, line_census(q, n, m)[2])
+
+
+def census_fibers(q, n, m):
+    lines = line_census(q, n, m)[2]
+    return fiber_structure_check(q, n, m, dl_points(q, n, m, lines), lines)
+
+
 def test_dl_points_22():
     # Oracle: independent hand-table enumeration gives 6 points over F_4.
     oracle = oracle_dl_22_over_f4()
     assert len(oracle) == 6
-    assert len(dl_points(2, 2, 1)) == 0
-    pts = dl_points(2, 2, 2)
-    assert len(pts) == 6 and pts == sorted(pts)
+    assert len(census_points(2, 2, 1)) == 0
+    pts = census_points(2, 2, 2)
+    assert len(pts) == 6 and pts == sorted(pts) == oracle
 
 
 def test_dl_points_degenerate():
-    assert len(dl_points(2, 1, 1)) == 1
-    assert len(dl_points(2, 1, 2)) == 1  # x = 1 is the only solution of x = 1
+    assert len(census_points(2, 1, 1)) == 1
+    assert len(census_points(2, 1, 2)) == 1  # x = 1 is the only solution of x = 1
 
 
 def test_base_points_both_methods():
@@ -119,7 +130,7 @@ def test_act_zeta_scaling():
     amb = Ambient(2, 2, 2)
     mus = mu_elements(amb)
     assert len(mus) == 3  # mu_3 lives in F_4
-    for x in [p for p in amb.points() if amb.on_variety(p)]:
+    for x in [p for p in ambient_points(amb) if amb.on_variety(p)]:
         for z in mus:
             assert amb.on_variety(act(amb, x, zeta=z))
     with pytest.raises(ParameterError):
@@ -141,12 +152,13 @@ def test_action_invariance_generators_agree_with_full_group(q, n):
     amb = Ambient(q, n, 2)
     mus = mu_elements(amb)
     zetas = sorted({1, amb.mu_generator()})
-    pts = len(dl_points(q, n, 2))
+    brute = dl_points_by_enumeration(q, n, 2)
+    pts = len(brute)
     assert pts > 0
     # the one-orbit check of verify-all against the same full-group loop
-    _, residues, witness = line_census(q, n, 2)
-    orbit, failure = orbit_check(q, n, 2, gens, witness, len(residues) * residues[0])
-    assert failure is None and sorted(orbit) == dl_points(q, n, 2)
+    _, residues, lines = line_census(q, n, 2)
+    orbit, failure = orbit_check(q, n, 2, gens, lines[0], len(residues) * residues[0])
+    assert failure is None and sorted(orbit) == brute
     assert action_invariance_check(q, n, 2, mats) == pts * len(mats) * len(mus)
     assert action_invariance_check(q, n, 2, gens, zetas) == pts * len(gens) * len(zetas)
     # the pairs (g, zeta) generate all of GL_n(F_q) x mu
@@ -165,33 +177,37 @@ def test_orbit_check_reports_the_mu_generator_leaving_the_orbit(monkeypatch):
     # the orbit is all of DL(F_4), so z^-1 x leaves it only through wrong
     # field arithmetic: with z^-1 doctored to 0, z^-1 x is the zero vector
     q, n = 2, 2
-    m, (_, residues, witness) = rational_level(q, n)
+    m, (_, residues, lines) = rational_level(q, n)
     amb = Ambient(q, n, m)
     field, z = amb.field, amb.mu_generator()
     honest = field.inv
     monkeypatch.setattr(field, "inv", lambda a: 0 if a == z else honest(a))
-    orbit, failure = orbit_check(q, n, m, GLGroup(q, n).generators, witness,
+    orbit, failure = orbit_check(q, n, m, GLGroup(q, n).generators, lines[0],
                                  len(residues) * residues[0])
     assert len(orbit) == 6 and failure == "the mu generator leaves the orbit"
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (4, 2, 2)])
 def test_checks_on_a_given_point_list_match_their_own_enumeration(q, n, m):
-    pts = dl_points(q, n, m)
-    assert fiber_structure_check(q, n, m, points=pts) == fiber_structure_check(q, n, m)
+    # the checks on the census points against the same checks on the
+    # enumeration of F_{q^m}^n
+    lines = line_census(q, n, m)[2]
+    pts = dl_points(q, n, m, lines)
+    assert (fiber_structure_check(q, n, m, pts, lines)
+            == fiber_structure_check(q, n, m, dl_points_by_enumeration(q, n, m), lines))
     gens = GLGroup(q, n).generators
     assert (action_invariance_check(q, n, m, gens, points=pts)
             == action_invariance_check(q, n, m, gens))
 
 
 def test_fiber_structure():
-    rep = fiber_structure_check(2, 2, 2)
+    rep = census_fibers(2, 2, 2)
     assert rep["count"] == 6
     assert rep["base_points_hit"] == 2
     assert rep["fiber_size"] == 3
-    vac = fiber_structure_check(2, 2, 1)
+    vac = census_fibers(2, 2, 1)
     assert vac["vacuous"] and vac["count"] == 0
-    deg = fiber_structure_check(2, 1, 2)
+    deg = census_fibers(2, 1, 2)
     assert deg["fiber_size"] == 1
 
 
@@ -199,22 +215,23 @@ def test_twisted_counts():
     # untwisted: g = 1, zeta = 1, frobenius power m with M = m recovers the
     # plain rational count
     ident = identity(2)
-    assert twisted_count(2, 2, ident, 1, 2, frob_power=2) == len(dl_points(2, 2, 2))
+    assert (twisted_count(2, 2, ident, 1, 2, frob_power=2)
+            == len(dl_points_by_enumeration(2, 2, 2)))
     # no nonzero vector is fixed by a nontrivial scaling
     amb = Ambient(2, 2, 2)
     z = [m for m in mu_elements(amb) if m != 1][0]
-    fixed = [x for x in amb.points() if amb.on_variety(x)
+    fixed = [x for x in ambient_points(amb) if amb.on_variety(x)
              and act(amb, x, zeta=z) == x]
     assert fixed == []
 
 
 def test_twisted_sum_identity():
     for m in (1, 2):
-        rep = twisted_sum_check(2, 2, m)
+        rep = twisted_sum_check(2, 2, m, line_census(2, 2, m))
         assert rep["matches"], rep
-    r1 = twisted_sum_check(2, 2, 1)
+    r1 = twisted_sum_check(2, 2, 1, line_census(2, 2, 1))
     assert r1["sum_of_twisted_counts"] == 0
-    r2 = twisted_sum_check(2, 2, 2)
+    r2 = twisted_sum_check(2, 2, 2, line_census(2, 2, 2))
     assert r2["sum_of_twisted_counts"] == 6
 
 
@@ -246,14 +263,18 @@ def test_twisted_fixed_count_matches_brute_force(q, n, m, M, counts):
 @pytest.mark.parametrize("q,n,m", [
     (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
     (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 2, 1), (3, 2, 2),
+    (3, 2, 4), (2, 3, 6), (4, 2, 2), (8, 2, 2), (9, 2, 2),
 ])
 def test_line_census_matches_enumeration(q, n, m):
-    # the rational count against the point enumeration, the base against
-    # the line enumeration and the Moebius count
-    base, residues, witness = line_census(q, n, m)
-    assert len(residues) * residues[0] == len(dl_points(q, n, m))
+    # the rational count and the points read off the census lines against
+    # the point enumeration, the base against the vector enumeration and
+    # the Moebius count
+    base, residues, lines = line_census(q, n, m)
+    brute = dl_points_by_enumeration(q, n, m)
+    assert len(residues) * residues[0] == len(brute)
+    assert dl_points(q, n, m, lines) == brute
     assert base == base_points(q, n, m) == base_points_moebius(q, n, m)
-    assert (witness is None) == (residues[0] == 0)
+    assert len(lines) == residues[0]
 
 
 def prime_powers(bound):
@@ -273,7 +294,7 @@ def test_rational_level_is_the_first_nonempty_level(q, n):
     # every verify-all config but (7, 2), where enumerating the 343^2 points
     # at m = 3 takes about a second
     m, census = rational_level(q, n)
-    assert m == next(k for k in range(n, 2 * n + 1) if dl_points(q, n, k))
+    assert m == next(k for k in range(n, 2 * n + 1) if dl_points_by_enumeration(q, n, k))
     assert census == line_census(q, n, m)
 
 
@@ -281,7 +302,7 @@ def orbit_sizes(q, n, m, matrices):
     """Sizes of the GL x mu orbits on DL(F_{q^m}), each orbit closed under
     the action and inside the point set."""
     amb = Ambient(q, n, m)
-    pts = {x for x in amb.points() if amb.on_variety(x)}
+    pts = set(dl_points_by_enumeration(q, n, m))
     mus = mu_elements(amb)
     seen = set()
     sizes = []
@@ -315,6 +336,6 @@ def test_orbit_partition():
 
 def test_budget_guards():
     with pytest.raises(BudgetError):
-        dl_points(2, 4, 8)  # 2^32 points exceed the enumeration budget
+        line_census(2, 4, 8)  # 2^32 vectors exceed the line walk's budget
     with pytest.raises(BudgetError):
-        dl_points(3, 2, 8)  # ambient field 3^8 = 6561 over the table bound
+        line_census(3, 2, 8)  # ambient field 3^8 = 6561 over the table bound

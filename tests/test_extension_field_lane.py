@@ -2,13 +2,15 @@
 coefficient ring W(F_4) has two Teichmuller digits and the enumeration
 kernels go through genuine subfield embeddings."""
 
+from dl_oracles import base_points, dl_points_by_enumeration
+
 from ltdl.depth0 import (
     blowup_chart,
     build_P,
     special_fiber_components,
     un_special_fiber,
 )
-from ltdl.dl_variety import base_points, base_points_moebius, dl_points, fiber_structure_check
+from ltdl.dl_variety import base_points_moebius, dl_points, fiber_structure_check, line_census
 from ltdl.ffield import gaussian_binomial
 from ltdl.formal_modules import lubin_tate_module, universal_module, verify_module_axioms
 
@@ -35,8 +37,8 @@ def test_q4_depth0_pipeline():
 
 def test_q4_dl_counts():
     # x^3 = 1 has exactly the three cube roots of unity in F_4
-    assert len(dl_points(4, 1, 1)) == 3
-    assert len(dl_points(4, 2, 1)) == 0
+    assert len(dl_points_by_enumeration(4, 1, 1)) == 3
+    assert len(dl_points_by_enumeration(4, 2, 1)) == 0
     assert base_points(4, 2, 1) == base_points_moebius(4, 2, 1) == 0
 
 
@@ -45,7 +47,8 @@ def test_q4_fiber_structure_over_f16():
     # 5 F_4-rational ones leaves 12 base points; fibers have size
     # gcd(15, 15) = 15, and 12 * 15 = 180 points in total.
     assert (4 ** 4 - 1) // (4 ** 2 - 1) - gaussian_binomial(2, 1, 4) == 12
-    rep = fiber_structure_check(4, 2, 2)
+    lines = line_census(4, 2, 2)[2]
+    rep = fiber_structure_check(4, 2, 2, dl_points(4, 2, 2, lines), lines)
     assert rep["count"] == 180
     assert rep["base_points_hit"] == 12
     assert rep["fiber_size"] == 15
