@@ -79,7 +79,8 @@ def _common_flags(parser):
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--timing", action="store_true", default=None,
-                        help="include wall-clock timing in the report")
+                        help="include wall-clock timing in the report (and, for "
+                             "verify-all, seconds per suite in results.profile)")
 
 
 def build_parser():
@@ -364,15 +365,19 @@ def run_chars(cfg):
 
 
 @contextmanager
-def suite(name, checks):
+def suite(name, checks, seconds):
     """One verify-all suite: a raise inside becomes the failing check
     `<name>.error` with the message as its details, and the checks already
-    recorded, like the suites after it, still land in the report."""
+    recorded, like the suites after it, still land in the report.  Its
+    wall-clock seconds go to seconds[name]."""
+    started = time.perf_counter()
     try:
         yield
     except (VerificationError, PrecisionError, IntegralityError, BudgetError,
             ParameterError) as exc:
         checks.append(check_entry(f"{name}.error", False, exc))
+    finally:
+        seconds[name] = round(time.perf_counter() - started, 4)
 
 
 def run_verify_all(cfg):
@@ -382,13 +387,14 @@ def run_verify_all(cfg):
     # one GL_n(F_q) per run, built by the first suite that needs it; a group
     # that fails to build is the error of each suite that needs it
     gl_group = cache(partial(GLGroup, q, n))
+    seconds = {}
 
     module = None
-    with suite("formal_module", checks):
+    with suite("formal_module", checks, seconds):
         module = lubin_tate_module(q, n, N=cfg.prec_n, D=cfg.degree())
         checks.extend(prefixed("formal_module.", verify_module_axioms(module)))
 
-    with suite("depth0", checks):
+    with suite("depth0", checks, seconds):
         if module is None:
             raise VerificationError("no formal module: the formal_module suite failed")
         # each P_a, P and the chart are built once and shared by the checks
@@ -409,7 +415,7 @@ def run_verify_all(cfg):
             checks.append(check_entry("depth0.equation_lowest_degree", False, exc))
 
         try:
-            chart = blowup_chart(module, factors=factors)
+            chart = blowup_chart(module, factors=factors, P=P)
             checks.append(check_entry("depth0.chart_multiplicity",
                                       chart.valuation == q ** n - 1,
                                       f"valuation {chart.valuation}"))
@@ -437,7 +443,7 @@ def run_verify_all(cfg):
             "depth0.gl_linear_shadow",
             gl_linear_shadow_check(module, gl_group().generators, P=P)))
 
-    with suite("dl", checks):
+    with suite("dl", checks, seconds):
         # every check runs on DL(F_{q^m}) at its first non-empty level
         m, census = rational_level(q, n)
         base, residues, lines = census
@@ -454,7 +460,7 @@ def run_verify_all(cfg):
         checks.append(check_entry(f"dl.fibers_m{m}", rep["invariants_passed"],
                                   rep.get("failure", f"fiber size {rep['fiber_size']}")))
 
-    with suite("chars", checks):
+    with suite("chars", checks, seconds):
         data = CorrespondenceData(gl_group())
         checks.append(check_entry(
             "chars.degree_squares_sum",
@@ -463,6 +469,8 @@ def run_verify_all(cfg):
         checks.extend(prefixed("chars.", rep["checks"]))
         results["cuspidal_part"] = rep["cuspidal_part"]
     results["suites"] = ["formal_module", "depth0", "dl", "chars"]
+    if cfg.values.get("timing"):
+        results["profile"] = {"suites": seconds}
     return results, checks
 
 

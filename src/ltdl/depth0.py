@@ -192,10 +192,15 @@ class ChartReport:
                 "valuation": self.valuation, "linear_parts": lp}
 
 
-def blowup_chart(module, factors=None):
+def blowup_chart(module, factors=None, P=None):
     """Substitute X_i = V_i X_n into P, factor out X_n^{q^n-1} and check
     that every residual factor is exactly affine-linear mod X_n.  The P_a
-    come from `factors` (a `deformation_factors` dict) when given."""
+    come from `factors` (a `deformation_factors` dict) and P from `build_P`
+    when given.
+
+    The substitution sends a monomial of degree d to one of X_n-degree d,
+    and the chart ring keeps exactly X_n-degree < D, so the image of P is
+    the product of the images of the P_a and is taken directly."""
     q, n = module.q, module.n
     if module.D < q ** n + 1:
         raise ParameterError("degree bound too small for the chart (need q^n + 1)")
@@ -203,7 +208,6 @@ def blowup_chart(module, factors=None):
     ring = chart_ring(module, n)
     chart_factors = {}
     linear_parts = {}
-    subbed = []
     pivot_idx = ring._var_index[X_PIVOT]
     v_idx = [ring._var_index[f"V{i}"] for i in range(1, n)]
     for a, P_a in factors.items():
@@ -222,31 +226,34 @@ def blowup_chart(module, factors=None):
         form = {}
         for i in range(1, n):
             if a[i - 1]:
-                coeff = module.scalar_value(("teich", a[i - 1])).to_witt(module.N)
+                coeff = module.scalar_coefficient(("teich", a[i - 1]))
                 expect = expect + ring.var(f"V{i}", coeff)
                 form[f"V{i}"] = coeff
         if a[n - 1]:
-            coeff = module.scalar_value(("teich", a[n - 1])).to_witt(module.N)
+            coeff = module.scalar_coefficient(("teich", a[n - 1]))
             expect = expect + ring.constant(coeff)
             form["const"] = coeff
         if const != expect:
             raise VerificationError(
                 f"chart factor for a={a} is not exactly affine-linear mod {X_PIVOT}")
         linear_parts[a] = form
-        subbed.append(s)
-    P_sub = product_over(subbed)
+    P = build_P(module, factors) if P is None else P
+    P_sub = _chart_substitute(module, P, n, ring)
     val = P_sub.var_valuation(X_PIVOT)
     if val != q ** n - 1:
         raise VerificationError(
             f"chart multiplicity {val} differs from q^n - 1 = {q ** n - 1}")
     residual = P_sub.factor_out(X_PIVOT, q ** n - 1)
     # consistency: the residual equals the product of the per-factor parts
-    # wherever both are exact (Xn-degree < D - (q^n - 1))
+    # wherever both are exact (Xn-degree plus T-degree < D - (q^n - 1)); a
+    # term there is a product of factor terms there, so the product is
+    # formed with Xn capped below the window
     window = module.D - (q ** n - 1)
-    prod = product_over(list(chart_factors.values()))
-    trim = lambda s: TruncatedSeries(s.ring, {e: c for e, c in s.terms.items()
-                                              if e[s.ring._var_index[X_PIVOT]] < window})
-    if trim(prod) != trim(residual):
+    low = SeriesRing(ring.domain, ring.vars, ring.degree, {**ring.caps, X_PIVOT: window - 1})
+    exact = [ring._var_index[v] for v in (X_PIVOT,) + module.aux_vars]
+    trim = lambda s: TruncatedSeries(low, {e: c for e, c in s.terms.items()
+                                           if sum(e[i] for i in exact) < window})
+    if trim(product_over([trim(f) for f in chart_factors.values()])) != trim(residual):
         raise VerificationError("residual disagrees with the factored product")
     return ChartReport(q, n, X_PIVOT, val, residual, linear_parts, chart_factors)
 
@@ -320,10 +327,10 @@ def iterated_chart(module, depth_sequence, chart=None):
                 expect = new_ring.zero()
                 for i in range(1, sub_block):
                     if sub_a[i - 1]:
-                        cf = module.scalar_value(("teich", sub_a[i - 1])).to_witt(module.N)
+                        cf = module.scalar_coefficient(("teich", sub_a[i - 1]))
                         expect = expect + new_ring.var(new_affine[i - 1], cf)
                 if sub_a[sub_block - 1]:
-                    cf = module.scalar_value(("teich", sub_a[sub_block - 1])).to_witt(module.N)
+                    cf = module.scalar_coefficient(("teich", sub_a[sub_block - 1]))
                     expect = expect + new_ring.constant(cf)
                 if const != expect:
                     raise VerificationError(
@@ -408,7 +415,7 @@ def gl_linear_shadow_check(module, generators, P=None):
         for j, col in enumerate(columns, 1):
             s = ring.zero()
             for i, k in col:
-                s = s + ring.var(f"X{i + 1}", field.from_int(k))
+                s = s + ring.var(f"X{i + 1}", k)
             assignments[f"X{j}"] = s
         if lowest.substitute(assignments, ring) != lowest:
             ok = False

@@ -67,11 +67,11 @@ def dl_equation(q, n):
         s = ring.zero()
         for i, k in enumerate(a):
             if k:
-                s = s + ring.var(f"X{i + 1}", field.from_int(k))
+                s = s + ring.var(f"X{i + 1}", k)
         linear.append(s)
     prod = product_over(linear)
     for c in prod.terms.values():
-        if c.frobenius() != c:
+        if field.pow(c, field.p) != c:
             raise VerificationError("product of rational forms not defined over F_p")
     return DLInstance(q, n, ring, prod - ring.one(), forms)
 

@@ -64,8 +64,9 @@ def _decode(k, base, length):
 class FieldDesc:
     """Description of F_{p^f}: modulus, generator, and the log/Zech kernel.
 
-    The kernel methods (add, neg, sub, mul, inv, pow) act on canonical ints;
-    its arrays are built on first use, in O(q), from the generator.
+    The kernel methods (add, neg, sub, mul, inv, pow, zero, one) act on
+    canonical ints, which are also the raw coefficients of F_q series; its
+    arrays are built on first use, in O(q), from the generator.
     """
 
     def __init__(self, p, f, modulus):
@@ -144,12 +145,6 @@ class FieldDesc:
     def __repr__(self):
         return f"GF({self.p}^{self.f})"
 
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
     def elem(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.f:
@@ -168,16 +163,22 @@ class FieldDesc:
         """All field elements in canonical-integer order."""
         return [FieldElement(self, k) for k in range(self.q)]
 
-    # -- as the coefficient ring of a series.SeriesRing ----------------------
+    # -- as the coefficient ring of a series.SeriesRing, on canonical ints ----
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
 
     def is_negligible(self, c):
-        return c.is_zero()
+        return not c
 
     def descriptor(self):
         return {"kind": "fq", "p": self.p, "f": self.f}
 
     def coeff_to_json(self, c):
-        return list(c.coeffs)
+        return list(_decode(c, self.p, self.f))
 
 
 class FieldElement:
@@ -281,10 +282,10 @@ def _embedding_root(sub, sup):
         return sub.generator
     h = sup.generator ** ((sup.q - 1) // (sub.q - 1))
     roots = []
-    cur = sup.one()
+    cur = sup.from_int(1)
     for _ in range(sub.q - 1):
-        val = sup.zero()
-        power = sup.one()
+        val = sup.from_int(0)
+        power = sup.from_int(1)
         for c in sub.modulus:
             if c:
                 val = val + sup.scalar(c) * power
@@ -303,8 +304,8 @@ def embed(x, sup):
     if sub == sup:
         return x
     root = _embedding_root(sub, sup)
-    out = sup.zero()
-    power = sup.one()
+    out = sup.from_int(0)
+    power = sup.from_int(1)
     for c in x.coeffs:
         if c:
             out = out + sup.scalar(c) * power

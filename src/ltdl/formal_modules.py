@@ -156,19 +156,25 @@ def solve_fe_log(ring, q, n, x_var="X"):
 
 
 def invert_series(lam, x_var="X"):
-    """Compositional inverse in the distinguished variable (exp of the log)."""
+    """Compositional inverse in the distinguished variable (exp of the log).
+
+    Degree by degree, exp is corrected by the X^m part of lam(exp); lam(exp)
+    is recomputed only after a nonzero correction, since otherwise it is
+    unchanged.
+    """
     ring = lam.ring
     xi = ring._var_index[x_var]
     exp = ring.var(x_var)
+    comp = lam.substitute({x_var: exp})
     for m in range(2, ring.degree):
-        comp = lam.substitute({x_var: exp})
         em = _x_slice(comp, xi, m)
         if em.is_zero():
             continue
         mono = ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
                              ring.domain.one())
         exp = exp - em * mono
-    residue = lam.substitute({x_var: exp}) - ring.var(x_var)
+        comp = lam.substitute({x_var: exp})
+    residue = comp - ring.var(x_var)
     for c in residue.terms.values():
         if not c.zero_at(ring.domain.n_target):
             raise PrecisionError("series inversion not exact at target precision")
@@ -180,7 +186,7 @@ def to_witt_series(series, N):
     dom = series.ring.domain
     target = SeriesRing(witt_ring(dom.p, dom.f, N), series.ring.vars, series.ring.degree,
                         series.ring.caps)
-    return series.map_coeffs(target, lambda c: c.to_witt(N))
+    return series.map_coeffs(target, lambda c: c.to_witt(N).value)
 
 
 class FormalModule:
@@ -221,14 +227,30 @@ class FormalModule:
                 raise ParameterError(f"unknown scalar key {key!r}")
         return self._values[key]
 
+    def scalar_coefficient(self, key):
+        """The scalar as a raw value of W/p^N, the coefficient ring of F."""
+        return self.scalar_value(key).to_witt(self.N).value
+
     def scalar_series(self, key):
-        """[a](X) for a scalar key ('int', k) or ('teich', k)."""
+        """[a](X) for a scalar key ('int', k) or ('teich', k).
+
+        A Teichmuller scalar is zeta X: lam(zeta X) = zeta lam(X), since
+        every exponent of lam is 1 mod q - 1, so exp(zeta lam) = zeta X
+        (Lubin-Tate, 1965).  It is checked exactly to commute with [p].
+        """
         key = normalize_scalar_key(self.field, key)
         if key not in self._scalars:
-            a = self.scalar_value(key)
-            scaled = self.log_series.scale(a)
-            padic = self.exp_series.substitute({"X": scaled})
-            self._scalars[key] = to_witt_series(padic, self.N).map_vars(self.x_ring)
+            if key[0] == "teich":
+                zeta = self.scalar_coefficient(key)
+                series = self.x_ring.var("X", zeta)
+                pi = self._scalars[("int", self.p)]
+                if pi.substitute({"X": series}) != pi.scale(zeta):
+                    raise VerificationError(f"[p](zeta X) != zeta [p](X) for {key}")
+            else:
+                padic = self.exp_series.substitute({"X": self.log_series.scale(
+                    self.scalar_value(key))})
+                series = to_witt_series(padic, self.N).map_vars(self.x_ring)
+            self._scalars[key] = series
         return self._scalars[key]
 
     def scalar_table(self):
@@ -455,7 +477,7 @@ def verify_module_axioms(module):
     table = module.scalar_table()
     ok_lin = True
     for key, s in table.items():
-        want = module.scalar_value(key).to_witt(module.N)
+        want = module.scalar_coefficient(key)
         e1 = (1,) + (0,) * (len(module.x_ring.vars) - 1)
         if s.coefficient(e1) != want:
             ok_lin = False

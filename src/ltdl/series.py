@@ -7,9 +7,11 @@ exact bounded degree rather than a truncated tail; substitutions with a
 nonzero constant term are only allowed into such variables.
 
 The coefficient ring is the ring object itself: ffield.FieldDesc,
-witt.WittRing or witt.PadicParams.  The series layer asks it only for
-zero(), one(), is_negligible(c), descriptor() and coeff_to_json(c), so each
-ring keeps the format and the drop policy of its own coefficients.
+witt.WittRing or witt.PadicParams.  Series store the ring's raw values
+(canonical ints, ints or tuples mod p^N, BoundedPadic objects) and reach
+them only through the ring: zero(), one(), add, neg, mul, is_negligible(c),
+residue(c), descriptor() and coeff_to_json(c), so each ring keeps the
+format, the arithmetic and the drop policy of its own coefficients.
 
 All arithmetic is exact and canonical: results are independent of operand
 order and of any internal evaluation order.
@@ -101,11 +103,12 @@ class TruncatedSeries:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        _add_into(out, other.terms, self.ring.domain.is_negligible)
+        _add_into(out, other.terms, self.ring.domain)
         return TruncatedSeries(self.ring, out)
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = self.ring.domain.neg
+        return TruncatedSeries(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,7 +119,8 @@ class TruncatedSeries:
         of degree >= D - d and no pair past the bound is ever formed."""
         self._check(other)
         ring = self.ring
-        negligible = ring.domain.is_negligible
+        dom = ring.domain
+        cadd, cmul, negligible = dom.add, dom.mul, dom.is_negligible
         caps = ring._cap_index
         bound = ring.degree
         right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
@@ -131,10 +135,10 @@ class TruncatedSeries:
                 e = tuple(map(add, e1, e2))
                 if caps and any(e[i] > cap for i, cap in caps):
                     continue
-                c = c1 * c2
+                c = cmul(c1, c2)
                 prev = get(e)
                 if prev is not None:
-                    c = prev + c
+                    c = cadd(prev, c)
                 if negligible(c):
                     out.pop(e, None)
                 else:
@@ -145,7 +149,7 @@ class TruncatedSeries:
         dom = self.ring.domain
         out = {}
         for e, c in self.terms.items():
-            s = coeff * c
+            s = dom.mul(coeff, c)
             if not dom.is_negligible(s):
                 out[e] = s
         return TruncatedSeries(self.ring, out)
@@ -163,11 +167,8 @@ class TruncatedSeries:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries) or self.ring != other.ring:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
+        return (isinstance(other, TruncatedSeries) and self.ring == other.ring
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms)))
@@ -280,54 +281,88 @@ class TruncatedSeries:
         constant term, unless the variable is declared polynomial (capped) in
         the source ring, in which case a constant term is allowed.  Unmapped
         variables pass through by name.
+
+        A one-term image c x^v (a rename, X_i -> V_i X_n, zeta X) maps each
+        term's exponents directly and multiplies coefficients, with no series
+        product.  Powers of the other images are formed only for the
+        exponents that terms need, each from the one below when that exists
+        and by squaring otherwise, so a sparse exponent set such as {1, 25}
+        costs a few squarings.
         """
         ring = self.ring
         target = target_ring if target_ring is not None else ring
-        if target.domain != ring.domain:
+        dom = target.domain
+        if dom != ring.domain:
             raise ParameterError("substitution requires identical coefficient rings")
         for v, s in assignments.items():
             if v not in ring._var_index:
                 raise ParameterError(f"unknown variable {v!r}")
             if s.ring != target:
                 raise ParameterError(f"assignment for {v!r} not in the target ring")
-            if not ring.domain.is_negligible(s.constant_term()) and v not in ring.caps:
+            if not dom.is_negligible(s.constant_term()) and v not in ring.caps:
                 raise ParameterError(
                     f"nonzero constant term substituted into uncapped variable {v!r}")
-        images = {}
+        cmul, negligible = dom.mul, dom.is_negligible
+        one = dom.one()
+        terms = sorted(self.terms.items())
+        shifts = {}   # variable -> (exponent vector of c x^v, [c^0, c^1, ...] or None if c = 1)
+        powers = {}   # variable -> {k: image^k} for images of several terms
         for i, v in enumerate(ring.vars):
-            if v in assignments:
-                images[i] = assignments[v]
+            needed = sorted({e[i] for e, _ in terms} - {0})
+            if not needed:
+                continue
+            img = assignments.get(v)
+            if img is None:
+                if v not in target._var_index:
+                    raise ParameterError(f"variable {v!r} missing from target ring")
+                img = target.var(v)
+            if len(img.terms) > 1:
+                cache = powers[i] = {1: img}
+                for k in needed:
+                    _power(cache, k)
+            elif img.terms:
+                (exps, c), = img.terms.items()
+                cpow = None
+                if c != one:
+                    cpow = [one, c]
+                    for _ in range(needed[-1] - 1):
+                        cpow.append(cmul(cpow[-1], c))
+                shifts[i] = (exps, cpow)
             else:
-                if any(e[i] for e in self.terms):
-                    if v not in target._var_index:
-                        raise ParameterError(f"variable {v!r} missing from target ring")
-                    images[i] = target.var(v)
-        powers = {i: {0: target.one(), 1: img} for i, img in images.items()}
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                best = max(k for k in cache if k <= e)
-                cur = cache[best]
-                for k in range(best + 1, e + 1):
-                    cur = cur * cache[1]
-                    cache[k] = cur
-            return cache[e]
-
-        negligible = target.domain.is_negligible
+                shifts[i] = None  # the zero image kills every term with this variable
+        admits = target.admits
+        width = len(target.vars)
         out = {}
-        for e, c in sorted(self.terms.items()):
+        for e, c in terms:
             if negligible(c):
                 continue
-            mono = None
-            for i, exp in enumerate(e):
-                if exp:
-                    # c scales the first power, which has fewer terms
-                    # than the finished monomial
-                    mono = power(i, exp).scale(c) if mono is None else mono * power(i, exp)
-            if mono is None:
-                mono = target.constant(c)
-            _add_into(out, mono.terms, negligible)
+            w = [0] * width
+            factors = []
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                if i in powers:
+                    factors.append(powers[i][k])
+                    continue
+                shift = shifts[i]
+                if shift is None:
+                    break
+                exps, cpow = shift
+                for j, x in enumerate(exps):
+                    if x:
+                        w[j] += k * x
+                if cpow is not None:
+                    c = cmul(c, cpow[k])
+            else:
+                w = tuple(w)
+                # exponents only grow, so a term whose monomial part is not
+                # admitted has an empty image
+                if negligible(c) or not admits(w):
+                    continue
+                mono = {w: c}
+                for f in factors:
+                    mono = (TruncatedSeries(target, mono) * f).terms
+                _add_into(out, mono, dom)
         return TruncatedSeries(target, out)
 
     def reduce_mod_p(self):
@@ -337,7 +372,7 @@ class TruncatedSeries:
         if field is None:
             raise ParameterError("reduce_mod_p needs Witt coefficients")
         target = SeriesRing(field, ring.vars, ring.degree, ring.caps)
-        return self.map_coeffs(target, lambda c: c.reduce_mod_p())
+        return self.map_coeffs(target, ring.domain.residue)
 
     # -- serialization ------------------------------------------------------------
 
@@ -364,12 +399,29 @@ class TruncatedSeries:
         return " + ".join(bits) + suffix
 
 
-def _add_into(out, terms, negligible):
+def _power(cache, k):
+    """image^k in the power cache {j: image^j}, from image^(k-1) when that
+    is cached and by squaring image^(k // 2) otherwise."""
+    got = cache.get(k)
+    if got is None:
+        if k - 1 in cache:
+            got = cache[k - 1] * cache[1]
+        else:
+            half = _power(cache, k // 2)
+            got = half * half
+            if k % 2:
+                got = got * cache[1]
+        cache[k] = got
+    return got
+
+
+def _add_into(out, terms, dom):
     """Add the terms into the dict out in place, dropping every sum that
-    becomes negligible."""
+    becomes negligible in the coefficient ring dom."""
+    cadd, negligible = dom.add, dom.is_negligible
     for e, c in terms.items():
         if e in out:
-            s = out[e] + c
+            s = cadd(out[e], c)
             if negligible(s):
                 del out[e]
             else:

@@ -5,6 +5,8 @@ field modulus chosen by ff_make; any monic lift of an irreducible polynomial
 gives the unramified extension, and fixing this one keeps every value
 canonical.  Teichmuller digits are recovered by the x -> x^q fixed-point
 iteration, so the digit view and the polynomial view are interchangeable.
+The ring computes on raw values (coordinate tuples, or ints when f = 1);
+WittElement pairs one with its ring.
 
 BoundedPadic elements are p^v * u with a unit mantissa and explicit absolute
 precision, supporting division by p down to a configured valuation floor.
@@ -22,10 +24,17 @@ from .ffield import ff_make
 def witt_ring(p, f, N):
     if N < 1:
         raise ParameterError(f"precision N = {N} must be >= 1")
-    return WittRing(p, f, N)
+    return (WittRing if f > 1 else PrimeWittRing)(p, f, N)
 
 
 class WittRing:
+    """W(F_{p^f})/p^N on raw values, the f-tuples of coordinates mod p^N.
+
+    The ring is the one implementation of the arithmetic on raw values
+    (zero, one, from_int, add, neg, mul): its series and WittElement
+    both call it.  `witt_ring` builds PrimeWittRing for f = 1.
+    """
+
     __slots__ = ("p", "f", "N", "pN", "field", "modulus")
 
     def __init__(self, p, f, N):
@@ -46,20 +55,76 @@ class WittRing:
     def __repr__(self):
         return f"W(F_{self.p}^{self.f})/p^{self.N}"
 
+    # -- raw values: the coefficient ring of a series.SeriesRing ---------------
+
     def zero(self):
-        return WittElement(self, (0,) * self.f)
+        return (0,) * self.f
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, k):
-        return WittElement(self, (k % self.pN,) + (0,) * (self.f - 1))
+        return (k % self.pN,) + (0,) * (self.f - 1)
+
+    def coords(self, v):
+        return v
+
+    def from_coords(self, coords):
+        m = self.pN
+        return tuple(c % m for c in coords)
+
+    def add(self, a, b):
+        m = self.pN
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def neg(self, a):
+        m = self.pN
+        return tuple(-x % m for x in a)
+
+    def mul(self, a, b):
+        f, m = self.f, self.pN
+        # a factor in Z/p^N (F's coefficients all are) scales coordinatewise
+        if not any(a[1:]):
+            return tuple(a[0] * y % m for y in b)
+        if not any(b[1:]):
+            return tuple(x * b[0] % m for x in a)
+        prod = [0] * (2 * f - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        # reduce by the monic modulus: x^f = -(c_0 + ... + c_{f-1} x^{f-1})
+        for k in range(2 * f - 2, f - 1, -1):
+            c = prod[k]
+            if c:
+                for j in range(f):
+                    prod[k - f + j] -= c * self.modulus[j]
+        return tuple(c % m for c in prod[:f])
+
+    def is_negligible(self, c):
+        return not any(c)
+
+    def residue(self, c):
+        """The canonical int of c mod p in the residue field."""
+        return self.field.elem(self.coords(c)).k
+
+    def descriptor(self):
+        return {"kind": "witt", "p": self.p, "f": self.f, "N": self.N}
+
+    def coeff_to_json(self, c):
+        return [list(d.coeffs) for d in WittElement(self, c).digits()]
+
+    # -- elements ----------------------------------------------------------------
+
+    def elem(self, coords):
+        """The element with the given coordinates, reduced mod p^N."""
+        return WittElement(self, self.from_coords(coords))
 
     def naive_lift(self, a):
         """Coefficientwise lift of a field element (not Teichmuller)."""
         if a.desc != self.field:
             raise ParameterError("field element from the wrong residue field")
-        return WittElement(self, tuple(a.coeffs) + ())
+        return self.elem(a.coeffs)
 
     def teichmuller(self, a):
         """The multiplicative lift: the unique x = a mod p with x^q = x.
@@ -69,7 +134,7 @@ class WittRing:
         if a.desc != self.field:
             raise ParameterError("field element from the wrong residue field")
         if a.is_zero():
-            return self.zero()
+            return WittElement(self, self.zero())
         z = self.naive_lift(a)
         for _ in range(self.N - 1):
             z = z ** self.field.q
@@ -77,24 +142,47 @@ class WittRing:
             raise VerificationError("Teichmuller lift is not fixed by z -> z^q")
         return z
 
-    # -- as the coefficient ring of a series.SeriesRing ----------------------
+
+class PrimeWittRing(WittRing):
+    """W(F_p)/p^N = Z/p^N, whose raw values are the ints mod p^N."""
+
+    __slots__ = ()
+
+    def zero(self):
+        return 0
+
+    def from_int(self, k):
+        return k % self.pN
+
+    def coords(self, v):
+        return (v,)
+
+    def from_coords(self, coords):
+        (c,) = coords
+        return c % self.pN
+
+    def add(self, a, b):
+        return (a + b) % self.pN
+
+    def neg(self, a):
+        return -a % self.pN
+
+    def mul(self, a, b):
+        return a * b % self.pN
 
     def is_negligible(self, c):
-        return c.is_zero()
-
-    def descriptor(self):
-        return {"kind": "witt", "p": self.p, "f": self.f, "N": self.N}
-
-    def coeff_to_json(self, c):
-        return [list(d.coeffs) for d in c.digits()]
+        return not c
 
 
 class WittElement:
-    __slots__ = ("ring", "coeffs")
+    """An element of a WittRing: the ring and a raw value, with the ring's
+    arithmetic."""
 
-    def __init__(self, ring, coeffs):
+    __slots__ = ("ring", "value")
+
+    def __init__(self, ring, value):
         self.ring = ring
-        self.coeffs = coeffs
+        self.value = value
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -102,52 +190,36 @@ class WittElement:
 
     def __add__(self, other):
         self._check(other)
-        m = self.ring.pN
-        return WittElement(self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)))
+        return WittElement(self.ring, self.ring.add(self.value, other.value))
 
     def __sub__(self, other):
-        self._check(other)
-        m = self.ring.pN
-        return WittElement(self.ring, tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        m = self.ring.pN
-        return WittElement(self.ring, tuple((-a) % m for a in self.coeffs))
+        return WittElement(self.ring, self.ring.neg(self.value))
 
     def __mul__(self, other):
         self._check(other)
-        r = self.ring
-        f, m = r.f, r.pN
-        if f == 1:
-            return WittElement(r, ((self.coeffs[0] * other.coeffs[0]) % m,))
-        prod = [0] * (2 * f - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % m
-        # reduce by the monic modulus: x^f = -(c_0 + ... + c_{f-1} x^{f-1})
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(f):
-                    prod[k - f + j] = (prod[k - f + j] - c * r.modulus[j]) % m
-        return WittElement(r, tuple(prod[:f]))
+        return WittElement(self.ring, self.ring.mul(self.value, other.value))
 
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ring.one()
-        base = self
+        r = self.ring
+        result, base = r.one(), self.value
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = r.mul(result, base)
+            base = r.mul(base, base)
             e >>= 1
-        return result
+        return WittElement(r, result)
+
+    @property
+    def coeffs(self):
+        return self.ring.coords(self.value)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return self.ring.is_negligible(self.value)
 
     def reduce_mod_p(self):
         """The residue in F_{p^f} (this is digit 0)."""
@@ -170,8 +242,8 @@ class WittElement:
         pk = self.ring.p ** k
         if any(c % pk for c in self.coeffs):
             raise IntegralityError("element not divisible by p^%d" % k)
-        target = witt_ring(self.ring.p, self.ring.f, self.ring.N - k)
-        return WittElement(target, tuple((c // pk) % target.pN for c in self.coeffs))
+        return witt_ring(self.ring.p, self.ring.f, self.ring.N - k).elem(
+            c // pk for c in self.coeffs)
 
     def inv(self):
         """Inverse of a unit, by Hensel lifting from the residue field."""
@@ -181,11 +253,11 @@ class WittElement:
             raise ZeroDivisionError("inversion of a non-unit Witt element")
         z = r.naive_lift(u0.inv())
         prec = 1
-        two = r.from_int(2)
+        two = WittElement(r, r.from_int(2))
         while prec < r.N:
             z = z * (two - self * z)
             prec *= 2
-        if not (self * z - r.one()).is_zero():
+        if (self * z).value != r.one():
             raise VerificationError("Newton iteration did not give self * z = 1")
         return z
 
@@ -193,8 +265,7 @@ class WittElement:
         """Reduce modulo p^M (M <= N)."""
         if M > self.ring.N:
             raise PrecisionError("cannot extend Witt precision")
-        target = witt_ring(self.ring.p, self.ring.f, M)
-        return WittElement(target, tuple(c % target.pN for c in self.coeffs))
+        return witt_ring(self.ring.p, self.ring.f, M).elem(self.coeffs)
 
     def digits(self):
         """The N Teichmuller digits d_i with value = sum teich(d_i) p^i."""
@@ -213,10 +284,10 @@ class WittElement:
 
     def __eq__(self, other):
         return (isinstance(other, WittElement)
-                and self.ring == other.ring and self.coeffs == other.coeffs)
+                and self.ring == other.ring and self.value == other.value)
 
     def __hash__(self):
-        return hash((self.ring.p, self.ring.f, self.ring.N, self.coeffs))
+        return hash((self.ring.p, self.ring.f, self.ring.N, self.value))
 
     def __repr__(self):
         return f"w{list(self.coeffs)}"
@@ -228,10 +299,9 @@ def from_digits(ring, digits):
     out = ring.zero()
     pk = 1
     for d in digits:
-        t = ring.teichmuller(d)
-        out = out + WittElement(ring, tuple((c * pk) % ring.pN for c in t.coeffs))
+        out = ring.add(out, ring.from_coords(c * pk for c in ring.teichmuller(d).coeffs))
         pk *= ring.p
-    return out
+    return WittElement(ring, out)
 
 
 class PadicParams:
@@ -269,7 +339,7 @@ class PadicParams:
 
     def from_int(self, k):
         ring = witt_ring(self.p, self.f, self.n_work)
-        return self.from_witt(ring.from_int(k))
+        return self.from_witt(WittElement(ring, ring.from_int(k)))
 
     def from_witt(self, w):
         if w.ring.N < self.n_work:
@@ -283,7 +353,16 @@ class PadicParams:
     def one(self):
         return self.from_int(1)
 
-    # -- as the coefficient ring of a series.SeriesRing ----------------------
+    # -- as the coefficient ring of a series.SeriesRing, on BoundedPadic values
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
 
     def is_negligible(self, c):
         # exact zeros always; zero-like values only once they are zero to at
@@ -364,11 +443,9 @@ class BoundedPadic:
     def _fixed_point(self, ring, base):
         """This value as p^base * (result), in the given ring."""
         if self.unit is None:
-            return ring.zero()
-        shift = self.val - base
-        pk = self.params.p ** shift
-        m = ring.pN
-        return WittElement(ring, tuple((c * pk) % m for c in self.unit.coeffs))
+            return WittElement(ring, ring.zero())
+        pk = self.params.p ** (self.val - base)
+        return ring.elem(c * pk for c in self.unit.coeffs)
 
     def __neg__(self):
         if self.unit is None:
@@ -427,7 +504,7 @@ class BoundedPadic:
 
     def __hash__(self):
         return hash((self.params.key(), self.val, self.abs,
-                     None if self.unit is None else self.unit.coeffs))
+                     None if self.unit is None else self.unit.value))
 
     # -- output --------------------------------------------------------------
 
@@ -436,12 +513,12 @@ class BoundedPadic:
         N = self.params.n_target if N is None else N
         ring = witt_ring(self.params.p, self.params.f, N)
         if self.is_exact_zero():
-            return ring.zero()
+            return WittElement(ring, ring.zero())
         if self.unit is None:
             if self.abs < N:
                 raise PrecisionError(
                     f"zero-like value known mod p^{self.abs} < p^{N}")
-            return ring.zero()
+            return WittElement(ring, ring.zero())
         if self.val < 0:
             raise IntegralityError(f"valuation {self.val} < 0")
         if self.abs < N:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ltdl import cli, depth0, dl_variety, gl_characters
+from ltdl import cli, depth0, dl_variety, gl_characters, series
 from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.linalg import group_order
@@ -544,6 +544,28 @@ def test_timing_flag_populates_field(tmp_path):
                            "--timing")
     assert code == 0
     assert isinstance(report["timing_seconds"], float)
+
+
+def test_verify_all_timing_reports_seconds_per_suite(tmp_path):
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2", "--timing")
+    assert code == 0
+    suites = report["results"]["profile"]["suites"]
+    assert sorted(suites) == sorted(report["results"]["suites"])
+    assert all(isinstance(s, float) and s >= 0 for s in suites.values())
+    _, plain = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    assert "profile" not in plain["results"]
+
+
+def test_verify_all_forms_few_series_products(tmp_path, monkeypatch):
+    # one-term images map exponents, powers are formed only where needed and
+    # the chart reads P: 4,574 products at (5, 2) before those changes
+    products = []
+    honest = series.TruncatedSeries.__mul__
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__",
+                        lambda a, b: products.append(1) or honest(a, b))
+    code, _ = run_cli(tmp_path, "verify-all", "--q", "5", "--n", "2")
+    assert code == 0
+    assert len(products) < 1500
 
 
 def test_config_file_precedence(tmp_path):

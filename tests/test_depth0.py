@@ -23,6 +23,7 @@ from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import det
+from ltdl.series import product_over
 
 
 def test_P_a_basis_vector_is_coordinate():
@@ -156,6 +157,18 @@ def test_un_equation_matches_dl():
         assert rep["un_equation_matches_dl"], (q, n)
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_chart_image_of_P_is_the_product_of_the_substituted_factors(q, n):
+    # blowup_chart takes the chart image of build_P's P as its P_sub
+    m = lubin_tate_module(q, n)
+    factors = depth0.deformation_factors(m)
+    ring = depth0.chart_ring(m, n)
+    subbed = product_over([depth0._chart_substitute(m, P_a, n, ring) for P_a in factors.values()])
+    assert depth0._chart_substitute(m, build_P(m, factors), n, ring) == subbed
+    chart = blowup_chart(m, factors=factors)
+    assert chart.residual == subbed.factor_out(depth0.X_PIVOT, q ** n - 1)
+
+
 def test_chart_with_symbolic_parameters():
     # the universal lift keeps T symbolic; multiplicity is unchanged
     u = universal_module(2, 2, N=5, D=8)
@@ -189,7 +202,7 @@ def shadow_full_group(module, matrices):
             s = ring.zero()
             for i in range(1, n + 1):
                 if g[i - 1][j - 1]:
-                    s = s + ring.var(f"X{i}", field.from_int(g[i - 1][j - 1]))
+                    s = s + ring.var(f"X{i}", g[i - 1][j - 1])
             assignments[f"X{j}"] = s
         if lowest.substitute(assignments, ring) != lowest:
             ok = False

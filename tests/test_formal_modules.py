@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
-from ltdl.errors import ParameterError
+from ltdl.errors import ParameterError, VerificationError
 from ltdl.formal_modules import (
+    invert_series,
     lubin_tate_module,
+    to_witt_series,
     universal_module,
     verify_module_axioms,
 )
@@ -175,3 +177,67 @@ def test_scalar_values_are_built_once_per_key():
     assert m.scalar_value(("int", 3)) is m.scalar_value(("int", 3))
     with pytest.raises(ParameterError, match="unknown scalar key"):
         m.scalar_value(("root", 1))
+
+
+def invert_series_every_degree(lam, x_var="X"):
+    """Oracle: the inversion loop that recomputes lam(exp) at every degree,
+    whether or not the previous degree changed exp."""
+    ring = lam.ring
+    xi = ring._var_index[x_var]
+    exp = ring.var(x_var)
+    for m in range(2, ring.degree):
+        comp = lam.substitute({x_var: exp})
+        em = TruncatedSeries(ring, {e[:xi] + (0,) + e[xi + 1:]: c
+                                    for e, c in comp.terms.items() if e[xi] == m})
+        if em.is_zero():
+            continue
+        exp = exp - em * ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
+                                       ring.domain.one())
+    return exp
+
+
+@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 2, 1), (lubin_tate_module, 3, 1),
+                                         (lubin_tate_module, 2, 2), (lubin_tate_module, 5, 2),
+                                         (universal_module, 2, 2), (universal_module, 3, 2)])
+def test_invert_series_matches_the_every_degree_loop(builder, q, n):
+    m = builder(q, n)
+    assert invert_series(m.log_series) == invert_series_every_degree(m.log_series)
+    assert m.exp_series == invert_series_every_degree(m.log_series)
+
+
+def test_invert_series_substitutes_only_after_a_correction(monkeypatch):
+    # at (5, 2) exp = X + d X^25 needs one correction: lam(X) and lam(exp)
+    m = lubin_tate_module(5, 2)
+    calls = []
+    honest = TruncatedSeries.substitute
+    monkeypatch.setattr(TruncatedSeries, "substitute",
+                        lambda self, *args: calls.append(1) or honest(self, *args))
+    invert_series(m.log_series)
+    assert len(calls) <= 3
+
+
+def teichmuller_by_exp_log(module, k):
+    """Oracle: [zeta](X) = exp(zeta log X) over the p-adics, then to W/p^N."""
+    padic = module.exp_series.substitute(
+        {"X": module.log_series.scale(module.scalar_value(("teich", k)))})
+    return to_witt_series(padic, module.N).map_vars(module.x_ring)
+
+
+@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 4, 1), (lubin_tate_module, 8, 1),
+                                         (lubin_tate_module, 3, 2), (lubin_tate_module, 5, 2),
+                                         (lubin_tate_module, 2, 3), (universal_module, 3, 2)])
+def test_teichmuller_scalars_match_exp_of_zeta_log(builder, q, n):
+    m = builder(q, n)
+    for k in range(2, q):
+        zeta_x = m.scalar_series(("teich", k))
+        assert len(zeta_x.terms) == 1
+        assert zeta_x == teichmuller_by_exp_log(m, k)
+
+
+def test_teichmuller_scalar_raises_when_it_does_not_commute_with_p():
+    m = lubin_tate_module(3, 2)
+    pi = m.scalar_series(("int", 3))
+    # X^2 breaks [p](zeta X) = zeta [p](X) for zeta = -1
+    m._scalars[("int", 3)] = pi + m.x_ring.var("X") ** 2
+    with pytest.raises(VerificationError, match="zeta"):
+        m.scalar_series(("teich", 2))

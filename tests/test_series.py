@@ -10,7 +10,6 @@ from ltdl.series import SeriesRing, TruncatedSeries, product_over
 from ltdl.witt import (
     BoundedPadic,
     PadicParams,
-    WittElement,
     WittRing,
     from_digits,
     witt_ring,
@@ -67,8 +66,7 @@ def test_ring_axioms_randomized_all_domains():
     for R in domains:
         els = []
         if isinstance(R.domain, FieldDesc):
-            pool = R.domain.elements()
-            pick = lambda: rng.choice(pool)
+            pick = lambda: rng.randrange(R.domain.q)
         else:
             pick = lambda: R.domain.from_int(rng.randrange(R.domain.pN))
         for _ in range(12):
@@ -111,7 +109,7 @@ def test_substitute_composition_multiplicative_group():
         t = {}
         for k in range(1, D):
             c = R.domain.from_int(comb(a, k))
-            if not c.is_zero():
+            if not R.domain.is_negligible(c):
                 t[(k,)] = c
         return TruncatedSeries(R, t)
 
@@ -176,7 +174,7 @@ def test_var_valuation_additive_over_fq():
     def rand():
         t = {}
         for _ in range(4):
-            c = f.from_int(rng.randrange(1, 4))
+            c = rng.randrange(1, 4)
             t[(rng.randrange(1, 4), rng.randrange(3))] = c
         return TruncatedSeries(R, t)
 
@@ -229,10 +227,10 @@ def series_from_json(data):
     digits = lambda ring, ds: from_digits(ring, [ring.field.elem(tuple(d)) for d in ds])
     if desc["kind"] == "fq":
         dom = ff_make(p, f)
-        coeff = lambda c: dom.elem(tuple(c))
+        coeff = lambda c: dom.elem(tuple(c)).canonical_int()
     elif desc["kind"] == "witt":
         dom = witt_ring(p, f, desc["N"])
-        coeff = lambda c: digits(dom, c)
+        coeff = lambda c: digits(dom, c).value
     else:
         params = dom = PadicParams(p, f, desc["N"], desc["v_max"],
                                    pad=desc["n_work"] - desc["N"])
@@ -257,8 +255,7 @@ def test_json_roundtrip_bit_exact():
     rng = random.Random(67)
     for R in rings:
         if isinstance(R.domain, FieldDesc):
-            coeffs = [c for c in R.domain.elements() if not c.is_zero()]
-            pick = lambda: rng.choice(coeffs)
+            pick = lambda: rng.randrange(1, R.domain.q)
         elif isinstance(R.domain, WittRing):
             pick = lambda: R.domain.from_int(rng.randrange(1, R.domain.pN))
         else:
@@ -305,9 +302,9 @@ def oracle_mul(a, b):
             e = tuple(x + y for x, y in zip(e1, e2))
             if not oracle_admits(ring, e):
                 continue
-            c = c1 * c2
+            c = dom.mul(c1, c2)
             if e in out:
-                c = out[e] + c
+                c = dom.add(out[e], c)
             if dom.is_negligible(c):
                 out.pop(e, None)
             else:
@@ -345,11 +342,9 @@ def oracle_substitute(s, assignments, target):
 
 def coefficient_picker(rng, domain):
     if isinstance(domain, FieldDesc):
-        pool = [c for c in domain.elements() if not c.is_zero()]
-        return lambda: rng.choice(pool)
+        return lambda: rng.randrange(1, domain.q)
     if isinstance(domain, WittRing):
-        return lambda: WittElement(domain, tuple(rng.randrange(domain.pN)
-                                                 for _ in range(domain.f)))
+        return lambda: domain.from_coords(rng.randrange(domain.pN) for _ in range(domain.f))
     # a small pool, so that partial sums cancel to zeros at precision
     p = domain.p
     pool = [domain.from_int(k) for k in (1, -1, 2, p, -p, p + 1)]
@@ -429,3 +424,83 @@ def test_substitute_matches_the_accumulating_oracle():
     for _ in range(6):
         for s, assignments, target in substitution_cases(rng):
             assert s.substitute(assignments, target) == oracle_substitute(s, assignments, target)
+
+
+def oracle_rings():
+    """One ring per coefficient kind: F_q, Z/p^N, W(F_{p^f})/p^N with f > 1
+    and the p-adics."""
+    return [ff_make(2, 2), witt_ring(3, 1, 4), witt_ring(2, 2, 3), PadicParams(2, 1, 5, 3)]
+
+
+@pytest.mark.parametrize("dom", oracle_rings(), ids=repr)
+def test_one_term_images_match_the_oracle(dom, monkeypatch):
+    # renames, scaled variables c*x^v, the chart's X_i -> V_i X_n, a zero
+    # image and a constant into a capped variable form no series product;
+    # each is checked against the product-based oracle
+    rng = random.Random(79)
+    pick = coefficient_picker(rng, dom)
+    src = SeriesRing(dom, ("X1", "X2", "V"), 9, caps={"V": 4})
+    chart = SeriesRing(dom, ("V1", "Xn", "V"), 19, caps={"V1": 9, "Xn": 8, "V": 4})
+    products = []
+    honest = TruncatedSeries.__mul__
+    for _ in range(8):
+        s = random_series(rng, src, 10)
+        c, d = pick(), pick()
+        cases = [
+            ({"X1": src.var("X2"), "X2": src.var("X1")}, src),
+            ({"X1": src.var("X1", c), "X2": src.monomial((1, 1, 0), d)}, src),
+            ({"X1": chart.var("V1") * chart.var("Xn"), "X2": chart.var("Xn")}, chart),
+            ({"X2": src.zero(), "V": src.constant(c)}, src),
+        ]
+        monkeypatch.setattr(TruncatedSeries, "__mul__",
+                            lambda a, b: products.append(1) or honest(a, b))
+        got = [s.substitute(assignments, target) for assignments, target in cases]
+        monkeypatch.undo()
+        for out, (assignments, target) in zip(got, cases):
+            assert out == oracle_substitute(s, assignments, target)
+    assert products == []
+
+
+@pytest.mark.parametrize("ring", [witt_ring(3, 1, 4), witt_ring(2, 2, 3)], ids=repr)
+def test_one_term_images_whose_coefficient_powers_vanish_mod_pN(ring):
+    # (p X)^k = 0 mod p^N once k >= N: those terms leave the image
+    N, p = ring.N, ring.p
+    R = SeriesRing(ring, ("X", "Y"), 3 * N)
+    s = random_series(random.Random(83), R, 12, low=1)
+    s = s + R.monomial((N, 1), ring.one()) + R.monomial((N + 1, 0), ring.one())
+    image = {"X": R.var("X", ring.from_int(p)), "Y": R.var("Y", ring.from_int(p + 1))}
+    out = s.substitute(image)
+    assert out == oracle_substitute(s, image, R)
+    assert all(e[0] < N for e in out.terms)
+
+
+@pytest.mark.parametrize("dom", oracle_rings(), ids=repr)
+def test_sparse_exponent_sets_match_the_oracle(dom):
+    # exponents like those of exp = X + d X^25 at (5, 2): the image powers
+    # come by squaring instead of one product per degree
+    rng = random.Random(89)
+    pick = coefficient_picker(rng, dom)
+    R = SeriesRing(dom, ("X", "Y"), 16)
+    for _ in range(4):
+        s = TruncatedSeries(R, {(1, 0): pick(), (11, 0): pick(), (0, 1): pick(),
+                                (2, 9): pick(), (0, 13): pick()})
+        a = random_series(rng, R, 3, low=1, high=4)
+        b = random_series(rng, R, 2, low=1, high=3)
+        for image in ({"X": a}, {"X": a, "Y": b}, {"X": a, "Y": R.var("Y", pick())}):
+            assert s.substitute(image) == oracle_substitute(s, image, R)
+
+
+def test_sparse_powers_come_by_squaring(monkeypatch):
+    # X + d X^25 into a two-term image needs the 25th power: squaring forms
+    # it in at most 2 log2(25) products, not 24
+    R = SeriesRing(witt_ring(5, 1, 4), ("X",), 30)
+    s = R.var("X") + R.monomial((25,), R.domain.from_int(7))
+    image = R.var("X") + R.monomial((2,), R.domain.one())
+    products = []
+    honest = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__",
+                        lambda a, b: products.append(1) or honest(a, b))
+    out = s.substitute({"X": image})
+    assert len(products) <= 10
+    monkeypatch.undo()
+    assert out == oracle_substitute(s, {"X": image}, R)

@@ -101,3 +101,11 @@ def test_series_imports_no_coefficient_ring():
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert "errors" in imported
     assert not imported & {"ffield", "witt", "cyclo"}
+
+
+def test_series_reaches_coefficients_only_through_their_ring():
+    # raw coefficient values (ints, tuples, BoundedPadic) are read and
+    # combined by the ring's add, neg, mul, is_negligible and residue, never
+    # by element methods
+    text = (Path(ltdl.__file__).parent / "series.py").read_text()
+    assert [m for m in (".is_zero(", ".reduce_mod_p(", ".coeffs", ".digits(") if m in text] == []

@@ -8,7 +8,7 @@ from ltdl.witt import BoundedPadic, PadicParams, WittElement, from_digits, witt_
 
 def from_coeffs(R, coeffs):
     """The element of W(F_{p^f})/p^N with the given coordinates mod p^N."""
-    return WittElement(R, tuple(c % R.pN for c in coeffs))
+    return R.elem(coeffs)
 
 
 def mul_p(x, k):
@@ -24,9 +24,9 @@ def test_arith_matches_integers_mod_pN_f1():
         m = p ** N
         for _ in range(500):
             a, b = rng.randrange(m), rng.randrange(m)
-            assert (R.from_int(a) + R.from_int(b)).coeffs[0] == (a + b) % m
-            assert (R.from_int(a) * R.from_int(b)).coeffs[0] == (a * b) % m
-            assert (-R.from_int(a)).coeffs[0] == (-a) % m
+            assert (R.elem((a,)) + R.elem((b,))).coeffs[0] == (a + b) % m
+            assert (R.elem((a,)) * R.elem((b,))).coeffs[0] == (a * b) % m
+            assert (-R.elem((a,))).coeffs[0] == (-a) % m
 
 
 def test_ring_axioms_randomized_f2():
@@ -56,15 +56,15 @@ def test_teichmuller_of_two_mod_81():
     # squaring the computed lift directly.
     R = witt_ring(3, 1, 4)
     t = R.teichmuller(R.field.from_int(2))
-    assert (t * t) == R.one()
+    assert (t * t) == WittElement(R, R.one())
     assert t.reduce_mod_p() == R.field.from_int(2)
     assert t.coeffs == (80,)
 
 
 def test_teichmuller_trivial_cases():
     R = witt_ring(5, 1, 6)
-    assert R.teichmuller(R.field.from_int(1)) == R.one()
-    assert R.teichmuller(R.field.from_int(0)) == R.zero()
+    assert R.teichmuller(R.field.from_int(1)) == WittElement(R, R.one())
+    assert R.teichmuller(R.field.from_int(0)) == WittElement(R, R.zero())
 
 
 def test_teichmuller_multiplicative_order():
@@ -73,7 +73,7 @@ def test_teichmuller_multiplicative_order():
         q = p ** f
         for a in R.field.elements()[1:]:
             t = R.teichmuller(a)
-            assert t ** (q - 1) == R.one()
+            assert t ** (q - 1) == WittElement(R, R.one())
             assert t.reduce_mod_p() == a
 
 
@@ -91,7 +91,7 @@ def test_digits_roundtrip():
 def test_sigma_identity_for_prime_field():
     R = witt_ring(3, 1, 5)
     for k in [0, 1, 5, 80, 121]:
-        assert R.from_int(k).sigma() == R.from_int(k)
+        assert R.elem((k,)).sigma() == R.elem((k,))
 
 
 def test_sigma_on_teichmuller_f2():
@@ -118,15 +118,15 @@ def test_inverse_of_units():
         for _ in range(50):
             w = from_coeffs(R, tuple(rng.randrange(R.pN) for _ in range(f)))
             if not w.reduce_mod_p().is_zero():
-                assert w * w.inv() == R.one()
+                assert w * w.inv() == WittElement(R, R.one())
         with pytest.raises(ZeroDivisionError):
-            R.from_int(p).inv()
+            WittElement(R, R.from_int(p)).inv()
 
 
 def test_valuation():
     R = witt_ring(2, 2, 6)
-    assert R.zero().valuation() == 6
-    assert R.one().valuation() == 0
+    assert WittElement(R, R.zero()).valuation() == 6
+    assert WittElement(R, R.one()).valuation() == 0
     assert from_coeffs(R, (4, 8)).valuation() == 2
     assert from_coeffs(R, (0, 16)).valuation() == 4
 
@@ -134,9 +134,9 @@ def test_valuation():
 def test_mixed_parameters_rejected():
     from ltdl.errors import ParameterError
 
-    a = witt_ring(2, 1, 4).one()
-    b = witt_ring(2, 1, 5).one()
-    c = witt_ring(3, 1, 4).one()
+    a = witt_ring(2, 1, 4).elem((1,))
+    b = witt_ring(2, 1, 5).elem((1,))
+    c = witt_ring(3, 1, 4).elem((1,))
     for other in (b, c):
         with pytest.raises(ParameterError):
             a + other
@@ -166,7 +166,7 @@ def test_padic_integrality_enforced():
     with pytest.raises(IntegralityError):
         half.to_witt()
     # but 2 * (1/2) = 1 is integral again
-    assert (half + half).to_witt() == witt_ring(2, 1, 6).one()
+    assert (half + half).to_witt() == witt_ring(2, 1, 6).elem((1,))
 
 
 def test_padic_mul_precision_tracking():
@@ -218,7 +218,22 @@ def test_padic_precision_exhaustion_is_loud():
     x = P.from_int(1).div_p(2)
     y = mul_p(x, 2)
     # fine at target precision
-    assert y.to_witt() == witt_ring(2, 1, 6).one()
+    assert y.to_witt() == witt_ring(2, 1, 6).elem((1,))
     # asking for more digits than the working precision must fail loudly
     with pytest.raises(PrecisionError):
         y.to_witt(7)
+
+
+def test_products_with_a_Zp_factor_agree_with_the_general_product():
+    # a factor in Z/p^N multiplies coordinatewise; the identities below mix
+    # that path with the full product and reduction by the modulus
+    rng = random.Random(31)
+    for (p, f, N) in [(2, 2, 5), (3, 2, 4), (2, 6, 8)]:
+        R = witt_ring(p, f, N)
+        rand = lambda: from_coeffs(R, [rng.randrange(R.pN) for _ in range(f)])
+        for _ in range(60):
+            s, b, c = from_coeffs(R, [rng.randrange(R.pN)] + [0] * (f - 1)), rand(), rand()
+            assert s * b == b * s
+            assert (s * b) * c == s * (b * c) == b * (c * s)
+            assert s * (b + c) == s * b + s * c
+            assert (s * b).coeffs == tuple(s.coeffs[0] * x % R.pN for x in b.coeffs)
