@@ -170,6 +170,19 @@ def _chart_substitute(module, series, n, ring):
     return series.substitute(assignments, ring)
 
 
+def _affine_law(module, ring, a, affine):
+    """The chart factor of P_a that the blow-up must leave mod its pivot:
+    sum_i [a_i~] affine[i] + [a_k~], k = len(a) = len(affine) + 1, as a
+    series of `ring` and as its form {var or "const": coefficient}."""
+    form = {v: module.scalar_coefficient(("teich", c)) for v, c in zip(affine, a) if c}
+    if a[-1]:
+        form["const"] = module.scalar_coefficient(("teich", a[-1]))
+    expect = ring.zero()
+    for v, c in form.items():
+        expect = expect + (ring.constant(c) if v == "const" else ring.var(v, c))
+    return expect, form
+
+
 class ChartReport:
     """Exceptional-divisor data of the first blow-up on the X_n-pivot chart."""
 
@@ -221,19 +234,8 @@ def blowup_chart(module, factors=None, P=None):
             raise VerificationError(f"P_a for a={a} does not vanish to order 1 on the chart")
         fac = s.factor_out(X_PIVOT, 1)
         chart_factors[a] = fac
-        const = fac.set_var_to_zero(X_PIVOT)
-        expect = ring.zero()
-        form = {}
-        for i in range(1, n):
-            if a[i - 1]:
-                coeff = module.scalar_coefficient(("teich", a[i - 1]))
-                expect = expect + ring.var(f"V{i}", coeff)
-                form[f"V{i}"] = coeff
-        if a[n - 1]:
-            coeff = module.scalar_coefficient(("teich", a[n - 1]))
-            expect = expect + ring.constant(coeff)
-            form["const"] = coeff
-        if const != expect:
+        expect, form = _affine_law(module, ring, a, ring.vars[:n - 1])
+        if fac.set_var_to_zero(X_PIVOT) != expect:
             raise VerificationError(
                 f"chart factor for a={a} is not exactly affine-linear mod {X_PIVOT}")
         linear_parts[a] = form
@@ -324,15 +326,7 @@ def iterated_chart(module, depth_sequence, chart=None):
                 new_factors[sub_a] = new_fac
                 # affine-linear law in the new chart coordinates, exactly
                 const = new_fac.set_var_to_zero(pivot).set_var_to_zero(X_PIVOT)
-                expect = new_ring.zero()
-                for i in range(1, sub_block):
-                    if sub_a[i - 1]:
-                        cf = module.scalar_coefficient(("teich", sub_a[i - 1]))
-                        expect = expect + new_ring.var(new_affine[i - 1], cf)
-                if sub_a[sub_block - 1]:
-                    cf = module.scalar_coefficient(("teich", sub_a[sub_block - 1]))
-                    expect = expect + new_ring.constant(cf)
-                if const != expect:
+                if const != _affine_law(module, new_ring, sub_a, new_affine)[0]:
                     raise VerificationError(
                         f"depth-{depth} factor for a={sub_a} not affine-linear")
             else:

@@ -302,18 +302,3 @@ def per_zeta_counts(q, n, residues):
     g = len(residues)
     return [g * residues[k % g] for k in range(q ** n - 1)]
 
-
-def twisted_sum_check(q, n, m, census):
-    """sum over zeta in mu_{q^n-1} of N_m(zeta) = (q^n-1) * base count, from
-    `census` = `line_census(q, n, m)`.
-
-    The base count alone implies this identity: every c with c^{q^n-1} =
-    P(x0)^{-1} has c^{q^m-1} in mu_{q^n-1}, so the sum counts each base
-    line q^n - 1 times.  The per-theta Frobenius trace check of ROADMAP.md
-    item 1 replaces it.
-    """
-    base, residues, _ = census
-    total = sum(per_zeta_counts(q, n, residues))
-    expected = (q ** n - 1) * base
-    return {"q": q, "n": n, "m": m, "sum_of_twisted_counts": total,
-            "expected": expected, "matches": total == expected}

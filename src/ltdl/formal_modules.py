@@ -207,9 +207,9 @@ class FormalModule:
         self.exp_series = exp_series      # over BoundedPadic
         self.F = F                        # over W/p^N, vars (X, Y) + aux
         self.x_ring = SeriesRing(F.ring.domain, ("X",) + aux_vars, D)
-        self._scalars = {("int", 0): self.x_ring.zero(),
-                         ("int", 1): self.x_ring.var("X"),
-                         ("int", self.p): pi_series}
+        # [1] is built as exp(log X) like every other integer scalar, so
+        # the scalar_one axiom compares two computations
+        self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
         self._values = {}
 
     # -- scalar series ---------------------------------------------------------

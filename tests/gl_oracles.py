@@ -7,11 +7,12 @@ two to the same answers wherever both run.  The dense matrix product is the
 oracle for the closure's sparse generator products, the per-class
 multiplicity lift for the lift once per rational class, and `verify_table`,
 the exact orthonormality check in Z[zeta], for the Gram matrix modulo a
-split prime.
+split prime.  The norm-kernel genericity test is the oracle for the
+Frobenius-period test of `is_generic`.
 """
 
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from ltdl.cyclo import CycloElement, dot
 from ltdl.gl_characters import compositions
@@ -23,6 +24,22 @@ def _dot(field, xs, ys):
     for x, y in zip(xs, ys):
         s = field.add(s, field.mul(x, y))
     return s
+
+
+def is_generic_by_norm_kernels(q, n, j):
+    """Oracle for `is_generic`: theta_j, zeta_{q^n-1}^j on a generator, is
+    nontrivial on the kernel of every norm F_{q^n}^x -> F_{q^m}^x, m a
+    proper divisor of n.  That kernel is generated by the (q^m - 1)-th power
+    of the generator; each value is a root of unity in Z[zeta]."""
+    order = q ** n - 1
+    for m in range(1, n):
+        if n % m:
+            continue
+        step = q ** m - 1
+        if all(CycloElement.zeta(order, j * k * step % order) == CycloElement.rational(1)
+               for k in range(1, order // gcd(order, step) + 1)):
+            return False
+    return True
 
 
 def mat_mul(field, A, B):

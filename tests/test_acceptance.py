@@ -13,6 +13,7 @@ import pytest
 from dl_oracles import action_invariance_check, base_points, dl_points_by_enumeration
 
 from ltdl.cli import main as cli_main
+from ltdl.cyclo import CycloElement
 from ltdl.depth0 import (
     blowup_chart,
     iterated_chart,
@@ -23,7 +24,7 @@ from ltdl.dl_variety import (
     dl_points,
     fiber_structure_check,
     line_census,
-    twisted_sum_check,
+    per_zeta_counts,
 )
 from ltdl.errors import ParameterError
 from ltdl.formal_modules import lubin_tate_module, verify_module_axioms
@@ -138,9 +139,8 @@ def test_criterion_06_dl_enumeration():
     triples = action_invariance_check(2, 2, 2, mats)
     ok = ok and triples == 6 * len(mats) * 3  # every point, all 18 (g, zeta) pairs
     for m in (1, 2):
-        tw = twisted_sum_check(2, 2, m, line_census(2, 2, m))
-        ok = ok and tw["matches"]
-        ok = ok and tw["sum_of_twisted_counts"] == 3 * base_points(2, 2, m)
+        residues = line_census(2, 2, m)[1]
+        ok = ok and sum(per_zeta_counts(2, 2, residues)) == 3 * base_points(2, 2, m)
     elapsed = time.monotonic() - started
     report_line(6, ok and elapsed < 10,
                 f"|DL(F_4)| = 6, fibers 3x2, 18 action pairs, twisted sums "
@@ -171,9 +171,22 @@ def test_criterion_07_character_tables():
 def test_criterion_08_correspondence():
     ok = True
     for (q, n) in [(2, 2), (3, 2), (2, 3)]:
-        rep = correspondence_report(q, n, corr_for(q, n))
+        data = corr_for(q, n)
+        rep = correspondence_report(q, n, data)
         ok = ok and rep["all_pass"]
         ok = ok and all(len(o["thetas"]) == n for o in rep["orbits"])
+        # the identity-class reading of pi * St = Ind theta, and distinct
+        # orbits on orthogonal rows, each computed here from the table
+        cusp_deg = 1
+        for i in range(1, n):
+            cusp_deg *= q ** i - 1
+        for a in rep["orbits"]:
+            ind = induce_from_torus(data.group, data.torus, a["thetas"][0])
+            ok = ok and data.table.degrees[a["pi"]] == cusp_deg
+            ok = ok and ind.degree() == CycloElement.rational(cusp_deg * q ** (n * (n - 1) // 2))
+            chi = data.table.irreducibles[a["pi"]]
+            ok = ok and all(chi.inner(data.table.irreducibles[b["pi"]]) == (1 if a is b else 0)
+                            for b in rep["orbits"])
     report_line(8, ok, "unique cuspidal pi with pi*St = Ind theta; orbit bijection; "
                        "inner products; degree identity")
 

@@ -8,6 +8,7 @@ from ltdl.depth0 import (
     blowup_chart,
     build_P,
     build_P_a,
+    deformation_factors,
     deformation_ring,
     gl_linear_shadow_check,
     index_vectors,
@@ -18,7 +19,7 @@ from ltdl.depth0 import (
     stratum_membership,
     un_special_fiber,
 )
-from ltdl.errors import ParameterError
+from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
 from ltdl.gl_characters import GLGroup
@@ -139,6 +140,21 @@ def test_blowup_chart_23_and_iterated():
     assert chart.valuation == 7
     assert len(chart.linear_parts) == 7
     assert iterated_chart(m, [3, 2]) == [7, 3]
+
+
+def test_both_chart_steps_hold_their_factors_to_the_affine_law(monkeypatch):
+    # with [1~] + 1 read for every Teichmuller coefficient of the law
+    # sum [a_i~] V_i + [a_k~], the first and the iterated step both raise
+    m = lubin_tate_module(2, 3)
+    factors = deformation_factors(m)
+    P = build_P(m, factors=factors)
+    chart = blowup_chart(m, factors=factors, P=P)
+    honest, dom = m.scalar_coefficient, m.F.ring.domain
+    monkeypatch.setattr(m, "scalar_coefficient", lambda key: dom.add(honest(key), dom.one()))
+    with pytest.raises(VerificationError, match=r"a=\(0, 0, 1\) is not exactly affine-linear"):
+        blowup_chart(m, factors=factors, P=P)
+    with pytest.raises(VerificationError, match=r"depth-1 factor for a=\(0, 1\) not affine-linear"):
+        iterated_chart(m, [3, 2], chart=chart)
 
 
 def test_iterated_chart_32():

@@ -98,6 +98,21 @@ def test_axioms_fail_for_tampered_module():
     assert report["symmetry"] == "pass"  # the tamper was symmetric on purpose
 
 
+@pytest.mark.parametrize("builder", [lubin_tate_module, universal_module])
+def test_scalar_one_fails_when_exp_does_not_invert_log(builder):
+    # [1] is exp(1 * log X), built like every other integer scalar, so an
+    # exp with a stray X^2 term gives [1](X) = X + X^2 and scalar_one fails
+    m = builder(2, 2)
+    assert m.scalar_series(("int", 1)) == m.x_ring.var("X")
+    bad = builder(2, 2)
+    ring = bad.exp_series.ring
+    bad.exp_series = bad.exp_series + ring.monomial((2,) + (0,) * (len(ring.vars) - 1),
+                                                    ring.domain.one())
+    report = {c["name"]: c["status"] for c in verify_module_axioms(bad)}
+    assert report["scalar_one"] == "fail"
+    assert report["linear_part"] == report["associativity"] == "pass"
+
+
 def test_universal_module_2_2():
     u = universal_module(2, 2, N=6, D=10)
     report = verify_module_axioms(u)

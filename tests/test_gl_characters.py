@@ -8,6 +8,7 @@ import pytest
 from gl_oracles import (
     closure_by_products,
     is_cuspidal_by_radicals,
+    is_generic_by_norm_kernels,
     lift_per_class,
     mat_mul,
     steinberg_by_flags,
@@ -271,6 +272,13 @@ def test_is_generic():
     generics = [j for j in range(8) if is_generic(3, 2, j)]
     assert len(generics) == 6 == generic_character_count(3, 2)
     assert 0 not in generics and 4 not in generics  # fixed by j -> 3j mod 8
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (5, 2), (64, 1)])
+def test_is_generic_matches_the_norm_kernel_oracle(q, n):
+    verdicts = [is_generic(q, n, j) for j in range(q ** n - 1)]
+    assert verdicts == [is_generic_by_norm_kernels(q, n, j) for j in range(q ** n - 1)]
+    assert sum(verdicts) == generic_character_count(q, n)
 
 
 def test_frobenius_orbits():
@@ -855,8 +863,7 @@ def test_cuspidal_match_raises_on_none_and_on_several():
     data.cuspidal_indices = [i for i, d in enumerate(data.table.degrees) if d == 1]
     assert _cuspidal_matches(data, ind) == data.cuspidal_indices
     assert _cuspidal_matches(data, ind.scale(2)) == []
-    unmatched = {"bijection_onto_cuspidals", "cuspidal_dimension", "degree_identity",
-                 "orbit_orthogonality"}
+    unmatched = {"bijection_onto_cuspidals"}
     for candidates, failure in ((data.cuspidal_indices, "multiple cuspidal solutions"),
                                 ([], "no cuspidal solution")):
         data.cuspidal_indices = candidates
@@ -872,7 +879,7 @@ def test_cuspidal_match_raises_on_none_and_on_several():
 
 def orthogonality_by_inner_products(data, report):
     """Oracle: <pi_a, pi_b> = delta_orbit by an exact inner product for
-    every pair of orbits, as `orbit_orthogonality` once computed it."""
+    every pair of orbits."""
     reps = [(tuple(o["thetas"]), o["pi"]) for o in report["orbits"]]
     ok = True
     for a, (orb_a, pi_a) in enumerate(reps):
@@ -884,24 +891,66 @@ def orthogonality_by_inner_products(data, report):
     return ok
 
 
-def orbit_orthogonality_status(report):
-    (check,) = [c for c in report["checks"] if c["name"] == "orbit_orthogonality"]
-    assert check["details"] == "<pi_a, pi_b> = delta_orbit"
+def check_status(report, name):
+    (check,) = [c for c in report["checks"] if c["name"] == name]
     return check["status"] == "pass"
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2)])
 def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
+    # distinct orbits on orthogonal rows is part of the bijection check
     data = CorrespondenceData(GLGroup(q, n))
     rep = correspondence_report(q, n, data)
-    assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is True
+    assert (check_status(rep, "bijection_onto_cuspidals")
+            is orthogonality_by_inner_products(data, rep) is True)
     if len(rep["orbits"]) < 2:
         return
     # send every theta to one cuspidal: distinct orbits now share a row
     first = data.cuspidal_indices[0]
     monkeypatch.setattr(gl_characters, "_cuspidal_matches", lambda data, ind: [first])
     rep = correspondence_report(q, n, data)
-    assert orbit_orthogonality_status(rep) is orthogonality_by_inner_products(data, rep) is False
+    assert (check_status(rep, "bijection_onto_cuspidals")
+            is orthogonality_by_inner_products(data, rep) is False)
+
+
+def failed_checks(report):
+    return {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"}
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3)])
+def test_a_doctored_cuspidal_row_fails_the_orbit_check_naming_theta(q, n):
+    # the pi of the first orbit gets twice its degree at the identity class,
+    # so pi * St = Ind theta has no cuspidal solution there: a wrong
+    # cuspidal dimension or degree identity fails orbit_maps_to_single_pi
+    data = CorrespondenceData(GLGroup(q, n))
+    orbits = correspondence_report(q, n, data)["orbits"]
+    pi = orbits[0]["pi"]
+    chi = data.table.irreducibles[pi]
+    values = list(chi.values)
+    values[data.group.identity_class] = values[data.group.identity_class] * 2
+    data.table.irreducibles[pi] = ClassFunction(data.group, values)
+    rep = correspondence_report(q, n, data)
+    others = sorted(o["pi"] for o in orbits[1:])
+    assert failed_checks(rep) == {
+        "orbit_maps_to_single_pi": f"no cuspidal solution for theta_{orbits[0]['thetas'][0]}",
+        "bijection_onto_cuspidals": f"images {others}, cuspidals {data.cuspidal_indices}",
+    }
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3)])
+def test_a_dropped_cuspidal_flag_fails_the_bijection(q, n):
+    # the last cuspidal no longer counts as one: its orbit has no solution,
+    # and the images miss a cuspidal
+    data = CorrespondenceData(GLGroup(q, n))
+    orbits = correspondence_report(q, n, data)["orbits"]
+    dropped = data.cuspidal_indices.pop()
+    (theta,) = [o["thetas"][0] for o in orbits if o["pi"] == dropped]
+    rep = correspondence_report(q, n, data)
+    assert failed_checks(rep) == {
+        "orbit_maps_to_single_pi": f"no cuspidal solution for theta_{theta}",
+        "bijection_onto_cuspidals":
+            f"images {data.cuspidal_indices}, cuspidals {data.cuspidal_indices}",
+    }
 
 
 def _random_of_rank(rng, ell, rows, cols, rank):
