@@ -3,13 +3,16 @@
 For each index vector a in F_q^n \\ {0} the series P_a is the formal sum of
 the Teichmuller scalar multiples [a_i~](X_i); their product P (with the
 ambient unit set to 1) is the local equation P - p of the deformation space.
-Substituting X_i = V_i * X_n exhibits the exceptional multiplicity q^n - 1
-and the residual factors P'_a, whose reductions mod X_n are exactly affine
-linear; iterating the substitution on trailing-zero blocks reproduces the
-multiplicity sequence q^{n_t} - 1.  Setting X_n = 0 and reducing mod p turns
-the residual into the product of all rational affine forms, and the
-projective coordinate change rewrites it as the hyperplane-product equation
-of the Deligne-Lusztig variety.
+Every chart is one blow-up step (`_blowup_step`): substitute V_i * pivot
+for each affine coordinate and the pivot for the centre, check that each
+factor vanishes to order exactly 1 in the pivot, factor it out, and check
+that the quotient mod the pivot and X_n is exactly the affine law
+sum_i [a_i~] V_i + [a_k~].  On all P_a with X_i = V_i * X_n it exhibits the
+exceptional multiplicity q^n - 1 and the residual factors P'_a; on the
+trailing-zero blocks it reproduces the multiplicity sequence q^{n_t} - 1.
+Setting X_n = 0 and reducing mod p turns the residual into the product of
+all rational affine forms, and the projective coordinate change rewrites it
+as the hyperplane-product equation of the Deligne-Lusztig variety.
 
 Everything here is exact mod (p^N, the stated degree windows); structural
 expectations that come from verified identities raise VerificationError
@@ -147,27 +150,33 @@ def stratum_membership(module, a, j):
 # -- blow-up charts -------------------------------------------------------------
 
 
-def chart_ring(module, n, block=None):
-    """Ring for the X_n-pivot chart: polynomial V_i, series pivot X_n.
+def chart_ring(module, source, coords, names):
+    """Ring of a blow-up step on `source`, whose chart coordinates are
+    `coords`: the step centres on coords[k - 1], k = len(names), and its ring
+    has the variables `names` (the new affine variables, then the pivot),
+    then the variables of `source` outside `coords`.
 
-    The substitution X_i -> V_i Xn sends total degree to Xn-degree, so with
-    the Xn cap at D - 1 the result is exact for all Xn-exponents < D; the
-    V-degrees are coupled to the Xn-degree and capped at D.
+    The substitution sends a monomial of total degree d in coords[:k] to one
+    of pivot-degree d.  An uncapped (series) centre has total degree < D, so
+    the pivot is capped at D - 1 and the result is exact for all
+    pivot-exponents < D; a capped centre passes its cap to the pivot.  Each
+    new affine variable takes the cap of the coordinate it replaces, or D.
     """
     D = module.D
-    block = n if block is None else block
-    vs = tuple(f"V{i}" for i in range(1, block))
-    caps = {v: D for v in vs}
-    caps[X_PIVOT] = D - 1
-    return SeriesRing(module.F.ring.domain, vs + (X_PIVOT,) + module.aux_vars,
-                      2 * D + 1, caps)
+    keep = tuple(v for v in source.vars if v not in coords)
+    caps = {v: source.caps.get(u, D) for u, v in zip(coords, names[:-1])}
+    caps[names[-1]] = source.caps.get(coords[len(names) - 1], D - 1)
+    caps.update((v, cap) for v, cap in source.caps.items() if v in keep)
+    return SeriesRing(source.domain, names + keep, 2 * D + 1, caps)
 
 
-def _chart_substitute(module, series, n, ring):
-    assignments = {f"X{i}": ring.var(f"V{i}") * ring.var(X_PIVOT)
-                   for i in range(1, n)}
-    assignments[f"X{n}"] = ring.var(X_PIVOT)
-    return series.substitute(assignments, ring)
+def chart_substitution(ring, coords, k):
+    """coords[i] -> V_i * pivot for i < k - 1 and coords[k - 1] -> pivot,
+    where V_1, ..., V_{k-1}, pivot are the first k variables of `ring`."""
+    pivot = ring.var(ring.vars[k - 1])
+    assignments = {u: ring.var(v) * pivot for u, v in zip(coords[:k - 1], ring.vars)}
+    assignments[coords[k - 1]] = pivot
+    return assignments
 
 
 def _affine_law(module, ring, a, affine):
@@ -181,6 +190,41 @@ def _affine_law(module, ring, a, affine):
     for v, c in form.items():
         expect = expect + (ring.constant(c) if v == "const" else ring.var(v, c))
     return expect, form
+
+
+def _blowup_step(module, factors, coords, names):
+    """One blow-up step on `factors` ({a: series}, a in F_q^k - 0, k =
+    len(names), all in one ring with chart coordinates `coords`): substitute
+    by `chart_substitution` into `chart_ring`, check that each factor
+    vanishes to order exactly 1 in the pivot, factor it out, and check that
+    the quotient mod the pivot and X_n is exactly the affine law of a.
+
+    Returns ({a: quotient}, {a: affine form}).
+    """
+    k = len(names)
+    source = next(iter(factors.values())).ring
+    ring = chart_ring(module, source, coords, names)
+    assignments = chart_substitution(ring, coords, k)
+    pivots = dict.fromkeys((names[-1], X_PIVOT))
+    quotients, forms = {}, {}
+    for a, f in factors.items():
+        s = f.substitute(assignments, ring)
+        # structural coupling that makes the chart exact: a source monomial of
+        # degree d maps to one term with pivot-degree d, so affine total <= it
+        if any(sum(e[:k - 1]) > e[k - 1] for e in s.terms):
+            raise VerificationError(f"chart substitution lost the degree coupling at a={a}")
+        if s.var_valuation(names[-1]) != 1:
+            raise VerificationError(f"factor a={a} does not vanish to order 1 in {names[-1]}")
+        quotient = s.factor_out(names[-1], 1)
+        expect, forms[a] = _affine_law(module, ring, a, names[:-1])
+        reduced = quotient
+        for v in pivots:
+            reduced = reduced.set_var_to_zero(v)
+        if reduced != expect:
+            raise VerificationError(
+                f"chart factor for a={a} is not exactly affine-linear mod {', '.join(pivots)}")
+        quotients[a] = quotient
+    return quotients, forms
 
 
 class ChartReport:
@@ -218,29 +262,12 @@ def blowup_chart(module, factors=None, P=None):
     if module.D < q ** n + 1:
         raise ParameterError("degree bound too small for the chart (need q^n + 1)")
     factors = deformation_factors(module) if factors is None else factors
-    ring = chart_ring(module, n)
-    chart_factors = {}
-    linear_parts = {}
-    pivot_idx = ring._var_index[X_PIVOT]
-    v_idx = [ring._var_index[f"V{i}"] for i in range(1, n)]
-    for a, P_a in factors.items():
-        s = _chart_substitute(module, P_a, n, ring)
-        # structural coupling that makes the chart exact: a source monomial of
-        # degree d maps to one term with Xn-degree d, so V-total <= Xn-degree
-        for e in s.terms:
-            if sum(e[i] for i in v_idx) > e[pivot_idx]:
-                raise VerificationError("chart substitution lost the degree coupling")
-        if s.var_valuation(X_PIVOT) != 1:
-            raise VerificationError(f"P_a for a={a} does not vanish to order 1 on the chart")
-        fac = s.factor_out(X_PIVOT, 1)
-        chart_factors[a] = fac
-        expect, form = _affine_law(module, ring, a, ring.vars[:n - 1])
-        if fac.set_var_to_zero(X_PIVOT) != expect:
-            raise VerificationError(
-                f"chart factor for a={a} is not exactly affine-linear mod {X_PIVOT}")
-        linear_parts[a] = form
+    coords = x_vars(n)
+    chart_factors, linear_parts = _blowup_step(
+        module, factors, coords, tuple(f"V{i}" for i in range(1, n)) + (X_PIVOT,))
+    ring = next(iter(chart_factors.values())).ring
     P = build_P(module, factors) if P is None else P
-    P_sub = _chart_substitute(module, P, n, ring)
+    P_sub = P.substitute(chart_substitution(ring, coords, n), ring)
     val = P_sub.var_valuation(X_PIVOT)
     if val != q ** n - 1:
         raise VerificationError(
@@ -291,62 +318,30 @@ def iterated_chart(module, depth_sequence, chart=None):
     valuations = [chart.valuation]
     factors = chart.factors
     block = n
-    pivot_names = iter(f"U{k}_" for k in range(1, len(seq) + 1))
     for depth, sub_block in enumerate(seq[1:], start=1):
-        prefix = next(pivot_names)
-        # factors are indexed by F_q^block - 0 in variables (old affine vars,
-        # previous pivots..., Xn); select the trailing-zero sub-block
-        ring = factors[next(iter(factors))].ring
-        old_affine = ring.vars[:block - 1]
-        new_affine = tuple(f"{prefix}{i}" for i in range(1, sub_block))
-        pivot = old_affine[sub_block - 1]
-        keep = tuple(ring.vars[block - 1:])
-        new_ring = SeriesRing(ring.domain, new_affine + (pivot,) + keep,
-                              ring.degree,
-                              {**{v: ring.caps.get(old_affine[i], module.D)
-                                  for i, v in enumerate(new_affine)},
-                               **{v: ring.caps[v] for v in ring.caps if v in keep},
-                               pivot: ring.caps.get(pivot, module.D)})
-        assignments = {old_affine[i]: new_ring.var(new_affine[i]) * new_ring.var(pivot)
-                       for i in range(sub_block - 1)}
-        assignments[pivot] = new_ring.var(pivot)
-        new_factors = {}
-        total_val = 0
+        # factors are indexed by F_q^block - 0 in variables (chart coordinates,
+        # previous pivots..., Xn); the trailing-zero sub-block is blown up
+        ring = next(iter(factors.values())).ring
+        coords = ring.vars[:block - 1]
+        # off the stratum: after killing the blown-up block, every previous
+        # pivot and Xn, the factor must stay a nonzero form in the surviving
+        # generic coordinates
+        killed = coords[:sub_block] + tuple(v for v in ring.vars[block - 1:]
+                                            if v not in module.aux_vars)
         for a, fac in factors.items():
-            trailing_zero = all(x == 0 for x in a[sub_block:])
-            if trailing_zero:
-                sub = fac.substitute(assignments, new_ring)
-                v_val = sub.var_valuation(pivot)
-                if v_val != 1:
-                    raise VerificationError(
-                        f"factor a={a} does not vanish to order 1 at depth {depth}")
-                total_val += 1
-                new_fac = sub.factor_out(pivot, 1)
-                sub_a = a[:sub_block]
-                new_factors[sub_a] = new_fac
-                # affine-linear law in the new chart coordinates, exactly
-                const = new_fac.set_var_to_zero(pivot).set_var_to_zero(X_PIVOT)
-                if const != _affine_law(module, new_ring, sub_a, new_affine)[0]:
-                    raise VerificationError(
-                        f"depth-{depth} factor for a={sub_a} not affine-linear")
-            else:
-                # off the stratum: after killing the blown-up block, every
-                # previous pivot and Xn, the factor must stay a nonzero form
-                # in the surviving generic coordinates
-                reduced = fac
-                for v in old_affine[:sub_block]:
-                    reduced = reduced.set_var_to_zero(v)
-                for v in keep:
-                    if v not in module.aux_vars:
-                        reduced = reduced.set_var_to_zero(v)
-                if reduced.is_zero():
+            if any(a[sub_block:]):
+                for v in killed:
+                    fac = fac.set_var_to_zero(v)
+                if fac.is_zero():
                     raise VerificationError(
                         f"factor a={a} unexpectedly vanishes on the depth-{depth} stratum")
-        if total_val != q ** sub_block - 1:
+        on_stratum = {a[:sub_block]: fac for a, fac in factors.items() if not any(a[sub_block:])}
+        names = tuple(f"U{depth}_{i}" for i in range(1, sub_block)) + (coords[sub_block - 1],)
+        factors, _ = _blowup_step(module, on_stratum, coords, names)
+        if len(factors) != q ** sub_block - 1:
             raise VerificationError(
-                f"depth-{depth} multiplicity {total_val} != q^{sub_block} - 1")
-        valuations.append(total_val)
-        factors = new_factors
+                f"depth-{depth} multiplicity {len(factors)} != q^{sub_block} - 1")
+        valuations.append(len(factors))
         block = sub_block
     return valuations
 

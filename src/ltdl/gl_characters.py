@@ -19,10 +19,11 @@ In the Dixon step the class matrices are built lazily, one at a time, until
 the common eigenspaces have split into lines.  Each eigenspace is held as a
 reduced-echelon basis mod ell, so a class matrix restricts to it by reading
 its images at the pivot rows, and one row reduction (`_rref_mod`) gives both
-the eigenspaces and their bases.  The eigenvalues of each restricted matrix
-are the roots mod ell of its characteristic polynomial (Hessenberg
-reduction).  Each character value is lifted from mod ell through the
-eigenvalue multiplicities of its class rep (Dixon 1967), once per rational
+the eigenspaces and their bases.  A restricted matrix that is a scalar
+splits nothing and is skipped; the eigenvalues of any other are the roots
+mod ell of its characteristic polynomial (Hessenberg reduction).  Each
+character value is lifted from mod ell through the eigenvalue
+multiplicities of its class rep (Dixon 1967), once per rational
 class: the classes of g^k, k prime to ord g, take g's multiplicities
 re-indexed by t -> k t (Schneider 1990).  The table is proved orthonormal
 on those multiplicities: they sum to the degree, the row set is stable
@@ -154,13 +155,14 @@ class GLGroup:
     Past the closure the group works on element indices, through the
     generators' right-multiplication permutations.  The generators generate,
     so the orbits under conjugation by them are the conjugacy classes; each
-    gets one `rcf_key`, and the classes are sorted by key.  Right
-    multiplication by an element (`right_multiplication`) is the composite
-    of the generator permutations along a breadth-first word for it; for a
-    class rep, walking it from the identity lists the rep's powers: its
-    order, power map and inverse.  The class histograms of the standard
-    parabolics and their unipotent radicals (`parabolics`) are built on
-    first use.
+    gets one `rcf_key`, and the classes are sorted by key.  Left
+    multiplication by a generator follows the breadth-first tree under the
+    right multiplications, and right multiplication by an element
+    (`right_multiplication`) follows the breadth-first tree under the left
+    ones, one lookup per element; for a class rep, walking it from the
+    identity lists the rep's powers: its order, power map and inverse.  The
+    class histograms of the standard parabolics and their unipotent radicals
+    (`parabolics`) are built on first use.
     """
 
     def __init__(self, q, n):
@@ -181,10 +183,10 @@ class GLGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity(n)
         self.identity_index = one = self.index[self.identity]
-        self._right = right
-        tree, self._parent, self._via = _breadth_first_tree(right, one)
+        self._left = _left_multiplications(right, one)
+        self._left_tree = _breadth_first_tree(self._left, one)
         by_key = {}
-        for orbit in _conjugation_orbits(right, tree, self._parent, self._via):
+        for orbit in _conjugation_orbits(right, self._left):
             key = rcf_key(self.field, self.elements[orbit[0]])
             if key in by_key:
                 raise VerificationError(f"two conjugation orbits share the class key {key}")
@@ -209,16 +211,14 @@ class GLGroup:
         self.inverse_class = [p[-1] for p in self._power_classes]
 
     def right_multiplication(self, x):
-        """The permutation y -> index of elements[y] * elements[x]: the
-        generator permutations composed along x's breadth-first word."""
-        word = []
-        while x != self.identity_index:
-            word.append(self._via[x])
-            x = self._parent[x]
-        perm = list(range(self.order))
-        for s in reversed(word):
-            step = self._right[s]
-            perm = [step[y] for y in perm]
+        """The permutation y -> index of elements[y] * elements[x], one lookup
+        per y: along the left-multiplication tree, elements[y] = s *
+        elements[parent[y]] for a generator s, so y * x = s * (parent[y] * x)."""
+        tree, parent, via = self._left_tree
+        perm = [0] * self.order
+        perm[tree[0]] = x
+        for y in tree[1:]:
+            perm[y] = self._left[via[y]][perm[parent[y]]]
         return perm
 
     def powermap(self, ci, s):
@@ -283,15 +283,15 @@ def _cycle(perm, start):
     return out
 
 
-def _breadth_first_tree(right, root):
+def _breadth_first_tree(perms, root):
     """(tree, parent, via): the indices in breadth-first order from root
-    under the permutations `right`, with elements[x] = elements[parent[x]] *
-    generators[via[x]] for every x but the root, its own parent."""
-    parent, via = [None] * len(right[0]), [None] * len(right[0])
+    under the permutations `perms`, with x = perms[via[x]][parent[x]] for
+    every x but the root, its own parent."""
+    parent, via = [None] * len(perms[0]), [None] * len(perms[0])
     parent[root] = root
     tree = [root]
     for x in tree:
-        for s, step in enumerate(right):
+        for s, step in enumerate(perms):
             y = step[x]
             if parent[y] is None:
                 parent[y], via[y] = x, s
@@ -299,28 +299,37 @@ def _breadth_first_tree(right, root):
     return tree, parent, via
 
 
-def _conjugation_orbits(right, tree, parent, via):
-    """The orbits, each sorted, of the element indices under x -> s x s^-1
-    for each generator s, in the order of their least members.
+def _left_multiplications(right, one):
+    """For each generator s, the permutation x -> index of s * elements[x].
 
-    Left multiplication by s follows the breadth-first tree from the
-    identity: s * elements[x] is (s * elements[parent[x]]) * generators[via[x]],
-    and s itself is right[s] at the root.
+    It follows the breadth-first tree under `right` from the identity `one`:
+    s * elements[x] is (s * elements[parent[x]]) * generators[via[x]], and s
+    itself is right[s] at the root.
     """
-    one = tree[0]
-    conjugations = []
+    tree, parent, via = _breadth_first_tree(right, one)
+    lefts = []
     for step in right:
         left = [0] * len(step)
         left[one] = step[one]
         for x in tree[1:]:
             left[x] = right[via[x]][left[parent[x]]]
+        lefts.append(left)
+    return lefts
+
+
+def _conjugation_orbits(right, lefts):
+    """The orbits, each sorted, of the element indices under x -> s x s^-1
+    for each generator s, in the order of their least members; `lefts` are
+    the generators' left multiplications."""
+    conjugations = []
+    for step, left in zip(right, lefts):
         undo = [0] * len(step)  # right multiplication by s^-1
         for x, y in enumerate(step):
             undo[y] = x
         conjugations.append([undo[y] for y in left])
-    seen = [False] * len(tree)
+    seen = [False] * len(right[0])
     orbits = []
-    for start in range(len(tree)):
+    for start in range(len(seen)):
         if seen[start]:
             continue
         seen[start] = True
@@ -483,10 +492,14 @@ def steinberg(group):
 
 def is_cuspidal(group, chi):
     """sum_{u in U_c} chi(u) = 0 for every proper standard parabolic radical,
-    each sum taken over the radical's class histogram."""
-    ones = [CycloElement.rational(1, chi.m)] * group.num_classes
-    return all(len(comp) == 1 or dot(chi.m, U, chi.values, ones).is_zero()
-               for comp, (_, U) in group.parabolics.items())
+    each sum taken over the radical's class histogram.  chi's values share
+    one conductor, so the sum is formed on their power-basis coordinates,
+    over the classes U_c meets."""
+    for comp, (_, U) in group.parabolics.items():
+        terms = [[w * c for c in chi.values[ci].coeffs] for ci, w in enumerate(U) if w]
+        if len(comp) > 1 and any(map(sum, zip(*terms))):
+            return False
+    return True
 
 
 # -- Dixon character table ------------------------------------------------------------
@@ -629,7 +642,8 @@ def _split_common_eigenspaces(group, mats, ell):
     Each space is kept as a reduced-echelon basis b_c with pivot columns p_c,
     so the coordinates of a vector of the space are its entries at the
     pivots.  The class matrices commute, so M maps each common eigenspace
-    into itself, and M restricted to it is R[i][c] = (M b_c)[p_i].
+    into itself, and M restricted to it is R[i][c] = (M b_c)[p_i].  A
+    scalar R splits nothing, so the space is kept as it is.
     """
     r = group.num_classes
     spaces = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
@@ -641,6 +655,10 @@ def _split_common_eigenspaces(group, mats, ell):
                 new_spaces.append((basis, pivots))
                 continue
             R = [[sum(map(mul, M[p], b_c)) % ell for b_c in basis] for p in pivots]
+            if all(x == (R[0][0] if i == j else 0) for i, row in enumerate(R)
+                   for j, x in enumerate(row)):
+                new_spaces.append((basis, pivots))
+                continue
             columns = list(zip(*basis))
             eigenspaces = []
             for lam in _roots_mod(_charpoly_mod(R, ell), ell):

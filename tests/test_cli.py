@@ -462,6 +462,52 @@ def test_dl_reports_hold_their_frozen_digests(tmp_path, argv):
     assert (code, hashlib.sha256(body.encode()).hexdigest()) == DL_REPORT_DIGESTS[argv]
 
 
+# (exit code, sha256 of the sorted-key JSON of the results and checks) of
+# the chars reports, frozen so that a change to the group or the Dixon
+# layer proves its character tables, Steinberg characters and
+# correspondences byte-identical
+CHARS_REPORT_DIGESTS = {
+    ("chars", "table", "--q", "2", "--n", "2"):
+        (0, "e8030fa1897a40b6ea7d65f793999dd72bb279912ccb830b3a1ad6b41065ff7a"),
+    ("chars", "table", "--q", "3", "--n", "2"):
+        (0, "046bc7ca6f8d06cb6c9b44527bf0edd91bc510ac49c1e3ab7b20a4bd43a9842a"),
+    ("chars", "table", "--q", "2", "--n", "3"):
+        (0, "5acca8383a2838ba8fff91b9ec7ff45f36b2b508a81614285fe65c467a048093"),
+    ("chars", "table", "--q", "4", "--n", "2"):
+        (0, "fd2735a29d5eb72ba523f087286ae08e2a49192372c6617c3857681716ccffe0"),
+    ("chars", "table", "--q", "5", "--n", "2"):
+        (0, "bb656811bd831c2c941bdc46dc231055add6478b5dbf524fe514095cadaffe08"),
+    ("chars", "steinberg", "--q", "2", "--n", "2"):
+        (0, "d6ca9fe2c900484e80fb590530fb0da068608a680497c0b713ab7f290ca4389f"),
+    ("chars", "steinberg", "--q", "3", "--n", "2"):
+        (0, "b0b97a1173f7b4e6b62e71f4658059e1fe5ad1f2f92dcc651287c164101d4349"),
+    ("chars", "steinberg", "--q", "2", "--n", "3"):
+        (0, "9343d6cd3a05df008ba035739c1727668649cbc73efa240e53422f3928947697"),
+    ("chars", "steinberg", "--q", "4", "--n", "2"):
+        (0, "2365a6824b8f6e5bede9a819bc0ad532915b8723623f70aa66b7bcf25ab750a7"),
+    ("chars", "steinberg", "--q", "5", "--n", "2"):
+        (0, "361e3e4c60ee3429a359f061be9b5e362d3ac656949a12055fcff9e22324a753"),
+    ("chars", "correspondence", "--q", "2", "--n", "2"):
+        (0, "f354665c53acb1e4c78c1e0007fcdec12bf90072119f0b5659fbe83152821f9e"),
+    ("chars", "correspondence", "--q", "3", "--n", "2"):
+        (0, "e0be33842a3fb14621e3b5c362f36726c81d4a7802cd6a1f8fa52ccb68b76d36"),
+    ("chars", "correspondence", "--q", "2", "--n", "3"):
+        (0, "f6dd8af3c5080a1a3bc9868cd3e2cfa6481b88a7d06d0881a6d80efd6a161fbb"),
+    ("chars", "correspondence", "--q", "4", "--n", "2"):
+        (0, "a8f39a94ec41d20ea812eb729c7f1ce70167e54968d38101389d8891ceadc87c"),
+    ("chars", "correspondence", "--q", "5", "--n", "2"):
+        (0, "ad136ed2236c2429e20cf52d7d79845d43d4d2f776ba4bcd7cf6b2ce9db19b9c"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CHARS_REPORT_DIGESTS), ids=" ".join)
+def test_chars_reports_hold_their_frozen_digests(tmp_path, argv):
+    code, report = run_cli(tmp_path, *argv)
+    body = json.dumps({"results": report["results"], "checks": report["checks"]},
+                      sort_keys=True)
+    assert (code, hashlib.sha256(body.encode()).hexdigest()) == CHARS_REPORT_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("doctor", [lambda gens: gens[:2],
                                     lambda gens: gens + [((1, 0), (0, 0))]],
                          ids=["dropped", "singular"])

@@ -24,7 +24,7 @@ from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module, universal_module
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import det
-from ltdl.series import product_over
+from ltdl.series import TruncatedSeries, product_over
 
 
 def test_P_a_basis_vector_is_coordinate():
@@ -153,7 +153,47 @@ def test_both_chart_steps_hold_their_factors_to_the_affine_law(monkeypatch):
     monkeypatch.setattr(m, "scalar_coefficient", lambda key: dom.add(honest(key), dom.one()))
     with pytest.raises(VerificationError, match=r"a=\(0, 0, 1\) is not exactly affine-linear"):
         blowup_chart(m, factors=factors, P=P)
-    with pytest.raises(VerificationError, match=r"depth-1 factor for a=\(0, 1\) not affine-linear"):
+    with pytest.raises(VerificationError,
+                       match=r"a=\(0, 1\) is not exactly affine-linear mod V2, Xn"):
+        iterated_chart(m, [3, 2], chart=chart)
+    # a law off by one for the blocks of size 1 only: the depth-1 step of
+    # 3,2,1 passes and the depth-2 step raises
+    monkeypatch.setattr(m, "scalar_coefficient", honest)
+    honest_law = depth0._affine_law
+
+    def law_off_on_lines(module, ring, a, affine):
+        expect, form = honest_law(module, ring, a, affine)
+        return (expect + ring.one() if len(a) == 1 else expect), form
+
+    monkeypatch.setattr(depth0, "_affine_law", law_off_on_lines)
+    assert iterated_chart(m, [3, 2], chart=chart) == [7, 3]
+    with pytest.raises(VerificationError,
+                       match=r"a=\(1,\) is not exactly affine-linear mod U1_1, Xn"):
+        iterated_chart(m, [3, 2, 1], chart=chart)
+
+
+def test_every_chart_step_guards_the_degree_coupling(monkeypatch):
+    # a substitution that drops the pivot from one term of a depth-1 image
+    # (the block V1, V2 blown up to U1_1 * V2, V2) breaks the coupling
+    # U1_1-degree <= V2-degree, which the guard catches before the order check
+    m = lubin_tate_module(2, 3)
+    chart = blowup_chart(m)
+    honest = TruncatedSeries.substitute
+
+    def drop_pivot(self, assignments, target_ring=None):
+        image = honest(self, assignments, target_ring)
+        if target_ring is None or target_ring.vars[0] != "U1_1":
+            return image
+        lifted = [e for e in image.terms if e[0] and e[1]]
+        if not lifted:
+            return image
+        terms = dict(image.terms)
+        e = min(lifted)
+        terms[(e[0], 0) + e[2:]] = terms.pop(e)
+        return TruncatedSeries(target_ring, terms)
+
+    monkeypatch.setattr(TruncatedSeries, "substitute", drop_pivot)
+    with pytest.raises(VerificationError, match=r"lost the degree coupling at a=\(1, 0\)"):
         iterated_chart(m, [3, 2], chart=chart)
 
 
@@ -178,9 +218,12 @@ def test_chart_image_of_P_is_the_product_of_the_substituted_factors(q, n):
     # blowup_chart takes the chart image of build_P's P as its P_sub
     m = lubin_tate_module(q, n)
     factors = depth0.deformation_factors(m)
-    ring = depth0.chart_ring(m, n)
-    subbed = product_over([depth0._chart_substitute(m, P_a, n, ring) for P_a in factors.values()])
-    assert depth0._chart_substitute(m, build_P(m, factors), n, ring) == subbed
+    coords = depth0.x_vars(n)
+    ring = depth0.chart_ring(m, deformation_ring(m), coords,
+                             tuple(f"V{i}" for i in range(1, n)) + (depth0.X_PIVOT,))
+    sub = depth0.chart_substitution(ring, coords, n)
+    subbed = product_over([P_a.substitute(sub, ring) for P_a in factors.values()])
+    assert build_P(m, factors).substitute(sub, ring) == subbed
     chart = blowup_chart(m, factors=factors)
     assert chart.residual == subbed.factor_out(depth0.X_PIVOT, q ** n - 1)
 

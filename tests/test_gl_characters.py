@@ -835,6 +835,21 @@ def test_eigenvalue_roots_agree_with_the_scan(q, built, monkeypatch):
     assert len(yielded) == built < group.num_classes
 
 
+@pytest.mark.parametrize("q,n", [(5, 2), (2, 3)])
+def test_the_split_takes_no_charpoly_of_a_scalar(q, n, monkeypatch):
+    # a class matrix that acts on a space as a scalar splits nothing there
+    restrictions = []
+
+    def recording_charpoly(A, ell):
+        restrictions.append(all(x == (A[0][0] if i == j else 0)
+                                for i, row in enumerate(A) for j, x in enumerate(row)))
+        return _charpoly_mod(A, ell)
+
+    monkeypatch.setattr(gl_characters, "_charpoly_mod", recording_charpoly)
+    dixon_table(GLGroup(q, n))
+    assert restrictions and not any(restrictions)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_class_matrix_generator_matches_eager_list(q):
     group = GLGroup(q, 2)
