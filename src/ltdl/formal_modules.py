@@ -54,7 +54,7 @@ def _x_slice(series, x_index, m):
     return TruncatedSeries(series.ring, out)
 
 
-def solve_log(f_series, x_var="X"):
+def solve_log(f_series):
     """The series lambda with lambda(f) = p * lambda and lambda = X + O(deg 2).
 
     Coefficients are polynomials in the auxiliary variables (if any) over the
@@ -64,8 +64,8 @@ def solve_log(f_series, x_var="X"):
     if not isinstance(ring.domain, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
     p = ring.domain.p
-    xi = ring._var_index[x_var]
-    x = ring.var(x_var)
+    xi = ring._var_index["X"]
+    x = ring.var("X")
     lin = f_series.coefficient(tuple(1 if i == xi else 0 for i in range(len(ring.vars))))
     if lin.is_zero_like() or not (lin - ring.domain.from_int(p)).zero_at(
             ring.domain.n_work):
@@ -100,7 +100,7 @@ def solve_log(f_series, x_var="X"):
     return lam
 
 
-def solve_fe_log(ring, q, n, x_var="X"):
+def solve_fe_log(ring, q, n):
     """The functional-equation logarithm for the Drinfeld normal form.
 
     lambda = X + sum_{i=1}^{n} (v_i/p) lambda^{sigma^i}(X^{q^i}) with
@@ -110,7 +110,7 @@ def solve_fe_log(ring, q, n, x_var="X"):
     """
     if not isinstance(ring.domain, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
-    xi = ring._var_index[x_var]
+    xi = ring._var_index["X"]
     width = len(ring.vars)
     D = ring.degree
 
@@ -130,7 +130,7 @@ def solve_fe_log(ring, q, n, x_var="X"):
         return TruncatedSeries(ring, out)
 
     coeffs = {1: ring.one()}
-    lam = ring.var(x_var)
+    lam = ring.var("X")
     for m in range(2, D):
         total = ring.zero()
         for i in range(1, n + 1):
@@ -155,7 +155,7 @@ def solve_fe_log(ring, q, n, x_var="X"):
     return lam
 
 
-def invert_series(lam, x_var="X"):
+def invert_series(lam):
     """Compositional inverse in the distinguished variable (exp of the log).
 
     Degree by degree, exp is corrected by the X^m part of lam(exp); lam(exp)
@@ -163,9 +163,9 @@ def invert_series(lam, x_var="X"):
     unchanged.
     """
     ring = lam.ring
-    xi = ring._var_index[x_var]
-    exp = ring.var(x_var)
-    comp = lam.substitute({x_var: exp})
+    xi = ring._var_index["X"]
+    exp = ring.var("X")
+    comp = lam.substitute({"X": exp})
     for m in range(2, ring.degree):
         em = _x_slice(comp, xi, m)
         if em.is_zero():
@@ -173,8 +173,8 @@ def invert_series(lam, x_var="X"):
         mono = ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
                              ring.domain.one())
         exp = exp - em * mono
-        comp = lam.substitute({x_var: exp})
-    residue = comp - ring.var(x_var)
+        comp = lam.substitute({"X": exp})
+    residue = comp - ring.var("X")
     for c in residue.terms.values():
         if not c.zero_at(ring.domain.n_target):
             raise PrecisionError("series inversion not exact at target precision")

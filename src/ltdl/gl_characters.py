@@ -504,6 +504,8 @@ def is_cuspidal(group, chi):
 
 # -- Dixon character table ------------------------------------------------------------
 
+DIXON_ATTEMPTS = 4  # split primes tried before the table is given up
+
 
 def _split_prime(E, bound, attempt=0):
     """The least prime above bound that is 1 mod E, or with attempt > 0 the
@@ -697,10 +699,11 @@ class CharacterTable:
         }
 
 
-def dixon_table(group, max_attempts=4):
-    """The full character table with exact cyclotomic values."""
+def dixon_table(group):
+    """The full character table with exact cyclotomic values, from the first
+    of DIXON_ATTEMPTS split primes on which the modular split succeeds."""
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(DIXON_ATTEMPTS):
         try:
             return _dixon_table_attempt(group, attempt)
         except ArithmeticError as exc:

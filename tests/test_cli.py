@@ -38,7 +38,7 @@ def test_dl_count_report(tmp_path):
 
 
 def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
-    def broken_table(group, max_attempts=4):
+    def broken_table(group):
         raise VerificationError("doctored Dixon failure")
 
     monkeypatch.setattr(gl_characters, "dixon_table", broken_table)
@@ -120,18 +120,6 @@ def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doct
     assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == failed
 
 
-def test_dl_fibers_reports_a_doubled_fiber(tmp_path, monkeypatch):
-    # every census point listed twice: each fiber over a base point doubles
-    honest = cli.dl_points
-    monkeypatch.setattr(cli, "dl_points", lambda q, n, m, lines:
-                        [x for x in honest(q, n, m, lines) for _ in (0, 1)])
-    code, report = run_cli(tmp_path, "dl", "fibers", "--q", "2", "--n", "2", "--m", "2")
-    assert code == 1
-    assert report["results"]["invariants_passed"] is False
-    assert report["checks"] == [{"name": "fiber_size_gcd", "status": "fail",
-                                 "details": "fiber sizes [6] != gcd = 3"}]
-
-
 def test_dl_count_names_a_census_point_off_the_variety(tmp_path, monkeypatch):
     # (3, 2), a point of DL(F_4), reads as off the variety
     honest = dl_variety.Ambient.on_variety
@@ -144,15 +132,142 @@ def test_dl_count_names_a_census_point_off_the_variety(tmp_path, monkeypatch):
                                  "details": "1 of 6 census points off DL(F_4), first [3, 2]"}]
 
 
-@pytest.mark.parametrize("q,n,m,field", [(2, 2, 1, 2), (3, 1, 1, 3)])
-def test_dl_fibers_on_an_empty_level_fails_as_vacuous(tmp_path, q, n, m, field):
-    # no point, so no fiber was seen: the gcd check must not read as a pass
-    code, report = run_cli(tmp_path, "dl", "fibers", "--q", str(q), "--n", str(n),
-                           "--m", str(m))
+def affine_law_off_on_blocks_of(size):
+    # the law [1~] + sum [a_i~] V_i + [a_k~] read for the factors of the
+    # blocks of `size` only, so only the step on those blocks raises
+    def doctor(monkeypatch):
+        honest = depth0._affine_law
+
+        def law(module, ring, a, affine):
+            expect, form = honest(module, ring, a, affine)
+            return (expect + ring.one() if len(a) == size else expect), form
+
+        monkeypatch.setattr(depth0, "_affine_law", law)
+    return doctor
+
+
+def P_vanishing_one_order_too_high(monkeypatch):
+    # the product of the P_a times X1: P vanishes to order q^n
+    honest = depth0.product_over
+    monkeypatch.setattr(depth0, "product_over",
+                        lambda factors: honest(factors) * factors[0].ring.var("X1"))
+
+
+def DL_equation_off_by_one(monkeypatch):
+    # the DL equation with its constant term moved: the reduced chart
+    # residual is no longer it
+    honest = dl_variety.dl_equation
+
+    def shifted(q, n):
+        inst = honest(q, n)
+        inst.equation = inst.equation - inst.ring.one()
+        return inst
+
+    monkeypatch.setattr(dl_variety, "dl_equation", shifted)
+
+
+def move_a_borel_element(group, P, U):
+    # one element of the Borel subgroup moved from the central class -I to
+    # the largest class: |P_(1,1)| is unchanged, but 1_P^G is no longer integral
+    P[next(c for c, size in enumerate(group.class_sizes)
+           if size == 1 and c != group.identity_class)] -= 1
+    P[group.class_sizes.index(max(group.class_sizes))] += 1
+
+
+def borel_element_moved(monkeypatch):
+    group = gl_characters.GLGroup(3, 2)
+    move_a_borel_element(group, *group.parabolics[1, 1])
+    monkeypatch.setattr(cli, "GLGroup", lambda q, n: group)
+
+
+def common_eigenvector_dropped(monkeypatch):
+    # the split loses one common eigenvector, so one character is missing
+    # at every split prime tried
+    honest = gl_characters._split_common_eigenspaces
+    monkeypatch.setattr(gl_characters, "_split_common_eigenspaces",
+                        lambda *args: honest(*args)[:-1])
+
+
+def DL_product_off_the_prime_field(monkeypatch):
+    # the product of the rational forms plus the element 2 of F_4 - F_2
+    honest = dl_variety.product_over
+    monkeypatch.setattr(dl_variety, "product_over",
+                        lambda forms: honest(forms) + forms[0].ring.constant(2))
+
+
+NOT_AFFINE = "chart factor for a={} is not exactly affine-linear mod {}"
+NOT_DL = "the chart residual mod (p, Xn) is not the DL equation"
+
+
+@pytest.mark.parametrize("argv,doctor,failed,dropped", [
+    (["depth0", "equation", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
+     {"lowest_degree_qn_minus_1": "P does not vanish to order exactly q^n - 1"}, {"P"}),
+    # un_special_fiber reads the chart, so it raises with it
+    (["depth0", "chart", "--q", "2", "--n", "2"], affine_law_off_on_blocks_of(2),
+     {"chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
+      "un_equals_dl": NOT_AFFINE.format("(0, 1)", "Xn")},
+     {"linear_parts", "n", "pivot", "q", "valuation", "valuations"}),
+    (["depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2,1"],
+     affine_law_off_on_blocks_of(1),
+     {"iterated_multiplicities": NOT_AFFINE.format("(1,)", "U1_1, Xn")},
+     {"iterated_valuations"}),
+    (["depth0", "chart", "--q", "2", "--n", "2"], DL_equation_off_by_one,
+     {"un_equals_dl": NOT_DL}, set()),
+    (["chars", "steinberg", "--q", "3", "--n", "2"], borel_element_moved,
+     {"steinberg_norm_one": "1_P^G for P_(1, 1) is not integral at class 4"}, {"steinberg"}),
+    (["chars", "table", "--q", "2", "--n", "2"], common_eigenvector_dropped,
+     {"degree_squares_sum": "Dixon table failed for all primes tried: "
+                            "degree squares do not sum to the group order"}, {"table"}),
+    (["dl", "equation", "--q", "4", "--n", "2"], DL_product_off_the_prime_field,
+     {"prime_field_coefficients": "product of rational forms not defined over F_p"},
+     {"equation", "num_forms"}),
+    (["verify-all", "--q", "2", "--n", "2"], affine_law_off_on_blocks_of(2),
+     {"depth0.chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
+      "depth0.un_equals_dl": NOT_AFFINE.format("(0, 1)", "Xn")}, set()),
+    (["verify-all", "--q", "2", "--n", "3"], affine_law_off_on_blocks_of(2),
+     {"depth0.iterated_multiplicities": NOT_AFFINE.format("(0, 1)", "V2, Xn")}, set()),
+    (["verify-all", "--q", "2", "--n", "2"], DL_equation_off_by_one,
+     {"depth0.un_equals_dl": NOT_DL}, set()),
+], ids=["build_P", "blowup_chart", "iterated_chart_depth_2", "un_special_fiber", "steinberg",
+        "dixon_table", "dl_equation", "verify_all_blowup_chart",
+        "verify_all_iterated_chart", "verify_all_un_special_fiber"])
+def test_a_raising_identity_fails_its_own_entry(tmp_path, monkeypatch, argv, doctor,
+                                                failed, dropped):
+    # the raise fails the entry of its call with the library's message; every
+    # other entry stays in the report, and so does every result that does
+    # not come from the raising call
+    code, clean = run_cli(tmp_path, *argv)
+    assert code == 0
+    doctor(monkeypatch)
+    code, report = run_cli(tmp_path, *argv)
     assert code == 1
-    assert report["results"]["vacuous"] is True and report["results"]["count"] == 0
-    assert report["checks"] == [{"name": "fiber_size_gcd", "status": "fail",
-                                 "details": f"vacuous: DL(F_{field}) has no points"}]
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
+    assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == failed
+    assert set(report["results"]) == set(clean["results"]) - dropped
+
+
+@pytest.mark.parametrize("argv,entry,details", [
+    (["depth0", "equation"], "component_census", "2 components"),
+    (["verify-all"], "depth0.component_census", "2 components of multiplicity 1"),
+])
+def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry, details):
+    # the last projective class of F_2^2 - 0 left out: 2 classes, not 3
+    honest = depth0.projective_classes
+    monkeypatch.setattr(depth0, "projective_classes",
+                        lambda field, n: dict(list(honest(field, n).items())[:-1]))
+    code, report = run_cli(tmp_path, *argv, "--q", "2", "--n", "2")
+    assert code == 1
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [
+        {"name": entry, "status": "fail", "details": details}]
+
+
+def test_dl_fibers_is_no_command(capsys):
+    # its fiber checks could not fail on census points; its per-point check
+    # is dl count --list's, and verify-all keeps dl.fibers_m<m> on the orbit
+    with pytest.raises(SystemExit) as exc:
+        main(["dl", "fibers", "--q", "2", "--n", "2", "--m", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fibers'" in capsys.readouterr().err
 
 
 def verify_all_on_doctored_parabolics(tmp_path, monkeypatch, doctor):
@@ -183,15 +298,8 @@ def test_a_radical_histogram_one_short_fails_verify_all(tmp_path, monkeypatch):
 
 
 def test_a_parabolic_histogram_with_a_moved_element_fails_verify_all(tmp_path, monkeypatch):
-    # one element of the Borel subgroup moved from the central class -I to
-    # the largest class: |P_(1,1)| is unchanged, but 1_P^G is no longer integral
-    def move(group, P, U):
-        central = next(c for c, size in enumerate(group.class_sizes)
-                       if size == 1 and c != group.identity_class)
-        P[central] -= 1
-        P[group.class_sizes.index(max(group.class_sizes))] += 1
-
-    code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch, move)
+    code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch,
+                                                     move_a_borel_element)
     assert code == 1
     assert failed == [{"name": "chars.error", "status": "fail",
                        "details": "1_P^G for P_(1, 1) is not integral at class 4"}]
@@ -245,8 +353,8 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     # each command walks P^1(F_{q^2}) once: the line census; verify-all's
-    # fiber and action checks walk the orbit, and the dl commands read
-    # their points off the census lines
+    # fiber and action checks walk the orbit, and dl count --list reads its
+    # points off the census lines
     walks = Counter()
     honest = dl_variety._projective_reps
 
@@ -260,12 +368,11 @@ def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     names = {c["name"] for c in report["checks"]}
     assert {"dl.fibers_m2", "dl.action_invariance"} <= names
     assert walks == {2: 1}
-    for argv in (["count", "--list"], ["fibers"]):
-        walks.clear()
-        code, report = run_cli(tmp_path, "dl", *argv, "--q", str(q), "--n", str(n),
-                               "--m", "2")
-        assert code == 0
-        assert walks == {2: 1}, argv
+    walks.clear()
+    code, report = run_cli(tmp_path, "dl", "count", "--list", "--q", str(q), "--n", str(n),
+                           "--m", "2")
+    assert code == 0
+    assert walks == {2: 1}
 
 
 # sha256 of the sorted-key JSON of each report's results and checks
@@ -391,7 +498,9 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
 
 # sha256 of the sorted-key JSON of the results and checks of the reports
 # that serialise series (each ring's `descriptor` and `coeff_to_json`),
-# which no verify-all report does
+# which no verify-all report does; the two dl equation reports refrozen when
+# their entry form_count became prime_field_coefficients, each report
+# otherwise unchanged
 SERIES_REPORT_DIGESTS = {
     ("formal-group", "--q", "2", "--n", "2"):
         "1a057f508a7dc7fb7112c53613af2887e323b9ad55806ee9d8acd6c39298f2d4",
@@ -410,9 +519,9 @@ SERIES_REPORT_DIGESTS = {
     ("depth0", "strata", "--q", "2", "--n", "3"):
         "439b4d26cd2aa7fe282135bc9a5059ed57529beb1015eb1fe7e29de2d1a3e85e",
     ("dl", "equation", "--q", "4", "--n", "2"):
-        "1a9ac30895f04b8b508a4cf123b7d55322f56bcd5d1bdc13bf2bd66c0275d98f",
+        "90a230eb9c1e0332aeda9d8133993bd7474a2206646621865fbf9264379f601d",
     ("dl", "equation", "--q", "2", "--n", "3"):
-        "6cd4af428f483c28a9a1ccd7968fc1e663fba8c0a6db0f5c0d09b6324f1d0a58",
+        "784d4fd0f7d18caf53065a9753b6b8459645ddcd7e6d775f8965ded7642d2f7c",
 }
 
 
@@ -441,16 +550,6 @@ DL_REPORT_DIGESTS = {
         (0, "1f1682695a2efb016d034c350b276baff111501f7dc5bdbdf98a6caf3a84e247"),
     ("dl", "count", "--q", "5", "--n", "2", "--m", "4", "--list"):
         (0, "6c7b5811a3cdc0e49b5db66466e11b71d561776f17da5325199cdc0fb0bc071d"),
-    ("dl", "fibers", "--q", "2", "--n", "2", "--m", "2"):
-        (0, "5a0976205d4efa3c098223938e676e139aea9481e11d5d14b48a77d2c843d405"),
-    ("dl", "fibers", "--q", "4", "--n", "2", "--m", "2"):
-        (0, "4a87f9f08a88d0a82408af10a52747af515b0bf7165f568d54538706ae97807b"),
-    ("dl", "fibers", "--q", "2", "--n", "3", "--m", "3"):
-        (0, "e3fee32728506b8697c05926bc20d61f1cd306e65ccbe58c7d8a7b90879129a3"),
-    ("dl", "fibers", "--q", "2", "--n", "2", "--m", "1"):
-        (1, "e284be813e5f7974bcd0842e62723a57937e9f2e354a9b16a90363a080435611"),
-    ("dl", "fibers", "--q", "3", "--n", "1", "--m", "1"):
-        (1, "d77753a82b56317ff7784e7bd75971f8ef21c4216d1d1c8d1ec9372379aeda68"),
 }
 
 
@@ -555,7 +654,7 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"parameter error: {message}\n"
 
 
-@pytest.mark.parametrize("subcommand", ["count", "fibers"])
+@pytest.mark.parametrize("subcommand", ["count"])
 def test_dl_extension_degree_below_one_exits_2(subcommand, capsys):
     code = main(["dl", subcommand, "--q", "2", "--n", "2", "--m", "0"])
     assert code == 2

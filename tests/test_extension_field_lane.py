@@ -10,7 +10,13 @@ from ltdl.depth0 import (
     special_fiber_components,
     un_special_fiber,
 )
-from ltdl.dl_variety import base_points_moebius, dl_points, fiber_structure_check, line_census
+from ltdl.dl_variety import (
+    base_points_moebius,
+    dl_equation,
+    dl_points,
+    fiber_structure_check,
+    line_census,
+)
 from ltdl.ffield import gaussian_binomial
 from ltdl.formal_modules import lubin_tate_module, universal_module, verify_module_axioms
 
@@ -32,7 +38,7 @@ def test_q4_depth0_pipeline():
     assert census["all_scalar_checks_pass"]
     chart = blowup_chart(m)
     assert chart.valuation == 3
-    assert un_special_fiber(m)["un_equation_matches_dl"]
+    assert un_special_fiber(m)["chart_equation"] == dl_equation(4, 1).equation
 
 
 def test_q4_dl_counts():

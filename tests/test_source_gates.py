@@ -109,3 +109,20 @@ def test_series_reaches_coefficients_only_through_their_ring():
     # by element methods
     text = (Path(ltdl.__file__).parent / "series.py").read_text()
     assert [m for m in (".is_zero(", ".reduce_mod_p(", ".coeffs", ".digits(") if m in text] == []
+
+
+def test_cli_catches_verification_errors_only_on_its_entry_paths():
+    # a raising identity fails its own entry through `identity_entry`, a raising
+    # verify-all suite its `<suite>.error` through `suite`, and any other
+    # raise the generic entry in `main`; no other code in cli.py catches
+    # VerificationError, by name, through a base class or with a bare except
+    path = Path(ltdl.__file__).parent / "cli.py"
+    catching = {"VerificationError", "AssertionError", "Exception", "BaseException"}
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None
+                    or catching & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
+                found.add(getattr(top, "name", "<module>"))
+    assert found == {"identity_entry", "suite", "main"}
