@@ -254,6 +254,23 @@ def identity_entry(checks, name, call, details=lambda value: ""):
     return value
 
 
+def not_run(entry):
+    """The details of an entry that needs the value of the entry named
+    `entry`, which failed."""
+    return f"not run: {entry} failed"
+
+
+def after(entry, value, call):
+    """`call(value)` as a call for `identity_entry`, where `value` is what the
+    entry named `entry` returned.  When that entry failed (None), the call
+    raises a VerificationError naming it instead of rebuilding the value."""
+    def run():
+        if value is None:
+            raise VerificationError(not_run(entry))
+        return call(value)
+    return run
+
+
 def chart_details(chart):
     return f"valuation {chart.valuation}"
 
@@ -300,12 +317,12 @@ def run_depth0(cfg):
         results["components"] = census["components"]
         seq = cfg.depth_sequence
         if seq:
-            vals = identity_entry(checks, "iterated_multiplicities",
-                                  partial(iterated_chart, module, seq, chart), str)
+            vals = identity_entry(checks, "iterated_multiplicities", after(
+                "chart_multiplicity", chart, partial(iterated_chart, module, seq)), str)
             if vals is not None:
                 results["valuations"] = results["iterated_valuations"] = vals
-        un = identity_entry(checks, "un_equals_dl",
-                            partial(un_special_fiber, module, chart))
+        un = identity_entry(checks, "un_equals_dl", after(
+            "chart_multiplicity", chart, partial(un_special_fiber, module)))
         results["un_equation_matches_dl"] = un is not None
     elif cfg.subcommand == "strata":
         rows = []
@@ -404,7 +421,8 @@ def run_verify_all(cfg):
     with suite("depth0", checks, seconds):
         if module is None:
             raise VerificationError("no formal module: the formal_module suite failed")
-        # each P_a, P and the chart are built once and shared by the checks
+        # each P_a, P and the chart are built once and shared by the checks;
+        # after P or the chart failed, the entries that need it fail naming it
         factors = deformation_factors(module)
         census = special_fiber_components(module, factors=factors)
         checks.append(check_entry(
@@ -412,16 +430,22 @@ def run_verify_all(cfg):
             f"{census['components']} components of multiplicity {census['multiplicity']}"))
         P = identity_entry(checks, "depth0.equation_lowest_degree",
                            partial(build_P, module, factors))
-        chart = identity_entry(checks, "depth0.chart_multiplicity",
-                               partial(blowup_chart, module, factors, P), chart_details)
+        chart = identity_entry(checks, "depth0.chart_multiplicity", after(
+            "depth0.equation_lowest_degree", P, partial(blowup_chart, module, factors)),
+            chart_details)
         if n >= 3:
-            identity_entry(checks, "depth0.iterated_multiplicities",
-                           partial(iterated_chart, module, list(range(n, 1, -1)), chart), str)
-        identity_entry(checks, "depth0.un_equals_dl",
-                       partial(un_special_fiber, module, chart))
-        checks.append(check_entry(
-            "depth0.gl_linear_shadow",
-            gl_linear_shadow_check(module, gl_group().generators, P=P)))
+            identity_entry(checks, "depth0.iterated_multiplicities", after(
+                "depth0.chart_multiplicity", chart,
+                partial(iterated_chart, module, list(range(n, 1, -1)))), str)
+        identity_entry(checks, "depth0.un_equals_dl", after(
+            "depth0.chart_multiplicity", chart, partial(un_special_fiber, module)))
+        if P is None:
+            checks.append(check_entry("depth0.gl_linear_shadow", False,
+                                      not_run("depth0.equation_lowest_degree")))
+        else:
+            checks.append(check_entry(
+                "depth0.gl_linear_shadow",
+                gl_linear_shadow_check(module, gl_group().generators, P=P)))
 
     with suite("dl", checks, seconds):
         # every check runs on DL(F_{q^m}) at its first non-empty level

@@ -220,10 +220,6 @@ class FieldElement:
     def __pow__(self, e):
         return FieldElement(self.desc, self.desc.pow(self.k, e))
 
-    def frobenius(self):
-        """x -> x^p, the arithmetic Frobenius over F_p."""
-        return self ** self.desc.p
-
     def is_zero(self):
         return not self.k
 

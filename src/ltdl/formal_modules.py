@@ -5,9 +5,11 @@ with the classical logarithm determined by
 
     lambda(f(X)) = p * lambda(X),      lambda(X) = X + O(X^2),
 
-solved degree by degree over bounded-denominator p-adics.  Then
-[p] = exp(p * lambda) reproduces f exactly, so the mod-p reduction of [p]
-is X^{q^n} on the nose.
+solved degree by degree over bounded-denominator p-adics in Q_p: f lies in
+Z[X], so every coefficient of lambda, exp, F and [a] for a in Z does too
+(Lubin-Tate 1965), and a Teichmuller scalar zeta of W is zeta X, taken
+straight from the Witt ring.  Then [p] = exp(p * lambda) reproduces f
+exactly, so the mod-p reduction of [p] is X^{q^n} on the nose.
 
 The universal module over W[[T_1, ..., T_{n-1}]] targets the normal form
 f = pX + T_1 X^q + ... + T_{n-1} X^{q^{n-1}} + X^{q^n}.  That f is not a
@@ -19,9 +21,12 @@ built by the functional-equation recursion
     v_i = T_i (i < n), v_n = 1, sigma: T -> T^q,
 
 which guarantees integrality of F and of every [a], with [p] agreeing with
-the normal form in low degree.  exp is the compositional inverse of lambda.
-The module stores F and the scalar series over the truncated Witt ring,
-where all later identities are checked exactly mod (p^N, deg D).
+the normal form in low degree.  Its coefficients lie in Q_p[T], so the
+Frobenius lift sigma only raises the T-variables to the q-th power.  exp is
+the compositional inverse of lambda.  The module stores F and the scalar
+series over the truncated Witt ring W(F_q)/p^N, into which each p-adic
+coefficient's residue mod p^N embeds as an integer, and where all later
+identities are checked exactly mod (p^N, deg D).
 """
 
 from .errors import ParameterError, PrecisionError, VerificationError, check_entry
@@ -105,8 +110,8 @@ def solve_fe_log(ring, q, n):
 
     lambda = X + sum_{i=1}^{n} (v_i/p) lambda^{sigma^i}(X^{q^i}) with
     v_i = T_i for i < n and v_n = 1, where sigma raises T-variables to the
-    q-th power and acts as the Frobenius lift on Witt coefficients.  Solved
-    by the direct coefficient recursion c_m = sum_i (v_i/p) sigma^i(c_{m/q^i}).
+    q-th power and fixes the coefficients, which lie in Q_p.  Solved by the
+    direct coefficient recursion c_m = sum_i (v_i/p) sigma^i(c_{m/q^i}).
     """
     if not isinstance(ring.domain, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
@@ -123,10 +128,7 @@ def solve_fe_log(ring, q, n):
                     ne[k] *= q ** i
             ne = tuple(ne)
             if ring.admits(ne):
-                cc = c
-                for _ in range(i):
-                    cc = cc.sigma()
-                out[ne] = cc
+                out[ne] = c
         return TruncatedSeries(ring, out)
 
     coeffs = {1: ring.one()}
@@ -181,12 +183,11 @@ def invert_series(lam):
     return exp
 
 
-def to_witt_series(series, N):
-    """Convert p-adic coefficients to W/p^N, enforcing integrality."""
-    dom = series.ring.domain
-    target = SeriesRing(witt_ring(dom.p, dom.f, N), series.ring.vars, series.ring.degree,
-                        series.ring.caps)
-    return series.map_coeffs(target, lambda c: c.to_witt(N).value)
+def to_witt_series(series, witt):
+    """Convert p-adic coefficients to the Witt ring `witt` = W/p^N, enforcing
+    integrality: each residue mod p^N embeds as an integer."""
+    target = SeriesRing(witt, series.ring.vars, series.ring.degree, series.ring.caps)
+    return series.map_coeffs(target, lambda c: witt.from_int(c.to_witt(witt.N)))
 
 
 class FormalModule:
@@ -211,25 +212,31 @@ class FormalModule:
         # the scalar_one axiom compares two computations
         self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
         self._values = {}
+        self._coefficients = {}
 
     # -- scalar series ---------------------------------------------------------
 
     def scalar_value(self, key):
-        """The scalar as a BoundedPadic element, built once per key (the
-        values are never mutated, so callers share them)."""
+        """The integer scalar ('int', k) as a BoundedPadic element, built
+        once per key (the values are never mutated, so callers share them).
+        Only integers have one: a Teichmuller scalar is zeta X over W/p^N."""
+        if key[0] != "int":
+            raise ParameterError(f"no p-adic value for scalar key {key!r}")
         if key not in self._values:
-            kind, v = key
-            if kind == "int":
-                self._values[key] = self.padic_params.from_int(v)
-            elif kind == "teich":
-                self._values[key] = self.padic_params.from_teichmuller(self.field.from_int(v))
-            else:
-                raise ParameterError(f"unknown scalar key {key!r}")
+            self._values[key] = self.padic_params.from_int(key[1])
         return self._values[key]
 
     def scalar_coefficient(self, key):
-        """The scalar as a raw value of W/p^N, the coefficient ring of F."""
-        return self.scalar_value(key).to_witt(self.N).value
+        """The scalar as a raw value of W/p^N, the coefficient ring of F,
+        built once per key."""
+        if key not in self._coefficients:
+            witt = self.F.ring.domain
+            if key[0] == "teich":
+                value = witt.teichmuller(self.field.from_int(key[1])).value
+            else:
+                value = witt.from_int(self.scalar_value(key).to_witt(self.N))
+            self._coefficients[key] = value
+        return self._coefficients[key]
 
     def scalar_series(self, key):
         """[a](X) for a scalar key ('int', k) or ('teich', k).
@@ -249,7 +256,7 @@ class FormalModule:
             else:
                 padic = self.exp_series.substitute({"X": self.log_series.scale(
                     self.scalar_value(key))})
-                series = to_witt_series(padic, self.N).map_vars(self.x_ring)
+                series = to_witt_series(padic, self.F.ring.domain).map_vars(self.x_ring)
             self._scalars[key] = series
         return self._scalars[key]
 
@@ -361,14 +368,14 @@ def _normal_form_terms(ring, q, n):
 
 def _finish_module(q, n, N, D, aux_vars, params, f_padic, lam):
     exp = invert_series(lam)
-    dom = f_padic.ring.domain
-    xy_ring = SeriesRing(dom, ("X", "Y") + aux_vars, D)
+    witt = witt_ring(params.p, field_for_order(q).f, N)
+    xy_ring = SeriesRing(params, ("X", "Y") + aux_vars, D)
     lam_x = lam.map_vars(xy_ring)
     lam_y = lam.map_vars(xy_ring, {"X": "Y"})
     F_padic = exp.substitute({"X": lam_x + lam_y}, xy_ring)
-    F = to_witt_series(F_padic, N)
+    F = to_witt_series(F_padic, witt)
     pi_padic = exp.substitute({"X": lam.scale(params.from_int(params.p))})
-    pi = to_witt_series(pi_padic, N)
+    pi = to_witt_series(pi_padic, witt)
     return FormalModule(q, n, N, D, aux_vars, params, f_padic, lam, exp, F, pi)
 
 
@@ -378,12 +385,12 @@ def lubin_tate_module(q, n, N=8, D=None, v_max=None):
     _check_build_params(q, n, D)
     v_max = default_v_max(q, n, D) if v_max is None else v_max
     field = field_for_order(q)
-    params = PadicParams(field.p, field.f, N, v_max)
+    params = PadicParams(field.p, N, v_max)
     x_ring = SeriesRing(params, ("X",), D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
     lam = solve_log(f_padic)
     module = _finish_module(q, n, N, D, (), params, f_padic, lam)
-    f_witt = to_witt_series(f_padic, N)
+    f_witt = to_witt_series(f_padic, module.F.ring.domain)
     if module._scalars[("int", field.p)] != f_witt:
         raise VerificationError("exp(p * log) does not reproduce f")
     return module
@@ -400,7 +407,7 @@ def universal_module(q, n, N=8, D=None, v_max=None):
     _check_build_params(q, n, D)
     v_max = default_v_max(q, n, D) if v_max is None else v_max
     field = field_for_order(q)
-    params = PadicParams(field.p, field.f, N, v_max)
+    params = PadicParams(field.p, N, v_max)
     aux = tuple(f"T{i}" for i in range(1, n))
     x_ring = SeriesRing(params, ("X",) + aux, D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
@@ -408,7 +415,7 @@ def universal_module(q, n, N=8, D=None, v_max=None):
     module = _finish_module(q, n, N, D, aux, params, f_padic, lam)
     pi = module._scalars[("int", field.p)]
     red = pi.reduce_mod_p()
-    f_red = to_witt_series(f_padic, N).reduce_mod_p()
+    f_red = to_witt_series(f_padic, pi.ring.domain).reduce_mod_p()
     # every normal-form monomial must appear with its coefficient mod p
     # (further corrections in between are forced and allowed)
     for e, c in f_red.terms.items():

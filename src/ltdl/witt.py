@@ -1,4 +1,4 @@
-"""Truncated Witt rings W(F_{p^f})/p^N and bounded-denominator p-adics.
+"""Truncated Witt rings W(F_{p^f})/p^N and bounded-denominator p-adics in Q_p.
 
 W(F_{p^f})/p^N is realized as (Z/p^N)[x]/(M(x)) for the integer lift M of the
 field modulus chosen by ff_make; any monic lift of an irreducible polynomial
@@ -8,9 +8,13 @@ iteration, so the digit view and the polynomial view are interchangeable.
 The ring computes on raw values (coordinate tuples, or ints when f = 1);
 WittElement pairs one with its ring.
 
-BoundedPadic elements are p^v * u with a unit mantissa and explicit absolute
-precision, supporting division by p down to a configured valuation floor.
-This is what the formal-module logarithms compute in.
+BoundedPadic elements are p^v * u in Q_p: an int unit u known modulo
+p^(abs - v), with explicit absolute precision abs, supporting division by p
+down to a configured valuation floor.  This is what the formal-module
+logarithms compute in, and Q_p is all they need: lambda(f(X)) = p lambda(X)
+with f in Z[X] puts every coefficient of lambda, exp, F and [a] for a in Z
+in Q_p (Lubin-Tate 1965; Hazewinkel 1978), and a Teichmuller scalar of
+W(F_{p^f}) acts as zeta X over the Witt ring itself.
 """
 
 from functools import lru_cache
@@ -198,13 +202,9 @@ class WittElement:
     def __neg__(self):
         return WittElement(self.ring, self.ring.neg(self.value))
 
-    def __mul__(self, other):
-        self._check(other)
-        return WittElement(self.ring, self.ring.mul(self.value, other.value))
-
     def __pow__(self, e):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ParameterError("negative powers of a Witt element")
         r = self.ring
         result, base = r.one(), self.value
         while e:
@@ -218,24 +218,9 @@ class WittElement:
     def coeffs(self):
         return self.ring.coords(self.value)
 
-    def is_zero(self):
-        return self.ring.is_negligible(self.value)
-
     def reduce_mod_p(self):
         """The residue in F_{p^f} (this is digit 0)."""
         return self.ring.field.elem(self.coeffs)
-
-    def valuation(self):
-        """p-adic valuation; returns ring.N for the zero element."""
-        best = self.ring.N
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % self.ring.p == 0:
-                    c //= self.ring.p
-                    v += 1
-                best = min(best, v)
-        return best
 
     def div_exact_p(self, k=1):
         """Divide by p^k; every coefficient must be divisible."""
@@ -244,28 +229,6 @@ class WittElement:
             raise IntegralityError("element not divisible by p^%d" % k)
         return witt_ring(self.ring.p, self.ring.f, self.ring.N - k).elem(
             c // pk for c in self.coeffs)
-
-    def inv(self):
-        """Inverse of a unit, by Hensel lifting from the residue field."""
-        r = self.ring
-        u0 = self.reduce_mod_p()
-        if u0.is_zero():
-            raise ZeroDivisionError("inversion of a non-unit Witt element")
-        z = r.naive_lift(u0.inv())
-        prec = 1
-        two = WittElement(r, r.from_int(2))
-        while prec < r.N:
-            z = z * (two - self * z)
-            prec *= 2
-        if (self * z).value != r.one():
-            raise VerificationError("Newton iteration did not give self * z = 1")
-        return z
-
-    def truncate(self, M):
-        """Reduce modulo p^M (M <= N)."""
-        if M > self.ring.N:
-            raise PrecisionError("cannot extend Witt precision")
-        return witt_ring(self.ring.p, self.ring.f, M).elem(self.coeffs)
 
     def digits(self):
         """The N Teichmuller digits d_i with value = sum teich(d_i) p^i."""
@@ -278,10 +241,6 @@ class WittElement:
                 cur = (cur - cur.ring.teichmuller(d)).div_exact_p()
         return out
 
-    def sigma(self):
-        """The Frobenius lift: teich(a) -> teich(a^p), extended p-linearly."""
-        return from_digits(self.ring, [d.frobenius() for d in self.digits()])
-
     def __eq__(self, other):
         return (isinstance(other, WittElement)
                 and self.ring == other.ring and self.value == other.value)
@@ -293,37 +252,25 @@ class WittElement:
         return f"w{list(self.coeffs)}"
 
 
-def from_digits(ring, digits):
-    if len(digits) != ring.N:
-        raise ParameterError(f"need exactly {ring.N} digits")
-    out = ring.zero()
-    pk = 1
-    for d in digits:
-        out = ring.add(out, ring.from_coords(c * pk for c in ring.teichmuller(d).coeffs))
-        pk *= ring.p
-    return WittElement(ring, out)
-
-
 class PadicParams:
-    """Working parameters for bounded-denominator p-adics.
+    """Working parameters for bounded-denominator p-adics in Q_p.
 
     n_target is the precision the caller ultimately needs; elements carry
     extra working precision so that divisions by p (down to valuation
     -v_max) still leave n_target correct digits at the end.  Conversion to
-    a Witt element checks this rather than trusting it.
+    a residue mod p^N checks this rather than trusting it.
     """
 
-    __slots__ = ("p", "f", "n_target", "v_max", "n_work")
+    __slots__ = ("p", "n_target", "v_max", "n_work")
 
-    def __init__(self, p, f, n_target, v_max, pad=None):
+    def __init__(self, p, n_target, v_max, pad=None):
         self.p = p
-        self.f = f
         self.n_target = n_target
         self.v_max = v_max
         self.n_work = n_target + (2 * v_max + 4 if pad is None else pad)
 
     def key(self):
-        return (self.p, self.f, self.n_target, self.v_max, self.n_work)
+        return (self.p, self.n_target, self.v_max, self.n_work)
 
     def __eq__(self, other):
         return isinstance(other, PadicParams) and self.key() == other.key()
@@ -332,23 +279,13 @@ class PadicParams:
         return hash(("padic",) + self.key())
 
     def __repr__(self):
-        return f"Qp(p={self.p},f={self.f},N={self.n_target},Vmax={self.v_max})"
+        return f"Qp(p={self.p},N={self.n_target},Vmax={self.v_max})"
 
     def zero(self):
         return BoundedPadic(self, None, None, None)
 
     def from_int(self, k):
-        ring = witt_ring(self.p, self.f, self.n_work)
-        return self.from_witt(WittElement(ring, ring.from_int(k)))
-
-    def from_witt(self, w):
-        if w.ring.N < self.n_work:
-            raise PrecisionError("witt element below working precision")
-        return _normalize(self, 0, w.truncate(self.n_work))
-
-    def from_teichmuller(self, a):
-        ring = witt_ring(self.p, self.f, self.n_work)
-        return self.from_witt(ring.teichmuller(a))
+        return _normalize(self, 0, k, self.n_work)
 
     def one(self):
         return self.from_int(1)
@@ -373,7 +310,7 @@ class PadicParams:
         return c.unit is None and c.abs >= self.n_target
 
     def descriptor(self):
-        return {"kind": "padic", "p": self.p, "f": self.f, "N": self.n_target,
+        return {"kind": "padic", "p": self.p, "N": self.n_target,
                 "v_max": self.v_max, "n_work": self.n_work}
 
     def coeff_to_json(self, c):
@@ -381,15 +318,15 @@ class PadicParams:
             return {"zero": True}
         if c.unit is None:
             return {"ozero": c.abs}
-        return {"val": c.val, "abs": c.abs,
-                "unit": [list(d.coeffs) for d in c.unit.digits()]}
+        return {"val": c.val, "abs": c.abs, "unit": c.unit}
 
 
 class BoundedPadic:
-    """Value p^val * unit known modulo p^abs (abs = val + unit precision).
+    """Value p^val * unit known modulo p^abs, the unit an int prime to p
+    reduced mod p^(abs - val).
 
     Three states: exact zero (val is None); zero at precision (unit is None,
-    val = abs, meaning the value lies in p^abs * W); or a unit mantissa.
+    val = abs, meaning the value lies in p^abs * Z_p); or a unit mantissa.
     """
 
     __slots__ = ("params", "val", "unit", "abs")
@@ -433,24 +370,22 @@ class BoundedPadic:
             return self
         abs_prec = min(self.abs, other.abs)
         base = min(self.val, other.val)
-        digits = abs_prec - base
-        if digits <= 0:
+        if abs_prec <= base:
             raise PrecisionError("addition lost all precision")
-        ring = witt_ring(self.params.p, self.params.f, digits)
-        total = self._fixed_point(ring, base) + other._fixed_point(ring, base)
-        return _normalize(self.params, base, total, abs_prec)
+        return _normalize(self.params, base, self._shifted(base) + other._shifted(base),
+                          abs_prec)
 
-    def _fixed_point(self, ring, base):
-        """This value as p^base * (result), in the given ring."""
+    def _shifted(self, base):
+        """The mantissa of this value written as p^base * (result)."""
         if self.unit is None:
-            return WittElement(ring, ring.zero())
-        pk = self.params.p ** (self.val - base)
-        return ring.elem(c * pk for c in self.unit.coeffs)
+            return 0
+        return self.unit * self.params.p ** (self.val - base)
 
     def __neg__(self):
         if self.unit is None:
             return self
-        return BoundedPadic(self.params, self.val, -self.unit, self.abs)
+        return BoundedPadic(self.params, self.val,
+                            -self.unit % self.params.p ** (self.abs - self.val), self.abs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -469,8 +404,8 @@ class BoundedPadic:
         digits = abs_prec - val
         if digits <= 0:
             raise PrecisionError("multiplication lost all precision")
-        unit = self.unit.truncate(digits) * other.unit.truncate(digits)
-        return BoundedPadic(self.params, val, unit, abs_prec)
+        return BoundedPadic(self.params, val, self.unit * other.unit % self.params.p ** digits,
+                            abs_prec)
 
     def div_p(self, k=1):
         """Divide by p^k (a valuation shift); enforces the v_max floor."""
@@ -481,20 +416,14 @@ class BoundedPadic:
                 f"valuation {self.val - k} below -v_max = {-self.params.v_max}")
         return BoundedPadic(self.params, self.val - k, self.unit, self.abs - k)
 
-    def sigma(self):
-        """The Frobenius lift applied to the mantissa (fixes p-powers)."""
-        if self.unit is None:
-            return self
-        return BoundedPadic(self.params, self.val, self.unit.sigma(), self.abs)
-
     def inv(self):
         if self.is_zero_like():
             raise ZeroDivisionError("inversion of (indistinguishable-from-)zero")
         if -self.val < -self.params.v_max:
             raise DenominatorOverflow("inverse below -v_max")
-        inv_unit = self.unit.inv()
-        return BoundedPadic(self.params, -self.val, inv_unit,
-                            -self.val + inv_unit.ring.N)
+        digits = self.abs - self.val
+        return BoundedPadic(self.params, -self.val, pow(self.unit, -1, self.params.p ** digits),
+                            digits - self.val)
 
     def __eq__(self, other):
         """Exact-state equality (same knowledge, not mere congruence)."""
@@ -503,43 +432,43 @@ class BoundedPadic:
         return (self.val, self.abs, self.unit) == (other.val, other.abs, other.unit)
 
     def __hash__(self):
-        return hash((self.params.key(), self.val, self.abs,
-                     None if self.unit is None else self.unit.value))
+        return hash((self.params.key(), self.val, self.abs, self.unit))
 
     # -- output --------------------------------------------------------------
 
     def to_witt(self, N=None):
-        """Convert to W/p^N, requiring integrality and enough precision."""
+        """The residue mod p^N as an int, requiring integrality and enough
+        precision; every Witt ring W(F_{p^f})/p^N embeds it by from_int."""
         N = self.params.n_target if N is None else N
-        ring = witt_ring(self.params.p, self.params.f, N)
         if self.is_exact_zero():
-            return WittElement(ring, ring.zero())
+            return 0
         if self.unit is None:
             if self.abs < N:
                 raise PrecisionError(
                     f"zero-like value known mod p^{self.abs} < p^{N}")
-            return WittElement(ring, ring.zero())
+            return 0
         if self.val < 0:
             raise IntegralityError(f"valuation {self.val} < 0")
         if self.abs < N:
             raise PrecisionError(f"absolute precision {self.abs} < {N}")
-        return self._fixed_point(ring, 0)
+        return self._shifted(0) % self.params.p ** N
 
     def __repr__(self):
         if self.is_exact_zero():
             return "padic(0)"
         if self.unit is None:
             return f"padic(O(p^{self.abs}))"
-        return f"padic(p^{self.val}*{list(self.unit.coeffs)} + O(p^{self.abs}))"
+        return f"padic(p^{self.val}*{self.unit} + O(p^{self.abs}))"
 
 
-def _normalize(params, base_val, fixed, abs_prec=None):
-    """Build a BoundedPadic from p^base_val * fixed with valuation extraction."""
-    if abs_prec is None:
-        abs_prec = base_val + fixed.ring.N
-    v = fixed.valuation()
-    if v >= fixed.ring.N:
+def _normalize(params, base_val, mantissa, abs_prec):
+    """p^base_val * mantissa known mod p^abs_prec, its valuation extracted."""
+    p = params.p
+    mantissa %= p ** (abs_prec - base_val)
+    if not mantissa:
         return BoundedPadic(params, abs_prec, None, abs_prec)
-    unit = fixed.div_exact_p(v) if v else fixed
-    digits = abs_prec - (base_val + v)
-    return BoundedPadic(params, base_val + v, unit.truncate(digits), abs_prec)
+    val = base_val
+    while mantissa % p == 0:
+        mantissa //= p
+        val += 1
+    return BoundedPadic(params, val, mantissa, abs_prec)

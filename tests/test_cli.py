@@ -197,15 +197,16 @@ def DL_product_off_the_prime_field(monkeypatch):
 
 NOT_AFFINE = "chart factor for a={} is not exactly affine-linear mod {}"
 NOT_DL = "the chart residual mod (p, Xn) is not the DL equation"
+NOT_P = "P does not vanish to order exactly q^n - 1"
 
 
 @pytest.mark.parametrize("argv,doctor,failed,dropped", [
     (["depth0", "equation", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
-     {"lowest_degree_qn_minus_1": "P does not vanish to order exactly q^n - 1"}, {"P"}),
-    # un_special_fiber reads the chart, so it raises with it
+     {"lowest_degree_qn_minus_1": NOT_P}, {"P"}),
+    # un_special_fiber reads the chart, so it fails naming the chart's entry
     (["depth0", "chart", "--q", "2", "--n", "2"], affine_law_off_on_blocks_of(2),
      {"chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
-      "un_equals_dl": NOT_AFFINE.format("(0, 1)", "Xn")},
+      "un_equals_dl": "not run: chart_multiplicity failed"},
      {"linear_parts", "n", "pivot", "q", "valuation", "valuations"}),
     (["depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2,1"],
      affine_law_off_on_blocks_of(1),
@@ -221,15 +222,20 @@ NOT_DL = "the chart residual mod (p, Xn) is not the DL equation"
     (["dl", "equation", "--q", "4", "--n", "2"], DL_product_off_the_prime_field,
      {"prime_field_coefficients": "product of rational forms not defined over F_p"},
      {"equation", "num_forms"}),
+    (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
+     {"depth0.equation_lowest_degree": NOT_P,
+      "depth0.chart_multiplicity": "not run: depth0.equation_lowest_degree failed",
+      "depth0.un_equals_dl": "not run: depth0.chart_multiplicity failed",
+      "depth0.gl_linear_shadow": "not run: depth0.equation_lowest_degree failed"}, set()),
     (["verify-all", "--q", "2", "--n", "2"], affine_law_off_on_blocks_of(2),
      {"depth0.chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
-      "depth0.un_equals_dl": NOT_AFFINE.format("(0, 1)", "Xn")}, set()),
+      "depth0.un_equals_dl": "not run: depth0.chart_multiplicity failed"}, set()),
     (["verify-all", "--q", "2", "--n", "3"], affine_law_off_on_blocks_of(2),
      {"depth0.iterated_multiplicities": NOT_AFFINE.format("(0, 1)", "V2, Xn")}, set()),
     (["verify-all", "--q", "2", "--n", "2"], DL_equation_off_by_one,
      {"depth0.un_equals_dl": NOT_DL}, set()),
 ], ids=["build_P", "blowup_chart", "iterated_chart_depth_2", "un_special_fiber", "steinberg",
-        "dixon_table", "dl_equation", "verify_all_blowup_chart",
+        "dixon_table", "dl_equation", "verify_all_build_P", "verify_all_blowup_chart",
         "verify_all_iterated_chart", "verify_all_un_special_fiber"])
 def test_a_raising_identity_fails_its_own_entry(tmp_path, monkeypatch, argv, doctor,
                                                 failed, dropped):
@@ -244,6 +250,31 @@ def test_a_raising_identity_fails_its_own_entry(tmp_path, monkeypatch, argv, doc
     assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
     assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == failed
     assert set(report["results"]) == set(clean["results"]) - dropped
+
+
+@pytest.mark.parametrize("argv,doctor,built", [
+    (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
+     {"build_P": 1}),
+    (["verify-all", "--q", "2", "--n", "3"], affine_law_off_on_blocks_of(3),
+     {"build_P": 1, "blowup_chart": 1}),
+    (["depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2"],
+     affine_law_off_on_blocks_of(3), {"blowup_chart": 1}),
+], ids=["verify_all_P", "verify_all_chart", "depth0_chart"])
+def test_a_failed_prerequisite_is_not_rebuilt(tmp_path, monkeypatch, argv, doctor, built):
+    # after P or the chart failed, the entries that need it fail naming it,
+    # and neither is built again
+    doctor(monkeypatch)
+    calls = Counter()
+    for name in ("build_P", "blowup_chart"):
+        def counted(*args, honest=getattr(depth0, name), name=name, **kwargs):
+            calls[name] += 1
+            return honest(*args, **kwargs)
+        monkeypatch.setattr(depth0, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, report = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert calls == built
+    assert [c for c in report["checks"] if c["name"].endswith("error")] == []
 
 
 @pytest.mark.parametrize("argv,entry,details", [

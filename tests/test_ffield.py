@@ -83,15 +83,20 @@ def test_add_zero_and_field_axioms_randomized():
                 assert a * a.inv() == F.from_int(1)
 
 
+def frobenius(a):
+    """x -> x^p, the arithmetic Frobenius over F_p."""
+    return a ** a.desc.p
+
+
 def test_frobenius_order_f():
     F9 = ff_make(3, 2)
     for a in F9.elements():
-        assert a.frobenius().frobenius() == a
+        assert frobenius(frobenius(a)) == a
     F8 = ff_make(2, 3)
     for a in F8.elements():
-        assert a.frobenius().frobenius().frobenius() == a
+        assert frobenius(frobenius(frobenius(a))) == a
         # frobenius is x -> x^p
-        assert a.frobenius() == a * a
+        assert frobenius(a) == a * a
 
 
 def test_generator_is_primitive():

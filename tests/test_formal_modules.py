@@ -13,6 +13,7 @@ from ltdl.formal_modules import (
     verify_module_axioms,
 )
 from ltdl.series import SeriesRing, TruncatedSeries
+from ltdl.witt import WittElement, witt_ring
 
 
 def binomial_series(ring, a, upto):
@@ -186,12 +187,14 @@ def test_parameter_guards():
 
 def test_scalar_values_are_built_once_per_key():
     m = lubin_tate_module(5, 2)
-    first = m.scalar_value(("teich", 2))
-    assert m.scalar_value(("teich", 2)) is first
-    assert first.to_witt(m.N) == m.padic_params.from_teichmuller(m.field.from_int(2)).to_witt(m.N)
     assert m.scalar_value(("int", 3)) is m.scalar_value(("int", 3))
-    with pytest.raises(ParameterError, match="unknown scalar key"):
-        m.scalar_value(("root", 1))
+    assert (m.scalar_coefficient(("teich", 2))
+            == witt_ring(5, 1, m.N).teichmuller(m.field.from_int(2)).value)
+    assert m.scalar_coefficient(("teich", 2)) is m.scalar_coefficient(("teich", 2))
+    # only integer scalars have a p-adic value
+    for key in [("teich", 2), ("root", 1)]:
+        with pytest.raises(ParameterError, match="no p-adic value"):
+            m.scalar_value(key)
 
 
 def invert_series_every_degree(lam, x_var="X"):
@@ -232,14 +235,16 @@ def test_invert_series_substitutes_only_after_a_correction(monkeypatch):
 
 
 def teichmuller_by_exp_log(module, k):
-    """Oracle: [zeta](X) = exp(zeta log X) over the p-adics, then to W/p^N."""
+    """Oracle for q = p, where zeta lies in Z_p: [zeta](X) = exp(zeta log X)
+    over the p-adics, zeta taken at the working precision, then to W/p^N."""
+    params = module.padic_params
+    zeta = witt_ring(module.p, 1, params.n_work).teichmuller(module.field.from_int(k)).value
     padic = module.exp_series.substitute(
-        {"X": module.log_series.scale(module.scalar_value(("teich", k)))})
-    return to_witt_series(padic, module.N).map_vars(module.x_ring)
+        {"X": module.log_series.scale(params.from_int(zeta))})
+    return to_witt_series(padic, module.F.ring.domain).map_vars(module.x_ring)
 
 
-@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 4, 1), (lubin_tate_module, 8, 1),
-                                         (lubin_tate_module, 3, 2), (lubin_tate_module, 5, 2),
+@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 3, 2), (lubin_tate_module, 5, 2),
                                          (lubin_tate_module, 2, 3), (universal_module, 3, 2)])
 def test_teichmuller_scalars_match_exp_of_zeta_log(builder, q, n):
     m = builder(q, n)
@@ -247,6 +252,42 @@ def test_teichmuller_scalars_match_exp_of_zeta_log(builder, q, n):
         zeta_x = m.scalar_series(("teich", k))
         assert len(zeta_x.terms) == 1
         assert zeta_x == teichmuller_by_exp_log(m, k)
+
+
+@pytest.mark.parametrize("q,n", [(4, 1), (8, 1), (4, 2)])
+def test_teichmuller_scalars_are_endomorphisms_of_F(q, n):
+    # for f > 1, zeta lies outside Z_p, so there is no p-adic exp(zeta log)
+    # to compare with; zeta X must instead commute with F, over W(F_q)/p^N:
+    # F(zeta X, zeta Y) = zeta F(X, Y)
+    m = lubin_tate_module(q, n)
+    witt, ring = m.F.ring.domain, m.F.ring
+
+    def commutes(zeta):
+        image = m.F.substitute({"X": ring.var("X", zeta), "Y": ring.var("Y", zeta)})
+        return image == m.F.scale(zeta)
+
+    for k in range(2, q):
+        zeta = m.scalar_coefficient(("teich", k))
+        assert m.scalar_series(("teich", k)) == m.x_ring.var("X", zeta)
+        assert commutes(zeta)
+        # zeta + p has the same residue but is no root of unity
+        assert not commutes(witt.add(zeta, witt.from_int(m.p)))
+
+
+@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 4, 1), (lubin_tate_module, 8, 1),
+                                         (lubin_tate_module, 5, 2), (universal_module, 3, 2)])
+def test_module_build_makes_no_witt_element(monkeypatch, builder, q, n):
+    # the logarithm, exp, F and [p] are built over Q_p and embedded into
+    # W(F_q)/p^N as raw values: no Witt element is made on the way
+    made = []
+    honest = WittElement.__init__
+    monkeypatch.setattr(WittElement, "__init__",
+                        lambda self, ring, value: made.append(ring) or honest(self, ring, value))
+    m = builder(q, n)
+    assert made == []
+    # a Teichmuller scalar is the Witt ring's lift, which the count does see
+    m.scalar_series(("teich", 2))
+    assert made
 
 
 def test_teichmuller_scalar_raises_when_it_does_not_commute_with_p():

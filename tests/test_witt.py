@@ -1,14 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
+from witt_oracles import from_digits
 
 from ltdl.errors import DenominatorOverflow, IntegralityError, PrecisionError
-from ltdl.witt import BoundedPadic, PadicParams, WittElement, from_digits, witt_ring
+from ltdl.witt import BoundedPadic, PadicParams, WittElement, witt_ring
 
 
 def from_coeffs(R, coeffs):
     """The element of W(F_{p^f})/p^N with the given coordinates mod p^N."""
     return R.elem(coeffs)
+
+
+def rand_value(rng, R):
+    """A random raw value of R: its coordinates drawn mod p^N."""
+    return R.from_coords(rng.randrange(R.pN) for _ in range(R.f))
 
 
 def mul_p(x, k):
@@ -25,30 +32,30 @@ def test_arith_matches_integers_mod_pN_f1():
         for _ in range(500):
             a, b = rng.randrange(m), rng.randrange(m)
             assert (R.elem((a,)) + R.elem((b,))).coeffs[0] == (a + b) % m
-            assert (R.elem((a,)) * R.elem((b,))).coeffs[0] == (a * b) % m
+            assert R.mul(R.from_int(a), R.from_int(b)) == (a * b) % m
             assert (-R.elem((a,))).coeffs[0] == (-a) % m
 
 
 def test_ring_axioms_randomized_f2():
     rng = random.Random(11)
     R = witt_ring(2, 2, 5)
-    rand = lambda: from_coeffs(R, (rng.randrange(R.pN), rng.randrange(R.pN)))
+    add, mul = R.add, R.mul
     for _ in range(200):
-        a, b, c = rand(), rand(), rand()
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
-        assert a * b == b * a
+        a, b, c = (rand_value(rng, R) for _ in range(3))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
 
 
 def test_reduction_mod_p_is_ring_map():
     rng = random.Random(13)
     R = witt_ring(3, 2, 4)
-    rand = lambda: from_coeffs(R, (rng.randrange(R.pN), rng.randrange(R.pN)))
+    field = R.field
     for _ in range(100):
-        a, b = rand(), rand()
-        assert (a * b).reduce_mod_p() == a.reduce_mod_p() * b.reduce_mod_p()
-        assert (a + b).reduce_mod_p() == a.reduce_mod_p() + b.reduce_mod_p()
+        a, b = rand_value(rng, R), rand_value(rng, R)
+        assert R.residue(R.mul(a, b)) == field.mul(R.residue(a), R.residue(b))
+        assert R.residue(R.add(a, b)) == field.add(R.residue(a), R.residue(b))
 
 
 def test_teichmuller_of_two_mod_81():
@@ -56,7 +63,7 @@ def test_teichmuller_of_two_mod_81():
     # squaring the computed lift directly.
     R = witt_ring(3, 1, 4)
     t = R.teichmuller(R.field.from_int(2))
-    assert (t * t) == WittElement(R, R.one())
+    assert t ** 2 == WittElement(R, R.one())
     assert t.reduce_mod_p() == R.field.from_int(2)
     assert t.coeffs == (80,)
 
@@ -88,47 +95,31 @@ def test_digits_roundtrip():
             assert from_digits(R, ds) == w
 
 
-def test_sigma_identity_for_prime_field():
-    R = witt_ring(3, 1, 5)
-    for k in [0, 1, 5, 80, 121]:
-        assert R.elem((k,)).sigma() == R.elem((k,))
-
-
-def test_sigma_on_teichmuller_f2():
-    # sigma(teich(x)) = teich(x^2) = teich(x+1) in W(F_4)/8.
-    R = witt_ring(2, 2, 3)
-    x = R.field.generator
-    assert R.teichmuller(x).sigma() == R.teichmuller(x.frobenius())
-    assert x.frobenius() == x * x
-    assert (x * x).coeffs == (1, 1)
-    # sigma is a ring homomorphism of order f
-    rng = random.Random(19)
-    for _ in range(50):
-        a = from_coeffs(R, (rng.randrange(8), rng.randrange(8)))
-        b = from_coeffs(R, (rng.randrange(8), rng.randrange(8)))
-        assert (a * b).sigma() == a.sigma() * b.sigma()
-        assert (a + b).sigma() == a.sigma() + b.sigma()
-        assert a.sigma().sigma() == a
-
-
 def test_inverse_of_units():
+    # the p-adic inverse of a unit mantissa is its inverse mod p^(abs - val)
     rng = random.Random(23)
-    for (p, f, N) in [(2, 1, 8), (3, 2, 5), (2, 3, 4)]:
-        R = witt_ring(p, f, N)
+    for (p, N) in [(2, 8), (3, 5), (5, 4)]:
+        P = PadicParams(p, N, 2)
         for _ in range(50):
-            w = from_coeffs(R, tuple(rng.randrange(R.pN) for _ in range(f)))
-            if not w.reduce_mod_p().is_zero():
-                assert w * w.inv() == WittElement(R, R.one())
+            k = rng.randrange(1, p ** N)
+            if k % p:
+                x = P.from_int(k)
+                assert (x * x.inv()).to_witt() == 1
+                assert x.inv().to_witt() == pow(k, -1, p ** N)
         with pytest.raises(ZeroDivisionError):
-            WittElement(R, R.from_int(p)).inv()
+            P.from_int(p ** P.n_work).inv()
 
 
 def test_valuation():
-    R = witt_ring(2, 2, 6)
-    assert WittElement(R, R.zero()).valuation() == 6
-    assert WittElement(R, R.one()).valuation() == 0
-    assert from_coeffs(R, (4, 8)).valuation() == 2
-    assert from_coeffs(R, (0, 16)).valuation() == 4
+    # p^v * unit: the valuation is extracted when a value is formed, and a
+    # value zero at the working precision has no unit
+    P = PadicParams(2, 6, 2)
+    zero = P.from_int(0)
+    assert (zero.val, zero.unit, zero.abs) == (P.n_work, None, P.n_work)
+    assert (P.from_int(1).val, P.from_int(1).unit) == (0, 1)
+    assert (P.from_int(12).val, P.from_int(12).unit) == (2, 3)
+    assert (P.from_int(16).val, P.from_int(16).unit) == (4, 1)
+    assert (P.from_int(12) - P.from_int(4)).val == 3
 
 
 def test_mixed_parameters_rejected():
@@ -145,17 +136,17 @@ def test_mixed_parameters_rejected():
 # -- bounded-denominator p-adics ---------------------------------------------
 
 
-def params(p=2, f=1, N=6, v=4):
-    return PadicParams(p, f, N, v)
+def params(p=2, N=6, v=4):
+    return PadicParams(p, N, v)
 
 
 def test_padic_div_and_roundtrip():
     P = params()
     x = P.from_int(12)  # 4 * 3
     y = x.div_p(2)
-    assert y.val == 0 and y.to_witt(4).coeffs[0] == 3
+    assert y.val == 0 and y.to_witt(4) == 3
     z = mul_p(y, 2)
-    assert z.to_witt().coeffs[0] == 12
+    assert z.to_witt() == 12
     with pytest.raises(DenominatorOverflow):
         P.from_int(1).div_p(5)
 
@@ -166,7 +157,7 @@ def test_padic_integrality_enforced():
     with pytest.raises(IntegralityError):
         half.to_witt()
     # but 2 * (1/2) = 1 is integral again
-    assert (half + half).to_witt() == witt_ring(2, 1, 6).elem((1,))
+    assert (half + half).to_witt() == 1
 
 
 def test_padic_mul_precision_tracking():
@@ -174,7 +165,7 @@ def test_padic_mul_precision_tracking():
     x = P.from_int(1).div_p(2)  # 1/9
     y = x * P.from_int(9)
     assert y.val == 0
-    assert y.to_witt().coeffs[0] == 1
+    assert y.to_witt() == 1
 
 
 def test_padic_zero_states():
@@ -190,7 +181,7 @@ def test_padic_zero_states():
 
 def test_padic_ring_identities_randomized():
     rng = random.Random(29)
-    P = params(p=3, f=1, N=6, v=3)
+    P = params(p=3, N=6, v=3)
     m = 3 ** 4
 
     def rand():
@@ -214,11 +205,11 @@ def test_padic_inverse():
 
 
 def test_padic_precision_exhaustion_is_loud():
-    P = PadicParams(2, 1, 6, 2, pad=0)
+    P = PadicParams(2, 6, 2, pad=0)
     x = P.from_int(1).div_p(2)
     y = mul_p(x, 2)
     # fine at target precision
-    assert y.to_witt() == witt_ring(2, 1, 6).elem((1,))
+    assert y.to_witt() == 1
     # asking for more digits than the working precision must fail loudly
     with pytest.raises(PrecisionError):
         y.to_witt(7)
@@ -230,10 +221,63 @@ def test_products_with_a_Zp_factor_agree_with_the_general_product():
     rng = random.Random(31)
     for (p, f, N) in [(2, 2, 5), (3, 2, 4), (2, 6, 8)]:
         R = witt_ring(p, f, N)
-        rand = lambda: from_coeffs(R, [rng.randrange(R.pN) for _ in range(f)])
+        add, mul = R.add, R.mul
         for _ in range(60):
-            s, b, c = from_coeffs(R, [rng.randrange(R.pN)] + [0] * (f - 1)), rand(), rand()
-            assert s * b == b * s
-            assert (s * b) * c == s * (b * c) == b * (c * s)
-            assert s * (b + c) == s * b + s * c
-            assert (s * b).coeffs == tuple(s.coeffs[0] * x % R.pN for x in b.coeffs)
+            s, b, c = R.from_int(rng.randrange(R.pN)), rand_value(rng, R), rand_value(rng, R)
+            assert mul(s, b) == mul(b, s)
+            assert mul(mul(s, b), c) == mul(s, mul(b, c)) == mul(b, mul(c, s))
+            assert mul(s, add(b, c)) == add(mul(s, b), mul(s, c))
+            assert mul(s, b) == tuple(s[0] * x % R.pN for x in b)
+
+
+def fraction_to_padic(P, x):
+    """The rational x = a / (b p^k), b prime to p, as a BoundedPadic built from
+    integers by from_int, inv and div_p."""
+    p, a, b, k = P.p, x.numerator, x.denominator, 0
+    while b % p == 0:
+        b //= p
+        k += 1
+    return (P.from_int(a) * P.from_int(b).inv()).div_p(k)
+
+
+@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3)])
+def test_padic_arithmetic_matches_fractions(p, N):
+    # Oracle: exact rationals.  Each result must agree with the rational to
+    # the absolute precision it claims; when integral, it must reduce to the
+    # rational's residue mod p^N, and when not, to_witt must refuse it
+    rng = random.Random(37 + p)
+    P = PadicParams(p, N, 6)
+
+    def rand():
+        num = rng.randrange(-p ** 4, p ** 4) or 1
+        return Fraction(num, rng.randrange(1, p * p + 1) * p ** rng.randrange(2))
+
+    def residue(x, k):
+        return x.numerator * pow(x.denominator, -1, p ** k) % p ** k
+
+    def agree(got, want):
+        v, unit = 0, want
+        while unit and unit.numerator % p == 0:
+            unit, v = unit / p, v + 1
+        while unit.denominator % p == 0:
+            unit, v = unit * p, v - 1
+        if got.is_zero_like():
+            assert want == 0 or v >= got.abs
+        else:
+            assert got.val == v and got.unit == residue(unit, got.abs - v)
+        if want and v < 0:
+            with pytest.raises(IntegralityError):
+                got.to_witt()
+        else:
+            assert got.to_witt() == residue(want, N)
+
+    for _ in range(150):
+        x, y = rand(), rand()
+        a, b = fraction_to_padic(P, x), fraction_to_padic(P, y)
+        agree(a, x)
+        agree(a + b, x + y)
+        agree(a - b, x - y)
+        agree(-a, -x)
+        agree(a * b, x * y)
+        agree(a.inv(), 1 / x)
+        agree(a.div_p(), x / p)
