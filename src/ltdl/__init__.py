@@ -19,7 +19,7 @@ from .depth0 import (
     stratum_membership,
     un_special_fiber,
 )
-from .dl_variety import dl_equation, dl_points, fiber_structure_check, per_zeta_counts
+from .dl_variety import dl_equation, dl_points, per_zeta_counts
 from .errors import (
     BudgetError,
     DenominatorOverflow,
@@ -60,7 +60,7 @@ __all__ = [
     "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",
-    "fiber_structure_check", "field_for_order", "is_cuspidal", "is_generic",
+    "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "per_zeta_counts", "special_fiber_components",
     "steinberg", "stratum_membership", "un_special_fiber",
     "universal_module", "verify_module_axioms", "witt_ring",

@@ -32,7 +32,6 @@ from .dl_variety import (
     base_points_moebius,
     dl_equation,
     dl_points,
-    fiber_structure_check,
     line_census,
     orbit_check,
     rational_level,
@@ -358,7 +357,10 @@ def run_dl(cfg):
         base, residues, lines = line_census(q, n, m)
         results["count"] = len(residues) * residues[0]
         if cfg.values.get("list"):
-            results["points"] = [list(p) for p in dl_points(q, n, m, lines)]
+            points = identity_entry(checks, "points_on_variety",
+                                    partial(dl_points, q, n, m, lines))
+            if points is not None:
+                results["points"] = [list(p) for p in points]
         results["base_count"] = base
         checks.append(check_entry("moebius_matches_enumeration",
                                   base == base_points_moebius(q, n, m)))
@@ -456,9 +458,6 @@ def run_verify_all(cfg):
         orbit, failure = orbit_check(q, n, m, gl_group().generators, lines[0], count)
         checks.append(check_entry("dl.action_invariance", failure is None,
                                   failure or f"orbit size {len(orbit)}"))
-        rep = fiber_structure_check(q, n, m, orbit, lines)
-        checks.append(check_entry(f"dl.fibers_m{m}", rep["invariants_passed"],
-                                  rep.get("failure", f"fiber size {rep['fiber_size']}")))
 
     with suite("chars", checks, seconds):
         rep = correspondence_report(q, n, CorrespondenceData(gl_group()))

@@ -25,7 +25,6 @@ from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomi
 from .linalg import (
     group_order,
     index_vectors,
-    projective_representative,
     sparse_columns,
     vec_mul,
 )
@@ -45,10 +44,6 @@ class DLInstance:
         self.ring = ring
         self.equation = equation  # prod of forms - 1
         self.forms = forms        # list of index vectors a (canonical ints)
-
-    def to_json(self):
-        return {"q": self.q, "n": self.n, "equation": self.equation.to_json(),
-                "num_forms": len(self.forms)}
 
 
 def dl_equation(q, n):
@@ -232,6 +227,11 @@ def orbit_check(q, n, m, generators, witness, count):
     equal to `count` makes it all of DL(F_{q^m}) (transitivity), and equal
     to |GL_n(F_q)| makes every stabiliser trivial (freeness).  The mu
     generator mapping the orbit into itself gives the mu-invariance.
+
+    A passing walk also settles the fibers over P^{n-1}: a line carries at
+    most g = gcd(q^n - 1, q^m - 1) points of the variety, and a rational
+    hyperplane none (P = 0 there), so an orbit of `count` = g * residues[0]
+    points puts exactly g of them over each residue-0 census line.
     """
     amb = Ambient(q, n, m)
     field = amb.field
@@ -257,34 +257,6 @@ def orbit_check(q, n, m, generators, witness, count):
     if any(tuple(field.mul(zi, v) for v in x) not in seen for x in orbit):
         return orbit, "the mu generator leaves the orbit"
     return orbit, None
-
-
-def fiber_structure_check(q, n, m, points, census_lines):
-    """Fibers of DL(F_{q^m}) -> P^{n-1} complement have size gcd(q^n-1, q^m-1),
-    over as many lines as `census_lines`, the residue-0 lines of the census.
-
-    The verdict is `invariants_passed`; when it is false, `failure` names the
-    first broken invariant of: vacuous (no point, so no fiber was seen), an
-    image on a rational hyperplane, the fiber sizes, the lines hit.
-    """
-    amb = Ambient(q, n, m)
-    fibers = {}
-    for x in points:
-        fibers.setdefault(projective_representative(amb.field, x), []).append(x)
-    expected = gcd(q ** n - 1, q ** m - 1)
-    sizes = sorted(set(len(v) for v in fibers.values()))
-    out = {"q": q, "n": n, "m": m, "count": len(points), "base_points_hit": len(fibers),
-           "fiber_size": expected, "vacuous": not points}
-    if not points:
-        out["failure"] = f"vacuous: DL(F_{q ** m}) has no points"
-    elif any(amb.product_of_forms(rep) == 0 for rep in fibers):
-        out["failure"] = "DL point image lies on a rational hyperplane"
-    elif sizes not in ([], [expected]):
-        out["failure"] = f"fiber sizes {sizes} != gcd = {expected}"
-    elif len(fibers) != len(census_lines):
-        out["failure"] = f"{len(fibers)} lines hit, census {len(census_lines)}"
-    out["invariants_passed"] = "failure" not in out
-    return out
 
 
 def per_zeta_counts(q, n, residues):

@@ -453,8 +453,9 @@ def _specialized_module(module):
 def verify_module_axioms(module):
     """Check the formal O-module axioms mod (p^N, deg D); returns a report.
 
-    Each entry is {"name", "status", "details"}; nothing raises, so tampered
-    modules simply produce failing entries.
+    Each entry is {"name", "status", "details"}, and a broken axiom is a
+    failing entry, with one exception: building the Teichmuller scalars of
+    `scalar_table()` raises VerificationError when [p](zeta X) != zeta [p](X).
     """
     checks = []
 

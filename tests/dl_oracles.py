@@ -4,7 +4,8 @@ Each one enumerates points of F_{q^M}^n or loops over a whole group, where
 `line_census`, `dl_points` and `orbit_check` count with integer congruences,
 scale census lines onto the variety and walk one orbit; the tests hold the
 two to the same answers wherever both run.  `act` applies a pair (g, zeta)
-of GL_n(F_q) x mu_{q^n-1} to one point.
+of GL_n(F_q) x mu_{q^n-1} to one point, and `line_fibers` groups points by
+their line of P^{n-1}.
 """
 
 from itertools import product
@@ -15,6 +16,7 @@ from gl_oracles import vec_mat
 from ltdl.dl_variety import POINT_BUDGET, Ambient
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
+from ltdl.linalg import projective_representative
 
 
 def ambient_points(amb):
@@ -37,6 +39,17 @@ def base_points(q, n, m):
     vectors of F_{q^m}^n off every rational hyperplane, q^m - 1 to a line."""
     amb = Ambient(q, n, m)
     return sum(1 for x in ambient_points(amb) if amb.product_of_forms(x)) // (amb.field.q - 1)
+
+
+def line_fibers(q, n, m, points):
+    """The nonzero `points` of F_{q^m}^n grouped by their line of
+    P^{n-1}(F_{q^m}): a dict from each line's representative with first
+    nonzero coordinate 1 to its points, in the order given."""
+    field = Ambient(q, n, m).field
+    out = {}
+    for x in points:
+        out.setdefault(projective_representative(field, x), []).append(x)
+    return out
 
 
 def act(amb, x, g=None, zeta=None):

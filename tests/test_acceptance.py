@@ -10,7 +10,12 @@ import time
 from math import comb
 
 import pytest
-from dl_oracles import action_invariance_check, base_points, dl_points_by_enumeration
+from dl_oracles import (
+    action_invariance_check,
+    base_points,
+    dl_points_by_enumeration,
+    line_fibers,
+)
 
 from ltdl.cli import main as cli_main
 from ltdl.cyclo import CycloElement
@@ -23,7 +28,6 @@ from ltdl.depth0 import (
 from ltdl.dl_variety import (
     dl_equation,
     dl_points,
-    fiber_structure_check,
     line_census,
     per_zeta_counts,
 )
@@ -134,8 +138,8 @@ def test_criterion_06_dl_enumeration():
     points = dl_points(2, 2, 2, lines)
     ok = points == dl_points_by_enumeration(2, 2, 2) and len(points) == 6
     ok = ok and len(dl_points_by_enumeration(2, 2, 1)) == 0
-    fib = fiber_structure_check(2, 2, 2, points, lines)
-    ok = ok and fib["base_points_hit"] == 2 and fib["fiber_size"] == 3
+    fibers = line_fibers(2, 2, 2, points)
+    ok = ok and set(fibers) == set(lines) and [len(v) for v in fibers.values()] == [3, 3]
     mats = GLGroup(2, 2).elements
     triples = action_invariance_check(2, 2, 2, mats)
     ok = ok and triples == 6 * len(mats) * 3  # every point, all 18 (g, zeta) pairs

@@ -100,23 +100,20 @@ def dropped_census_line(monkeypatch):
 
 
 @pytest.mark.parametrize("doctor,failed", [
-    (dropped_generator, {"dl.action_invariance": "orbit of 2 points, count 6, |GL_n(F_q)| 6",
-                         "dl.fibers_m2": "fiber sizes [1] != gcd = 3"}),
+    (dropped_generator, {"dl.action_invariance": "orbit of 2 points, count 6, |GL_n(F_q)| 6"}),
     (zero_mu_generator, {"dl.action_invariance":
                          "the mu generator 0 is not a (q^n-1)-th root of unity"}),
     (rejecting_variety, {"dl.action_invariance": "1 of 6 orbit points off the variety"}),
-    (miscounted_census, {"dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6",
-                         "dl.fibers_m2": "2 lines hit, census 1"}),
+    (miscounted_census, {"dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6"}),
     (dropped_census_line, {"dl.base_points_m2": "count 3, base 1",
-                           "dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6",
-                           "dl.fibers_m2": "2 lines hit, census 1"}),
+                           "dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6"}),
 ])
 def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doctor, failed):
     doctor(monkeypatch)
     code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
     assert code == 1
     assert [c["name"] for c in report["checks"] if c["name"].startswith("dl.")] == [
-        "dl.base_points_m2", "dl.action_invariance", "dl.fibers_m2"]
+        "dl.base_points_m2", "dl.action_invariance"]
     assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == failed
 
 
@@ -127,9 +124,13 @@ def test_dl_count_names_a_census_point_off_the_variety(tmp_path, monkeypatch):
                         lambda amb, x: x != (3, 2) and honest(amb, x))
     code, report = run_cli(tmp_path, "dl", "count", "--q", "2", "--n", "2", "--m", "2",
                            "--list")
+    # only the points' own entry fails; the count and the Moebius check stay
     assert code == 1
-    assert report["checks"] == [{"name": "verification", "status": "fail",
-                                 "details": "1 of 6 census points off DL(F_4), first [3, 2]"}]
+    assert report["checks"] == [
+        {"name": "points_on_variety", "status": "fail",
+         "details": "1 of 6 census points off DL(F_4), first [3, 2]"},
+        {"name": "moebius_matches_enumeration", "status": "pass", "details": ""}]
+    assert report["results"] == {"q": 2, "n": 2, "m": 2, "count": 6, "base_count": 2}
 
 
 def affine_law_off_on_blocks_of(size):
@@ -294,7 +295,8 @@ def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry,
 
 def test_dl_fibers_is_no_command(capsys):
     # its fiber checks could not fail on census points; its per-point check
-    # is dl count --list's, and verify-all keeps dl.fibers_m<m> on the orbit
+    # is dl count --list's points_on_variety, and verify-all's
+    # dl.action_invariance implies the fibers over the lines
     with pytest.raises(SystemExit) as exc:
         main(["dl", "fibers", "--q", "2", "--n", "2", "--m", "2"])
     assert exc.value.code == 2
@@ -384,8 +386,8 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     # each command walks P^1(F_{q^2}) once: the line census; verify-all's
-    # fiber and action checks walk the orbit, and dl count --list reads its
-    # points off the census lines
+    # action check walks the orbit, and dl count --list reads its points off
+    # the census lines
     walks = Counter()
     honest = dl_variety._projective_reps
 
@@ -397,7 +399,7 @@ def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
     names = {c["name"] for c in report["checks"]}
-    assert {"dl.fibers_m2", "dl.action_invariance"} <= names
+    assert "dl.action_invariance" in names
     assert walks == {2: 1}
     walks.clear()
     code, report = run_cli(tmp_path, "dl", "count", "--list", "--q", str(q), "--n", str(n),
@@ -409,15 +411,16 @@ def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
 # sha256 of the sorted-key JSON of each report's results and checks
 # (config and version left out), frozen so that a refactor proves its
 # reports byte-identical; refrozen when the seven checks that no input
-# could fail left the report, each report otherwise unchanged
+# could fail left the report, and again when dl.fibers_m<m>, implied by
+# dl.action_invariance, left it, each report otherwise unchanged
 VERIFY_ALL_DIGESTS = {
-    (2, 2): "acc5e9c1c09945d4a6064e2c05a3dc66306b3240e82de04479bc923d7fdf2721",
-    (2, 3): "bd896c656dbffb5c730df0994423d7a2001c81a3ad09cc8c54c2423ab78866d6",
-    (3, 2): "e5ec7c138adf8efddefe106b2527bd10e8ea85166bf031a65a987ad269ef0697",
-    (4, 1): "79acde0528848887385afa69843497001a39074f4e36c0a2c81d7a2a52c85fb4",
-    (4, 2): "5a0ee023e2b2046761dc2b32962fd1f60febfdf15af05ff0d83b3109bfc2ebaf",
-    (5, 2): "b4e3d50f542d6d414897d6aacc645df669e41ff5e7b6be8c709024a1c40f539b",
-    (8, 1): "bc325794560d4df3e7256294f3dc35c1e3962d626c8725a9c169d785e7332ca1",
+    (2, 2): "d5e49237045c063a5b7a429c7da028e29f6e564a39b66473f95afa65c3275145",
+    (2, 3): "750c0aa27aab5562592687cdb775f836eed5281bc96c2bf2cef849603e7cc2d2",
+    (3, 2): "cd0f23a2b5b1b950ed7c95ed6f0ba0ebad4407b9c231330b0bc8a0515268d38b",
+    (4, 1): "0b33fac2d9504f501e19b8d700beea004e8e79f017a8781339bab4dd24377525",
+    (4, 2): "08ea7a85efe0e2dd48d7595e3be049bc01489479ac955f9d11a79c2fa1e8fdfb",
+    (5, 2): "7c77a98f1a7268f3fe89b15319c3f651b489705b74f813b26b24834ea4bbed7e",
+    (8, 1): "e6dc80ca01e27862b0fa5d182ef7c66e8181668fbb509d4d822d894803a464f0",
 }
 
 
@@ -487,7 +490,7 @@ def test_verify_all_grid_holds_the_frozen_configs():
 
 def verify_all_check_names(n, m):
     """The checks of a verify-all report at height n, in report order, with
-    the dl suite at level m: 20, or 21 with the iterated chart at n >= 3."""
+    the dl suite at level m: 19, or 20 with the iterated chart at n >= 3."""
     return [
         *(f"formal_module.{axiom}" for axiom in (
             "linear_part", "symmetry", "unit_section", "associativity", "scalar_one",
@@ -496,7 +499,7 @@ def verify_all_check_names(n, m):
         "depth0.chart_multiplicity",
         *(["depth0.iterated_multiplicities"] if n >= 3 else []),
         "depth0.un_equals_dl", "depth0.gl_linear_shadow",
-        f"dl.base_points_m{m}", "dl.action_invariance", f"dl.fibers_m{m}",
+        f"dl.base_points_m{m}", "dl.action_invariance",
         "chars.generic_count", "chars.orbit_maps_to_single_pi",
         "chars.bijection_onto_cuspidals",
     ]
@@ -505,7 +508,7 @@ def verify_all_check_names(n, m):
 @pytest.mark.parametrize("q,n", VERIFY_ALL_CONFIGS)
 def test_verify_all_grid_is_complete(tmp_path, q, n):
     # every accepted config ends with all four suites, omits no check, and
-    # runs the three dl checks at one level m, on |GL_n(F_q)| points
+    # runs the two dl checks at one level m, on |GL_n(F_q)| points
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
     results = report["results"]
@@ -567,20 +570,22 @@ def test_series_reports_hold_their_frozen_digests(tmp_path, argv):
 
 # (exit code, sha256 of the sorted-key JSON of the results and checks) of
 # the point-level dl reports, frozen from the reports made by enumerating
-# F_{q^m}^n, before the line census became their one path to DL points
+# F_{q^m}^n, before the line census became their one path to DL points;
+# refrozen when the points gained their own passing entry points_on_variety,
+# each report otherwise unchanged
 DL_REPORT_DIGESTS = {
     ("dl", "count", "--q", "2", "--n", "2", "--m", "2", "--list"):
-        (0, "634244f17e2add05765116e8988dad40a8bb5620db933cb6c44d9a4405db26c9"),
+        (0, "ac275c4b5c3e3e944aa25073bed12adc82e1748196788ed5ae3ab5ab2d6aee14"),
     ("dl", "count", "--q", "4", "--n", "2", "--m", "2", "--list"):
-        (0, "e75898a6dda45fe231a2ff1f247d53a2b091e0a38f457c5118f2d6cd2609d114"),
+        (0, "b569ad1d509ed2e40812a2ad55a842e3f37069668aaba05732fc9244abc188a9"),
     ("dl", "count", "--q", "2", "--n", "3", "--m", "3", "--list"):
-        (0, "3b0adf5b99523c8585e2517c49b4cffaebae11ce3f1fb6af6608a8610933fb70"),
+        (0, "3f7290564240b25f6fdc83cc89fc734fd573ba30bcf56d99738980582d967844"),
     ("dl", "count", "--q", "3", "--n", "2", "--m", "4", "--list"):
-        (0, "e7b9b7521e88767d0bba3981e606c2ee14db4e4ab801a5a8550c2e76af7985a5"),
+        (0, "5c0210b77c6cbe7b1745657bc46831c657a55558f61ad7e28e2818d5f79f9a8b"),
     ("dl", "count", "--q", "8", "--n", "2", "--m", "2", "--list"):
-        (0, "1f1682695a2efb016d034c350b276baff111501f7dc5bdbdf98a6caf3a84e247"),
+        (0, "7a53e6054647c68a04dcbd8546ba1e3c8b9bbb9cda40f2ef5e872ce5a49bea95"),
     ("dl", "count", "--q", "5", "--n", "2", "--m", "4", "--list"):
-        (0, "6c7b5811a3cdc0e49b5db66466e11b71d561776f17da5325199cdc0fb0bc071d"),
+        (0, "afed19e66782b5e39fe3ef9e963784be4990e415b0e144ee5af5bd8d6b8c7c72"),
 }
 
 
@@ -654,7 +659,7 @@ def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, docto
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["depth0.error", "dl.error", "chars.error"]
     assert len({c["details"] for c in failed}) == 1
-    needs_group = {"depth0.gl_linear_shadow", "dl.action_invariance", "dl.fibers_m3"}
+    needs_group = {"depth0.gl_linear_shadow", "dl.action_invariance"}
     assert [c for c in report["checks"] if c not in failed] == [
         c for c in clean["checks"]
         if c["name"] not in needs_group and not c["name"].startswith("chars.")]

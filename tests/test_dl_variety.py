@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from dl_oracles import (
     act,
@@ -5,6 +7,7 @@ from dl_oracles import (
     ambient_points,
     base_points,
     dl_points_by_enumeration,
+    line_fibers,
     mu_elements,
     twisted_count,
     twisted_fixed_count,
@@ -17,7 +20,6 @@ from ltdl.dl_variety import (
     base_points_moebius,
     dl_equation,
     dl_points,
-    fiber_structure_check,
     line_census,
     orbit_check,
     per_zeta_counts,
@@ -80,8 +82,7 @@ def census_points(q, n, m):
 
 
 def census_fibers(q, n, m):
-    lines = line_census(q, n, m)[2]
-    return fiber_structure_check(q, n, m, dl_points(q, n, m, lines), lines)
+    return line_fibers(q, n, m, census_points(q, n, m))
 
 
 def test_dl_points_22():
@@ -188,26 +189,37 @@ def test_orbit_check_reports_the_mu_generator_leaving_the_orbit(monkeypatch):
 
 @pytest.mark.parametrize("q,n,m", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (4, 2, 2)])
 def test_checks_on_a_given_point_list_match_their_own_enumeration(q, n, m):
-    # the checks on the census points against the same checks on the
-    # enumeration of F_{q^m}^n
-    lines = line_census(q, n, m)[2]
-    pts = dl_points(q, n, m, lines)
-    assert (fiber_structure_check(q, n, m, pts, lines)
-            == fiber_structure_check(q, n, m, dl_points_by_enumeration(q, n, m), lines))
+    # the fibers and the action check on the census points against the
+    # same on the enumeration of F_{q^m}^n
+    pts = census_points(q, n, m)
+    assert line_fibers(q, n, m, pts) == line_fibers(q, n, m, dl_points_by_enumeration(q, n, m))
     gens = GLGroup(q, n).generators
     assert (action_invariance_check(q, n, m, gens, points=pts)
             == action_invariance_check(q, n, m, gens))
 
 
 def test_fiber_structure():
-    rep = census_fibers(2, 2, 2)
-    assert rep["count"] == 6
-    assert rep["base_points_hit"] == 2
-    assert rep["fiber_size"] == 3
-    vac = census_fibers(2, 2, 1)
-    assert vac["vacuous"] and vac["count"] == 0
-    deg = census_fibers(2, 1, 2)
-    assert deg["fiber_size"] == 1
+    # DL(F_4) lies gcd(3, 3) = 3 points to a line over the 2 census lines;
+    # DL(F_2) is empty, and at n = 1 the one point is its own line
+    fibers = census_fibers(2, 2, 2)
+    assert set(fibers) == set(line_census(2, 2, 2)[2])
+    assert [len(points) for points in fibers.values()] == [3, 3]
+    assert census_fibers(2, 2, 1) == {}
+    assert list(census_fibers(2, 1, 2).values()) == [[(1,)]]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (4, 1)])
+def test_a_passing_orbit_check_fixes_the_fibers(q, n):
+    # what verify-all's dl.action_invariance implies: its orbit lies
+    # g = gcd(q^n - 1, q^m - 1) points to a line over exactly the
+    # residues[0] census lines, so no line check is needed besides it
+    m, (_, residues, lines) = rational_level(q, n)
+    g = gcd(q ** n - 1, q ** m - 1)
+    orbit, failure = orbit_check(q, n, m, GLGroup(q, n).generators, lines[0], g * residues[0])
+    assert failure is None
+    fibers = line_fibers(q, n, m, orbit)
+    assert len(fibers) == residues[0] and set(fibers) == set(lines)
+    assert {len(points) for points in fibers.values()} == {g}
 
 
 def test_twisted_counts():

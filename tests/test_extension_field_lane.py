@@ -2,7 +2,7 @@
 coefficient ring W(F_4) has two Teichmuller digits and the enumeration
 kernels go through genuine subfield embeddings."""
 
-from dl_oracles import base_points, dl_points_by_enumeration
+from dl_oracles import base_points, dl_points_by_enumeration, line_fibers
 
 from ltdl.depth0 import (
     blowup_chart,
@@ -14,7 +14,6 @@ from ltdl.dl_variety import (
     base_points_moebius,
     dl_equation,
     dl_points,
-    fiber_structure_check,
     line_census,
 )
 from ltdl.ffield import gaussian_binomial
@@ -54,10 +53,10 @@ def test_q4_fiber_structure_over_f16():
     # gcd(15, 15) = 15, and 12 * 15 = 180 points in total.
     assert (4 ** 4 - 1) // (4 ** 2 - 1) - gaussian_binomial(2, 1, 4) == 12
     lines = line_census(4, 2, 2)[2]
-    rep = fiber_structure_check(4, 2, 2, dl_points(4, 2, 2, lines), lines)
-    assert rep["count"] == 180
-    assert rep["base_points_hit"] == 12
-    assert rep["fiber_size"] == 15
+    fibers = line_fibers(4, 2, 2, dl_points(4, 2, 2, lines))
+    assert sum(len(points) for points in fibers.values()) == 180
+    assert len(fibers) == 12 and set(fibers) == set(lines)
+    assert {len(points) for points in fibers.values()} == {15}
     assert base_points_moebius(4, 2, 2) == 12
 
 
