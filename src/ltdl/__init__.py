@@ -28,7 +28,7 @@ from .errors import (
     PrecisionError,
     VerificationError,
 )
-from .ffield import FieldDesc, FieldElement, ff_make, field_for_order
+from .ffield import FieldDesc, ff_make, field_for_order
 from .formal_modules import (
     FormalModule,
     lubin_tate_module,
@@ -48,15 +48,15 @@ from .gl_characters import (
     steinberg,
 )
 from .series import SeriesRing, TruncatedSeries
-from .witt import BoundedPadic, PadicParams, WittElement, witt_ring
+from .witt import BoundedPadic, PadicParams, witt_ring
 
 __all__ = [
     "__version__",
     "BoundedPadic", "BudgetError", "ClassFunction", "CorrespondenceData",
     "CoxeterTorus", "CycloElement", "DenominatorOverflow", "FieldDesc",
-    "FieldElement", "FormalModule", "GLGroup", "IntegralityError",
+    "FormalModule", "GLGroup", "IntegralityError",
     "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
-    "TruncatedSeries", "VerificationError", "WittElement",
+    "TruncatedSeries", "VerificationError",
     "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
     "dl_correspondence", "dl_equation", "dl_points", "ff_make",

@@ -148,7 +148,7 @@ class RunConfig:
         file_vals = load_config_file(args.config) if getattr(args, "config", None) else {}
         merged = dict(self.DEFAULTS)
         for key, raw in file_vals.items():
-            k = {"N": "prec_n", "D": "prec_d"}.get(key, key)
+            k = {"N": "prec_n", "D": "prec_d"}.get(key, key.replace("-", "_"))
             merged[k] = self.file_value(k, raw)
         for key, value in vars(args).items():
             if key in ("command", "subcommand", "config"):

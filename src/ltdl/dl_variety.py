@@ -87,8 +87,7 @@ class Ambient:
                 f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
         self.base = base
         self.field = ff_make(base.p, base.f * m)
-        self.embed_map = [embed(base.from_int(k), self.field).canonical_int()
-                          for k in range(q)]
+        self.embed_map = [embed(k, base, self.field) for k in range(q)]
         self._embed_logs = [self.field.log[v] for v in self.embed_map[1:]]
 
     def product_of_forms(self, x):

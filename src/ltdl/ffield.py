@@ -62,11 +62,12 @@ def _decode(k, base, length):
 
 
 class FieldDesc:
-    """Description of F_{p^f}: modulus, generator, and the log/Zech kernel.
+    """Description of F_{p^f}: the modulus and the log/Zech kernel.
 
     The kernel methods (add, neg, sub, mul, inv, pow, zero, one) act on
-    canonical ints, which are also the raw coefficients of F_q series; its
-    arrays are built on first use, in O(q), from the generator.
+    canonical ints, the one form of a field value, which are also the raw
+    coefficients of F_q series; its arrays are built on first use, in O(q),
+    from the generator g, the root of the modulus.
     """
 
     def __init__(self, p, f, modulus):
@@ -74,12 +75,12 @@ class FieldDesc:
         self.f = f
         self.q = p ** f
         self.modulus = modulus  # ascending coeffs, length f+1, monic
-        self.generator = FieldElement(self, (-modulus[0]) % p if f == 1 else p)
         self._log_minus_one = (self.q - 1) // 2 if p > 2 else 0
 
     @cached_property
     def exp(self):
-        """exp[k] = g^k for 0 <= k < 2(q - 1), so a sum of two logs needs no %."""
+        """exp[k] = g^k for 0 <= k < 2(q - 1), so a sum of two logs needs no %;
+        exp[1] is the generator g, the root of the modulus."""
         p = self.p
         c = [1] + [0] * (self.f - 1)
         out = []
@@ -145,23 +146,13 @@ class FieldDesc:
     def __repr__(self):
         return f"GF({self.p}^{self.f})"
 
-    def elem(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.f:
-            raise ParameterError(f"need {self.f} coefficients, got {len(coeffs)}")
-        return FieldElement(self, _encode(coeffs, self.p))
+    def coords(self, a):
+        """The coordinates of a in the polynomial basis, (c_0, ..., c_{f-1})."""
+        return _decode(a, self.p, self.f)
 
-    def from_int(self, k):
-        """Decode the canonical integer encoding sum(c_i * p^i), k in [0, q)."""
-        return FieldElement(self, k % self.q)
-
-    def scalar(self, k):
-        """Image of the integer k under Z -> F_{p^f}."""
-        return FieldElement(self, k % self.p)
-
-    def elements(self):
-        """All field elements in canonical-integer order."""
-        return [FieldElement(self, k) for k in range(self.q)]
+    def from_coords(self, coords):
+        """The canonical int with the given coordinates, each reduced mod p."""
+        return _encode([c % self.p for c in coords], self.p)
 
     # -- as the coefficient ring of a series.SeriesRing, on canonical ints ----
 
@@ -178,63 +169,7 @@ class FieldDesc:
         return {"kind": "fq", "p": self.p, "f": self.f}
 
     def coeff_to_json(self, c):
-        return list(_decode(c, self.p, self.f))
-
-
-class FieldElement:
-    __slots__ = ("desc", "k")
-
-    def __init__(self, desc, k):
-        self.desc = desc
-        self.k = k  # canonical int
-
-    @property
-    def coeffs(self):
-        return _decode(self.k, self.desc.p, self.desc.f)
-
-    def _check(self, other):
-        if self.desc is not other.desc and self.desc != other.desc:
-            raise ParameterError("mixed finite fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.desc, self.desc.add(self.k, other.k))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.desc, self.desc.sub(self.k, other.k))
-
-    def __neg__(self):
-        return FieldElement(self.desc, self.desc.neg(self.k))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.desc, self.desc.mul(self.k, other.k))
-
-    def inv(self):
-        return FieldElement(self.desc, self.desc.inv(self.k))
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, e):
-        return FieldElement(self.desc, self.desc.pow(self.k, e))
-
-    def is_zero(self):
-        return not self.k
-
-    def canonical_int(self):
-        return self.k
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.desc == other.desc and self.k == other.k)
-
-    def __hash__(self):
-        return hash((self.desc.p, self.desc.f, self.k))
-
-    def __repr__(self):
-        return f"ff({self.k}/{self.desc.q})"
+        return list(self.coords(c))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +177,7 @@ def ff_make(p, f):
     """Deterministic construction of F_{p^f}.
 
     The modulus is the first primitive polynomial in the canonical coefficient
-    order; its root x is the stored generator (for f = 1 the generator is the
+    order; its root x is the generator exp[1] (for f = 1 the generator is the
     root -c_0, the largest primitive root mod p).
     """
     if not is_prime(p):
@@ -267,6 +202,14 @@ def field_for_order(q):
     raise ParameterError(f"q = {q} is not a prime power")
 
 
+def _evaluate(field, coeffs, x):
+    """sum c_i x^i in field, for coefficients c_i in its prime field F_p."""
+    out = 0
+    for c in reversed(coeffs):
+        out = field.add(field.mul(out, x), c)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _embedding_root(sub, sup):
     """Deterministic root of sub.modulus inside sup (smallest canonical int)."""
@@ -275,38 +218,21 @@ def _embedding_root(sub, sup):
     if sub.f == sup.f:
         if sub != sup:
             raise ParameterError("distinct field descriptions of equal degree")
-        return sub.generator
-    h = sup.generator ** ((sup.q - 1) // (sub.q - 1))
-    roots = []
-    cur = sup.from_int(1)
-    for _ in range(sub.q - 1):
-        val = sup.from_int(0)
-        power = sup.from_int(1)
-        for c in sub.modulus:
-            if c:
-                val = val + sup.scalar(c) * power
-            power = power * cur
-        if val.is_zero():
-            roots.append(cur)
-        cur = cur * h
+        return sub.exp[1]
+    # the roots lie in the subfield of order sub.q, whose units are the
+    # powers of g^((sup.q - 1) / (sub.q - 1))
+    step = (sup.q - 1) // (sub.q - 1)
+    roots = [r for r in sup.exp[:sup.q - 1:step] if not _evaluate(sup, sub.modulus, r)]
     if not roots:
         raise ParameterError(f"modulus of {sub} has no root in {sup}")
-    return min(roots, key=lambda r: r.canonical_int())
+    return min(roots)
 
 
-def embed(x, sup):
-    """Embed x in the larger field sup via the deterministic subfield embedding."""
-    sub = x.desc
+def embed(x, sub, sup):
+    """The image of x in sub under the deterministic subfield embedding into sup."""
     if sub == sup:
         return x
-    root = _embedding_root(sub, sup)
-    out = sup.from_int(0)
-    power = sup.from_int(1)
-    for c in x.coeffs:
-        if c:
-            out = out + sup.scalar(c) * power
-        power = power * root
-    return out
+    return _evaluate(sup, sub.coords(x), _embedding_root(sub, sup))
 
 
 def moebius(n):
@@ -335,8 +261,7 @@ def gaussian_binomial(n, d, q):
 
 class PrimeField:
     """Z/p on ints with the add/neg/sub/mul/inv of FieldDesc: the coefficient
-    field of the search that builds F_p itself, before any kernel exists, and
-    of `linalg.det` modulo a prime."""
+    field of the search that builds F_{p^f} itself, before any kernel exists."""
 
     def __init__(self, p):
         self.p = self.q = p

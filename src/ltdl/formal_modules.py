@@ -211,31 +211,17 @@ class FormalModule:
         # [1] is built as exp(log X) like every other integer scalar, so
         # the scalar_one axiom compares two computations
         self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
-        self._values = {}
         self._coefficients = {}
 
     # -- scalar series ---------------------------------------------------------
-
-    def scalar_value(self, key):
-        """The integer scalar ('int', k) as a BoundedPadic element, built
-        once per key (the values are never mutated, so callers share them).
-        Only integers have one: a Teichmuller scalar is zeta X over W/p^N."""
-        if key[0] != "int":
-            raise ParameterError(f"no p-adic value for scalar key {key!r}")
-        if key not in self._values:
-            self._values[key] = self.padic_params.from_int(key[1])
-        return self._values[key]
 
     def scalar_coefficient(self, key):
         """The scalar as a raw value of W/p^N, the coefficient ring of F,
         built once per key."""
         if key not in self._coefficients:
             witt = self.F.ring.domain
-            if key[0] == "teich":
-                value = witt.teichmuller(self.field.from_int(key[1])).value
-            else:
-                value = witt.from_int(self.scalar_value(key).to_witt(self.N))
-            self._coefficients[key] = value
+            self._coefficients[key] = (witt.teichmuller(key[1]) if key[0] == "teich"
+                                       else witt.from_int(key[1]))
         return self._coefficients[key]
 
     def scalar_series(self, key):
@@ -255,7 +241,7 @@ class FormalModule:
                     raise VerificationError(f"[p](zeta X) != zeta [p](X) for {key}")
             else:
                 padic = self.exp_series.substitute({"X": self.log_series.scale(
-                    self.scalar_value(key))})
+                    self.padic_params.from_int(key[1]))})
                 series = to_witt_series(padic, self.F.ring.domain).map_vars(self.x_ring)
             self._scalars[key] = series
         return self._scalars[key]
@@ -329,8 +315,7 @@ def scalar_key_product(field, k1, k2):
     if k1[0] == "int" and k2[0] == "int":
         return ("int", k1[1] * k2[1])
     if k1[0] == "teich" and k2[0] == "teich":
-        prod = field.from_int(k1[1]) * field.from_int(k2[1])
-        return normalize_scalar_key(field, ("teich", prod.canonical_int()))
+        return normalize_scalar_key(field, ("teich", field.mul(k1[1], k2[1])))
     if k1 == ("int", 1):
         return k2
     if k2 == ("int", 1):
@@ -379,13 +364,12 @@ def _finish_module(q, n, N, D, aux_vars, params, f_padic, lam):
     return FormalModule(q, n, N, D, aux_vars, params, f_padic, lam, exp, F, pi)
 
 
-def lubin_tate_module(q, n, N=8, D=None, v_max=None):
+def lubin_tate_module(q, n, N=8, D=None):
     """The base height-n module: [p] = f = pX + X^{q^n} over W(F_q)/p^N exactly."""
     D = default_degree(q, n) if D is None else D
     _check_build_params(q, n, D)
-    v_max = default_v_max(q, n, D) if v_max is None else v_max
     field = field_for_order(q)
-    params = PadicParams(field.p, N, v_max)
+    params = PadicParams(field.p, N, default_v_max(q, n, D))
     x_ring = SeriesRing(params, ("X",), D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
     lam = solve_log(f_padic)
@@ -396,7 +380,7 @@ def lubin_tate_module(q, n, N=8, D=None, v_max=None):
     return module
 
 
-def universal_module(q, n, N=8, D=None, v_max=None):
+def universal_module(q, n, N=8, D=None):
     """The universal deformation with [p] in Drinfeld normal form + corrections.
 
     The functional-equation logarithm keeps every coefficient integral; [p]
@@ -405,9 +389,8 @@ def universal_module(q, n, N=8, D=None, v_max=None):
     """
     D = default_degree(q, n) if D is None else D
     _check_build_params(q, n, D)
-    v_max = default_v_max(q, n, D) if v_max is None else v_max
     field = field_for_order(q)
-    params = PadicParams(field.p, N, v_max)
+    params = PadicParams(field.p, N, default_v_max(q, n, D))
     aux = tuple(f"T{i}" for i in range(1, n))
     x_ring = SeriesRing(params, ("X",) + aux, D)
     f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))

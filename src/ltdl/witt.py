@@ -3,10 +3,10 @@
 W(F_{p^f})/p^N is realized as (Z/p^N)[x]/(M(x)) for the integer lift M of the
 field modulus chosen by ff_make; any monic lift of an irreducible polynomial
 gives the unramified extension, and fixing this one keeps every value
-canonical.  Teichmuller digits are recovered by the x -> x^q fixed-point
-iteration, so the digit view and the polynomial view are interchangeable.
-The ring computes on raw values (coordinate tuples, or ints when f = 1);
-WittElement pairs one with its ring.
+canonical.  A value is raw: its coordinate tuple mod p^N, or an int mod p^N
+when f = 1.  Teichmuller lifts come from the x -> x^q fixed-point iteration,
+and a value's Teichmuller digits, which only JSON reports use, are read off
+by subtracting lifts and dividing by p.
 
 BoundedPadic elements are p^v * u in Q_p: an int unit u known modulo
 p^(abs - v), with explicit absolute precision abs, supporting division by p
@@ -35,8 +35,8 @@ class WittRing:
     """W(F_{p^f})/p^N on raw values, the f-tuples of coordinates mod p^N.
 
     The ring is the one implementation of the arithmetic on raw values
-    (zero, one, from_int, add, neg, mul): its series and WittElement
-    both call it.  `witt_ring` builds PrimeWittRing for f = 1.
+    (zero, one, from_int, add, neg, mul, pow), for its series and for the
+    Teichmuller lifts.  `witt_ring` builds PrimeWittRing for f = 1.
     """
 
     __slots__ = ("p", "f", "N", "pN", "field", "modulus")
@@ -105,46 +105,57 @@ class WittRing:
                     prod[k - f + j] -= c * self.modulus[j]
         return tuple(c % m for c in prod[:f])
 
+    def pow(self, a, e):
+        """a^e for e >= 0, by repeated squaring."""
+        result = self.one()
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
     def is_negligible(self, c):
         return not any(c)
 
     def residue(self, c):
         """The canonical int of c mod p in the residue field."""
-        return self.field.elem(self.coords(c)).k
+        return self.field.from_coords(self.coords(c))
 
     def descriptor(self):
         return {"kind": "witt", "p": self.p, "f": self.f, "N": self.N}
 
     def coeff_to_json(self, c):
-        return [list(d.coeffs) for d in WittElement(self, c).digits()]
-
-    # -- elements ----------------------------------------------------------------
-
-    def elem(self, coords):
-        """The element with the given coordinates, reduced mod p^N."""
-        return WittElement(self, self.from_coords(coords))
-
-    def naive_lift(self, a):
-        """Coefficientwise lift of a field element (not Teichmuller)."""
-        if a.desc != self.field:
-            raise ParameterError("field element from the wrong residue field")
-        return self.elem(a.coeffs)
+        return [self.field.coeff_to_json(d) for d in self.digits(c)]
 
     def teichmuller(self, a):
-        """The multiplicative lift: the unique x = a mod p with x^q = x.
-
-        Zero lifts to zero.
+        """The multiplicative lift of the residue a, a canonical int of the
+        residue field: the unique z = a mod p with z^q = z.  Zero lifts to zero.
         """
-        if a.desc != self.field:
-            raise ParameterError("field element from the wrong residue field")
-        if a.is_zero():
-            return WittElement(self, self.zero())
-        z = self.naive_lift(a)
+        if not a:
+            return self.zero()
+        q = self.field.q
+        z = self.from_coords(self.field.coords(a))
         for _ in range(self.N - 1):
-            z = z ** self.field.q
-        if z ** self.field.q != z:
+            z = self.pow(z, q)
+        if self.pow(z, q) != z:
             raise VerificationError("Teichmuller lift is not fixed by z -> z^q")
         return z
+
+    def digits(self, c):
+        """The N Teichmuller digits of c: canonical ints d_i of the residue
+        field with c = sum teich(d_i) p^i."""
+        ring, out = self, []
+        while True:
+            d = ring.residue(c)
+            out.append(d)
+            if ring.N == 1:
+                return out
+            coords = ring.coords(ring.add(c, ring.neg(ring.teichmuller(d))))
+            if any(x % ring.p for x in coords):
+                raise IntegralityError("digit remainder not divisible by p")
+            ring = witt_ring(ring.p, ring.f, ring.N - 1)
+            c = ring.from_coords(x // ring.p for x in coords)
 
 
 class PrimeWittRing(WittRing):
@@ -176,80 +187,6 @@ class PrimeWittRing(WittRing):
 
     def is_negligible(self, c):
         return not c
-
-
-class WittElement:
-    """An element of a WittRing: the ring and a raw value, with the ring's
-    arithmetic."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring, value):
-        self.ring = ring
-        self.value = value
-
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ParameterError("mixed Witt rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return WittElement(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WittElement(self.ring, self.ring.neg(self.value))
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ParameterError("negative powers of a Witt element")
-        r = self.ring
-        result, base = r.one(), self.value
-        while e:
-            if e & 1:
-                result = r.mul(result, base)
-            base = r.mul(base, base)
-            e >>= 1
-        return WittElement(r, result)
-
-    @property
-    def coeffs(self):
-        return self.ring.coords(self.value)
-
-    def reduce_mod_p(self):
-        """The residue in F_{p^f} (this is digit 0)."""
-        return self.ring.field.elem(self.coeffs)
-
-    def div_exact_p(self, k=1):
-        """Divide by p^k; every coefficient must be divisible."""
-        pk = self.ring.p ** k
-        if any(c % pk for c in self.coeffs):
-            raise IntegralityError("element not divisible by p^%d" % k)
-        return witt_ring(self.ring.p, self.ring.f, self.ring.N - k).elem(
-            c // pk for c in self.coeffs)
-
-    def digits(self):
-        """The N Teichmuller digits d_i with value = sum teich(d_i) p^i."""
-        out = []
-        cur = self
-        for i in range(self.ring.N):
-            d = cur.reduce_mod_p()
-            out.append(d)
-            if i < self.ring.N - 1:
-                cur = (cur - cur.ring.teichmuller(d)).div_exact_p()
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, WittElement)
-                and self.ring == other.ring and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.ring.p, self.ring.f, self.ring.N, self.value))
-
-    def __repr__(self):
-        return f"w{list(self.coeffs)}"
 
 
 class PadicParams:

@@ -85,7 +85,7 @@ def zeta_powers(amb, m):
     q, n, field = amb.q, amb.n, amb.field
     order, B, A = field.q - 1, q ** n - 1, q ** m - 1
     small = ff_make(amb.base.p, amb.base.f * m)
-    gamma = embed(small.from_int(small.exp[1]), field).canonical_int()
+    gamma = embed(small.exp[1], small, field)
     g = gcd(A, B)
     target = field.pow(gamma, A // g)
     zeta = next(z for s in range(1, B + 1) if gcd(s, B) == 1

@@ -781,6 +781,14 @@ def test_config_file_precedence(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["q"] == 2
+    # a key is its flag's name, dashes and all
+    cfg.write_text("depth-sequence=3,2\n")
+    code = main(["depth0", "chart", "--q", "2", "--n", "3", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["depth_sequence"] == "3,2"
+    assert report["results"]["iterated_valuations"] == [7, 3]
 
 
 def test_csv_point_dump(tmp_path):

@@ -18,7 +18,7 @@ from ltdl.ffield import (
 def test_f2_base_field():
     F2 = ff_make(2, 1)
     assert F2.modulus == (1, 1)  # x + 1
-    assert F2.generator.canonical_int() == 1
+    assert F2.exp[1] == 1
 
 
 def test_f4_unique_irreducible_quadratic():
@@ -36,73 +36,70 @@ def test_f4_unique_irreducible_quadratic():
     assert irred == [(1, 1, 1)]
     F4 = ff_make(2, 2)
     assert F4.modulus == (1, 1, 1)
-    assert F4.generator.coeffs == (0, 1)
+    assert F4.coords(F4.exp[1]) == (0, 1)
 
 
-def order_by_powering(a):
+def order_by_powering(F, a):
     """The least k >= 1 with a^k = 1, by repeated multiplication."""
-    one, cur, k = a.desc.from_int(1), a, 1
-    while cur != one:
-        cur, k = cur * a, k + 1
+    cur, k = a, 1
+    while cur != 1:
+        cur, k = F.mul(cur, a), k + 1
     return k
 
 
 def test_f3_generator_has_order_two():
     F3 = ff_make(3, 1)
-    g = F3.generator
-    assert g.canonical_int() == 2
+    g = F3.exp[1]
+    assert g == 2
     # Oracle: direct powering.
-    assert (g * g).canonical_int() == 1
-    assert order_by_powering(g) == 2
+    assert F3.mul(g, g) == 1
+    assert order_by_powering(F3, g) == 2
 
 
 def test_f4_x_times_x():
     F4 = ff_make(2, 2)
-    x = F4.generator
+    x = F4.exp[1]
     # Oracle: reduce x^2 mod x^2+x+1 by long division.
     quot, rem = poly_divmod(PrimeField(2), (0, 0, 1), (1, 1, 1))
     assert quot == (1,) and rem == (1, 1)
-    assert (x * x).coeffs == (1, 1)  # x + 1
+    assert F4.coords(F4.mul(x, x)) == (1, 1)  # x + 1
 
 
 def test_add_zero_and_field_axioms_randomized():
     rng = random.Random(20240811)
     for (p, f) in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1)]:
         F = ff_make(p, f)
-        els = F.elements()
+        add, mul = F.add, F.mul
         for _ in range(60):
-            a, b, c = (rng.choice(els) for _ in range(3))
-            assert a + F.from_int(0) == a
-            assert a * F.from_int(1) == a
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            if not a.is_zero():
-                assert a * a.inv() == F.from_int(1)
-
-
-def frobenius(a):
-    """x -> x^p, the arithmetic Frobenius over F_p."""
-    return a ** a.desc.p
+            a, b, c = (rng.randrange(F.q) for _ in range(3))
+            assert add(a, F.zero()) == a
+            assert mul(a, F.one()) == a
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, F.neg(a)) == 0
+            if a:
+                assert mul(a, F.inv(a)) == 1
 
 
 def test_frobenius_order_f():
+    # x -> x^p, the arithmetic Frobenius over F_p, has order f
     F9 = ff_make(3, 2)
-    for a in F9.elements():
-        assert frobenius(frobenius(a)) == a
+    for a in range(F9.q):
+        assert F9.pow(F9.pow(a, 3), 3) == a
     F8 = ff_make(2, 3)
-    for a in F8.elements():
-        assert frobenius(frobenius(frobenius(a))) == a
+    for a in range(F8.q):
+        assert F8.pow(F8.pow(F8.pow(a, 2), 2), 2) == a
         # frobenius is x -> x^p
-        assert frobenius(a) == a * a
+        assert F8.pow(a, 2) == F8.mul(a, a)
 
 
 def test_generator_is_primitive():
     for (p, f) in [(2, 2), (3, 2), (2, 3), (5, 1), (7, 1), (2, 4)]:
         F = ff_make(p, f)
-        assert order_by_powering(F.generator) == F.q - 1
+        assert order_by_powering(F, F.exp[1]) == F.q - 1
 
 
 def test_determinism_bit_identical():
@@ -110,7 +107,7 @@ def test_determinism_bit_identical():
     b = ff_make(3, 2)
     assert a is b  # cached
     # and value-level equality of a fresh reconstruction path
-    assert a.modulus == b.modulus and a.generator == b.generator
+    assert a.modulus == b.modulus and a.exp == b.exp
 
 
 def test_rejects_bad_parameters():
@@ -124,16 +121,9 @@ def test_rejects_bad_parameters():
         ff_make(1031, 2)  # 1031^2 > 2^20
 
 
-def test_mixed_field_arithmetic_rejected():
-    a = ff_make(2, 1).from_int(1)
-    b = ff_make(3, 1).from_int(1)
-    with pytest.raises(ParameterError):
-        a + b
-
-
 def test_inversion_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        ff_make(2, 2).from_int(0).inv()
+        ff_make(2, 2).inv(0)
 
 
 def test_field_for_order():
@@ -146,14 +136,16 @@ def test_field_for_order():
 def test_embedding_respects_arithmetic():
     sub = ff_make(2, 2)
     sup = ff_make(2, 4)
-    for a in sub.elements():
-        for b in sub.elements():
-            assert embed(a * b, sup) == embed(a, sup) * embed(b, sup)
-            assert embed(a + b, sup) == embed(a, sup) + embed(b, sup)
-    # the embedding respects the subfield: images satisfy x^4 = x
-    for a in sub.elements():
-        img = embed(a, sup)
-        assert img ** 4 == img
+    image = [embed(a, sub, sup) for a in range(sub.q)]
+    assert image[:2] == [0, 1]
+    for a in range(sub.q):
+        for b in range(sub.q):
+            assert image[sub.mul(a, b)] == sup.mul(image[a], image[b])
+            assert image[sub.add(a, b)] == sup.add(image[a], image[b])
+    # the embedding respects the subfield: images satisfy x^4 = x, and it
+    # is injective
+    assert all(sup.pow(img, 4) == img for img in image)
+    assert len(set(image)) == sub.q
 
 
 def test_gaussian_binomial():
@@ -227,6 +219,6 @@ FROZEN_COXETER = {
 def test_field_descriptions_frozen():
     for (p, f), (modulus, gen) in FROZEN_FIELDS.items():
         F = ff_make(p, f)
-        assert (F.modulus, F.generator.canonical_int()) == (modulus, gen), (p, f)
+        assert (F.modulus, F.exp[1]) == (modulus, gen), (p, f)
     for (q, n), poly in FROZEN_COXETER.items():
         assert primitive_poly_over(field_for_order(q), n) == poly, (q, n)

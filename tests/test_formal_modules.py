@@ -13,7 +13,7 @@ from ltdl.formal_modules import (
     verify_module_axioms,
 )
 from ltdl.series import SeriesRing, TruncatedSeries
-from ltdl.witt import WittElement, witt_ring
+from ltdl.witt import WittRing, witt_ring
 
 
 def binomial_series(ring, a, upto):
@@ -187,14 +187,10 @@ def test_parameter_guards():
 
 def test_scalar_values_are_built_once_per_key():
     m = lubin_tate_module(5, 2)
-    assert m.scalar_value(("int", 3)) is m.scalar_value(("int", 3))
     assert (m.scalar_coefficient(("teich", 2))
-            == witt_ring(5, 1, m.N).teichmuller(m.field.from_int(2)).value)
+            == witt_ring(5, 1, m.N).teichmuller(2))
     assert m.scalar_coefficient(("teich", 2)) is m.scalar_coefficient(("teich", 2))
-    # only integer scalars have a p-adic value
-    for key in [("teich", 2), ("root", 1)]:
-        with pytest.raises(ParameterError, match="no p-adic value"):
-            m.scalar_value(key)
+    assert m.scalar_coefficient(("int", -1)) == witt_ring(5, 1, m.N).from_int(-1)
 
 
 def invert_series_every_degree(lam, x_var="X"):
@@ -238,7 +234,7 @@ def teichmuller_by_exp_log(module, k):
     """Oracle for q = p, where zeta lies in Z_p: [zeta](X) = exp(zeta log X)
     over the p-adics, zeta taken at the working precision, then to W/p^N."""
     params = module.padic_params
-    zeta = witt_ring(module.p, 1, params.n_work).teichmuller(module.field.from_int(k)).value
+    zeta = witt_ring(module.p, 1, params.n_work).teichmuller(k)
     padic = module.exp_series.substitute(
         {"X": module.log_series.scale(params.from_int(zeta))})
     return to_witt_series(padic, module.F.ring.domain).map_vars(module.x_ring)
@@ -281,16 +277,16 @@ def test_teichmuller_scalars_are_endomorphisms_of_F(q, n):
                                          (lubin_tate_module, 5, 2), (universal_module, 3, 2)])
 def test_module_build_makes_no_witt_element(monkeypatch, builder, q, n):
     # the logarithm, exp, F and [p] are built over Q_p and embedded into
-    # W(F_q)/p^N as raw values: no Witt element is made on the way
+    # W(F_q)/p^N by from_int: no Teichmuller lift is made on the way
     made = []
-    honest = WittElement.__init__
-    monkeypatch.setattr(WittElement, "__init__",
-                        lambda self, ring, value: made.append(ring) or honest(self, ring, value))
+    honest = WittRing.teichmuller
+    monkeypatch.setattr(WittRing, "teichmuller",
+                        lambda self, a: made.append(a) or honest(self, a))
     m = builder(q, n)
     assert made == []
     # a Teichmuller scalar is the Witt ring's lift, which the count does see
     m.scalar_series(("teich", 2))
-    assert made
+    assert made == [2]
 
 
 def test_teichmuller_scalar_raises_when_it_does_not_commute_with_p():

@@ -221,10 +221,10 @@ def series_from_json(data):
     p = desc["p"]
     if desc["kind"] == "fq":
         dom = ff_make(p, desc["f"])
-        coeff = lambda c: dom.elem(tuple(c)).canonical_int()
+        coeff = dom.from_coords
     elif desc["kind"] == "witt":
         dom = witt_ring(p, desc["f"], desc["N"])
-        coeff = lambda c: from_digits(dom, [dom.field.elem(tuple(d)) for d in c]).value
+        coeff = lambda c: from_digits(dom, [dom.field.from_coords(d) for d in c])
     else:
         params = dom = PadicParams(p, desc["N"], desc["v_max"], pad=desc["n_work"] - desc["N"])
 
