@@ -42,7 +42,6 @@ from .gl_characters import (
     GLGroup,
     correspondence_report,
     dixon_table,
-    dl_correspondence,
     is_cuspidal,
     is_generic,
     steinberg,
@@ -59,7 +58,7 @@ __all__ = [
     "TruncatedSeries", "VerificationError",
     "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
-    "dl_correspondence", "dl_equation", "dl_points", "ff_make",
+    "dl_equation", "dl_points", "ff_make",
     "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "per_zeta_counts", "special_fiber_components",
     "steinberg", "stratum_membership", "un_special_fiber",

@@ -28,7 +28,6 @@ from .depth0 import (
     un_special_fiber,
 )
 from .dl_variety import (
-    DL_QN_BOUND,
     base_points_moebius,
     dl_equation,
     dl_points,
@@ -44,7 +43,7 @@ from .errors import (
     VerificationError,
     check_entry,
 )
-from .ffield import field_for_order
+from .ffield import MAX_DEGREE, field_for_order
 from .formal_modules import (
     default_degree,
     lubin_tate_module,
@@ -61,8 +60,12 @@ from .gl_characters import (
 from .linalg import MAX_GROUP_ORDER, group_order, index_vectors
 
 SCHEMA_VERSION = 1
+# size limits, each checked once in RunConfig.validate()
 CHART_QN_BOUND = 64
 CHART_MONOMIAL_BOUND = 2000
+DL_QN_BOUND = 2 ** 20
+AMBIENT_FIELD_BOUND = 4096
+POINT_BUDGET = 10 ** 8
 
 
 def _common_flags(parser):
@@ -119,75 +122,89 @@ def build_parser():
     return parser
 
 
-def load_config_file(path):
-    out = {}
+def load_config_file(path, parser):
+    """The flags that the `key=value` lines of the config file at `path` set
+    on `parser`, the running command's subparser: `--key=value`, or for a
+    switch (a flag that stores true) the bare `--key` when the value is true
+    and nothing when it is false."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    switches = {flag for action in parser._actions if action.nargs == 0 and action.const is True
+                for flag in action.option_strings}
+    flags = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParameterError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise ParameterError("config file: argument --config: a config file names no other")
+        flag = "--" + key
+        if flag not in switches:
+            flags.append(f"{flag}={value}")
+        elif value.lower() not in ("true", "false"):
+            raise ParameterError(f"config file: argument {flag}: {value!r} is not true or false")
+        elif value.lower() == "true":
+            flags.append(flag)
+    return flags
+
+
+def with_config_file(parser, argv, args):
+    """`args` with the flags of its `--config` file: the running command's
+    subparser parses them, then the command line's flags of `argv` again,
+    so that flags > file > defaults follows from argparse's last-wins rule.
+
+    The command line has parsed on its own, so a flag that the subparser
+    refuses now comes from the file: a key that is no flag of this command,
+    or a value that its flag does not take.  It is a ParameterError with
+    argparse's message, which names the flag.
+    """
+    words = [args.command] + ([args.subcommand] if getattr(args, "subcommand", None) else [])
+    for word in words:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[word]
+    # the parsers above the command's take no flag but --help and --version,
+    # which exit, so argv starts with the command's words
+    flags = load_config_file(args.config, parser) + argv[len(words):]
+    parser.exit_on_error = False  # a refused flag raises ArgumentError
+    try:
+        extra = parser.parse_known_args(flags, args)[1]
+    except argparse.ArgumentError as exc:
+        raise ParameterError(f"config file: {exc}") from None
+    if extra:
+        raise ParameterError(f"config file: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 class RunConfig:
-    INT_KEYS = {"q", "n", "m", "prec_n", "prec_d"}
-    SWITCHES = {"timing", "universal", "list"}
     DEFAULTS = {"q": 2, "n": 2, "m": 2, "format": "json",
                 "timing": False, "universal": False, "list": False,
                 "out": None, "depth_sequence": None}
 
     def __init__(self, args):
-        file_vals = load_config_file(args.config) if getattr(args, "config", None) else {}
-        merged = dict(self.DEFAULTS)
-        for key, raw in file_vals.items():
-            k = {"N": "prec_n", "D": "prec_d"}.get(key, key.replace("-", "_"))
-            merged[k] = self.file_value(k, raw)
-        for key, value in vars(args).items():
-            if key in ("command", "subcommand", "config"):
-                continue
-            if value is not None:
-                merged[key] = value
         self.command = args.command
         self.subcommand = getattr(args, "subcommand", None)
-        self.values = merged
-        self.q = merged.get("q", 2)
-        self.n = merged.get("n", 2)
-        self.m = merged.get("m", 2)
+        self.values = merged = {**self.DEFAULTS,
+                                **{k: v for k, v in vars(args).items() if v is not None}}
+        self.q, self.n, self.m = merged["q"], merged["n"], merged["m"]
         self.prec_n = 8 if merged.get("prec_n") is None else merged["prec_n"]
         self.prec_d = merged.get("prec_d")  # None = default q^n + q
         self.validate()
 
-    @classmethod
-    def file_value(cls, key, raw):
-        """A config-file value, checked as its flag would check it."""
-        if key in cls.INT_KEYS:
-            try:
-                return int(raw)
-            except ValueError:
-                raise ParameterError(f"config value {key}={raw!r} is not an integer") from None
-        if key in cls.SWITCHES:
-            if raw.lower() not in ("true", "false"):
-                raise ParameterError(f"config value {key}={raw!r} is not true or false")
-            return raw.lower() == "true"
-        if key == "format" and raw not in ("json", "csv"):
-            raise ParameterError(f"config value format={raw!r} is not json or csv")
-        if key not in cls.DEFAULTS:
-            raise ParameterError(f"config key {key!r} is not a flag")
-        return raw
-
     def validate(self):
-        q, n = self.q, self.n
+        """Refuse the config before any handler runs: a ParameterError (exit
+        2) for a parameter out of range, then a BudgetError (exit 3) for a
+        size limit of the run.  Library functions keep only the limits of
+        their representation."""
+        q, n, m = self.q, self.n, self.m
         if q < 2 or n < 1:
             raise ParameterError("need q >= 2 and n >= 1")
-        field_for_order(q)  # raises ParameterError if q is not a prime power
+        field = field_for_order(q)  # raises ParameterError if q is not a prime power
         if self.command in ("formal-group", "depth0", "verify-all"):
             if q ** n > CHART_QN_BOUND:
                 raise ParameterError(
@@ -199,8 +216,8 @@ class RunConfig:
                     f"variables exceed the chart budget {CHART_MONOMIAL_BOUND}")
         if self.command == "dl" and q ** n > DL_QN_BOUND:
             raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
-        if self.command == "dl" and self.m < 1:
-            raise ParameterError(f"extension degree m = {self.m} must be >= 1")
+        if self.command == "dl" and m < 1:
+            raise ParameterError(f"extension degree m = {m} must be >= 1")
         if self.command == "verify-all" and group_order(q, n) > MAX_GROUP_ORDER:
             raise ParameterError("|GL_n(F_q)| exceeds the character-table budget")
         if self.prec_n < 1 or (self.prec_d is not None and self.prec_d < 2):
@@ -209,6 +226,16 @@ class RunConfig:
         seq_text = self.values.get("depth_sequence")
         if self.command == "depth0" and self.subcommand == "chart" and seq_text:
             self.depth_sequence = checked_depth_sequence(seq_text, n)
+        if self.command == "dl" and self.subcommand == "count":
+            # the census walks P^{n-1}(F_{q^m}) in tables of F_{q^m}
+            if field.f * m > MAX_DEGREE:
+                raise BudgetError(f"ambient field degree {field.f * m} exceeds {MAX_DEGREE}")
+            if q ** m > AMBIENT_FIELD_BOUND:
+                raise BudgetError(f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
+            if q ** (m * n) > POINT_BUDGET:
+                raise BudgetError("projective enumeration over budget")
+        if self.command == "chars" and group_order(q, n) > MAX_GROUP_ORDER:
+            raise BudgetError(f"|GL_{n}(F_{q})| exceeds {MAX_GROUP_ORDER}")
 
     def echo(self):
         keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing",
@@ -494,25 +521,24 @@ def emit(report, cfg):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        if args.config:
+            args = with_config_file(parser, argv, args)
         cfg = RunConfig(args)
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        results, checks = HANDLERS[cfg.command](cfg)
+        try:
+            results, checks = HANDLERS[cfg.command](cfg)
+        except VerificationError as exc:
+            results, checks = {}, [check_entry("verification", False, exc)]
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        results = {}
-        checks = [check_entry("verification", False, exc)]
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

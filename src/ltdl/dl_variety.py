@@ -20,8 +20,8 @@ deterministic (lexicographic) and exact.
 from itertools import product
 from math import gcd
 
-from .errors import BudgetError, ParameterError, VerificationError
-from .ffield import MAX_DEGREE, embed, ff_make, field_for_order, gaussian_binomial
+from .errors import VerificationError
+from .ffield import embed, ff_make, field_for_order, gaussian_binomial
 from .linalg import (
     group_order,
     index_vectors,
@@ -29,10 +29,6 @@ from .linalg import (
     vec_mul,
 )
 from .series import SeriesRing, product_over
-
-POINT_BUDGET = 10 ** 8
-DL_QN_BOUND = 2 ** 20
-AMBIENT_FIELD_BOUND = 4096
 
 
 class DLInstance:
@@ -52,8 +48,6 @@ def dl_equation(q, n):
     The product is Galois-stable, so its coefficients lie in the prime
     field; this is asserted rather than assumed.
     """
-    if q ** n > DL_QN_BOUND:
-        raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
     field = field_for_order(q)
     ring = SeriesRing(field, tuple(f"X{i}" for i in range(1, n + 1)), q ** n + 1)
     forms = index_vectors(field, n)
@@ -79,12 +73,6 @@ class Ambient:
         self.n = n
         self.m = m
         base = field_for_order(q)
-        if base.f * m > MAX_DEGREE:
-            raise BudgetError(
-                f"ambient field degree {base.f * m} exceeds {MAX_DEGREE}")
-        if q ** m > AMBIENT_FIELD_BOUND:
-            raise BudgetError(
-                f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
         self.base = base
         self.field = ff_make(base.p, base.f * m)
         self.embed_map = [embed(k, base, self.field) for k in range(q)]
@@ -191,8 +179,6 @@ def _projective_reps(amb):
     """First-nonzero-coordinate-1 representatives of P^{n-1}(F_{q^m})."""
     Q = amb.field.q
     n = amb.n
-    if Q ** n > POINT_BUDGET:
-        raise BudgetError("projective enumeration over budget")
     for lead in range(n):
         for t in product(range(Q), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + t

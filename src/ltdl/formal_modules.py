@@ -34,8 +34,6 @@ from .ffield import field_for_order
 from .series import SeriesRing, TruncatedSeries
 from .witt import PadicParams, witt_ring
 
-MAX_QN = 512
-
 
 def default_degree(q, n):
     return q ** n + q
@@ -328,8 +326,6 @@ def scalar_key_product(field, k1, k2):
 def _check_build_params(q, n, D):
     if n < 1:
         raise ParameterError("height must be >= 1")
-    if q ** n > MAX_QN:
-        raise ParameterError(f"q^n = {q ** n} exceeds the supported bound {MAX_QN}")
     if D <= q ** n:
         raise ParameterError(f"degree bound {D} must exceed q^n = {q ** n}")
 

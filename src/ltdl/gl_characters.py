@@ -928,18 +928,6 @@ class CorrespondenceData:
         self.cuspidal_indices = [i for i, f in enumerate(self.table.cuspidal_flags) if f]
 
 
-def dl_correspondence(data, j):
-    """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic)."""
-    group = data.group
-    if not is_generic(group.q, group.n, j):
-        raise ParameterError(f"theta_{j} is not generic")
-    matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j))
-    failure = _match_failure(matches, j)
-    if failure:
-        raise VerificationError(failure)
-    return matches[0]
-
-
 def _cuspidal_matches(data, ind):
     """Every cuspidal pi with pi * St = ind, compared class by class.
 

@@ -13,7 +13,8 @@ from math import gcd
 
 from gl_oracles import vec_mat
 
-from ltdl.dl_variety import POINT_BUDGET, Ambient
+from ltdl.cli import POINT_BUDGET
+from ltdl.dl_variety import Ambient
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
 from ltdl.linalg import projective_representative

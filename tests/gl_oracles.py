@@ -8,14 +8,22 @@ oracle for the closure's sparse generator products, the per-class
 multiplicity lift for the lift once per rational class, and `verify_table`,
 the exact orthonormality check in Z[zeta], for the Gram matrix modulo a
 split prime.  The norm-kernel genericity test is the oracle for the
-Frobenius-period test of `is_generic`.
+Frobenius-period test of `is_generic`, and `dl_correspondence`, the match of
+one theta, for the per-orbit matches of `correspondence_report`.
 """
 
 from itertools import product
 from math import gcd, lcm
 
 from ltdl.cyclo import CycloElement, dot
-from ltdl.gl_characters import compositions
+from ltdl.errors import ParameterError, VerificationError
+from ltdl.gl_characters import (
+    _cuspidal_matches,
+    _match_failure,
+    compositions,
+    induce_from_torus,
+    is_generic,
+)
 from ltdl.linalg import identity
 
 
@@ -203,3 +211,15 @@ def is_cuspidal_by_radicals(group, chi):
         if not total.is_zero():
             return False
     return True
+
+
+def dl_correspondence(data, j):
+    """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic)."""
+    group = data.group
+    if not is_generic(group.q, group.n, j):
+        raise ParameterError(f"theta_{j} is not generic")
+    matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j))
+    failure = _match_failure(matches, j)
+    if failure:
+        raise VerificationError(failure)
+    return matches[0]

@@ -16,6 +16,7 @@ from dl_oracles import (
     dl_points_by_enumeration,
     line_fibers,
 )
+from gl_oracles import dl_correspondence
 
 from ltdl.cli import main as cli_main
 from ltdl.cyclo import CycloElement
@@ -37,7 +38,6 @@ from ltdl.gl_characters import (
     CorrespondenceData,
     GLGroup,
     correspondence_report,
-    dl_correspondence,
     induce_from_torus,
     is_generic,
 )

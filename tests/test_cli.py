@@ -293,6 +293,33 @@ def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry,
         {"name": entry, "status": "fail", "details": details}]
 
 
+def test_a_generic_orbit_left_out_fails_generic_count(tmp_path, monkeypatch):
+    # is_generic doctored to refuse theta_1 and theta_3, the Frobenius orbit
+    # {1, 3} at (3, 2); the table and the torus build as before.  Refusing
+    # theta_1 alone fails nothing, since the orbit walk j -> jq from theta_3
+    # puts it back
+    code, clean = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    assert code == 0
+    honest = gl_characters.is_generic
+    monkeypatch.setattr(gl_characters, "is_generic",
+                        lambda q, n, j: honest(q, n, j) and j != 1)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    assert (code, report["checks"]) == (0, clean["checks"])
+    monkeypatch.setattr(gl_characters, "is_generic",
+                        lambda q, n, j: honest(q, n, j) and j not in (1, 3))
+    code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [
+        {"name": "chars.generic_count", "status": "fail",
+         "details": "4 generic characters (Moebius: 6)"},
+        {"name": "chars.bijection_onto_cuspidals", "status": "fail",
+         "details": "images [2, 4], cuspidals [2, 3, 4]"}]
+    assert [c for c in report["checks"] if c not in failed] == [
+        c for c in clean["checks"]
+        if c["name"] not in ("chars.generic_count", "chars.bijection_onto_cuspidals")]
+
+
 def test_dl_fibers_is_no_command(capsys):
     # its fiber checks could not fail on census points; its per-point check
     # is dl count --list's points_on_variety, and verify-all's
@@ -681,13 +708,57 @@ def test_chart_monomial_budget_exit_2(capsys):
 
 def test_bad_config_file_values_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for text, message in [("q=abc\n", "config value q='abc' is not an integer"),
-                          ("n=2\nformat=xml\n", "config value format='xml' is not json or csv"),
-                          ("timing=yes\n", "config value timing='yes' is not true or false"),
-                          ("jobs=4\n", "config key 'jobs' is not a flag")]:
+    for text, message in [
+            ("q=abc\n", "argument --q: invalid int value: 'abc'"),
+            ("n=2\nformat=xml\n",
+             "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+            ("timing=yes\n", "argument --timing: 'yes' is not true or false"),
+            ("jobs=4\n", "unrecognized arguments: --jobs=4")]:
         cfg.write_text(text)
         assert main(["dl", "count", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert capsys.readouterr().err == f"parameter error: config file: {message}\n"
+
+
+@pytest.mark.parametrize("text,flags,message", [
+    ("universal=true", ["--universal"], "unrecognized arguments: --universal=true"),
+    ("universal=false", ["--universal=false"], "unrecognized arguments: --universal=false"),
+    ("depth-sequence=9,9", ["--depth-sequence", "9,9"],
+     "unrecognized arguments: --depth-sequence=9,9"),
+    ("N=6\nlist=maybe", ["--list=maybe"], "argument --list: 'maybe' is not true or false"),
+    ("help=true", ["--help=true"], "argument -h/--help: ignored explicit argument 'true'"),
+    ("config=other.cfg", None, "argument --config: a config file names no other"),
+], ids=["switch-of-another-command", "switch-set-false", "flag-of-another-command",
+        "bad-switch-value", "help", "config"])
+def test_config_file_keys_are_the_running_commands_flags(tmp_path, capsys, text, flags,
+                                                         message):
+    # the running subparser parses the file's flags, so a key exits 2 where
+    # its flag on the command line does
+    argv = ["dl", "count", "--q", "2", "--n", "2"]
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"parameter error: config file: {message}\n")
+
+
+def test_config_file_switches_and_flags_of_the_running_command(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "points.csv"
+    cfg.write_text("# a comment\n\nq = 2\nlist=TRUE\ntiming=false\nformat=csv\n"
+                   f"out={out}\n")
+    assert main(["dl", "count", "--n", "2", "--m", "2", "--config", str(cfg)]) == 0
+    assert out.read_text().splitlines()[0] == "x1,x2"
+    # a switch set to false adds nothing, so the command line's switch holds
+    cfg.write_text("list=false\nq=3\n")
+    code, report = run_cli(tmp_path, "dl", "count", "--list", "--config", str(cfg),
+                           "--q", "2", "--m", "2")
+    assert code == 0
+    assert report["config"]["list"] is True and report["config"]["q"] == 2
+    assert len(report["results"]["points"]) == 6
 
 
 @pytest.mark.parametrize("subcommand", ["count"])
@@ -716,6 +787,47 @@ def test_ambient_degree_is_refused_before_its_size(capsys):
     # F_{64^126} has degree 756 over F_2; its size has 228 digits
     assert main(["dl", "count", "--q", "64", "--n", "1", "--m", "126"]) == 3
     assert capsys.readouterr().err == "budget exceeded: ambient field degree 756 exceeds 8\n"
+
+
+# each size limit refuses in RunConfig.validate(), before any handler runs;
+# the configs inside it beside each refused one run to a complete report
+SIZE_LIMITS = [
+    ("dl count --q 2 --n 2 --m 9", "ambient field degree 9 exceeds 8",
+     "dl count --q 2 --n 2 --m 8"),
+    ("dl count --q 64 --n 1 --m 126", "ambient field degree 756 exceeds 8",
+     "dl count --q 64 --n 1 --m 1"),
+    ("dl count --q 3 --n 2 --m 8", "ambient field size 6561 exceeds 4096",
+     "dl count --q 3 --n 2 --m 7"),
+    ("dl count --q 4099 --n 1 --m 1", "ambient field size 4099 exceeds 4096",
+     "dl count --q 4093 --n 1 --m 1"),
+    ("dl count --q 2 --n 4 --m 8", "projective enumeration over budget",
+     "dl count --q 2 --n 4 --m 6"),
+    ("dl count --q 3 --n 3 --m 6", "projective enumeration over budget",
+     "dl count --q 3 --n 3 --m 5"),
+    ("chars table --q 32 --n 2", "|GL_2(F_32)| exceeds 30000",
+     "chars steinberg --q 13 --n 2"),
+    ("chars steinberg --q 2 --n 5", "|GL_5(F_2)| exceeds 30000",
+     "chars steinberg --q 2 --n 4"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [pytest.param(a, m, id=a) for a, m, _ in SIZE_LIMITS])
+def test_size_limits_refuse_before_any_handler(argv, message, monkeypatch, capsys):
+    def no_handler(cfg):
+        raise AssertionError(f"the {cfg.command} handler ran for a refused config")
+
+    with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
+        RunConfig(build_parser().parse_args(argv.split()))
+    monkeypatch.setattr(cli, "HANDLERS", {name: no_handler for name in cli.HANDLERS})
+    assert main(argv.split()) == 3
+    assert capsys.readouterr() == ("", f"budget exceeded: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [inside for _, _, inside in SIZE_LIMITS])
+def test_configs_inside_the_size_limits_run(tmp_path, argv):
+    code, report = run_cli(tmp_path, *argv.split())
+    assert code == 0
+    assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_malformed_flags_never_exit_zero():

@@ -25,7 +25,7 @@ from ltdl.dl_variety import (
     per_zeta_counts,
     rational_level,
 )
-from ltdl.errors import BudgetError, ParameterError
+from ltdl.errors import ParameterError
 from ltdl.ffield import field_for_order
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import identity
@@ -343,10 +343,3 @@ def test_orbit_partition():
     assert sum(orbits) == 6
     for size in orbits:
         assert (6 * 3) % size == 0
-
-
-def test_budget_guards():
-    with pytest.raises(BudgetError):
-        line_census(2, 4, 8)  # 2^32 vectors exceed the line walk's budget
-    with pytest.raises(BudgetError):
-        line_census(3, 2, 8)  # ambient field 3^8 = 6561 over the table bound

@@ -182,7 +182,7 @@ def test_parameter_guards():
     with pytest.raises(ParameterError):
         lubin_tate_module(2, 1, D=2)
     with pytest.raises(ParameterError):
-        lubin_tate_module(2, 10)
+        lubin_tate_module(2, 0)
 
 
 def test_scalar_values_are_built_once_per_key():

@@ -7,6 +7,7 @@ from math import isqrt, lcm
 import pytest
 from gl_oracles import (
     closure_by_products,
+    dl_correspondence,
     is_cuspidal_by_radicals,
     is_generic_by_norm_kernels,
     lift_per_class,
@@ -29,7 +30,6 @@ from ltdl.gl_characters import (
     GLGroup,
     correspondence_report,
     dixon_table,
-    dl_correspondence,
     frobenius_orbits,
     generic_character_count,
     induce_from_torus,

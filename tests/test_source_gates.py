@@ -126,3 +126,32 @@ def test_cli_catches_verification_errors_only_on_its_entry_paths():
                     or catching & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
                 found.add(getattr(top, "name", "<module>"))
     assert found == {"identity_entry", "suite", "main"}
+
+
+def raise_sites(path, exception):
+    """`<module>.<qualified name of the enclosing definition>` of every
+    `raise exception(...)` or `raise exception` in the module at `path`."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    sites = set()
+    stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                raised = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(raised, ast.Name) and raised.id == exception:
+                    sites.add(scope)
+            stack.append((child, f"{scope}.{child.name}" if isinstance(child, defs) else scope))
+    return sites
+
+
+def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
+    # RunConfig.validate() refuses a config by its size before any handler
+    # runs; a library function keeps only the limits of its representation,
+    # of which GLGroup's bound on its element list is the one that raises
+    # BudgetError, so no library cost check grows back
+    sites = set()
+    for path in sorted(Path(ltdl.__file__).parent.glob("*.py")):
+        sites |= raise_sites(path, "BudgetError")
+    assert "cli.RunConfig.validate" in sites
+    assert {s for s in sites if not s.startswith("cli.")} == {"gl_characters.GLGroup.__init__"}
