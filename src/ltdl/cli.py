@@ -87,16 +87,17 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ltdl")
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
+    # every command's parser shares the one set of common flag actions
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common)
 
-    fg = top.add_parser("formal-group", help="build a module and dump F, [a]")
-    _common_flags(fg)
+    fg = top.add_parser("formal-group", parents=[common], help="build a module and dump F, [a]")
     fg.add_argument("--universal", action="store_true", default=None)
 
     d0 = top.add_parser("depth0", help="deformation-space computations")
     d0_sub = d0.add_subparsers(dest="subcommand", required=True)
     for name in ("equation", "chart", "strata"):
-        sub = d0_sub.add_parser(name)
-        _common_flags(sub)
+        sub = d0_sub.add_parser(name, parents=[common])
         if name == "chart":
             sub.add_argument("--depth-sequence", default=None,
                              help="comma-separated strictly decreasing sequence")
@@ -104,8 +105,7 @@ def build_parser():
     dl = top.add_parser("dl", help="Deligne-Lusztig variety computations")
     dl_sub = dl.add_subparsers(dest="subcommand", required=True)
     for name in ("equation", "count"):
-        sub = dl_sub.add_parser(name)
-        _common_flags(sub)
+        sub = dl_sub.add_parser(name, parents=[common])
         if name == "count":
             sub.add_argument("--list", action="store_true", default=None,
                              help="dump points (csv format supported)")
@@ -113,11 +113,9 @@ def build_parser():
     ch = top.add_parser("chars", help="GL_n(F_q) character theory")
     ch_sub = ch.add_subparsers(dest="subcommand", required=True)
     for name in ("table", "steinberg", "correspondence"):
-        sub = ch_sub.add_parser(name)
-        _common_flags(sub)
+        ch_sub.add_parser(name, parents=[common])
 
-    va = top.add_parser("verify-all", help="run every verification suite")
-    _common_flags(va)
+    top.add_parser("verify-all", parents=[common], help="run every verification suite")
     return parser
 
 

@@ -7,7 +7,6 @@ operation.  Used for character values, where conjugation (z -> z^{-1}) and
 exact inner products, reduced once per sum by `dot`, are the workhorses.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -48,16 +47,24 @@ def _poly_divmod_monic(num, den):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """Coefficients (ascending, integer) of the m-th cyclotomic polynomial."""
+    """Coefficients (ascending, integer) of the m-th cyclotomic polynomial.
+
+    For p the least prime factor of m = p k: Phi_m(x) = Phi_k(x^p) when p
+    divides k (so Phi_m(x) = Phi_rad(m)(x^(m / rad m))), and Phi_k(x^p) /
+    Phi_k(x) otherwise, one exact division per prime factor of m.
+    """
     if m < 1:
         raise ParameterError("conductor must be >= 1")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            quot, rem = _poly_divmod_monic(poly, cyclotomic_poly(d))
-            if rem:
-                raise VerificationError(f"Phi_{d} does not divide x^{m} - 1")
-            poly = quot
+    if m == 1:
+        return (-1, 1)
+    p = next(p for p in range(2, m + 1) if m % p == 0)
+    inner = cyclotomic_poly(m // p)
+    poly = [0] * (p * (len(inner) - 1) + 1)  # Phi_k(x^p)
+    poly[::p] = inner
+    if (m // p) % p:
+        poly, rem = _poly_divmod_monic(poly, inner)
+        if rem:
+            raise VerificationError(f"Phi_{m // p}(x) does not divide Phi_{m // p}(x^{p})")
     return tuple(poly)
 
 
@@ -210,10 +217,9 @@ class CycloElement:
 
     def __eq__(self, other):
         if not isinstance(other, CycloElement):
-            if isinstance(other, (int, Fraction)):
-                other = CycloElement.rational(other)
-            else:
+            if not hasattr(other, "denominator"):  # a rational: an int or a Fraction
                 return NotImplemented
+            other = CycloElement.rational(other)
         a, b = CycloElement.common(self, other)
         return a.coeffs == b.coeffs
 

@@ -33,13 +33,12 @@ ell' = 1 mod E above |G| (d_max^2 + 1), which forces it in Z[zeta_E]
 pi * St with Ind theta by scaling pi's integer coordinates.
 """
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 
-from .cyclo import CycloElement, dot
+from .cyclo import CycloElement
 from .errors import BudgetError, ParameterError, VerificationError, check_entry
 from .ffield import (
     field_for_order,
@@ -376,13 +375,6 @@ class ClassFunction:
     def scale(self, r):
         return ClassFunction(self.group, [v * r for v in self.values])
 
-    def inner(self, other):
-        """<self, other>_G; the exact sum is divided by |G| once, at the end."""
-        m = lcm(self.m, other.m)
-        total = dot(m, self.group.class_sizes, [a.coerce(m) for a in self.values],
-                    [b.coerce(m).conj() for b in other.values])
-        return Fraction(total.as_rational(), self.group.order)
-
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
                 and all(a == b for a, b in zip(self.values, other.values)))
@@ -439,18 +431,19 @@ def induce_from_torus(group, torus, j):
     T meet c; it is an algebraic integer, so the division is exact in Z.
     """
     E = group.exponent
-    # counts[ci][e]: how many C^k in class ci have theta_j(C^k) = zeta_|T|^e
-    counts = [[0] * torus.order for _ in range(group.num_classes)]
+    # counts[ci][e]: how many C^k in class ci have theta_j(C^k) = zeta_|T|^e,
+    # for the classes ci that T meets; the value is 0 at every other class
+    counts = {}
     for k, ci in enumerate(torus.class_map):
-        counts[ci][(j * k) % torus.order] += 1
-    values = []
-    for ci, cnt in enumerate(counts):
+        counts.setdefault(ci, [0] * torus.order)[(j * k) % torus.order] += 1
+    values = [CycloElement.zero(E)] * group.num_classes
+    for ci, cnt in sorted(counts.items()):
         acc = CycloElement.from_powers(E, cnt, E // torus.order).coeffs
-        num = group.order
         den = group.class_sizes[ci] * torus.order
-        if any((c * num) % den for c in acc):
+        num, den = group.order // gcd(group.order, den), den // gcd(group.order, den)
+        if den > 1 and any(c % den for c in acc):  # num / den in lowest terms
             raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
-        values.append(CycloElement(E, [c * num // den for c in acc]))
+        values[ci] = CycloElement(E, [c // den * num for c in acc])
     return ClassFunction(group, values)
 
 
@@ -469,7 +462,8 @@ def steinberg(group):
 
     The permutation character is 1_P^G(C) = |G| |P meet C| / (|C| |P|), read
     off the parabolic histograms; each division is checked exact.
-    Hard-checks St(1) = q^{n(n-1)/2} and <St, St> = 1.
+    Hard-checks St(1) = q^{n(n-1)/2} and <St, St> = 1, the latter as the
+    integer sum_c |C| St(c)^2 = |G|.
     """
     n, q = group.n, group.q
     values = [0] * group.num_classes
@@ -485,7 +479,7 @@ def steinberg(group):
     expected = q ** (n * (n - 1) // 2)
     if st.degree() != CycloElement.rational(expected):
         raise VerificationError(f"St(1) = {st.degree()} != q^(n(n-1)/2) = {expected}")
-    if st.inner(st) != 1:
+    if sum(size * v * v for size, v in zip(group.class_sizes, values)) != group.order:
         raise VerificationError("<St, St> != 1")
     return st
 
@@ -644,8 +638,9 @@ def _split_common_eigenspaces(group, mats, ell):
     Each space is kept as a reduced-echelon basis b_c with pivot columns p_c,
     so the coordinates of a vector of the space are its entries at the
     pivots.  The class matrices commute, so M maps each common eigenspace
-    into itself, and M restricted to it is R[i][c] = (M b_c)[p_i].  A
-    scalar R splits nothing, so the space is kept as it is.
+    into itself, and M restricted to it is R[i][c] = (M b_c)[p_i], which is
+    M itself on the whole space.  A scalar R splits nothing, so the space is
+    kept as it is.
     """
     r = group.num_classes
     spaces = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
@@ -656,7 +651,8 @@ def _split_common_eigenspaces(group, mats, ell):
             if k == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            R = [[sum(map(mul, M[p], b_c)) % ell for b_c in basis] for p in pivots]
+            R = ([[a % ell for a in row] for row in M] if k == r else  # basis = I
+                 [[sum(map(mul, M[p], b_c)) % ell for b_c in basis] for p in pivots])
             if all(x == (R[0][0] if i == j else 0) for i, row in enumerate(R)
                    for j, x in enumerate(row)):
                 new_spaces.append((basis, pivots))
@@ -715,11 +711,13 @@ def _dixon_table_attempt(group, attempt):
     ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2), attempt)
     characters = _characters_mod(group, ell)
     conductor = group.exponent
+    values = {}  # one power-basis value per distinct multiplicity vector
     rows = []
     for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
-        chi = ClassFunction(group, [CycloElement.from_powers(conductor, m, conductor // len(m))
-                                    for m in mults])
-        rows.append((chi, degree, mults))
+        for m in mults:
+            if m not in values:
+                values[m] = CycloElement.from_powers(conductor, m, conductor // len(m))
+        rows.append((ClassFunction(group, [values[m] for m in mults]), degree, mults))
     rows.sort(key=lambda row: (row[0].values[group.identity_class].coeffs,
                                [v.coeffs for v in row[0].values]))
     _check_table(group, [(degree, mults) for _, degree, mults in rows])
@@ -782,21 +780,29 @@ def _lift(characters, power_classes, ell, w):
     with d = ord g = len(power_classes) and power_classes[s] the class of
     g^s: m_t = (1/d) sum_s chi(g^s) zeta_d^{-st} mod ell, zeta_d =
     w^((ell-1)/d) for the primitive root w.  The true m_t lies in [0,
-    chi(1)] and chi(1) < ell, so the residue is m_t itself."""
+    chi(1)] and chi(1) < ell, so the residue is m_t itself.
+
+    chi is constant on classes, so the kernel sums zeta_d^{-st} once per
+    class c over the s with g^s in c, each m_t is a sum over the distinct
+    classes of g's powers, and the characters that agree on them share one
+    lift."""
     d = len(power_classes)
     z = pow(w, (ell - 1) // d, ell)
-    z_inv = [pow(z, -s % d, ell) for s in range(d)]
-    kernel = [[z_inv[s * t % d] for s in range(d)] for t in range(d)]
     d_inv = pow(d, ell - 2, ell)
-    out = []
+    z_inv = [pow(z, -s % d, ell) * d_inv % ell for s in range(d)]  # zeta_d^-s / d
+    exponents = {}  # class c -> the s with g^s in c
+    for s, c in enumerate(power_classes):
+        exponents.setdefault(c, []).append(s)
+    kernel = [[sum(map(row.__getitem__, ss)) for ss in exponents.values()]
+              for row in ([z_inv[s * t % d] for s in range(d)] for t in range(d))]
+    out, lifted = [], {}
     for degree, chi_mod in characters:
-        powers = [chi_mod[c] for c in power_classes]
-        mult = []
-        for row in kernel:
-            m_t = sum(map(mul, powers, row)) % ell * d_inv % ell
-            if m_t > degree:
-                raise ArithmeticError("eigenvalue multiplicity out of range")
-            mult.append(m_t)
+        values = tuple(map(chi_mod.__getitem__, exponents))
+        mult = lifted.get(values)
+        if mult is None:
+            mult = lifted[values] = [sum(map(mul, values, row)) % ell for row in kernel]
+        if max(mult) > degree:
+            raise ArithmeticError("eigenvalue multiplicity out of range")
         out.append(mult)
     return out
 
@@ -825,14 +831,15 @@ def _multiplicities(group, characters, ell):
 def _twist(mult, k):
     """The multiplicity vector re-indexed by t -> k t mod len(mult), k prime
     to it: sigma_k applied to sum_t m_t zeta_d^t."""
-    return tuple(map(mult.__getitem__, _twist_positions(len(mult), k)))
+    return _twister(len(mult), k)(mult)
 
 
 @lru_cache(maxsize=None)
-def _twist_positions(d, k):
-    """Entry u of a twisted vector is entry k^-1 u mod d of the vector."""
+def _twister(d, k):
+    """The tuple of a twisted vector from the vector: its entry u is entry
+    k^-1 u mod d of the vector."""
     k_inv = pow(k, -1, d)
-    return tuple(k_inv * u % d for u in range(d))
+    return itemgetter(*(k_inv * u % d for u in range(d))) if d > 1 else tuple
 
 
 def _unit_generators(E):
@@ -864,7 +871,9 @@ def _check_table(group, rows):
     2. The rows are distinct and their set is Galois-stable.  For each k
        of a generating set of (Z/E)^x, sigma_k (zeta_E -> zeta_E^k) maps
        each row to a row: its vectors re-indexed by t -> k t are some
-       row's.  sigma_k is injective, so every sigma permutes the rows;
+       row's.  Each distinct vector is re-indexed once per k, and not at
+       all when k = 1 mod its length; each row's image is read off that
+       map.  sigma_k is injective, so every sigma permutes the rows;
        complex conjugation, k = -1, maps row i to c(i).
     3. The Gram matrix modulo a split prime.  Take the least prime ell' = 1
        mod E above |G| (d_max^2 + 1), and phi: Z[zeta_E] -> F_ell' sending
@@ -894,11 +903,14 @@ def _check_table(group, rows):
     if any(min(m) < 0 or sum(m) != d for d, mults in rows for m in mults):
         raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
     E = group.exponent
-    index = {tuple(mults): i for i, (_, mults) in enumerate(rows)}
+    ids = {}  # distinct vector -> its number; a row is the tuple of its vectors' numbers
+    keys = [tuple(ids.setdefault(m, len(ids)) for m in mults) for _, mults in rows]
+    index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(rows):
         raise ArithmeticError("two rows are equal")
     for k in _unit_generators(E) + [-1]:
-        images = [index.get(tuple(_twist(m, k) for m in mults)) for _, mults in rows]
+        image = [ids.get(m if k % len(m) == 1 % len(m) else _twist(m, k)) for m in ids]
+        images = [index.get(tuple(map(image.__getitem__, key))) for key in keys]
         if None in images:
             raise ArithmeticError(f"the row set is not Galois-stable under zeta -> zeta^{k}")
     conj = images  # k = -1 came last
@@ -906,7 +918,8 @@ def _check_table(group, rows):
     w = pow(_primitive_root(ell), (ell - 1) // E, ell)
     # phi(zeta_d^t) = w^(E t / d)
     roots = {d: [pow(w, E // d * t, ell) for t in range(d)] for d in set(group.class_orders)}
-    values = [[sum(map(mul, m, roots[len(m)])) % ell for m in mults] for _, mults in rows]
+    phi = [sum(map(mul, m, roots[len(m)])) % ell for m in ids]
+    values = [list(map(phi.__getitem__, key)) for key in keys]
     for a, va in enumerate(values):
         weighted = [size * v for size, v in zip(group.class_sizes, va)]
         for b in range(a, len(values)):
@@ -928,21 +941,30 @@ class CorrespondenceData:
         self.cuspidal_indices = [i for i, f in enumerate(self.table.cuspidal_flags) if f]
 
 
-def _cuspidal_matches(data, ind):
-    """Every cuspidal pi with pi * St = ind, compared class by class.
+def _pi_st_keys(data):
+    """{pi * St: the cuspidals pi, in `data.cuspidal_indices` order}, each
+    class function keyed by its values' power-basis coordinates at the
+    group's exponent, read from `data` when called.
 
     St is integer-valued, so pi(c) St(c) is the coefficient vector of pi(c)
     scaled by the integer St(c); no cyclotomic product is formed.
     """
+    E = data.group.exponent
     st = [v.as_rational() for v in data.st.values]
-    matches = []
+    keys = {}
     for idx in data.cuspidal_indices:
-        chi = data.table.irreducibles[idx]
-        m = lcm(chi.m, ind.m)
-        if all(tuple(s * a for a in x.coerce(m).coeffs) == y.coerce(m).coeffs
-               for s, x, y in zip(st, chi.values, ind.values)):
-            matches.append(idx)
-    return matches
+        values = data.table.irreducibles[idx].values
+        key = tuple(tuple([s * a for a in x.coerce(E).coeffs]) for s, x in zip(st, values))
+        keys.setdefault(key, []).append(idx)
+    return keys
+
+
+def _cuspidal_matches(data, ind, keys=None):
+    """Every cuspidal pi with pi * St = ind: ind's entry in `keys`, the
+    `_pi_st_keys(data)` that a caller matching many ind passes once."""
+    keys = _pi_st_keys(data) if keys is None else keys
+    E = data.group.exponent
+    return list(keys.get(tuple(v.coerce(E).coeffs for v in ind.values), ()))
 
 
 def _match_failure(matches, j):
@@ -991,10 +1013,11 @@ def correspondence_report(q, n, data=None):
     # theta, or the first orbit, where that breaks
     pi_of_orbit = {}
     failure = None
+    keys = _pi_st_keys(data)
     for orbit in orbits:
         images, unique = set(), True
         for j in orbit:
-            matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j))
+            matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j), keys)
             images.update(matches)
             if len(matches) != 1:
                 unique = False

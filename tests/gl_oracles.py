@@ -7,11 +7,14 @@ two to the same answers wherever both run.  The dense matrix product is the
 oracle for the closure's sparse generator products, the per-class
 multiplicity lift for the lift once per rational class, and `verify_table`,
 the exact orthonormality check in Z[zeta], for the Gram matrix modulo a
-split prime.  The norm-kernel genericity test is the oracle for the
-Frobenius-period test of `is_generic`, and `dl_correspondence`, the match of
-one theta, for the per-orbit matches of `correspondence_report`.
+split prime; `inner` is the exact inner product that the orthonormality
+and reciprocity tests compute.  The norm-kernel genericity test is the
+oracle for the Frobenius-period test of `is_generic`, and
+`dl_correspondence`, the match of one theta, for the per-orbit matches of
+`correspondence_report`.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -102,6 +105,16 @@ def lift_per_class(group, characters, ell, w):
             row.append(tuple(mult))
         out.append(row)
     return out
+
+
+def inner(f, g):
+    """<f, g>_G for class functions f and g on one group; the exact sum is
+    divided by |G| once, at the end."""
+    group = f.group
+    m = lcm(f.m, g.m)
+    total = dot(m, group.class_sizes, [a.coerce(m) for a in f.values],
+                [b.coerce(m).conj() for b in g.values])
+    return Fraction(total.as_rational(), group.order)
 
 
 def verify_table(table):

@@ -16,7 +16,7 @@ from dl_oracles import (
     dl_points_by_enumeration,
     line_fibers,
 )
-from gl_oracles import dl_correspondence
+from gl_oracles import dl_correspondence, inner
 
 from ltdl.cli import main as cli_main
 from ltdl.cyclo import CycloElement
@@ -164,7 +164,7 @@ def test_criterion_07_character_tables():
         ok = ok and sum(d * d for d in table.degrees) == g.order
         for i, a in enumerate(table.irreducibles):
             for j, b in enumerate(table.irreducibles):
-                ok = ok and a.inner(b) == (1 if i == j else 0)
+                ok = ok and inner(a, b) == (1 if i == j else 0)
         cusp = [table.degrees[i] for i in data.cuspidal_indices]
         ok = ok and cusp == [cusp_deg] * cusp_count
         notes.append(f"({q},{n}): {cusp_count} cuspidals of degree {cusp_deg}")
@@ -190,7 +190,7 @@ def test_criterion_08_correspondence():
             ok = ok and data.table.degrees[a["pi"]] == cusp_deg
             ok = ok and ind.degree() == CycloElement.rational(cusp_deg * q ** (n * (n - 1) // 2))
             chi = data.table.irreducibles[a["pi"]]
-            ok = ok and all(chi.inner(data.table.irreducibles[b["pi"]]) == (1 if a is b else 0)
+            ok = ok and all(inner(chi, data.table.irreducibles[b["pi"]]) == (1 if a is b else 0)
                             for b in rep["orbits"])
     report_line(8, ok, "unique cuspidal pi with pi*St = Ind theta; orbit bijection; "
                        "inner products; degree identity")

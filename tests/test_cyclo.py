@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -18,6 +19,32 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     p = cyclotomic_poly(84)
     assert len(p) == euler_phi(84) + 1 == 25
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(m):
+    """Oracle: x^m - 1 divided, by long division, by Phi_d for every proper
+    divisor d of m, each found the same way."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        den = cyclotomic_by_division(d)
+        quot = [0] * (len(poly) - len(den) + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = poly[k + len(den) - 1]
+            if c:
+                for i, a in enumerate(den):
+                    poly[k + i] -= c * a
+        assert not any(poly), f"Phi_{d} does not divide"
+        poly = quot
+    return tuple(poly)
+
+
+def test_cyclotomic_poly_matches_the_division_recursion():
+    # Phi_m from its least prime factor equals the quotient of x^m - 1 by
+    # every Phi_d, d a proper divisor of m
+    assert [m for m in range(1, 401) if cyclotomic_poly(m) != cyclotomic_by_division(m)] == []
 
 
 def test_zeta3_sum_is_minus_one():

@@ -8,6 +8,7 @@ import pytest
 from gl_oracles import (
     closure_by_products,
     dl_correspondence,
+    inner,
     is_cuspidal_by_radicals,
     is_generic_by_norm_kernels,
     lift_per_class,
@@ -302,7 +303,7 @@ def test_induced_degree_and_reciprocity():
     for _ in range(6):
         j = rng.randrange(8)
         chi = rng.choice(table.irreducibles)
-        lhs = induce_from_torus(g, t, j).inner(chi)
+        lhs = inner(induce_from_torus(g, t, j), chi)
         theta_vals = [torus_character_value(t, j, k) for k in range(t.order)]
         rhs = torus_inner(t, theta_vals, [chi.values[ci] for ci in t.class_map])
         assert lhs == rhs
@@ -313,7 +314,7 @@ def test_steinberg_values():
         g = GLGroup(q, n)
         st = steinberg(g)
         assert st.degree() == CycloElement.rational(deg)
-        assert st.inner(st) == 1
+        assert inner(st, st) == 1
 
 
 def test_dixon_tables_frozen_degrees():
@@ -332,7 +333,7 @@ def test_orthogonality_exact():
     table = dixon_table(g)
     for i, a in enumerate(table.irreducibles):
         for j, b in enumerate(table.irreducibles):
-            assert a.inner(b) == (1 if i == j else 0)
+            assert inner(a, b) == (1 if i == j else 0)
 
 
 def test_cuspidality():
@@ -497,7 +498,7 @@ def test_class_function_inner_rejects_irrational():
     vals = [CycloElement.zeta(3, k) for k in range(g.num_classes)]
     f = ClassFunction(g, vals)
     with pytest.raises(ParameterError):
-        f.inner(ClassFunction.from_integers(g, [1] * g.num_classes))
+        inner(f, ClassFunction.from_integers(g, [1] * g.num_classes))
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -594,6 +595,24 @@ def test_gram_gate_rejects_doctored_tables():
     half_conjugated = doctored(i, j, _twist(rows[i][1][j], -1))
     assert half_conjugated[i] not in rows
     rejects(half_conjugated, "not Galois-stable")
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2)])
+def test_a_row_conjugated_off_its_rational_class_rep_is_not_galois_stable(q, n):
+    # a row conjugated at one class only, a class that is not its rational
+    # class's representative, leaves the row set: the Galois check twists
+    # the vectors of every class, not only the representatives'
+    g = GLGroup(q, n)
+    table, rows = table_rows(g)
+    reps = {j for j, _ in _rational_classes(g)}
+    i, j = next((i, j) for i, (_, mults) in enumerate(rows)
+                for j, m in enumerate(mults) if j not in reps and _twist(m, -1) != m)
+    mults = list(rows[i][1])
+    mults[j] = _twist(mults[j], -1)
+    doctored = rows[:i] + [(rows[i][0], mults)] + rows[i + 1:]
+    assert doctored[i] not in rows
+    with pytest.raises(ArithmeticError, match="not Galois-stable"):
+        _check_table(g, doctored)
 
 
 @pytest.mark.parametrize("q,n,count", [(5, 2, 15), (7, 2, 23), (61, 1, 12), (64, 1, 6)])
@@ -856,7 +875,7 @@ def test_class_matrix_generator_matches_eager_list(q):
     assert list(_class_matrices(group)) == eager_class_matrices(group)
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
 def test_dl_correspondence_matches_product_oracle(q, n):
     data = CorrespondenceData(GLGroup(q, n))
     for j in range(q ** n - 1):
@@ -901,7 +920,7 @@ def orthogonality_by_inner_products(data, report):
         for orb_b, pi_b in reps[a:]:
             chi_a = data.table.irreducibles[pi_a]
             chi_b = data.table.irreducibles[pi_b]
-            if chi_a.inner(chi_b) != (1 if orb_a == orb_b else 0):
+            if inner(chi_a, chi_b) != (1 if orb_a == orb_b else 0):
                 ok = False
     return ok
 
@@ -922,7 +941,7 @@ def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
         return
     # send every theta to one cuspidal: distinct orbits now share a row
     first = data.cuspidal_indices[0]
-    monkeypatch.setattr(gl_characters, "_cuspidal_matches", lambda data, ind: [first])
+    monkeypatch.setattr(gl_characters, "_cuspidal_matches", lambda data, ind, keys: [first])
     rep = correspondence_report(q, n, data)
     assert (check_status(rep, "bijection_onto_cuspidals")
             is orthogonality_by_inner_products(data, rep) is False)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ltdl
@@ -155,3 +158,16 @@ def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
         sites |= raise_sites(path, "BudgetError")
     assert "cli.RunConfig.validate" in sites
     assert {s for s in sites if not s.startswith("cli.")} == {"gl_characters.GLGroup.__init__"}
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # `fractions` and the `decimal` it imports cost every command, --version
+    # included, milliseconds of start-up; the package computes in ints
+    src = str(Path(ltdl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, ltdl.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
