@@ -9,7 +9,6 @@ identity that is checkable at desk scale into a pass/fail report.
 
 __version__ = "0.1.0"
 
-from .cyclo import CycloElement
 from .depth0 import (
     blowup_chart,
     build_P,
@@ -36,7 +35,6 @@ from .formal_modules import (
     verify_module_axioms,
 )
 from .gl_characters import (
-    ClassFunction,
     CorrespondenceData,
     CoxeterTorus,
     GLGroup,
@@ -51,8 +49,8 @@ from .witt import BoundedPadic, PadicParams, witt_ring
 
 __all__ = [
     "__version__",
-    "BoundedPadic", "BudgetError", "ClassFunction", "CorrespondenceData",
-    "CoxeterTorus", "CycloElement", "DenominatorOverflow", "FieldDesc",
+    "BoundedPadic", "BudgetError", "CorrespondenceData",
+    "CoxeterTorus", "DenominatorOverflow", "FieldDesc",
     "FormalModule", "GLGroup", "IntegralityError",
     "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
     "TruncatedSeries", "VerificationError",

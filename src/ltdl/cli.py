@@ -52,6 +52,7 @@ from .formal_modules import (
 from .gl_characters import (
     CorrespondenceData,
     GLGroup,
+    class_function_json,
     correspondence_report,
     dixon_table,
     steinberg,
@@ -407,13 +408,20 @@ def run_chars(cfg):
         st = identity_entry(checks, "steinberg_norm_one",
                             partial(steinberg, GLGroup(q, n)))
         if st is not None:
-            results["steinberg"] = st.to_json()
+            results["steinberg"] = class_function_json(1, [(v,) for v in st])
         results["degree"] = q ** (n * (n - 1) // 2)
     elif cfg.subcommand == "correspondence":
-        rep = correspondence_report(q, n)
-        results["orbits"] = rep["orbits"]
-        results["cuspidal_part"] = rep["cuspidal_part"]
-        checks.extend(prefixed("corr_", rep["checks"]))
+        # the group, torus, table and St: the report's own entries stand for
+        # a build that passes, so the build's entry is kept only when it fails
+        build = []
+        data = identity_entry(build, "corr_build", lambda: CorrespondenceData(GLGroup(q, n)))
+        if data is None:
+            checks.extend(build)
+        else:
+            rep = correspondence_report(q, n, data)
+            results["orbits"] = rep["orbits"]
+            results["cuspidal_part"] = rep["cuspidal_part"]
+            checks.extend(prefixed("corr_", rep["checks"]))
     return results, checks
 
 

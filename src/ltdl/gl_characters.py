@@ -38,8 +38,8 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
-from .cyclo import CycloElement
-from .errors import BudgetError, ParameterError, VerificationError, check_entry
+from .cyclo import euler_phi, from_powers
+from .errors import BudgetError, VerificationError, check_entry
 from .ffield import (
     field_for_order,
     gaussian_binomial,
@@ -343,47 +343,6 @@ def _conjugation_orbits(right, lefts):
     return orbits
 
 
-class ClassFunction:
-    """One value per conjugacy class, all held at one conductor `m`."""
-
-    __slots__ = ("group", "values", "m")
-
-    def __init__(self, group, values):
-        if len(values) != group.num_classes:
-            raise ParameterError("one value per conjugacy class required")
-        self.group = group
-        self.m = lcm(*(v.m for v in values))
-        self.values = tuple(v.coerce(self.m) for v in values)
-
-    @staticmethod
-    def from_integers(group, ints):
-        return ClassFunction(group, [CycloElement.rational(v) for v in ints])
-
-    def degree(self):
-        return self.values[self.group.identity_class]
-
-    def __add__(self, other):
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other):
-        """Pointwise product (character of the tensor product)."""
-        return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
-
-    def scale(self, r):
-        return ClassFunction(self.group, [v * r for v in self.values])
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction) and self.group is other.group
-                and all(a == b for a, b in zip(self.values, other.values)))
-
-    def to_json(self):
-        return [{"conductor": v.m, "coeffs": [str(c) for c in v.coeffs]}
-                for v in self.values]
-
-
 # -- the Coxeter torus and its characters -----------------------------------------
 
 
@@ -400,7 +359,6 @@ class CoxeterTorus:
             rows.append(tuple(1 if j == i + 1 else 0 for j in range(n)))
         rows.append(tuple(neg(poly[j]) for j in range(n)))
         self.generator = tuple(rows)
-        self.poly = poly
         self.order = q ** n - 1
         # powers[k]: index of C^k, from the cycle of the identity under
         # right multiplication by C
@@ -425,7 +383,8 @@ def generic_character_count(q, n):
 
 
 def induce_from_torus(group, torus, j):
-    """Ind_T^G theta_j as an exact class function at the group's conductor.
+    """Ind_T^G theta_j: per class, its coordinate tuple at the group's
+    exponent E.
 
     The value at class c is |C_G(c)| / |T| times the sum of theta_j over
     T meet c; it is an algebraic integer, so the division is exact in Z.
@@ -436,15 +395,15 @@ def induce_from_torus(group, torus, j):
     counts = {}
     for k, ci in enumerate(torus.class_map):
         counts.setdefault(ci, [0] * torus.order)[(j * k) % torus.order] += 1
-    values = [CycloElement.zero(E)] * group.num_classes
+    values = [(0,) * euler_phi(E)] * group.num_classes
     for ci, cnt in sorted(counts.items()):
-        acc = CycloElement.from_powers(E, cnt, E // torus.order).coeffs
+        acc = from_powers(E, cnt, E // torus.order)
         den = group.class_sizes[ci] * torus.order
         num, den = group.order // gcd(group.order, den), den // gcd(group.order, den)
         if den > 1 and any(c % den for c in acc):  # num / den in lowest terms
             raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
-        values[ci] = CycloElement(E, [c // den * num for c in acc])
-    return ClassFunction(group, values)
+        values[ci] = tuple(c // den * num for c in acc)
+    return tuple(values)
 
 
 # -- the Steinberg character and cuspidality ----------------------------------------
@@ -458,7 +417,8 @@ def compositions(n):
 
 
 def steinberg(group):
-    """St = sum over compositions c of (-1)^(n - len c) 1_{P_c}^G (Curtis).
+    """St = sum over compositions c of (-1)^(n - len c) 1_{P_c}^G (Curtis),
+    one int per class.
 
     The permutation character is 1_P^G(C) = |G| |P meet C| / (|C| |P|), read
     off the parabolic histograms; each division is checked exact.
@@ -475,22 +435,22 @@ def steinberg(group):
             if num % den:
                 raise VerificationError(f"1_P^G for P_{comp} is not integral at class {ci}")
             values[ci] += sign * (num // den)
-    st = ClassFunction.from_integers(group, values)
     expected = q ** (n * (n - 1) // 2)
-    if st.degree() != CycloElement.rational(expected):
-        raise VerificationError(f"St(1) = {st.degree()} != q^(n(n-1)/2) = {expected}")
+    if values[group.identity_class] != expected:
+        raise VerificationError(
+            f"St(1) = {values[group.identity_class]} != q^(n(n-1)/2) = {expected}")
     if sum(size * v * v for size, v in zip(group.class_sizes, values)) != group.order:
         raise VerificationError("<St, St> != 1")
-    return st
+    return tuple(values)
 
 
 def is_cuspidal(group, chi):
     """sum_{u in U_c} chi(u) = 0 for every proper standard parabolic radical,
-    each sum taken over the radical's class histogram.  chi's values share
-    one conductor, so the sum is formed on their power-basis coordinates,
-    over the classes U_c meets."""
+    each sum taken over the radical's class histogram.  chi's values are
+    coordinate tuples at one conductor, so the sum is formed on the
+    coordinates, over the classes U_c meets."""
     for comp, (_, U) in group.parabolics.items():
-        terms = [[w * c for c in chi.values[ci].coeffs] for ci, w in enumerate(U) if w]
+        terms = [[w * c for c in chi[ci]] for ci, w in enumerate(U) if w]
         if len(comp) > 1 and any(map(sum, zip(*terms))):
             return False
     return True
@@ -675,12 +635,19 @@ def _split_common_eigenspaces(group, mats, ell):
     return [s[0] for s, _ in spaces]
 
 
+def class_function_json(conductor, values):
+    """A class function's report form: per class, the conductor and the
+    value's power-basis coordinates as strings."""
+    return [{"conductor": conductor, "coeffs": [str(c) for c in v]} for v in values]
+
+
 class CharacterTable:
-    def __init__(self, group, irreducibles, ell):
+    def __init__(self, group, irreducibles, degrees):
         self.group = group
-        self.irreducibles = irreducibles  # list of ClassFunction, sorted
-        self.ell = ell
-        self.degrees = [int(chi.degree().as_rational()) for chi in irreducibles]
+        # per irreducible, in sorted order: one coordinate tuple at the
+        # group's exponent per class, and its degree
+        self.irreducibles = irreducibles
+        self.degrees = degrees
         self.cuspidal_flags = [is_cuspidal(group, chi) for chi in irreducibles]
 
     def to_json(self):
@@ -689,7 +656,7 @@ class CharacterTable:
             "q": g.q, "n": g.n, "order": g.order,
             "classes": [{"key": [list(f) for f in key], "size": size}
                         for key, size in zip(g.class_keys, g.class_sizes)],
-            "irreducibles": [{"degree": d, "values": chi.to_json()}
+            "irreducibles": [{"degree": d, "values": class_function_json(g.exponent, chi)}
                              for d, chi in zip(self.degrees, self.irreducibles)],
             "cuspidal_flags": self.cuspidal_flags,
         }
@@ -716,12 +683,11 @@ def _dixon_table_attempt(group, attempt):
     for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
         for m in mults:
             if m not in values:
-                values[m] = CycloElement.from_powers(conductor, m, conductor // len(m))
-        rows.append((ClassFunction(group, [values[m] for m in mults]), degree, mults))
-    rows.sort(key=lambda row: (row[0].values[group.identity_class].coeffs,
-                               [v.coeffs for v in row[0].values]))
+                values[m] = from_powers(conductor, m, conductor // len(m))
+        rows.append((tuple(values[m] for m in mults), degree, mults))
+    rows.sort(key=lambda row: (row[0][group.identity_class], row[0]))
     _check_table(group, [(degree, mults) for _, degree, mults in rows])
-    return CharacterTable(group, [chi for chi, _, _ in rows], ell)
+    return CharacterTable(group, [chi for chi, _, _ in rows], [d for _, d, _ in rows])
 
 
 def _characters_mod(group, ell):
@@ -943,18 +909,16 @@ class CorrespondenceData:
 
 def _pi_st_keys(data):
     """{pi * St: the cuspidals pi, in `data.cuspidal_indices` order}, each
-    class function keyed by its values' power-basis coordinates at the
-    group's exponent, read from `data` when called.
+    class function keyed by its values' coordinate tuples at the group's
+    exponent, read from `data` when called.
 
-    St is integer-valued, so pi(c) St(c) is the coefficient vector of pi(c)
+    St is integer-valued, so pi(c) St(c) is the coordinate tuple of pi(c)
     scaled by the integer St(c); no cyclotomic product is formed.
     """
-    E = data.group.exponent
-    st = [v.as_rational() for v in data.st.values]
     keys = {}
     for idx in data.cuspidal_indices:
-        values = data.table.irreducibles[idx].values
-        key = tuple(tuple([s * a for a in x.coerce(E).coeffs]) for s, x in zip(st, values))
+        values = data.table.irreducibles[idx]
+        key = tuple(tuple([s * a for a in x]) for s, x in zip(data.st, values))
         keys.setdefault(key, []).append(idx)
     return keys
 
@@ -963,8 +927,7 @@ def _cuspidal_matches(data, ind, keys=None):
     """Every cuspidal pi with pi * St = ind: ind's entry in `keys`, the
     `_pi_st_keys(data)` that a caller matching many ind passes once."""
     keys = _pi_st_keys(data) if keys is None else keys
-    E = data.group.exponent
-    return list(keys.get(tuple(v.coerce(E).coeffs for v in ind.values), ()))
+    return list(keys.get(ind, ()))
 
 
 def _match_failure(matches, j):

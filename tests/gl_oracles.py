@@ -8,17 +8,19 @@ oracle for the closure's sparse generator products, the per-class
 multiplicity lift for the lift once per rational class, and `verify_table`,
 the exact orthonormality check in Z[zeta], for the Gram matrix modulo a
 split prime; `inner` is the exact inner product that the orthonormality
-and reciprocity tests compute.  The norm-kernel genericity test is the
-oracle for the Frobenius-period test of `is_generic`, and
+and reciprocity tests compute, and `product_is` the pointwise product that
+the pi * St = Ind theta matches are held to.  The norm-kernel genericity
+test is the oracle for the Frobenius-period test of `is_generic`, and
 `dl_correspondence`, the match of one theta, for the per-orbit matches of
 `correspondence_report`.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
-from ltdl.cyclo import CycloElement, dot
+from cyclo_oracles import Cyclo, dot, values_at
+
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.gl_characters import (
     _cuspidal_matches,
@@ -47,7 +49,7 @@ def is_generic_by_norm_kernels(q, n, j):
         if n % m:
             continue
         step = q ** m - 1
-        if all(CycloElement.zeta(order, j * k * step % order) == CycloElement.rational(1)
+        if all(Cyclo.zeta(order, j * k * step % order) == Cyclo.rational(1)
                for k in range(1, order // gcd(order, step) + 1)):
             return False
     return True
@@ -107,14 +109,21 @@ def lift_per_class(group, characters, ell, w):
     return out
 
 
-def inner(f, g):
-    """<f, g>_G for class functions f and g on one group; the exact sum is
+def inner(group, f, g):
+    """<f, g>_G for class functions f and g on group, each value a
+    coordinate tuple at the group's exponent or an int; the exact sum is
     divided by |G| once, at the end."""
-    group = f.group
-    m = lcm(f.m, g.m)
-    total = dot(m, group.class_sizes, [a.coerce(m) for a in f.values],
-                [b.coerce(m).conj() for b in g.values])
+    E = group.exponent
+    total = dot(E, group.class_sizes, values_at(E, f), [b.conj() for b in values_at(E, g)])
     return Fraction(total.as_rational(), group.order)
+
+
+def product_is(group, chi, psi, ind):
+    """chi * psi = ind for class functions on group, each pointwise product
+    formed in the oracle ring."""
+    E = group.exponent
+    return ([a * b for a, b in zip(values_at(E, chi), values_at(E, psi))]
+            == values_at(E, ind))
 
 
 def verify_table(table):
@@ -131,8 +140,8 @@ def verify_table(table):
             f"table is not square: {len(irr)} irreducibles for {g.num_classes} classes")
     if sum(d * d for d in table.degrees) != g.order:
         raise ArithmeticError("sum of squared degrees is off")
-    m = lcm(*(chi.m for chi in irr))
-    rows = [[v.coerce(m) for v in chi.values] for chi in irr]
+    m = g.exponent
+    rows = [values_at(m, chi) for chi in irr]
     conj_rows = [[v.conj() for v in row] for row in rows]
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
@@ -215,12 +224,13 @@ def unipotent_radical(group, comp):
 def is_cuspidal_by_radicals(group, chi):
     """sum_{u in U} chi(u) = 0 for every proper standard parabolic radical U,
     summed over the radical's matrices."""
+    values = values_at(group.exponent, chi)
     for comp in compositions(group.n):
         if len(comp) == 1:
             continue
-        total = CycloElement.rational(0)
+        total = Cyclo.rational(0)
         for u in unipotent_radical(group, comp):
-            total = total + chi.values[group.class_of[group.index[u]]]
+            total = total + values[group.class_of[group.index[u]]]
         if not total.is_zero():
             return False
     return True

@@ -16,10 +16,10 @@ from dl_oracles import (
     dl_points_by_enumeration,
     line_fibers,
 )
-from gl_oracles import dl_correspondence, inner
+from cyclo_oracles import Cyclo
+from gl_oracles import dl_correspondence, inner, product_is
 
 from ltdl.cli import main as cli_main
-from ltdl.cyclo import CycloElement
 from ltdl.depth0 import (
     blowup_chart,
     iterated_chart,
@@ -164,7 +164,7 @@ def test_criterion_07_character_tables():
         ok = ok and sum(d * d for d in table.degrees) == g.order
         for i, a in enumerate(table.irreducibles):
             for j, b in enumerate(table.irreducibles):
-                ok = ok and inner(a, b) == (1 if i == j else 0)
+                ok = ok and inner(g, a, b) == (1 if i == j else 0)
         cusp = [table.degrees[i] for i in data.cuspidal_indices]
         ok = ok and cusp == [cusp_deg] * cusp_count
         notes.append(f"({q},{n}): {cusp_count} cuspidals of degree {cusp_deg}")
@@ -188,9 +188,11 @@ def test_criterion_08_correspondence():
         for a in rep["orbits"]:
             ind = induce_from_torus(data.group, data.torus, a["thetas"][0])
             ok = ok and data.table.degrees[a["pi"]] == cusp_deg
-            ok = ok and ind.degree() == CycloElement.rational(cusp_deg * q ** (n * (n - 1) // 2))
+            degree = Cyclo(data.group.exponent, ind[data.group.identity_class])
+            ok = ok and degree == cusp_deg * q ** (n * (n - 1) // 2)
             chi = data.table.irreducibles[a["pi"]]
-            ok = ok and all(inner(chi, data.table.irreducibles[b["pi"]]) == (1 if a is b else 0)
+            ok = ok and all(inner(data.group, chi, data.table.irreducibles[b["pi"]])
+                            == (1 if a is b else 0)
                             for b in rep["orbits"])
     report_line(8, ok, "unique cuspidal pi with pi*St = Ind theta; orbit bijection; "
                        "inner products; degree identity")
@@ -219,7 +221,7 @@ def test_criterion_09_negative_controls():
     for j in range(8):
         if is_generic(3, 2, j):
             ind = induce_from_torus(data32.group, data32.torus, j)
-            ok = ok and not (chi * data32.st == ind)
+            ok = ok and not product_is(data32.group, chi, data32.st, ind)
     report_line(9, ok, "tampered F fails associativity; theta_0 rejected; "
                        "non-cuspidal never satisfies the characterization")
 

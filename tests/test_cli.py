@@ -252,6 +252,38 @@ def test_a_raising_identity_fails_its_own_entry(tmp_path, monkeypatch, argv, doc
     assert set(report["results"]) == set(clean["results"]) - dropped
 
 
+def broken_dixon_table(monkeypatch):
+    def broken_table(group):
+        raise VerificationError("doctored Dixon failure")
+    monkeypatch.setattr(gl_characters, "dixon_table", broken_table)
+
+
+def generator_dropped(monkeypatch):
+    honest = gl_characters.gl_generators
+    monkeypatch.setattr(gl_characters, "gl_generators", lambda field, n: honest(field, n)[:2])
+
+
+@pytest.mark.parametrize("doctor,details", [
+    (broken_dixon_table, "doctored Dixon failure"),
+    (generator_dropped, "the 2 generators generate "),
+], ids=["dixon_table", "group"])
+def test_a_raising_correspondence_build_fails_its_own_entry(tmp_path, monkeypatch, doctor,
+                                                            details):
+    # the group, the table or St raising inside `chars correspondence` fails
+    # the entry corr_build with the library's message, and the report keeps
+    # q and n; a build that passes has no entry of its own
+    code, clean = run_cli(tmp_path, "chars", "correspondence", "--q", "3", "--n", "2")
+    assert code == 0
+    assert "corr_build" not in [c["name"] for c in clean["checks"]]
+    doctor(monkeypatch)
+    code, report = run_cli(tmp_path, "chars", "correspondence", "--q", "3", "--n", "2")
+    assert code == 1
+    assert report["results"] == {"q": 3, "n": 2}
+    [check] = report["checks"]
+    assert (check["name"], check["status"]) == ("corr_build", "fail")
+    assert check["details"].startswith(details)
+
+
 @pytest.mark.parametrize("argv,doctor,built", [
     (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
      {"build_P": 1}),

@@ -39,10 +39,11 @@ def test_no_unused_imports():
 
 
 def _scope(node):
-    """(names referenced directly in this scope, definitions nested in it);
-    a nested definition's body is its own scope, its decorators are not."""
+    """(bare names referenced directly in this scope, attribute names
+    referenced in it, definitions nested in it); a nested definition's body
+    is its own scope, its decorators are not."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names, children = set(), []
+    names, attrs, children = set(), set(), []
     stack = list(ast.iter_child_nodes(node))
     while stack:
         sub = stack.pop()
@@ -53,43 +54,68 @@ def _scope(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            attrs.add(sub.attr)
         stack.extend(ast.iter_child_nodes(sub))
-    return names, children
+    return names, attrs, children
 
 
 def unreferenced_definitions(package_dir, exported):
     """Functions, classes and methods that nothing live in the package names.
 
-    Module-level code and the exported names are live; a definition becomes
-    live once a live scope names it (as a bare name or an attribute), and
-    then its body is scanned in turn, so code reached only from dead code is
-    dead too.  Dunder methods of a live class are live.  Names are matched
-    by identifier, so a reference never goes unseen, only over-attributed.
+    Module-level code and the exported names are live; a function or class
+    becomes live once a live scope names it (as a bare name or an
+    attribute), a method only once a live scope names it as an attribute
+    (`x.conj`, never a local `conj`), and then its body is scanned in turn,
+    so code reached only from dead code is dead too.  Dunder methods of a
+    live class are live.  Names are matched by identifier, so a reference
+    never goes unseen, only over-attributed.
     """
-    live = set(exported)
+    names, attrs = set(exported), set()
     pending = []
+
+    def scan(qualname, node):
+        found, found_attrs, children = _scope(node)
+        names.update(found)
+        attrs.update(found_attrs)
+        method = isinstance(node, ast.ClassDef)
+        pending.extend((f"{qualname}.{c.name}", c, method) for c in children)
+
     for path in sorted(Path(package_dir).glob("*.py")):
-        names, children = _scope(ast.parse(path.read_text(), filename=str(path)))
-        live |= names
-        pending += [(f"{path.stem}.{c.name}", c) for c in children]
+        scan(path.stem, ast.parse(path.read_text(), filename=str(path)))
     grew = True
     while grew:
         grew = False
         for item in list(pending):
-            qualname, node = item
-            if node.name in live or (node.name.startswith("__") and node.name.endswith("__")):
+            qualname, node, method = item
+            name = node.name
+            if (name in attrs or (not method and name in names)
+                    or (name.startswith("__") and name.endswith("__"))):
                 pending.remove(item)
-                names, children = _scope(node)
-                live |= names
-                pending += [(f"{qualname}.{c.name}", c) for c in children]
+                scan(qualname, node)
                 grew = True
-    return sorted(qualname for qualname, _ in pending)
+    return sorted(qualname for qualname, _, _ in pending)
 
 
 def test_every_definition_is_used_in_the_package():
     # a definition that only tests reach belongs in the test that uses it
     assert unreferenced_definitions(Path(ltdl.__file__).parent, ltdl.__all__) == []
+
+
+def test_a_method_named_only_by_a_bare_local_is_unused(tmp_path):
+    # `conj = ...` in a live function names no method; `a.used()` does
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def conj(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def used(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "def f(a):\n"
+        "    conj = a.used()\n"
+        "    return conj\n")
+    assert unreferenced_definitions(tmp_path, ["A", "f"]) == ["mod.A.conj"]
 
 
 def test_series_imports_no_coefficient_ring():
