@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
-from functools import cache, partial
+from functools import partial
 from math import comb
 
 from . import __version__
@@ -187,6 +186,7 @@ class RunConfig:
     def __init__(self, args):
         self.command = args.command
         self.subcommand = getattr(args, "subcommand", None)
+        self.name = args.command + (f" {self.subcommand}" if self.subcommand else "")
         self.values = merged = {**self.DEFAULTS,
                                 **{k: v for k, v in vars(args).items() if v is not None}}
         self.q, self.n, self.m = merged["q"], merged["n"], merged["m"]
@@ -227,6 +227,8 @@ class RunConfig:
         seq_text = self.values.get("depth_sequence")
         if self.command == "depth0" and self.subcommand == "chart" and seq_text:
             self.depth_sequence = checked_depth_sequence(seq_text, n)
+        elif self.command == "verify-all" and n >= 3:  # its iterated chart, n down to 2
+            self.depth_sequence = list(range(n, 1, -1))
         if self.command == "dl" and self.subcommand == "count":
             # the census walks P^{n-1}(F_{q^m}) in tables of F_{q^m}
             if field.f * m > MAX_DEGREE:
@@ -251,7 +253,7 @@ def make_report(config, results, checks):
     return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "command": config.command + (f" {config.subcommand}" if config.subcommand else ""),
+        "command": config.name,
         "config": config.echo(),
         "results": results,
         "checks": checks,
@@ -259,250 +261,251 @@ def make_report(config, results, checks):
     }
 
 
-def prefixed(prefix, checks):
-    """Library check records, each name put under `prefix`."""
-    return [{**c, "name": prefix + c["name"]} for c in checks]
+def holds(ok, details=""):
+    """The call of an entry that a comparison decides: `details` when `ok`,
+    else a VerificationError with them."""
+    if not ok:
+        raise VerificationError(details)
+    return details
 
 
-def identity_entry(checks, name, call, details=lambda value: ""):
-    """Run `call`, a library call that raises VerificationError when its
-    identity fails, and record the entry `name`: a pass with details(value)
-    when it returns, a fail with the error's message when it raises.
-
-    Returns the value, or None after a raise.  Any other exception passes
-    through: to exit codes 2 and 3, or to the verify-all suite around it.
-    """
-    try:
-        value = call()
-    except VerificationError as exc:
-        checks.append(check_entry(name, False, exc))
-        return None
-    checks.append(check_entry(name, True, details(value)))
-    return value
+def strata_rows(module, n):
+    """For a in F_q^n - 0 and 0 < j < n, whether P_a lies in (X_1, ..., X_j),
+    next to whether the support of a ends by j."""
+    return [{"a": list(a), "j": j, "member": stratum_membership(module, a, j),
+             "expected": not any(a[j:])}
+            for a in index_vectors(module.field, n) for j in range(1, n)]
 
 
-def not_run(entry):
-    """The details of an entry that needs the value of the entry named
-    `entry`, which failed."""
-    return f"not run: {entry} failed"
+def dl_level(cfg):
+    """(m, base count, point count, residue-0 lines) of the line census of
+    P^{n-1}(F_{q^m}): at the first level with a point in verify-all, at --m
+    in dl count."""
+    m, (base, residues, lines) = (rational_level(cfg.q, cfg.n) if cfg.command == "verify-all"
+                                  else (cfg.m, line_census(cfg.q, cfg.n, cfg.m)))
+    return m, base, len(residues) * residues[0], lines
 
 
-def after(entry, value, call):
-    """`call(value)` as a call for `identity_entry`, where `value` is what the
-    entry named `entry` returned.  When that entry failed (None), the call
-    raises a VerificationError naming it instead of rebuilding the value."""
-    def run():
-        if value is None:
-            raise VerificationError(not_run(entry))
-        return call(value)
-    return run
+# the values that the entries of a run share, each built from the run's
+# values and config
+BUILDS = {
+    "module": lambda v, cfg: (universal_module if cfg.values.get("universal")
+                              else lubin_tate_module)(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree()),
+    "axioms": lambda v, cfg: verify_module_axioms(v["module"]),
+    "factors": lambda v, cfg: deformation_factors(v["module"]),
+    "census": lambda v, cfg: special_fiber_components(v["module"], factors=v["factors"]),
+    "strata": lambda v, cfg: strata_rows(v["module"], cfg.n),
+    "level": lambda v, cfg: dl_level(cfg),
+    "m": lambda v, cfg: v["level"][0],
+    "group": lambda v, cfg: GLGroup(cfg.q, cfg.n),
+    "correspondence": lambda v, cfg: correspondence_report(
+        cfg.q, cfg.n, CorrespondenceData(v["group"])),
+}
 
 
-def chart_details(chart):
-    return f"valuation {chart.valuation}"
+class Run(dict):
+    """The values of one run, by name: each build of BUILDS, made on first
+    use (one that raised is made again where it is next needed), and the
+    value of each entry that passed, under its report name.  `get` and `in`
+    build nothing."""
+
+    def __init__(self, cfg):
+        super().__init__()
+        self.cfg, self.seconds = cfg, {}
+
+    def __missing__(self, key):
+        self[key] = value = BUILDS[key](self, self.cfg)
+        return value
 
 
-# -- command implementations -----------------------------------------------------
+def census_entry(v, _):
+    census = v["census"]
+    return partial(holds, census["all_scalar_checks_pass"],
+                   f"{census['components']} components of multiplicity {census['multiplicity']}")
 
 
-def run_formal_group(cfg):
-    builder = universal_module if cfg.values.get("universal") else lubin_tate_module
-    module = builder(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree())
-    report_checks = prefixed("axiom_", verify_module_axioms(module))
-    table = module.scalar_table()
-    results = {
-        "F": module.F.to_json(),
-        "scalars": {str(k): s.to_json() for k, s in sorted(table.items(), key=lambda t: str(t[0]))},
-    }
-    return results, report_checks
+def base_points_entry(v, _):
+    m, base, count, _ = v["level"]
+    return partial(holds, base == base_points_moebius(v.cfg.q, v.cfg.n, m),
+                   f"count {count}, base {base}")
 
 
-def run_depth0(cfg):
-    module = lubin_tate_module(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree())
-    checks = []
+def action_invariance_entry(v, _):
+    m, _, count, lines = v["level"]
+    orbit, failure = orbit_check(v.cfg.q, v.cfg.n, m, v["group"].generators, lines[0], count)
+    return partial(holds, failure is None, failure or f"orbit size {len(orbit)}")
+
+
+# Each suite is one ordered table of rows (name, make, needs, details).  An
+# entry's make(values, needed) builds the arguments of its library call and
+# returns the call; `needed` is the value of the entry that `needs` names, or
+# None when the command does not run it.  The entry passes with
+# details(value) ("" without details), or fails with the message of a
+# VerificationError.  A row without make builds the value of its name there
+# (the report reads it); its details are the library's own check records.
+# `{m}` in a name is the run's DL level.
+SUITES = {
+    "formal_module": [("axioms", None, None, list)],
+    "depth0": [
+        ("census", None, None, None),
+        ("component_census", census_entry, None, str),
+        ("equation_lowest_degree", lambda v, _: partial(build_P, v["module"], v["factors"]),
+         None, None),
+        ("chart_multiplicity", lambda v, P: partial(blowup_chart, v["module"], v["factors"], P),
+         "equation_lowest_degree", lambda chart: f"valuation {chart.valuation}"),
+        ("iterated_multiplicities", lambda v, chart: partial(
+            iterated_chart, v["module"], v.cfg.depth_sequence, chart), "chart_multiplicity", str),
+        ("un_equals_dl", lambda v, chart: partial(un_special_fiber, v["module"], chart),
+         "chart_multiplicity", None),
+        ("stratum_membership_matches_support", lambda v, _: partial(
+            holds, all(row["member"] == row["expected"] for row in v["strata"])), None, None),
+    ],
+    "dl": [
+        ("prime_field_coefficients", lambda v, _: partial(dl_equation, v.cfg.q, v.cfg.n),
+         None, None),
+        ("points_on_variety", lambda v, _: partial(
+            dl_points, v.cfg.q, v.cfg.n, v["m"], v["level"][3]), None, None),
+        ("base_points_m{m}", base_points_entry, None, str),
+        ("action_invariance", action_invariance_entry, None, str),
+    ],
+    "chars": [
+        ("degree_squares_sum", lambda v, _: partial(dixon_table, v["group"]), None, None),
+        ("steinberg_norm_one", lambda v, _: partial(steinberg, v["group"]), None, None),
+        ("correspondence", None, None, lambda report: report["checks"]),
+    ],
+}
+
+# the rows that each command runs, by name; a subcommand's lie in one suite
+SLICES = {
+    "formal-group": "axioms",
+    "depth0 equation": "component_census equation_lowest_degree",
+    "depth0 chart": "census chart_multiplicity iterated_multiplicities un_equals_dl",
+    "depth0 strata": "stratum_membership_matches_support",
+    "dl equation": "prime_field_coefficients",
+    "dl count": "points_on_variety base_points_m{m}",
+    "chars table": "degree_squares_sum",
+    "chars steinberg": "steinberg_norm_one",
+    "chars correspondence": "correspondence",
+    "verify-all": "axioms component_census equation_lowest_degree chart_multiplicity "
+                  "iterated_multiplicities un_equals_dl base_points_m{m} action_invariance "
+                  "correspondence",
+}
+
+
+def run_suites(cfg):
+    """The values and checks of the command of `cfg`: each suite with a row
+    in the command's slice runs those rows in table order, its seconds going
+    to the values' `seconds`.  An entry that needs a failed entry fails with
+    "not run: <entry> failed" instead of running; a raise that no entry
+    records is the failing check `<suite>.error` and ends its suite, and the
+    suites after it still run."""
+    dropped = {"iterated_multiplicities": not cfg.depth_sequence,
+               "points_on_variety": not cfg.values.get("list")}
+    names = {name for name in SLICES[cfg.name].split() if not dropped.get(name)}
+    values, checks = Run(cfg), []
+    for suite, table in SUITES.items():
+        rows = [row for row in table if row[0] in names]
+        if not rows:
+            continue
+        started, failed = time.perf_counter(), set()
+        try:
+            for name, make, needs, details in rows:
+                if make is None:
+                    value = values[name]
+                    checks += [{**c, "name": f"{suite}.{c['name']}"}
+                               for c in (details(value) if details else [])]
+                    continue
+                name, needs = f"{suite}.{name.format_map(values)}", needs and f"{suite}.{needs}"
+                call = (partial(holds, False, f"not run: {needs} failed") if needs in failed
+                        else make(values, values.get(needs)))
+                try:
+                    values[name] = call()
+                except VerificationError as exc:
+                    failed.add(name)
+                    checks.append(check_entry(name, False, exc))
+                else:
+                    checks.append(check_entry(name, True,
+                                              details(values[name]) if details else ""))
+        except (VerificationError, PrecisionError, IntegralityError, BudgetError,
+                ParameterError) as exc:
+            checks.append(check_entry(f"{suite}.error", False, exc))
+        values.seconds[suite] = round(time.perf_counter() - started, 4)
+    return values, checks
+
+
+# -- each command's results, read off the values of its run ------------------------
+
+
+def formal_group_results(cfg, v):
+    if "axioms" not in v:
+        return {}
+    table = sorted(v["module"].scalar_table().items(), key=lambda t: str(t[0]))
+    return {"F": v["module"].F.to_json(), "scalars": {str(k): s.to_json() for k, s in table}}
+
+
+def depth0_results(cfg, v):
     results = {}
-    if cfg.subcommand == "equation":
-        factors = deformation_factors(module)
-        P = identity_entry(checks, "lowest_degree_qn_minus_1",
-                           partial(build_P, module, factors))
-        census = special_fiber_components(module, factors=factors)
-        if P is not None:
-            results["P"] = P.to_json()
-        results["components"] = census["components"]
-        results["multiplicity"] = census["multiplicity"]
-        checks.append(check_entry("component_census",
-                                  census["all_scalar_checks_pass"],
-                                  f"{census['components']} components"))
-    elif cfg.subcommand == "chart":
-        factors = deformation_factors(module)
-        chart = identity_entry(checks, "chart_multiplicity",
-                               partial(blowup_chart, module, factors), chart_details)
-        if chart is not None:
-            results.update(chart.to_json())
-            results["valuations"] = [chart.valuation]
-        census = special_fiber_components(module, factors=factors)
-        results["components"] = census["components"]
-        seq = cfg.depth_sequence
-        if seq:
-            vals = identity_entry(checks, "iterated_multiplicities", after(
-                "chart_multiplicity", chart, partial(iterated_chart, module, seq)), str)
-            if vals is not None:
-                results["valuations"] = results["iterated_valuations"] = vals
-        un = identity_entry(checks, "un_equals_dl", after(
-            "chart_multiplicity", chart, partial(un_special_fiber, module)))
-        results["un_equation_matches_dl"] = un is not None
-    elif cfg.subcommand == "strata":
-        rows = []
-        ok_all = True
-        for a in index_vectors(module.field, cfg.n):
-            trailing = cfg.n
-            while trailing and a[trailing - 1] == 0:
-                trailing -= 1
-            for j in range(1, cfg.n):
-                member = stratum_membership(module, a, j)
-                expected = trailing <= j
-                if member != expected:
-                    ok_all = False
-                rows.append({"a": list(a), "j": j, "member": member,
-                             "expected": expected})
-        results["strata"] = rows
-        checks.append(check_entry("stratum_membership_matches_support", ok_all))
-    return results, checks
+    if "census" in v:
+        results["components"] = v["census"]["components"]
+        if cfg.subcommand == "equation":
+            results["multiplicity"] = v["census"]["multiplicity"]
+    if "depth0.equation_lowest_degree" in v:
+        results["P"] = v["depth0.equation_lowest_degree"].to_json()
+    if "depth0.chart_multiplicity" in v:
+        chart = v["depth0.chart_multiplicity"]
+        results.update(chart.to_json(), valuations=[chart.valuation])
+    if "depth0.iterated_multiplicities" in v:
+        results["valuations"] = results["iterated_valuations"] = (
+            v["depth0.iterated_multiplicities"])
+    if cfg.subcommand == "chart":
+        results["un_equation_matches_dl"] = "depth0.un_equals_dl" in v
+    if "strata" in v:
+        results["strata"] = v["strata"]
+    return results
 
 
-def run_dl(cfg):
-    q, n, m = cfg.q, cfg.n, cfg.m
-    checks = []
-    results = {"q": q, "n": n}
-    if cfg.subcommand == "equation":
-        inst = identity_entry(checks, "prime_field_coefficients",
-                              partial(dl_equation, q, n))
-        if inst is not None:
-            results["equation"] = inst.equation.to_json()
-            results["num_forms"] = len(inst.forms)
-    elif cfg.subcommand == "count":
-        results["m"] = m
-        base, residues, lines = line_census(q, n, m)
-        results["count"] = len(residues) * residues[0]
-        if cfg.values.get("list"):
-            points = identity_entry(checks, "points_on_variety",
-                                    partial(dl_points, q, n, m, lines))
-            if points is not None:
-                results["points"] = [list(p) for p in points]
-        results["base_count"] = base
-        checks.append(check_entry("moebius_matches_enumeration",
-                                  base == base_points_moebius(q, n, m)))
-    return results, checks
+def dl_results(cfg, v):
+    results = {"q": cfg.q, "n": cfg.n}
+    if "dl.prime_field_coefficients" in v:
+        inst = v["dl.prime_field_coefficients"]
+        results.update(equation=inst.equation.to_json(), num_forms=len(inst.forms))
+    if "level" in v:
+        results.update(zip(("m", "base_count", "count"), v["level"][:3]))
+    if "dl.points_on_variety" in v:
+        results["points"] = [list(p) for p in v["dl.points_on_variety"]]
+    return results
 
 
-def run_chars(cfg):
-    q, n = cfg.q, cfg.n
-    checks = []
-    results = {"q": q, "n": n}
-    if cfg.subcommand == "table":
-        table = identity_entry(checks, "degree_squares_sum",
-                               partial(dixon_table, GLGroup(q, n)))
-        if table is not None:
-            results["table"] = table.to_json()
-    elif cfg.subcommand == "steinberg":
-        st = identity_entry(checks, "steinberg_norm_one",
-                            partial(steinberg, GLGroup(q, n)))
-        if st is not None:
-            results["steinberg"] = class_function_json(1, [(v,) for v in st])
-        results["degree"] = q ** (n * (n - 1) // 2)
-    elif cfg.subcommand == "correspondence":
-        # the group, torus, table and St: the report's own entries stand for
-        # a build that passes, so the build's entry is kept only when it fails
-        build = []
-        data = identity_entry(build, "corr_build", lambda: CorrespondenceData(GLGroup(q, n)))
-        if data is None:
-            checks.extend(build)
-        else:
-            rep = correspondence_report(q, n, data)
-            results["orbits"] = rep["orbits"]
-            results["cuspidal_part"] = rep["cuspidal_part"]
-            checks.extend(prefixed("corr_", rep["checks"]))
-    return results, checks
+def chars_results(cfg, v):
+    results = {"q": cfg.q, "n": cfg.n}
+    if "chars.degree_squares_sum" in v:
+        results["table"] = v["chars.degree_squares_sum"].to_json()
+    if cfg.subcommand == "steinberg":
+        results["degree"] = cfg.q ** (cfg.n * (cfg.n - 1) // 2)
+    if "chars.steinberg_norm_one" in v:
+        results["steinberg"] = class_function_json(1, [(x,) for x in v["chars.steinberg_norm_one"]])
+    if "correspondence" in v:
+        results.update(orbits=v["correspondence"]["orbits"],
+                       cuspidal_part=v["correspondence"]["cuspidal_part"])
+    return results
 
 
-@contextmanager
-def suite(name, checks, seconds):
-    """One verify-all suite: a raise inside becomes the failing check
-    `<name>.error` with the message as its details, and the checks already
-    recorded, like the suites after it, still land in the report.  Its
-    wall-clock seconds go to seconds[name]."""
-    started = time.perf_counter()
-    try:
-        yield
-    except (VerificationError, PrecisionError, IntegralityError, BudgetError,
-            ParameterError) as exc:
-        checks.append(check_entry(f"{name}.error", False, exc))
-    finally:
-        seconds[name] = round(time.perf_counter() - started, 4)
-
-
-def run_verify_all(cfg):
-    q, n = cfg.q, cfg.n
-    checks = []
-    results = {"q": q, "n": n, "N": cfg.prec_n, "D": cfg.degree()}
-    # one GL_n(F_q) per run, built by the dl suite and reused by chars; a
-    # group that fails to build is the error of each of the two
-    gl_group = cache(partial(GLGroup, q, n))
-    seconds = {}
-
-    module = None
-    with suite("formal_module", checks, seconds):
-        module = lubin_tate_module(q, n, N=cfg.prec_n, D=cfg.degree())
-        checks.extend(prefixed("formal_module.", verify_module_axioms(module)))
-
-    with suite("depth0", checks, seconds):
-        if module is None:
-            raise VerificationError("no formal module: the formal_module suite failed")
-        # each P_a, P and the chart are built once and shared by the checks;
-        # after P or the chart failed, the entries that need it fail naming it
-        factors = deformation_factors(module)
-        census = special_fiber_components(module, factors=factors)
-        checks.append(check_entry(
-            "depth0.component_census", census["all_scalar_checks_pass"],
-            f"{census['components']} components of multiplicity {census['multiplicity']}"))
-        P = identity_entry(checks, "depth0.equation_lowest_degree",
-                           partial(build_P, module, factors))
-        chart = identity_entry(checks, "depth0.chart_multiplicity", after(
-            "depth0.equation_lowest_degree", P, partial(blowup_chart, module, factors)),
-            chart_details)
-        if n >= 3:
-            identity_entry(checks, "depth0.iterated_multiplicities", after(
-                "depth0.chart_multiplicity", chart,
-                partial(iterated_chart, module, list(range(n, 1, -1)))), str)
-        identity_entry(checks, "depth0.un_equals_dl", after(
-            "depth0.chart_multiplicity", chart, partial(un_special_fiber, module)))
-
-    with suite("dl", checks, seconds):
-        # every check runs on DL(F_{q^m}) at its first non-empty level
-        m, (base, residues, lines) = rational_level(q, n)
-        count = len(residues) * residues[0]
-        checks.append(check_entry(f"dl.base_points_m{m}", base == base_points_moebius(q, n, m),
-                                  f"count {count}, base {base}"))
-        orbit, failure = orbit_check(q, n, m, gl_group().generators, lines[0], count)
-        checks.append(check_entry("dl.action_invariance", failure is None,
-                                  failure or f"orbit size {len(orbit)}"))
-
-    with suite("chars", checks, seconds):
-        rep = correspondence_report(q, n, CorrespondenceData(gl_group()))
-        checks.extend(prefixed("chars.", rep["checks"]))
-        results["cuspidal_part"] = rep["cuspidal_part"]
-    results["suites"] = ["formal_module", "depth0", "dl", "chars"]
+def verify_all_results(cfg, v):
+    results = {"q": cfg.q, "n": cfg.n, "N": cfg.prec_n, "D": cfg.degree(),
+               "suites": list(SUITES)}
+    if "correspondence" in v:
+        results["cuspidal_part"] = v["correspondence"]["cuspidal_part"]
     if cfg.values.get("timing"):
-        results["profile"] = {"suites": seconds}
-    return results, checks
+        results["profile"] = {"suites": v.seconds}
+    return results
 
 
 HANDLERS = {
-    "formal-group": run_formal_group,
-    "depth0": run_depth0,
-    "dl": run_dl,
-    "chars": run_chars,
-    "verify-all": run_verify_all,
+    "formal-group": formal_group_results,
+    "depth0": depth0_results,
+    "dl": dl_results,
+    "chars": chars_results,
+    "verify-all": verify_all_results,
 }
 
 
@@ -530,10 +533,8 @@ def main(argv=None):
         if args.config:
             args = with_config_file(parser, argv, args)
         cfg = RunConfig(args)
-        try:
-            results, checks = HANDLERS[cfg.command](cfg)
-        except VerificationError as exc:
-            results, checks = {}, [check_entry("verification", False, exc)]
+        values, checks = run_suites(cfg)
+        results = HANDLERS[cfg.command](cfg, values)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

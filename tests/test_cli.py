@@ -127,9 +127,9 @@ def test_dl_count_names_a_census_point_off_the_variety(tmp_path, monkeypatch):
     # only the points' own entry fails; the count and the Moebius check stay
     assert code == 1
     assert report["checks"] == [
-        {"name": "points_on_variety", "status": "fail",
+        {"name": "dl.points_on_variety", "status": "fail",
          "details": "1 of 6 census points off DL(F_4), first [3, 2]"},
-        {"name": "moebius_matches_enumeration", "status": "pass", "details": ""}]
+        {"name": "dl.base_points_m2", "status": "pass", "details": "count 6, base 2"}]
     assert report["results"] == {"q": 2, "n": 2, "m": 2, "count": 6, "base_count": 2}
 
 
@@ -203,25 +203,26 @@ NOT_P = "P does not vanish to order exactly q^n - 1"
 
 @pytest.mark.parametrize("argv,doctor,failed,dropped", [
     (["depth0", "equation", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
-     {"lowest_degree_qn_minus_1": NOT_P}, {"P"}),
+     {"depth0.equation_lowest_degree": NOT_P}, {"P"}),
     # un_special_fiber reads the chart, so it fails naming the chart's entry
     (["depth0", "chart", "--q", "2", "--n", "2"], affine_law_off_on_blocks_of(2),
-     {"chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
-      "un_equals_dl": "not run: chart_multiplicity failed"},
+     {"depth0.chart_multiplicity": NOT_AFFINE.format("(0, 1)", "Xn"),
+      "depth0.un_equals_dl": "not run: depth0.chart_multiplicity failed"},
      {"linear_parts", "n", "pivot", "q", "valuation", "valuations"}),
     (["depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2,1"],
      affine_law_off_on_blocks_of(1),
-     {"iterated_multiplicities": NOT_AFFINE.format("(1,)", "U1_1, Xn")},
+     {"depth0.iterated_multiplicities": NOT_AFFINE.format("(1,)", "U1_1, Xn")},
      {"iterated_valuations"}),
     (["depth0", "chart", "--q", "2", "--n", "2"], DL_equation_off_by_one,
-     {"un_equals_dl": NOT_DL}, set()),
+     {"depth0.un_equals_dl": NOT_DL}, set()),
     (["chars", "steinberg", "--q", "3", "--n", "2"], borel_element_moved,
-     {"steinberg_norm_one": "1_P^G for P_(1, 1) is not integral at class 4"}, {"steinberg"}),
+     {"chars.steinberg_norm_one": "1_P^G for P_(1, 1) is not integral at class 4"},
+     {"steinberg"}),
     (["chars", "table", "--q", "2", "--n", "2"], common_eigenvector_dropped,
-     {"degree_squares_sum": "Dixon table failed for all primes tried: "
-                            "degree squares do not sum to the group order"}, {"table"}),
+     {"chars.degree_squares_sum": "Dixon table failed for all primes tried: "
+                                  "degree squares do not sum to the group order"}, {"table"}),
     (["dl", "equation", "--q", "4", "--n", "2"], DL_product_off_the_prime_field,
-     {"prime_field_coefficients": "product of rational forms not defined over F_p"},
+     {"dl.prime_field_coefficients": "product of rational forms not defined over F_p"},
      {"equation", "num_forms"}),
     (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
      {"depth0.equation_lowest_degree": NOT_P,
@@ -263,24 +264,28 @@ def generator_dropped(monkeypatch):
     monkeypatch.setattr(gl_characters, "gl_generators", lambda field, n: honest(field, n)[:2])
 
 
-@pytest.mark.parametrize("doctor,details", [
-    (broken_dixon_table, "doctored Dixon failure"),
-    (generator_dropped, "the 2 generators generate "),
-], ids=["dixon_table", "group"])
-def test_a_raising_correspondence_build_fails_its_own_entry(tmp_path, monkeypatch, doctor,
-                                                            details):
-    # the group, the table or St raising inside `chars correspondence` fails
-    # the entry corr_build with the library's message, and the report keeps
-    # q and n; a build that passes has no entry of its own
-    code, clean = run_cli(tmp_path, "chars", "correspondence", "--q", "3", "--n", "2")
+@pytest.mark.parametrize("subcommand,doctor,details", [
+    ("correspondence", broken_dixon_table, "doctored Dixon failure"),
+    ("correspondence", generator_dropped, "the 2 generators generate "),
+    ("table", generator_dropped, "the 2 generators generate "),
+    ("steinberg", generator_dropped, "the 2 generators generate "),
+], ids=["dixon_table", "group", "group_in_table", "group_in_steinberg"])
+def test_a_raising_correspondence_build_fails_its_own_entry(tmp_path, monkeypatch, subcommand,
+                                                            doctor, details):
+    # the group, or in `chars correspondence` the torus, the table or St,
+    # raising in a chars command fails chars.error with the library's
+    # message, and the report keeps q and n; a build that passes has no
+    # entry of its own
+    code, clean = run_cli(tmp_path, "chars", subcommand, "--q", "3", "--n", "2")
     assert code == 0
-    assert "corr_build" not in [c["name"] for c in clean["checks"]]
+    assert "chars.error" not in [c["name"] for c in clean["checks"]]
     doctor(monkeypatch)
-    code, report = run_cli(tmp_path, "chars", "correspondence", "--q", "3", "--n", "2")
+    code, report = run_cli(tmp_path, "chars", subcommand, "--q", "3", "--n", "2")
     assert code == 1
-    assert report["results"] == {"q": 3, "n": 2}
+    assert report["results"] == {"q": 3, "n": 2, **(
+        {"degree": clean["results"]["degree"]} if subcommand == "steinberg" else {})}
     [check] = report["checks"]
-    assert (check["name"], check["status"]) == ("corr_build", "fail")
+    assert (check["name"], check["status"]) == ("chars.error", "fail")
     assert check["details"].startswith(details)
 
 
@@ -310,7 +315,7 @@ def test_a_failed_prerequisite_is_not_rebuilt(tmp_path, monkeypatch, argv, docto
 
 
 @pytest.mark.parametrize("argv,entry,details", [
-    (["depth0", "equation"], "component_census", "2 components"),
+    (["depth0", "equation"], "depth0.component_census", "2 components of multiplicity 1"),
     (["verify-all"], "depth0.component_census", "2 components of multiplicity 1"),
 ])
 def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry, details):
@@ -396,21 +401,36 @@ def test_a_parabolic_histogram_with_a_moved_element_fails_verify_all(tmp_path, m
                        "details": "1_P^G for P_(1, 1) is not integral at class 4"}]
 
 
-@pytest.mark.parametrize("target,error", [("deformation_factors", BudgetError),
-                                          ("rational_level", BudgetError),
-                                          ("CorrespondenceData", ParameterError)])
-def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, target, error):
+@pytest.mark.parametrize("target,error,argv,suite", [
+    pytest.param("deformation_factors", BudgetError, ["verify-all"], "depth0",
+                 id="deformation_factors-BudgetError"),
+    pytest.param("rational_level", BudgetError, ["verify-all"], "dl",
+                 id="rational_level-BudgetError"),
+    pytest.param("CorrespondenceData", ParameterError, ["verify-all"], "chars",
+                 id="CorrespondenceData-ParameterError"),
+    # a module build that raises in a command of one suite is that suite's error
+    *(pytest.param("lubin_tate_module", error, argv, suite, id=f"module-{'-'.join(argv)}")
+      for error, argv, suite in [(ParameterError, ["formal-group"], "formal_module"),
+                                 (BudgetError, ["depth0", "equation"], "depth0"),
+                                 (ParameterError, ["depth0", "chart"], "depth0"),
+                                 (BudgetError, ["depth0", "strata"], "depth0")]),
+])
+def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, target, error,
+                                                         argv, suite):
     def escaping(*args, **kwargs):
         raise error("doctored escape")
 
     monkeypatch.setattr(cli, target, escaping)
-    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
+    code, report = run_cli(tmp_path, *argv, "--q", "2", "--n", "2")
     assert code == 1
-    suite = {"deformation_factors": "depth0", "rational_level": "dl"}.get(target, "chars")
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert failed == [{"name": f"{suite}.error", "status": "fail",
                        "details": "doctored escape"}]
     names = [c["name"] for c in report["checks"]]
+    if argv != ["verify-all"]:
+        # the report is complete: the suite's error is its one entry
+        assert names == [f"{suite}.error"] and report["config"]["q"] == 2
+        return
     for other in {"formal_module", "depth0", "dl", "chars"} - {suite}:
         assert any(name.startswith(other + ".") for name in names), other
 
@@ -590,32 +610,56 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
         assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])
+def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
+    # every command runs its slice of verify-all's suites under verify-all's
+    # names, so the subcommands together report each verify-all entry but
+    # the action check, each as the identical record
+    size = ["--q", str(q), "--n", str(n)]
+    code, full = run_cli(tmp_path, "verify-all", *size)
+    assert code == 0
+    records = {c["name"]: c for c in full["checks"]}
+    m = next(name[len("dl.base_points_m"):] for name in records
+             if name.startswith("dl.base_points_m"))
+    sequence = ["--depth-sequence", ",".join(map(str, range(n, 1, -1)))] if n >= 3 else []
+    shared = []
+    for argv in (["formal-group"], ["depth0", "equation"], ["depth0", "chart", *sequence],
+                 ["dl", "count", "--m", m], ["chars", "correspondence"]):
+        code, report = run_cli(tmp_path, *argv, *size)
+        assert code == 0
+        assert report["checks"] and [records.get(c["name"]) for c in report["checks"]] == \
+            report["checks"], argv
+        shared += [c["name"] for c in report["checks"]]
+    assert sorted(shared) == sorted(set(records) - {"dl.action_invariance"})
+
+
 # sha256 of the sorted-key JSON of the results and checks of the reports
 # that serialise series (each ring's `descriptor` and `coeff_to_json`),
 # which no verify-all report does; the two dl equation reports refrozen when
-# their entry form_count became prime_field_coefficients, each report
-# otherwise unchanged
+# their entry form_count became prime_field_coefficients, and all of them
+# when each entry took verify-all's name (and the census entry its details),
+# each report otherwise unchanged
 SERIES_REPORT_DIGESTS = {
     ("formal-group", "--q", "2", "--n", "2"):
-        "1a057f508a7dc7fb7112c53613af2887e323b9ad55806ee9d8acd6c39298f2d4",
+        "28ffef78d7db643c9cf242e8abdb55d10aa2a1ffd8538baeeacecd383fa1238b",
     ("formal-group", "--q", "4", "--n", "1"):
-        "3c43b21056c3c103282542349f70490f8f09343557ac9e63ad326fdd0555c857",
+        "9e19295dd911ca77ea4319bd01036efd22983f8b1a14ab1a0c00bad4a063ed38",
     ("formal-group", "--q", "2", "--n", "2", "--universal"):
-        "99d6caf55abfb53f5b59442598e9bf46b95632e419b04e45f68cedd9c3bb5c3e",
+        "a0bd7c8934e57874ca72832759367371e9994353d458d9cf7b1e4ece9e6fe451",
     ("formal-group", "--q", "3", "--n", "2", "--universal"):
-        "91fbb0aab09cc3d40bb1c8321b01a70c2e6589b60da7a24f48d7baece38beb1c",
+        "9933ff1c6ded40653ba81df2ddb8852e75f0fc5c2303ab1fd2d8781e37e3a68b",
     ("depth0", "equation", "--q", "3", "--n", "2"):
-        "58a11354448740249b177fde3845c6ec7faf28b5624b53ebf52ff577042bfc52",
+        "3f9c6c7292eff65f868547f2daf67229ea19e8aade996c1d572bc00936f773d8",
     ("depth0", "chart", "--q", "4", "--n", "2"):
-        "ea4409df2c43982997daebdd0f414e8bdc3412063fbf9b4feddc71e7dbddfdce",
+        "f71c9038a6cc92cd2267b3aedacecac2d875327414e14317567236177f21982e",
     ("depth0", "chart", "--q", "2", "--n", "3", "--depth-sequence", "3,2,1"):
-        "199f7fa4e08acd184bafeda30193c54d09d5ffb91efb1d229320c5739657a4ab",
+        "0f72486f26356ef2732c75fa989de5941d80510266aa175993a6546abd2dae07",
     ("depth0", "strata", "--q", "2", "--n", "3"):
-        "439b4d26cd2aa7fe282135bc9a5059ed57529beb1015eb1fe7e29de2d1a3e85e",
+        "bd6ece7bf1afd1393709bcd2fc1817c9d35d7f3771216d55114735d0469eb6f3",
     ("dl", "equation", "--q", "4", "--n", "2"):
-        "90a230eb9c1e0332aeda9d8133993bd7474a2206646621865fbf9264379f601d",
+        "3d2d308a18e4fdc63f71f99adef2c8f9f4095ef9b5460580bb9454fc8738d63d",
     ("dl", "equation", "--q", "2", "--n", "3"):
-        "784d4fd0f7d18caf53065a9753b6b8459645ddcd7e6d775f8965ded7642d2f7c",
+        "7500735d052c4c48986dab363e7e6eb2b154e10af285a978c4794f25d9573266",
 }
 
 
@@ -632,20 +676,22 @@ def test_series_reports_hold_their_frozen_digests(tmp_path, argv):
 # the point-level dl reports, frozen from the reports made by enumerating
 # F_{q^m}^n, before the line census became their one path to DL points;
 # refrozen when the points gained their own passing entry points_on_variety,
-# each report otherwise unchanged
+# and when each entry took verify-all's name (moebius_matches_enumeration
+# became dl.base_points_m<m>, with its details), each report otherwise
+# unchanged
 DL_REPORT_DIGESTS = {
     ("dl", "count", "--q", "2", "--n", "2", "--m", "2", "--list"):
-        (0, "ac275c4b5c3e3e944aa25073bed12adc82e1748196788ed5ae3ab5ab2d6aee14"),
+        (0, "350269bf2641cc6b0c468df5966e0ce72ac408bd1d6b0bd1d963ce13dd01a0bc"),
     ("dl", "count", "--q", "4", "--n", "2", "--m", "2", "--list"):
-        (0, "b569ad1d509ed2e40812a2ad55a842e3f37069668aaba05732fc9244abc188a9"),
+        (0, "1f98b27681f851dc36d0f610d9029c611f4d30f99f5090a7b425aec27a7df87b"),
     ("dl", "count", "--q", "2", "--n", "3", "--m", "3", "--list"):
-        (0, "3f7290564240b25f6fdc83cc89fc734fd573ba30bcf56d99738980582d967844"),
+        (0, "c09cb2765781e746c6038d70a86f19ba6da14b094cba0db159b3113b96dd0113"),
     ("dl", "count", "--q", "3", "--n", "2", "--m", "4", "--list"):
-        (0, "5c0210b77c6cbe7b1745657bc46831c657a55558f61ad7e28e2818d5f79f9a8b"),
+        (0, "0a59757b1c07d8847634c3d0ed56eee29d2248fcb7e42ae3be16f5f61570023c"),
     ("dl", "count", "--q", "8", "--n", "2", "--m", "2", "--list"):
-        (0, "7a53e6054647c68a04dcbd8546ba1e3c8b9bbb9cda40f2ef5e872ce5a49bea95"),
+        (0, "a697ca9c9d02fc4a81e5a1b8c2dd94b87390b8076466fd433387ad6bb237f989"),
     ("dl", "count", "--q", "5", "--n", "2", "--m", "4", "--list"):
-        (0, "afed19e66782b5e39fe3ef9e963784be4990e415b0e144ee5af5bd8d6b8c7c72"),
+        (0, "2c55cec63ae85ae09ad892e816fa71dae1631608fffb3a631c5d202c53734527"),
 }
 
 
@@ -660,38 +706,39 @@ def test_dl_reports_hold_their_frozen_digests(tmp_path, argv):
 # (exit code, sha256 of the sorted-key JSON of the results and checks) of
 # the chars reports, frozen so that a change to the group or the Dixon
 # layer proves its character tables, Steinberg characters and
-# correspondences byte-identical
+# correspondences byte-identical; refrozen when each entry took verify-all's
+# name, each report otherwise unchanged
 CHARS_REPORT_DIGESTS = {
     ("chars", "table", "--q", "2", "--n", "2"):
-        (0, "e8030fa1897a40b6ea7d65f793999dd72bb279912ccb830b3a1ad6b41065ff7a"),
+        (0, "5c1bd2be9c91851f6ea7df67676d2f2b352f560ae84b2c8eb275da4a9f860f16"),
     ("chars", "table", "--q", "3", "--n", "2"):
-        (0, "046bc7ca6f8d06cb6c9b44527bf0edd91bc510ac49c1e3ab7b20a4bd43a9842a"),
+        (0, "725ed96ed6cdabd1012cafa0c64148e07a8328b12e1271f29d459ac3fce9f453"),
     ("chars", "table", "--q", "2", "--n", "3"):
-        (0, "5acca8383a2838ba8fff91b9ec7ff45f36b2b508a81614285fe65c467a048093"),
+        (0, "4d92ed83f6c12c31de85e41326a8e9d0bd225adf86543fd4ed2d59f75de4132e"),
     ("chars", "table", "--q", "4", "--n", "2"):
-        (0, "fd2735a29d5eb72ba523f087286ae08e2a49192372c6617c3857681716ccffe0"),
+        (0, "2c5bc7e09a85a0e2a983010f1aef3a575959480f27f7aa4d2556cede84a8eb7f"),
     ("chars", "table", "--q", "5", "--n", "2"):
-        (0, "bb656811bd831c2c941bdc46dc231055add6478b5dbf524fe514095cadaffe08"),
+        (0, "2381592e228688b94ac6752192680033429f02261d986eb16faf3623bd194033"),
     ("chars", "steinberg", "--q", "2", "--n", "2"):
-        (0, "d6ca9fe2c900484e80fb590530fb0da068608a680497c0b713ab7f290ca4389f"),
+        (0, "a4b56d737cb9586f56be7385f1e8ddc535c6156cfd5815b6381c499e9bb3f855"),
     ("chars", "steinberg", "--q", "3", "--n", "2"):
-        (0, "b0b97a1173f7b4e6b62e71f4658059e1fe5ad1f2f92dcc651287c164101d4349"),
+        (0, "f7c69900f4d53393799edd7c84c23aca17dcc9b2550c33bf37dc7b62372e0aba"),
     ("chars", "steinberg", "--q", "2", "--n", "3"):
-        (0, "9343d6cd3a05df008ba035739c1727668649cbc73efa240e53422f3928947697"),
+        (0, "4fcd6839a1b89a4ffee877b0e5db05c627534bde6cf5ffa53ac58bffae01ed36"),
     ("chars", "steinberg", "--q", "4", "--n", "2"):
-        (0, "2365a6824b8f6e5bede9a819bc0ad532915b8723623f70aa66b7bcf25ab750a7"),
+        (0, "66abbc086f6a0b36c62c0543e38cd9e365042132465974d23f773e2e24a2334a"),
     ("chars", "steinberg", "--q", "5", "--n", "2"):
-        (0, "361e3e4c60ee3429a359f061be9b5e362d3ac656949a12055fcff9e22324a753"),
+        (0, "94473404e948cff0736e40ed89dbef8beea538a7f6ab6f00057ca4bb0189efbd"),
     ("chars", "correspondence", "--q", "2", "--n", "2"):
-        (0, "f354665c53acb1e4c78c1e0007fcdec12bf90072119f0b5659fbe83152821f9e"),
+        (0, "141caad31f8010e9c9888302fedfd8bc8bac5ec1b3deba5fade84c8829ae5348"),
     ("chars", "correspondence", "--q", "3", "--n", "2"):
-        (0, "e0be33842a3fb14621e3b5c362f36726c81d4a7802cd6a1f8fa52ccb68b76d36"),
+        (0, "52ae76eb5d332b8cd6eb3bf20243d4f9f6cbde5b44d936c654ba0b4c48dd83c8"),
     ("chars", "correspondence", "--q", "2", "--n", "3"):
-        (0, "f6dd8af3c5080a1a3bc9868cd3e2cfa6481b88a7d06d0881a6d80efd6a161fbb"),
+        (0, "d594be194ff66f1599b233bc09ba04f6f04b45949c83a9c176efdda87c41cd0c"),
     ("chars", "correspondence", "--q", "4", "--n", "2"):
-        (0, "a8f39a94ec41d20ea812eb729c7f1ce70167e54968d38101389d8891ceadc87c"),
+        (0, "aba416723e329b89ee430a42ffa7fd2b523f1adb74373b1c89cbd0a51af978e4"),
     ("chars", "correspondence", "--q", "5", "--n", "2"):
-        (0, "ad136ed2236c2429e20cf52d7d79845d43d4d2f776ba4bcd7cf6b2ce9db19b9c"),
+        (0, "11a0c8ef9aedf9bdb75e708cb93fe73eadcb14433efb29f00b41fe0406a63bb5"),
 }
 
 

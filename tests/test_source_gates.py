@@ -141,10 +141,10 @@ def test_series_reaches_coefficients_only_through_their_ring():
 
 
 def test_cli_catches_verification_errors_only_on_its_entry_paths():
-    # a raising identity fails its own entry through `identity_entry`, a raising
-    # verify-all suite its `<suite>.error` through `suite`, and any other
-    # raise the generic entry in `main`; no other code in cli.py catches
-    # VerificationError, by name, through a base class or with a bare except
+    # the one runner fails a raising identity's own entry and turns any
+    # other raise in a suite into `<suite>.error`; no other code in cli.py
+    # catches VerificationError, by name, through a base class or with a
+    # bare except
     path = Path(ltdl.__file__).parent / "cli.py"
     catching = {"VerificationError", "AssertionError", "Exception", "BaseException"}
     found = set()
@@ -154,7 +154,7 @@ def test_cli_catches_verification_errors_only_on_its_entry_paths():
                     node.type is None
                     or catching & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
                 found.add(getattr(top, "name", "<module>"))
-    assert found == {"identity_entry", "suite", "main"}
+    assert found == {"run_suites"}
 
 
 def raise_sites(path, exception):
@@ -188,11 +188,13 @@ def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
 
 def test_importing_the_cli_loads_no_fractions():
     # `fractions` and the `decimal` it imports cost every command, --version
-    # included, milliseconds of start-up; the package computes in ints
+    # included, milliseconds of start-up; the package computes in ints.  So
+    # do `dataclasses` and the `inspect` it imports
     src = str(Path(ltdl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, ltdl.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    code = ("import sys, ltdl.cli; "
+            "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
