@@ -31,7 +31,6 @@ from .ffield import FieldDesc, ff_make, field_for_order
 from .formal_modules import (
     FormalModule,
     lubin_tate_module,
-    universal_module,
     verify_module_axioms,
 )
 from .gl_characters import (
@@ -59,6 +58,6 @@ __all__ = [
     "dl_equation", "dl_points", "ff_make",
     "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "per_zeta_counts", "special_fiber_components",
-    "steinberg", "stratum_membership", "un_special_fiber",
-    "universal_module", "verify_module_axioms", "witt_ring",
+    "steinberg", "stratum_membership", "un_special_fiber", "verify_module_axioms",
+    "witt_ring",
 ]

@@ -45,7 +45,6 @@ from .ffield import MAX_DEGREE, field_for_order
 from .formal_modules import (
     default_degree,
     lubin_tate_module,
-    universal_module,
     verify_module_axioms,
 )
 from .gl_characters import (
@@ -91,8 +90,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     _common_flags(common)
 
-    fg = top.add_parser("formal-group", parents=[common], help="build a module and dump F, [a]")
-    fg.add_argument("--universal", action="store_true", default=None)
+    top.add_parser("formal-group", parents=[common], help="build a module and dump F, [a]")
 
     d0 = top.add_parser("depth0", help="deformation-space computations")
     d0_sub = d0.add_subparsers(dest="subcommand", required=True)
@@ -180,7 +178,7 @@ def with_config_file(parser, argv, args):
 
 class RunConfig:
     DEFAULTS = {"q": 2, "n": 2, "m": 2, "format": "json",
-                "timing": False, "universal": False, "list": False,
+                "timing": False, "list": False,
                 "out": None, "depth_sequence": None}
 
     def __init__(self, args):
@@ -241,8 +239,8 @@ class RunConfig:
             raise BudgetError(f"|GL_{n}(F_{q})| exceeds {MAX_GROUP_ORDER}")
 
     def echo(self):
-        keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing",
-                "universal", "list", "depth_sequence"]
+        keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing", "list",
+                "depth_sequence"]
         return {k: self.values.get(k) for k in keys}
 
     def degree(self):
@@ -289,8 +287,7 @@ def dl_level(cfg):
 # the values that the entries of a run share, each built from the run's
 # values and config
 BUILDS = {
-    "module": lambda v, cfg: (universal_module if cfg.values.get("universal")
-                              else lubin_tate_module)(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree()),
+    "module": lambda v, cfg: lubin_tate_module(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree()),
     "axioms": lambda v, cfg: verify_module_axioms(v["module"]),
     "factors": lambda v, cfg: deformation_factors(v["module"]),
     "census": lambda v, cfg: special_fiber_components(v["module"], factors=v["factors"]),

@@ -41,8 +41,8 @@ def x_vars(n):
 
 
 def deformation_ring(module):
-    """The W/p^N series ring in X1..Xn (plus the module's T-parameters)."""
-    return SeriesRing(module.F.ring.domain, x_vars(module.n) + module.aux_vars, module.D)
+    """The W/p^N series ring in X1..Xn."""
+    return SeriesRing(module.F.ring.domain, x_vars(module.n), module.D)
 
 
 def build_P_a(module, a, ring=None):
@@ -274,14 +274,14 @@ def blowup_chart(module, factors=None, P=None):
             f"chart multiplicity {val} differs from q^n - 1 = {q ** n - 1}")
     residual = P_sub.factor_out(X_PIVOT, q ** n - 1)
     # consistency: the residual equals the product of the per-factor parts
-    # wherever both are exact (Xn-degree plus T-degree < D - (q^n - 1)); a
-    # term there is a product of factor terms there, so the product is
-    # formed with Xn capped below the window
+    # wherever both are exact (Xn-degree < D - (q^n - 1)); a term there is a
+    # product of factor terms there, so the product is formed with Xn capped
+    # below the window
     window = module.D - (q ** n - 1)
     low = SeriesRing(ring.domain, ring.vars, ring.degree, {**ring.caps, X_PIVOT: window - 1})
-    exact = [ring._var_index[v] for v in (X_PIVOT,) + module.aux_vars]
+    pivot = ring._var_index[X_PIVOT]
     trim = lambda s: TruncatedSeries(low, {e: c for e, c in s.terms.items()
-                                           if sum(e[i] for i in exact) < window})
+                                           if e[pivot] < window})
     if trim(product_over([trim(f) for f in chart_factors.values()])) != trim(residual):
         raise VerificationError("residual disagrees with the factored product")
     return ChartReport(q, n, X_PIVOT, val, residual, linear_parts, chart_factors)
@@ -326,8 +326,7 @@ def iterated_chart(module, depth_sequence, chart=None):
         # off the stratum: after killing the blown-up block, every previous
         # pivot and Xn, the factor must stay a nonzero form in the surviving
         # generic coordinates
-        killed = coords[:sub_block] + tuple(v for v in ring.vars[block - 1:]
-                                            if v not in module.aux_vars)
+        killed = coords[:sub_block] + ring.vars[block - 1:]
         for a, fac in factors.items():
             if any(a[sub_block:]):
                 for v in killed:

@@ -1,6 +1,6 @@
-"""Lubin-Tate formal O-modules and the universal deformation in normal form.
+"""Lubin-Tate formal O-modules over W(F_q)/p^N.
 
-The base module of height n over W = W(F_q) is built from f = pX + X^{q^n}
+The module of height n over W = W(F_q) is built from f = pX + X^{q^n}
 with the classical logarithm determined by
 
     lambda(f(X)) = p * lambda(X),      lambda(X) = X + O(X^2),
@@ -9,22 +9,9 @@ solved degree by degree over bounded-denominator p-adics in Q_p: f lies in
 Z[X], so every coefficient of lambda, exp, F and [a] for a in Z does too
 (Lubin-Tate 1965), and a Teichmuller scalar zeta of W is zeta X, taken
 straight from the Witt ring.  Then [p] = exp(p * lambda) reproduces f
-exactly, so the mod-p reduction of [p] is X^{q^n} on the nose.
-
-The universal module over W[[T_1, ..., T_{n-1}]] targets the normal form
-f = pX + T_1 X^q + ... + T_{n-1} X^{q^{n-1}} + X^{q^n}.  That f is not a
-Frobenius-pure series mod p, and no integral formal group has [p] equal to
-it exactly; the higher corrections are forced.  Its logarithm is therefore
-built by the functional-equation recursion
-
-    lambda = X + sum_i (v_i / p) * lambda^{sigma^i}(X^{q^i}),
-    v_i = T_i (i < n), v_n = 1, sigma: T -> T^q,
-
-which guarantees integrality of F and of every [a], with [p] agreeing with
-the normal form in low degree.  Its coefficients lie in Q_p[T], so the
-Frobenius lift sigma only raises the T-variables to the q-th power.  exp is
-the compositional inverse of lambda.  The module stores F and the scalar
-series over the truncated Witt ring W(F_q)/p^N, into which each p-adic
+exactly, so the mod-p reduction of [p] is X^{q^n} on the nose.  exp is the
+compositional inverse of lambda.  The module stores F and the scalar series
+over the truncated Witt ring W(F_q)/p^N, into which each p-adic
 coefficient's residue mod p^N embeds as an integer, and where all later
 identities are checked exactly mod (p^N, deg D).
 """
@@ -40,139 +27,57 @@ def default_degree(q, n):
 
 
 def default_v_max(q, n, D):
-    # log denominators grow like one power of p per degree step of size
-    # q^n - 1 (base module); the functional-equation recursion used for the
-    # universal module only reaches log_q(D) denominators, well under this
+    # log denominators grow like one power of p per degree step of size q^n - 1
     return -(-D // (q ** n - 1)) + 2
 
 
-def _x_slice(series, x_index, m):
-    """Terms with X-exponent exactly m, with that exponent removed."""
-    out = {}
-    for e, c in series.terms.items():
-        if e[x_index] == m:
-            ne = list(e)
-            ne[x_index] = 0
-            out[tuple(ne)] = c
-    return TruncatedSeries(series.ring, out)
-
-
 def solve_log(f_series):
-    """The series lambda with lambda(f) = p * lambda and lambda = X + O(deg 2).
+    """The series lambda with lambda(f) = p * lambda and lambda = X + O(deg 2),
+    for f in one variable X over the bounded-denominator p-adics.
 
-    Coefficients are polynomials in the auxiliary variables (if any) over the
-    bounded-denominator p-adics of the ambient ring.
+    lambda = sum_j c_j X^j, and the X^m coefficient of lambda(f) is
+    p^m c_m + num_m, where num_m is the X^m coefficient of
+    acc = sum_{j<m} c_j f^j; equating it with p c_m gives
+    c_m = num_m / (p - p^m).  Each c_j f^j joins acc once c_j is found.
     """
     ring = f_series.ring
-    if not isinstance(ring.domain, PadicParams):
+    dom = ring.domain
+    if not isinstance(dom, PadicParams):
         raise ParameterError("logarithm must be solved over p-adic coefficients")
-    p = ring.domain.p
-    xi = ring._var_index["X"]
-    x = ring.var("X")
-    lin = f_series.coefficient(tuple(1 if i == xi else 0 for i in range(len(ring.vars))))
-    if lin.is_zero_like() or not (lin - ring.domain.from_int(p)).zero_at(
-            ring.domain.n_work):
+    p = dom.p
+    lin = f_series.coefficient((1,))
+    if lin.is_zero_like() or not (lin - dom.from_int(p)).zero_at(dom.n_work):
         raise ParameterError("f must have linear coefficient exactly p")
-    if not f_series.constant_term().is_exact_zero():
-        if not ring.domain.is_negligible(f_series.constant_term()):
-            raise ParameterError("f must have zero constant term")
-    D = ring.degree
-    f_pows = {1: f_series}
-    for j in range(2, D):
-        f_pows[j] = f_pows[j - 1] * f_series
-    coeffs = {1: ring.one()}
-    lam = x
-    for m in range(2, D):
-        num = ring.zero()
-        for j in range(1, m):
-            cj = coeffs.get(j)
-            if cj is None or cj.is_zero():
-                continue
-            fm = _x_slice(f_pows[j], xi, m)
-            if not fm.is_zero():
-                num = num + cj * fm
-        if num.is_zero():
-            coeffs[m] = None
+    if not dom.is_negligible(f_series.constant_term()):
+        raise ParameterError("f must have zero constant term")
+    lam, acc, f_pow = ring.var("X"), f_series, f_series
+    for m in range(2, ring.degree):
+        f_pow = f_pow * f_series
+        num = acc.terms.get((m,))
+        if num is None:
             continue
-        denom = ring.domain.from_int(p - p ** m)
-        cm = num.scale(denom.inv())
-        coeffs[m] = cm
-        mono = ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
-                             ring.domain.one())
-        lam = lam + cm * mono
-    return lam
-
-
-def solve_fe_log(ring, q, n):
-    """The functional-equation logarithm for the Drinfeld normal form.
-
-    lambda = X + sum_{i=1}^{n} (v_i/p) lambda^{sigma^i}(X^{q^i}) with
-    v_i = T_i for i < n and v_n = 1, where sigma raises T-variables to the
-    q-th power and fixes the coefficients, which lie in Q_p.  Solved by the
-    direct coefficient recursion c_m = sum_i (v_i/p) sigma^i(c_{m/q^i}).
-    """
-    if not isinstance(ring.domain, PadicParams):
-        raise ParameterError("logarithm must be solved over p-adic coefficients")
-    xi = ring._var_index["X"]
-    width = len(ring.vars)
-    D = ring.degree
-
-    def sigma_twist(tpoly, i):
-        out = {}
-        for e, c in tpoly.terms.items():
-            ne = list(e)
-            for k in range(width):
-                if k != xi:
-                    ne[k] *= q ** i
-            ne = tuple(ne)
-            if ring.admits(ne):
-                out[ne] = c
-        return TruncatedSeries(ring, out)
-
-    coeffs = {1: ring.one()}
-    lam = ring.var("X")
-    for m in range(2, D):
-        total = ring.zero()
-        for i in range(1, n + 1):
-            qi = q ** i
-            if m % qi:
-                continue
-            cj = coeffs.get(m // qi)
-            if cj is None or cj.is_zero():
-                continue
-            term = sigma_twist(cj, i)
-            if i < n:
-                term = term * ring.var(f"T{i}")
-            total = total + term
-        if total.is_zero():
-            coeffs[m] = None
-            continue
-        cm = total.map_coeffs(ring, lambda c: c.div_p(1))
-        coeffs[m] = cm
-        mono = ring.monomial(tuple(m if i == xi else 0 for i in range(width)),
-                             ring.domain.one())
-        lam = lam + cm * mono
+        cm = num * dom.from_int(p - p ** m).inv()
+        if not dom.is_negligible(cm):
+            lam = lam + ring.monomial((m,), cm)
+            acc = acc + f_pow.scale(cm)
     return lam
 
 
 def invert_series(lam):
-    """Compositional inverse in the distinguished variable (exp of the log).
+    """Compositional inverse in X (exp of the log).
 
     Degree by degree, exp is corrected by the X^m part of lam(exp); lam(exp)
     is recomputed only after a nonzero correction, since otherwise it is
     unchanged.
     """
     ring = lam.ring
-    xi = ring._var_index["X"]
     exp = ring.var("X")
     comp = lam.substitute({"X": exp})
     for m in range(2, ring.degree):
-        em = _x_slice(comp, xi, m)
-        if em.is_zero():
+        em = comp.terms.get((m,))
+        if em is None:
             continue
-        mono = ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
-                             ring.domain.one())
-        exp = exp - em * mono
+        exp = exp - ring.monomial((m,), em)
         comp = lam.substitute({"X": exp})
     residue = comp - ring.var("X")
     for c in residue.terms.values():
@@ -189,23 +94,22 @@ def to_witt_series(series, witt):
 
 
 class FormalModule:
-    """A formal O-module (F, [.]) over W/p^N or its T-parameter extension."""
+    """A formal O-module (F, [.]) over W/p^N."""
 
-    def __init__(self, q, n, N, D, aux_vars, padic_params, f_padic, log_series,
-                 exp_series, F, pi_series):
+    def __init__(self, q, n, N, D, padic_params, f_padic, log_series, exp_series, F,
+                 pi_series):
         self.q = q
         self.n = n
         self.N = N
         self.D = D
         self.field = field_for_order(q)
         self.p = self.field.p
-        self.aux_vars = aux_vars
         self.padic_params = padic_params
         self.f_padic = f_padic
         self.log_series = log_series      # over BoundedPadic
         self.exp_series = exp_series      # over BoundedPadic
-        self.F = F                        # over W/p^N, vars (X, Y) + aux
-        self.x_ring = SeriesRing(F.ring.domain, ("X",) + aux_vars, D)
+        self.F = F                        # over W/p^N, vars (X, Y)
+        self.x_ring = SeriesRing(F.ring.domain, ("X",), D)
         # [1] is built as exp(log X) like every other integer scalar, so
         # the scalar_one axiom compares two computations
         self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
@@ -282,8 +186,7 @@ class FormalModule:
         return series.substitute({"X": s}, host)
 
     def __repr__(self):
-        kind = "universal" if self.aux_vars else "base"
-        return f"FormalModule({kind}, q={self.q}, n={self.n}, N={self.N}, D={self.D})"
+        return f"FormalModule(q={self.q}, n={self.n}, N={self.N}, D={self.D})"
 
 
 def normalize_scalar_key(field, key):
@@ -315,87 +218,28 @@ def scalar_key_product(field, k1, k2):
     return None
 
 
-def _check_build_params(q, n, D):
+def lubin_tate_module(q, n, N=8, D=None):
+    """The height-n module: [p] = f = pX + X^{q^n} over W(F_q)/p^N exactly."""
+    D = default_degree(q, n) if D is None else D
     if n < 1:
         raise ParameterError("height must be >= 1")
     if D <= q ** n:
         raise ParameterError(f"degree bound {D} must exceed q^n = {q ** n}")
-
-
-def _normal_form_terms(ring, q, n):
-    """pX + T_1 X^q + ... + X^{q^n}, with T-terms only when the ring has them."""
-    one = ring.domain.one()
-    p = ring.domain.p
-    width = len(ring.vars)
-    terms = {(1,) + (0,) * (width - 1): ring.domain.from_int(p),
-             (q ** n,) + (0,) * (width - 1): one}
-    for i in range(1, n):
-        name = f"T{i}"
-        if name in ring._var_index:
-            e = [0] * width
-            e[0] = q ** i
-            e[ring._var_index[name]] = 1
-            terms[tuple(e)] = one
-    return terms
-
-
-def _finish_module(q, n, N, D, aux_vars, params, f_padic, lam):
-    exp = invert_series(lam)
-    witt = witt_ring(params.p, field_for_order(q).f, N)
-    xy_ring = SeriesRing(params, ("X", "Y") + aux_vars, D)
-    lam_x = lam.map_vars(xy_ring)
-    lam_y = lam.map_vars(xy_ring, {"X": "Y"})
-    F_padic = exp.substitute({"X": lam_x + lam_y}, xy_ring)
-    F = to_witt_series(F_padic, witt)
-    pi_padic = exp.substitute({"X": lam.scale(params.from_int(params.p))})
-    pi = to_witt_series(pi_padic, witt)
-    return FormalModule(q, n, N, D, aux_vars, params, f_padic, lam, exp, F, pi)
-
-
-def lubin_tate_module(q, n, N=8, D=None):
-    """The base height-n module: [p] = f = pX + X^{q^n} over W(F_q)/p^N exactly."""
-    D = default_degree(q, n) if D is None else D
-    _check_build_params(q, n, D)
     field = field_for_order(q)
     params = PadicParams(field.p, N, default_v_max(q, n, D))
     x_ring = SeriesRing(params, ("X",), D)
-    f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
+    f_padic = TruncatedSeries(x_ring, {(1,): params.from_int(field.p), (q ** n,): params.one()})
     lam = solve_log(f_padic)
-    module = _finish_module(q, n, N, D, (), params, f_padic, lam)
-    f_witt = to_witt_series(f_padic, module.F.ring.domain)
-    if module._scalars[("int", field.p)] != f_witt:
+    exp = invert_series(lam)
+    witt = witt_ring(field.p, field.f, N)
+    xy_ring = SeriesRing(params, ("X", "Y"), D)
+    lam_x = lam.map_vars(xy_ring)
+    lam_y = lam.map_vars(xy_ring, {"X": "Y"})
+    F = to_witt_series(exp.substitute({"X": lam_x + lam_y}, xy_ring), witt)
+    pi = to_witt_series(exp.substitute({"X": lam.scale(params.from_int(field.p))}), witt)
+    if pi != to_witt_series(f_padic, witt):
         raise VerificationError("exp(p * log) does not reproduce f")
-    return module
-
-
-def universal_module(q, n, N=8, D=None):
-    """The universal deformation with [p] in Drinfeld normal form + corrections.
-
-    The functional-equation logarithm keeps every coefficient integral; [p]
-    contains every normal-form monomial pX, T_i X^{q^i}, X^{q^n} with the
-    right coefficient mod p (degree 1 exactly), plus forced corrections.
-    """
-    D = default_degree(q, n) if D is None else D
-    _check_build_params(q, n, D)
-    field = field_for_order(q)
-    params = PadicParams(field.p, N, default_v_max(q, n, D))
-    aux = tuple(f"T{i}" for i in range(1, n))
-    x_ring = SeriesRing(params, ("X",) + aux, D)
-    f_padic = TruncatedSeries(x_ring, _normal_form_terms(x_ring, q, n))
-    lam = solve_fe_log(x_ring, q, n)
-    module = _finish_module(q, n, N, D, aux, params, f_padic, lam)
-    pi = module._scalars[("int", field.p)]
-    red = pi.reduce_mod_p()
-    f_red = to_witt_series(f_padic, pi.ring.domain).reduce_mod_p()
-    # every normal-form monomial must appear with its coefficient mod p
-    # (further corrections in between are forced and allowed)
-    for e, c in f_red.terms.items():
-        if red.coefficient(e) != c:
-            raise VerificationError(
-                "universal [p] misses a normal-form monomial mod p")
-    if pi.coefficient((1,) + (0,) * (n - 1)) != pi.ring.domain.from_int(field.p):
-        raise VerificationError("universal [p] has the wrong linear coefficient")
-    return module
+    return FormalModule(q, n, N, D, params, f_padic, lam, exp, F, pi)
 
 
 # -- axiom verification ------------------------------------------------------
@@ -422,7 +266,7 @@ def verify_module_axioms(module):
 
     checks.append(check_entry("unit_section", F.set_var_to_zero("Y") == x, "F(X,0) = X"))
 
-    xyz = SeriesRing(ring.domain, ("X", "Y", "Z") + module.aux_vars, module.D)
+    xyz = SeriesRing(ring.domain, ("X", "Y", "Z"), module.D)
     a = F.map_vars(xyz)
     b = F.map_vars(xyz, {"X": "Y", "Y": "Z"})
     lhs = F.substitute({"X": a, "Y": xyz.var("Z")}, xyz)
@@ -437,8 +281,7 @@ def verify_module_axioms(module):
     ok_lin = True
     for key, s in table.items():
         want = module.scalar_coefficient(key)
-        e1 = (1,) + (0,) * (len(module.x_ring.vars) - 1)
-        if s.coefficient(e1) != want:
+        if s.coefficient((1,)) != want:
             ok_lin = False
         if not s.is_zero() and s.lowest_degree() < 1:
             ok_lin = False
@@ -463,20 +306,9 @@ def verify_module_axioms(module):
     checks.append(check_entry("scalar_hom_add", ok_add,
                               "F([a],[b]) = [a+b] on integer entries"))
 
-    # [p] at T = 0, mod p
-    pi = module.scalar_series(("int", module.p))
-    for v in module.aux_vars:
-        pi = pi.set_var_to_zero(v)
-    red = pi.reduce_mod_p()
-    qn = module.q ** module.n
-    expect = red.ring.monomial((qn,) + (0,) * (len(red.ring.vars) - 1), red.ring.domain.one())
-    if module.aux_vars:
-        # the universal [p] carries forced higher corrections, so only the
-        # lowest term of the reduction is pinned
-        ok = not red.is_zero() and red.lowest_degree() == qn and red.homogeneous_part(qn) == expect
-        checks.append(check_entry("height", ok, "[p] mod (p, T) has lowest term X^{q^n}"))
-    else:
-        checks.append(check_entry("height", red == expect, "[p] mod p = X^{q^n} exactly"))
+    red = module.scalar_series(("int", module.p)).reduce_mod_p()
+    expect = red.ring.monomial((module.q ** module.n,), red.ring.domain.one())
+    checks.append(check_entry("height", red == expect, "[p] mod p = X^{q^n} exactly"))
 
     return checks
 

@@ -2,9 +2,9 @@
 
 Truncation is by total degree: a ring with degree bound D stores exponent
 vectors of total degree < D.  Optional per-variable caps mark polynomial
-variables (chart coordinates V_i, deformation parameters T_i) that carry an
-exact bounded degree rather than a truncated tail; substitutions with a
-nonzero constant term are only allowed into such variables.
+variables (the coordinates of a blow-up chart) that carry an exact bounded
+degree rather than a truncated tail; substitutions with a nonzero constant
+term are only allowed into such variables.
 
 The coefficient ring is the ring object itself: ffield.FieldDesc,
 witt.WittRing or witt.PadicParams.  Series store the ring's raw values

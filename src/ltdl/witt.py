@@ -9,12 +9,12 @@ and a value's Teichmuller digits, which only JSON reports use, are read off
 by subtracting lifts and dividing by p.
 
 BoundedPadic elements are p^v * u in Q_p: an int unit u known modulo
-p^(abs - v), with explicit absolute precision abs, supporting division by p
+p^(abs - v), with explicit absolute precision abs, supporting inversion
 down to a configured valuation floor.  This is what the formal-module
-logarithms compute in, and Q_p is all they need: lambda(f(X)) = p lambda(X)
+logarithm computes in, and Q_p is all it needs: lambda(f(X)) = p lambda(X)
 with f in Z[X] puts every coefficient of lambda, exp, F and [a] for a in Z
-in Q_p (Lubin-Tate 1965; Hazewinkel 1978), and a Teichmuller scalar of
-W(F_{p^f}) acts as zeta X over the Witt ring itself.
+in Q_p (Lubin-Tate 1965), and a Teichmuller scalar of W(F_{p^f}) acts as
+zeta X over the Witt ring itself.
 """
 
 from functools import lru_cache
@@ -343,15 +343,6 @@ class BoundedPadic:
             raise PrecisionError("multiplication lost all precision")
         return BoundedPadic(self.params, val, self.unit * other.unit % self.params.p ** digits,
                             abs_prec)
-
-    def div_p(self, k=1):
-        """Divide by p^k (a valuation shift); enforces the v_max floor."""
-        if self.is_exact_zero():
-            return self
-        if self.val - k < -self.params.v_max:
-            raise DenominatorOverflow(
-                f"valuation {self.val - k} below -v_max = {-self.params.v_max}")
-        return BoundedPadic(self.params, self.val - k, self.unit, self.abs - k)
 
     def inv(self):
         if self.is_zero_like():

@@ -644,10 +644,6 @@ SERIES_REPORT_DIGESTS = {
         "28ffef78d7db643c9cf242e8abdb55d10aa2a1ffd8538baeeacecd383fa1238b",
     ("formal-group", "--q", "4", "--n", "1"):
         "9e19295dd911ca77ea4319bd01036efd22983f8b1a14ab1a0c00bad4a063ed38",
-    ("formal-group", "--q", "2", "--n", "2", "--universal"):
-        "a0bd7c8934e57874ca72832759367371e9994353d458d9cf7b1e4ece9e6fe451",
-    ("formal-group", "--q", "3", "--n", "2", "--universal"):
-        "9933ff1c6ded40653ba81df2ddb8852e75f0fc5c2303ab1fd2d8781e37e3a68b",
     ("depth0", "equation", "--q", "3", "--n", "2"):
         "3f9c6c7292eff65f868547f2daf67229ea19e8aade996c1d572bc00936f773d8",
     ("depth0", "chart", "--q", "4", "--n", "2"):
@@ -798,21 +794,23 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"parameter error: config file: {message}\n"
 
 
-@pytest.mark.parametrize("text,flags,message", [
-    ("universal=true", ["--universal"], "unrecognized arguments: --universal=true"),
-    ("universal=false", ["--universal=false"], "unrecognized arguments: --universal=false"),
-    ("depth-sequence=9,9", ["--depth-sequence", "9,9"],
+@pytest.mark.parametrize("command,text,flags,message", [
+    ("depth0 chart", "list=true", ["--list"], "unrecognized arguments: --list=true"),
+    ("depth0 chart", "list=false", ["--list=false"], "unrecognized arguments: --list=false"),
+    ("dl count", "depth-sequence=9,9", ["--depth-sequence", "9,9"],
      "unrecognized arguments: --depth-sequence=9,9"),
-    ("N=6\nlist=maybe", ["--list=maybe"], "argument --list: 'maybe' is not true or false"),
-    ("help=true", ["--help=true"], "argument -h/--help: ignored explicit argument 'true'"),
-    ("config=other.cfg", None, "argument --config: a config file names no other"),
+    ("dl count", "N=6\nlist=maybe", ["--list=maybe"],
+     "argument --list: 'maybe' is not true or false"),
+    ("dl count", "help=true", ["--help=true"],
+     "argument -h/--help: ignored explicit argument 'true'"),
+    ("dl count", "config=other.cfg", None, "argument --config: a config file names no other"),
 ], ids=["switch-of-another-command", "switch-set-false", "flag-of-another-command",
         "bad-switch-value", "help", "config"])
-def test_config_file_keys_are_the_running_commands_flags(tmp_path, capsys, text, flags,
-                                                         message):
+def test_config_file_keys_are_the_running_commands_flags(tmp_path, capsys, command, text,
+                                                         flags, message):
     # the running subparser parses the file's flags, so a key exits 2 where
     # its flag on the command line does
-    argv = ["dl", "count", "--q", "2", "--n", "2"]
+    argv = command.split() + ["--q", "2", "--n", "2"]
     if flags:
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)

@@ -21,7 +21,7 @@ from ltdl.depth0 import (
 from ltdl.dl_variety import dl_equation
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import field_for_order
-from ltdl.formal_modules import lubin_tate_module, universal_module
+from ltdl.formal_modules import lubin_tate_module
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import det
 from ltdl.series import TruncatedSeries, product_over
@@ -226,13 +226,6 @@ def test_chart_image_of_P_is_the_product_of_the_substituted_factors(q, n):
     assert build_P(m, factors).substitute(sub, ring) == subbed
     chart = blowup_chart(m, factors=factors)
     assert chart.residual == subbed.factor_out(depth0.X_PIVOT, q ** n - 1)
-
-
-def test_chart_with_symbolic_parameters():
-    # the universal lift keeps T symbolic; multiplicity is unchanged
-    u = universal_module(2, 2, N=5, D=8)
-    chart = blowup_chart(u)
-    assert chart.valuation == 3
 
 
 SHADOW_CASES = [(2, 2), (3, 2), (2, 3)]

@@ -17,7 +17,7 @@ from ltdl.dl_variety import (
     line_census,
 )
 from ltdl.ffield import gaussian_binomial
-from ltdl.formal_modules import lubin_tate_module, universal_module, verify_module_axioms
+from ltdl.formal_modules import lubin_tate_module, verify_module_axioms
 
 
 def test_q4_base_module_axioms():
@@ -59,10 +59,3 @@ def test_q4_fiber_structure_over_f16():
     assert {len(points) for points in fibers.values()} == {15}
     assert base_points_moebius(4, 2, 2) == 12
 
-
-def test_q4_universal_module_builds():
-    u = universal_module(4, 2, N=3, D=18)
-    pi = u.scalar_series(("int", 2))
-    red = pi.reduce_mod_p()
-    assert red.coefficient((4, 1)) == red.ring.domain.one()   # T_1 X^q
-    assert red.coefficient((16, 0)) == red.ring.domain.one()  # X^{q^2}

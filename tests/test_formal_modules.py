@@ -6,15 +6,14 @@ import pytest
 
 from ltdl.errors import ParameterError, VerificationError
 from ltdl.formal_modules import (
-    FormalModule,
     invert_series,
     lubin_tate_module,
+    solve_log,
     to_witt_series,
-    universal_module,
     verify_module_axioms,
 )
 from ltdl.series import SeriesRing, TruncatedSeries
-from ltdl.witt import WittRing, witt_ring
+from ltdl.witt import PadicParams, WittRing, witt_ring
 
 
 def binomial_series(ring, a, upto):
@@ -93,14 +92,14 @@ def test_axioms_fail_for_tampered_module():
     m = lubin_tate_module(2, 2)
     bad = copy.copy(m)
     ring = m.F.ring
-    bump = ring.monomial((2, 1, ) + (0,) * (len(ring.vars) - 2), ring.domain.one())
+    bump = ring.monomial((2, 1), ring.domain.one())
     bad.F = m.F + bump + bump.map_vars(ring, {"X": "Y", "Y": "X"})
     report = {c["name"]: c["status"] for c in verify_module_axioms(bad)}
     assert report["associativity"] == "fail"
     assert report["symmetry"] == "pass"  # the tamper was symmetric on purpose
 
 
-@pytest.mark.parametrize("builder", [lubin_tate_module, universal_module])
+@pytest.mark.parametrize("builder", [lubin_tate_module])
 def test_scalar_one_fails_when_exp_does_not_invert_log(builder):
     # [1] is exp(1 * log X), built like every other integer scalar, so an
     # exp with a stray X^2 term gives [1](X) = X + X^2 and scalar_one fails
@@ -108,65 +107,10 @@ def test_scalar_one_fails_when_exp_does_not_invert_log(builder):
     assert m.scalar_series(("int", 1)) == m.x_ring.var("X")
     bad = builder(2, 2)
     ring = bad.exp_series.ring
-    bad.exp_series = bad.exp_series + ring.monomial((2,) + (0,) * (len(ring.vars) - 1),
-                                                    ring.domain.one())
+    bad.exp_series = bad.exp_series + ring.monomial((2,), ring.domain.one())
     report = {c["name"]: c["status"] for c in verify_module_axioms(bad)}
     assert report["scalar_one"] == "fail"
     assert report["linear_part"] == report["associativity"] == "pass"
-
-
-def test_universal_module_2_2():
-    u = universal_module(2, 2, N=6, D=10)
-    report = verify_module_axioms(u)
-    assert all(c["status"] == "pass" for c in report), report
-    # [p] agrees with the normal form 2X + T1 X^2 + X^4 mod p in low degree;
-    # the exact normal form is unattainable (corrections are forced).
-    pi = u.scalar_series(("int", 2))
-    lin = pi.coefficient((1, 0))
-    assert lin == pi.ring.domain.from_int(2)
-    red = pi.reduce_mod_p()
-    low = {e: c for e, c in red.terms.items() if e[0] <= 4}
-    F2 = red.ring.domain
-    assert low == {(2, 1): F2.one(), (4, 0): F2.one()}
-
-
-def specialized_module(module):
-    """The T -> 0 specialization of a universal module: every auxiliary
-    variable substituted by 0 in F, log, exp, f and [p], as a base-type
-    module."""
-    dom, pdom, D = module.F.ring.domain, module.log_series.ring.domain, module.D
-    xy, x, px = (SeriesRing(dom, ("X", "Y"), D), SeriesRing(dom, ("X",), D),
-                 SeriesRing(pdom, ("X",), D))
-
-    def kill(series, ring):
-        return series.substitute({v: ring.zero() for v in module.aux_vars}, ring)
-
-    return FormalModule(
-        module.q, module.n, module.N, D, (), module.padic_params,
-        kill(module.f_padic, px), kill(module.log_series, px), kill(module.exp_series, px),
-        kill(module.F, xy), kill(module.scalar_series(("int", module.p)), x))
-
-
-def test_universal_specializes_to_base_model():
-    # T -> 0 yields a base-type module (different normalization of the same
-    # module as lubin_tate_module); it must satisfy every axiom including the
-    # exact height law.
-    u = universal_module(2, 2, N=6, D=8)
-    base = specialized_module(u)
-    report = verify_module_axioms(base)
-    assert all(c["status"] == "pass" for c in report), report
-    red = base.scalar_series(("int", 2)).reduce_mod_p()
-    assert red == red.ring.monomial((4,), red.ring.domain.one())
-
-
-def test_universal_t1_coefficient():
-    # mod (p, T_2, ..): the coefficient of X^q in [p] is T_1.
-    for (q, n) in [(2, 3), (3, 2)]:
-        u = universal_module(q, n, N=4)
-        pi = u.scalar_series(("int", u.p))
-        red = pi.reduce_mod_p()
-        e_xq_t1 = (q, 1) + (0,) * (n - 2)
-        assert red.coefficient(e_xq_t1) == red.ring.domain.one()
 
 
 def test_formal_sum_multiplicative_and_fold_invariance():
@@ -203,6 +147,20 @@ def test_parameter_guards():
         lubin_tate_module(2, 0)
 
 
+@pytest.mark.parametrize("terms,message", [
+    ({(1,): 3, (4,): 1}, "linear coefficient exactly p"),
+    ({(2,): 1, (4,): 1}, "linear coefficient exactly p"),
+    ({(0,): 1, (1,): 2, (4,): 1}, "zero constant term"),
+])
+def test_solve_log_refuses_f_off_the_lubin_tate_form(terms, message):
+    # f = pX + ... with f(0) = 0 is what lambda(f) = p lambda is solved for
+    params = PadicParams(2, 6, 4)
+    f = TruncatedSeries(SeriesRing(params, ("X",), 8),
+                        {e: params.from_int(c) for e, c in terms.items()})
+    with pytest.raises(ParameterError, match=message):
+        solve_log(f)
+
+
 def test_scalar_values_are_built_once_per_key():
     m = lubin_tate_module(5, 2)
     assert (m.scalar_coefficient(("teich", 2))
@@ -229,8 +187,7 @@ def invert_series_every_degree(lam, x_var="X"):
 
 
 @pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 2, 1), (lubin_tate_module, 3, 1),
-                                         (lubin_tate_module, 2, 2), (lubin_tate_module, 5, 2),
-                                         (universal_module, 2, 2), (universal_module, 3, 2)])
+                                         (lubin_tate_module, 2, 2), (lubin_tate_module, 5, 2)])
 def test_invert_series_matches_the_every_degree_loop(builder, q, n):
     m = builder(q, n)
     assert invert_series(m.log_series) == invert_series_every_degree(m.log_series)
@@ -259,7 +216,7 @@ def teichmuller_by_exp_log(module, k):
 
 
 @pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 3, 2), (lubin_tate_module, 5, 2),
-                                         (lubin_tate_module, 3, 3), (universal_module, 3, 2)])
+                                         (lubin_tate_module, 3, 3)])
 def test_teichmuller_scalars_match_exp_of_zeta_log(builder, q, n):
     # zeta = 1 is [1], so the keys start at 2 and need q >= 3 to be any
     m = builder(q, n)
@@ -292,7 +249,7 @@ def test_teichmuller_scalars_are_endomorphisms_of_F(q, n):
 
 
 @pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 4, 1), (lubin_tate_module, 8, 1),
-                                         (lubin_tate_module, 5, 2), (universal_module, 3, 2)])
+                                         (lubin_tate_module, 5, 2)])
 def test_module_build_makes_no_witt_element(monkeypatch, builder, q, n):
     # the logarithm, exp, F and [p] are built over Q_p and embedded into
     # W(F_q)/p^N by from_int: no Teichmuller lift is made on the way
