@@ -12,9 +12,10 @@ import json
 import sys
 import time
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 from . import __version__
+from .cyclo import euler_phi
 from .depth0 import (
     blowup_chart,
     build_P,
@@ -41,7 +42,7 @@ from .errors import (
     VerificationError,
     check_entry,
 )
-from .ffield import MAX_DEGREE, field_for_order
+from .ffield import MAX_DEGREE, MAX_FIELD_SIZE, prime_power
 from .formal_modules import (
     default_degree,
     lubin_tate_module,
@@ -55,31 +56,12 @@ from .gl_characters import (
     dixon_table,
     steinberg,
 )
-from .linalg import MAX_GROUP_ORDER, group_order, index_vectors
+from .linalg import group_order
 
 SCHEMA_VERSION = 1
-# size limits, each checked once in RunConfig.validate()
-CHART_QN_BOUND = 64
-CHART_MONOMIAL_BOUND = 2000
-DL_QN_BOUND = 2 ** 20
-AMBIENT_FIELD_BOUND = 4096
-POINT_BUDGET = 10 ** 8
-
-
-def _common_flags(parser):
-    parser.add_argument("--q", type=int, default=None, help="residue field size")
-    parser.add_argument("--n", type=int, default=None, help="height / rank")
-    parser.add_argument("--m", type=int, default=None, help="extension degree for points")
-    parser.add_argument("--N", dest="prec_n", type=int, default=None,
-                        help="p-adic precision (default 8)")
-    parser.add_argument("--D", dest="prec_d", type=int, default=None,
-                        help="series degree bound (default q^n + q)")
-    parser.add_argument("--out", default=None, help="report output path (default stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--timing", action="store_true", default=None,
-                        help="include wall-clock timing in the report (and, for "
-                             "verify-all, seconds per suite in results.profile)")
+# the one size limit: RunConfig.validate() refuses a run whose estimated
+# work, in microseconds of one core, exceeds it
+WORK_BUDGET = 3_400_000
 
 
 def build_parser():
@@ -88,31 +70,33 @@ def build_parser():
     top = parser.add_subparsers(dest="command", required=True)
     # every command's parser shares the one set of common flag actions
     common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common)
+    flag = common.add_argument
+    flag("--q", type=int, default=None, help="residue field size")
+    flag("--n", type=int, default=None, help="height / rank")
+    flag("--m", type=int, default=None, help="extension degree for points")
+    flag("--N", dest="prec_n", type=int, default=None, help="p-adic precision (default 8)")
+    flag("--D", dest="prec_d", type=int, default=None,
+         help="series degree bound (default q^n + q)")
+    flag("--out", default=None, help="report output path (default stdout)")
+    flag("--format", choices=["json", "csv"], default=None)
+    flag("--config", default=None, help="key=value config file")
+    flag("--timing", action="store_true", default=None,
+         help="include wall-clock timing in the report (and, for "
+              "verify-all, seconds per suite in results.profile)")
 
     top.add_parser("formal-group", parents=[common], help="build a module and dump F, [a]")
-
-    d0 = top.add_parser("depth0", help="deformation-space computations")
-    d0_sub = d0.add_subparsers(dest="subcommand", required=True)
-    for name in ("equation", "chart", "strata"):
-        sub = d0_sub.add_parser(name, parents=[common])
-        if name == "chart":
-            sub.add_argument("--depth-sequence", default=None,
-                             help="comma-separated strictly decreasing sequence")
-
-    dl = top.add_parser("dl", help="Deligne-Lusztig variety computations")
-    dl_sub = dl.add_subparsers(dest="subcommand", required=True)
-    for name in ("equation", "count"):
-        sub = dl_sub.add_parser(name, parents=[common])
-        if name == "count":
-            sub.add_argument("--list", action="store_true", default=None,
-                             help="dump points (csv format supported)")
-
-    ch = top.add_parser("chars", help="GL_n(F_q) character theory")
-    ch_sub = ch.add_subparsers(dest="subcommand", required=True)
-    for name in ("table", "steinberg", "correspondence"):
-        ch_sub.add_parser(name, parents=[common])
-
+    subs = {}
+    for command, text, names in [
+            ("depth0", "deformation-space computations", "equation chart strata"),
+            ("dl", "Deligne-Lusztig variety computations", "equation count"),
+            ("chars", "GL_n(F_q) character theory", "table steinberg correspondence")]:
+        sub = top.add_parser(command, help=text).add_subparsers(dest="subcommand", required=True)
+        for name in names.split():
+            subs[f"{command} {name}"] = sub.add_parser(name, parents=[common])
+    subs["depth0 chart"].add_argument("--depth-sequence", default=None,
+                                      help="comma-separated strictly decreasing sequence")
+    subs["dl count"].add_argument("--list", action="store_true", default=None,
+                                  help="dump points (csv format supported)")
     top.add_parser("verify-all", parents=[common], help="run every verification suite")
     return parser
 
@@ -177,8 +161,7 @@ def with_config_file(parser, argv, args):
 
 
 class RunConfig:
-    DEFAULTS = {"q": 2, "n": 2, "m": 2, "format": "json",
-                "timing": False, "list": False,
+    DEFAULTS = {"q": 2, "n": 2, "m": 2, "format": "json", "timing": False, "list": False,
                 "out": None, "depth_sequence": None}
 
     def __init__(self, args):
@@ -194,69 +177,52 @@ class RunConfig:
 
     def validate(self):
         """Refuse the config before any handler runs: a ParameterError (exit
-        2) for a parameter out of range, then a BudgetError (exit 3) for a
-        size limit of the run.  Library functions keep only the limits of
-        their representation."""
+        2) for a malformed parameter, then a BudgetError (exit 3) for a field
+        beyond the field tables or an estimated work over WORK_BUDGET.  It
+        builds no field or group and enumerates nothing."""
         q, n, m = self.q, self.n, self.m
         if q < 2 or n < 1:
             raise ParameterError("need q >= 2 and n >= 1")
-        field = field_for_order(q)  # raises ParameterError if q is not a prime power
-        if self.command in ("formal-group", "depth0", "verify-all"):
-            if q ** n > CHART_QN_BOUND:
-                raise ParameterError(
-                    f"q^n = {q ** n} exceeds the chart bound {CHART_QN_BOUND}")
-            D = self.degree()
-            if D <= q ** n:
-                raise ParameterError(f"degree bound {D} must exceed q^n = {q ** n}")
-            monomials = comb(D + n - 1, n)
-            if monomials > CHART_MONOMIAL_BOUND:
-                raise ParameterError(
-                    f"{monomials} monomials at degree {D} in {n} "
-                    f"variables exceed the chart budget {CHART_MONOMIAL_BOUND}")
-        if self.command == "dl" and q ** n > DL_QN_BOUND:
-            raise ParameterError(f"q^n = {q ** n} exceeds {DL_QN_BOUND}")
         if self.command == "dl" and m < 1:
             raise ParameterError(f"extension degree m = {m} must be >= 1")
-        if self.command == "verify-all" and group_order(q, n) > MAX_GROUP_ORDER:
-            raise ParameterError("|GL_n(F_q)| exceeds the character-table budget")
+        if q > MAX_FIELD_SIZE:  # before factoring q by trial division
+            raise BudgetError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
+        self.p, self.f = p, f = prime_power(q)
+        # every estimate counts each of the q^n - 1 forms, 1/4 us or more
+        if n >= (4 * WORK_BUDGET).bit_length():
+            raise BudgetError(f"the q^n - 1 forms at n = {n} exceed the work budget")
+        if self.command in ("formal-group", "depth0", "verify-all") and self.degree() <= q ** n:
+            raise ParameterError(f"degree bound {self.degree()} must exceed q^n = {q ** n}")
         if self.prec_n < 1 or (self.prec_d is not None and self.prec_d < 2):
             raise ParameterError("invalid precision parameters")
-        self.depth_sequence = None
-        seq_text = self.values.get("depth_sequence")
-        if self.command == "depth0" and self.subcommand == "chart" and seq_text:
-            self.depth_sequence = checked_depth_sequence(seq_text, n)
-        elif self.command == "verify-all" and n >= 3:  # its iterated chart, n down to 2
+        seq_text = self.values["depth_sequence"]  # a flag of depth0 chart alone
+        self.depth_sequence = checked_depth_sequence(seq_text, n) if seq_text else None
+        if self.command == "verify-all" and n >= 3:  # its iterated chart, n down to 2
             self.depth_sequence = list(range(n, 1, -1))
-        if self.command == "dl" and self.subcommand == "count":
-            # the census walks P^{n-1}(F_{q^m}) in tables of F_{q^m}
-            if field.f * m > MAX_DEGREE:
-                raise BudgetError(f"ambient field degree {field.f * m} exceeds {MAX_DEGREE}")
-            if q ** m > AMBIENT_FIELD_BOUND:
-                raise BudgetError(f"ambient field size {q ** m} exceeds {AMBIENT_FIELD_BOUND}")
-            if q ** (m * n) > POINT_BUDGET:
-                raise BudgetError("projective enumeration over budget")
-        if self.command == "chars" and group_order(q, n) > MAX_GROUP_ORDER:
-            raise BudgetError(f"|GL_{n}(F_{q})| exceeds {MAX_GROUP_ORDER}")
+        # the levels m of the DL census, each walked in the tables of F_{q^m}
+        self.levels = {"dl count": [m], "verify-all": range(n, last_dl_level(q, n) + 1)}.get(
+            self.name, [])
+        for name, degree in [("field", f)] + [("ambient field", f * k) for k in self.levels[-1:]]:
+            if degree > MAX_DEGREE:
+                raise BudgetError(f"{name} degree {degree} exceeds {MAX_DEGREE}")
+            if p ** degree > MAX_FIELD_SIZE:
+                raise BudgetError(f"{name} size {p ** degree} exceeds {MAX_FIELD_SIZE}")
+        self.work = 0  # in microseconds: the WORK terms, summed until past the budget
+        for name in WORK[self.name].split():
+            if self.work <= WORK_BUDGET:
+                self.work += WORK_TERMS[name](self)
+        if self.work > WORK_BUDGET:
+            at = f"q={q}, n={n}" + (f", m={m}" if self.name == "dl count" else "")
+            seconds = f"{self.work / 10 ** 6:.3g} s" if self.work < 10 ** 15 else "1e9 s"
+            raise BudgetError(f"{self.name} at {at}: estimated work of {seconds} or more "
+                              f"exceeds the {WORK_BUDGET / 10 ** 6:g} s budget")
 
     def echo(self):
-        keys = ["q", "n", "m", "prec_n", "prec_d", "format", "timing", "list",
-                "depth_sequence"]
-        return {k: self.values.get(k) for k in keys}
+        keys = "q n m prec_n prec_d format timing list depth_sequence"
+        return {k: self.values.get(k) for k in keys.split()}
 
     def degree(self):
         return self.prec_d if self.prec_d is not None else default_degree(self.q, self.n)
-
-
-def make_report(config, results, checks):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "command": config.name,
-        "config": config.echo(),
-        "results": results,
-        "checks": checks,
-        "timing_seconds": None,
-    }
 
 
 def holds(ok, details=""):
@@ -267,12 +233,12 @@ def holds(ok, details=""):
     return details
 
 
-def strata_rows(module, n):
-    """For a in F_q^n - 0 and 0 < j < n, whether P_a lies in (X_1, ..., X_j),
-    next to whether the support of a ends by j."""
-    return [{"a": list(a), "j": j, "member": stratum_membership(module, a, j),
+def strata_rows(module, factors):
+    """For a in F_q^n - 0 and 0 < j < n, whether P_a, read from `factors`,
+    lies in (X_1, ..., X_j), next to whether the support of a ends by j."""
+    return [{"a": list(a), "j": j, "member": stratum_membership(module, a, j, factors),
              "expected": not any(a[j:])}
-            for a in index_vectors(module.field, n) for j in range(1, n)]
+            for a in factors for j in range(1, module.n)]
 
 
 def dl_level(cfg):
@@ -291,7 +257,7 @@ BUILDS = {
     "axioms": lambda v, cfg: verify_module_axioms(v["module"]),
     "factors": lambda v, cfg: deformation_factors(v["module"]),
     "census": lambda v, cfg: special_fiber_components(v["module"], factors=v["factors"]),
-    "strata": lambda v, cfg: strata_rows(v["module"], cfg.n),
+    "strata": lambda v, cfg: strata_rows(v["module"], v["factors"]),
     "level": lambda v, cfg: dl_level(cfg),
     "m": lambda v, cfg: v["level"][0],
     "group": lambda v, cfg: GLGroup(cfg.q, cfg.n),
@@ -387,6 +353,48 @@ SLICES = {
                   "iterated_multiplicities un_equals_dl base_points_m{m} action_invariance "
                   "correspondence",
 }
+
+
+# -- the work estimate ---------------------------------------------------------------
+# Closed-form terms in microseconds of one core, calibrated on fresh-process
+# runs (the README's "Size limits" says what each counts): Q = q^n, D the
+# series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
+# The module's log and exp, its axioms, the chart's factors P_a, the walks of
+# P^{n-1}(F_{q^m}), verify-all's orbit walk, the DL product of the forms, the
+# group's closure and classes, the Dixon lift, and the table's report.
+WORK_TERMS = {
+    "module": lambda c: 3 * c.degree() ** 2 * 3 * (c.f + 1) // 4,
+    "axioms": lambda c: (c.n * c.degree() * (c.degree() + c.q ** 2) + (
+        c.degree() ** 3 // 12 if c.f * c.n > c.prec_n else 0)) * 3 * (c.f + 1) // 4,
+    "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
+    "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n - 1) // 4
+                            + 2 * c.q ** m for m in c.levels),
+    "orbit": lambda c: group_order(c.q, c.n) * ((c.q ** c.n - 1) // 4 + 16),
+    "product": lambda c: 2 * comb(c.q ** c.n // 2 + c.n - 1, c.n - 1) ** 2 + c.q ** c.n,
+    "group": lambda c: group_order(c.q, c.n) * c.q ** c.n // 2,
+    "lift": lambda c: 3 * c.q ** (3 * c.n) // (4 * c.n),
+    "report": lambda c: c.q ** (2 * c.n) * euler_phi(  # E: p^a >= n, times lcm(q^i - 1)
+        min(c.p ** a for a in range(c.n) if c.p ** a >= c.n)
+        * lcm(*(c.q ** i - 1 for i in range(1, c.n + 1)))),
+}
+
+# the terms of each command's work, in the order they are summed
+WORK = {"formal-group": "module axioms", "dl equation": "product", "dl count": "census",
+        **dict.fromkeys(("depth0 equation", "depth0 chart", "depth0 strata"), "module factors"),
+        "chars table": "group lift report", "chars steinberg": "group",
+        "chars correspondence": "group lift",
+        "verify-all": "module axioms factors census orbit group lift"}
+
+
+def last_dl_level(q, n):
+    """The last level m that verify-all's DL walk can reach.  The forms of a
+    line x0 off the rational hyperplanes are the nonzero elements of an
+    n-dimensional F_q-subspace V of F_{q^m}, and P(x0) is their product.  At
+    m = n, V = F_{q^n} and P(x0) = -1, of residue 0 (a line with points)
+    when -1 = 1.  At m = n + 1, V is the kernel of x -> Tr(b x), b != 0,
+    whose subspace polynomial sum_i b^(q^i - q^n) x^(q^i) gives P(x0) =
+    b^(1 - q^n), of residue 0 modulo g = q - 1."""
+    return n if q % 2 == 0 else n + 1
 
 
 def run_suites(cfg):
@@ -541,10 +549,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    report = make_report(cfg, results, checks)
     elapsed = time.monotonic() - started
-    if cfg.values.get("timing"):
-        report["timing_seconds"] = round(elapsed, 3)
+    report = {"schema_version": SCHEMA_VERSION, "version": __version__, "command": cfg.name,
+              "config": cfg.echo(), "results": results, "checks": checks,
+              "timing_seconds": round(elapsed, 3) if cfg.values.get("timing") else None}
     print(f"ltdl: {cfg.command} finished in {elapsed:.2f}s", file=sys.stderr)
     emit(report, cfg)
     return 0 if all(c["status"] == "pass" for c in checks) else 1

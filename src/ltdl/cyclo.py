@@ -10,21 +10,14 @@ torus character's values, and are compared and hashed as plain tuples.
 from functools import lru_cache
 
 from .errors import ParameterError, VerificationError
+from .ffield import prime_factors
 
 
 @lru_cache(maxsize=None)
 def euler_phi(m):
-    out = m
-    k, d = m, 2
-    while d * d <= k:
-        if k % d == 0:
-            out -= out // d
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out -= out // k
-    return out
+    for p in prime_factors(m):
+        m -= m // p
+    return m
 
 
 def _poly_divmod_monic(num, den):

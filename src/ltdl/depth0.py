@@ -141,9 +141,10 @@ def special_fiber_components(module, factors=None):
     return report
 
 
-def stratum_membership(module, a, j):
-    """P_a in (X_1, ..., X_j), via the monomial-ideal membership test."""
-    P_a = build_P_a(module, a)
+def stratum_membership(module, a, j, factors=None):
+    """P_a in (X_1, ..., X_j), via the monomial-ideal membership test; P_a
+    is read from `factors` (a `deformation_factors` dict) when given."""
+    P_a = build_P_a(module, a) if factors is None else factors[a]
     return P_a.ideal_membership_monomial([f"X{i}" for i in range(1, j + 1)])
 
 

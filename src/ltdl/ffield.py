@@ -21,14 +21,7 @@ MAX_DEGREE = 8
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n):
@@ -189,17 +182,17 @@ def ff_make(p, f):
     return FieldDesc(p, f, primitive_poly_over(PrimeField(p), f))
 
 
+def prime_power(q):
+    """(p, f) with q = p^f, or a ParameterError if q is no prime power."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ParameterError(f"q = {q} is not a prime power")
+    return primes[0], next(f for f in range(1, q.bit_length() + 1) if primes[0] ** f == q)
+
+
 def field_for_order(q):
     """The canonical field with q = p^f elements."""
-    for p in prime_factors(q):
-        f = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            f += 1
-        if m == 1:
-            return ff_make(p, f)
-    raise ParameterError(f"q = {q} is not a prime power")
+    return ff_make(*prime_power(q))
 
 
 def _evaluate(field, coeffs, x):

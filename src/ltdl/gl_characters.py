@@ -54,7 +54,6 @@ from .ffield import (
     primitive_poly_over,
 )
 from .linalg import (
-    MAX_GROUP_ORDER,
     det,
     generated_group,
     gl_generators,
@@ -141,6 +140,9 @@ def rcf_key(field, A):
 
 
 # -- the group -------------------------------------------------------------------
+
+# GLGroup's bound on its element list, the one limit of its representation
+MAX_GROUP_ORDER = 30_000
 
 
 class GLGroup:
@@ -781,16 +783,20 @@ def _multiplicities(group, characters, ell):
     k prime to d = ord g, the eigenvalue zeta_d^t of g, of multiplicity
     m_t, is zeta_d^{kt} for g^k: the members' vectors are the rep's,
     re-indexed by t -> k t mod d.  This is the same identity on the residues
-    mod ell that the lift would compute at g_c, so it is exact.
+    mod ell that the lift would compute at g_c, so it is exact.  Characters
+    that share a lift share its twists, made once per member.
     """
     w = _primitive_root(ell)
     mults = [[None] * group.num_classes for _ in characters]
     for j, members in _rational_classes(group):
         d = group.class_orders[j]
         lifted = _lift(characters, [group.powermap(j, s) for s in range(d)], ell, w)
+        twists = {}  # id of a lift -> its twists, one per member
         for row, mult in zip(mults, lifted):
-            for c, k in members:
-                row[c] = _twist(mult, k)
+            if id(mult) not in twists:
+                twists[id(mult)] = [_twist(mult, k) for _, k in members]
+            for (c, _), twisted in zip(members, twists[id(mult)]):
+                row[c] = twisted
     return mults
 
 

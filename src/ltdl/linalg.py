@@ -1,14 +1,12 @@
 """Matrices over small finite fields, encoded as tuples of canonical ints.
 
 Uses the field's log/Zech kernel on canonical ints, so everything stays
-hashable and fast at the scales this package enumerates (|GL_n(F_q)| <= 3e4).
+hashable and fast at the scales this package enumerates.
 """
 
 from itertools import product
 
 from .errors import ParameterError
-
-MAX_GROUP_ORDER = 30_000
 
 
 def identity(n):

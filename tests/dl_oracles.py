@@ -13,11 +13,12 @@ from math import gcd
 
 from gl_oracles import vec_mat
 
-from ltdl.cli import POINT_BUDGET
 from ltdl.dl_variety import Ambient
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.ffield import embed, ff_make
 from ltdl.linalg import projective_representative
+
+POINT_BUDGET = 10 ** 8  # the most vectors of F_{q^m}^n an oracle walks
 
 
 def ambient_points(amb):

@@ -12,6 +12,7 @@ import pytest
 from ltdl import cli, depth0, dl_variety, gl_characters, series
 from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
+from ltdl.gl_characters import MAX_GROUP_ORDER
 from ltdl.linalg import group_order
 
 
@@ -461,6 +462,23 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
     assert built["closure", None] == 1
 
 
+def test_depth0_strata_builds_each_factor_once(tmp_path, monkeypatch):
+    # the strata read each P_a from the run's one factors build, not once
+    # per j
+    built = Counter()
+    honest = depth0.build_P_a
+
+    def counted(module, a, ring=None):
+        built[a] += 1
+        return honest(module, a, ring)
+
+    monkeypatch.setattr(depth0, "build_P_a", counted)
+    code, report = run_cli(tmp_path, "depth0", "strata", "--q", "2", "--n", "3")
+    assert code == 0
+    assert len(report["results"]["strata"]) == 14
+    assert len(built) == 7 and set(built.values()) == {1}
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     # each command walks P^1(F_{q^2}) once: the line census; verify-all's
@@ -504,18 +522,35 @@ VERIFY_ALL_DIGESTS = {
 
 
 def accepted_verify_all_configs():
-    """Every (q, n) that RunConfig.validate() accepts for verify-all; its
-    q^n <= 64 chart bound leaves q <= 64 and n <= 6 to try."""
+    """Every (q, n) that RunConfig.validate() accepts for verify-all.  Its
+    work estimate holds the "axioms" term, which grows with q and n
+    and is least at the Witt width f = 1, so the search at each n stops at
+    the first q where that least term passes the budget, and the search
+    ends at the first n where it does so at q = 2: q < 104 at n = 1, q < 28
+    at n = 2, down to q = 2 at n = 8, and no n >= 9."""
     accepted = []
-    for q in range(2, 65):
-        for n in range(1, 7):
+    for n in range(1, 64):
+        q = 2
+        while axioms_floor(q, n) <= cli.WORK_BUDGET:
             args = build_parser().parse_args(["verify-all", "--q", str(q), "--n", str(n)])
             try:
                 RunConfig(args)
-            except ParameterError:
-                continue
-            accepted.append((q, n))
-    return accepted
+            except (BudgetError, ParameterError):
+                pass
+            else:
+                accepted.append((q, n))
+            q += 1
+        if q == 2:
+            return accepted
+    raise AssertionError("the axioms term never passes the budget at q = 2")
+
+
+def axioms_floor(q, n):
+    """The "axioms" work term of verify-all at (q, n) and the default
+    precision, with the Witt width f = 1: no more than its value at any f."""
+    cfg = RunConfig.__new__(RunConfig)
+    cfg.q, cfg.n, cfg.f, cfg.prec_n, cfg.prec_d = q, n, 1, 8, None
+    return cli.WORK_TERMS["axioms"](cfg)
 
 
 VERIFY_ALL_CONFIGS = accepted_verify_all_configs()
@@ -560,11 +595,24 @@ NON_DL_DIGESTS = {
     (59, 1): "f7ac6a3a4377c7f87a1180d6b45d2c6e870102fa072e971431026793ee7fa6d4",
     (61, 1): "8527d746d2a32129531a29c9e21249ea4476bd030353d90574a082d5c1eb78cf",
     (64, 1): "fcd211ba98d8f2a35ac75765badd445402ce4c4d30a732222b458dac3b00c805",
+    # frozen from the reports of the commit before the work budget, with
+    # its size limits raised
+    (8, 2): "f3daf94f8ffda0b533bfdd76cd54a3a36e03b99b79a83cf070d301d27f192fbd",
+    (3, 3): "8e0ea405e7a2ff0fd620738e0451dbd55c7fa7652d92bb5c5983d18991edbd29",
+    (2, 4): "66820bc4b481b5d5d96df525bb989370173a84136e8707504c959bb39d4abfc1",
+    (9, 2): "a45d95b0ccf52f3657d3cf68053ecfd8822b15d8cca9bc4c061c5ba4e13e974d",
+    (11, 2): "6dfc5bd86a7610561d743e977c0556abca0ae9ce56239b7dec777a45013f5c40",
+    (67, 1): "2dae1b081b637556e566373fd96a7821ad7eb6b676cf6ee70a2d8f17f124f929",
+    (71, 1): "50a70eefaae57bc0d357f38fbf9791bfe805732fe1d7902c5ff0d89f43618ae1",
+    (73, 1): "32f9f7129f273f250115470164496915193050eda6a3690b8dfe6181c1036fdf",
+    (79, 1): "cb5f0ac85e8fc338186392f9633dd01e2a413bd6cb9e7ca83ed7b4028860e293",
+    (83, 1): "5f509f320c24f12bf007b4cb39721c64f303b3e7dc09cf2d78e04380b7c352db",
+    (89, 1): "5fd704d9b289c35e8fb75c94d185dc18f1b8431e1ef20428c06e9e565d8625d0",
 }
 
 
 def test_verify_all_grid_holds_the_frozen_configs():
-    assert len(VERIFY_ALL_CONFIGS) == 33
+    assert len(VERIFY_ALL_CONFIGS) == 44
     assert set(VERIFY_ALL_DIGESTS) < set(VERIFY_ALL_CONFIGS) == set(NON_DL_DIGESTS)
 
 
@@ -598,6 +646,7 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
     m = next(int(name[len("dl.base_points_m"):]) for name in dl
              if name.startswith("dl.base_points_m"))
     assert [c["name"] for c in report["checks"]] == verify_all_check_names(n, m)
+    assert m == cli.last_dl_level(q, n)
     count = int(re.fullmatch(r"count (\d+), base \d+", dl[f"dl.base_points_m{m}"]).group(1))
     assert count == group_order(q, n)
     assert not [d for d in dl.values()
@@ -768,17 +817,17 @@ def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, docto
 
 
 def test_parameter_error_exit_2(tmp_path, capsys):
-    code = main(["depth0", "chart", "--q", "9", "--n", "5"])
+    code = main(["depth0", "chart", "--q", "6", "--n", "2"])
     assert code == 2
-    assert "parameter error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "parameter error: q = 6 is not a prime power\n"
 
 
-def test_chart_monomial_budget_exit_2(capsys):
-    # (2, 4) fits the q^n bound but its 4-variable chart does not fit the
-    # monomial budget; it must refuse rather than run for hours
-    code = main(["verify-all", "--q", "2", "--n", "4"])
-    assert code == 2
-    assert "monomials" in capsys.readouterr().err
+def test_chart_work_exit_3(capsys):
+    # (3, 4) has 2,225,895 chart monomials in 4 variables: its estimated
+    # work refuses it rather than run for hours
+    code = main(["verify-all", "--q", "3", "--n", "4"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: verify-all at q=3, n=4: ")
 
 
 def test_bad_config_file_values_exit_2(tmp_path, capsys):
@@ -866,29 +915,38 @@ def test_ambient_degree_is_refused_before_its_size(capsys):
     assert capsys.readouterr().err == "budget exceeded: ambient field degree 756 exceeds 8\n"
 
 
-# each size limit refuses in RunConfig.validate(), before any handler runs;
-# the configs inside it beside each refused one run to a complete report
-SIZE_LIMITS = [
-    ("dl count --q 2 --n 2 --m 9", "ambient field degree 9 exceeds 8",
-     "dl count --q 2 --n 2 --m 8"),
-    ("dl count --q 64 --n 1 --m 126", "ambient field degree 756 exceeds 8",
-     "dl count --q 64 --n 1 --m 1"),
-    ("dl count --q 3 --n 2 --m 8", "ambient field size 6561 exceeds 4096",
-     "dl count --q 3 --n 2 --m 7"),
-    ("dl count --q 4099 --n 1 --m 1", "ambient field size 4099 exceeds 4096",
-     "dl count --q 4093 --n 1 --m 1"),
-    ("dl count --q 2 --n 4 --m 8", "projective enumeration over budget",
-     "dl count --q 2 --n 4 --m 6"),
-    ("dl count --q 3 --n 3 --m 6", "projective enumeration over budget",
-     "dl count --q 3 --n 3 --m 5"),
-    ("chars table --q 32 --n 2", "|GL_2(F_32)| exceeds 30000",
-     "chars steinberg --q 13 --n 2"),
-    ("chars steinberg --q 2 --n 5", "|GL_5(F_2)| exceeds 30000",
-     "chars steinberg --q 2 --n 4"),
+def over_budget(at, seconds):
+    return (f"{at}: estimated work of {seconds} s or more exceeds the "
+            f"{cli.WORK_BUDGET / 10 ** 6:g} s budget")
+
+
+# each size refusal, by a field beyond the field tables or by the work
+# estimate, is a BudgetError in RunConfig.validate(), before any handler runs
+SIZE_REFUSALS = [
+    ("dl count --q 2 --n 2 --m 9", "ambient field degree 9 exceeds 8"),
+    ("dl count --q 64 --n 1 --m 126", "ambient field degree 756 exceeds 8"),
+    ("dl count --q 1031 --n 1 --m 2", "ambient field size 1062961 exceeds 1048576"),
+    ("formal-group --q 2097152 --n 1", "field size 2097152 exceeds 1048576"),
+    ("chars table --q 1048583 --n 1", "field size 1048583 exceeds 1048576"),
+    ("chars steinberg --q 512 --n 1", "field degree 9 exceeds 8"),
+    ("dl equation --q 2 --n 40", "the q^n - 1 forms at n = 40 exceed the work budget"),
+    ("dl count --q 2 --n 4 --m 8", over_budget("dl count at q=2, n=4, m=8", "63.2")),
+    ("dl count --q 3 --n 3 --m 6", over_budget("dl count at q=3, n=3, m=6", "3.46")),
+    ("chars table --q 32 --n 2", over_budget("chars table at q=32, n=2", "520")),
+    ("chars steinberg --q 2 --n 5", over_budget("chars steinberg at q=2, n=5", "160")),
+]
+
+# configs beside the refused ones that run to a complete report; the two
+# ambient fields F_6561 and F_4099 sit inside the field tables
+INSIDE_THE_LIMITS = [
+    "dl count --q 2 --n 2 --m 8", "dl count --q 64 --n 1 --m 1", "dl count --q 3 --n 2 --m 7",
+    "dl count --q 3 --n 2 --m 8", "dl count --q 4093 --n 1 --m 1",
+    "dl count --q 4099 --n 1 --m 1", "dl count --q 2 --n 4 --m 6", "dl count --q 3 --n 3 --m 5",
+    "chars steinberg --q 13 --n 2", "chars steinberg --q 2 --n 4",
 ]
 
 
-@pytest.mark.parametrize("argv,message", [pytest.param(a, m, id=a) for a, m, _ in SIZE_LIMITS])
+@pytest.mark.parametrize("argv,message", [pytest.param(a, m, id=a) for a, m in SIZE_REFUSALS])
 def test_size_limits_refuse_before_any_handler(argv, message, monkeypatch, capsys):
     def no_handler(cfg):
         raise AssertionError(f"the {cfg.command} handler ran for a refused config")
@@ -900,11 +958,66 @@ def test_size_limits_refuse_before_any_handler(argv, message, monkeypatch, capsy
     assert capsys.readouterr() == ("", f"budget exceeded: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [inside for _, _, inside in SIZE_LIMITS])
+@pytest.mark.parametrize("argv", INSIDE_THE_LIMITS)
 def test_configs_inside_the_size_limits_run(tmp_path, argv):
     code, report = run_cli(tmp_path, *argv.split())
     assert code == 0
     assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("argv,target", [
+    pytest.param(argv, target, id=argv) for argv, target in [
+        ("chars table --q 257 --n 1", "GLGroup"),
+        ("chars correspondence --q 1021 --n 1", "GLGroup"),
+        ("dl equation --q 2 --n 8", "dl_equation")]])
+def test_runs_that_do_not_end_exit_3(argv, target, monkeypatch, capsys):
+    # each ran for minutes or more inside the old size limits; the work
+    # estimate refuses it before the group or the product is built
+    def unbuilt(*args):
+        raise AssertionError(f"{target} was built for a refused config")
+
+    monkeypatch.setattr(cli, target, unbuilt)
+    assert main(argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+# the edges of the work budget: every config named where the budget was
+# calibrated, each admitted or refused by RunConfig.validate() alone
+BUDGET_EDGES = [
+    *(f"verify-all --q {q} --n {n}" for q, n in [(8, 2), (3, 3), (2, 4), (9, 2), (11, 2),
+                                               (64, 1), (89, 1)]),
+    "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
+    *(f"refused {argv}" for argv in [
+        "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 97 --n 1",
+        "chars table --q 11 --n 2", "chars table --q 257 --n 1",
+        "chars correspondence --q 1021 --n 1", "dl count --q 16 --n 3 --m 2",
+        "dl equation --q 2 --n 8", "dl equation --q 5 --n 4", "dl equation --q 3 --n 6"]),
+]
+
+
+@pytest.mark.parametrize("edge", BUDGET_EDGES)
+def test_the_budget_admits_and_refuses_its_edges(edge):
+    refused = edge.startswith("refused ")
+    args = build_parser().parse_args(edge.removeprefix("refused ").split())
+    if refused:
+        with pytest.raises(BudgetError, match="estimated work of"):
+            RunConfig(args)
+    else:
+        assert RunConfig(args).work <= cli.WORK_BUDGET
+
+
+def test_no_admitted_config_reaches_the_group_list_bound():
+    # validate() refuses each field beyond the field tables by name, and
+    # leaves GLGroup's bound on its element list to the work estimate: its
+    # group term grows with q and n, and at each n it alone refuses the
+    # least q past the bound, up to n = 5, where q = 2 is past it
+    cfg = RunConfig.__new__(RunConfig)
+    for n in range(1, 6):
+        q = next(q for q in range(2, 10 ** 6) if group_order(q, n) > MAX_GROUP_ORDER)
+        cfg.q, cfg.n = q, n
+        assert cli.WORK_TERMS["group"](cfg) > cli.WORK_BUDGET
+    assert q == 2
 
 
 @pytest.mark.parametrize("argv,message", [pytest.param(a, m, id=a) for a, m in [

@@ -637,6 +637,27 @@ def test_the_lift_runs_once_per_rational_class(q, n, count, monkeypatch):
     assert sum(len(members) for _, members in _rational_classes(g)) == g.num_classes
 
 
+@pytest.mark.parametrize("q,n,pairs", [(5, 2, 306), (7, 2, 925)])
+def test_each_lift_is_twisted_once_per_member(q, n, pairs, monkeypatch):
+    # characters that agree on a rational class share one lift, and so its
+    # twists: one _twist per distinct (lift, k), the lifts told apart by
+    # identity (each held here, so no id is reused)
+    twisted = []
+    honest = gl_characters._twist
+
+    def counted(mult, k):
+        twisted.append((mult, k))
+        return honest(mult, k)
+
+    g = GLGroup(q, n)
+    ell = gl_characters._split_prime(g.exponent, max(2 * isqrt(g.order), 2))
+    characters = gl_characters._characters_mod(g, ell)
+    expected = gl_characters._multiplicities(g, characters, ell)
+    monkeypatch.setattr(gl_characters, "_twist", counted)
+    assert gl_characters._multiplicities(g, characters, ell) == expected
+    assert len(twisted) == len({(id(mult), k) for mult, k in twisted}) == pairs
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_sparse_closure_matches_the_product_closure(q, n):
     field = field_for_order(q)

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,14 +177,29 @@ def raise_sites(path, exception):
 
 def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
     # RunConfig.validate() refuses a config by its size before any handler
-    # runs; a library function keeps only the limits of its representation,
-    # of which GLGroup's bound on its element list is the one that raises
-    # BudgetError, so no library cost check grows back
-    sites = set()
+    # runs, against the one work budget that cli.py defines; a library
+    # module keeps only the limits of its representation (the field tables'
+    # degree and size, GLGroup's bound on its element list), of which the
+    # last is the one that raises BudgetError, so no library cost check
+    # grows back
+    sites, limits, imported = set(), set(), set()
+    size_name = re.compile(r"MAX_|BOUND|BUDGET|LIMIT")
     for path in sorted(Path(ltdl.__file__).parent.glob("*.py")):
         sites |= raise_sites(path, "BudgetError")
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                limits |= {f"{path.stem}.{target.id}" for target in node.targets
+                           if isinstance(target, ast.Name) and size_name.search(target.id)}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {f"{path.stem} <- {alias.name}" for alias in node.names
+                             if size_name.search(alias.name)}
     assert "cli.RunConfig.validate" in sites
     assert {s for s in sites if not s.startswith("cli.")} == {"gl_characters.GLGroup.__init__"}
+    assert limits == {"cli.WORK_BUDGET", "ffield.MAX_DEGREE", "ffield.MAX_FIELD_SIZE",
+                      "gl_characters.MAX_GROUP_ORDER"}
+    # the cli checks the fields a run builds against the tables; nothing
+    # else reads a limit across modules
+    assert imported == {"cli <- MAX_DEGREE", "cli <- MAX_FIELD_SIZE"}
 
 
 def test_importing_the_cli_loads_no_fractions():
