@@ -28,11 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .ffield import FieldDesc, ff_make, field_for_order
-from .formal_modules import (
-    FormalModule,
-    lubin_tate_module,
-    verify_module_axioms,
-)
+from .formal_modules import FormalModule, lubin_tate_module
 from .gl_characters import (
     CorrespondenceData,
     CoxeterTorus,
@@ -58,6 +54,6 @@ __all__ = [
     "dl_equation", "dl_points", "ff_make",
     "field_for_order", "is_cuspidal", "is_generic",
     "iterated_chart", "lubin_tate_module", "per_zeta_counts", "special_fiber_components",
-    "steinberg", "stratum_membership", "un_special_fiber", "verify_module_axioms",
+    "steinberg", "stratum_membership", "un_special_fiber",
     "witt_ring",
 ]

@@ -30,6 +30,7 @@ from .dl_variety import (
     base_points_moebius,
     dl_equation,
     dl_points,
+    last_dl_level,
     line_census,
     orbit_check,
     rational_level,
@@ -43,11 +44,7 @@ from .errors import (
     check_entry,
 )
 from .ffield import MAX_DEGREE, MAX_FIELD_SIZE, prime_power
-from .formal_modules import (
-    default_degree,
-    lubin_tate_module,
-    verify_module_axioms,
-)
+from .formal_modules import default_degree, lubin_tate_module
 from .gl_characters import (
     CorrespondenceData,
     GLGroup,
@@ -199,7 +196,8 @@ class RunConfig:
         self.depth_sequence = checked_depth_sequence(seq_text, n) if seq_text else None
         if self.command == "verify-all" and n >= 3:  # its iterated chart, n down to 2
             self.depth_sequence = list(range(n, 1, -1))
-        # the levels m of the DL census, each walked in the tables of F_{q^m}
+        # the levels m of the DL census, each at m >= n walked in the tables
+        # of F_{q^m}
         self.levels = {"dl count": [m], "verify-all": range(n, last_dl_level(q, n) + 1)}.get(
             self.name, [])
         for name, degree in [("field", f)] + [("ambient field", f * k) for k in self.levels[-1:]]:
@@ -254,7 +252,6 @@ def dl_level(cfg):
 # values and config
 BUILDS = {
     "module": lambda v, cfg: lubin_tate_module(cfg.q, cfg.n, N=cfg.prec_n, D=cfg.degree()),
-    "axioms": lambda v, cfg: verify_module_axioms(v["module"]),
     "factors": lambda v, cfg: deformation_factors(v["module"]),
     "census": lambda v, cfg: special_fiber_components(v["module"], factors=v["factors"]),
     "strata": lambda v, cfg: strata_rows(v["module"], v["factors"]),
@@ -308,7 +305,7 @@ def action_invariance_entry(v, _):
 # (the report reads it); its details are the library's own check records.
 # `{m}` in a name is the run's DL level.
 SUITES = {
-    "formal_module": [("axioms", None, None, list)],
+    "formal_module": [("module", None, None, None)],
     "depth0": [
         ("census", None, None, None),
         ("component_census", census_entry, None, str),
@@ -340,7 +337,7 @@ SUITES = {
 
 # the rows that each command runs, by name; a subcommand's lie in one suite
 SLICES = {
-    "formal-group": "axioms",
+    "formal-group": "module",
     "depth0 equation": "component_census equation_lowest_degree",
     "depth0 chart": "census chart_multiplicity iterated_multiplicities un_equals_dl",
     "depth0 strata": "stratum_membership_matches_support",
@@ -349,7 +346,7 @@ SLICES = {
     "chars table": "degree_squares_sum",
     "chars steinberg": "steinberg_norm_one",
     "chars correspondence": "correspondence",
-    "verify-all": "axioms component_census equation_lowest_degree chart_multiplicity "
+    "verify-all": "module component_census equation_lowest_degree chart_multiplicity "
                   "iterated_multiplicities un_equals_dl base_points_m{m} action_invariance "
                   "correspondence",
 }
@@ -359,16 +356,15 @@ SLICES = {
 # Closed-form terms in microseconds of one core, calibrated on fresh-process
 # runs (the README's "Size limits" says what each counts): Q = q^n, D the
 # series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
-# The module's log and exp, its axioms, the chart's factors P_a, the walks of
-# P^{n-1}(F_{q^m}), verify-all's orbit walk, the DL product of the forms, the
-# group's closure and classes, the Dixon lift, and the table's report.
+# The module's log and exp, the chart's factors P_a, the walks of
+# P^{n-1}(F_{q^m}) (none at m < n), verify-all's orbit walk, the DL product
+# of the forms, the group's closure and classes, the Dixon lift, and the
+# table's report.
 WORK_TERMS = {
     "module": lambda c: 3 * c.degree() ** 2 * 3 * (c.f + 1) // 4,
-    "axioms": lambda c: (c.n * c.degree() * (c.degree() + c.q ** 2) + (
-        c.degree() ** 3 // 12 if c.f * c.n > c.prec_n else 0)) * 3 * (c.f + 1) // 4,
     "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
     "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n - 1) // 4
-                            + 2 * c.q ** m for m in c.levels),
+                            + 2 * c.q ** m for m in c.levels if m >= c.n),
     "orbit": lambda c: group_order(c.q, c.n) * ((c.q ** c.n - 1) // 4 + 16),
     "product": lambda c: 2 * comb(c.q ** c.n // 2 + c.n - 1, c.n - 1) ** 2 + c.q ** c.n,
     "group": lambda c: group_order(c.q, c.n) * c.q ** c.n // 2,
@@ -379,22 +375,11 @@ WORK_TERMS = {
 }
 
 # the terms of each command's work, in the order they are summed
-WORK = {"formal-group": "module axioms", "dl equation": "product", "dl count": "census",
+WORK = {"formal-group": "module", "dl equation": "product", "dl count": "census",
         **dict.fromkeys(("depth0 equation", "depth0 chart", "depth0 strata"), "module factors"),
         "chars table": "group lift report", "chars steinberg": "group",
         "chars correspondence": "group lift",
-        "verify-all": "module axioms factors census orbit group lift"}
-
-
-def last_dl_level(q, n):
-    """The last level m that verify-all's DL walk can reach.  The forms of a
-    line x0 off the rational hyperplanes are the nonzero elements of an
-    n-dimensional F_q-subspace V of F_{q^m}, and P(x0) is their product.  At
-    m = n, V = F_{q^n} and P(x0) = -1, of residue 0 (a line with points)
-    when -1 = 1.  At m = n + 1, V is the kernel of x -> Tr(b x), b != 0,
-    whose subspace polynomial sum_i b^(q^i - q^n) x^(q^i) gives P(x0) =
-    b^(1 - q^n), of residue 0 modulo g = q - 1."""
-    return n if q % 2 == 0 else n + 1
+        "verify-all": "module factors census orbit group lift"}
 
 
 def run_suites(cfg):
@@ -442,7 +427,7 @@ def run_suites(cfg):
 
 
 def formal_group_results(cfg, v):
-    if "axioms" not in v:
+    if "module" not in v:
         return {}
     table = sorted(v["module"].scalar_table().items(), key=lambda t: str(t[0]))
     return {"F": v["module"].F.to_json(), "scalars": {str(k): s.to_json() for k, s in table}}

@@ -124,11 +124,17 @@ def line_census(q, n, m):
     lines holds the lines with residue 0 in walk order.  The rational count
     |DL(F_{q^m})| is g * residues[0]; `per_zeta_counts` reads the
     Frobenius-twisted counts off the same residues.
+
+    At m < n no line is walked and no field built: any n coordinates in
+    F_{q^m} are F_q-dependent, so every line lies on a rational hyperplane,
+    and the base, every residue and the lines are empty.
     """
-    amb = Ambient(q, n, m)
-    log = amb.field.log
     g = gcd(q ** n - 1, q ** m - 1)
     base, residues, lines = 0, [0] * g, []
+    if m < n:
+        return base, residues, lines
+    amb = Ambient(q, n, m)
+    log = amb.field.log
     for x0 in _projective_reps(amb):
         value = amb.product_of_forms(x0)
         if value:
@@ -165,14 +171,29 @@ def dl_points(q, n, m, lines):
     return points
 
 
+def last_dl_level(q, n):
+    """The last level m at which DL(F_{q^m}) can first have a point, m >= n
+    (below n every line lies on a rational hyperplane).  The forms of a line
+    x0 off the rational hyperplanes are the nonzero elements of an
+    n-dimensional F_q-subspace V of F_{q^m}, and P(x0) is their product.  At
+    m = n, V = F_{q^n} and P(x0) = -1, of residue 0 (a line with points)
+    when -1 = 1.  At m = n + 1, V is the kernel of x -> Tr(b x), b != 0,
+    whose subspace polynomial sum_i b^(q^i - q^n) x^(q^i) gives P(x0) =
+    b^(1 - q^n), of residue 0 modulo g = q - 1."""
+    return n if q % 2 == 0 else n + 1
+
+
 def rational_level(q, n):
-    """(m, line_census(q, n, m)) at the smallest m in [n, 2n] where
-    DL(F_{q^m}) has a point; a VerificationError if there is none."""
-    for m in range(n, 2 * n + 1):
+    """(m, line_census(q, n, m)) at the smallest m from n to
+    `last_dl_level(q, n)` where DL(F_{q^m}) has a point; a VerificationError
+    if there is none, which that bound's proof excludes."""
+    last = last_dl_level(q, n)
+    for m in range(n, last + 1):
         census = line_census(q, n, m)
         if census[1][0]:
             return m, census
-    raise VerificationError(f"DL(F_{{q^m}}) has no point for any m in [{n}, {2 * n}]")
+    raise VerificationError(f"DL(F_{{q^m}}) has no point for any m from {n} to the "
+                            f"proven bound last_dl_level = {last}")
 
 
 def _projective_reps(amb):

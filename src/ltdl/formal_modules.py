@@ -16,7 +16,7 @@ coefficient's residue mod p^N embeds as an integer, and where all later
 identities are checked exactly mod (p^N, deg D).
 """
 
-from .errors import ParameterError, PrecisionError, VerificationError, check_entry
+from .errors import ParameterError, PrecisionError, VerificationError
 from .ffield import field_for_order
 from .series import SeriesRing, TruncatedSeries
 from .witt import PadicParams, witt_ring
@@ -110,8 +110,8 @@ class FormalModule:
         self.exp_series = exp_series      # over BoundedPadic
         self.F = F                        # over W/p^N, vars (X, Y)
         self.x_ring = SeriesRing(F.ring.domain, ("X",), D)
-        # [1] is built as exp(log X) like every other integer scalar, so
-        # the scalar_one axiom compares two computations
+        # [1] is built as exp(log X) like every other integer scalar; it is
+        # X because the build's log(exp X) = X makes exp the inverse of log
         self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
         self._coefficients = {}
 
@@ -203,21 +203,6 @@ def normalize_scalar_key(field, key):
     raise ParameterError(f"unknown scalar key {key!r}")
 
 
-def scalar_key_product(field, k1, k2):
-    """The key of the product of two scalars, when it is again a table key."""
-    if k1[0] == "int" and k2[0] == "int":
-        return ("int", k1[1] * k2[1])
-    if k1[0] == "teich" and k2[0] == "teich":
-        return normalize_scalar_key(field, ("teich", field.mul(k1[1], k2[1])))
-    if k1 == ("int", 1):
-        return k2
-    if k2 == ("int", 1):
-        return k1
-    if k1 == ("int", 0) or k2 == ("int", 0):
-        return ("int", 0)
-    return None
-
-
 def lubin_tate_module(q, n, N=8, D=None):
     """The height-n module: [p] = f = pX + X^{q^n} over W(F_q)/p^N exactly."""
     D = default_degree(q, n) if D is None else D
@@ -240,78 +225,3 @@ def lubin_tate_module(q, n, N=8, D=None):
     if pi != to_witt_series(f_padic, witt):
         raise VerificationError("exp(p * log) does not reproduce f")
     return FormalModule(q, n, N, D, params, f_padic, lam, exp, F, pi)
-
-
-# -- axiom verification ------------------------------------------------------
-
-
-def verify_module_axioms(module):
-    """Check the formal O-module axioms mod (p^N, deg D); returns a report.
-
-    Each entry is {"name", "status", "details"}, and a broken axiom is a
-    failing entry, with one exception: building the Teichmuller scalars of
-    `scalar_table()` raises VerificationError when [p](zeta X) != zeta [p](X).
-    """
-    checks = []
-
-    F = module.F
-    ring = F.ring
-    x, y = ring.var("X"), ring.var("Y")
-
-    checks.append(check_entry("linear_part", F.homogeneous_part(1) == x + y,
-                              "F = X + Y mod degree 2"))
-
-    checks.append(check_entry("symmetry", F.map_vars(ring, {"X": "Y", "Y": "X"}) == F,
-                              "F(X,Y) = F(Y,X)"))
-
-    checks.append(check_entry("unit_section", F.set_var_to_zero("Y") == x, "F(X,0) = X"))
-
-    xyz = SeriesRing(ring.domain, ("X", "Y", "Z"), module.D)
-    a = F.map_vars(xyz)
-    b = F.map_vars(xyz, {"X": "Y", "Y": "Z"})
-    lhs = F.substitute({"X": a, "Y": xyz.var("Z")}, xyz)
-    rhs = F.substitute({"X": xyz.var("X"), "Y": b}, xyz)
-    checks.append(check_entry("associativity", lhs == rhs, "F(F(X,Y),Z) = F(X,F(Y,Z))"))
-
-    checks.append(check_entry("scalar_one",
-                              module.scalar_series(("int", 1)) == module.x_ring.var("X"),
-                              "[1](X) = X"))
-
-    table = module.scalar_table()
-    ok_lin = True
-    for key, s in table.items():
-        want = module.scalar_coefficient(key)
-        if s.coefficient((1,)) != want:
-            ok_lin = False
-        if not s.is_zero() and s.lowest_degree() < 1:
-            ok_lin = False
-    checks.append(check_entry("scalar_linear_terms", ok_lin, "[a](X) = aX mod degree 2"))
-
-    keys = sorted(table, key=str)
-    ok_mul, ok_add = True, True
-    for k1 in keys:
-        for k2 in keys:
-            prod = scalar_key_product(module.field, k1, k2)
-            if prod is not None and abs_int_key(prod) <= max(module.p, 3):
-                lhs = module.formal_scalar(k1, table[k2])
-                if lhs != module.scalar_series(prod):
-                    ok_mul = False
-            if k1[0] == "int" and k2[0] == "int":
-                ssum = ("int", k1[1] + k2[1])
-                if abs(ssum[1]) <= max(module.p, 3):
-                    lhs = module.formal_add(table[k1], table[k2])
-                    if lhs != module.scalar_series(ssum):
-                        ok_add = False
-    checks.append(check_entry("scalar_hom_mul", ok_mul, "[a] o [b] = [ab] on table entries"))
-    checks.append(check_entry("scalar_hom_add", ok_add,
-                              "F([a],[b]) = [a+b] on integer entries"))
-
-    red = module.scalar_series(("int", module.p)).reduce_mod_p()
-    expect = red.ring.monomial((module.q ** module.n,), red.ring.domain.one())
-    checks.append(check_entry("height", red == expect, "[p] mod p = X^{q^n} exactly"))
-
-    return checks
-
-
-def abs_int_key(key):
-    return abs(key[1]) if key[0] == "int" else 1

@@ -460,20 +460,13 @@ def is_cuspidal(group, chi):
 
 # -- Dixon character table ------------------------------------------------------------
 
-DIXON_ATTEMPTS = 4  # split primes tried before the table is given up
-
-
-def _split_prime(E, bound, attempt=0):
-    """The least prime above bound that is 1 mod E, or with attempt > 0 the
-    attempt-th after it: F_ell holds the E-th roots of unity, and Q(zeta_E)
-    splits completely at ell."""
+def _split_prime(E, bound):
+    """The least prime above bound that is 1 mod E: F_ell holds the E-th
+    roots of unity, and Q(zeta_E) splits completely at ell."""
     ell = bound + 1 + (-bound) % E
-    while True:
-        if is_prime(ell):
-            if attempt == 0:
-                return ell
-            attempt -= 1
+    while not is_prime(ell):
         ell += E
+    return ell
 
 
 def _primitive_root(ell):
@@ -665,30 +658,29 @@ class CharacterTable:
 
 
 def dixon_table(group):
-    """The full character table with exact cyclotomic values, from the first
-    of DIXON_ATTEMPTS split primes on which the modular split succeeds."""
-    last_error = None
-    for attempt in range(DIXON_ATTEMPTS):
-        try:
-            return _dixon_table_attempt(group, attempt)
-        except ArithmeticError as exc:
-            last_error = exc
-    raise VerificationError(f"Dixon table failed for all primes tried: {last_error}")
-
-
-def _dixon_table_attempt(group, attempt):
-    ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2), attempt)
-    characters = _characters_mod(group, ell)
+    """The full character table with exact cyclotomic values, split modulo
+    the least prime ell = 1 mod E above 2 sqrt|G|.  No other prime is
+    needed (Dixon 1967): at such an ell, distinct irreducible characters
+    stay distinct modulo every prime above ell, so the common eigenspaces of
+    the class matrices are lines, and each degree, below sqrt|G| < ell / 2,
+    is the one root of its square mod ell in that range.  So an
+    ArithmeticError on the way is a failed identity, a VerificationError
+    with its message."""
+    ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2))
     conductor = group.exponent
     values = {}  # one power-basis value per distinct multiplicity vector
     rows = []
-    for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
-        for m in mults:
-            if m not in values:
-                values[m] = from_powers(conductor, m, conductor // len(m))
-        rows.append((tuple(values[m] for m in mults), degree, mults))
-    rows.sort(key=lambda row: (row[0][group.identity_class], row[0]))
-    _check_table(group, [(degree, mults) for _, degree, mults in rows])
+    try:
+        characters = _characters_mod(group, ell)
+        for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
+            for m in mults:
+                if m not in values:
+                    values[m] = from_powers(conductor, m, conductor // len(m))
+            rows.append((tuple(values[m] for m in mults), degree, mults))
+        rows.sort(key=lambda row: (row[0][group.identity_class], row[0]))
+        _check_table(group, [(degree, mults) for _, degree, mults in rows])
+    except ArithmeticError as exc:
+        raise VerificationError(str(exc)) from None
     return CharacterTable(group, [chi for chi, _, _ in rows], [d for _, d, _ in rows])
 
 

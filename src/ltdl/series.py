@@ -189,10 +189,6 @@ class TruncatedSeries:
             raise ParameterError("zero series has no lowest degree")
         return min(sum(e) for e in self.terms)
 
-    def homogeneous_part(self, d):
-        return TruncatedSeries(self.ring, {e: c for e, c in self.terms.items()
-                                           if sum(e) == d})
-
     def var_valuation(self, var):
         """Largest e with self in (var^e); the zero series is rejected."""
         if not self.terms:

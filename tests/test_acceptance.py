@@ -17,6 +17,7 @@ from dl_oracles import (
     line_fibers,
 )
 from cyclo_oracles import Cyclo
+from formal_oracles import verify_module_axioms
 from gl_oracles import dl_correspondence, inner, product_is
 
 from ltdl.cli import main as cli_main
@@ -33,7 +34,7 @@ from ltdl.dl_variety import (
     per_zeta_counts,
 )
 from ltdl.errors import ParameterError
-from ltdl.formal_modules import lubin_tate_module, verify_module_axioms
+from ltdl.formal_modules import lubin_tate_module
 from ltdl.gl_characters import (
     CorrespondenceData,
     GLGroup,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ltdl import cli, depth0, dl_variety, gl_characters, series
+from ltdl import cli, depth0, dl_variety, formal_modules, gl_characters, series
 from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
 from ltdl.gl_characters import MAX_GROUP_ORDER
@@ -46,7 +46,7 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
     code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "2")
     assert code == 1
     names = [c["name"] for c in report["checks"]]
-    for suite in ("formal_module", "depth0", "dl"):
+    for suite in ("depth0", "dl"):
         assert any(name.startswith(suite + ".") for name in names), suite
     assert "depth0.un_equals_dl" in names and "dl.action_invariance" in names
     failed = [c for c in report["checks"] if c["status"] == "fail"]
@@ -184,7 +184,6 @@ def borel_element_moved(monkeypatch):
 
 def common_eigenvector_dropped(monkeypatch):
     # the split loses one common eigenvector, so one character is missing
-    # at every split prime tried
     honest = gl_characters._split_common_eigenspaces
     monkeypatch.setattr(gl_characters, "_split_common_eigenspaces",
                         lambda *args: honest(*args)[:-1])
@@ -220,8 +219,7 @@ NOT_P = "P does not vanish to order exactly q^n - 1"
      {"chars.steinberg_norm_one": "1_P^G for P_(1, 1) is not integral at class 4"},
      {"steinberg"}),
     (["chars", "table", "--q", "2", "--n", "2"], common_eigenvector_dropped,
-     {"chars.degree_squares_sum": "Dixon table failed for all primes tried: "
-                                  "degree squares do not sum to the group order"}, {"table"}),
+     {"chars.degree_squares_sum": "degree squares do not sum to the group order"}, {"table"}),
     (["dl", "equation", "--q", "4", "--n", "2"], DL_product_off_the_prime_field,
      {"dl.prime_field_coefficients": "product of rational forms not defined over F_p"},
      {"equation", "num_forms"}),
@@ -432,7 +430,8 @@ def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, 
         # the report is complete: the suite's error is its one entry
         assert names == [f"{suite}.error"] and report["config"]["q"] == 2
         return
-    for other in {"formal_module", "depth0", "dl", "chars"} - {suite}:
+    # a passing module build adds no record of its own
+    for other in {"depth0", "dl", "chars"} - {suite}:
         assert any(name.startswith(other + ".") for name in names), other
 
 
@@ -508,30 +507,32 @@ def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
 # (config and version left out), frozen so that a refactor proves its
 # reports byte-identical; refrozen when the seven checks that no input
 # could fail left the report, again when dl.fibers_m<m>, implied by
-# dl.action_invariance, left it, and again when depth0.gl_linear_shadow,
-# implied by depth0.un_equals_dl, left it, each report otherwise unchanged
+# dl.action_invariance, left it, again when depth0.gl_linear_shadow,
+# implied by depth0.un_equals_dl, left it, and again when the nine
+# formal_module.* axioms, implied by the module build, left it, each report
+# otherwise unchanged
 VERIFY_ALL_DIGESTS = {
-    (2, 2): "3251f4505a8fd32a5074405a9cffda6e4321b5f80cb6a6f2bdac468111c9ec70",
-    (2, 3): "a3c9c339f968a8de8a1e27b577d1e2a700d765373d3fa53550278bad03b4b738",
-    (3, 2): "610b1c8f494cb1931232f3b79bfac3110546a6e62215cfdb6eb287a1894a1828",
-    (4, 1): "34885451aa818d999522febd235f13ea4584c3f27b46c0b679ccf84ad6e62232",
-    (4, 2): "95b1f268ce7c61be68bfadd64f4089013dcc8bffc2a20c3f674b1f8d7feda72b",
-    (5, 2): "586753e978990ac1623c734dc6df1e3d35d313b1befa959361ed72d94f0debbb",
-    (8, 1): "134cbb7a83108205a1e69aa2c73797b8f77b44dbe987d2143170bcfa25cba613",
+    (2, 2): "49fb7ee4020e69dcbca5cecb9d1c91fe82378edf2ee653c7376e3a427b56d39a",
+    (2, 3): "d3be0da29a6e7971702279ad0cfa013c2a36d5ce8a2952ab3a9f4720ccb2a84e",
+    (3, 2): "7f0e09b7541aa02219ac2c9c6f760608208b13a57278d3251a04cf6e193b47ef",
+    (4, 1): "d7f1a9f86e3688d6cea9aae25530e964fb0008c7e20130b882d8e17cb9b145b1",
+    (4, 2): "b054c0d0ffda9df31795423b111ae6ab78c8f8315439776524ebca234f141b49",
+    (5, 2): "d4109f1c9b291fed7883fc8912cb8a6036ee37b7ae14d33ed877b35a155c9563",
+    (8, 1): "90fbb2b2c0f3323cc33382cdeb5ffc563b21db498f33276093532573661731d1",
 }
 
 
 def accepted_verify_all_configs():
     """Every (q, n) that RunConfig.validate() accepts for verify-all.  Its
-    work estimate holds the "axioms" term, which grows with q and n
-    and is least at the Witt width f = 1, so the search at each n stops at
-    the first q where that least term passes the budget, and the search
-    ends at the first n where it does so at q = 2: q < 104 at n = 1, q < 28
-    at n = 2, down to q = 2 at n = 8, and no n >= 9."""
+    work estimate holds the "lift" term, which grows with q and n and does
+    not depend on the Witt width f, so the search at each n stops at the
+    first q where that term passes the budget, and the search ends at the
+    first n where it does so at q = 2: q < 166 at n = 1, q < 15 at n = 2,
+    down to q = 2 at n = 8, and no n >= 9."""
     accepted = []
     for n in range(1, 64):
         q = 2
-        while axioms_floor(q, n) <= cli.WORK_BUDGET:
+        while lift_term(q, n) <= cli.WORK_BUDGET:
             args = build_parser().parse_args(["verify-all", "--q", str(q), "--n", str(n)])
             try:
                 RunConfig(args)
@@ -542,15 +543,15 @@ def accepted_verify_all_configs():
             q += 1
         if q == 2:
             return accepted
-    raise AssertionError("the axioms term never passes the budget at q = 2")
+    raise AssertionError("the lift term never passes the budget at q = 2")
 
 
-def axioms_floor(q, n):
-    """The "axioms" work term of verify-all at (q, n) and the default
-    precision, with the Witt width f = 1: no more than its value at any f."""
+def lift_term(q, n):
+    """The "lift" work term of verify-all at (q, n), which reads q and n
+    alone."""
     cfg = RunConfig.__new__(RunConfig)
-    cfg.q, cfg.n, cfg.f, cfg.prec_n, cfg.prec_d = q, n, 1, 8, None
-    return cli.WORK_TERMS["axioms"](cfg)
+    cfg.q, cfg.n = q, n
+    return cli.WORK_TERMS["lift"](cfg)
 
 
 VERIFY_ALL_CONFIGS = accepted_verify_all_configs()
@@ -562,67 +563,83 @@ VERIFY_ALL_CONFIGS = accepted_verify_all_configs()
 # depth0.chart_linear_parts and five chars checks left the report, and
 # when depth0.gl_linear_shadow left it
 NON_DL_DIGESTS = {
-    (2, 1): "0ef7a3a378e0b80574975687c462b385708dc881ae2434dab533166d16d484fa",
-    (2, 2): "e9ea4eeeaeaad29026700df91c1fd89c3715adbd58053f1fe8ac44296f24da24",
-    (2, 3): "b80ecd33ce11df03c91204a96c631f342445e9fb84a883803f83579e043d6b55",
-    (3, 1): "d9a4980857b1726ce2edaec495ffe324af3b06cbd743b27d87212d1e208c153b",
-    (3, 2): "d8cae971cc0d8c1a8fd32f006e9b4dd5a8878bce321e035cea294beb08f7260c",
-    (4, 1): "b620c75b540e1e3df0860932afd23df7ff38d40aa5d88ac7ca3127bdb65a72eb",
-    (4, 2): "74627916537c53b53aaad6d590584a9a2d042fb9cd6e6410b9ca1d9d1a521476",
-    (5, 1): "7c2dfcb32900f1dbb9ae99415587f4b2dc4b62ef4c4dbf8c71f3b7cbf3e8e5af",
-    (5, 2): "f35d86a67b8ff3025b79a7a78f399308fb88f29b034f8f98c62040bf30d5dc9d",
-    (7, 1): "f6b424feac0fb95f4d31ca0dc0d72505f8832d9f0421a710811df769c5a5ba8d",
-    (7, 2): "62be33b3f52d1c97e27edc8e5e2071e317d7d6323cd4b03c50f8790654680b38",
-    (8, 1): "370bf39bedfe92166ecffabdf55dffed1f6f1ffe30bade49e9dce60b1fb89406",
-    (9, 1): "fe97f5699752f8ef59eea814e670e8fc7f79159c5e2449e0c6baa3ca3ba98490",
-    (11, 1): "2154714563dd0d52b9b24f4b7ccc5a90105be6796831a4a8f138c1c05edff23f",
-    (13, 1): "3a2cd83278d20bf50511ed8f7691bd4fe051764ccd2baa534b9c162b7b392c0e",
-    (16, 1): "c81b9015511ddf4310e3a5c678f2ada11c550b2bfb388a718c1a76754fc62e34",
-    (17, 1): "52a0fe5d62e6e69c9f1f35d7d865e99267d06d5eac800a91cfadc52dadd1a34b",
-    (19, 1): "7bd1ffc0fd0346ef853b8e9a41dad9a5c5c2f0127a63293b3ee07b9917dc6321",
-    (23, 1): "2d6e8174dfdb378da74131a825b1d9e2e1fa0d9fd181cfd103b86c532b8528c3",
-    (25, 1): "ec0aeea2d67ef2c7abe1e19ce41483c887ebccf2998b8e631b0cb43bd84159bb",
-    (27, 1): "6ff8a362e3d70e74c718420e4a1c240d74dfcf730abee8d5de9a0c73fbcc3253",
-    (29, 1): "8beaebb96f2501c077eb96e03f882d051f726202aca851d2caad7f28eee270b4",
-    (31, 1): "3144ddc374c678d1105823fd85a0eafe626313ccde92f6252cf9c56384e0a48a",
-    (32, 1): "8cb62d9c10aae3c1add89498eea13d95d764474ace1a118726cf4fe6225702fa",
-    (37, 1): "4637ec1662baa34448bb0c0ca8293b8aa831f8655b45e6755bc3cef2a3922f33",
-    (41, 1): "447c1a70a83648e008c7d16f5faf6decab160939b2e76779ab2451096af1c191",
-    (43, 1): "47709dd1ae7f3870b550d91b7d67675aeb348b5219d3dc29e827dd0c08413770",
-    (47, 1): "8025d0e10a4acf67573734f4d8905e745d5a405950a81a18d6198c6d0fe277f2",
-    (49, 1): "b26d19a1a8aa764df3f396caecb4e1af9ea338d1161a7430448b6f1ba5654860",
-    (53, 1): "b085cefc478491a4fd46e2d74c9e895cd5dbe355f1fc6742379700a307dc5aa7",
-    (59, 1): "f7ac6a3a4377c7f87a1180d6b45d2c6e870102fa072e971431026793ee7fa6d4",
-    (61, 1): "8527d746d2a32129531a29c9e21249ea4476bd030353d90574a082d5c1eb78cf",
-    (64, 1): "fcd211ba98d8f2a35ac75765badd445402ce4c4d30a732222b458dac3b00c805",
+    (2, 1): "ae97b2aa67030a22831ae19e3a49cdb4afb4bb4336d39f0429d6c933d19a0f29",
+    (2, 2): "e4b98a014f39eba01bf4078acfbc386390b74386760ef18dbb0ea2e3e5ef8ab6",
+    (2, 3): "71c0b6e75efaed33ed8a76cd7a764fea6f82dfaa0d7eaa99cef9f690a5072fe3",
+    (3, 1): "d7e5a8619b910b6ed8574394aae074c3d6e354478f58eab3481d2113a9861521",
+    (3, 2): "45c2bbe9211a73e44c41fd3548af1387fbb12853aeda007386a48f88477a9cd9",
+    (4, 1): "280fdf4fcfe2b5f3e34ac641952d59e0c549fe5e05336fc55ecaa8a433dbe9bf",
+    (4, 2): "f62f2eabe6900660dbb2e2a3f231ef491b42ce5ac1e8bd6a2336ed663e608865",
+    (5, 1): "1169cd2afac4f277d5201366f22a7c5d59380500766a8fc4c42af67a7384299a",
+    (5, 2): "750a76231a7749d8d0c0cb07b230a5e0ebd9fac8aaafd885eee907b376a57a3d",
+    (7, 1): "2c0011b4db2cfdf6e6bfda757cdbc7353961090a290fc649245d5c2e2185d666",
+    (7, 2): "1005154c386ead6ba6c79fbb92739c364a635b892d5e75bf6dfbf3d21d067edf",
+    (8, 1): "480fa218c71d01f067b6cad00eb4f1b68c5d783de255ed7c5ce0b186dbf5e82e",
+    (9, 1): "d8199c8dd64a25a06f3e728f68832c6f5c46cc0d46e23c000a3e29238693413d",
+    (11, 1): "0a02a21a06ee2010eb2701585bab978f55d7c6e400c8f44b1dce705b555f61d4",
+    (13, 1): "cb2d519fe166da58da10b4e5bd3ce431da802e00d03e9563a759fb71d9f98c1c",
+    (16, 1): "f660499a0ae437b5a6e022eac59e9d7be62f296c5dfeb83dde9719110c5fbbcb",
+    (17, 1): "723a13f741be1317fbb62f63dd5d51cbdb8feaf6260f21e62f5fbca587684421",
+    (19, 1): "4d0364439e424f0644267df117f3fb14798254922d81861f7c8fce0e1cd01ba2",
+    (23, 1): "1f5aa71b5473dbbda959531c536b3ac1bf66aa2cdc836391802787e3c1c6a72a",
+    (25, 1): "b7625945d43a6912008e44e5daf2fa15401d056c3c635e0addcc6c1ef31791ec",
+    (27, 1): "7ed7c8cac953f7fb1c058c7e018e2e296dc3149b09e76f00082531228d99729a",
+    (29, 1): "761f1b3be5cd7221251554227fb0f1ac15e4fe131ade3f0d704ac565d710c272",
+    (31, 1): "4840725121c10fe2255341d1f952a21c2eb070061d6e0b79ebcde6e09415e813",
+    (32, 1): "a2c67311e26c35275ad9092df9c31cccdbbae2e12ee19c2a98c24884776975f9",
+    (37, 1): "d2f36209cf99ae1d7473c6d610726134c842605b2a87e64309e92db0f262db51",
+    (41, 1): "c8412cadcfc3219a64b6cadd3f8b2fdc54bfc40a23e07a0f7f1149b2d86d0ea7",
+    (43, 1): "f71c3b5dfe3a6ebfd15339084e7788a7adb7e1b964ae4232ff211b2346f4b743",
+    (47, 1): "bde86942d8a7867e422de176661630bdcaa55b3946227f79d613c0d00336980e",
+    (49, 1): "b306c43b5a37d10080f3fc366a8e6943bff0b0eae180e814435d2bb96189a2d2",
+    (53, 1): "1a6e8cfa38cc5d21b87c84dda8edf28ebee7b7f19bc9ec9b763c65d346534058",
+    (59, 1): "1ba621401e743d3ca234300a73042fe2e0d8eac0bf32a879c47acbd48d1df4ea",
+    (61, 1): "a79e3b4e08246cb94eb4d1c056ac83dc2149194d6456f419d8afefbc4502368b",
+    (64, 1): "294078289e2bdc5f568c56433e906d3158368dbc8608b7d735a6de26eae34e2b",
     # frozen from the reports of the commit before the work budget, with
     # its size limits raised
-    (8, 2): "f3daf94f8ffda0b533bfdd76cd54a3a36e03b99b79a83cf070d301d27f192fbd",
-    (3, 3): "8e0ea405e7a2ff0fd620738e0451dbd55c7fa7652d92bb5c5983d18991edbd29",
-    (2, 4): "66820bc4b481b5d5d96df525bb989370173a84136e8707504c959bb39d4abfc1",
-    (9, 2): "a45d95b0ccf52f3657d3cf68053ecfd8822b15d8cca9bc4c061c5ba4e13e974d",
-    (11, 2): "6dfc5bd86a7610561d743e977c0556abca0ae9ce56239b7dec777a45013f5c40",
-    (67, 1): "2dae1b081b637556e566373fd96a7821ad7eb6b676cf6ee70a2d8f17f124f929",
-    (71, 1): "50a70eefaae57bc0d357f38fbf9791bfe805732fe1d7902c5ff0d89f43618ae1",
-    (73, 1): "32f9f7129f273f250115470164496915193050eda6a3690b8dfe6181c1036fdf",
-    (79, 1): "cb5f0ac85e8fc338186392f9633dd01e2a413bd6cb9e7ca83ed7b4028860e293",
-    (83, 1): "5f509f320c24f12bf007b4cb39721c64f303b3e7dc09cf2d78e04380b7c352db",
-    (89, 1): "5fd704d9b289c35e8fb75c94d185dc18f1b8431e1ef20428c06e9e565d8625d0",
+    (8, 2): "27b54245fa2d657b856ef712719bbd3da8c2763fc78f22fa7facf21ad3bc721a",
+    (3, 3): "66ec1624c7fc3a2dd3b3a09de11c4f2cc0b86c0169f185aaba1f925a8018d7b1",
+    (2, 4): "6f0a3a25dc178f3145d3b465c42dc8ac9fdf2c3daa31a44f111ff4d9c6e63003",
+    (9, 2): "3663380cfc8e3d5cc1cf3c3f43fb44e5c2fc285042aa8ff7eb01ca0b775f84b9",
+    (11, 2): "ea6fc367c0acb2c26568cb9ae4692ec1f16889c758746b79feb90143bc86b390",
+    (67, 1): "eca72c0c16d1e59ee927e8d7da61c5c06c86b4e3ab3df3fe8e2d36464091c2bb",
+    (71, 1): "4dbff2e3456a8d44f55800f1cd2c01cc4dd17897356e3b24278e756ed128bf97",
+    (73, 1): "60de9485b5ce6334ebe416fe6e5e9311185cbad0de835d551a988ea4bb258106",
+    (79, 1): "b56d675d6df73b58b7e92318c89c825eb0e5c57b9a0596005b16c970f49cc58a",
+    (83, 1): "46e176468876243738159d73c3507bb1573090ce996ceb2d5bcfc4e8a5caa156",
+    (89, 1): "eed242a28052631285c077359cca2090d6d750f101f10671cab5fa10e51ff381",
+    # frozen from the reports of the commit before the formal-module axioms
+    # left the package, with its work budget raised and those records removed
+    (81, 1): "5ae1f79abeeb6ba70afb2e5993c97b94b63783e2111bdd1ad2bd1425897f4f6f",
+    (97, 1): "5ea1dbb627ed8a085a46f3b156540286115ed9f2d529b462ef0a80d6428706ba",
+    (101, 1): "539959342704a3960b6df68b63378c2f7282ca701089fb916c448735d389f650",
+    (103, 1): "e4b88deb6ecd376e1f34585d5607824ce0138223975a4fe0b4b25e91f763e2de",
+    (107, 1): "ea40959a7afbe484c86ffe3c9dd0e2147bc16aecc1b8503144fc92b2eb848fe3",
+    (109, 1): "dc77a4857c49d308dbf46f64e1085bd39e9c17e606da57307bcabd6fa6b1d17c",
+    (113, 1): "a3938a3f20236f18e7ddc29614eff8ce50607f90bc1d4a3d4ab74b684243d7d1",
+    (121, 1): "4d1838dc7eeaeff0c51fbbe2310b4fc4b2ada757479bb1c76bcb884a99af8b40",
+    (125, 1): "0c52d64a10e62198a9b07d159dbe73f590a915201bbe804100c88912dddbcc6b",
+    (127, 1): "eb4b448d7d40de42983f31108515bba8cefbc1fa3826e1cbf865cb92afca8a9d",
+    (128, 1): "cee067ba537ceeb706b415aeafce1b3cd8c51514522f87717ec2cb5564573a68",
+    (131, 1): "dd57473097f724207f936e4e70dcba9d56b19c11c659fcfad0952ec732a845ce",
+    (137, 1): "7488d5cfb3673f533d8f2f1a031ece2edf7ddca7090a716f9d5e8a05875c2d2b",
+    (139, 1): "35114fd6bcab0ba447db691e922f52286487112db3f631efde3db86402f67ec5",
+    (149, 1): "ac8bf127d5130158d648432aeeb0f56f7dd5836f947604903884ae5fbbbfa08f",
+    (151, 1): "48ae1cc2812e2ef068ba43f22e20004e52fabb86e478a22fbedf47784c4a759e",
 }
 
 
 def test_verify_all_grid_holds_the_frozen_configs():
-    assert len(VERIFY_ALL_CONFIGS) == 44
+    assert len(VERIFY_ALL_CONFIGS) == 60
     assert set(VERIFY_ALL_DIGESTS) < set(VERIFY_ALL_CONFIGS) == set(NON_DL_DIGESTS)
 
 
 def verify_all_check_names(n, m):
     """The checks of a verify-all report at height n, in report order, with
-    the dl suite at level m: 18, or 19 with the iterated chart at n >= 3."""
+    the dl suite at level m: 9, or 10 with the iterated chart at n >= 3.  The
+    formal_module suite builds the module, which adds no record."""
     return [
-        *(f"formal_module.{axiom}" for axiom in (
-            "linear_part", "symmetry", "unit_section", "associativity", "scalar_one",
-            "scalar_linear_terms", "scalar_hom_mul", "scalar_hom_add", "height")),
         "depth0.component_census", "depth0.equation_lowest_degree",
         "depth0.chart_multiplicity",
         *(["depth0.iterated_multiplicities"] if n >= 3 else []),
@@ -646,7 +663,7 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
     m = next(int(name[len("dl.base_points_m"):]) for name in dl
              if name.startswith("dl.base_points_m"))
     assert [c["name"] for c in report["checks"]] == verify_all_check_names(n, m)
-    assert m == cli.last_dl_level(q, n)
+    assert m == dl_variety.last_dl_level(q, n)
     count = int(re.fullmatch(r"count (\d+), base \d+", dl[f"dl.base_points_m{m}"]).group(1))
     assert count == group_order(q, n)
     assert not [d for d in dl.values()
@@ -663,7 +680,8 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
 def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
     # every command runs its slice of verify-all's suites under verify-all's
     # names, so the subcommands together report each verify-all entry but
-    # the action check, each as the identical record
+    # the action check, each as the identical record; formal-group's slice
+    # is the module build, which adds no record
     size = ["--q", str(q), "--n", str(n)]
     code, full = run_cli(tmp_path, "verify-all", *size)
     assert code == 0
@@ -676,8 +694,8 @@ def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
                  ["dl", "count", "--m", m], ["chars", "correspondence"]):
         code, report = run_cli(tmp_path, *argv, *size)
         assert code == 0
-        assert report["checks"] and [records.get(c["name"]) for c in report["checks"]] == \
-            report["checks"], argv
+        assert (bool(report["checks"]) != (argv == ["formal-group"])
+                and [records.get(c["name"]) for c in report["checks"]] == report["checks"]), argv
         shared += [c["name"] for c in report["checks"]]
     assert sorted(shared) == sorted(set(records) - {"dl.action_invariance"})
 
@@ -685,14 +703,15 @@ def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
 # sha256 of the sorted-key JSON of the results and checks of the reports
 # that serialise series (each ring's `descriptor` and `coeff_to_json`),
 # which no verify-all report does; the two dl equation reports refrozen when
-# their entry form_count became prime_field_coefficients, and all of them
+# their entry form_count became prime_field_coefficients, all of them
 # when each entry took verify-all's name (and the census entry its details),
-# each report otherwise unchanged
+# and the two formal-group reports when their nine formal_module.* axioms
+# left them, each report otherwise unchanged
 SERIES_REPORT_DIGESTS = {
     ("formal-group", "--q", "2", "--n", "2"):
-        "28ffef78d7db643c9cf242e8abdb55d10aa2a1ffd8538baeeacecd383fa1238b",
+        "1f127eac6a0bf042c4e38b828d64607e08dba9397c0aa7961da8dfbcb953feab",
     ("formal-group", "--q", "4", "--n", "1"):
-        "9e19295dd911ca77ea4319bd01036efd22983f8b1a14ab1a0c00bad4a063ed38",
+        "a4947e41888677d3b79636934ba43d55e24dfed86335f90dbdac334c77afc602",
     ("depth0", "equation", "--q", "3", "--n", "2"):
         "3f9c6c7292eff65f868547f2daf67229ea19e8aade996c1d572bc00936f773d8",
     ("depth0", "chart", "--q", "4", "--n", "2"):
@@ -965,6 +984,20 @@ def test_configs_inside_the_size_limits_run(tmp_path, argv):
     assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_a_level_below_the_height_ends_with_no_lines(tmp_path, monkeypatch):
+    # at m < n every line of P^{n-1}(F_{q^m}) lies on a rational hyperplane,
+    # so the census walks nothing and builds no F_{q^m}
+    def unbuilt(*args):
+        raise AssertionError("F_{q^m} was built below the height")
+
+    monkeypatch.setattr(dl_variety, "Ambient", unbuilt)
+    code, report = run_cli(tmp_path, "dl", "count", "--q", "16", "--n", "3", "--m", "2")
+    assert code == 0
+    assert (report["results"]["base_count"], report["results"]["count"]) == (0, 0)
+    assert report["checks"] == [{"name": "dl.base_points_m2", "status": "pass",
+                                 "details": "count 0, base 0"}]
+
+
 @pytest.mark.parametrize("argv,target", [
     pytest.param(argv, target, id=argv) for argv, target in [
         ("chars table --q 257 --n 1", "GLGroup"),
@@ -986,14 +1019,24 @@ def test_runs_that_do_not_end_exit_3(argv, target, monkeypatch, capsys):
 # calibrated, each admitted or refused by RunConfig.validate() alone
 BUDGET_EDGES = [
     *(f"verify-all --q {q} --n {n}" for q, n in [(8, 2), (3, 3), (2, 4), (9, 2), (11, 2),
-                                               (64, 1), (89, 1)]),
+                                               (64, 1), (89, 1), (97, 1), (151, 1)]),
     "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
+    "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1",
     *(f"refused {argv}" for argv in [
-        "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 97 --n 1",
+        "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 157 --n 1",
+        "formal-group --q 439 --n 1",
         "chars table --q 11 --n 2", "chars table --q 257 --n 1",
-        "chars correspondence --q 1021 --n 1", "dl count --q 16 --n 3 --m 2",
+        "chars correspondence --q 1021 --n 1",
         "dl equation --q 2 --n 8", "dl equation --q 5 --n 4", "dl equation --q 3 --n 6"]),
 ]
+
+
+def test_every_work_term_is_summed_by_a_command():
+    # a term left behind after its work is gone, or a command summing a
+    # name that is no term, fails here
+    summed = {name for terms in cli.WORK.values() for name in terms.split()}
+    assert summed == set(cli.WORK_TERMS)
+    assert set(cli.WORK) == set(cli.SLICES)
 
 
 @pytest.mark.parametrize("edge", BUDGET_EDGES)
@@ -1124,6 +1167,21 @@ def test_csv_point_dump(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x1,x2"
     assert len(lines) == 7  # header + 6 points
+
+
+@pytest.mark.parametrize("argv", [["formal-group"], ["verify-all"]])
+def test_a_module_that_fails_its_build_is_the_formal_module_error(tmp_path, monkeypatch, argv):
+    # exp with a stray X^2 term no longer turns p log X into f, which the
+    # build refuses: the module's one record, with the library's message
+    honest = formal_modules.invert_series
+    monkeypatch.setattr(formal_modules, "invert_series", lambda lam: honest(lam) + (
+        lam.ring.monomial((2,), lam.ring.domain.one())))
+    code, report = run_cli(tmp_path, *argv, "--q", "2", "--n", "2")
+    assert code == 1
+    assert report["checks"][0] == {"name": "formal_module.error", "status": "fail",
+                                   "details": "exp(p * log) does not reproduce f"}
+    if argv == ["formal-group"]:
+        assert report["checks"][1:] == [] and report["results"] == {}
 
 
 def test_formal_group_dump(tmp_path):

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from formal_oracles import homogeneous_part
 from gl_oracles import vec_mat
 
 from ltdl import depth0
@@ -38,10 +39,10 @@ def test_P_a_linear_part():
     m = lubin_tate_module(2, 2)
     P = build_P_a(m, (1, 1))
     ring = P.ring
-    assert P.homogeneous_part(1) == ring.var("X1") + ring.var("X2")
+    assert homogeneous_part(P, 1) == ring.var("X1") + ring.var("X2")
     red = P.reduce_mod_p()
     f = red.ring.domain
-    assert red.homogeneous_part(1) == red.ring.var("X1") + red.ring.var("X2")
+    assert homogeneous_part(red, 1) == red.ring.var("X1") + red.ring.var("X2")
 
 
 def test_P_lowest_degree_and_special_fiber_factorization():
@@ -49,7 +50,7 @@ def test_P_lowest_degree_and_special_fiber_factorization():
     P = build_P(m)
     assert P.lowest_degree() == 3
     red = P.reduce_mod_p()
-    low = red.homogeneous_part(3)
+    low = homogeneous_part(red, 3)
     # oracle: X1 X2 (X1 + X2) = X1^2 X2 + X1 X2^2 over F_2
     ring = low.ring
     one = ring.domain.one()
@@ -245,7 +246,7 @@ def shadow_full_group(module, matrices, P):
     """Oracle: every matrix permutes the linear forms, and the lowest part of
     P mod p is invariant under it."""
     n, field = module.n, module.field
-    lowest = P.reduce_mod_p().homogeneous_part(module.q ** n - 1)
+    lowest = homogeneous_part(P.reduce_mod_p(), module.q ** n - 1)
     ring = lowest.ring
     forms = sorted(index_vectors(field, n))
     ok = True

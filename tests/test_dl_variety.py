@@ -15,6 +15,7 @@ from dl_oracles import (
 )
 from gl_oracles import mat_mul
 
+from ltdl import dl_variety
 from ltdl.dl_variety import (
     Ambient,
     base_points_moebius,
@@ -25,7 +26,7 @@ from ltdl.dl_variety import (
     per_zeta_counts,
     rational_level,
 )
-from ltdl.errors import ParameterError
+from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import field_for_order
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import identity
@@ -286,6 +287,31 @@ def test_line_census_matches_enumeration(q, n, m):
     assert dl_points(q, n, m, lines) == brute
     assert base == base_points(q, n, m) == base_points_moebius(q, n, m)
     assert len(lines) == residues[0]
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 3, 1), (2, 3, 2), (3, 3, 2), (2, 4, 3)])
+def test_line_census_below_the_height_is_empty_without_a_walk(q, n, m, monkeypatch):
+    # n coordinates in F_{q^m}, m < n, are F_q-dependent, so every line lies
+    # on a rational hyperplane: the enumeration and the Moebius count agree
+    # on 0, and the census builds no F_{q^m} to say so
+    brute = dl_points_by_enumeration(q, n, m)
+    assert brute == [] and base_points(q, n, m) == base_points_moebius(q, n, m) == 0
+
+    def unbuilt(*args):
+        raise AssertionError(f"F_{{{q}^{m}}} was built below the height {n}")
+
+    monkeypatch.setattr(dl_variety, "Ambient", unbuilt)
+    g = gcd(q ** n - 1, q ** m - 1)
+    assert line_census(q, n, m) == (0, [0] * g, [])
+
+
+def test_rational_level_names_its_proven_bound(monkeypatch):
+    # a census with no point at any level up to last_dl_level contradicts
+    # its proof, and the raise says which bound that was
+    monkeypatch.setattr(dl_variety, "line_census", lambda q, n, m: (0, [0], []))
+    with pytest.raises(VerificationError, match="from 3 to the proven bound "
+                                                "last_dl_level = 4"):
+        rational_level(3, 3)
 
 
 def prime_powers(bound):

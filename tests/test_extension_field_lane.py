@@ -3,6 +3,7 @@ coefficient ring W(F_4) has two Teichmuller digits and the enumeration
 kernels go through genuine subfield embeddings."""
 
 from dl_oracles import base_points, dl_points_by_enumeration, line_fibers
+from formal_oracles import verify_module_axioms
 
 from ltdl.depth0 import (
     blowup_chart,
@@ -17,7 +18,7 @@ from ltdl.dl_variety import (
     line_census,
 )
 from ltdl.ffield import gaussian_binomial
-from ltdl.formal_modules import lubin_tate_module, verify_module_axioms
+from ltdl.formal_modules import lubin_tate_module
 
 
 def test_q4_base_module_axioms():

@@ -530,8 +530,8 @@ def test_verify_table_rejects_doctored_tables():
 
 
 def dixon_prime(group):
-    """The split prime of the first Dixon attempt, which builds every table
-    these tests read."""
+    """The split prime of the Dixon table, which builds every table these
+    tests read."""
     return _split_prime(group.exponent, max(2 * isqrt(group.order), 2))
 
 
