@@ -60,30 +60,16 @@ def cyclotomic_poly(m):
     return tuple(poly)
 
 
-def _reduce(m, conv):
-    """Reduce an ascending coefficient list of length < 2 phi(m) modulo the
-    monic Phi_m, in place; returns the phi(m) low coefficients."""
-    phi = euler_phi(m)
-    mod = cyclotomic_poly(m)
-    for k in range(len(conv) - 1, phi - 1, -1):
-        c = conv[k]
-        if c:
-            base = k - phi
-            for j in range(phi):
-                if mod[j]:
-                    conv[base + j] -= c * mod[j]
-    return conv[:phi]
-
-
 @lru_cache(maxsize=None)
 def _power_table(m):
     """Row j: representation of zeta_m^j in the power basis, j in [0, m)."""
-    phi = euler_phi(m)
+    phi, mod = euler_phi(m), cyclotomic_poly(m)
     rows = []
     cur = [1] + [0] * (phi - 1)
     for _ in range(m):
         rows.append(tuple(cur))
-        cur = _reduce(m, [0] + cur)
+        cur = _poly_divmod_monic([0] + cur, mod)[1]  # x zeta^j mod Phi_m
+        cur += [0] * (phi - len(cur))
     return tuple(rows)
 
 

@@ -4,7 +4,9 @@ Elements are canonical integers sum(c_i * p^i) of their coordinates in the
 polynomial basis of the chosen modulus.  The modulus is the primitive
 polynomial of degree f over F_p whose coefficient vector (c_0, ..., c_{f-1})
 encodes to the smallest integer, so the same (p, f) always yields
-bit-identical field descriptions.  Its root g generates F_{p^f}^x, and all
+bit-identical field descriptions: for f = 1 it is x + c_0 with -c_0 the
+largest primitive root mod p, and for f > 1 it is searched over that F_p,
+so one kernel serves both.  Its root g generates F_{p^f}^x, and all
 arithmetic runs on three arrays indexed by canonical ints: exp (g^k), log
 and the Zech logarithms zech[k] = log(1 + g^k) (Lidl-Niederreiter, Finite
 Fields, ch. 10).  The polynomials over a field at the end of this module are
@@ -169,9 +171,10 @@ class FieldDesc:
 def ff_make(p, f):
     """Deterministic construction of F_{p^f}.
 
-    The modulus is the first primitive polynomial in the canonical coefficient
-    order; its root x is the generator exp[1] (for f = 1 the generator is the
-    root -c_0, the largest primitive root mod p).
+    The modulus is the first primitive polynomial in the canonical
+    coefficient order, and its root x is the generator exp[1].  For f = 1
+    that is x + c_0 for the least c_0 with -c_0 a primitive root mod p; for
+    f > 1 the search runs over F_p's own kernel.
     """
     if not is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
@@ -179,7 +182,14 @@ def ff_make(p, f):
         raise ParameterError(f"extension degree f = {f} outside [1, {MAX_DEGREE}]")
     if p ** f > MAX_FIELD_SIZE:
         raise ParameterError(f"p^f = {p ** f} exceeds {MAX_FIELD_SIZE}")
-    return FieldDesc(p, f, primitive_poly_over(PrimeField(p), f))
+    if f == 1:
+        return FieldDesc(p, 1, (next(c for c in range(1, p) if is_primitive_root(-c, p)), 1))
+    return FieldDesc(p, f, primitive_poly_over(ff_make(p, 1), f))
+
+
+def is_primitive_root(g, p):
+    """Whether g generates (Z/p)^x, for p prime."""
+    return g % p != 0 and all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_factors(p - 1))
 
 
 def prime_power(q):
@@ -252,29 +262,6 @@ def gaussian_binomial(n, d, q):
 # -- polynomials over a field: canonical-int coefficients, ascending, trimmed --
 
 
-class PrimeField:
-    """Z/p on ints with the add/neg/sub/mul/inv of FieldDesc: the coefficient
-    field of the search that builds F_{p^f} itself, before any kernel exists."""
-
-    def __init__(self, p):
-        self.p = self.q = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-
 def poly_trim(c):
     i = len(c)
     while i and c[i - 1] == 0:
@@ -313,6 +300,13 @@ def poly_divmod(field, a, b):
             for j, bj in enumerate(b):
                 a[k - db + j] = field.sub(a[k - db + j], field.mul(c, bj))
     return poly_trim(quot), poly_trim(a)
+
+
+def poly_gcd(field, a, b):
+    """The monic gcd of a and b (the zero polynomial when both are zero)."""
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_monic(field, a)
 
 
 def poly_monic(field, a):

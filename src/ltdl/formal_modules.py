@@ -144,7 +144,7 @@ class FormalModule:
             else:
                 padic = self.exp_series.substitute({"X": self.log_series.scale(
                     self.padic_params.from_int(key[1]))})
-                series = to_witt_series(padic, self.F.ring.domain).map_vars(self.x_ring)
+                series = to_witt_series(padic, self.F.ring.domain)
             self._scalars[key] = series
         return self._scalars[key]
 
@@ -218,8 +218,8 @@ def lubin_tate_module(q, n, N=8, D=None):
     exp = invert_series(lam)
     witt = witt_ring(field.p, field.f, N)
     xy_ring = SeriesRing(params, ("X", "Y"), D)
-    lam_x = lam.map_vars(xy_ring)
-    lam_y = lam.map_vars(xy_ring, {"X": "Y"})
+    lam_x = lam.substitute({}, xy_ring)
+    lam_y = lam.substitute({"X": xy_ring.var("Y")}, xy_ring)
     F = to_witt_series(exp.substitute({"X": lam_x + lam_y}, xy_ring), witt)
     pi = to_witt_series(exp.substitute({"X": lam.scale(params.from_int(field.p))}), witt)
     if pi != to_witt_series(f_padic, witt):

@@ -4,16 +4,17 @@ The group is its sorted element list, with each generator acting as the
 permutation of that list by right multiplication; past the closure, classes,
 power maps and class matrices are index lookups, with no matrix product.
 Conjugacy classes are the orbits under conjugation by the generators, keyed,
-once per class, by rational canonical form (Smith normal form of xI - A over
-F_q[x]).  The character table comes from the Burnside-Dixon eigenspace
-method with exact cyclotomic lifting.  The standard parabolics P_c and
-their unipotent radicals U_c are read off the element list once, as class
-histograms: the Steinberg character is the alternating sum of the
-permutation characters 1_{P_c}^G, and a character is cuspidal when its sum
-over every proper U_c vanishes.  The Coxeter torus is the cycle of the
-identity under right multiplication by a companion matrix.  The depth-0
-correspondence pairs Frobenius orbits of generic characters of that torus
-with cuspidal irreducibles through pi * St = Ind theta.
+once per class, by the invariant factors of xI - A over F_q[x], the quotients
+of its determinantal divisors (the gcds of its k x k minors).  The character
+table comes from the Burnside-Dixon eigenspace method with exact cyclotomic
+lifting.  The standard parabolics P_c and their unipotent radicals U_c are
+read off the element list once, as class histograms: the Steinberg
+character is the alternating sum of the permutation characters 1_{P_c}^G,
+and a character is cuspidal when its sum over every proper U_c vanishes.
+The Coxeter torus is the cycle of the identity under right multiplication
+by a companion matrix.  The depth-0 correspondence pairs Frobenius orbits
+of generic characters of that torus with cuspidal irreducibles through
+pi * St = Ind theta.
 
 In the Dixon step the class matrices are built lazily, one at a time, until
 the common eigenspaces have split into lines.  Each eigenspace is held as a
@@ -34,7 +35,7 @@ pi * St with Ind theta by scaling pi's integer coordinates.
 """
 
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -44,13 +45,12 @@ from .ffield import (
     field_for_order,
     gaussian_binomial,
     is_prime,
+    is_primitive_root,
     moebius,
     poly_divmod,
-    poly_monic,
+    poly_gcd,
     poly_mul,
     poly_sub,
-    poly_trim,
-    prime_factors,
     primitive_poly_over,
 )
 from .linalg import (
@@ -64,79 +64,47 @@ from .linalg import (
 # -- rational canonical forms -----------------------------------------------------
 
 
-def smith_invariant_factors(field, M):
-    """Nonconstant invariant factors (monic, divisibility order) of a square
-    polynomial matrix over F_q."""
-    n = len(M)
-    M = [list(row) for row in M]
-    out = []
-    for t in range(n):
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if M[i][j] and (best is None or len(M[i][j]) < len(M[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            i, j = best
-            M[t], M[i] = M[i], M[t]
-            for r in range(n):
-                M[r][t], M[r][j] = M[r][j], M[r][t]
-            dirty = False
-            for r in range(t + 1, n):
-                if M[r][t]:
-                    q, rem = poly_divmod(field, M[r][t], M[t][t])
-                    for c in range(t, n):
-                        M[r][c] = poly_sub(field, M[r][c], poly_mul(field, q, M[t][c]))
-                    if rem:
-                        dirty = True
-            for c in range(t + 1, n):
-                if M[t][c]:
-                    q, rem = poly_divmod(field, M[t][c], M[t][t])
-                    for r in range(t, n):
-                        M[r][c] = poly_sub(field, M[r][c], poly_mul(field, q, M[r][t]))
-                    if rem:
-                        dirty = True
-            if dirty:
-                continue
-            fix = None
-            for r in range(t + 1, n):
-                for c in range(t + 1, n):
-                    if M[r][c] and poly_divmod(field, M[r][c], M[t][t])[1]:
-                        fix = r
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            # pivot does not divide everything yet: fold the offending row in
-            for c in range(t, n):
-                M[t][c] = poly_sub(field, M[t][c],
-                                   poly_mul(field, (field.neg(1),), M[fix][c]))
-        if M[t][t]:
-            out.append(poly_monic(field, M[t][t]))
-    factors = [f for f in out if len(f) > 1]
-    return tuple(factors)
-
-
 def rcf_key(field, A):
-    """Conjugacy key: invariant factors of xI - A (a complete invariant)."""
+    """Conjugacy key: the invariant factors of xI - A, a complete invariant.
+
+    The k-th invariant factor is d_k / d_{k-1}, where d_k is the monic gcd of
+    the k x k minors of xI - A (Jacobson, Basic Algebra I, 3.9).  A gcd that
+    reaches 1 reads no further minor, and each minor is expanded along its
+    first row from the memoised minors below it.
+    """
     n = len(A)
-    M = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = field.neg(A[i][j])
-            if i == j:
-                row.append(poly_trim((a, 1)))
-            else:
-                row.append(poly_trim((a,)))
-        M.append(row)
-    key = smith_invariant_factors(field, M)
+    xA = [[poly_sub(field, (0, 1) if i == j else (), (a,)) for j, a in enumerate(row)]
+          for i, row in enumerate(A)]
+    minors = {((), ()): (1,)}
+
+    def minor(rows, cols):
+        # summed from the last column, e_0 m_0 - (e_1 m_1 - (e_2 m_2 - ...))
+        # gives the alternating Laplace signs
+        if (rows, cols) not in minors:
+            det = ()
+            for j in reversed(range(len(cols))):
+                e = xA[rows[0]][cols[j]]
+                term = poly_mul(field, e, minor(rows[1:], cols[:j] + cols[j + 1:])) if e else ()
+                det = poly_sub(field, term, det)
+            minors[rows, cols] = det
+        return minors[rows, cols]
+
+    key, prev = [], (1,)
+    for k in range(1, n + 1):
+        d = ()
+        for rows, cols in product(combinations(range(n), k), repeat=2):
+            d = poly_gcd(field, d, minor(rows, cols))
+            if d == (1,):
+                break
+        factor, rem = poly_divmod(field, d, prev)
+        if rem:
+            raise VerificationError(f"d_{k - 1} does not divide d_{k} for xI - A")
+        if len(factor) > 1:
+            key.append(factor)
+        prev = d
     if sum(len(f) - 1 for f in key) != n:
         raise VerificationError("invariant factor degrees do not sum to n")
-    return key
+    return tuple(key)
 
 
 # -- the group -------------------------------------------------------------------
@@ -470,11 +438,7 @@ def _split_prime(E, bound):
 
 
 def _primitive_root(ell):
-    for g in range(2, ell):
-        ok = all(pow(g, (ell - 1) // f, ell) != 1 for f in prime_factors(ell - 1))
-        if ok:
-            return g
-    raise VerificationError(f"no primitive root mod {ell}")
+    return next(g for g in range(2, ell) if is_primitive_root(g, ell))
 
 
 def _class_matrices(group):

@@ -237,39 +237,6 @@ class TruncatedSeries:
                 out[e] = nc
         return TruncatedSeries(target_ring, out)
 
-    def map_vars(self, target_ring, rename=None):
-        """Transport monomials along an injective variable renaming.
-
-        Unmapped source variables must not occur; coefficients carry over
-        unchanged (domains must agree).
-        """
-        if target_ring.domain != self.ring.domain:
-            raise ParameterError("map_vars requires identical coefficient rings")
-        rename = rename or {}
-        src_vars = self.ring.vars
-        positions = {}
-        for i, v in enumerate(src_vars):
-            tv = rename.get(v, v)
-            if tv in target_ring._var_index:
-                positions[i] = target_ring._var_index[tv]
-        if len(set(positions.values())) != len(positions):
-            raise ParameterError("variable renaming is not injective")
-        width = len(target_ring.vars)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * width
-            for i, exp in enumerate(e):
-                if exp:
-                    if i not in positions:
-                        raise ParameterError(
-                            f"variable {src_vars[i]!r} has no image in target ring")
-                    ne[positions[i]] = exp
-            ne = tuple(ne)
-            if not target_ring.admits(ne):
-                raise ParameterError("target ring does not admit a monomial")
-            out[ne] = c
-        return TruncatedSeries(target_ring, out)
-
     def substitute(self, assignments, target_ring=None):
         """Substitute series for variables.
 

@@ -200,11 +200,11 @@ class PadicParams:
 
     __slots__ = ("p", "n_target", "v_max", "n_work")
 
-    def __init__(self, p, n_target, v_max, pad=None):
+    def __init__(self, p, n_target, v_max):
         self.p = p
         self.n_target = n_target
         self.v_max = v_max
-        self.n_work = n_target + (2 * v_max + 4 if pad is None else pad)
+        self.n_work = n_target + 2 * v_max + 4
 
     def key(self):
         return (self.p, self.n_target, self.v_max, self.n_work)

@@ -206,7 +206,7 @@ def test_criterion_09_negative_controls():
     bad = copy.copy(m)
     ring = m.F.ring
     bump = ring.monomial((2, 1) + (0,) * (len(ring.vars) - 2), ring.domain.one())
-    bad.F = m.F + bump + bump.map_vars(ring, {"X": "Y", "Y": "X"})
+    bad.F = m.F + bump + bump.substitute({"X": ring.var("Y"), "Y": ring.var("X")})
     tampered = {c["name"]: c["status"] for c in verify_module_axioms(bad)}
     ok = tampered["associativity"] == "fail"
 

@@ -1,10 +1,10 @@
 import random
 
 import pytest
+from ffield_oracles import PrimeField
 
 from ltdl.errors import ParameterError
 from ltdl.ffield import (
-    PrimeField,
     embed,
     ff_make,
     field_for_order,

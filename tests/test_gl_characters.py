@@ -6,6 +6,7 @@ from math import isqrt, lcm
 
 import pytest
 from cyclo_oracles import Cyclo, dot, values_at
+from ffield_oracles import PrimeField
 from gl_oracles import (
     closure_by_products,
     dl_correspondence,
@@ -19,12 +20,13 @@ from gl_oracles import (
     unipotent_radical,
     verify_table,
 )
+from test_cli import VERIFY_ALL_CONFIGS
 
 from ltdl import gl_characters
 from ltdl.cli import main
 from ltdl.cyclo import euler_phi, from_powers
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.ffield import PrimeField, ff_make, field_for_order, primitive_poly_over
+from ltdl.ffield import ff_make, field_for_order, poly_mul, primitive_poly_over
 from ltdl.gl_characters import (
     CharacterTable,
     CorrespondenceData,
@@ -128,6 +130,11 @@ def classes_by_key(group):
     return keys, [by_key[k] for k in keys]
 
 
+def class_count(q, n):
+    """|conjugacy classes of GL_n(F_q)| for n <= 4, in closed form."""
+    return {1: q - 1, 2: q ** 2 - 1, 3: q ** 3 - q, 4: q ** 4 - q}[n]
+
+
 def element_order(field, g):
     """Oracle: the order of g by repeated matrix products."""
     k, cur = 1, g
@@ -140,8 +147,19 @@ def element_order(field, g):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2)])
 def test_conjugation_orbits_are_the_rcf_classes(q, n):
     g = GLGroup(q, n)
-    assert (g.class_keys, g.classes) == classes_by_key(g)
+    keys, blocks = classes_by_key(g)
+    assert (g.class_keys, g.classes) == (keys, blocks)
     assert g.reps == [g.elements[c[0]] for c in g.classes]
+    # the key partitions the elements into blocks closed under conjugation
+    # by the generators, as many as there are classes
+    assert sorted(i for b in blocks for i in b) == list(range(g.order))
+    block_of = {i: bi for bi, b in enumerate(blocks) for i in b}
+    for s in g.generators:
+        s_inv = mat_inv(g.field, s)
+        for i, x in enumerate(g.elements):
+            conj = mat_mul(g.field, mat_mul(g.field, s_inv, x), s)
+            assert block_of[g.index[conj]] == block_of[i]
+    assert len(keys) == class_count(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -200,6 +218,26 @@ def test_rcf_key_is_conjugacy_invariant():
         x = rng.choice(g.elements)
         conj = mat_mul(g.field, mat_mul(g.field, x, a), mat_inv(g.field, x))
         assert rcf_key(g.field, a) == rcf_key(g.field, conj)
+
+
+def test_rcf_key_separates_scalars_from_jordan_blocks():
+    # a*I and the Jordan block J(a) share the characteristic polynomial
+    # (x - a)^n; the key is n factors x - a for the one and (x - a)^2 for
+    # the other
+    for q in (2, 3, 4, 5):
+        field = field_for_order(q)
+        for a in range(q):
+            x_minus_a = (field.neg(a), 1)
+            for n in (1, 2, 3):
+                scalar = tuple(tuple(a if i == j else 0 for j in range(n)) for i in range(n))
+                assert rcf_key(field, scalar) == (x_minus_a,) * n, (q, a, n)
+            jordan = ((a, 1), (0, a))
+            assert rcf_key(field, jordan) == (poly_mul(field, x_minus_a, x_minus_a),), (q, a)
+
+
+@pytest.mark.parametrize("q,n", VERIFY_ALL_CONFIGS)
+def test_class_count_is_the_closed_form(q, n):
+    assert GLGroup(q, n).num_classes == class_count(q, n)
 
 
 def test_coxeter_torus():

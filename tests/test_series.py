@@ -226,7 +226,8 @@ def series_from_json(data):
         dom = witt_ring(p, desc["f"], desc["N"])
         coeff = lambda c: from_digits(dom, [dom.field.from_coords(d) for d in c])
     else:
-        params = dom = PadicParams(p, desc["N"], desc["v_max"], pad=desc["n_work"] - desc["N"])
+        params = dom = PadicParams(p, desc["N"], desc["v_max"])
+        assert desc["n_work"] == params.n_work
 
         def coeff(c):
             if c.get("zero"):

@@ -215,3 +215,22 @@ def test_importing_the_cli_loads_no_fractions():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_one_field_kernel_and_one_polynomial_module():
+    # F_q arithmetic is FieldDesc's, F_p's included, so no other class
+    # defines both add and inv; F_q[x] is ffield's poly_* functions, so no
+    # other module defines a public poly_* function
+    kernels, poly_modules = set(), set()
+    for path in sorted(Path(ltdl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}
+                if {"add", "inv"} <= methods:
+                    kernels.add(f"{path.stem}.{node.name}")
+        if any(isinstance(node, ast.FunctionDef) and node.name.startswith("poly_")
+               for node in tree.body):
+            poly_modules.add(path.stem)
+    assert kernels == {"ffield.FieldDesc"}
+    assert poly_modules == {"ffield"}
