@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from functools import partial
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from . import __version__
 from .cyclo import euler_phi
@@ -32,7 +32,6 @@ from .dl_variety import (
     dl_points,
     last_dl_level,
     line_census,
-    orbit_check,
     rational_level,
 )
 from .errors import (
@@ -185,7 +184,8 @@ class RunConfig:
         if q > MAX_FIELD_SIZE:  # before factoring q by trial division
             raise BudgetError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         self.p, self.f = p, f = prime_power(q)
-        # every estimate counts each of the q^n - 1 forms, 1/4 us or more
+        # every estimate counts each of the q^n - 1 forms, 1/4 us or more, or
+        # (the DL equation's) the n! terms of Delta, 1 us or more
         if n >= (4 * WORK_BUDGET).bit_length():
             raise BudgetError(f"the q^n - 1 forms at n = {n} exceed the work budget")
         if self.command in ("formal-group", "depth0", "verify-all") and self.degree() <= q ** n:
@@ -257,6 +257,7 @@ BUILDS = {
     "strata": lambda v, cfg: strata_rows(v["module"], v["factors"]),
     "level": lambda v, cfg: dl_level(cfg),
     "m": lambda v, cfg: v["level"][0],
+    "equation": lambda v, cfg: dl_equation(cfg.q, cfg.n),
     "group": lambda v, cfg: GLGroup(cfg.q, cfg.n),
     "correspondence": lambda v, cfg: correspondence_report(
         cfg.q, cfg.n, CorrespondenceData(v["group"])),
@@ -291,9 +292,15 @@ def base_points_entry(v, _):
 
 
 def action_invariance_entry(v, _):
-    m, _, count, lines = v["level"]
-    orbit, failure = orbit_check(v.cfg.q, v.cfg.n, m, v["group"].generators, lines[0], count)
-    return partial(holds, failure is None, failure or f"orbit size {len(orbit)}")
+    # GL_n(F_q) acts simply transitively on DL(F_{q^m}) iff the census counts
+    # |GL_n(F_q)| points: P(xg) = P(x), so the group keeps the variety; a
+    # point has F_q-independent coordinates (P(x) != 0), so xg = x forces
+    # g = I and every orbit has |GL_n(F_q)| points; P(zx) = z^{q^n-1} P(x)
+    # gives the mu_{q^n-1}-invariance; and `line_points` puts exactly g
+    # points on each residue-0 line, so g * residues[0] counts them all.
+    count, group = v["level"][2], group_order(v.cfg.q, v.cfg.n)
+    return partial(holds, count == group, f"orbit size {count}" if count == group
+                   else f"count {count}, |GL_n(F_q)| {group}")
 
 
 # Each suite is one ordered table of rows (name, make, needs, details).  An
@@ -321,8 +328,7 @@ SUITES = {
             holds, all(row["member"] == row["expected"] for row in v["strata"])), None, None),
     ],
     "dl": [
-        ("prime_field_coefficients", lambda v, _: partial(dl_equation, v.cfg.q, v.cfg.n),
-         None, None),
+        ("equation", None, None, None),
         ("points_on_variety", lambda v, _: partial(
             dl_points, v.cfg.q, v.cfg.n, v["m"], v["level"][3]), None, None),
         ("base_points_m{m}", base_points_entry, None, str),
@@ -341,7 +347,7 @@ SLICES = {
     "depth0 equation": "component_census equation_lowest_degree",
     "depth0 chart": "census chart_multiplicity iterated_multiplicities un_equals_dl",
     "depth0 strata": "stratum_membership_matches_support",
-    "dl equation": "prime_field_coefficients",
+    "dl equation": "equation",
     "dl count": "points_on_variety base_points_m{m}",
     "chars table": "degree_squares_sum",
     "chars steinberg": "steinberg_norm_one",
@@ -357,16 +363,14 @@ SLICES = {
 # runs (the README's "Size limits" says what each counts): Q = q^n, D the
 # series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
 # The module's log and exp, the chart's factors P_a, the walks of
-# P^{n-1}(F_{q^m}) (none at m < n), verify-all's orbit walk, the DL product
-# of the forms, the group's closure and classes, the Dixon lift, and the
-# table's report.
+# P^{n-1}(F_{q^m}) (none at m < n), the DL equation's Moore power, the
+# group's closure and classes, the Dixon lift, and the table's report.
 WORK_TERMS = {
     "module": lambda c: 3 * c.degree() ** 2 * 3 * (c.f + 1) // 4,
     "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
     "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n - 1) // 4
                             + 2 * c.q ** m for m in c.levels if m >= c.n),
-    "orbit": lambda c: group_order(c.q, c.n) * ((c.q ** c.n - 1) // 4 + 16),
-    "product": lambda c: 2 * comb(c.q ** c.n // 2 + c.n - 1, c.n - 1) ** 2 + c.q ** c.n,
+    "moore": lambda c: moore_work(c.q, c.n),
     "group": lambda c: group_order(c.q, c.n) * c.q ** c.n // 2,
     "lift": lambda c: 3 * c.q ** (3 * c.n) // (4 * c.n),
     "report": lambda c: c.q ** (2 * c.n) * euler_phi(  # E: p^a >= n, times lcm(q^i - 1)
@@ -374,12 +378,28 @@ WORK_TERMS = {
         * lcm(*(c.q ** i - 1 for i in range(1, c.n + 1)))),
 }
 
+
+def moore_work(q, n):
+    """The DL equation's work: F_q's tables, 2 per element; Delta^{q-1} by
+    `TruncatedSeries.__pow__`, 1 per term pair of each square and product;
+    its report, 2n + 2 per term.  Delta^k has at most C(n! + k - 1, k) terms
+    (k-fold products of Delta's n! monomials), counted past k = 2 if in budget."""
+    def terms(k):
+        low = comb(factorial(n) + min(k, 2) - 1, min(k, 2))
+        return low if low > WORK_BUDGET else comb(factorial(n) + k - 1, k)
+
+    e = q - 1  # bit i: the result times Delta^{2^i}; each square below the top bit
+    return 2 * q + (2 * n + 2) * terms(e) + sum(
+        terms(2 ** i) * (terms(e % 2 ** i) * (e >> i & 1) + terms(2 ** i) * (e >> i > 1))
+        for i in range(e.bit_length()))
+
+
 # the terms of each command's work, in the order they are summed
-WORK = {"formal-group": "module", "dl equation": "product", "dl count": "census",
+WORK = {"formal-group": "module", "dl equation": "moore", "dl count": "census",
         **dict.fromkeys(("depth0 equation", "depth0 chart", "depth0 strata"), "module factors"),
         "chars table": "group lift report", "chars steinberg": "group",
         "chars correspondence": "group lift",
-        "verify-all": "module factors census orbit group lift"}
+        "verify-all": "module factors census group lift"}
 
 
 def run_suites(cfg):
@@ -456,9 +476,8 @@ def depth0_results(cfg, v):
 
 def dl_results(cfg, v):
     results = {"q": cfg.q, "n": cfg.n}
-    if "dl.prime_field_coefficients" in v:
-        inst = v["dl.prime_field_coefficients"]
-        results.update(equation=inst.equation.to_json(), num_forms=len(inst.forms))
+    if "equation" in v:
+        results.update(equation=v["equation"].to_json(), num_forms=cfg.q ** cfg.n - 1)
     if "level" in v:
         results.update(zip(("m", "base_count", "count"), v["level"][:3]))
     if "dl.points_on_variety" in v:

@@ -345,16 +345,18 @@ def iterated_chart(module, depth_sequence, chart=None):
 
 def un_special_fiber(module, chart=None):
     """Reduce the chart residual mod (p, X_n) and change to projective
-    coordinates, yielding the hyperplane-product equation; it must equal the
-    directly built Deligne-Lusztig equation, or VerificationError.  `chart`
-    is the `blowup_chart` at n, built here when not given.
+    coordinates, yielding the hyperplane-product equation; it must equal
+    Moore's closed form (-1)^n Delta^{q-1} - 1 of the Deligne-Lusztig
+    equation (`dl_equation`), a theorem, or VerificationError.  `chart` is
+    the `blowup_chart` at n, built here when not given.
 
     A passing comparison also settles the GL_n(F_q)-invariance of the lowest
     form L of P mod p, which needs no check of its own: the residual is
     P(V X_n, X_n) / X_n^{q^n-1}, so mod (p, X_n) it is L(V, 1), and
-    homogenized it is L.  So L = prod over a in F_q^n - 0 of (a . X).  For
-    invertible g, x -> x g permutes F_q^n - 0, so L(X g) = L (`GLGroup`
-    refuses a generator with det = 0)."""
+    homogenized it is L.  So L = (-1)^n Delta^{q-1}, Delta = det(X_i^{q^j}).
+    For g over F_q, (X g)_i^{q^j} = sum_k X_k^{q^j} g_ki, so Delta(X g) =
+    det(g) Delta(X), and L(X g) = det(g)^{q-1} L = L for invertible g
+    (`GLGroup` refuses a generator with det = 0)."""
     from .dl_variety import dl_equation
 
     q, n = module.q, module.n
@@ -367,7 +369,6 @@ def un_special_fiber(module, chart=None):
     deg = q ** n - 1
     # homogenize V_i -> X'_i / X'_n into degree q^n - 1
     dl = dl_equation(q, n)
-    ring = dl.ring
     out = {}
     vidx = [red.ring._var_index[f"V{i}"] for i in range(1, n)]
     for e, c in red.terms.items():
@@ -376,9 +377,7 @@ def un_special_fiber(module, chart=None):
         if total > deg:
             raise VerificationError("residual reduction exceeds the product degree")
         out[tuple(exps) + (deg - total,)] = c
-    homog = TruncatedSeries(ring, out)
-    candidate = homog - ring.one()
-    if candidate != dl.equation:
+    if TruncatedSeries(dl.ring, out) - dl.ring.one() != dl:
         raise VerificationError("the chart residual mod (p, Xn) is not the DL equation")
-    return {"q": q, "n": n, "chart_equation": candidate}
+    return {"q": q, "n": n, "chart_equation": dl}
 

@@ -2,71 +2,49 @@
 its commuting right GL_n(F_q) and mu_{q^n-1} actions (G. Lusztig, "Coxeter
 orbits and eigenspaces of Frobenius", Invent. Math. 38, 1976).
 
-The product P is homogeneous of degree q^n - 1, so every point of DL is a
-scalar multiple of a line of P^{n-1}(F_{q^m}) off the rational hyperplanes.
-`line_census` walks those lines once; integer congruences on their log P
-values give the rational count, the Frobenius-twisted counts N_m(zeta)
-(`per_zeta_counts`, with no larger field built) and the lines that carry
-DL points.  `line_points` scales such a line onto the variety: `dl_points`
-lists DL(F_{q^m}) from every census line, and `orbit_check` proves from
-the first point of the first line that GL_n(F_q) acts simply transitively
-on DL(F_{q^m}).  The Moebius count of the base lines stays as a
-cross-check.  No function here walks F_{q^m}^n.
+`dl_equation` builds P from Moore's closed form (-1)^n Delta^{q-1}.  P is
+homogeneous of degree q^n - 1, so every point of DL is a scalar multiple
+of a line of P^{n-1}(F_{q^m}) off the rational hyperplanes.  `line_census`
+walks those lines once; integer congruences on their log P values give the
+rational count, the Frobenius-twisted counts N_m(zeta) (`per_zeta_counts`,
+with no larger field built) and the lines that carry DL points.
+`line_points` scales such a line onto the variety, and `dl_points` lists
+DL(F_{q^m}) from every census line.  The Moebius count of the base lines
+stays as a cross-check.  No function here walks F_{q^m}^n or GL_n(F_q).
 
 Points are vectors of canonical field integers; all enumeration is
 deterministic (lexicographic) and exact.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from .errors import VerificationError
 from .ffield import embed, ff_make, field_for_order, gaussian_binomial
-from .linalg import (
-    group_order,
-    index_vectors,
-    sparse_columns,
-    vec_mul,
-)
-from .series import SeriesRing, product_over
-
-
-class DLInstance:
-    """q, n, the defining polynomial, and its linear factors."""
-
-    def __init__(self, q, n, ring, equation, forms):
-        self.q = q
-        self.n = n
-        self.ring = ring
-        self.equation = equation  # prod of forms - 1
-        self.forms = forms        # list of index vectors a (canonical ints)
+from .series import SeriesRing, TruncatedSeries
 
 
 def dl_equation(q, n):
-    """prod over a in F_q^n - 0 of (a_1 X_1 + ... + a_n X_n) minus 1.
+    """prod over a in F_q^n - 0 of (a_1 X_1 + ... + a_n X_n), minus 1, as
+    Moore's closed form (-1)^n Delta^{q-1} - 1 with Delta = det(X_i^{q^j}),
+    i = 1..n, j = 0..n-1 (E. H. Moore, Bull. AMS 2, 1896; L. E. Dickson,
+    Trans. AMS 12, 1911).
 
-    The product is Galois-stable, so its coefficients lie in the prime
-    field; this is asserted rather than assumed.
+    Delta is the sum over permutations s of sgn(s) prod_i X_i^{q^{s(i)}},
+    and each s gives its own monomial, so Delta has coefficients +-1 and
+    its power has them in F_p.  The product of the forms is a test oracle.
     """
     field = field_for_order(q)
     ring = SeriesRing(field, tuple(f"X{i}" for i in range(1, n + 1)), q ** n + 1)
-    forms = index_vectors(field, n)
-    linear = []
-    for a in forms:
-        s = ring.zero()
-        for i, k in enumerate(a):
-            if k:
-                s = s + ring.var(f"X{i + 1}", k)
-        linear.append(s)
-    prod = product_over(linear)
-    for c in prod.terms.values():
-        if field.pow(c, field.p) != c:
-            raise VerificationError("product of rational forms not defined over F_p")
-    return DLInstance(q, n, ring, prod - ring.one(), forms)
+    odd = lambda s: sum(a > b for i, a in enumerate(s) for b in s[i + 1:]) % 2
+    delta = {tuple(q ** k for k in s): field.neg(1) if odd(s) else 1
+             for s in permutations(range(n))}
+    moore = TruncatedSeries(ring, delta) ** (q - 1)
+    return (-moore if n % 2 else moore) - ring.one()
 
 
 class Ambient:
-    """F_{q^m} with its log/Zech kernel, the embedded F_q, and mu_{q^n-1} data."""
+    """F_{q^m} with its log/Zech kernel and the embedded F_q."""
 
     def __init__(self, q, n, m):
         self.q = q
@@ -75,8 +53,7 @@ class Ambient:
         base = field_for_order(q)
         self.base = base
         self.field = ff_make(base.p, base.f * m)
-        self.embed_map = [embed(k, base, self.field) for k in range(q)]
-        self._embed_logs = [self.field.log[v] for v in self.embed_map[1:]]
+        self._embed_logs = [self.field.log[embed(k, base, self.field)] for k in range(1, q)]
 
     def product_of_forms(self, x):
         """prod (a . x) over a in F_q^n - 0; early zero exit.
@@ -102,15 +79,6 @@ class Ambient:
 
     def on_variety(self, x):
         return self.product_of_forms(x) == 1
-
-    def embed_matrix(self, g):
-        """A matrix over F_q with its entries embedded in this field."""
-        return tuple(tuple(self.embed_map[v] for v in row) for row in g)
-
-    def mu_generator(self):
-        """A generator of the solutions of z^{q^n - 1} = 1 in this field."""
-        order = self.field.q - 1
-        return self.field.exp[order // gcd(self.q ** self.n - 1, order)]
 
 
 def line_census(q, n, m):
@@ -219,50 +187,6 @@ def base_points_moebius(q, n, m):
             total -= gaussian_binomial(d, e, q) * N[e]
         N[d] = total
     return N[n]
-
-
-def orbit_check(q, n, m, generators, witness, count):
-    """Whether GL_n(F_q), given by `generators`, acts simply transitively on
-    the `count` points of DL(F_{q^m}), and mu_{q^n-1} keeps them: returns
-    (orbit, failure), with failure None when every condition holds.
-
-    The orbit is that of the first `line_points` of the census line
-    `witness`, walked breadth first with every new image checked on
-    the variety.  A walk closed under generators of a finite group is the
-    whole group orbit, so it is an invariant subset of the variety; its size
-    equal to `count` makes it all of DL(F_{q^m}) (transitivity), and equal
-    to |GL_n(F_q)| makes every stabiliser trivial (freeness).  The mu
-    generator mapping the orbit into itself gives the mu-invariance.
-
-    A passing walk also settles the fibers over P^{n-1}: a line carries at
-    most g = gcd(q^n - 1, q^m - 1) points of the variety, and a rational
-    hyperplane none (P = 0 there), so an orbit of `count` = g * residues[0]
-    points puts exactly g of them over each residue-0 census line.
-    """
-    amb = Ambient(q, n, m)
-    field = amb.field
-    start = line_points(amb, witness)[0]
-    gens = [sparse_columns(amb.embed_matrix(g)) for g in generators]
-    orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
-    for x in orbit:  # orbit grows while it is walked, so this is the queue
-        for g in gens:
-            y = vec_mul(field, x, g)
-            if y not in seen:
-                off += not amb.on_variety(y)
-                seen.add(y)
-                orbit.append(y)
-    size, group = len(orbit), group_order(q, n)
-    if off:
-        return orbit, f"{off} of {size} orbit points off the variety"
-    if size != count or size != group:
-        return orbit, f"orbit of {size} points, count {count}, |GL_n(F_q)| {group}"
-    z = amb.mu_generator()
-    if field.pow(z, q ** n - 1) != 1:
-        return orbit, f"the mu generator {z} is not a (q^n-1)-th root of unity"
-    zi = field.inv(z)
-    if any(tuple(field.mul(zi, v) for v in x) not in seen for x in orbit):
-        return orbit, "the mu generator leaves the orbit"
-    return orbit, None
 
 
 def per_zeta_counts(q, n, residues):

@@ -162,8 +162,9 @@ class TruncatedSeries:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square past the top bit
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -1,10 +1,12 @@
 """Brute-force oracles for the DL suite.
 
-Each one enumerates points of F_{q^M}^n or loops over a whole group, where
-`line_census`, `dl_points` and `orbit_check` count with integer congruences,
-scale census lines onto the variety and walk one orbit; the tests hold the
-two to the same answers wherever both run.  `act` applies a pair (g, zeta)
-of GL_n(F_q) x mu_{q^n-1} to one point, and `line_fibers` groups points by
+Each one multiplies out the linear forms, enumerates points of F_{q^M}^n,
+walks a group orbit or loops over a whole group, where `dl_equation` reads
+P off Moore's closed form, `line_census` and `dl_points` count with integer
+congruences and scale census lines onto the variety, and the dl suite
+compares the census count with |GL_n(F_q)|; the tests hold the two to the
+same answers wherever both run.  `act` applies a pair (g, zeta) of
+GL_n(F_q) x mu_{q^n-1} to one point, and `line_fibers` groups points by
 their line of P^{n-1}.
 """
 
@@ -13,12 +15,39 @@ from math import gcd
 
 from gl_oracles import vec_mat
 
-from ltdl.dl_variety import Ambient
+from ltdl.dl_variety import Ambient, line_points
 from ltdl.errors import BudgetError, ParameterError, VerificationError
-from ltdl.ffield import embed, ff_make
-from ltdl.linalg import projective_representative
+from ltdl.ffield import embed, ff_make, field_for_order
+from ltdl.linalg import group_order, index_vectors, projective_representative
+from ltdl.series import SeriesRing, product_over
 
 POINT_BUDGET = 10 ** 8  # the most vectors of F_{q^m}^n an oracle walks
+
+
+def dl_equation_by_product(q, n):
+    """prod over a in F_q^n - 0 of (a_1 X_1 + ... + a_n X_n) minus 1, by the
+    balanced product of the q^n - 1 linear forms, in `dl_equation`'s ring."""
+    field = field_for_order(q)
+    ring = SeriesRing(field, tuple(f"X{i}" for i in range(1, n + 1)), q ** n + 1)
+    forms = []
+    for a in index_vectors(field, n):
+        s = ring.zero()
+        for i, k in enumerate(a):
+            if k:
+                s = s + ring.var(f"X{i + 1}", k)
+        forms.append(s)
+    return product_over(forms) - ring.one()
+
+
+def embed_matrix(amb, g):
+    """A matrix over F_q with its entries embedded in the field of amb."""
+    return tuple(tuple(embed(v, amb.base, amb.field) for v in row) for row in g)
+
+
+def mu_generator(amb):
+    """A generator of the solutions of z^{q^n - 1} = 1 in the field of amb."""
+    order = amb.field.q - 1
+    return amb.field.exp[order // gcd(amb.q ** amb.n - 1, order)]
 
 
 def ambient_points(amb):
@@ -63,7 +92,7 @@ def act(amb, x, g=None, zeta=None):
     field = amb.field
     out = x
     if g is not None:
-        out = vec_mat(field, out, amb.embed_matrix(g))
+        out = vec_mat(field, out, embed_matrix(amb, g))
     if zeta is not None:
         if not zeta or field.pow(zeta, amb.q ** amb.n - 1) != 1:
             raise ParameterError("zeta does not have order dividing q^n - 1")
@@ -156,3 +185,42 @@ def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
                     return None
                 checked += 1
     return checked
+
+
+def orbit_check(q, n, m, generators, witness, count):
+    """Whether GL_n(F_q), given by `generators`, acts simply transitively on
+    the `count` points of DL(F_{q^m}), and mu_{q^n-1} keeps them: returns
+    (orbit, failure), with failure None when every condition holds.
+
+    The orbit is that of the first `line_points` of the census line
+    `witness`, walked breadth first with every new image checked on
+    the variety.  A walk closed under generators of a finite group is the
+    whole group orbit, so it is an invariant subset of the variety; its size
+    equal to `count` makes it all of DL(F_{q^m}) (transitivity), and equal
+    to |GL_n(F_q)| makes every stabiliser trivial (freeness).  The mu
+    generator mapping the orbit into itself gives the mu-invariance.
+    """
+    amb = Ambient(q, n, m)
+    field = amb.field
+    start = line_points(amb, witness)[0]
+    gens = [embed_matrix(amb, g) for g in generators]
+    orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
+    for x in orbit:  # orbit grows while it is walked, so this is the queue
+        for g in gens:
+            y = vec_mat(field, x, g)
+            if y not in seen:
+                off += not amb.on_variety(y)
+                seen.add(y)
+                orbit.append(y)
+    size, group = len(orbit), group_order(q, n)
+    if off:
+        return orbit, f"{off} of {size} orbit points off the variety"
+    if size != count or size != group:
+        return orbit, f"orbit of {size} points, count {count}, |GL_n(F_q)| {group}"
+    z = mu_generator(amb)
+    if field.pow(z, q ** n - 1) != 1:
+        return orbit, f"the mu generator {z} is not a (q^n-1)-th root of unity"
+    zi = field.inv(z)
+    if any(tuple(field.mul(zi, v) for v in x) not in seen for x in orbit):
+        return orbit, "the mu generator leaves the orbit"
+    return orbit, None

@@ -8,12 +8,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from dl_oracles import orbit_check
 
 from ltdl import cli, depth0, dl_variety, formal_modules, gl_characters, series
 from ltdl.cli import RunConfig, build_parser, main
 from ltdl.errors import BudgetError, ParameterError, VerificationError
+from ltdl.ffield import field_for_order
 from ltdl.gl_characters import MAX_GROUP_ORDER
-from ltdl.linalg import group_order
+from ltdl.linalg import gl_generators, group_order
 
 
 def run_cli(tmp_path, *argv):
@@ -54,25 +56,6 @@ def test_raising_suite_keeps_the_other_suites(tmp_path, monkeypatch):
                        "details": "doctored Dixon failure"}]
 
 
-def dropped_generator(monkeypatch):
-    # GL_2(F_2) walked under I and the swap only: an orbit of 2 of the 6 points
-    honest = cli.orbit_check
-    monkeypatch.setattr(cli, "orbit_check", lambda q, n, m, gens, witness, count:
-                        honest(q, n, m, gens[:-1], witness, count))
-
-
-def zero_mu_generator(monkeypatch):
-    # 0 stands in for the generator of mu_3 = F_4^x; it is no root of unity
-    monkeypatch.setattr(dl_variety.Ambient, "mu_generator", lambda amb: 0)
-
-
-def rejecting_variety(monkeypatch):
-    # (3, 2), a point of DL(F_4) other than the orbit's start, reads as off it
-    honest = dl_variety.Ambient.on_variety
-    monkeypatch.setattr(dl_variety.Ambient, "on_variety",
-                        lambda amb, x: x != (3, 2) and honest(amb, x))
-
-
 def miscounted_census(monkeypatch):
     # over F_4, one of the two lines with residue 0 counted with residue 1
     honest = dl_variety.line_census
@@ -101,13 +84,9 @@ def dropped_census_line(monkeypatch):
 
 
 @pytest.mark.parametrize("doctor,failed", [
-    (dropped_generator, {"dl.action_invariance": "orbit of 2 points, count 6, |GL_n(F_q)| 6"}),
-    (zero_mu_generator, {"dl.action_invariance":
-                         "the mu generator 0 is not a (q^n-1)-th root of unity"}),
-    (rejecting_variety, {"dl.action_invariance": "1 of 6 orbit points off the variety"}),
-    (miscounted_census, {"dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6"}),
+    (miscounted_census, {"dl.action_invariance": "count 3, |GL_n(F_q)| 6"}),
     (dropped_census_line, {"dl.base_points_m2": "count 3, base 1",
-                           "dl.action_invariance": "orbit of 6 points, count 3, |GL_n(F_q)| 6"}),
+                           "dl.action_invariance": "count 3, |GL_n(F_q)| 6"}),
 ])
 def test_failing_dl_check_is_reported_under_its_name(tmp_path, monkeypatch, doctor, failed):
     doctor(monkeypatch)
@@ -161,9 +140,8 @@ def DL_equation_off_by_one(monkeypatch):
     honest = dl_variety.dl_equation
 
     def shifted(q, n):
-        inst = honest(q, n)
-        inst.equation = inst.equation - inst.ring.one()
-        return inst
+        equation = honest(q, n)
+        return equation - equation.ring.one()
 
     monkeypatch.setattr(dl_variety, "dl_equation", shifted)
 
@@ -187,13 +165,6 @@ def common_eigenvector_dropped(monkeypatch):
     honest = gl_characters._split_common_eigenspaces
     monkeypatch.setattr(gl_characters, "_split_common_eigenspaces",
                         lambda *args: honest(*args)[:-1])
-
-
-def DL_product_off_the_prime_field(monkeypatch):
-    # the product of the rational forms plus the element 2 of F_4 - F_2
-    honest = dl_variety.product_over
-    monkeypatch.setattr(dl_variety, "product_over",
-                        lambda forms: honest(forms) + forms[0].ring.constant(2))
 
 
 NOT_AFFINE = "chart factor for a={} is not exactly affine-linear mod {}"
@@ -220,9 +191,6 @@ NOT_P = "P does not vanish to order exactly q^n - 1"
      {"steinberg"}),
     (["chars", "table", "--q", "2", "--n", "2"], common_eigenvector_dropped,
      {"chars.degree_squares_sum": "degree squares do not sum to the group order"}, {"table"}),
-    (["dl", "equation", "--q", "4", "--n", "2"], DL_product_off_the_prime_field,
-     {"dl.prime_field_coefficients": "product of rational forms not defined over F_p"},
-     {"equation", "num_forms"}),
     (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
      {"depth0.equation_lowest_degree": NOT_P,
       "depth0.chart_multiplicity": "not run: depth0.equation_lowest_degree failed",
@@ -235,7 +203,7 @@ NOT_P = "P does not vanish to order exactly q^n - 1"
     (["verify-all", "--q", "2", "--n", "2"], DL_equation_off_by_one,
      {"depth0.un_equals_dl": NOT_DL}, set()),
 ], ids=["build_P", "blowup_chart", "iterated_chart_depth_2", "un_special_fiber", "steinberg",
-        "dixon_table", "dl_equation", "verify_all_build_P", "verify_all_blowup_chart",
+        "dixon_table", "verify_all_build_P", "verify_all_blowup_chart",
         "verify_all_iterated_chart", "verify_all_un_special_fiber"])
 def test_a_raising_identity_fails_its_own_entry(tmp_path, monkeypatch, argv, doctor,
                                                 failed, dropped):
@@ -481,8 +449,8 @@ def test_depth0_strata_builds_each_factor_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2)])
 def test_verify_all_enumerates_each_variety_once(tmp_path, monkeypatch, q, n):
     # each command walks P^1(F_{q^2}) once: the line census; verify-all's
-    # action check walks the orbit, and dl count --list reads its points off
-    # the census lines
+    # action check reads the census count, and dl count --list reads its
+    # points off the census lines
     walks = Counter()
     honest = dl_variety._projective_reps
 
@@ -676,6 +644,29 @@ def test_verify_all_grid_is_complete(tmp_path, q, n):
         assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_DIGESTS[q, n]
 
 
+@pytest.mark.parametrize("q,n", VERIFY_ALL_CONFIGS)
+def test_action_invariance_passes_exactly_when_the_orbit_walk_does(q, n):
+    # dl.action_invariance compares the census count with |GL_n(F_q)|; the
+    # walk of the first census point's orbit under the generators of
+    # GL_n(F_q) passes exactly when it does, on the census count and on a
+    # count one line short, and its orbit has the census count's points
+    cfg = RunConfig(build_parser().parse_args(["verify-all", "--q", str(q), "--n", str(n)]))
+    m, (base, residues, lines) = dl_variety.rational_level(q, n)
+    g, gens = len(residues), gl_generators(field_for_order(q), n)
+    for count in (g * residues[0], g * (residues[0] - 1)):
+        run = cli.Run(cfg)
+        run["level"] = (m, base, count, lines)
+        try:
+            cli.action_invariance_entry(run, None)()
+        except VerificationError:
+            holds = False
+        else:
+            holds = True
+        orbit, failure = orbit_check(q, n, m, gens, lines[0], count)
+        assert (failure is None) == holds == (count == group_order(q, n))
+        assert len(orbit) == g * residues[0]
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])
 def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
     # every command runs its slice of verify-all's suites under verify-all's
@@ -705,8 +696,9 @@ def test_each_subcommand_entry_is_verify_alls_record(tmp_path, q, n):
 # which no verify-all report does; the two dl equation reports refrozen when
 # their entry form_count became prime_field_coefficients, all of them
 # when each entry took verify-all's name (and the census entry its details),
-# and the two formal-group reports when their nine formal_module.* axioms
-# left them, each report otherwise unchanged
+# the two formal-group reports when their nine formal_module.* axioms left
+# them, and the two dl equation reports when prime_field_coefficients, true
+# of Moore's form by construction, left them, each report otherwise unchanged
 SERIES_REPORT_DIGESTS = {
     ("formal-group", "--q", "2", "--n", "2"):
         "1f127eac6a0bf042c4e38b828d64607e08dba9397c0aa7961da8dfbcb953feab",
@@ -721,9 +713,9 @@ SERIES_REPORT_DIGESTS = {
     ("depth0", "strata", "--q", "2", "--n", "3"):
         "bd6ece7bf1afd1393709bcd2fc1817c9d35d7f3771216d55114735d0469eb6f3",
     ("dl", "equation", "--q", "4", "--n", "2"):
-        "3d2d308a18e4fdc63f71f99adef2c8f9f4095ef9b5460580bb9454fc8738d63d",
+        "2b8528f6a2b990d75b8eef7e2aca8e1e8470996d0d9f697e03c8ae9636551dbd",
     ("dl", "equation", "--q", "2", "--n", "3"):
-        "7500735d052c4c48986dab363e7e6eb2b154e10af285a978c4794f25d9573266",
+        "142691c3d5d9f5e72a9f7a8e7349c0944d48c22b99095d231d86222350671757",
 }
 
 
@@ -818,8 +810,9 @@ def test_chars_reports_hold_their_frozen_digests(tmp_path, argv):
                                     lambda gens: gens + [((1, 0), (0, 0))]],
                          ids=["dropped", "singular"])
 def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, doctor):
-    # each suite that needs GL_n(F_q) reports the failed build as its one
-    # error check; every check that does not need the group stays as it was
+    # the chars suite, the one that needs GL_n(F_q), reports the failed build
+    # as its one error check; every check that does not need the group, the
+    # dl suite's count against |GL_n(F_q)| included, stays as it was
     code, clean = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
     assert code == 0
     honest = gl_characters.gl_generators
@@ -828,11 +821,11 @@ def test_group_that_fails_to_build_is_a_suite_error(tmp_path, monkeypatch, docto
     code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
     assert code == 1
     failed = [c for c in report["checks"] if c["status"] == "fail"]
-    assert [c["name"] for c in failed] == ["dl.error", "chars.error"]
-    assert len({c["details"] for c in failed}) == 1
+    assert [c["name"] for c in failed] == ["chars.error"]
+    assert {"name": "dl.action_invariance", "status": "pass",
+            "details": "orbit size 48"} in report["checks"]
     assert [c for c in report["checks"] if c not in failed] == [
-        c for c in clean["checks"]
-        if c["name"] != "dl.action_invariance" and not c["name"].startswith("chars.")]
+        c for c in clean["checks"] if not c["name"].startswith("chars.")]
 
 
 def test_parameter_error_exit_2(tmp_path, capsys):
@@ -1002,10 +995,11 @@ def test_a_level_below_the_height_ends_with_no_lines(tmp_path, monkeypatch):
     pytest.param(argv, target, id=argv) for argv, target in [
         ("chars table --q 257 --n 1", "GLGroup"),
         ("chars correspondence --q 1021 --n 1", "GLGroup"),
-        ("dl equation --q 2 --n 8", "dl_equation")]])
+        ("dl equation --q 7 --n 4", "dl_equation")]])
 def test_runs_that_do_not_end_exit_3(argv, target, monkeypatch, capsys):
-    # each ran for minutes or more inside the old size limits; the work
-    # estimate refuses it before the group or the product is built
+    # each of the group runs ran for minutes or more inside the old size
+    # limits, and the DL equation at (7, 4) runs for over twice the budget;
+    # the work estimate refuses each before the group or the equation is built
     def unbuilt(*args):
         raise AssertionError(f"{target} was built for a refused config")
 
@@ -1022,12 +1016,14 @@ BUDGET_EDGES = [
                                                (64, 1), (89, 1), (97, 1), (151, 1)]),
     "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
     "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1",
+    *(f"dl equation --q {q} --n {n}" for q, n in [(3, 4), (5, 3), (7, 3), (64, 2), (2, 5),
+                                                 (2, 6), (2, 7), (2, 8), (3, 5), (5, 4)]),
     *(f"refused {argv}" for argv in [
         "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 157 --n 1",
         "formal-group --q 439 --n 1",
         "chars table --q 11 --n 2", "chars table --q 257 --n 1",
         "chars correspondence --q 1021 --n 1",
-        "dl equation --q 2 --n 8", "dl equation --q 5 --n 4", "dl equation --q 3 --n 6"]),
+        "dl equation --q 3 --n 6", "dl equation --q 7 --n 4"]),
 ]
 
 

@@ -211,7 +211,7 @@ def test_un_equation_matches_dl():
     for (q, n) in [(2, 2), (3, 2), (2, 3)]:
         m = lubin_tate_module(q, n)
         rep = un_special_fiber(m)
-        assert rep["chart_equation"] == dl_equation(q, n).equation, (q, n)
+        assert rep["chart_equation"] == dl_equation(q, n), (q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (5, 2)])

@@ -38,7 +38,7 @@ def test_q4_depth0_pipeline():
     assert census["all_scalar_checks_pass"]
     chart = blowup_chart(m)
     assert chart.valuation == 3
-    assert un_special_fiber(m)["chart_equation"] == dl_equation(4, 1).equation
+    assert un_special_fiber(m)["chart_equation"] == dl_equation(4, 1)
 
 
 def test_q4_dl_counts():

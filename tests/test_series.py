@@ -497,3 +497,22 @@ def test_sparse_powers_come_by_squaring(monkeypatch):
     assert len(products) <= 10
     monkeypatch.undo()
     assert out == oracle_substitute(s, {"X": image}, R)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_power_squares_only_below_the_top_bit(e, monkeypatch):
+    # square-and-multiply: one product per set bit of e and one square per
+    # bit below the top one; a square past the top bit is never used
+    R = fq_ring(3, 1, ("X", "Y"), 40)
+    s = R.var("X") + R.var("Y") + R.one()
+    expect = R.one()
+    for _ in range(e):
+        expect = expect * s
+    products = []
+    honest = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__",
+                        lambda a, b: products.append(1) or honest(a, b))
+    power = s ** e
+    assert len(products) == bin(e).count("1") + e.bit_length() - 1
+    monkeypatch.undo()
+    assert power == expect

@@ -234,3 +234,21 @@ def test_one_field_kernel_and_one_polynomial_module():
             poly_modules.add(path.stem)
     assert kernels == {"ffield.FieldDesc"}
     assert poly_modules == {"ffield"}
+
+
+def test_one_walk_over_gl_n_and_the_dl_equation_from_its_closed_form():
+    # GL_n(F_q) is walked once, by linalg's closure, so no other module calls
+    # its product by a generator; dl_variety reads P off Moore's closed form,
+    # so it takes no product of series families from the series layer
+    callers, from_series = set(), set()
+    for path in sorted(Path(ltdl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                    node.func.id in ("vec_mul", "sparse_columns")):
+                callers.add(path.stem)
+            if path.stem == "dl_variety" and isinstance(node, ast.ImportFrom) and (
+                    node.module == "series"):
+                from_series |= {alias.name for alias in node.names}
+    assert callers == {"linalg"}
+    assert from_series == {"SeriesRing", "TruncatedSeries"}
