@@ -36,7 +36,6 @@ from .gl_characters import (
     correspondence_report,
     dixon_table,
     is_cuspidal,
-    is_generic,
     steinberg,
 )
 from .series import SeriesRing, TruncatedSeries
@@ -52,7 +51,7 @@ __all__ = [
     "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",
     "dl_equation", "dl_points", "ff_make",
-    "field_for_order", "is_cuspidal", "is_generic",
+    "field_for_order", "is_cuspidal",
     "iterated_chart", "lubin_tate_module", "per_zeta_counts", "special_fiber_components",
     "steinberg", "stratum_membership", "un_special_fiber",
     "witt_ring",

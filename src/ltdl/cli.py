@@ -42,7 +42,7 @@ from .errors import (
     VerificationError,
     check_entry,
 )
-from .ffield import MAX_DEGREE, MAX_FIELD_SIZE, prime_power
+from .ffield import MAX_FIELD_SIZE, prime_power
 from .formal_modules import default_degree, lubin_tate_module
 from .gl_characters import (
     CorrespondenceData,
@@ -183,7 +183,7 @@ class RunConfig:
             raise ParameterError(f"extension degree m = {m} must be >= 1")
         if q > MAX_FIELD_SIZE:  # before factoring q by trial division
             raise BudgetError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
-        self.p, self.f = p, f = prime_power(q)
+        self.p, self.f = prime_power(q)
         # every estimate counts each of the q^n - 1 forms, 1/4 us or more, or
         # (the DL equation's) the n! terms of Delta, 1 us or more
         if n >= (4 * WORK_BUDGET).bit_length():
@@ -200,11 +200,9 @@ class RunConfig:
         # of F_{q^m}
         self.levels = {"dl count": [m], "verify-all": range(n, last_dl_level(q, n) + 1)}.get(
             self.name, [])
-        for name, degree in [("field", f)] + [("ambient field", f * k) for k in self.levels[-1:]]:
-            if degree > MAX_DEGREE:
-                raise BudgetError(f"{name} degree {degree} exceeds {MAX_DEGREE}")
-            if p ** degree > MAX_FIELD_SIZE:
-                raise BudgetError(f"{name} size {p ** degree} exceeds {MAX_FIELD_SIZE}")
+        for k in self.levels[-1:]:  # the largest F_{q^m} built, q^m not formed past the limit
+            if q ** min(k, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
+                raise BudgetError(f"ambient field size {q}^{k} exceeds {MAX_FIELD_SIZE}")
         self.work = 0  # in microseconds: the WORK terms, summed until past the budget
         for name in WORK[self.name].split():
             if self.work <= WORK_BUDGET:
@@ -363,14 +361,15 @@ SLICES = {
 # runs (the README's "Size limits" says what each counts): Q = q^n, D the
 # series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
 # The module's log and exp, the chart's factors P_a, the walks of
-# P^{n-1}(F_{q^m}) (none at m < n), the DL equation's Moore power, the
-# group's closure and classes, the Dixon lift, and the table's report.
+# P^{n-1}(F_{q^m}) (none at m < n) with the embedding of F_q and the tables of
+# F_{q^m}, F_q's tables and the DL equation's Moore power, the group's
+# closure and classes, the Dixon lift, and the table's report.
 WORK_TERMS = {
     "module": lambda c: 3 * c.degree() ** 2 * 3 * (c.f + 1) // 4,
     "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
-    "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n - 1) // 4
-                            + 2 * c.q ** m for m in c.levels if m >= c.n),
-    "moore": lambda c: moore_work(c.q, c.n),
+    "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n + 11) // 4
+                            + c.q + tables_work(c.p, c.f * m) for m in c.levels if m >= c.n),
+    "moore": lambda c: tables_work(c.p, c.f) + moore_work(c.q, c.n),
     "group": lambda c: group_order(c.q, c.n) * c.q ** c.n // 2,
     "lift": lambda c: 3 * c.q ** (3 * c.n) // (4 * c.n),
     "report": lambda c: c.q ** (2 * c.n) * euler_phi(  # E: p^a >= n, times lcm(q^i - 1)
@@ -379,8 +378,14 @@ WORK_TERMS = {
 }
 
 
+def tables_work(p, degree):
+    """The log and Zech tables of F_{p^degree}: 3 + degree / 2 per element,
+    as the walk of the generator's powers steps once per coordinate."""
+    return p ** degree * (6 + degree) // 2
+
+
 def moore_work(q, n):
-    """The DL equation's work: F_q's tables, 2 per element; Delta^{q-1} by
+    """The DL equation's power: Delta^{q-1} by
     `TruncatedSeries.__pow__`, 1 per term pair of each square and product;
     its report, 2n + 2 per term.  Delta^k has at most C(n! + k - 1, k) terms
     (k-fold products of Delta's n! monomials), counted past k = 2 if in budget."""
@@ -389,7 +394,7 @@ def moore_work(q, n):
         return low if low > WORK_BUDGET else comb(factorial(n) + k - 1, k)
 
     e = q - 1  # bit i: the result times Delta^{2^i}; each square below the top bit
-    return 2 * q + (2 * n + 2) * terms(e) + sum(
+    return (2 * n + 2) * terms(e) + sum(
         terms(2 ** i) * (terms(e % 2 ** i) * (e >> i & 1) + terms(2 ** i) * (e >> i > 1))
         for i in range(e.bit_length()))
 

@@ -19,7 +19,6 @@ from functools import cached_property, lru_cache
 from .errors import ParameterError, VerificationError
 
 MAX_FIELD_SIZE = 1 << 20
-MAX_DEGREE = 8
 
 
 def is_prime(n):
@@ -178,8 +177,8 @@ def ff_make(p, f):
     """
     if not is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
-    if not (1 <= f <= MAX_DEGREE):
-        raise ParameterError(f"extension degree f = {f} outside [1, {MAX_DEGREE}]")
+    if f < 1:
+        raise ParameterError(f"extension degree f = {f} is below 1")
     if p ** f > MAX_FIELD_SIZE:
         raise ParameterError(f"p^f = {p ** f} exceeds {MAX_FIELD_SIZE}")
     if f == 1:

@@ -12,9 +12,10 @@ read off the element list once, as class histograms: the Steinberg
 character is the alternating sum of the permutation characters 1_{P_c}^G,
 and a character is cuspidal when its sum over every proper U_c vanishes.
 The Coxeter torus is the cycle of the identity under right multiplication
-by a companion matrix.  The depth-0 correspondence pairs Frobenius orbits
-of generic characters of that torus with cuspidal irreducibles through
-pi * St = Ind theta.
+by a companion matrix, its classes checked stable under t -> t^q.  The
+depth-0 correspondence pairs Frobenius orbits of generic characters of that
+torus with cuspidal irreducibles through pi * St = Ind theta, one Ind per
+orbit.
 
 In the Dixon step the class matrices are built lazily, one at a time, until
 the common eigenspaces have split into lines.  Each eigenspace is held as a
@@ -317,7 +318,15 @@ def _conjugation_orbits(right, lefts):
 
 
 class CoxeterTorus:
-    """T = <C> of order q^n - 1, C the companion matrix of a primitive poly."""
+    """T = <C> of order q^n - 1, C the companion matrix of a primitive poly.
+
+    Its classes are checked stable under the Frobenius t -> t^q: C^(kq) lies
+    in the class of C^k for every k.  Then Ind theta_jq = Ind theta_j, so one
+    induction serves a whole Frobenius orbit.  Ind theta_j(c) = |C_G(c)| /
+    |T| sum_{k : C^k in c} theta_j(C^k) and theta_jq(C^k) = theta_j(C^(kq));
+    k -> kq is a bijection of Z/(q^n - 1) that maps {k : C^k in c} onto
+    itself, so the two sums are equal.
+    """
 
     def __init__(self, group):
         self.group = group
@@ -339,13 +348,8 @@ class CoxeterTorus:
         if rcf_key(group.field, self.generator) != (poly,):
             raise VerificationError("companion matrix charpoly is not the chosen poly")
         self.class_map = [group.class_of[x] for x in powers]
-
-
-def is_generic(q, n, j):
-    """theta_j not fixed by any nontrivial Frobenius power: j q^m != j mod
-    q^n - 1 for every proper divisor m of n."""
-    order = q ** n - 1
-    return all((j * q ** m - j) % order for m in range(1, n) if n % m == 0)
+        if any(self.class_map[k * q % self.order] != c for k, c in enumerate(self.class_map)):
+            raise VerificationError("the torus classes are not stable under t -> t^q")
 
 
 def generic_character_count(q, n):
@@ -675,8 +679,6 @@ def _characters_mod(group, ell):
             raise ArithmeticError("no admissible degree root")
         chi_mod = [(omega[j] * degree) % ell * size_inv[j] % ell for j in range(r)]
         characters.append((degree, chi_mod))
-    if sum(d * d for d, _ in characters) != group.order:
-        raise ArithmeticError("degree squares do not sum to the group order")
     return characters
 
 
@@ -704,7 +706,8 @@ def _lift(characters, power_classes, ell, w):
     with d = ord g = len(power_classes) and power_classes[s] the class of
     g^s: m_t = (1/d) sum_s chi(g^s) zeta_d^{-st} mod ell, zeta_d =
     w^((ell-1)/d) for the primitive root w.  The true m_t lies in [0,
-    chi(1)] and chi(1) < ell, so the residue is m_t itself.
+    chi(1)] and chi(1) < ell, so the residue is m_t itself; the residues,
+    each >= 0, must sum to chi(1) (`_check_table`), so none exceeds it.
 
     chi is constant on classes, so the kernel sums zeta_d^{-st} once per
     class c over the s with g^s in c, each m_t is a sum over the distinct
@@ -725,8 +728,6 @@ def _lift(characters, power_classes, ell, w):
         mult = lifted.get(values)
         if mult is None:
             mult = lifted[values] = [sum(map(mul, values, row)) % ell for row in kernel]
-        if max(mult) > degree:
-            raise ArithmeticError("eigenvalue multiplicity out of range")
         out.append(mult)
     return out
 
@@ -824,10 +825,10 @@ def _check_table(group, rows):
     if len(rows) != group.num_classes:
         raise ArithmeticError(
             f"table is not square: {len(rows)} irreducibles for {group.num_classes} classes")
-    if any([len(m) for m in mults] != group.class_orders for _, mults in rows):
-        raise ArithmeticError("a row is not one vector of length ord g_j per class j")
     if sum(d * d for d, _ in rows) != group.order:
         raise ArithmeticError("sum of squared degrees is off")
+    if any([len(m) for m in mults] != group.class_orders for _, mults in rows):
+        raise ArithmeticError("a row is not one vector of length ord g_j per class j")
     if any(min(m) < 0 or sum(m) != d for d, mults in rows for m in mults):
         raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
     E = group.exponent
@@ -869,60 +870,24 @@ class CorrespondenceData:
         self.cuspidal_indices = [i for i, f in enumerate(self.table.cuspidal_flags) if f]
 
 
-def _pi_st_keys(data):
-    """{pi * St: the cuspidals pi, in `data.cuspidal_indices` order}, each
-    class function keyed by its values' coordinate tuples at the group's
-    exponent, read from `data` when called.
-
-    St is integer-valued, so pi(c) St(c) is the coordinate tuple of pi(c)
-    scaled by the integer St(c); no cyclotomic product is formed.
-    """
-    keys = {}
-    for idx in data.cuspidal_indices:
-        values = data.table.irreducibles[idx]
-        key = tuple(tuple([s * a for a in x]) for s, x in zip(data.st, values))
-        keys.setdefault(key, []).append(idx)
-    return keys
-
-
-def _cuspidal_matches(data, ind, keys=None):
-    """Every cuspidal pi with pi * St = ind: ind's entry in `keys`, the
-    `_pi_st_keys(data)` that a caller matching many ind passes once."""
-    keys = _pi_st_keys(data) if keys is None else keys
-    return list(keys.get(ind, ()))
-
-
-def _match_failure(matches, j):
-    """Why the cuspidal `matches` of theta_j are not exactly one, or None."""
-    if not matches:
-        return f"no cuspidal solution for theta_{j}"
-    if len(matches) > 1:
-        return f"multiple cuspidal solutions for theta_{j}"
-    return None
-
-
 def frobenius_orbits(q, n):
-    """Orbits of generic character indices under j -> j q mod q^n - 1."""
+    """The Frobenius orbits of the generic characters theta_j: the cycles
+    (j, jq, jq^2, ...) of j -> jq mod q^n - 1 of length exactly n, each from
+    its least member j, in that order.  A cycle's length divides n, and
+    theta_j is generic, fixed by no nontrivial Frobenius power, when no
+    proper divisor m of n has j q^m = j: when j, ..., j q^(n-1) are distinct."""
     order = q ** n - 1
-    seen = set()
-    orbits = []
-    for j in range(order):
-        if j in seen or not is_generic(q, n, j):
-            continue
-        orbit = []
-        k = j
-        while k not in orbit:
-            orbit.append(k)
-            k = (k * q) % order
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    walks = (tuple(j * q ** i % order for i in range(n)) for j in range(order))
+    return [walk for j, walk in enumerate(walks) if min(walk) == j and len(set(walk)) == n]
 
 
 def correspondence_report(q, n, data=None):
-    """Verify the full character-level correspondence.  The report's
-    `cuspidal_part` is the virtual cuspidal part of the cohomology in degree
-    n - 1: each pi with each theta_j of its orbit, at sign (-1)^(n-1)."""
+    """Verify the full character-level correspondence, one Ind theta per
+    Frobenius orbit, from its least member: the torus classes are stable
+    under t -> t^q, so every theta_j of an orbit has the same Ind
+    (`CoxeterTorus`).  The report's `cuspidal_part` is the virtual cuspidal
+    part of the cohomology in degree n - 1: each pi with each theta_j of its
+    orbit, at sign (-1)^(n-1)."""
     data = CorrespondenceData(GLGroup(q, n)) if data is None else data
     group = data.group
     checks = []
@@ -933,24 +898,23 @@ def correspondence_report(q, n, data=None):
         "generic_count", sum(len(o) for o in orbits) == n_generic,
         f"{sum(len(o) for o in orbits)} generic characters (Moebius: {n_generic})"))
 
-    # pi_of_orbit holds the matched orbits: each theta_j of the orbit has
-    # exactly one cuspidal solution, the same one; `failure` names the first
-    # theta, or the first orbit, where that breaks
+    # {pi * St: the cuspidals pi}, keyed by the values' coordinate tuples;
+    # St is integer-valued, so pi(c) St(c) is pi(c)'s coordinates scaled
+    solutions = {}
+    for idx in data.cuspidal_indices:
+        values = data.table.irreducibles[idx]
+        solutions.setdefault(tuple(tuple([s * a for a in x]) for s, x in zip(data.st, values)),
+                             []).append(idx)
+    # `failure` names the first orbit with no solution or several
     pi_of_orbit = {}
     failure = None
-    keys = _pi_st_keys(data)
     for orbit in orbits:
-        images, unique = set(), True
-        for j in orbit:
-            matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j), keys)
-            images.update(matches)
-            if len(matches) != 1:
-                unique = False
-                failure = failure or _match_failure(matches, j)
-        if unique and len(images) == 1:
-            pi_of_orbit[orbit] = images.pop()
+        matches = solutions.get(induce_from_torus(group, data.torus, orbit[0]), [])
+        if len(matches) == 1:
+            pi_of_orbit[orbit] = matches[0]
         elif failure is None:
-            failure = f"the orbit of theta_{orbit[0]} maps to cuspidals {sorted(images)}"
+            failure = (f"multiple cuspidal solutions for theta_{orbit[0]}" if matches
+                       else f"no cuspidal solution for theta_{orbit[0]}")
     checks.append(check_entry("orbit_maps_to_single_pi", failure is None, failure or ""))
     # no check below may pass on the matched orbits alone
     matched = len(pi_of_orbit) == len(orbits)

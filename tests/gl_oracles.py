@@ -10,8 +10,9 @@ the exact orthonormality check in Z[zeta], for the Gram matrix modulo a
 split prime; `inner` is the exact inner product that the orthonormality
 and reciprocity tests compute, and `product_is` the pointwise product that
 the pi * St = Ind theta matches are held to.  The norm-kernel genericity
-test is the oracle for the Frobenius-period test of `is_generic`, and
-`dl_correspondence`, the match of one theta, for the per-orbit matches of
+test is the oracle for the generic characters that `frobenius_orbits` lists
+as the cycles of j -> jq of length n, and `dl_correspondence`, the match of
+one theta by those two oracles, for the one match per orbit of
 `correspondence_report`.
 """
 
@@ -22,13 +23,7 @@ from math import gcd
 from cyclo_oracles import Cyclo, dot, values_at
 
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.gl_characters import (
-    _cuspidal_matches,
-    _match_failure,
-    compositions,
-    induce_from_torus,
-    is_generic,
-)
+from ltdl.gl_characters import compositions, induce_from_torus
 from ltdl.linalg import identity
 
 
@@ -40,7 +35,7 @@ def _dot(field, xs, ys):
 
 
 def is_generic_by_norm_kernels(q, n, j):
-    """Oracle for `is_generic`: theta_j, zeta_{q^n-1}^j on a generator, is
+    """Whether theta_j is generic: theta_j, zeta_{q^n-1}^j on a generator, is
     nontrivial on the kernel of every norm F_{q^n}^x -> F_{q^m}^x, m a
     proper divisor of n.  That kernel is generated by the (q^m - 1)-th power
     of the generator; each value is a root of unity in Z[zeta]."""
@@ -237,12 +232,15 @@ def is_cuspidal_by_radicals(group, chi):
 
 
 def dl_correspondence(data, j):
-    """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic)."""
+    """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic),
+    each product formed in the oracle ring."""
     group = data.group
-    if not is_generic(group.q, group.n, j):
+    if not is_generic_by_norm_kernels(group.q, group.n, j):
         raise ParameterError(f"theta_{j} is not generic")
-    matches = _cuspidal_matches(data, induce_from_torus(group, data.torus, j))
-    failure = _match_failure(matches, j)
-    if failure:
-        raise VerificationError(failure)
+    ind = induce_from_torus(group, data.torus, j)
+    matches = [idx for idx in data.cuspidal_indices
+               if product_is(group, data.table.irreducibles[idx], data.st, ind)]
+    if len(matches) != 1:
+        raise VerificationError(f"multiple cuspidal solutions for theta_{j}" if matches
+                                else f"no cuspidal solution for theta_{j}")
     return matches[0]

@@ -18,7 +18,7 @@ from dl_oracles import (
 )
 from cyclo_oracles import Cyclo
 from formal_oracles import verify_module_axioms
-from gl_oracles import dl_correspondence, inner, product_is
+from gl_oracles import dl_correspondence, inner, is_generic_by_norm_kernels, product_is
 
 from ltdl.cli import main as cli_main
 from ltdl.depth0 import (
@@ -40,7 +40,6 @@ from ltdl.gl_characters import (
     GLGroup,
     correspondence_report,
     induce_from_torus,
-    is_generic,
 )
 from ltdl.series import TruncatedSeries
 
@@ -220,7 +219,7 @@ def test_criterion_09_negative_controls():
     idx = rng.choice(non_cusp)
     chi = data32.table.irreducibles[idx]
     for j in range(8):
-        if is_generic(3, 2, j):
+        if is_generic_by_norm_kernels(3, 2, j):
             ind = induce_from_torus(data32.group, data32.torus, j)
             ok = ok and not product_is(data32.group, chi, data32.st, ind)
     report_line(9, ok, "tampered F fails associativity; theta_0 rejected; "

@@ -190,7 +190,8 @@ NOT_P = "P does not vanish to order exactly q^n - 1"
      {"chars.steinberg_norm_one": "1_P^G for P_(1, 1) is not integral at class 4"},
      {"steinberg"}),
     (["chars", "table", "--q", "2", "--n", "2"], common_eigenvector_dropped,
-     {"chars.degree_squares_sum": "degree squares do not sum to the group order"}, {"table"}),
+     {"chars.degree_squares_sum": "table is not square: 2 irreducibles for 3 classes"},
+     {"table"}),
     (["verify-all", "--q", "2", "--n", "2"], P_vanishing_one_order_too_high,
      {"depth0.equation_lowest_degree": NOT_P,
       "depth0.chart_multiplicity": "not run: depth0.equation_lowest_degree failed",
@@ -297,19 +298,13 @@ def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry,
 
 
 def test_a_generic_orbit_left_out_fails_generic_count(tmp_path, monkeypatch):
-    # is_generic doctored to refuse theta_1 and theta_3, the Frobenius orbit
-    # {1, 3} at (3, 2); the table and the torus build as before.  Refusing
-    # theta_1 alone fails nothing, since the orbit walk j -> jq from theta_3
-    # puts it back
+    # frobenius_orbits doctored to drop the orbit (1, 3) at (3, 2); the
+    # table and the torus build as before
     code, clean = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
     assert code == 0
-    honest = gl_characters.is_generic
-    monkeypatch.setattr(gl_characters, "is_generic",
-                        lambda q, n, j: honest(q, n, j) and j != 1)
-    code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
-    assert (code, report["checks"]) == (0, clean["checks"])
-    monkeypatch.setattr(gl_characters, "is_generic",
-                        lambda q, n, j: honest(q, n, j) and j not in (1, 3))
+    honest = gl_characters.frobenius_orbits
+    monkeypatch.setattr(gl_characters, "frobenius_orbits",
+                        lambda q, n: [o for o in honest(q, n) if o != (1, 3)])
     code, report = run_cli(tmp_path, "verify-all", "--q", "3", "--n", "2")
     assert code == 1
     failed = [c for c in report["checks"] if c["status"] == "fail"]
@@ -321,6 +316,20 @@ def test_a_generic_orbit_left_out_fails_generic_count(tmp_path, monkeypatch):
     assert [c for c in report["checks"] if c not in failed] == [
         c for c in clean["checks"]
         if c["name"] not in ("chars.generic_count", "chars.bijection_onto_cuspidals")]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_verify_all_induces_once_per_frobenius_orbit(tmp_path, monkeypatch, q, n):
+    honest, calls = gl_characters.induce_from_torus, []
+
+    def counted(group, torus, j):
+        calls.append(j)
+        return honest(group, torus, j)
+
+    monkeypatch.setattr(gl_characters, "induce_from_torus", counted)
+    code, _ = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
+    assert code == 0
+    assert calls == [orbit[0] for orbit in gl_characters.frobenius_orbits(q, n)]
 
 
 def test_dl_fibers_is_no_command(capsys):
@@ -922,9 +931,11 @@ def test_budget_error_exit_3(capsys):
 
 
 def test_ambient_degree_is_refused_before_its_size(capsys):
-    # F_{64^126} has degree 756 over F_2; its size has 228 digits
-    assert main(["dl", "count", "--q", "64", "--n", "1", "--m", "126"]) == 3
-    assert capsys.readouterr().err == "budget exceeded: ambient field degree 756 exceeds 8\n"
+    # the size of F_{64^126}, 228 digits, and of F_{64^(10^9)} is never formed
+    for m in ("126", "1000000000"):
+        assert main(["dl", "count", "--q", "64", "--n", "1", "--m", m]) == 3
+        assert capsys.readouterr().err == (
+            f"budget exceeded: ambient field size 64^{m} exceeds 1048576\n")
 
 
 def over_budget(at, seconds):
@@ -935,23 +946,24 @@ def over_budget(at, seconds):
 # each size refusal, by a field beyond the field tables or by the work
 # estimate, is a BudgetError in RunConfig.validate(), before any handler runs
 SIZE_REFUSALS = [
-    ("dl count --q 2 --n 2 --m 9", "ambient field degree 9 exceeds 8"),
-    ("dl count --q 64 --n 1 --m 126", "ambient field degree 756 exceeds 8"),
-    ("dl count --q 1031 --n 1 --m 2", "ambient field size 1062961 exceeds 1048576"),
+    ("dl count --q 64 --n 1 --m 126", "ambient field size 64^126 exceeds 1048576"),
+    ("dl count --q 64 --n 1 --m 1000000000",
+     "ambient field size 64^1000000000 exceeds 1048576"),
+    ("dl count --q 1031 --n 1 --m 2", "ambient field size 1031^2 exceeds 1048576"),
     ("formal-group --q 2097152 --n 1", "field size 2097152 exceeds 1048576"),
     ("chars table --q 1048583 --n 1", "field size 1048583 exceeds 1048576"),
-    ("chars steinberg --q 512 --n 1", "field degree 9 exceeds 8"),
     ("dl equation --q 2 --n 40", "the q^n - 1 forms at n = 40 exceed the work budget"),
-    ("dl count --q 2 --n 4 --m 8", over_budget("dl count at q=2, n=4, m=8", "63.2")),
-    ("dl count --q 3 --n 3 --m 6", over_budget("dl count at q=3, n=3, m=6", "3.46")),
+    ("dl count --q 2 --n 4 --m 8", over_budget("dl count at q=2, n=4, m=8", "114")),
+    ("dl count --q 3 --n 3 --m 6", over_budget("dl count at q=3, n=3, m=6", "5.06")),
     ("chars table --q 32 --n 2", over_budget("chars table at q=32, n=2", "520")),
     ("chars steinberg --q 2 --n 5", over_budget("chars steinberg at q=2, n=5", "160")),
 ]
 
-# configs beside the refused ones that run to a complete report; the two
-# ambient fields F_6561 and F_4099 sit inside the field tables
+# configs beside the refused ones that run to a complete report; the
+# ambient fields F_512, F_6561 and F_4099 sit inside the field tables
 INSIDE_THE_LIMITS = [
-    "dl count --q 2 --n 2 --m 8", "dl count --q 64 --n 1 --m 1", "dl count --q 3 --n 2 --m 7",
+    "dl count --q 2 --n 2 --m 8", "dl count --q 2 --n 2 --m 9", "dl count --q 64 --n 1 --m 1",
+    "dl count --q 3 --n 2 --m 7", "chars steinberg --q 512 --n 1",
     "dl count --q 3 --n 2 --m 8", "dl count --q 4093 --n 1 --m 1",
     "dl count --q 4099 --n 1 --m 1", "dl count --q 2 --n 4 --m 6", "dl count --q 3 --n 3 --m 5",
     "chars steinberg --q 13 --n 2", "chars steinberg --q 2 --n 4",
@@ -1016,6 +1028,11 @@ BUDGET_EDGES = [
                                                (64, 1), (89, 1), (97, 1), (151, 1)]),
     "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
     "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1",
+    *(f"dl count --q {q} --n {n} --m {m}" for q, n, m in [
+        (2, 1, 18), (2, 2, 17), (3, 2, 11), (9, 2, 5), (2, 3, 9), (7, 2, 6), (25, 2, 3),
+        (714991, 1, 1), (635209, 1, 1)]),
+    "dl equation --q 969989 --n 1", "dl equation --q 2809 --n 2",
+    "chars steinberg --q 2048 --n 1", "chars steinberg --q 2401 --n 1",
     *(f"dl equation --q {q} --n {n}" for q, n in [(3, 4), (5, 3), (7, 3), (64, 2), (2, 5),
                                                  (2, 6), (2, 7), (2, 8), (3, 5), (5, 4)]),
     *(f"refused {argv}" for argv in [
@@ -1023,7 +1040,11 @@ BUDGET_EDGES = [
         "formal-group --q 439 --n 1",
         "chars table --q 11 --n 2", "chars table --q 257 --n 1",
         "chars correspondence --q 1021 --n 1",
-        "dl equation --q 3 --n 6", "dl equation --q 7 --n 4"]),
+        "dl equation --q 3 --n 6", "dl equation --q 7 --n 4",
+        *(f"dl count --q {q} --n {n} --m {m}" for q, n, m in [
+            (2, 2, 20), (2, 1, 20), (2, 3, 10), (3, 2, 12), (2, 2, 18), (2, 1, 19), (3, 1, 12),
+            (4, 2, 9), (5, 2, 8), (524288, 1, 1), (531441, 1, 1), (1048573, 1, 1),
+            (1042441, 1, 1), (1021, 1, 2)])]),
 ]
 
 

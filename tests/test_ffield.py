@@ -116,7 +116,7 @@ def test_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         ff_make(2, 0)
     with pytest.raises(ParameterError):
-        ff_make(2, 9)
+        ff_make(2, 21)  # 2^21 > 2^20
     with pytest.raises(ParameterError):
         ff_make(1031, 2)  # 1031^2 > 2^20
 

@@ -38,14 +38,12 @@ from ltdl.gl_characters import (
     generic_character_count,
     induce_from_torus,
     is_cuspidal,
-    is_generic,
     rcf_key,
     steinberg,
     _characters_mod,
     _charpoly_mod,
     _check_table,
     _class_matrices,
-    _cuspidal_matches,
     _multiplicities,
     _nullspace_mod,
     _primitive_root,
@@ -304,21 +302,26 @@ def test_torus_characters_group_law():
                 assert lhs == rhs
 
 
+def generic_thetas(q, n):
+    """The generic j, read off the Frobenius orbits, in increasing order."""
+    return sorted(j for orbit in frobenius_orbits(q, n) for j in orbit)
+
+
 def test_is_generic():
-    assert not is_generic(2, 2, 0)
-    assert is_generic(2, 2, 1) and is_generic(2, 2, 2)
+    assert generic_thetas(2, 2) == [1, 2]
     assert generic_character_count(2, 2) == 2
     # (3,2): 6 generic of 8
-    generics = [j for j in range(8) if is_generic(3, 2, j)]
+    generics = generic_thetas(3, 2)
     assert len(generics) == 6 == generic_character_count(3, 2)
     assert 0 not in generics and 4 not in generics  # fixed by j -> 3j mod 8
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (5, 2), (64, 1)])
 def test_is_generic_matches_the_norm_kernel_oracle(q, n):
-    verdicts = [is_generic(q, n, j) for j in range(q ** n - 1)]
-    assert verdicts == [is_generic_by_norm_kernels(q, n, j) for j in range(q ** n - 1)]
-    assert sum(verdicts) == generic_character_count(q, n)
+    # the orbits are disjoint and their union is the oracle's generic set
+    generics = generic_thetas(q, n)
+    assert generics == [j for j in range(q ** n - 1) if is_generic_by_norm_kernels(q, n, j)]
+    assert len(generics) == generic_character_count(q, n)
 
 
 def test_frobenius_orbits():
@@ -487,7 +490,7 @@ def test_non_cuspidal_never_satisfies_characterization_32():
     idx = rng.choice(non_cusp)
     chi = data.table.irreducibles[idx]
     for j in range(8):
-        if is_generic(3, 2, j):
+        if is_generic_by_norm_kernels(3, 2, j):
             ind = induce_from_torus(data.group, data.torus, j)
             assert not product_is(data.group, chi, data.st, ind)
 
@@ -944,7 +947,7 @@ def test_class_matrix_generator_matches_eager_list(q):
 def test_dl_correspondence_matches_product_oracle(q, n):
     data = CorrespondenceData(GLGroup(q, n))
     for j in range(q ** n - 1):
-        if not is_generic(q, n, j):
+        if not is_generic_by_norm_kernels(q, n, j):
             continue
         ind = induce_from_torus(data.group, data.torus, j)
         oracle = [idx for idx in data.cuspidal_indices
@@ -952,16 +955,43 @@ def test_dl_correspondence_matches_product_oracle(q, n):
         assert oracle == [dl_correspondence(data, j)]
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (7, 2), (3, 3),
+                                 (2, 4)])
+def test_each_orbit_pi_is_the_oracle_match_of_every_theta(q, n):
+    # the report matches one theta per orbit; the oracle matches every
+    # theta of it on its own, by products in the oracle ring
+    data = CorrespondenceData(GLGroup(q, n))
+    rep = correspondence_report(q, n, data)
+    assert rep["all_pass"]
+    for orbit in rep["orbits"]:
+        assert [dl_correspondence(data, j) for j in orbit["thetas"]] == (
+            [orbit["pi"]] * len(orbit["thetas"]))
+
+
+def test_a_torus_with_unstable_classes_is_refused(monkeypatch):
+    # C and C^2 swapped in the torus's power list at (3, 2): C^2 is not
+    # conjugate to C^3 = Frob(C), so the classes are not Frobenius-stable
+    group = GLGroup(3, 2)
+    honest = gl_characters._cycle
+
+    def swapped(perm, start):
+        powers = honest(perm, start)
+        powers[1], powers[2] = powers[2], powers[1]
+        return powers
+
+    monkeypatch.setattr(gl_characters, "_cycle", swapped)
+    with pytest.raises(VerificationError,
+                       match="^the torus classes are not stable under t -> t\\^q$"):
+        CoxeterTorus(group)
+
+
 def test_cuspidal_match_raises_on_none_and_on_several():
     # dl_correspondence raises on no and on several cuspidal solutions, and
     # correspondence_report names the first such theta as a failed check;
     # with no orbit matched, no check that reads the matched orbits passes
     data = CorrespondenceData(GLGroup(2, 2))
-    ind = induce_from_torus(data.group, data.torus, 1)
     # with both one-dimensional characters as candidates, two solve pi * St = Ind
     data.cuspidal_indices = [i for i, d in enumerate(data.table.degrees) if d == 1]
-    assert _cuspidal_matches(data, ind) == data.cuspidal_indices
-    assert _cuspidal_matches(data, tuple(tuple(2 * c for c in v) for v in ind)) == []
     unmatched = {"bijection_onto_cuspidals"}
     for candidates, failure in ((data.cuspidal_indices, "multiple cuspidal solutions"),
                                 ([], "no cuspidal solution")):
@@ -1004,9 +1034,9 @@ def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
             is orthogonality_by_inner_products(data, rep) is True)
     if len(rep["orbits"]) < 2:
         return
-    # send every theta to one cuspidal: distinct orbits now share a row
-    first = data.cuspidal_indices[0]
-    monkeypatch.setattr(gl_characters, "_cuspidal_matches", lambda data, ind, keys: [first])
+    # give every orbit the first orbit's Ind: distinct orbits now share a row
+    first = induce_from_torus(data.group, data.torus, rep["orbits"][0]["thetas"][0])
+    monkeypatch.setattr(gl_characters, "induce_from_torus", lambda group, torus, j: first)
     rep = correspondence_report(q, n, data)
     assert (check_status(rep, "bijection_onto_cuspidals")
             is orthogonality_by_inner_products(data, rep) is False)

@@ -179,7 +179,7 @@ def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
     # RunConfig.validate() refuses a config by its size before any handler
     # runs, against the one work budget that cli.py defines; a library
     # module keeps only the limits of its representation (the field tables'
-    # degree and size, GLGroup's bound on its element list), of which the
+    # size, GLGroup's bound on its element list), of which the
     # last is the one that raises BudgetError, so no library cost check
     # grows back
     sites, limits, imported = set(), set(), set()
@@ -195,11 +195,10 @@ def test_budget_errors_come_only_from_the_cli_and_the_group_list_bound():
                              if size_name.search(alias.name)}
     assert "cli.RunConfig.validate" in sites
     assert {s for s in sites if not s.startswith("cli.")} == {"gl_characters.GLGroup.__init__"}
-    assert limits == {"cli.WORK_BUDGET", "ffield.MAX_DEGREE", "ffield.MAX_FIELD_SIZE",
-                      "gl_characters.MAX_GROUP_ORDER"}
+    assert limits == {"cli.WORK_BUDGET", "ffield.MAX_FIELD_SIZE", "gl_characters.MAX_GROUP_ORDER"}
     # the cli checks the fields a run builds against the tables; nothing
     # else reads a limit across modules
-    assert imported == {"cli <- MAX_DEGREE", "cli <- MAX_FIELD_SIZE"}
+    assert imported == {"cli <- MAX_FIELD_SIZE"}
 
 
 def test_importing_the_cli_loads_no_fractions():
