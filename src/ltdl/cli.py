@@ -255,6 +255,7 @@ BUILDS = {
     "strata": lambda v, cfg: strata_rows(v["module"], v["factors"]),
     "level": lambda v, cfg: dl_level(cfg),
     "m": lambda v, cfg: v["level"][0],
+    "points": lambda v, cfg: dl_points(cfg.q, cfg.n, v["m"], v["level"][3]),
     "equation": lambda v, cfg: dl_equation(cfg.q, cfg.n),
     "group": lambda v, cfg: GLGroup(cfg.q, cfg.n),
     "correspondence": lambda v, cfg: correspondence_report(
@@ -304,7 +305,7 @@ def action_invariance_entry(v, _):
 # Each suite is one ordered table of rows (name, make, needs, details).  An
 # entry's make(values, needed) builds the arguments of its library call and
 # returns the call; `needed` is the value of the entry that `needs` names, or
-# None when the command does not run it.  The entry passes with
+# None when it names none.  The entry passes with
 # details(value) ("" without details), or fails with the message of a
 # VerificationError.  A row without make builds the value of its name there
 # (the report reads it); its details are the library's own check records.
@@ -316,8 +317,8 @@ SUITES = {
         ("component_census", census_entry, None, str),
         ("equation_lowest_degree", lambda v, _: partial(build_P, v["module"], v["factors"]),
          None, None),
-        ("chart_multiplicity", lambda v, P: partial(blowup_chart, v["module"], v["factors"], P),
-         "equation_lowest_degree", lambda chart: f"valuation {chart.valuation}"),
+        ("chart_multiplicity", lambda v, _: partial(blowup_chart, v["module"], v["factors"]),
+         None, lambda chart: f"valuation {chart.valuation}"),
         ("iterated_multiplicities", lambda v, chart: partial(
             iterated_chart, v["module"], v.cfg.depth_sequence, chart), "chart_multiplicity", str),
         ("un_equals_dl", lambda v, chart: partial(un_special_fiber, v["module"], chart),
@@ -327,8 +328,7 @@ SUITES = {
     ],
     "dl": [
         ("equation", None, None, None),
-        ("points_on_variety", lambda v, _: partial(
-            dl_points, v.cfg.q, v.cfg.n, v["m"], v["level"][3]), None, None),
+        ("points", None, None, None),
         ("base_points_m{m}", base_points_entry, None, str),
         ("action_invariance", action_invariance_entry, None, str),
     ],
@@ -346,13 +346,12 @@ SLICES = {
     "depth0 chart": "census chart_multiplicity iterated_multiplicities un_equals_dl",
     "depth0 strata": "stratum_membership_matches_support",
     "dl equation": "equation",
-    "dl count": "points_on_variety base_points_m{m}",
+    "dl count": "points base_points_m{m}",
     "chars table": "degree_squares_sum",
     "chars steinberg": "steinberg_norm_one",
     "chars correspondence": "correspondence",
-    "verify-all": "module component_census equation_lowest_degree chart_multiplicity "
-                  "iterated_multiplicities un_equals_dl base_points_m{m} action_invariance "
-                  "correspondence",
+    "verify-all": "module component_census chart_multiplicity iterated_multiplicities "
+                  "un_equals_dl base_points_m{m} action_invariance correspondence",
 }
 
 
@@ -415,7 +414,7 @@ def run_suites(cfg):
     records is the failing check `<suite>.error` and ends its suite, and the
     suites after it still run."""
     dropped = {"iterated_multiplicities": not cfg.depth_sequence,
-               "points_on_variety": not cfg.values.get("list")}
+               "points": not cfg.values.get("list")}
     names = {name for name in SLICES[cfg.name].split() if not dropped.get(name)}
     values, checks = Run(cfg), []
     for suite, table in SUITES.items():
@@ -485,8 +484,8 @@ def dl_results(cfg, v):
         results.update(equation=v["equation"].to_json(), num_forms=cfg.q ** cfg.n - 1)
     if "level" in v:
         results.update(zip(("m", "base_count", "count"), v["level"][:3]))
-    if "dl.points_on_variety" in v:
-        results["points"] = [list(p) for p in v["dl.points_on_variety"]]
+    if "points" in v:
+        results["points"] = [list(p) for p in v["points"]]
     return results
 
 

@@ -39,6 +39,11 @@ def dl_equation_by_product(q, n):
     return product_over(forms) - ring.one()
 
 
+def on_variety(amb, x):
+    """Whether x lies on DL: the product of the forms a . x is 1."""
+    return amb.product_of_forms(x) == 1
+
+
 def embed_matrix(amb, g):
     """A matrix over F_q with its entries embedded in the field of amb."""
     return tuple(tuple(embed(v, amb.base, amb.field) for v in row) for row in g)
@@ -62,7 +67,7 @@ def dl_points_by_enumeration(q, n, m):
     """Exhaustive solutions of the DL equation over F_{q^m}, in lexicographic
     order."""
     amb = Ambient(q, n, m)
-    return [x for x in ambient_points(amb) if amb.on_variety(x)]
+    return [x for x in ambient_points(amb) if on_variety(amb, x)]
 
 
 def base_points(q, n, m):
@@ -129,7 +134,7 @@ def twisted_count(q, n, g, zeta, M, frob_power=1):
     amb = Ambient(q, n, M)
     count = 0
     for x in ambient_points(amb):
-        if not amb.on_variety(x):
+        if not on_variety(amb, x):
             continue
         tx = act(amb, x, g, zeta)
         if all(amb.field.pow(xi, q ** frob_power) == ti for xi, ti in zip(x, tx)):
@@ -159,7 +164,7 @@ def twisted_fixed_count(amb, zeta, m):
     for r in roots:
         if field.pow(r, frob) != field.mul(zinv, r):
             raise VerificationError(f"root {r} is not twisted-fixed by zeta = {zeta}")
-    return sum(1 for x in product(roots, repeat=amb.n) if amb.on_variety(x))
+    return sum(1 for x in product(roots, repeat=amb.n) if on_variety(amb, x))
 
 
 def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
@@ -181,7 +186,7 @@ def action_invariance_check(q, n, m, matrices, zetas=None, points=None):
         for g in matrices:
             xg = act(amb, x, g)
             for z in mus:
-                if not amb.on_variety(act(amb, xg, zeta=z)):
+                if not on_variety(amb, act(amb, xg, zeta=z)):
                     return None
                 checked += 1
     return checked
@@ -204,12 +209,12 @@ def orbit_check(q, n, m, generators, witness, count):
     field = amb.field
     start = line_points(amb, witness)[0]
     gens = [embed_matrix(amb, g) for g in generators]
-    orbit, seen, off = [start], {start}, int(not amb.on_variety(start))
+    orbit, seen, off = [start], {start}, int(not on_variety(amb, start))
     for x in orbit:  # orbit grows while it is walked, so this is the queue
         for g in gens:
             y = vec_mat(field, x, g)
             if y not in seen:
-                off += not amb.on_variety(y)
+                off += not on_variety(amb, y)
                 seen.add(y)
                 orbit.append(y)
     size, group = len(orbit), group_order(q, n)

@@ -23,6 +23,7 @@ from gl_oracles import dl_correspondence, inner, is_generic_by_norm_kernels, pro
 from ltdl.cli import main as cli_main
 from ltdl.depth0 import (
     blowup_chart,
+    deformation_factors,
     iterated_chart,
     special_fiber_components,
     un_special_fiber,
@@ -52,6 +53,11 @@ def module_for(q, n):
     if (q, n) not in _modules:
         _modules[(q, n)] = lubin_tate_module(q, n, N=8)
     return _modules[(q, n)]
+
+
+def chart_for(q, n):
+    m = module_for(q, n)
+    return blowup_chart(m, deformation_factors(m))  # raises unless P'_a exactly linear
 
 
 def corr_for(q, n):
@@ -117,9 +123,8 @@ def test_criterion_04_chart_multiplicities():
     expected = {(2, 2): 3, (3, 2): 8, (2, 3): 7}
     ok = True
     for (q, n), val in expected.items():
-        chart = blowup_chart(module_for(q, n))  # raises unless P'_a exactly linear
-        ok = ok and chart.valuation == val
-    seq = iterated_chart(module_for(2, 3), [3, 2])
+        ok = ok and chart_for(q, n).valuation == val
+    seq = iterated_chart(module_for(2, 3), [3, 2], chart_for(2, 3))
     ok = ok and seq == [7, 3]
     report_line(4, ok, f"valuations 3/8/7 and iterated (2,3)@(3,2) -> {seq}")
 
@@ -127,7 +132,7 @@ def test_criterion_04_chart_multiplicities():
 def test_criterion_05_un_equals_dl():
     ok = True
     for (q, n) in [(2, 2), (3, 2), (2, 3)]:
-        rep = un_special_fiber(module_for(q, n))
+        rep = un_special_fiber(module_for(q, n), chart_for(q, n))
         ok = ok and rep["chart_equation"] == dl_equation(q, n)
     report_line(5, ok, "chart residual reduces to the DL equation bit-exactly")
 

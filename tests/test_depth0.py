@@ -117,9 +117,13 @@ def test_stratum_membership():
     assert stratum_membership(m, (0, 1), 1) is False
 
 
+def chart_of(module):
+    return blowup_chart(module, deformation_factors(module))
+
+
 def test_blowup_chart_22():
     m = lubin_tate_module(2, 2)
-    chart = blowup_chart(m)
+    chart = chart_of(m)
     assert chart.valuation == 3
     # linear parts: {V1}, {1}, {V1 + 1}
     w1 = m.F.ring.domain.one()
@@ -130,17 +134,17 @@ def test_blowup_chart_22():
 
 def test_blowup_chart_32():
     m = lubin_tate_module(3, 2)
-    chart = blowup_chart(m)
+    chart = chart_of(m)
     assert chart.valuation == 8
     assert len(chart.linear_parts) == 8
 
 
 def test_blowup_chart_23_and_iterated():
     m = lubin_tate_module(2, 3)
-    chart = blowup_chart(m)
+    chart = chart_of(m)
     assert chart.valuation == 7
     assert len(chart.linear_parts) == 7
-    assert iterated_chart(m, [3, 2]) == [7, 3]
+    assert iterated_chart(m, [3, 2], chart) == [7, 3]
 
 
 def test_both_chart_steps_hold_their_factors_to_the_affine_law(monkeypatch):
@@ -148,12 +152,11 @@ def test_both_chart_steps_hold_their_factors_to_the_affine_law(monkeypatch):
     # sum [a_i~] V_i + [a_k~], the first and the iterated step both raise
     m = lubin_tate_module(2, 3)
     factors = deformation_factors(m)
-    P = build_P(m, factors=factors)
-    chart = blowup_chart(m, factors=factors, P=P)
+    chart = blowup_chart(m, factors)
     honest, dom = m.scalar_coefficient, m.F.ring.domain
     monkeypatch.setattr(m, "scalar_coefficient", lambda key: dom.add(honest(key), dom.one()))
     with pytest.raises(VerificationError, match=r"a=\(0, 0, 1\) is not exactly affine-linear"):
-        blowup_chart(m, factors=factors, P=P)
+        blowup_chart(m, factors)
     with pytest.raises(VerificationError,
                        match=r"a=\(0, 1\) is not exactly affine-linear mod V2, Xn"):
         iterated_chart(m, [3, 2], chart=chart)
@@ -178,7 +181,7 @@ def test_every_chart_step_guards_the_degree_coupling(monkeypatch):
     # (the block V1, V2 blown up to U1_1 * V2, V2) breaks the coupling
     # U1_1-degree <= V2-degree, which the guard catches before the order check
     m = lubin_tate_module(2, 3)
-    chart = blowup_chart(m)
+    chart = chart_of(m)
     honest = TruncatedSeries.substitute
 
     def drop_pivot(self, assignments, target_ring=None):
@@ -200,33 +203,44 @@ def test_every_chart_step_guards_the_degree_coupling(monkeypatch):
 
 def test_iterated_chart_32():
     m = lubin_tate_module(3, 2)
-    assert iterated_chart(m, [2, 1]) == [8, 2]
+    chart = chart_of(m)
+    assert iterated_chart(m, [2, 1], chart) == [8, 2]
     # a depth sequence of just (n) reproduces the chart valuation
-    assert iterated_chart(m, [2]) == [8]
+    assert iterated_chart(m, [2], chart) == [8]
     with pytest.raises(ParameterError):
-        iterated_chart(m, [2, 2])
+        iterated_chart(m, [2, 2], chart)
 
 
 def test_un_equation_matches_dl():
     for (q, n) in [(2, 2), (3, 2), (2, 3)]:
         m = lubin_tate_module(q, n)
-        rep = un_special_fiber(m)
+        rep = un_special_fiber(m, chart_of(m))
         assert rep["chart_equation"] == dl_equation(q, n), (q, n)
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (7, 2), (3, 3),
+                                 (2, 4), (8, 1)])
 def test_chart_image_of_P_is_the_product_of_the_substituted_factors(q, n):
-    # blowup_chart takes the chart image of build_P's P as its P_sub
-    m = lubin_tate_module(q, n)
-    factors = depth0.deformation_factors(m)
-    coords = depth0.x_vars(n)
-    ring = depth0.chart_ring(m, deformation_ring(m), coords,
-                             tuple(f"V{i}" for i in range(1, n)) + (depth0.X_PIVOT,))
-    sub = depth0.chart_substitution(ring, coords, n)
-    subbed = product_over([P_a.substitute(sub, ring) for P_a in factors.values()])
-    assert build_P(m, factors).substitute(sub, ring) == subbed
-    chart = blowup_chart(m, factors=factors)
-    assert chart.residual == subbed.factor_out(depth0.X_PIVOT, q ** n - 1)
+    # oracle: build_P's P substituted into the chart, X_n^{q^n-1} factored
+    # out and trimmed to the window X_n-degree < D - (q^n - 1) is the
+    # residual that blowup_chart forms as the product of the quotients; at
+    # the default D the window holds X_n-degree 0 alone, at 2 q^n + q it
+    # holds the first terms of higher X_n-degree too
+    for D in (None, 2 * q ** n + q):
+        m = lubin_tate_module(q, n, D=D)
+        factors = deformation_factors(m)
+        coords = depth0.x_vars(n)
+        ring = depth0.chart_ring(m, deformation_ring(m), coords,
+                                 tuple(f"V{i}" for i in range(1, n)) + (depth0.X_PIVOT,))
+        subbed = build_P(m, factors).substitute(depth0.chart_substitution(ring, coords, n), ring)
+        assert subbed.var_valuation(depth0.X_PIVOT) == q ** n - 1
+        chart = blowup_chart(m, factors)
+        window = m.D - (q ** n - 1)
+        assert chart.residual.ring.caps[depth0.X_PIVOT] == window - 1
+        pivot = ring.vars.index(depth0.X_PIVOT)
+        trimmed = {e: c for e, c in subbed.factor_out(depth0.X_PIVOT, q ** n - 1).terms.items()
+                   if e[pivot] < window}
+        assert chart.residual == TruncatedSeries(chart.residual.ring, trimmed)
 
 
 SHADOW_CASES = [(2, 2), (3, 2), (2, 3)]
@@ -238,7 +252,7 @@ def test_gl_linear_shadow():
     # linear forms, which every invertible matrix permutes
     for q, n in SHADOW_CASES:
         m = lubin_tate_module(q, n)
-        un_special_fiber(m)
+        un_special_fiber(m, chart_of(m))
         assert shadow_full_group(m, GLGroup(q, n).elements, build_P(m))
 
 
@@ -269,17 +283,13 @@ def shadow_full_group(module, matrices, P):
 def test_gl_linear_shadow_generators_agree_with_full_group(q, n):
     m = lubin_tate_module(q, n)
     group = GLGroup(q, n)
-    factors = deformation_factors(m)
-    P = build_P(m, factors)
+    P = build_P(m)
     gens, mats = group.generators, group.elements
     assert shadow_full_group(m, gens, P) is shadow_full_group(m, mats, P) is True
     # a lowest part that is not GL-invariant: add X1^(q^n - 1), which the
-    # product of all linear forms lacks; the chart no longer factors, so
-    # un_special_fiber, which reads the chart, cannot pass on it
+    # product of all linear forms lacks
     doctored = P + P.ring.var("X1") ** (q ** n - 1)
     assert shadow_full_group(m, gens, doctored) is shadow_full_group(m, mats, doctored) is False
-    with pytest.raises(VerificationError, match="residual disagrees with the factored product"):
-        blowup_chart(m, factors, doctored)
 
 
 def invertible_matrices(field, n):

@@ -11,6 +11,7 @@ from dl_oracles import (
     line_fibers,
     mu_elements,
     mu_generator,
+    on_variety,
     orbit_check,
     twisted_count,
     twisted_fixed_count,
@@ -29,7 +30,7 @@ from ltdl.dl_variety import (
     rational_level,
 )
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.ffield import field_for_order
+from ltdl.ffield import embed, field_for_order
 from ltdl.gl_characters import GLGroup
 from ltdl.linalg import identity
 
@@ -112,6 +113,24 @@ def test_dl_points_degenerate():
     assert len(census_points(2, 1, 2)) == 1  # x = 1 is the only solution of x = 1
 
 
+@pytest.mark.parametrize("q,n,m", [(2, 2, 2), (4, 2, 2), (3, 2, 4), (8, 1, 2), (9, 2, 2),
+                                   (4, 1, 3), (5, 2, 3), (16, 2, 2), (7, 1, 1), (27, 1, 1)])
+def test_ambient_embeds_the_generator_of_F_q_once(monkeypatch, q, n, m):
+    # the logs of the embedded F_q^x come from the one image of its
+    # generator and equal those of embedding each element on its own
+    calls = []
+
+    def counted(x, sub, sup):
+        calls.append(x)
+        return embed(x, sub, sup)
+
+    monkeypatch.setattr(dl_variety, "embed", counted)
+    amb = Ambient(q, n, m)
+    assert len(calls) == 1
+    assert amb._embed_logs == [amb.field.log[embed(k, amb.base, amb.field)]
+                               for k in range(1, q)]
+
+
 def test_base_points_both_methods():
     # (2,3,2) is honestly 0: three distinct nonzero coordinates in F_4 always
     # sum to zero, so every point of P^2(F_4) lies on a rational plane.
@@ -135,17 +154,17 @@ def test_act_identity_and_swap():
     assert act(amb, x, g=g_id) == x
     swap = ((0, 1), (1, 0))
     assert act(amb, x, g=swap) == (3, 2)
-    assert amb.on_variety(x)
-    assert amb.on_variety((3, 2))
+    assert on_variety(amb, x)
+    assert on_variety(amb, (3, 2))
 
 
 def test_act_zeta_scaling():
     amb = Ambient(2, 2, 2)
     mus = mu_elements(amb)
     assert len(mus) == 3  # mu_3 lives in F_4
-    for x in [p for p in ambient_points(amb) if amb.on_variety(p)]:
+    for x in [p for p in ambient_points(amb) if on_variety(amb, p)]:
         for z in mus:
-            assert amb.on_variety(act(amb, x, zeta=z))
+            assert on_variety(amb, act(amb, x, zeta=z))
     with pytest.raises(ParameterError):
         act(amb, (1, 1), zeta=0)
 
@@ -244,7 +263,7 @@ def test_twisted_counts():
     # no nonzero vector is fixed by a nontrivial scaling
     amb = Ambient(2, 2, 2)
     z = [m for m in mu_elements(amb) if m != 1][0]
-    fixed = [x for x in ambient_points(amb) if amb.on_variety(x)
+    fixed = [x for x in ambient_points(amb) if on_variety(amb, x)
              and act(amb, x, zeta=z) == x]
     assert fixed == []
 

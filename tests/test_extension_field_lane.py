@@ -8,6 +8,7 @@ from formal_oracles import verify_module_axioms
 from ltdl.depth0 import (
     blowup_chart,
     build_P,
+    deformation_factors,
     special_fiber_components,
     un_special_fiber,
 )
@@ -36,9 +37,9 @@ def test_q4_depth0_pipeline():
     census = special_fiber_components(m)
     assert census["components"] == 1 and census["multiplicity"] == 3
     assert census["all_scalar_checks_pass"]
-    chart = blowup_chart(m)
+    chart = blowup_chart(m, deformation_factors(m))
     assert chart.valuation == 3
-    assert un_special_fiber(m)["chart_equation"] == dl_equation(4, 1)
+    assert un_special_fiber(m, chart)["chart_equation"] == dl_equation(4, 1)
 
 
 def test_q4_dl_counts():
