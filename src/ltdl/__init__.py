@@ -2,9 +2,9 @@
 correspondence for GL_n(F_q), at verification scale.
 
 Everything is computed with exact arithmetic: finite fields, truncated Witt
-rings, bounded-denominator p-adics, truncated multivariate power series, and
-cyclotomic character values.  The CLI (`ltdl verify-all`) turns every
-identity that is checkable at desk scale into a pass/fail report.
+rings, truncated multivariate power series, and cyclotomic character values.
+The CLI (`ltdl verify-all`) turns every identity that is checkable at desk
+scale into a pass/fail report.
 """
 
 __version__ = "0.1.0"
@@ -21,10 +21,8 @@ from .depth0 import (
 from .dl_variety import dl_equation, dl_points, per_zeta_counts
 from .errors import (
     BudgetError,
-    DenominatorOverflow,
     IntegralityError,
     ParameterError,
-    PrecisionError,
     VerificationError,
 )
 from .ffield import FieldDesc, ff_make, field_for_order
@@ -39,14 +37,14 @@ from .gl_characters import (
     steinberg,
 )
 from .series import SeriesRing, TruncatedSeries
-from .witt import BoundedPadic, PadicParams, witt_ring
+from .witt import witt_ring
 
 __all__ = [
     "__version__",
-    "BoundedPadic", "BudgetError", "CorrespondenceData",
-    "CoxeterTorus", "DenominatorOverflow", "FieldDesc",
+    "BudgetError", "CorrespondenceData",
+    "CoxeterTorus", "FieldDesc",
     "FormalModule", "GLGroup", "IntegralityError",
-    "ParameterError", "PadicParams", "PrecisionError", "SeriesRing",
+    "ParameterError", "SeriesRing",
     "TruncatedSeries", "VerificationError",
     "blowup_chart", "build_P", "build_P_a",
     "correspondence_report", "dixon_table",

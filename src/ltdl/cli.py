@@ -38,12 +38,11 @@ from .errors import (
     BudgetError,
     IntegralityError,
     ParameterError,
-    PrecisionError,
     VerificationError,
     check_entry,
 )
 from .ffield import MAX_FIELD_SIZE, prime_power
-from .formal_modules import default_degree, lubin_tate_module
+from .formal_modules import correction_rounds, default_degree, lubin_tate_module
 from .gl_characters import (
     CorrespondenceData,
     GLGroup,
@@ -359,12 +358,12 @@ SLICES = {
 # Closed-form terms in microseconds of one core, calibrated on fresh-process
 # runs (the README's "Size limits" says what each counts): Q = q^n, D the
 # series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
-# The module's log and exp, the chart's factors P_a, the walks of
-# P^{n-1}(F_{q^m}) (none at m < n) with the embedding of F_q and the tables of
-# F_{q^m}, F_q's tables and the DL equation's Moore power, the group's
-# closure and classes, the Dixon lift, and the table's report.
+# The module's recursion, checks and report, the chart's factors P_a, the
+# walks of P^{n-1}(F_{q^m}) (none at m < n) with the embedding of F_q and the
+# tables of F_{q^m}, F_q's tables and the DL equation's Moore power, the
+# group's closure and classes, the Dixon lift, and the table's report.
 WORK_TERMS = {
-    "module": lambda c: 3 * c.degree() ** 2 * 3 * (c.f + 1) // 4,
+    "module": lambda c: module_work(c.q, c.n, c.f, c.degree(), c.prec_n),
     "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
     "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n + 11) // 4
                             + c.q + tables_work(c.p, c.f * m) for m in c.levels if m >= c.n),
@@ -375,6 +374,34 @@ WORK_TERMS = {
         min(c.p ** a for a in range(c.n) if c.p ** a >= c.n)
         * lcm(*(c.q ** i - 1 for i in range(1, c.n + 1)))),
 }
+
+
+def module_work(q, n, f, D, N):
+    """The module: F's J + 1 rounds (J = `correction_rounds`), each forming
+    L^Q as `TruncatedSeries.__pow__` does, 1 per term pair of each product;
+    the q - 2 Teichmuller checks, Q products of W(F_q)/p^N coefficients at
+    2f - 1 each; the report, 6 N^2 per coefficient of F (its monomials in the
+    J + 1 degrees = 1 mod Q - 1) and of the scalars."""
+    Q, J = q ** n, correction_rounds(q, n, D)
+    g = Q - 1
+
+    # L^a has the d + 1 monomials of each degree d = a + ig, so L^a L^b has
+    # sum_{s <= S} sum_{i <= s} (a + 1 + ig)(b + 1 + (s - i)g) term pairs
+    def pairs(a, b):
+        S = (D - 1 - a - b) // g
+        return 0 if S < 0 else ((a + 1) * (b + 1) * (S + 1) * (S + 2) // 2
+                                + g * (a + b + 2) * S * (S + 1) * (S + 2) // 6
+                                + g * g * (S - 1) * S * (S + 1) * (S + 2) // 24)
+
+    power, r, a, e = 0, 0, 1, Q  # square-and-multiply: the result L^r, the base L^a
+    while e:
+        if e & 1:
+            power, r = power + (pairs(r, a) if r else 0), r + a
+        e >>= 1
+        if e:
+            power, a = power + pairs(a, a), 2 * a
+    coefficients = 2 * (J + 1) + g * J * (J + 1) // 2 + q + J + 1
+    return (J + 1) * power + (q - 2) * Q * (2 * f - 1) + 6 * N * N * coefficients
 
 
 def tables_work(p, degree):
@@ -440,8 +467,7 @@ def run_suites(cfg):
                 else:
                     checks.append(check_entry(name, True,
                                               details(values[name]) if details else ""))
-        except (VerificationError, PrecisionError, IntegralityError, BudgetError,
-                ParameterError) as exc:
+        except (VerificationError, IntegralityError, BudgetError, ParameterError) as exc:
             checks.append(check_entry(f"{suite}.error", False, exc))
         values.seconds[suite] = round(time.perf_counter() - started, 4)
     return values, checks

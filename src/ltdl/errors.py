@@ -14,14 +14,6 @@ class BudgetError(RuntimeError):
     """An enumeration or size budget would be exceeded (CLI exit code 3)."""
 
 
-class PrecisionError(ArithmeticError):
-    """A result is not determined at the requested p-adic precision."""
-
-
-class DenominatorOverflow(PrecisionError):
-    """A p-adic valuation dropped below the configured denominator bound."""
-
-
 class IntegralityError(ArithmeticError):
     """A coefficient that must be p-integral has negative valuation."""
 

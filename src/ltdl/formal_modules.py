@@ -1,119 +1,108 @@
 """Lubin-Tate formal O-modules over W(F_q)/p^N.
 
-The module of height n over W = W(F_q) is built from f = pX + X^{q^n}
-with the classical logarithm determined by
-
-    lambda(f(X)) = p * lambda(X),      lambda(X) = X + O(X^2),
-
-solved degree by degree over bounded-denominator p-adics in Q_p: f lies in
-Z[X], so every coefficient of lambda, exp, F and [a] for a in Z does too
-(Lubin-Tate 1965), and a Teichmuller scalar zeta of W is zeta X, taken
-straight from the Witt ring.  Then [p] = exp(p * lambda) reproduces f
-exactly, so the mod-p reduction of [p] is X^{q^n} on the nose.  exp is the
-compositional inverse of lambda.  The module stores F and the scalar series
-over the truncated Witt ring W(F_q)/p^N, into which each p-adic
-coefficient's residue mod p^N embeds as an integer, and where all later
-identities are checked exactly mod (p^N, deg D).
+The module of height n over W = W(F_q) is that of f = pX + X^{q^n}: by the
+Lubin-Tate lemma (J. Lubin and J. Tate, "Formal complex multiplication in
+local fields", Ann. of Math. 81, 1965) its law F, and each scalar [a] for a
+in Z_p, is the unique series with linear part X + Y, resp. aX, that
+commutes with f.  f lies in Z[X], so `commuting_series` solves F and each
+integer scalar over the integers mod p^M, embedded into W(F_q)/p^N by
+from_int; a Teichmuller scalar zeta of W is zeta X, from the Witt ring.
+[p] = f exactly, and all later identities are exact mod (p^N, deg D).
 """
 
-from .errors import ParameterError, PrecisionError, VerificationError
+from .errors import ParameterError, VerificationError
 from .ffield import field_for_order
 from .series import SeriesRing, TruncatedSeries
-from .witt import PadicParams, witt_ring
+from .witt import witt_ring
 
 
 def default_degree(q, n):
     return q ** n + q
 
 
-def default_v_max(q, n, D):
-    # log denominators grow like one power of p per degree step of size q^n - 1
-    return -(-D // (q ** n - 1)) + 2
+def correction_rounds(q, n, D):
+    """J, the number of degrees d = 1 mod Q - 1 with Q <= d < D, Q = q^n:
+    the only degrees `commuting_series` corrects."""
+    Q = q ** n
+    return len(range(Q, D, Q - 1))
 
 
-def solve_log(f_series):
-    """The series lambda with lambda(f) = p * lambda and lambda = X + O(deg 2),
-    for f in one variable X over the bounded-denominator p-adics.
+def commuting_series(linear, Q, rounds):
+    """The unique series L = linear + O(deg 2) in X_1, ..., X_k that commutes
+    with f = pX + X^Q, f(L) = L(f(X_1), ..., f(X_k)), over the integers mod
+    p^M, M = N + rounds.
 
-    lambda = sum_j c_j X^j, and the X^m coefficient of lambda(f) is
-    p^m c_m + num_m, where num_m is the X^m coefficient of
-    acc = sum_{j<m} c_j f^j; equating it with p c_m gives
-    c_m = num_m / (p - p^m).  Each c_j f^j joins acc once c_j is found.
+    Each round takes the residual R = pL + L^Q - L o f at its lowest nonzero
+    degree d, and adds to L the correction c_d of `cancelling_terms`: a term
+    c X^e with |e| = d changes R by (p - p^d) c X^e in degree d, and
+    elsewhere only in degrees >= d + Q - 1, so R_d vanishes.  The loop ends
+    when R = 0 at working precision, which is the build's check.
+
+    Precision: f, L^Q and L o f keep every term in a total degree = 1 mod
+    Q - 1, so only the `rounds` = J degrees of that class with Q <= d < D
+    are ever corrected, and a residual that survives J + 1 rounds is a
+    VerificationError.  Each correction divides by p once, and the
+    coefficients at the j-th corrected degree depend only on lower ones,
+    so they are exact mod p^(M - j); with M = N + J all of L is exact mod
+    p^N.
     """
-    ring = f_series.ring
-    dom = ring.domain
-    if not isinstance(dom, PadicParams):
-        raise ParameterError("logarithm must be solved over p-adic coefficients")
-    p = dom.p
-    lin = f_series.coefficient((1,))
-    if lin.is_zero_like() or not (lin - dom.from_int(p)).zero_at(dom.n_work):
-        raise ParameterError("f must have linear coefficient exactly p")
-    if not dom.is_negligible(f_series.constant_term()):
-        raise ParameterError("f must have zero constant term")
-    lam, acc, f_pow = ring.var("X"), f_series, f_series
-    for m in range(2, ring.degree):
-        f_pow = f_pow * f_series
-        num = acc.terms.get((m,))
-        if num is None:
-            continue
-        cm = num * dom.from_int(p - p ** m).inv()
-        if not dom.is_negligible(cm):
-            lam = lam + ring.monomial((m,), cm)
-            acc = acc + f_pow.scale(cm)
-    return lam
+    ring = linear.ring
+    p, one = ring.domain.from_int(ring.domain.p), ring.domain.one()
+    images = {v: ring.var(v, p) + ring.monomial(tuple(Q * (w == v) for w in ring.vars), one)
+              for v in ring.vars}
+    series, composite = linear, linear.substitute(images)
+    for _ in range(rounds + 1):
+        residual = series.scale(p) + series ** Q - composite
+        if residual.is_zero():
+            return series
+        correction = cancelling_terms(residual, residual.lowest_degree())
+        # L o f is linear in L, so only the correction is substituted
+        series, composite = series + correction, composite + correction.substitute(images)
+    raise VerificationError(f"the residual pL + L^Q - L o f survives {rounds + 1} rounds")
 
 
-def invert_series(lam):
-    """Compositional inverse in X (exp of the log).
-
-    Degree by degree, exp is corrected by the X^m part of lam(exp); lam(exp)
-    is recomputed only after a nonzero correction, since otherwise it is
-    unchanged.
-    """
-    ring = lam.ring
-    exp = ring.var("X")
-    comp = lam.substitute({"X": exp})
-    for m in range(2, ring.degree):
-        em = comp.terms.get((m,))
-        if em is None:
-            continue
-        exp = exp - ring.monomial((m,), em)
-        comp = lam.substitute({"X": exp})
-    residue = comp - ring.var("X")
-    for c in residue.terms.values():
-        if not c.zero_at(ring.domain.n_target):
-            raise PrecisionError("series inversion not exact at target precision")
-    return exp
-
-
-def to_witt_series(series, witt):
-    """Convert p-adic coefficients to the Witt ring `witt` = W/p^N, enforcing
-    integrality: each residue mod p^N embeds as an integer."""
-    target = SeriesRing(witt, series.ring.vars, series.ring.degree, series.ring.caps)
-    return series.map_coeffs(target, lambda c: witt.from_int(c.to_witt(witt.N)))
+def cancelling_terms(residual, d):
+    """c_d = (R_d / p) (p^(d-1) - 1)^(-1) for the degree-d part R_d of a
+    residual over the integers mod p^M.  Each coefficient of R_d must be
+    divisible by p: f = X^Q mod p and c^p = c mod p for an integer c give
+    L^Q = L o f mod p, the Lubin-Tate congruence."""
+    dom = residual.ring.domain
+    p, pM = dom.p, dom.pN
+    unit = pow(p ** (d - 1) - 1, -1, pM)
+    terms = {}
+    for e, c in residual.terms.items():
+        if sum(e) == d:
+            if c % p:
+                raise VerificationError(f"the residual is not divisible by p in degree {d}")
+            terms[e] = c // p * unit % pM
+    return TruncatedSeries(residual.ring, terms)
 
 
 class FormalModule:
     """A formal O-module (F, [.]) over W/p^N."""
 
-    def __init__(self, q, n, N, D, padic_params, f_padic, log_series, exp_series, F,
-                 pi_series):
+    def __init__(self, q, n, N, D):
         self.q = q
         self.n = n
         self.N = N
         self.D = D
         self.field = field_for_order(q)
         self.p = self.field.p
-        self.padic_params = padic_params
-        self.f_padic = f_padic
-        self.log_series = log_series      # over BoundedPadic
-        self.exp_series = exp_series      # over BoundedPadic
-        self.F = F                        # over W/p^N, vars (X, Y)
-        self.x_ring = SeriesRing(F.ring.domain, ("X",), D)
-        # [1] is built as exp(log X) like every other integer scalar; it is
-        # X because the build's log(exp X) = X makes exp the inverse of log
-        self._scalars = {("int", 0): self.x_ring.zero(), ("int", self.p): pi_series}
+        self.rounds = correction_rounds(q, n, D)
+        # the series that the recursion solves, over Z/p^(N + rounds)
+        self.work_ring = SeriesRing(witt_ring(self.p, 1, N + self.rounds), ("X",), D)
+        self.x_ring = SeriesRing(witt_ring(self.p, self.field.f, N), ("X",), D)
+        xy_ring = SeriesRing(self.work_ring.domain, ("X", "Y"), D)
+        self.F = self.embed(commuting_series(xy_ring.var("X") + xy_ring.var("Y"), q ** n,
+                                             self.rounds))   # over W/p^N, vars (X, Y)
+        self._scalars = {}
         self._coefficients = {}
+
+    def embed(self, series):
+        """A series over Z/p^(N + rounds) in W(F_q)/p^N, each coefficient's
+        residue mod p^N by from_int."""
+        witt = self.x_ring.domain
+        return series.map_coeffs(SeriesRing(witt, series.ring.vars, self.D), witt.from_int)
 
     # -- scalar series ---------------------------------------------------------
 
@@ -129,22 +118,24 @@ class FormalModule:
     def scalar_series(self, key):
         """[a](X) for a scalar key ('int', k) or ('teich', k).
 
-        A Teichmuller scalar is zeta X: lam(zeta X) = zeta lam(X), since
-        every exponent of lam is 1 mod q - 1, so exp(zeta lam) = zeta X
-        (Lubin-Tate, 1965).  It is checked exactly to commute with [p].
+        An integer scalar [k] is the series with linear part kX that
+        commutes with f.  A Teichmuller scalar is zeta X: [zeta] and zeta X
+        both have linear part zeta X and commute with [p], since every
+        exponent of f is 1 mod q - 1 (Lubin-Tate, 1965).  It is checked
+        exactly to commute with [p].
         """
         key = normalize_scalar_key(self.field, key)
         if key not in self._scalars:
             if key[0] == "teich":
                 zeta = self.scalar_coefficient(key)
                 series = self.x_ring.var("X", zeta)
-                pi = self._scalars[("int", self.p)]
+                pi = self.scalar_series(("int", self.p))
                 if pi.substitute({"X": series}) != pi.scale(zeta):
                     raise VerificationError(f"[p](zeta X) != zeta [p](X) for {key}")
             else:
-                padic = self.exp_series.substitute({"X": self.log_series.scale(
-                    self.padic_params.from_int(key[1]))})
-                series = to_witt_series(padic, self.F.ring.domain)
+                work = self.work_ring
+                series = self.embed(commuting_series(
+                    work.var("X", work.domain.from_int(key[1])), self.q ** self.n, self.rounds))
             self._scalars[key] = series
         return self._scalars[key]
 
@@ -210,18 +201,9 @@ def lubin_tate_module(q, n, N=8, D=None):
         raise ParameterError("height must be >= 1")
     if D <= q ** n:
         raise ParameterError(f"degree bound {D} must exceed q^n = {q ** n}")
-    field = field_for_order(q)
-    params = PadicParams(field.p, N, default_v_max(q, n, D))
-    x_ring = SeriesRing(params, ("X",), D)
-    f_padic = TruncatedSeries(x_ring, {(1,): params.from_int(field.p), (q ** n,): params.one()})
-    lam = solve_log(f_padic)
-    exp = invert_series(lam)
-    witt = witt_ring(field.p, field.f, N)
-    xy_ring = SeriesRing(params, ("X", "Y"), D)
-    lam_x = lam.substitute({}, xy_ring)
-    lam_y = lam.substitute({"X": xy_ring.var("Y")}, xy_ring)
-    F = to_witt_series(exp.substitute({"X": lam_x + lam_y}, xy_ring), witt)
-    pi = to_witt_series(exp.substitute({"X": lam.scale(params.from_int(field.p))}), witt)
-    if pi != to_witt_series(f_padic, witt):
-        raise VerificationError("exp(p * log) does not reproduce f")
-    return FormalModule(q, n, N, D, params, f_padic, lam, exp, F, pi)
+    module = FormalModule(q, n, N, D)
+    x = module.x_ring.var("X")
+    f = x.scale(x.ring.domain.from_int(module.p)) + x ** q ** n
+    if module.scalar_series(("int", module.p)) != f:
+        raise VerificationError("the recursion from pX does not return f")
+    return module

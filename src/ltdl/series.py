@@ -6,12 +6,12 @@ variables (the coordinates of a blow-up chart) that carry an exact bounded
 degree rather than a truncated tail; substitutions with a nonzero constant
 term are only allowed into such variables.
 
-The coefficient ring is the ring object itself: ffield.FieldDesc,
-witt.WittRing or witt.PadicParams.  Series store the ring's raw values
-(canonical ints, ints or tuples mod p^N, BoundedPadic objects) and reach
-them only through the ring: zero(), one(), add, neg, mul, is_negligible(c),
-residue(c), descriptor() and coeff_to_json(c), so each ring keeps the
-format, the arithmetic and the drop policy of its own coefficients.
+The coefficient ring is the ring object itself: ffield.FieldDesc or
+witt.WittRing.  Series store the ring's raw values (canonical ints, ints or
+tuples mod p^N) and reach them only through the ring: zero(), one(), add,
+neg, mul, is_negligible(c), residue(c), descriptor() and coeff_to_json(c),
+so each ring keeps the format, the arithmetic and the drop policy of its
+own coefficients.
 
 All arithmetic is exact and canonical: results are independent of operand
 order and of any internal evaluation order.
@@ -181,9 +181,6 @@ class TruncatedSeries:
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.ring.vars), self.ring.domain.zero())
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.domain.zero())
 
     def lowest_degree(self):
         if not self.terms:

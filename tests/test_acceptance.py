@@ -82,15 +82,14 @@ def test_criterion_01_formal_module_suite():
         # height law spelled out: reduce_mod_p([p]) = X^{q^n} exactly
         red = m.scalar_series(("int", m.p)).reduce_mod_p()
         assert red == red.ring.monomial((q ** n,), red.ring.domain.one())
-        # integrality of all coefficients: conversion out of the p-adics
-        # enforces valuation >= 0; confirm every stored coefficient really
-        # is a full-precision Witt value, reduced mod p^8
+        # every stored coefficient is a full-precision Witt value, the
+        # embedding of its integer mod p^(8 + J) reduced mod p^8
         for series in [m.F] + list(m.scalar_table().values()):
             dom = series.ring.domain
             assert dom.N == 8
             for c in series.terms.values():
                 assert all(0 <= x < dom.pN for x in dom.coords(c))
-        assert m.F.coefficient((1, 0)) == m.F.ring.domain.one()
+        assert m.F.terms[(1, 0)] == m.F.ring.domain.one()
     elapsed = time.monotonic() - started
     report_line(1, elapsed < 60, f"axioms for {CASES} in {elapsed:.1f}s (< 60s)")
 

@@ -1028,7 +1028,8 @@ BUDGET_EDGES = [
     *(f"verify-all --q {q} --n {n}" for q, n in [(8, 2), (3, 3), (2, 4), (9, 2), (11, 2),
                                                (64, 1), (89, 1), (97, 1), (151, 1)]),
     "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
-    "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1",
+    "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1", "formal-group --q 449 --n 1",
+    "formal-group --q 9 --n 3", "formal-group --q 11 --n 3", "depth0 chart --q 439 --n 1",
     *(f"dl count --q {q} --n {n} --m {m}" for q, n, m in [
         (2, 1, 18), (2, 2, 17), (3, 2, 11), (9, 2, 5), (2, 3, 9), (7, 2, 6), (25, 2, 3),
         (714991, 1, 1), (635209, 1, 1)]),
@@ -1038,7 +1039,10 @@ BUDGET_EDGES = [
                                                  (2, 6), (2, 7), (2, 8), (3, 5), (5, 4)]),
     *(f"refused {argv}" for argv in [
         "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 157 --n 1",
-        "formal-group --q 439 --n 1",
+        "formal-group --q 457 --n 1", "formal-group --q 13 --n 3", "depth0 chart --q 443 --n 1",
+        *(f"formal-group --q {q} --n 1 --D {D}" for q, D in [(2, 48), (2, 60), (3, 60), (5, 100),
+                                                              (3, 100)]),
+        "verify-all --q 2 --n 1 --D 60", "depth0 chart --q 2 --n 1 --D 60",
         "chars table --q 11 --n 2", "chars table --q 257 --n 1",
         "chars correspondence --q 1021 --n 1",
         "dl equation --q 3 --n 6", "dl equation --q 7 --n 4",
@@ -1187,17 +1191,48 @@ def test_csv_point_dump(tmp_path):
     assert len(lines) == 7  # header + 6 points
 
 
+def without_unit_inverse(honest):
+    """The correction R_d / p, without the unit (p^(d-1) - 1)^(-1): it leaves
+    R_d times 2 - p^(d-1), so the residual never vanishes."""
+    def correction(residual, d):
+        dom = residual.ring.domain
+        return honest(residual, d).scale(dom.from_int(dom.p ** (d - 1) - 1))
+    return correction
+
+
+def with_a_residual_prime_to_p(honest):
+    """The correction of the residual with 1 added to its X^d coefficient."""
+    def correction(residual, d):
+        ring = residual.ring
+        x_d = ring.monomial((d,) + (0,) * (len(ring.vars) - 1), ring.domain.one())
+        return honest(residual + x_d, d)
+    return correction
+
+
 @pytest.mark.parametrize("argv", [["formal-group"], ["verify-all"]])
 def test_a_module_that_fails_its_build_is_the_formal_module_error(tmp_path, monkeypatch, argv):
-    # exp with a stray X^2 term no longer turns p log X into f, which the
-    # build refuses: the module's one record, with the library's message
-    honest = formal_modules.invert_series
-    monkeypatch.setattr(formal_modules, "invert_series", lambda lam: honest(lam) + (
-        lam.ring.monomial((2,), lam.ring.domain.one())))
+    # a correction without its unit inverse never cancels the residual,
+    # which the build refuses: the module's one record, with the library's
+    # message
+    monkeypatch.setattr(formal_modules, "cancelling_terms",
+                        without_unit_inverse(formal_modules.cancelling_terms))
+    assert_the_formal_module_error(tmp_path, argv,
+                                   "the residual pL + L^Q - L o f survives 2 rounds")
+
+
+@pytest.mark.parametrize("argv", [["formal-group"], ["verify-all"]])
+def test_a_residual_prime_to_p_is_the_formal_module_error(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(formal_modules, "cancelling_terms",
+                        with_a_residual_prime_to_p(formal_modules.cancelling_terms))
+    assert_the_formal_module_error(tmp_path, argv,
+                                   "the residual is not divisible by p in degree 4")
+
+
+def assert_the_formal_module_error(tmp_path, argv, message):
     code, report = run_cli(tmp_path, *argv, "--q", "2", "--n", "2")
     assert code == 1
     assert report["checks"][0] == {"name": "formal_module.error", "status": "fail",
-                                   "details": "exp(p * log) does not reproduce f"}
+                                   "details": message}
     if argv == ["formal-group"]:
         assert report["checks"][1:] == [] and report["results"] == {}
 

@@ -63,7 +63,7 @@ def test_P_wilson_product_31():
     m = lubin_tate_module(3, 1)
     P = build_P(m)
     assert P.lowest_degree() == 2
-    assert P.coefficient((2,)) == m.F.ring.domain.from_int(-1)
+    assert P.terms[(2,)] == m.F.ring.domain.from_int(-1)
 
 
 def test_P_21_single_factor():

@@ -1,19 +1,17 @@
 import copy
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
-from formal_oracles import verify_module_axioms
+from formal_oracles import fraction_log, fraction_module, reduce_mod, verify_module_axioms
+from test_cli import VERIFY_ALL_CONFIGS
 
+from ltdl import formal_modules
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.formal_modules import (
-    invert_series,
-    lubin_tate_module,
-    solve_log,
-    to_witt_series,
-)
+from ltdl.formal_modules import lubin_tate_module
 from ltdl.series import SeriesRing, TruncatedSeries
-from ltdl.witt import PadicParams, WittRing, witt_ring
+from ltdl.witt import WittRing, witt_ring
 
 
 def binomial_series(ring, a, upto):
@@ -44,26 +42,8 @@ def test_multiplicative_higher_scalars_match_binomials():
 
 
 def test_log_is_classical_mercator_series():
-    # Oracle: lambda = log(1+X) = sum (-1)^(m+1) X^m / m for f = 2X + X^2.
-    m = lubin_tate_module(2, 1, N=8, D=8)
-    params = m.padic_params
-    for mm in range(1, m.D):
-        got = m.log_series.coefficient((mm,))
-        sign = params.from_int((-1) ** (mm + 1))
-        want = sign * params.from_int(mm).inv()
-        assert (got - want).zero_at(params.n_target)
-
-
-def test_log_functional_equation():
-    # lambda(f(X)) = p * lambda(X), checked independently of the solver loop.
-    for (q, n) in [(2, 1), (3, 1), (2, 2)]:
-        m = lubin_tate_module(q, n)
-        lam = m.log_series
-        lhs = lam.substitute({"X": m.f_padic})
-        rhs = lam.scale(m.padic_params.from_int(m.p))
-        diff = lhs - rhs
-        for c in diff.terms.values():
-            assert c.zero_at(m.padic_params.n_target)
+    # the oracle's logarithm for f = 2X + X^2 is log(1+X) = sum (-1)^(m+1) X^m / m
+    assert fraction_log(2, 2, 8) == {(m,): Fraction((-1) ** (m + 1), m) for m in range(1, 8)}
 
 
 def test_pi_series_is_f_exactly():
@@ -114,13 +94,12 @@ def test_axioms_fail_for_tampered_module():
 
 @pytest.mark.parametrize("builder", [lubin_tate_module])
 def test_scalar_one_fails_when_exp_does_not_invert_log(builder):
-    # [1] is exp(1 * log X), built like every other integer scalar, so an
-    # exp with a stray X^2 term gives [1](X) = X + X^2 and scalar_one fails
+    # [1] comes from the recursion like every other integer scalar, so a
+    # [1] doctored to X + X^2 fails scalar_one
     m = builder(2, 2)
     assert m.scalar_series(("int", 1)) == m.x_ring.var("X")
     bad = builder(2, 2)
-    ring = bad.exp_series.ring
-    bad.exp_series = bad.exp_series + ring.monomial((2,), ring.domain.one())
+    bad._scalars[("int", 1)] = bad.x_ring.var("X") + bad.x_ring.var("X") ** 2
     report = {c["name"]: c["status"] for c in verify_module_axioms(bad)}
     assert report["scalar_one"] == "fail"
     assert report["linear_part"] == report["associativity"] == "pass"
@@ -160,20 +139,6 @@ def test_parameter_guards():
         lubin_tate_module(2, 0)
 
 
-@pytest.mark.parametrize("terms,message", [
-    ({(1,): 3, (4,): 1}, "linear coefficient exactly p"),
-    ({(2,): 1, (4,): 1}, "linear coefficient exactly p"),
-    ({(0,): 1, (1,): 2, (4,): 1}, "zero constant term"),
-])
-def test_solve_log_refuses_f_off_the_lubin_tate_form(terms, message):
-    # f = pX + ... with f(0) = 0 is what lambda(f) = p lambda is solved for
-    params = PadicParams(2, 6, 4)
-    f = TruncatedSeries(SeriesRing(params, ("X",), 8),
-                        {e: params.from_int(c) for e, c in terms.items()})
-    with pytest.raises(ParameterError, match=message):
-        solve_log(f)
-
-
 def test_scalar_values_are_built_once_per_key():
     m = lubin_tate_module(5, 2)
     assert (m.scalar_coefficient(("teich", 2))
@@ -182,50 +147,13 @@ def test_scalar_values_are_built_once_per_key():
     assert m.scalar_coefficient(("int", -1)) == witt_ring(5, 1, m.N).from_int(-1)
 
 
-def invert_series_every_degree(lam, x_var="X"):
-    """Oracle: the inversion loop that recomputes lam(exp) at every degree,
-    whether or not the previous degree changed exp."""
-    ring = lam.ring
-    xi = ring._var_index[x_var]
-    exp = ring.var(x_var)
-    for m in range(2, ring.degree):
-        comp = lam.substitute({x_var: exp})
-        em = TruncatedSeries(ring, {e[:xi] + (0,) + e[xi + 1:]: c
-                                    for e, c in comp.terms.items() if e[xi] == m})
-        if em.is_zero():
-            continue
-        exp = exp - em * ring.monomial(tuple(m if i == xi else 0 for i in range(len(ring.vars))),
-                                       ring.domain.one())
-    return exp
-
-
-@pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 2, 1), (lubin_tate_module, 3, 1),
-                                         (lubin_tate_module, 2, 2), (lubin_tate_module, 5, 2)])
-def test_invert_series_matches_the_every_degree_loop(builder, q, n):
-    m = builder(q, n)
-    assert invert_series(m.log_series) == invert_series_every_degree(m.log_series)
-    assert m.exp_series == invert_series_every_degree(m.log_series)
-
-
-def test_invert_series_substitutes_only_after_a_correction(monkeypatch):
-    # at (5, 2) exp = X + d X^25 needs one correction: lam(X) and lam(exp)
-    m = lubin_tate_module(5, 2)
-    calls = []
-    honest = TruncatedSeries.substitute
-    monkeypatch.setattr(TruncatedSeries, "substitute",
-                        lambda self, *args: calls.append(1) or honest(self, *args))
-    invert_series(m.log_series)
-    assert len(calls) <= 3
-
-
 def teichmuller_by_exp_log(module, k):
     """Oracle for q = p, where zeta lies in Z_p: [zeta](X) = exp(zeta log X)
-    over the p-adics, zeta taken at the working precision, then to W/p^N."""
-    params = module.padic_params
-    zeta = witt_ring(module.p, 1, params.n_work).teichmuller(k)
-    padic = module.exp_series.substitute(
-        {"X": module.log_series.scale(params.from_int(zeta))})
-    return to_witt_series(padic, module.F.ring.domain)
+    over Q, with zeta the integer lift mod p^(N + J), which fixes [zeta]
+    mod p^N by the precision argument of the recursion."""
+    zeta = witt_ring(module.p, 1, module.N + module.rounds).teichmuller(k)
+    _, scalars = fraction_module(module.q, module.n, module.D, scalars=(zeta,))
+    return reduce_mod(scalars[zeta], module.x_ring)
 
 
 @pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 3, 2), (lubin_tate_module, 5, 2),
@@ -243,8 +171,8 @@ def test_teichmuller_scalars_match_exp_of_zeta_log(builder, q, n):
 
 @pytest.mark.parametrize("q,n", [(4, 1), (8, 1), (4, 2)])
 def test_teichmuller_scalars_are_endomorphisms_of_F(q, n):
-    # for f > 1, zeta lies outside Z_p, so there is no p-adic exp(zeta log)
-    # to compare with; zeta X must instead commute with F, over W(F_q)/p^N:
+    # for f > 1, zeta lies outside Z_p, so there is no exp(zeta log) over
+    # an integer lift to compare with; zeta X must instead commute with F, over W(F_q)/p^N:
     # F(zeta X, zeta Y) = zeta F(X, Y)
     m = lubin_tate_module(q, n)
     witt, ring = m.F.ring.domain, m.F.ring
@@ -264,8 +192,8 @@ def test_teichmuller_scalars_are_endomorphisms_of_F(q, n):
 @pytest.mark.parametrize("builder,q,n", [(lubin_tate_module, 4, 1), (lubin_tate_module, 8, 1),
                                          (lubin_tate_module, 5, 2)])
 def test_module_build_makes_no_witt_element(monkeypatch, builder, q, n):
-    # the logarithm, exp, F and [p] are built over Q_p and embedded into
-    # W(F_q)/p^N by from_int: no Teichmuller lift is made on the way
+    # F and [p] are solved over Z/p^M and embedded into W(F_q)/p^N by
+    # from_int: no Teichmuller lift is made on the way
     made = []
     honest = WittRing.teichmuller
     monkeypatch.setattr(WittRing, "teichmuller",
@@ -284,3 +212,49 @@ def test_teichmuller_scalar_raises_when_it_does_not_commute_with_p():
     m._scalars[("int", 3)] = pi + m.x_ring.var("X") ** 2
     with pytest.raises(VerificationError, match="zeta"):
         m.scalar_series(("teich", 2))
+
+
+# -- the recursion against the module over Q -----------------------------------------
+
+ORACLE_CONFIGS = [(q, n, None) for q, n in VERIFY_ALL_CONFIGS if q ** n <= 64] + [
+    (2, 1, 20), (2, 2, 40), (3, 1, 30), (2, 3, 40)]
+
+
+def module_series(module):
+    """F, [-1] and [2] of a built module."""
+    return [module.F, module.scalar_series(("int", -1)), module.scalar_series(("int", 2))]
+
+
+@pytest.mark.parametrize("q,n,D", ORACLE_CONFIGS)
+def test_the_recursion_matches_exp_and_log_over_Q(q, n, D):
+    # F = exp(log X + log Y) and [k] = exp(k log X) over Q, reduced mod p^N
+    D = formal_modules.default_degree(q, n) if D is None else D
+    F, scalars = fraction_module(q, n, D)
+    for N in (8, 2):
+        m = lubin_tate_module(q, n, N=N, D=D)
+        assert module_series(m) == [reduce_mod(F, m.F.ring), reduce_mod(scalars[-1], m.x_ring),
+                                    reduce_mod(scalars[2], m.x_ring)]
+
+
+@pytest.mark.parametrize("q,n,D", ORACLE_CONFIGS)
+def test_three_more_rounds_of_precision_change_nothing_mod_p_to_the_N(q, n, D, monkeypatch):
+    # the build works mod p^(N + J); with J + 3 in place of J every series
+    # agrees with the build's mod p^N
+    for N in (8, 2):
+        built = module_series(lubin_tate_module(q, n, N=N, D=D))
+        honest = formal_modules.correction_rounds
+        monkeypatch.setattr(formal_modules, "correction_rounds",
+                            lambda *args: honest(*args) + 3)
+        assert module_series(lubin_tate_module(q, n, N=N, D=D)) == built
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (5, 2), (2, 3), (4, 1)])
+def test_degree_Q_part_of_F_is_its_first_correction(q, n):
+    # the first residual is (X+Y)^Q - X^Q - Y^Q, so F's degree-Q part is
+    # ((X+Y)^Q - X^Q - Y^Q) / (p^Q - p) mod p^N
+    m = lubin_tate_module(q, n)
+    p, Q = m.p, q ** n
+    part = {(i, Q - i): Fraction(comb(Q, i), p ** Q - p) for i in range(1, Q)}
+    got = TruncatedSeries(m.F.ring, {e: c for e, c in m.F.terms.items() if sum(e) == Q})
+    assert got == reduce_mod(part, m.F.ring)

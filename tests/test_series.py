@@ -3,12 +3,12 @@ import random
 from math import comb
 
 import pytest
-from witt_oracles import div_p, from_digits
+from witt_oracles import from_digits
 
 from ltdl.errors import ParameterError
 from ltdl.ffield import FieldDesc, ff_make
 from ltdl.series import SeriesRing, TruncatedSeries, product_over
-from ltdl.witt import BoundedPadic, PadicParams, WittRing, witt_ring
+from ltdl.witt import witt_ring
 
 
 def witt_xy(p=2, N=6, D=8):
@@ -202,9 +202,8 @@ def test_reduce_mod_p():
 
 def test_reduce_mod_p_needs_witt_coefficients():
     # only a Witt ring has a residue field to reduce to
-    for ring in (fq_ring(2, 2, ("X",), 4), SeriesRing(PadicParams(2, 5, 3), ("X",), 4)):
-        with pytest.raises(ParameterError, match="needs Witt coefficients"):
-            ring.var("X").reduce_mod_p()
+    with pytest.raises(ParameterError, match="needs Witt coefficients"):
+        fq_ring(2, 2, ("X",), 4).var("X").reduce_mod_p()
 
 
 def test_ideal_membership():
@@ -222,19 +221,10 @@ def series_from_json(data):
     if desc["kind"] == "fq":
         dom = ff_make(p, desc["f"])
         coeff = dom.from_coords
-    elif desc["kind"] == "witt":
+    else:
+        assert desc["kind"] == "witt"
         dom = witt_ring(p, desc["f"], desc["N"])
         coeff = lambda c: from_digits(dom, [dom.field.from_coords(d) for d in c])
-    else:
-        params = dom = PadicParams(p, desc["N"], desc["v_max"])
-        assert desc["n_work"] == params.n_work
-
-        def coeff(c):
-            if c.get("zero"):
-                return params.zero()
-            if "ozero" in c:
-                return BoundedPadic(params, c["ozero"], None, c["ozero"])
-            return BoundedPadic(params, c["val"], c["unit"], c["abs"])
     ring = SeriesRing(dom, tuple(data["vars"]), data["degree_bound"], data["caps"] or None)
     return TruncatedSeries(ring, {tuple(t["exps"]): coeff(t["coeff"]) for t in data["terms"]})
 
@@ -243,16 +233,13 @@ def test_json_roundtrip_bit_exact():
     rings = [
         fq_ring(2, 2, ("X", "Y"), 6),
         SeriesRing(witt_ring(3, 1, 5), ("X", "Y"), 7, caps={"Y": 3}),
-        SeriesRing(PadicParams(2, 5, 3), ("X",), 6),
     ]
     rng = random.Random(67)
     for R in rings:
         if isinstance(R.domain, FieldDesc):
             pick = lambda: rng.randrange(1, R.domain.q)
-        elif isinstance(R.domain, WittRing):
-            pick = lambda: R.domain.from_int(rng.randrange(1, R.domain.pN))
         else:
-            pick = lambda: div_p(R.domain.from_int(rng.randrange(1, 20)), rng.randrange(3))
+            pick = lambda: R.domain.from_int(rng.randrange(1, R.domain.pN))
         t = {}
         for _ in range(5):
             e = tuple(rng.randrange(3) for _ in R.vars)
@@ -336,13 +323,7 @@ def oracle_substitute(s, assignments, target):
 def coefficient_picker(rng, domain):
     if isinstance(domain, FieldDesc):
         return lambda: rng.randrange(1, domain.q)
-    if isinstance(domain, WittRing):
-        return lambda: domain.from_coords(rng.randrange(domain.pN) for _ in range(domain.f))
-    # a small pool, so that partial sums cancel to zeros at precision
-    p = domain.p
-    pool = [domain.from_int(k) for k in (1, -1, 2, p, -p, p + 1)]
-    pool += [div_p(c) for c in pool[:2]]
-    return lambda: rng.choice(pool)
+    return lambda: domain.from_coords(rng.randrange(domain.pN) for _ in range(domain.f))
 
 
 def random_series(rng, ring, size, low=0, high=None, pick=None):
@@ -373,8 +354,6 @@ def kernel_rings():
         SeriesRing(witt_ring(3, 1, 4), ("X", "Y", "Z"), 6),
         SeriesRing(witt_ring(2, 2, 3), ("V1", "V2", "Xn"), 2 * D + 1,
                    caps={"V1": D, "V2": D, "Xn": D - 1}),
-        SeriesRing(PadicParams(2, 5, 3), ("X", "Y"), 6),
-        SeriesRing(PadicParams(3, 4, 2), ("X",), 9),
     ]
 
 
@@ -398,7 +377,7 @@ def substitution_cases(rng):
     them the X_i = V_i X_n chart substitution into a capped ring and a
     constant term substituted into a capped variable."""
     D = 5
-    for dom in (ff_make(2, 2), witt_ring(3, 1, 4), PadicParams(2, 5, 3)):
+    for dom in (ff_make(2, 2), witt_ring(3, 1, 4)):
         src = SeriesRing(dom, ("X1", "X2"), D + 1)
         chart = SeriesRing(dom, ("V1", "Xn"), 2 * D + 1, caps={"V1": D, "Xn": D - 1})
         s = random_series(rng, src, 8, low=1)
@@ -420,9 +399,8 @@ def test_substitute_matches_the_accumulating_oracle():
 
 
 def oracle_rings():
-    """One ring per coefficient kind: F_q, Z/p^N, W(F_{p^f})/p^N with f > 1
-    and the p-adics."""
-    return [ff_make(2, 2), witt_ring(3, 1, 4), witt_ring(2, 2, 3), PadicParams(2, 5, 3)]
+    """One ring per coefficient kind: F_q, Z/p^N and W(F_{p^f})/p^N with f > 1."""
+    return [ff_make(2, 2), witt_ring(3, 1, 4), witt_ring(2, 2, 3)]
 
 
 @pytest.mark.parametrize("dom", oracle_rings(), ids=repr)

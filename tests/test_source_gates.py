@@ -121,7 +121,7 @@ def test_a_method_named_only_by_a_bare_local_is_unused(tmp_path):
 
 def test_series_imports_no_coefficient_ring():
     # a coefficient's format and drop policy belong to its ring (FieldDesc,
-    # WittRing, PadicParams), so the series layer imports none of their modules
+    # WittRing), so the series layer imports none of their modules
     path = Path(ltdl.__file__).parent / "series.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -134,7 +134,7 @@ def test_series_imports_no_coefficient_ring():
 
 
 def test_series_reaches_coefficients_only_through_their_ring():
-    # raw coefficient values (ints, tuples, BoundedPadic) are read and
+    # raw coefficient values (ints, tuples) are read and
     # combined by the ring's add, neg, mul, is_negligible and residue, never
     # by element methods
     text = (Path(ltdl.__file__).parent / "series.py").read_text()
@@ -233,6 +233,26 @@ def test_one_field_kernel_and_one_polynomial_module():
             poly_modules.add(path.stem)
     assert kernels == {"ffield.FieldDesc"}
     assert poly_modules == {"ffield"}
+
+
+def test_one_number_system_for_the_module():
+    # the module is solved over Z/p^M, a Witt ring, and embedded into
+    # W(F_q)/p^N, so witt defines no class beside the two Witt rings, the
+    # module layer takes nothing from witt but witt_ring, and no error is
+    # left for a p-adic denominator
+    package = Path(ltdl.__file__).parent
+
+    def tree(name):
+        return ast.parse((package / f"{name}.py").read_text())
+
+    classes = {node.name for node in tree("witt").body if isinstance(node, ast.ClassDef)}
+    from_witt = {alias.name for node in ast.walk(tree("formal_modules"))
+                 if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("witt")
+                 for alias in node.names}
+    errors = {node.name for node in tree("errors").body if isinstance(node, ast.ClassDef)}
+    assert classes == {"WittRing", "PrimeWittRing"}
+    assert from_witt == {"witt_ring"}
+    assert "DenominatorOverflow" not in errors
 
 
 def test_one_walk_over_gl_n_and_the_dl_equation_from_its_closed_form():
