@@ -51,7 +51,7 @@ from .gl_characters import (
     dixon_table,
     steinberg,
 )
-from .linalg import group_order
+from .linalg import group_order, index_vectors
 
 SCHEMA_VERSION = 1
 # the one size limit: RunConfig.validate() refuses a run whose estimated
@@ -229,11 +229,12 @@ def holds(ok, details=""):
 
 
 def strata_rows(module, factors):
-    """For a in F_q^n - 0 and 0 < j < n, whether P_a, read from `factors`,
-    lies in (X_1, ..., X_j), next to whether the support of a ends by j."""
+    """For a in F_q^n - 0 and 0 < j < n, whether P_a, read from the class
+    factors `factors`, lies in (X_1, ..., X_j), next to whether the support
+    of a ends by j."""
     return [{"a": list(a), "j": j, "member": stratum_membership(module, a, j, factors),
              "expected": not any(a[j:])}
-            for a in factors for j in range(1, module.n)]
+            for a in index_vectors(module.field, module.n) for j in range(1, module.n)]
 
 
 def dl_level(cfg):
@@ -358,13 +359,14 @@ SLICES = {
 # Closed-form terms in microseconds of one core, calibrated on fresh-process
 # runs (the README's "Size limits" says what each counts): Q = q^n, D the
 # series degree bound, a W(F_q)/p^N coefficient product costs 3 (f + 1) / 4.
-# The module's recursion, checks and report, the chart's factors P_a, the
+# The module's recursion, checks and report, the chart's class factors P_a, the
 # walks of P^{n-1}(F_{q^m}) (none at m < n) with the embedding of F_q and the
 # tables of F_{q^m}, F_q's tables and the DL equation's Moore power, the
 # group's closure and classes, the Dixon lift, and the table's report.
 WORK_TERMS = {
     "module": lambda c: module_work(c.q, c.n, c.f, c.degree(), c.prec_n),
-    "factors": lambda c: comb(c.degree() + c.n - 1, c.n) * (c.q ** c.n - 1) * (c.f + 1) // 5,
+    "factors": lambda c: (comb(c.degree() + c.n - 1, c.n) * ((c.q ** c.n - 1) // (c.q - 1))
+                          * (c.f + 1) // 5),
     "census": lambda c: sum((c.q ** (m * c.n) - 1) // (c.q ** m - 1) * (c.q ** c.n + 11) // 4
                             + c.q + tables_work(c.p, c.f * m) for m in c.levels if m >= c.n),
     "moore": lambda c: tables_work(c.p, c.f) + moore_work(c.q, c.n),
@@ -379,9 +381,11 @@ WORK_TERMS = {
 def module_work(q, n, f, D, N):
     """The module: F's J + 1 rounds (J = `correction_rounds`), each forming
     L^Q as `TruncatedSeries.__pow__` does, 1 per term pair of each product;
-    the q - 2 Teichmuller checks, Q products of W(F_q)/p^N coefficients at
-    2f - 1 each; the report, 6 N^2 per coefficient of F (its monomials in the
-    J + 1 degrees = 1 mod Q - 1) and of the scalars."""
+    the q - 2 Teichmuller checks [p](zeta X) = zeta [p](X), each zeta^Q by
+    squaring (bit length + set bits - 2 products) and 4 more products of
+    W(F_q)/p^N coefficients, at 2f - 1 each; the report, 6 N^2 per
+    coefficient of F (its monomials in the J + 1 degrees = 1 mod Q - 1) and
+    of the scalars."""
     Q, J = q ** n, correction_rounds(q, n, D)
     g = Q - 1
 
@@ -401,7 +405,8 @@ def module_work(q, n, f, D, N):
         if e:
             power, a = power + pairs(a, a), 2 * a
     coefficients = 2 * (J + 1) + g * J * (J + 1) // 2 + q + J + 1
-    return (J + 1) * power + (q - 2) * Q * (2 * f - 1) + 6 * N * N * coefficients
+    teichmuller = (q - 2) * (Q.bit_length() + bin(Q).count("1") + 2) * (2 * f - 1)
+    return (J + 1) * power + teichmuller + 6 * N * N * coefficients
 
 
 def tables_work(p, degree):

@@ -7,12 +7,27 @@ Every chart is one blow-up step (`_blowup_step`): substitute V_i * pivot
 for each affine coordinate and the pivot for the centre, check that each
 factor vanishes to order exactly 1 in the pivot, factor it out, and check
 that the quotient mod the pivot and X_n is exactly the affine law
-sum_i [a_i~] V_i + [a_k~].  On all P_a with X_i = V_i * X_n it exhibits the
+sum_i [a_i~] V_i + [a_k~].  On the P_a with X_i = V_i * X_n it exhibits the
 exceptional multiplicity q^n - 1 and the residual factors P'_a; on the
 trailing-zero blocks it reproduces the multiplicity sequence q^{n_t} - 1.
 Setting X_n = 0 and reducing mod p turns the residual into the product of
 all rational affine forms, and the projective coordinate change rewrites it
 as the hyperplane-product equation of the Deligne-Lusztig variety.
+
+One P_a per projective class carries all of this.  For c in F_q^x the
+Teichmuller scalar [c~ a_i~](X) is c~ a_i~ X, so P_{ca}(X) = P_a(c~ X).
+Every term of F has total degree = 1 mod q^n - 1 (Lubin-Tate), and q - 1
+divides q^n - 1, so every term of P_a has total degree d = 1 mod q - 1, and
+c~^d = c~ gives P_{ca} = c~ P_a = [c~] o P_a.  X_i -> V_i X_n commutes with
+scaling, so P'_{ca} = c~ P'_a and the affine law of ca is c~ times that of
+a: the blow-up checks hold at ca exactly when they hold at a.  The product
+over the class {ca} is s P_a^{q-1}, s = Teich(prod of F_q^x) = (-1)^q (the
+lift of 1 for q even).  So the suite builds P_a at the class
+representatives alone (first nonzero entry 1), and P and the chart residual
+are s^k (prod over the k representatives)^{q-1}.  Conversely, if a term of
+P_a had degree d != 1 mod q - 1, c~^{d-1} - 1 would be a unit for a
+generator c and P_{ca} != [c~] o P_a: the census's degree-support test is
+exactly the scalar relations.
 
 Everything here is exact mod (p^N, the stated degree windows); structural
 expectations that come from verified identities raise VerificationError
@@ -25,15 +40,6 @@ from .linalg import index_vectors, projective_representative
 from .series import SeriesRing, TruncatedSeries, product_over
 
 X_PIVOT = "Xn"
-
-
-def projective_classes(field, n):
-    """Partition of F_q^n - 0 into scalar classes keyed by canonical reps."""
-    classes = {}
-    for a in index_vectors(field, n):
-        rep = projective_representative(field, a)
-        classes.setdefault(rep, []).append(a)
-    return classes
 
 
 def x_vars(n):
@@ -61,17 +67,29 @@ def build_P_a(module, a, ring=None):
 
 
 def deformation_factors(module):
-    """{a: P_a} over a in F_q^n - 0, in `index_vectors` order, each built once.
+    """{a: P_a} over the class representatives a of F_q^n - 0 (first
+    nonzero entry 1), in `index_vectors` order, each built once.
 
-    The census, P and the chart all read their P_a from one such dict.
+    The census, P, the charts and the strata all read their P_a from one
+    such dict; P_{ca} = c~ P_a gives the rest of each class.
     """
-    ring = deformation_ring(module)
-    return {a: build_P_a(module, a, ring) for a in index_vectors(module.field, module.n)}
+    ring, field = deformation_ring(module), module.field
+    return {a: build_P_a(module, a, ring) for a in index_vectors(field, module.n)
+            if projective_representative(field, a) == a}
+
+
+def class_product(module, family):
+    """s^k (prod family)^{q-1}, s = (-1)^q, for the k series of `family`,
+    one per class: the product of c~ f over c in F_q^x and f in `family`.
+    The product is formed first, then raised to q - 1."""
+    power = product_over(family) ** (module.q - 1)
+    return -power if module.q * len(family) % 2 else power
 
 
 def build_P(module, factors=None):
-    """P = prod over a of P_a (ambient unit taken to be 1), from `factors`
-    (a `deformation_factors` dict) when given.
+    """P = prod over a in F_q^n - 0 of P_a (ambient unit taken to be 1), the
+    `class_product` of the class factors, read from `factors` (a
+    `deformation_factors` dict) when given.
 
     The lowest total degree must come out as q^n - 1.
     """
@@ -80,71 +98,33 @@ def build_P(module, factors=None):
         raise ParameterError(
             f"degree bound {module.D} <= q^n - 1 = {q ** n - 1}: P would truncate to 0")
     factors = deformation_factors(module) if factors is None else factors
-    P = product_over(list(factors.values()))
+    P = class_product(module, list(factors.values()))
     if P.is_zero() or P.lowest_degree() != q ** n - 1:
         raise VerificationError("P does not vanish to order exactly q^n - 1")
     return P
 
 
-def scalar_compat_check(module, a, c, factors=None):
-    """P_{c a} = [c~] o P_a, exactly at the working precision; both P's are
-    read from `factors` when given."""
-    field = module.field
-    if c % field.q == 0:
-        raise ParameterError("scalar must be a unit")
-    ca = tuple(field.mul(c, x) for x in a)
-    if factors is None:
-        factors = {b: build_P_a(module, b) for b in (a, ca)}
-    rhs = module.formal_scalar(normalize_scalar_key(field, ("teich", c)), factors[a])
-    return factors[ca] == rhs
+def special_fiber_components(module, factors):
+    """The component census of the special fiber: one component per
+    projective class of F_q^n - 0, each of multiplicity q - 1.
 
-
-def special_fiber_components(module, factors=None):
-    """Group the P_a by projective class and verify the scalar relations.
-
-    The class count is (q^n - 1)/(q - 1) and each class has q - 1 members,
-    matching the component/multiplicity census of the special fiber.
+    It passes when `factors` (a `deformation_factors` dict) holds
+    (q^n - 1)/(q - 1) class factors and every term of each has total degree
+    = 1 mod q - 1, which is exactly P_{ca} = [c~] o P_a for every member ca
+    of every class (module docstring).
     """
-    factors = deformation_factors(module) if factors is None else factors
-    q, n = module.q, module.n
-    field = module.field
-    classes = projective_classes(field, n)
-    expected = (q ** n - 1) // (q - 1)
-    report = {
-        "q": q,
-        "n": n,
-        "components": len(classes),
-        "expected_components": expected,
-        "multiplicity": q - 1,
-        "classes": [],
-        "all_scalar_checks_pass": True,
-    }
-    for rep in sorted(classes):
-        members = sorted(classes[rep])
-        ok = True
-        for m_vec in members:
-            c = None
-            for x, y in zip(m_vec, rep):
-                if y:
-                    c = field.mul(x, field.inv(y))
-                    break
-            if not scalar_compat_check(module, rep, c, factors):
-                ok = False
-            if m_vec != tuple(field.mul(c, y) for y in rep):
-                ok = False
-        if not ok:
-            report["all_scalar_checks_pass"] = False
-        report["classes"].append({"rep": list(rep), "size": len(members),
-                                  "scalar_checks_pass": ok})
-    if len(classes) != expected or any(len(v) != q - 1 for v in classes.values()):
-        report["all_scalar_checks_pass"] = False
-    return report
+    q = module.q
+    expected = (q ** module.n - 1) // (q - 1)
+    support = all((sum(e) - 1) % (q - 1) == 0 for f in factors.values() for e in f.terms)
+    return {"components": len(factors), "expected_components": expected, "multiplicity": q - 1,
+            "all_scalar_checks_pass": len(factors) == expected and support}
 
 
-def stratum_membership(module, a, j, factors=None):
-    """P_a in (X_1, ..., X_j), via the monomial-ideal membership test; P_a
-    is read from `factors` (a `deformation_factors` dict) when given."""
-    P_a = build_P_a(module, a) if factors is None else factors[a]
+def stratum_membership(module, a, j, factors):
+    """P_a in (X_1, ..., X_j), via the monomial-ideal membership test on the
+    factor of a's class in `factors` (a `deformation_factors` dict), of
+    which P_a is a unit multiple."""
+    P_a = factors[projective_representative(module.field, a)]
     return P_a.ideal_membership_monomial([f"X{i}" for i in range(1, j + 1)])
 
 
@@ -200,14 +180,14 @@ def _blowup_step(module, factors, coords, names):
     vanishes to order exactly 1 in the pivot, factor it out, and check that
     the quotient mod the pivot and X_n is exactly the affine law of a.
 
-    Returns ({a: quotient}, {a: affine form}).
+    Returns {a: quotient}.
     """
     k = len(names)
     source = next(iter(factors.values())).ring
     ring = chart_ring(module, source, coords, names)
     assignments = chart_substitution(ring, coords, k)
     pivots = dict.fromkeys((names[-1], X_PIVOT))
-    quotients, forms = {}, {}
+    quotients = {}
     for a, f in factors.items():
         s = f.substitute(assignments, ring)
         # structural coupling that makes the chart exact: a source monomial of
@@ -217,7 +197,7 @@ def _blowup_step(module, factors, coords, names):
         if s.var_valuation(names[-1]) != 1:
             raise VerificationError(f"factor a={a} does not vanish to order 1 in {names[-1]}")
         quotient = s.factor_out(names[-1], 1)
-        expect, forms[a] = _affine_law(module, ring, a, names[:-1])
+        expect, _ = _affine_law(module, ring, a, names[:-1])
         reduced = quotient
         for v in pivots:
             reduced = reduced.set_var_to_zero(v)
@@ -225,7 +205,7 @@ def _blowup_step(module, factors, coords, names):
             raise VerificationError(
                 f"chart factor for a={a} is not exactly affine-linear mod {', '.join(pivots)}")
         quotients[a] = quotient
-    return quotients, forms
+    return quotients
 
 
 class ChartReport:
@@ -238,7 +218,7 @@ class ChartReport:
         self.valuation = valuation
         self.residual = residual
         self.linear_parts = linear_parts  # index vector -> {var or "const": Witt}
-        self.factors = factors            # index vector -> P'_a
+        self.factors = factors            # class representative a -> P'_a
 
     def to_json(self):
         dom = self.residual.ring.domain
@@ -252,29 +232,34 @@ class ChartReport:
 
 def blowup_chart(module, factors):
     """The first blow-up on the X_n-pivot chart: `_blowup_step` substitutes
-    X_i = V_i X_n into each P_a of `factors` (a `deformation_factors` dict),
-    factors out X_n once and checks that the quotient P'_a is exactly
-    affine-linear mod X_n.
+    X_i = V_i X_n into each class factor P_a of `factors` (a
+    `deformation_factors` dict), factors out X_n once and checks that the
+    quotient P'_a is exactly affine-linear mod X_n.
 
     The substitution is a ring map sending degree d to X_n-degree d, so the
     chart image of P = prod P_a is the product of the images of the P_a: it
-    vanishes to order q^n - 1 in X_n, one per factor, and the residual is
-    prod P'_a.  A term of X_n-degree below the window W = D - (q^n - 1) is a
-    product of factor terms below W, so the product is formed with X_n
-    capped below W, where it is exact."""
+    vanishes to order q^n - 1 in X_n, one per a in F_q^n - 0, q - 1 per
+    class, and the residual is prod P'_a, the `class_product` of the class
+    quotients (P'_{ca} = c~ P'_a).  A term of X_n-degree below the window
+    W = D - (q^n - 1) is a product of factor terms below W, so the product
+    is formed with X_n capped below W, where it is exact.  The linear parts
+    are the affine laws of every a in F_q^n - 0."""
     q, n = module.q, module.n
     if module.D < q ** n + 1:
         raise ParameterError("degree bound too small for the chart (need q^n + 1)")
-    chart_factors, linear_parts = _blowup_step(
-        module, factors, x_vars(n), tuple(f"V{i}" for i in range(1, n)) + (X_PIVOT,))
+    names = tuple(f"V{i}" for i in range(1, n)) + (X_PIVOT,)
+    chart_factors = _blowup_step(module, factors, x_vars(n), names)
     ring = next(iter(chart_factors.values())).ring
     window = module.D - (q ** n - 1)
     low = SeriesRing(ring.domain, ring.vars, ring.degree, {**ring.caps, X_PIVOT: window - 1})
     pivot = ring._var_index[X_PIVOT]
-    residual = product_over([TruncatedSeries(low, {e: c for e, c in f.terms.items()
-                                                   if e[pivot] < window})
-                             for f in chart_factors.values()])
-    return ChartReport(q, n, X_PIVOT, len(chart_factors), residual, linear_parts, chart_factors)
+    residual = class_product(module, [TruncatedSeries(low, {e: c for e, c in f.terms.items()
+                                                            if e[pivot] < window})
+                                      for f in chart_factors.values()])
+    linear_parts = {a: _affine_law(module, ring, a, names[:-1])[1]
+                    for a in index_vectors(module.field, n)}
+    return ChartReport(q, n, X_PIVOT, (q - 1) * len(chart_factors), residual, linear_parts,
+                       chart_factors)
 
 
 def checked_depth_sequence(depth_sequence, n):
@@ -300,9 +285,11 @@ def iterated_chart(module, depth_sequence, chart):
 
     depth_sequence is strictly decreasing, starting at n; at each deeper
     step only the factors indexed by the trailing-zero block vanish on the
-    stratum, each to order exactly 1 in the new pivot, giving q^{n_t} - 1.
+    stratum, each to order exactly 1 in the new pivot.  The chart holds one
+    factor per class, and a class representative with trailing zeros is one
+    of the block, so the q - 1 members of each class give q^{n_t} - 1.
     """
-    n = module.n
+    q, n = module.q, module.n
     seq = checked_depth_sequence(depth_sequence, n)
     valuations = [chart.valuation]
     factors = chart.factors
@@ -325,8 +312,8 @@ def iterated_chart(module, depth_sequence, chart):
                         f"factor a={a} unexpectedly vanishes on the depth-{depth} stratum")
         on_stratum = {a[:sub_block]: fac for a, fac in factors.items() if not any(a[sub_block:])}
         names = tuple(f"U{depth}_{i}" for i in range(1, sub_block)) + (coords[sub_block - 1],)
-        factors, _ = _blowup_step(module, on_stratum, coords, names)
-        valuations.append(len(factors))
+        factors = _blowup_step(module, on_stratum, coords, names)
+        valuations.append((q - 1) * len(factors))
         block = sub_block
     return valuations
 

@@ -170,12 +170,6 @@ class FormalModule:
             acc = self.formal_add(acc, s)
         return acc
 
-    def formal_scalar(self, key, s):
-        """[a](s) by composition."""
-        series = self.scalar_series(key)
-        host = s.ring
-        return series.substitute({"X": s}, host)
-
     def __repr__(self):
         return f"FormalModule(q={self.q}, n={self.n}, N={self.N}, D={self.D})"
 

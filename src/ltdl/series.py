@@ -17,7 +17,7 @@ All arithmetic is exact and canonical: results are independent of operand
 order and of any internal evaluation order.
 """
 
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .errors import ParameterError
 
@@ -245,10 +245,10 @@ class TruncatedSeries:
 
         A one-term image c x^v (a rename, X_i -> V_i X_n, zeta X) maps each
         term's exponents directly and multiplies coefficients, with no series
-        product.  Powers of the other images are formed only for the
-        exponents that terms need, each from the one below when that exists
-        and by squaring otherwise, so a sparse exponent set such as {1, 25}
-        costs a few squarings.
+        product.  Powers of c, and of the other images, are formed only for
+        the exponents that terms need, each from the one below when that
+        exists and by squaring otherwise, so a sparse exponent set such as
+        {1, 25} costs a few squarings.
         """
         ring = self.ring
         target = target_ring if target_ring is not None else ring
@@ -266,7 +266,7 @@ class TruncatedSeries:
         cmul, negligible = dom.mul, dom.is_negligible
         one = dom.one()
         terms = sorted(self.terms.items())
-        shifts = {}   # variable -> (exponent vector of c x^v, [c^0, c^1, ...] or None if c = 1)
+        shifts = {}   # variable -> (exponent vector of c x^v, {k: c^k} or None if c = 1)
         powers = {}   # variable -> {k: image^k} for images of several terms
         for i, v in enumerate(ring.vars):
             needed = sorted({e[i] for e, _ in terms} - {0})
@@ -280,14 +280,14 @@ class TruncatedSeries:
             if len(img.terms) > 1:
                 cache = powers[i] = {1: img}
                 for k in needed:
-                    _power(cache, k)
+                    _power(cache, k, mul)
             elif img.terms:
                 (exps, c), = img.terms.items()
                 cpow = None
                 if c != one:
-                    cpow = [one, c]
-                    for _ in range(needed[-1] - 1):
-                        cpow.append(cmul(cpow[-1], c))
+                    cpow = {1: c}
+                    for k in needed:
+                        _power(cpow, k, cmul)
                 shifts[i] = (exps, cpow)
             else:
                 shifts[i] = None  # the zero image kills every term with this variable
@@ -360,18 +360,19 @@ class TruncatedSeries:
         return " + ".join(bits) + suffix
 
 
-def _power(cache, k):
-    """image^k in the power cache {j: image^j}, from image^(k-1) when that
-    is cached and by squaring image^(k // 2) otherwise."""
+def _power(cache, k, mul):
+    """x^k in the power cache {j: x^j} of a series or a coefficient x, with
+    its product `mul`: from x^(k-1) when that is cached and by squaring
+    x^(k // 2) otherwise."""
     got = cache.get(k)
     if got is None:
         if k - 1 in cache:
-            got = cache[k - 1] * cache[1]
+            got = mul(cache[k - 1], cache[1])
         else:
-            half = _power(cache, k // 2)
-            got = half * half
+            half = _power(cache, k // 2, mul)
+            got = mul(half, half)
             if k % 2:
-                got = got * cache[1]
+                got = mul(got, cache[1])
         cache[k] = got
     return got
 

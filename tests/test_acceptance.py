@@ -110,9 +110,10 @@ def test_criterion_03_component_census():
     ok = True
     notes = []
     for (q, n), comps in expected.items():
-        rep = special_fiber_components(module_for(q, n))
-        good = (rep["components"] == comps and rep["all_scalar_checks_pass"]
-                and all(c["size"] == q - 1 for c in rep["classes"]))
+        m = module_for(q, n)
+        rep = special_fiber_components(m, deformation_factors(m))
+        good = (rep["components"] == comps and rep["multiplicity"] == q - 1
+                and rep["all_scalar_checks_pass"])
         ok = ok and good
         notes.append(f"({q},{n}):{rep['components']}x(q-1={q - 1})")
     report_line(3, ok, "component census " + ", ".join(notes))

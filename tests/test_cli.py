@@ -281,14 +281,49 @@ def test_a_failed_prerequisite_is_not_rebuilt(tmp_path, monkeypatch, argv, docto
     (["verify-all"], "depth0.component_census", "2 components of multiplicity 1"),
 ])
 def test_a_census_with_a_class_missing_fails(tmp_path, monkeypatch, argv, entry, details):
-    # the last projective class of F_2^2 - 0 left out: 2 classes, not 3
-    honest = depth0.projective_classes
-    monkeypatch.setattr(depth0, "projective_classes",
-                        lambda field, n: dict(list(honest(field, n).items())[:-1]))
+    # the last class representative (1, 1) of F_2^2 - 0 left out of the
+    # factors: 2 classes, not 3; P and the chart residual lose a factor too,
+    # so P's lowest degree, or the residual = DL comparison, fails as well
+    also = {"depth0": ("depth0.equation_lowest_degree", NOT_P),
+            "verify-all": ("depth0.un_equals_dl", NOT_DL)}[argv[0]]
+    honest = cli.deformation_factors
+
+    def dropped(module):
+        factors = honest(module)
+        factors.popitem()
+        return factors
+
+    monkeypatch.setattr(cli, "deformation_factors", dropped)
     code, report = run_cli(tmp_path, *argv, "--q", "2", "--n", "2")
     assert code == 1
+    assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == {
+        entry: details, also[0]: also[1]}
+
+
+def extra_term_off_the_support(monkeypatch):
+    # X1 X2, of degree 2 != 1 mod q - 1 = 2, added to P_(0,1) at (3, 2): it
+    # dies mod X_n in the chart and sits above P's lowest degree, so only
+    # the census's degree-support test sees it
+    honest = cli.deformation_factors
+
+    def doctored(module):
+        factors = honest(module)
+        ring = factors[0, 1].ring
+        factors[0, 1] = factors[0, 1] + ring.var("X1") * ring.var("X2")
+        return factors
+
+    monkeypatch.setattr(cli, "deformation_factors", doctored)
+
+
+@pytest.mark.parametrize("argv", [["depth0", "equation"], ["verify-all"]], ids=" ".join)
+def test_a_class_factor_off_the_degree_support_fails_the_census_alone(tmp_path, monkeypatch,
+                                                                      argv):
+    extra_term_off_the_support(monkeypatch)
+    code, report = run_cli(tmp_path, *argv, "--q", "3", "--n", "2")
+    assert code == 1
     assert [c for c in report["checks"] if c["status"] == "fail"] == [
-        {"name": entry, "status": "fail", "details": details}]
+        {"name": "depth0.component_census", "status": "fail",
+         "details": "4 components of multiplicity 2"}]
 
 
 def test_a_generic_orbit_left_out_fails_generic_count(tmp_path, monkeypatch):
@@ -405,10 +440,11 @@ def test_budget_and_parameter_errors_become_suite_errors(tmp_path, monkeypatch, 
         assert any(name.startswith(other + ".") for name in names), other
 
 
-@pytest.mark.parametrize("q,n,vectors", [(2, 2, 3), (5, 2, 24), (2, 3, 7)])
-def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors):
-    # each P_a, the chart and the group once; P, the product of the P_a,
-    # never: the chart's residual is the product of its quotients
+@pytest.mark.parametrize("q,n,classes", [(2, 2, 3), (5, 2, 6), (2, 3, 7)])
+def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, classes):
+    # each class factor P_a, the chart and the group once; P, the product
+    # of the P_a, never: the chart's residual is the product of its
+    # quotients
     built = Counter()
 
     def counted(name, fn, key=lambda *args, **kwargs: None):
@@ -427,8 +463,8 @@ def test_verify_all_builds_each_series_once(tmp_path, monkeypatch, q, n, vectors
         monkeypatch.setattr(cli, name, wrapper)
     code, report = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
     assert code == 0
-    per_vector = [count for (name, _), count in built.items() if name == "P_a"]
-    assert len(per_vector) == vectors and set(per_vector) == {1}
+    per_class = [count for (name, _), count in built.items() if name == "P_a"]
+    assert len(per_class) == classes and set(per_class) == {1}
     assert built["build_P", None] == 0 and built["blowup_chart", None] == 1
     assert built["closure", None] == 1
 
@@ -1029,7 +1065,8 @@ BUDGET_EDGES = [
                                                (64, 1), (89, 1), (97, 1), (151, 1)]),
     "chars steinberg --q 13 --n 2", "dl count --q 2 --n 4 --m 6",
     "dl count --q 16 --n 3 --m 2", "formal-group --q 433 --n 1", "formal-group --q 449 --n 1",
-    "formal-group --q 9 --n 3", "formal-group --q 11 --n 3", "depth0 chart --q 439 --n 1",
+    "formal-group --q 467 --n 1", "formal-group --q 9 --n 3", "formal-group --q 11 --n 3",
+    "depth0 chart --q 439 --n 1", "depth0 chart --q 467 --n 1",
     *(f"dl count --q {q} --n {n} --m {m}" for q, n, m in [
         (2, 1, 18), (2, 2, 17), (3, 2, 11), (9, 2, 5), (2, 3, 9), (7, 2, 6), (25, 2, 3),
         (714991, 1, 1), (635209, 1, 1)]),
@@ -1039,7 +1076,7 @@ BUDGET_EDGES = [
                                                  (2, 6), (2, 7), (2, 8), (3, 5), (5, 4)]),
     *(f"refused {argv}" for argv in [
         "verify-all --q 13 --n 2", "verify-all --q 4 --n 3", "verify-all --q 157 --n 1",
-        "formal-group --q 457 --n 1", "formal-group --q 13 --n 3", "depth0 chart --q 443 --n 1",
+        "formal-group --q 479 --n 1", "formal-group --q 13 --n 3", "depth0 chart --q 479 --n 1",
         *(f"formal-group --q {q} --n 1 --D {D}" for q, D in [(2, 48), (2, 60), (3, 60), (5, 100),
                                                               (3, 100)]),
         "verify-all --q 2 --n 1 --D 60", "depth0 chart --q 2 --n 1 --D 60",

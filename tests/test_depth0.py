@@ -1,10 +1,22 @@
 from itertools import product
 
 import pytest
+from depth0_oracles import (
+    P_by_product,
+    all_vector_factors,
+    census_by_members,
+    chart_by_vectors,
+    iterated_by_vectors,
+    projective_classes,
+    scalar_compat_check,
+    strata_by_vectors,
+)
 from formal_oracles import homogeneous_part
 from gl_oracles import vec_mat
+from test_cli import VERIFY_ALL_CONFIGS
 
 from ltdl import depth0
+from ltdl.cli import strata_rows
 from ltdl.depth0 import (
     blowup_chart,
     build_P,
@@ -13,8 +25,6 @@ from ltdl.depth0 import (
     deformation_ring,
     index_vectors,
     iterated_chart,
-    projective_classes,
-    scalar_compat_check,
     special_fiber_components,
     stratum_membership,
     un_special_fiber,
@@ -24,7 +34,7 @@ from ltdl.errors import ParameterError, VerificationError
 from ltdl.ffield import field_for_order
 from ltdl.formal_modules import lubin_tate_module
 from ltdl.gl_characters import GLGroup
-from ltdl.linalg import det
+from ltdl.linalg import det, projective_representative
 from ltdl.series import TruncatedSeries, product_over
 
 
@@ -87,11 +97,14 @@ def test_special_fiber_components_census():
     expected = {(2, 2): (3, 1), (3, 2): (4, 2), (2, 3): (7, 1)}
     for (q, n), (comps, mult) in expected.items():
         m = lubin_tate_module(q, n)
-        rep = special_fiber_components(m)
+        rep = special_fiber_components(m, deformation_factors(m))
         assert rep["components"] == comps == rep["expected_components"]
         assert rep["multiplicity"] == mult
         assert rep["all_scalar_checks_pass"]
-        assert all(c["size"] == mult for c in rep["classes"])
+        oracle = census_by_members(m, all_vector_factors(m))
+        assert (oracle["components"], oracle["multiplicity"]) == (comps, mult)
+        assert oracle["all_scalar_checks_pass"]
+        assert all(c["size"] == mult for c in oracle["classes"])
 
 
 def test_special_fiber_factorization_by_classes():
@@ -112,9 +125,58 @@ def test_special_fiber_factorization_by_classes():
 
 def test_stratum_membership():
     m = lubin_tate_module(2, 2)
-    assert stratum_membership(m, (1, 0), 1) is True
-    assert stratum_membership(m, (1, 1), 1) is False
-    assert stratum_membership(m, (0, 1), 1) is False
+    factors = deformation_factors(m)
+    assert stratum_membership(m, (1, 0), 1, factors) is True
+    assert stratum_membership(m, (1, 1), 1, factors) is False
+    assert stratum_membership(m, (0, 1), 1, factors) is False
+    # at q = 3 the class of (1, 2) is read from its representative
+    m = lubin_tate_module(3, 2)
+    factors = deformation_factors(m)
+    assert (2, 0) not in factors and (2, 1) not in factors
+    assert stratum_membership(m, (2, 0), 1, factors) is True
+    assert stratum_membership(m, (2, 1), 1, factors) is False
+
+
+SMALL_GRID = [(q, n) for q, n in VERIFY_ALL_CONFIGS if q ** n <= 64]
+
+
+@pytest.mark.parametrize("q,n", SMALL_GRID)
+def test_the_class_build_matches_the_all_vector_build(q, n):
+    # P, the chart (valuation, residual, linear parts), the iterated chart
+    # at the full depth sequence and the strata come out the same from one
+    # P_a per class as from every P_a, and P_{ca} = c~ P_a for every a
+    m = lubin_tate_module(q, n)
+    factors, every = deformation_factors(m), all_vector_factors(m)
+    assert list(factors) == [a for a in every if a == projective_representative(m.field, a)]
+    for a, P_a in every.items():
+        rep = projective_representative(m.field, a)
+        c = next(x for x in a if x)
+        assert P_a == factors[rep].scale(m.scalar_coefficient(("teich", c))), a
+    assert build_P(m, factors) == P_by_product(every)
+    chart = blowup_chart(m, factors)
+    valuation, residual, linear_parts, quotients = chart_by_vectors(m, every)
+    assert (chart.valuation, chart.residual, chart.linear_parts) == (
+        valuation, residual, linear_parts)
+    assert list(chart.linear_parts) == list(every)
+    seq = list(range(n, 0, -1))
+    assert iterated_chart(m, seq, chart) == iterated_by_vectors(m, seq, quotients) == [
+        q ** k - 1 for k in seq]
+    assert strata_rows(m, factors) == strata_by_vectors(m, every)
+    census = special_fiber_components(m, factors)
+    oracle = census_by_members(m, every)
+    assert census["all_scalar_checks_pass"] is oracle["all_scalar_checks_pass"] is True
+    assert (census["components"], census["multiplicity"]) == (
+        oracle["components"], oracle["multiplicity"])
+
+
+@pytest.mark.parametrize("q,n", SMALL_GRID)
+def test_F_lies_in_degrees_one_mod_Q_minus_one(q, n):
+    # the support that makes P_{ca} = c~ P_a: every term of F has total
+    # degree = 1 mod q^n - 1, and so every term of every P_a
+    m = lubin_tate_module(q, n)
+    assert all((sum(e) - 1) % (q ** n - 1) == 0 for e in m.F.terms)
+    assert all((sum(e) - 1) % (q - 1) == 0
+               for P_a in deformation_factors(m).values() for e in P_a.terms)
 
 
 def chart_of(module):

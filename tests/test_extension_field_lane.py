@@ -34,7 +34,7 @@ def test_q4_depth0_pipeline():
     m = lubin_tate_module(4, 1, N=6)
     P = build_P(m)
     assert P.lowest_degree() == 3  # q - 1
-    census = special_fiber_components(m)
+    census = special_fiber_components(m, deformation_factors(m))
     assert census["components"] == 1 and census["multiplicity"] == 3
     assert census["all_scalar_checks_pass"]
     chart = blowup_chart(m, deformation_factors(m))

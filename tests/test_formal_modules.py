@@ -4,7 +4,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from formal_oracles import fraction_log, fraction_module, reduce_mod, verify_module_axioms
+from formal_oracles import (
+    formal_scalar,
+    fraction_log,
+    fraction_module,
+    reduce_mod,
+    verify_module_axioms,
+)
 from test_cli import VERIFY_ALL_CONFIGS
 
 from ltdl import formal_modules
@@ -127,7 +133,7 @@ def test_naturality_mod_p_commutes():
     m = lubin_tate_module(3, 1, N=5, D=6)
     two = m.scalar_series(("int", 2))
     four = m.scalar_series(("int", 4))
-    comp = m.formal_scalar(("int", 2), two)
+    comp = formal_scalar(m, ("int", 2), two)
     assert comp == four
     assert comp.reduce_mod_p() == four.reduce_mod_p()
 

@@ -8,7 +8,7 @@ from witt_oracles import from_digits
 from ltdl.errors import ParameterError
 from ltdl.ffield import FieldDesc, ff_make
 from ltdl.series import SeriesRing, TruncatedSeries, product_over
-from ltdl.witt import witt_ring
+from ltdl.witt import WittRing, witt_ring
 
 
 def witt_xy(p=2, N=6, D=8):
@@ -494,3 +494,21 @@ def test_power_squares_only_below_the_top_bit(e, monkeypatch):
     assert len(products) == bin(e).count("1") + e.bit_length() - 1
     monkeypatch.undo()
     assert power == expect
+
+
+def test_one_term_coefficient_powers_come_by_squaring(monkeypatch):
+    # the Teichmuller check [p](zeta X) = zeta [p](X) at (64, 2): p X + X^4096
+    # into zeta X needs zeta^4096 alone, which squaring forms in at most
+    # 2 log2(4096) coefficient products, not the 4095 of every power below
+    dom = witt_ring(2, 6, 3)
+    R = SeriesRing(dom, ("X",), 4097)
+    s = R.var("X", dom.from_int(2)) + R.monomial((4096,), dom.one())
+    zeta = dom.teichmuller(5)
+    products = []
+    honest = WittRing.mul
+    monkeypatch.setattr(WittRing, "mul",
+                        lambda self, a, b: products.append(1) or honest(self, a, b))
+    out = s.substitute({"X": R.var("X", zeta)})
+    monkeypatch.undo()
+    assert len(products) <= 2 * 12 + 2
+    assert out == s.scale(zeta)

@@ -271,3 +271,25 @@ def test_one_walk_over_gl_n_and_the_dl_equation_from_its_closed_form():
                 from_series |= {alias.name for alias in node.names}
     assert callers == {"linalg"}
     assert from_series == {"SeriesRing", "TruncatedSeries"}
+
+
+def test_the_depth0_suite_builds_one_factor_per_class():
+    # P_{ca} = c~ P_a, so the suite builds P_a at the class representatives
+    # alone: depth0 keeps no per-member census helper, and only
+    # deformation_factors calls build_P_a anywhere in the package
+    callers = set()
+    for path in sorted(Path(ltdl.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+        while stack:
+            node, scope = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "build_P_a"):
+                    callers.add(scope)
+                stack.append((child, f"{path.stem}.{child.name}"
+                              if isinstance(child, ast.FunctionDef) else scope))
+    defined = {node.name for node in ast.parse(
+        (Path(ltdl.__file__).parent / "depth0.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+    assert callers == {"depth0.deformation_factors"}
+    assert not defined & {"scalar_compat_check", "projective_classes"}
