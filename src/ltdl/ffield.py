@@ -26,7 +26,9 @@ def is_prime(n):
 
 
 def prime_factors(n):
-    """Sorted distinct prime factors of n (trial division; n <= 2^20 here)."""
+    """Sorted distinct prime factors of n, by trial division to sqrt(n): n is a
+    field order, an exponent, or a character-table prime (or that minus 1),
+    at most 98,805,841 on the verify-all grid, so under 10^4 divisions."""
     out = []
     d = 2
     while d * d <= n:

@@ -27,12 +27,25 @@ mod ell of its characteristic polynomial (Hessenberg reduction).  Each
 character value is lifted from mod ell through the eigenvalue
 multiplicities of its class rep (Dixon 1967), once per rational
 class: the classes of g^k, k prime to ord g, take g's multiplicities
-re-indexed by t -> k t (Schneider 1990).  The table is proved orthonormal
-on those multiplicities: they sum to the degree, the row set is stable
-under Gal(Q(zeta_E)/Q), and the Gram matrix is |G| I modulo one prime
-ell' = 1 mod E above |G| (d_max^2 + 1), which forces it in Z[zeta_E]
-(`_check_table`).  St is integer-valued, so the correspondence compares
-pi * St with Ind theta by scaling pi's integer coordinates.
+re-indexed by t -> k t (Schneider 1990).  `_check_table` proves the table
+exact on those multiplicities and their residues phi(chi(g_c)) mod one
+prime ell' = 1 mod E, phi: Z[zeta_E] -> F_ell' sending zeta_E to a
+primitive E-th root w.  Cuspidality and pi * St = Ind theta are decided on
+the residues; power-basis values only order the rows and print the table.
+
+The residues decide exactly.  ell' splits completely in Q(zeta_E), so an x
+in Z[zeta_E] that phi kills with all its Galois conjugates lies in
+ell' Z[zeta_E]; if also |sigma x| < ell' for every sigma, the norm of
+x / ell' is an integer below 1 in absolute value, and x = 0.  sigma_k
+(zeta_E -> zeta_E^k) sends a character value chi(c) to chi(c^k), so equal
+residue vectors of Delta = Ind theta_j - pi * St kill every conjugate of
+each Delta(c), and |sigma Delta(c)| <= |G| / |T| + d_max q^(n(n-1)/2); for
+pi_1 * St - pi_2 * St the bound is 2 d_max q^(n(n-1)/2).  So the lookup on
+residues misses no true match and admits no false one.  A radical sum
+sum_{u in U_c} chi(u) = |U_c| <chi|_U, 1> is an integer in [0, |U_c|
+chi(1)], |U_c| <= q^(n(n-1)/2), so it is 0 exactly when its residue is.
+Hence ell' is the least prime = 1 mod E above |G| (d_max^2 + 1), the Gram
+matrix's bound (`_check_table`), and |G| / |T| + 2 d_max q^(n(n-1)/2).
 """
 
 from functools import cached_property, lru_cache
@@ -40,7 +53,7 @@ from itertools import accumulate, combinations, product
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
-from .cyclo import euler_phi, from_powers
+from .cyclo import from_powers
 from .errors import BudgetError, VerificationError, check_entry
 from .ffield import (
     field_for_order,
@@ -356,28 +369,18 @@ def generic_character_count(q, n):
     return sum(moebius(n // m) * (q ** m - 1) for m in range(1, n + 1) if n % m == 0)
 
 
-def induce_from_torus(group, torus, j):
-    """Ind_T^G theta_j: per class, its coordinate tuple at the group's
-    exponent E.
-
-    The value at class c is |C_G(c)| / |T| times the sum of theta_j over
-    T meet c; it is an algebraic integer, so the division is exact in Z.
-    """
-    E = group.exponent
-    # counts[ci][e]: how many C^k in class ci have theta_j(C^k) = zeta_|T|^e,
-    # for the classes ci that T meets; the value is 0 at every other class
-    counts = {}
+def induce_from_torus(group, torus, j, ell, w):
+    """Ind_T^G theta_j mod ell, w a primitive E-th root mod ell for E the
+    group's exponent: per class c, |C_G(c)| / |T| times the sum of
+    theta_j(C^k) = zeta_|T|^(jk), sent to w^((E / |T|) jk), over the C^k in
+    c (0 at the classes that T misses)."""
+    root = pow(w, group.exponent // torus.order * j, ell)
+    sums = [0] * group.num_classes
     for k, ci in enumerate(torus.class_map):
-        counts.setdefault(ci, [0] * torus.order)[(j * k) % torus.order] += 1
-    values = [(0,) * euler_phi(E)] * group.num_classes
-    for ci, cnt in sorted(counts.items()):
-        acc = from_powers(E, cnt, E // torus.order)
-        den = group.class_sizes[ci] * torus.order
-        num, den = group.order // gcd(group.order, den), den // gcd(group.order, den)
-        if den > 1 and any(c % den for c in acc):  # num / den in lowest terms
-            raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
-        values[ci] = tuple(c // den * num for c in acc)
-    return tuple(values)
+        sums[ci] += pow(root, k, ell)
+    t_inv = pow(torus.order, -1, ell)
+    return tuple(group.order // size * s * t_inv % ell
+                 for size, s in zip(group.class_sizes, sums))
 
 
 # -- the Steinberg character and cuspidality ----------------------------------------
@@ -418,16 +421,12 @@ def steinberg(group):
     return tuple(values)
 
 
-def is_cuspidal(group, chi):
+def is_cuspidal(group, phi, ell):
     """sum_{u in U_c} chi(u) = 0 for every proper standard parabolic radical,
-    each sum taken over the radical's class histogram.  chi's values are
-    coordinate tuples at one conductor, so the sum is formed on the
-    coordinates, over the classes U_c meets."""
-    for comp, (_, U) in group.parabolics.items():
-        terms = [[w * c for c in chi[ci]] for ci, w in enumerate(U) if w]
-        if len(comp) > 1 and any(map(sum, zip(*terms))):
-            return False
-    return True
+    each sum taken over the radical's class histogram on chi's residues phi
+    mod the table prime ell, which decide it (module docstring)."""
+    return not any(sum(map(mul, U, phi)) % ell
+                   for comp, (_, U) in group.parabolics.items() if len(comp) > 1)
 
 
 # -- Dixon character table ------------------------------------------------------------
@@ -605,22 +604,26 @@ def class_function_json(conductor, values):
 
 
 class CharacterTable:
-    def __init__(self, group, irreducibles, degrees):
+    """Per irreducible, in sorted order: its degree, its multiplicity vector
+    at each class and its residues mod ell (module docstring)."""
+
+    def __init__(self, group, mults, degrees, ell, w, phi):
         self.group = group
-        # per irreducible, in sorted order: one coordinate tuple at the
-        # group's exponent per class, and its degree
-        self.irreducibles = irreducibles
+        self.mults = mults
         self.degrees = degrees
-        self.cuspidal_flags = [is_cuspidal(group, chi) for chi in irreducibles]
+        self.ell, self.w, self.phi = ell, w, phi
+        self.cuspidal_flags = [is_cuspidal(group, row, ell) for row in phi]
 
     def to_json(self):
-        g = self.group
+        g, E = self.group, self.group.exponent
+        distinct = {m for row in self.mults for m in row}
+        values = {m: from_powers(E, m, E // len(m)) for m in distinct}
         return {
             "q": g.q, "n": g.n, "order": g.order,
             "classes": [{"key": [list(f) for f in key], "size": size}
                         for key, size in zip(g.class_keys, g.class_sizes)],
-            "irreducibles": [{"degree": d, "values": class_function_json(g.exponent, chi)}
-                             for d, chi in zip(self.degrees, self.irreducibles)],
+            "irreducibles": [{"degree": d, "values": class_function_json(E, map(values.get, row))}
+                             for d, row in zip(self.degrees, self.mults)],
             "cuspidal_flags": self.cuspidal_flags,
         }
 
@@ -634,22 +637,19 @@ def dixon_table(group):
     is the one root of its square mod ell in that range.  So an
     ArithmeticError on the way is a failed identity, a VerificationError
     with its message."""
-    ell = _split_prime(group.exponent, max(2 * isqrt(group.order), 2))
-    conductor = group.exponent
-    values = {}  # one power-basis value per distinct multiplicity vector
-    rows = []
+    ell, E = _split_prime(group.exponent, max(2 * isqrt(group.order), 2)), group.exponent
     try:
         characters = _characters_mod(group, ell)
-        for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
-            for m in mults:
-                if m not in values:
-                    values[m] = from_powers(conductor, m, conductor // len(m))
-            rows.append((tuple(values[m] for m in mults), degree, mults))
-        rows.sort(key=lambda row: (row[0][group.identity_class], row[0]))
-        _check_table(group, [(degree, mults) for _, degree, mults in rows])
+        rows = [(degree, mults) for (degree, _), mults
+                in zip(characters, _multiplicities(group, characters, ell))]
+        # by degree, then power-basis values: the order that numbers pi in reports
+        distinct = {m for _, mults in rows for m in mults}
+        values = {m: from_powers(E, m, E // len(m)) for m in distinct}
+        rows.sort(key=lambda row: (row[0], [values[m] for m in row[1]]))
+        prime, w, phi = _check_table(group, rows)
     except ArithmeticError as exc:
         raise VerificationError(str(exc)) from None
-    return CharacterTable(group, [chi for chi, _, _ in rows], [d for _, d, _ in rows])
+    return CharacterTable(group, [m for _, m in rows], [d for d, _ in rows], prime, w, phi)
 
 
 def _characters_mod(group, ell):
@@ -804,23 +804,19 @@ def _check_table(group, rows):
        all when k = 1 mod its length; each row's image is read off that
        map.  sigma_k is injective, so every sigma permutes the rows;
        complex conjugation, k = -1, maps row i to c(i).
-    3. The Gram matrix modulo a split prime.  Take the least prime ell' = 1
-       mod E above |G| (d_max^2 + 1), and phi: Z[zeta_E] -> F_ell' sending
-       zeta_E to a fixed primitive E-th root mod ell'.  Since conj chi_k =
+    3. The Gram matrix modulo ell' (module docstring).  Since conj chi_k =
        chi_c(k), phi(|G| <chi_i, chi_k>) = S_i,c(k) with S_ab =
        sum_j |C_j| phi(chi_a(g_j)) phi(chi_b(g_j)).  S is symmetric and c an
        involution, so S_ab = |G| [b = c(a)] for a <= b gives phi(|G| <chi_i,
        chi_k>) = |G| delta_ik for every (i, k).
 
-    Why this is exact: let x = |G| <chi_i, chi_k> - |G| delta_ik in
-    Z[zeta_E].  For sigma in the Galois group, sigma^-1 permutes the rows
-    (2) and commutes with conjugation, so sigma^-1(x) is the x of another
-    pair of rows, which phi kills (3): x lies in every prime above ell'.
-    ell' splits completely, so x is in ell' Z[zeta_E].  By (1) every
-    conjugate has |sigma(x)| <= |G| (d_i d_k + 1) < ell', so the norm of
-    x / ell', an integer, is below 1 in absolute value, and x = 0.  Hence
-    X D X* = |G| I for X the table and D the class sizes; X is square, so
-    D X* X = |G| I too, and the column relations follow.
+    Why this is exact: for x = |G| <chi_i, chi_k> - |G| delta_ik and sigma
+    in the Galois group, sigma^-1 permutes the rows (2) and commutes with
+    conjugation, so sigma^-1(x) is the x of another pair of rows, which phi
+    kills (3); by (1) |sigma(x)| <= |G| (d_i d_k + 1) < ell', so x = 0 by
+    the module docstring's argument.  So X D X* = |G| I for X the table and
+    D the class sizes, and D X* X = |G| I as X is square.  Returns (ell',
+    w, phi), phi[i][j] = phi(chi_i(g_j)).
     """
     if len(rows) != group.num_classes:
         raise ArithmeticError(
@@ -843,7 +839,9 @@ def _check_table(group, rows):
         if None in images:
             raise ArithmeticError(f"the row set is not Galois-stable under zeta -> zeta^{k}")
     conj = images  # k = -1 came last
-    ell = _split_prime(E, group.order * (max(d for d, _ in rows) ** 2 + 1))
+    q, n, d_max = group.q, group.n, max(d for d, _ in rows)
+    ell = _split_prime(E, max(group.order * (d_max ** 2 + 1),
+                              group.order // (q ** n - 1) + 2 * d_max * q ** (n * (n - 1) // 2)))
     w = pow(_primitive_root(ell), (ell - 1) // E, ell)
     # phi(zeta_d^t) = w^(E t / d)
     roots = {d: [pow(w, E // d * t, ell) for t in range(d)] for d in set(group.class_orders)}
@@ -854,6 +852,7 @@ def _check_table(group, rows):
         for b in range(a, len(values)):
             if sum(map(mul, weighted, values[b])) % ell != (group.order if b == conj[a] else 0):
                 raise ArithmeticError("row orthogonality failed")
+    return ell, w, values
 
 
 # -- the correspondence ----------------------------------------------------------------
@@ -898,18 +897,17 @@ def correspondence_report(q, n, data=None):
         "generic_count", sum(len(o) for o in orbits) == n_generic,
         f"{sum(len(o) for o in orbits)} generic characters (Moebius: {n_generic})"))
 
-    # {pi * St: the cuspidals pi}, keyed by the values' coordinate tuples;
-    # St is integer-valued, so pi(c) St(c) is pi(c)'s coordinates scaled
+    # {pi * St: the cuspidals pi}, keyed by residues (module docstring)
+    table, ell = data.table, data.table.ell
     solutions = {}
     for idx in data.cuspidal_indices:
-        values = data.table.irreducibles[idx]
-        solutions.setdefault(tuple(tuple([s * a for a in x]) for s, x in zip(data.st, values)),
+        solutions.setdefault(tuple(s * v % ell for s, v in zip(data.st, table.phi[idx])),
                              []).append(idx)
     # `failure` names the first orbit with no solution or several
     pi_of_orbit = {}
     failure = None
     for orbit in orbits:
-        matches = solutions.get(induce_from_torus(group, data.torus, orbit[0]), [])
+        matches = solutions.get(induce_from_torus(group, data.torus, orbit[0], ell, table.w), [])
         if len(matches) == 1:
             pi_of_orbit[orbit] = matches[0]
         elif failure is None:

@@ -1,4 +1,4 @@
-"""Matrix-level oracles for the character layer.
+"""Matrix-level and power-basis oracles for the character layer.
 
 `steinberg` and `is_cuspidal` read the standard parabolics off the class
 histograms of `GLGroup.parabolics`; these build the subspaces, flags and
@@ -14,6 +14,13 @@ test is the oracle for the generic characters that `frobenius_orbits` lists
 as the cycles of j -> jq of length n, and `dl_correspondence`, the match of
 one theta by those two oracles, for the one match per orbit of
 `correspondence_report`.
+
+The package decides cuspidality and pi * St = Ind theta on residues mod the
+table prime; `table_values` decodes a table's multiplicity vectors into
+power-basis values as its report does, and `induce_by_coordinates`,
+`is_cuspidal_by_coordinates` and `orbit_matches_by_coordinates` are the
+power-basis forms of `induce_from_torus`, `is_cuspidal` and the
+correspondence's lookup that the residue forms are held to.
 """
 
 from fractions import Fraction
@@ -22,8 +29,9 @@ from math import gcd
 
 from cyclo_oracles import Cyclo, dot, values_at
 
+from ltdl.cyclo import euler_phi, from_powers
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.gl_characters import compositions, induce_from_torus
+from ltdl.gl_characters import compositions, frobenius_orbits
 from ltdl.linalg import identity
 
 
@@ -121,19 +129,26 @@ def product_is(group, chi, psi, ind):
             == values_at(E, ind))
 
 
-def verify_table(table):
-    """Exact orthonormality of a square table in Z[zeta].
+def table_values(table):
+    """The table's rows as power-basis values, decoded from its multiplicity
+    vectors as `CharacterTable.to_json` does: per row, one coordinate tuple
+    at the group's exponent per class."""
+    E = table.group.exponent
+    return [tuple(from_powers(E, m, E // len(m)) for m in row) for row in table.mults]
+
+
+def verify_table(g, irr, degrees):
+    """Exact orthonormality of a square table in Z[zeta], its rows `irr`
+    given as power-basis values (`table_values`).
 
     Rows are checked for i <= j only, since <b, a> is the conjugate of
     <a, b>.  For a square X with X D X* = |G| I (D the class sizes) the
     inverse gives D X* X = |G| I, which is column orthogonality.
     """
-    g = table.group
-    irr = table.irreducibles
     if len(irr) != g.num_classes:
         raise ArithmeticError(
             f"table is not square: {len(irr)} irreducibles for {g.num_classes} classes")
-    if sum(d * d for d in table.degrees) != g.order:
+    if sum(d * d for d in degrees) != g.order:
         raise ArithmeticError("sum of squared degrees is off")
     m = g.exponent
     rows = [values_at(m, chi) for chi in irr]
@@ -231,15 +246,65 @@ def is_cuspidal_by_radicals(group, chi):
     return True
 
 
+def is_cuspidal_by_coordinates(group, chi):
+    """sum_{u in U_c} chi(u) = 0 for every proper standard parabolic radical,
+    each sum taken over the radical's class histogram on chi's power-basis
+    coordinates, over the classes U_c meets."""
+    for comp, (_, U) in group.parabolics.items():
+        terms = [[w * c for c in chi[ci]] for ci, w in enumerate(U) if w]
+        if len(comp) > 1 and any(map(sum, zip(*terms))):
+            return False
+    return True
+
+
+def induce_by_coordinates(group, torus, j):
+    """Ind_T^G theta_j: per class, its coordinate tuple at the group's
+    exponent E.
+
+    The value at class c is |C_G(c)| / |T| times the sum of theta_j over
+    T meet c; it is an algebraic integer, so the division is exact in Z.
+    """
+    E = group.exponent
+    # counts[ci][e]: how many C^k in class ci have theta_j(C^k) = zeta_|T|^e,
+    # for the classes ci that T meets; the value is 0 at every other class
+    counts = {}
+    for k, ci in enumerate(torus.class_map):
+        counts.setdefault(ci, [0] * torus.order)[(j * k) % torus.order] += 1
+    values = [(0,) * euler_phi(E)] * group.num_classes
+    for ci, cnt in sorted(counts.items()):
+        acc = from_powers(E, cnt, E // torus.order)
+        den = group.class_sizes[ci] * torus.order
+        num, den = group.order // gcd(group.order, den), den // gcd(group.order, den)
+        if den > 1 and any(c % den for c in acc):  # num / den in lowest terms
+            raise VerificationError(f"Ind theta_{j} is not integral at class {ci}")
+        values[ci] = tuple(c // den * num for c in acc)
+    return tuple(values)
+
+
+def orbit_matches_by_coordinates(data):
+    """{orbit: the cuspidals pi with pi * St = Ind theta}, one Ind per
+    Frobenius orbit from its least member, each pi * St keyed by pi's
+    power-basis coordinates scaled by the integer St."""
+    values = table_values(data.table)
+    solutions = {}
+    for idx in data.cuspidal_indices:
+        solutions.setdefault(tuple(tuple(s * a for a in x) for s, x in zip(data.st, values[idx])),
+                             []).append(idx)
+    group = data.group
+    return {orbit: solutions.get(induce_by_coordinates(group, data.torus, orbit[0]), [])
+            for orbit in frobenius_orbits(group.q, group.n)}
+
+
 def dl_correspondence(data, j):
     """The unique cuspidal pi with pi * St = Ind theta_j (theta_j generic),
     each product formed in the oracle ring."""
     group = data.group
     if not is_generic_by_norm_kernels(group.q, group.n, j):
         raise ParameterError(f"theta_{j} is not generic")
-    ind = induce_from_torus(group, data.torus, j)
+    ind = induce_by_coordinates(group, data.torus, j)
+    values = table_values(data.table)
     matches = [idx for idx in data.cuspidal_indices
-               if product_is(group, data.table.irreducibles[idx], data.st, ind)]
+               if product_is(group, values[idx], data.st, ind)]
     if len(matches) != 1:
         raise VerificationError(f"multiple cuspidal solutions for theta_{j}" if matches
                                 else f"no cuspidal solution for theta_{j}")

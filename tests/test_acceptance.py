@@ -18,7 +18,14 @@ from dl_oracles import (
 )
 from cyclo_oracles import Cyclo
 from formal_oracles import verify_module_axioms
-from gl_oracles import dl_correspondence, inner, is_generic_by_norm_kernels, product_is
+from gl_oracles import (
+    dl_correspondence,
+    induce_by_coordinates,
+    inner,
+    is_generic_by_norm_kernels,
+    product_is,
+    table_values,
+)
 
 from ltdl.cli import main as cli_main
 from ltdl.depth0 import (
@@ -40,7 +47,6 @@ from ltdl.gl_characters import (
     CorrespondenceData,
     GLGroup,
     correspondence_report,
-    induce_from_torus,
 )
 from ltdl.series import TruncatedSeries
 
@@ -167,8 +173,9 @@ def test_criterion_07_character_tables():
         table = data.table
         g = data.group
         ok = ok and sum(d * d for d in table.degrees) == g.order
-        for i, a in enumerate(table.irreducibles):
-            for j, b in enumerate(table.irreducibles):
+        values = table_values(table)
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
                 ok = ok and inner(g, a, b) == (1 if i == j else 0)
         cusp = [table.degrees[i] for i in data.cuspidal_indices]
         ok = ok and cusp == [cusp_deg] * cusp_count
@@ -190,13 +197,14 @@ def test_criterion_08_correspondence():
         cusp_deg = 1
         for i in range(1, n):
             cusp_deg *= q ** i - 1
+        values = table_values(data.table)
         for a in rep["orbits"]:
-            ind = induce_from_torus(data.group, data.torus, a["thetas"][0])
+            ind = induce_by_coordinates(data.group, data.torus, a["thetas"][0])
             ok = ok and data.table.degrees[a["pi"]] == cusp_deg
             degree = Cyclo(data.group.exponent, ind[data.group.identity_class])
             ok = ok and degree == cusp_deg * q ** (n * (n - 1) // 2)
-            chi = data.table.irreducibles[a["pi"]]
-            ok = ok and all(inner(data.group, chi, data.table.irreducibles[b["pi"]])
+            chi = values[a["pi"]]
+            ok = ok and all(inner(data.group, chi, values[b["pi"]])
                             == (1 if a is b else 0)
                             for b in rep["orbits"])
     report_line(8, ok, "unique cuspidal pi with pi*St = Ind theta; orbit bijection; "
@@ -222,10 +230,10 @@ def test_criterion_09_negative_controls():
     rng = random.Random(2024)
     non_cusp = [i for i, f in enumerate(data32.table.cuspidal_flags) if not f]
     idx = rng.choice(non_cusp)
-    chi = data32.table.irreducibles[idx]
+    chi = table_values(data32.table)[idx]
     for j in range(8):
         if is_generic_by_norm_kernels(3, 2, j):
-            ind = induce_from_torus(data32.group, data32.torus, j)
+            ind = induce_by_coordinates(data32.group, data32.torus, j)
             ok = ok and not product_is(data32.group, chi, data32.st, ind)
     report_line(9, ok, "tampered F fails associativity; theta_0 rejected; "
                        "non-cuspidal never satisfies the characterization")

@@ -351,9 +351,9 @@ def test_a_generic_orbit_left_out_fails_generic_count(tmp_path, monkeypatch):
 def test_verify_all_induces_once_per_frobenius_orbit(tmp_path, monkeypatch, q, n):
     honest, calls = gl_characters.induce_from_torus, []
 
-    def counted(group, torus, j):
+    def counted(group, torus, j, ell, w):
         calls.append(j)
-        return honest(group, torus, j)
+        return honest(group, torus, j, ell, w)
 
     monkeypatch.setattr(gl_characters, "induce_from_torus", counted)
     code, _ = run_cli(tmp_path, "verify-all", "--q", str(q), "--n", str(n))
@@ -392,6 +392,21 @@ def test_a_radical_histogram_one_short_fails_verify_all(tmp_path, monkeypatch):
     code, failed = verify_all_on_doctored_parabolics(tmp_path, monkeypatch, drop)
     assert code == 1
     assert {c["name"]: c["details"] for c in failed} == {
+        "chars.orbit_maps_to_single_pi": "no cuspidal solution for theta_1",
+        "chars.bijection_onto_cuspidals": "images [], cuspidals []",
+    }
+
+
+def test_a_radical_histogram_with_one_more_identity_fails_verify_all(tmp_path, monkeypatch):
+    # U_(1,2) at (2,3) counts the identity twice: each cuspidal's residue
+    # sum over it is pi(1) = 3, not 0 mod the table prime, so no character
+    # is cuspidal; these two entries are every one that fails
+    group = gl_characters.GLGroup(2, 3)
+    group.parabolics[1, 2][1][group.identity_class] += 1
+    monkeypatch.setattr(cli, "GLGroup", lambda q, n: group)
+    code, report = run_cli(tmp_path, "verify-all", "--q", "2", "--n", "3")
+    assert code == 1
+    assert {c["name"]: c["details"] for c in report["checks"] if c["status"] == "fail"} == {
         "chars.orbit_maps_to_single_pi": "no cuspidal solution for theta_1",
         "chars.bijection_onto_cuspidals": "images [], cuspidals []",
     }

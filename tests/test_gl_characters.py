@@ -10,13 +10,17 @@ from ffield_oracles import PrimeField
 from gl_oracles import (
     closure_by_products,
     dl_correspondence,
+    induce_by_coordinates,
     inner,
+    is_cuspidal_by_coordinates,
     is_cuspidal_by_radicals,
     is_generic_by_norm_kernels,
     lift_per_class,
     mat_mul,
+    orbit_matches_by_coordinates,
     product_is,
     steinberg_by_flags,
+    table_values,
     unipotent_radical,
     verify_table,
 )
@@ -24,11 +28,11 @@ from test_cli import VERIFY_ALL_CONFIGS
 
 from ltdl import gl_characters
 from ltdl.cli import main
-from ltdl.cyclo import euler_phi, from_powers
+from ltdl.cyclo import euler_phi
 from ltdl.errors import ParameterError, VerificationError
-from ltdl.ffield import ff_make, field_for_order, poly_mul, primitive_poly_over
+from ltdl.ffield import ff_make, field_for_order, is_prime, poly_mul, primitive_poly_over
 from ltdl.gl_characters import (
-    CharacterTable,
+    MAX_GROUP_ORDER,
     CorrespondenceData,
     CoxeterTorus,
     GLGroup,
@@ -336,16 +340,17 @@ def test_induced_degree_and_reciprocity():
     g = GLGroup(3, 2)
     t = CoxeterTorus(g)
     table = dixon_table(g)
-    ind = induce_from_torus(g, t, 1)
+    ind = induce_by_coordinates(g, t, 1)
     assert Cyclo(g.exponent, ind[g.identity_class]) == 48 // 8
-    ind0 = induce_from_torus(g, t, 0)
+    ind0 = induce_by_coordinates(g, t, 0)
     assert Cyclo(g.exponent, ind0[g.identity_class]) == 6
+    assert induce_from_torus(g, t, 1, table.ell, table.w)[g.identity_class] == 6
     # Frobenius reciprocity <Ind theta, chi>_G = <theta, Res chi>_T
     rng = random.Random(83)
     for _ in range(6):
         j = rng.randrange(8)
-        chi = rng.choice(table.irreducibles)
-        lhs = inner(g, induce_from_torus(g, t, j), chi)
+        chi = rng.choice(table_values(table))
+        lhs = inner(g, induce_by_coordinates(g, t, j), chi)
         theta_vals = [torus_character_value(t, j, k) for k in range(t.order)]
         rhs = torus_inner(t, theta_vals, [Cyclo(g.exponent, chi[ci]) for ci in t.class_map])
         assert lhs == rhs
@@ -372,9 +377,9 @@ def test_dixon_tables_frozen_degrees():
 
 def test_orthogonality_exact():
     g = GLGroup(3, 2)
-    table = dixon_table(g)
-    for i, a in enumerate(table.irreducibles):
-        for j, b in enumerate(table.irreducibles):
+    values = table_values(dixon_table(g))
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
             assert inner(g, a, b) == (1 if i == j else 0)
 
 
@@ -382,10 +387,9 @@ def test_cuspidality():
     g = GLGroup(2, 2)
     table = dixon_table(g)
     # the trivial character is never cuspidal; sign (the other 1-dim) is
-    flags = dict(zip(table.degrees, table.cuspidal_flags))
-    trivial = [chi for chi in table.irreducibles
+    trivial = [i for i, chi in enumerate(table_values(table))
                if all(v == 1 for v in values_at(g.exponent, chi))]
-    assert len(trivial) == 1 and not is_cuspidal(g, trivial[0])
+    assert len(trivial) == 1 and not is_cuspidal(g, table.phi[trivial[0]], table.ell)
     assert table.cuspidal_flags.count(True) == 1
     t32 = dixon_table(GLGroup(3, 2))
     cusp32 = [d for d, f in zip(t32.degrees, t32.cuspidal_flags) if f]
@@ -456,13 +460,12 @@ def test_steinberg_matches_the_flag_oracle(q, n):
 def test_cuspidal_flags_match_the_radical_oracle(q, n):
     table = dixon_table(GLGroup(q, n))
     assert table.cuspidal_flags == [is_cuspidal_by_radicals(table.group, chi)
-                                    for chi in table.irreducibles]
+                                    for chi in table_values(table)]
 
 
 def test_dl_correspondence_22():
     data = CorrespondenceData(GLGroup(2, 2))
     pi = dl_correspondence(data, 1)
-    chi = data.table.irreducibles[pi]
     assert data.table.degrees[pi] == 1
     assert data.table.cuspidal_flags[pi]
     # pi is the sign character: value -1 on the Coxeter classes of order 3
@@ -475,8 +478,8 @@ def test_characterization_needs_cuspidality_at_22():
     # both one-dimensional characters of S3 satisfy chi * St = Ind theta_1;
     # cuspidality is what pins the answer down
     data = CorrespondenceData(GLGroup(2, 2))
-    ind = induce_from_torus(data.group, data.torus, 1)
-    one_dims = [chi for chi, d in zip(data.table.irreducibles, data.table.degrees)
+    ind = induce_by_coordinates(data.group, data.torus, 1)
+    one_dims = [chi for chi, d in zip(table_values(data.table), data.table.degrees)
                 if d == 1]
     assert len(one_dims) == 2
     matches = [chi for chi in one_dims if product_is(data.group, chi, data.st, ind)]
@@ -488,10 +491,10 @@ def test_non_cuspidal_never_satisfies_characterization_32():
     rng = random.Random(89)
     non_cusp = [i for i, f in enumerate(data.table.cuspidal_flags) if not f]
     idx = rng.choice(non_cusp)
-    chi = data.table.irreducibles[idx]
+    chi = table_values(data.table)[idx]
     for j in range(8):
         if is_generic_by_norm_kernels(3, 2, j):
-            ind = induce_from_torus(data.group, data.torus, j)
+            ind = induce_by_coordinates(data.group, data.torus, j)
             assert not product_is(data.group, chi, data.st, ind)
 
 
@@ -521,7 +524,7 @@ def test_s3_table_matches_classical_values():
         (2, False): [Cyclo.rational(0), Cyclo.rational(2),
                      -one],                     # standard 2-dim
     }
-    for chi, deg, cusp in zip(table.irreducibles, table.degrees,
+    for chi, deg, cusp in zip(table_values(table), table.degrees,
                               table.cuspidal_flags):
         expect = classical[(deg, cusp)]
         assert values_at(g.exponent, chi) == expect
@@ -545,7 +548,7 @@ def test_class_function_inner_rejects_irrational():
 @pytest.mark.parametrize("q", [3, 5])
 def test_character_values_stay_integer(q):
     table = dixon_table(GLGroup(q, 2))
-    for chi in table.irreducibles:
+    for chi in table_values(table):
         for v in chi:
             assert type(v) is tuple and len(v) == euler_phi(table.group.exponent)
             assert all(type(c) is int for c in v)
@@ -553,7 +556,7 @@ def test_character_values_stay_integer(q):
 
 def test_verify_table_rejects_doctored_tables():
     table = dixon_table(GLGroup(3, 2))
-    g, irr, degrees = table.group, list(table.irreducibles), table.degrees
+    g, irr, degrees = table.group, table_values(table), table.degrees
     # one value perturbed, away from the identity class
     ci = (g.identity_class + 1) % g.num_classes
     vals = list(irr[5])
@@ -563,11 +566,11 @@ def test_verify_table_rejects_doctored_tables():
     assert table.degrees[0] == table.degrees[1] == 1
     duplicated = [irr[0], irr[0]] + irr[2:]
     with pytest.raises(ArithmeticError, match="row orthogonality"):
-        verify_table(CharacterTable(g, perturbed, degrees))
+        verify_table(g, perturbed, degrees)
     with pytest.raises(ArithmeticError, match="row orthogonality"):
-        verify_table(CharacterTable(g, duplicated, degrees))
+        verify_table(g, duplicated, degrees)
     with pytest.raises(ArithmeticError, match="not square"):
-        verify_table(CharacterTable(g, irr[:-1], degrees[:-1]))
+        verify_table(g, irr[:-1], degrees[:-1])
 
 
 def dixon_prime(group):
@@ -580,13 +583,7 @@ def table_rows(group):
     """The Dixon table of group and its rows as the (degree, multiplicities)
     that `_check_table` reads, in the table's order."""
     table = dixon_table(group)
-    ell = dixon_prime(group)
-    characters = _characters_mod(group, ell)
-    E = group.exponent
-    by_values = {}
-    for (degree, _), mults in zip(characters, _multiplicities(group, characters, ell)):
-        by_values[tuple(from_powers(E, m, E // len(m)) for m in mults)] = (degree, mults)
-    return table, [by_values[chi] for chi in table.irreducibles]
+    return table, list(zip(table.degrees, table.mults))
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (7, 2), (61, 1)])
@@ -597,9 +594,9 @@ def test_rational_class_lift_and_gram_gate_match_their_oracles(q, n):
     characters = _characters_mod(g, ell)
     assert (_multiplicities(g, characters, ell)
             == lift_per_class(g, characters, ell, _primitive_root(ell)))
-    # both gates accept the genuine table
-    _check_table(g, rows)
-    verify_table(table)
+    # both gates accept the genuine table, and the residues are the table's
+    assert _check_table(g, rows) == (table.ell, table.w, table.phi)
+    verify_table(g, table_values(table), table.degrees)
 
 
 def test_gram_gate_rejects_doctored_tables():
@@ -633,8 +630,7 @@ def test_gram_gate_rejects_doctored_tables():
     rejects(doctored(0, inv, (0, 1)), "row orthogonality")
     # adding ell' to a multiplicity leaves every value mod ell' and the
     # Galois stability alone: only the sum to the degree sees it
-    ell = _split_prime(g.exponent, g.order * (max(table.degrees) ** 2 + 1))
-    rejects(doctored(0, inv, (1 + ell, 0)), "do not sum to the degree")
+    rejects(doctored(0, inv, (1 + table.ell, 0)), "do not sum to the degree")
     # the first row with a non-real value, conjugated at that class only:
     # its Galois images leave the row set, and nothing else changes
     i, j = next((i, j) for i, (_, mults) in enumerate(rows)
@@ -826,7 +822,7 @@ def test_green_gl2_table_matches_dixon(q):
 
     green = green_gl2_rows(group)
     assert len(green) == group.num_classes
-    assert sorted(map(key, green)) == sorted(table.irreducibles)
+    assert sorted(map(key, green)) == sorted(table_values(table))
 
 
 def test_dixon_table_of_the_trivial_group():
@@ -835,7 +831,7 @@ def test_dixon_table_of_the_trivial_group():
     table = dixon_table(group)
     assert (group.order, group.num_classes, group.exponent) == (1, 1, 1)
     assert table.degrees == [1]
-    assert table.irreducibles == [((1,),)]
+    assert table_values(table) == [((1,),)]
 
 
 def _charpoly_at(poly, lam, ell):
@@ -949,9 +945,9 @@ def test_dl_correspondence_matches_product_oracle(q, n):
     for j in range(q ** n - 1):
         if not is_generic_by_norm_kernels(q, n, j):
             continue
-        ind = induce_from_torus(data.group, data.torus, j)
+        ind = induce_by_coordinates(data.group, data.torus, j)
         oracle = [idx for idx in data.cuspidal_indices
-                  if product_is(data.group, data.table.irreducibles[idx], data.st, ind)]
+                  if product_is(data.group, table_values(data.table)[idx], data.st, ind)]
         assert oracle == [dl_correspondence(data, j)]
 
 
@@ -1010,12 +1006,11 @@ def orthogonality_by_inner_products(data, report):
     """Oracle: <pi_a, pi_b> = delta_orbit by an exact inner product for
     every pair of orbits."""
     reps = [(tuple(o["thetas"]), o["pi"]) for o in report["orbits"]]
+    values = table_values(data.table)
     ok = True
     for a, (orb_a, pi_a) in enumerate(reps):
         for orb_b, pi_b in reps[a:]:
-            chi_a = data.table.irreducibles[pi_a]
-            chi_b = data.table.irreducibles[pi_b]
-            if inner(data.group, chi_a, chi_b) != (1 if orb_a == orb_b else 0):
+            if inner(data.group, values[pi_a], values[pi_b]) != (1 if orb_a == orb_b else 0):
                 ok = False
     return ok
 
@@ -1035,8 +1030,9 @@ def test_orbit_orthogonality_matches_inner_product_oracle(q, n, monkeypatch):
     if len(rep["orbits"]) < 2:
         return
     # give every orbit the first orbit's Ind: distinct orbits now share a row
-    first = induce_from_torus(data.group, data.torus, rep["orbits"][0]["thetas"][0])
-    monkeypatch.setattr(gl_characters, "induce_from_torus", lambda group, torus, j: first)
+    first = induce_from_torus(data.group, data.torus, rep["orbits"][0]["thetas"][0],
+                              data.table.ell, data.table.w)
+    monkeypatch.setattr(gl_characters, "induce_from_torus", lambda *args: first)
     rep = correspondence_report(q, n, data)
     assert (check_status(rep, "bijection_onto_cuspidals")
             is orthogonality_by_inner_products(data, rep) is False)
@@ -1054,16 +1050,79 @@ def test_a_doctored_cuspidal_row_fails_the_orbit_check_naming_theta(q, n):
     data = CorrespondenceData(GLGroup(q, n))
     orbits = correspondence_report(q, n, data)["orbits"]
     pi = orbits[0]["pi"]
-    chi = data.table.irreducibles[pi]
-    values = list(chi)
-    values[data.group.identity_class] = tuple(2 * c for c in values[data.group.identity_class])
-    data.table.irreducibles[pi] = tuple(values)
+    row, one = data.table.phi[pi], data.group.identity_class
+    row[one] = 2 * row[one] % data.table.ell
     rep = correspondence_report(q, n, data)
     others = sorted(o["pi"] for o in orbits[1:])
     assert failed_checks(rep) == {
         "orbit_maps_to_single_pi": f"no cuspidal solution for theta_{orbits[0]['thetas'][0]}",
         "bijection_onto_cuspidals": f"images {others}, cuspidals {data.cuspidal_indices}",
     }
+
+
+def first_orbit_with_doctored(q, n, doctor):
+    """The correspondence at (q, n) after `doctor(data, pi, st_classes)`
+    changed its data, pi the first orbit's cuspidal and st_classes the
+    non-identity classes where St is nonzero: (first orbit, other orbits'
+    pis, the failed checks)."""
+    data = CorrespondenceData(GLGroup(q, n))
+    first, *others = correspondence_report(q, n, data)["orbits"]
+    doctor(data, first["pi"], [c for c, s in enumerate(data.st)
+                               if s and c != data.group.identity_class])
+    return first, sorted(o["pi"] for o in others), failed_checks(
+        correspondence_report(q, n, data))
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (5, 2)])
+def test_a_doctored_residue_fails_the_orbit_check_naming_theta(q, n):
+    # one residue of the first orbit's pi, at a class where St is nonzero,
+    # moved by one: pi * St no longer equals Ind theta mod the table prime
+    def doctor(data, pi, st_classes):
+        row = data.table.phi[pi]
+        row[st_classes[0]] = (row[st_classes[0]] + 1) % data.table.ell
+
+    first, others, failed = first_orbit_with_doctored(q, n, doctor)
+    assert failed == {
+        "orbit_maps_to_single_pi": f"no cuspidal solution for theta_{first['thetas'][0]}",
+        "bijection_onto_cuspidals": f"images {others}, cuspidals {sorted(others + [first['pi']])}",
+    }
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (5, 2)])
+def test_a_doctored_steinberg_value_fails_the_orbit_check_naming_theta(q, n):
+    # St moved by one at a class where the first orbit's pi is nonzero:
+    # that orbit's pi * St key changes, so its theta has no solution
+    def doctor(data, pi, st_classes):
+        c = next(c for c in st_classes if data.table.phi[pi][c])
+        data.st = data.st[:c] + (data.st[c] + 1,) + data.st[c + 1:]
+
+    first, _, failed = first_orbit_with_doctored(q, n, doctor)
+    assert failed.pop("orbit_maps_to_single_pi") == (
+        f"no cuspidal solution for theta_{first['thetas'][0]}")
+    assert set(failed) == {"bijection_onto_cuspidals"}
+
+
+@pytest.mark.parametrize("q,n", [c for c in VERIFY_ALL_CONFIGS
+                                 if group_order(*c) <= MAX_GROUP_ORDER])
+def test_the_residues_decide_as_the_coordinate_oracles(q, n):
+    # the table prime lies above the Gram bound and the residue bound, and
+    # is the least prime = 1 mod E that does; the second bound is the larger
+    # only at (2, 1), where GL_1(F_2) has |G| = |T| = 1.  Then the residue
+    # cuspidal flags and orbit -> pi map are the power-basis oracles'
+    data = CorrespondenceData(GLGroup(q, n))
+    group, table = data.group, data.table
+    E, d_max = group.exponent, max(table.degrees)
+    gram = group.order * (d_max ** 2 + 1)
+    residue = group.order // (q ** n - 1) + 2 * d_max * q ** (n * (n - 1) // 2)
+    assert (residue > gram) == ((q, n) == (2, 1))
+    assert table.ell > max(gram, residue) and is_prime(table.ell) and table.ell % E == 1 % E
+    assert not any(is_prime(p) for p in range(table.ell - E, max(gram, residue), -E))
+    assert table.cuspidal_flags == [is_cuspidal_by_coordinates(group, chi)
+                                    for chi in table_values(table)]
+    report = correspondence_report(q, n, data)
+    assert report["all_pass"]
+    assert orbit_matches_by_coordinates(data) == {
+        tuple(o["thetas"]): [o["pi"]] for o in report["orbits"]}
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (2, 3)])

@@ -293,3 +293,26 @@ def test_the_depth0_suite_builds_one_factor_per_class():
         if isinstance(node, ast.FunctionDef)}
     assert callers == {"depth0.deformation_factors"}
     assert not defined & {"scalar_compat_check", "projective_classes"}
+
+
+def test_power_basis_values_only_order_and_print_the_character_table():
+    # cuspidality and pi * St = Ind theta are decided on residues mod the
+    # table prime, so gl_characters names from_powers only where it sorts
+    # the rows (dixon_table) and prints them (CharacterTable.to_json), takes
+    # no euler_phi, and its table keeps no power-basis irreducibles
+    path = Path(ltdl.__file__).parent / "gl_characters.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    namers, stack = set(), [(tree, path.stem)]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "from_powers":
+                namers.add(scope)
+            stack.append((child, f"{scope}.{child.name}"
+                          if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert namers == {"gl_characters.dixon_table", "gl_characters.CharacterTable.to_json"}
+    assert "euler_phi" not in imported
+    assert "irreducibles" not in attributes
