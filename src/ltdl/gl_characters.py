@@ -629,14 +629,14 @@ class CharacterTable:
 
 
 def dixon_table(group):
-    """The full character table with exact cyclotomic values, split modulo
-    the least prime ell = 1 mod E above 2 sqrt|G|.  No other prime is
-    needed (Dixon 1967): at such an ell, distinct irreducible characters
-    stay distinct modulo every prime above ell, so the common eigenspaces of
-    the class matrices are lines, and each degree, below sqrt|G| < ell / 2,
-    is the one root of its square mod ell in that range.  So an
-    ArithmeticError on the way is a failed identity, a VerificationError
-    with its message."""
+    """The exact character table (degrees, multiplicity vectors, residues),
+    split modulo the least prime ell = 1 mod E above 2 sqrt|G|.  No other
+    prime is needed (Dixon 1967): at such an ell, distinct irreducible
+    characters stay distinct modulo every prime above ell, so the common
+    eigenspaces of the class matrices are lines, and each degree, below
+    sqrt|G| < ell / 2, is the one root of its square mod ell in that range.
+    So an ArithmeticError on the way is a failed identity, a
+    VerificationError with its message."""
     ell, E = _split_prime(group.exponent, max(2 * isqrt(group.order), 2)), group.exponent
     try:
         characters = _characters_mod(group, ell)

@@ -942,12 +942,13 @@ def test_class_matrix_generator_matches_eager_list(q):
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
 def test_dl_correspondence_matches_product_oracle(q, n):
     data = CorrespondenceData(GLGroup(q, n))
+    values = table_values(data.table)
     for j in range(q ** n - 1):
         if not is_generic_by_norm_kernels(q, n, j):
             continue
         ind = induce_by_coordinates(data.group, data.torus, j)
         oracle = [idx for idx in data.cuspidal_indices
-                  if product_is(data.group, table_values(data.table)[idx], data.st, ind)]
+                  if product_is(data.group, values[idx], data.st, ind)]
         assert oracle == [dl_correspondence(data, j)]
 
 
